@@ -38,14 +38,6 @@
 // byte-stable BENCH_pareto.json artifact. The document is identical
 // across runs and -sweep-workers counts for a fixed seed.
 //
-// With -bench-sim, kzm-sim benchmarks the simulator itself: the same
-// warm interrupt-path replay workload timed on the naive and the
-// memoized engine across the four-image matrix, reporting replays/sec,
-// simulated cycles/sec, allocations per replay and memo hit rates.
-// The engines are differentially proven identical; a cycle
-// disagreement fails the benchmark. -bench-sim-out writes the result
-// as a BENCH_sim.json artifact.
-//
 // Usage:
 //
 //	kzm-sim [-variant modern|original] [-waiters N] [-period CYCLES]
@@ -54,8 +46,6 @@
 //	        [-serve :9090] [-bench-out BENCH_soak.json]
 //	kzm-sim -probe [-probe-budget N] [-seed N]
 //	        [-tightness-out BENCH_tightness.json]
-//	kzm-sim -bench-sim [-bench-sim-runs N] [-seed N]
-//	        [-bench-sim-out BENCH_sim.json]
 //	kzm-sim -sweep [-sweep-workers N] [-sweep-ops N] [-seed N]
 //	        [-sweep-out BENCH_pareto.json]
 //	kzm-sim -fleet-coordinator ADDR -soak <ops> [-fleet-workers N]
@@ -120,9 +110,6 @@ func main() {
 	probeMode := flag.Bool("probe", false, "run the adversarial worst-case probe over the preemption × pinning matrix")
 	probeBudget := flag.Int("probe-budget", 160, "per-configuration probe evaluation budget")
 	tightnessOut := flag.String("tightness-out", "BENCH_tightness.json", "write the probe matrix as a BENCH_tightness.json artifact to this file (with -probe; empty disables)")
-	benchSim := flag.Bool("bench-sim", false, "benchmark the naive vs memoized simulator engine over the image matrix")
-	benchSimRuns := flag.Int("bench-sim-runs", verikern.DefaultSimBenchRuns, "timed warm replays per engine per configuration")
-	benchSimOut := flag.String("bench-sim-out", "BENCH_sim.json", "write the engine benchmark as a BENCH_sim.json artifact to this file (with -bench-sim; empty disables)")
 	fleetCoord := flag.String("fleet-coordinator", "", "run a fleet coordinator listening for workers on this address (op budget from -soak)")
 	fleetWorkerAddr := flag.String("fleet-worker", "", "run one fleet worker dialing a coordinator at this address")
 	fleetWorkers := flag.Int("fleet-workers", 3, "worker processes the coordinator spawns locally (0 = attach externally)")
@@ -150,11 +137,6 @@ func main() {
 
 	if *sweepMode {
 		runSweep(ctx, *seed, *sweepOps, *sweepWorkers, *sweepOut)
-		return
-	}
-
-	if *benchSim {
-		runBenchSim(ctx, *seed, *benchSimRuns, *benchSimOut, backend.ID)
 		return
 	}
 
@@ -442,31 +424,6 @@ func runProbe(ctx context.Context, seed uint64, budget int, out, archID string) 
 		log.Fatalf("SOUNDNESS VIOLATION: %d observations exceeded their computed bound", violations)
 	}
 	fmt.Println("soundness: every observed maximum within its computed bound")
-}
-
-// runBenchSim is the engine-benchmark mode: naive vs memoized replay
-// throughput over the image matrix, a table on stdout and optionally
-// the BENCH_sim.json artifact. The report itself fails if the engines
-// ever disagree on simulated cycles.
-func runBenchSim(ctx context.Context, seed uint64, runs int, out, archID string) {
-	doc, err := verikern.SimReportArch(ctx, seed, runs, archID)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(verikern.FormatSimBench(doc))
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := verikern.WriteSimBench(f, doc); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %d-config engine benchmark to %s\n", len(doc.Configs), out)
-	}
 }
 
 // runSweep is the configuration-lattice mode: walk every backend's

@@ -191,8 +191,8 @@ type Config struct {
 	// selects the default ARM1136 backend, so the zero Config keeps
 	// its historical meaning. Config stays a flat comparable value:
 	// backends are resolved by name through the registry, never
-	// embedded, so Configs remain usable as map keys, memo bindings
-	// and fingerprint inputs.
+	// embedded, so Configs remain usable as map keys and fingerprint
+	// inputs.
 	Arch string
 
 	// L2Enabled enables the unified L2 cache. Disabling it lowers

@@ -10,13 +10,6 @@ func stateDiff(kind string, a int, sub string, b int, want, got any) string {
 	return fmt.Sprintf("%s %d %s %d: reference %v, flat %v", kind, a, sub, b, want, got)
 }
 
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // propConfigs samples the configuration space: every policy, with and
 // without locked ways, small and platform-sized geometries.
 func propConfigs() []Config {
@@ -111,189 +104,11 @@ func TestFlatMatchesReference(t *testing.T) {
 					if ok, msg := rc.matches(pc); !ok {
 						t.Fatalf("step %d: state diverged: %s\nflat state:\n%s", step, msg, pc.StateString())
 					}
-					if got, want := pc.Fingerprint(), pc.RecomputedFingerprint(); got != want {
-						t.Fatalf("step %d: incremental fingerprint %#x drifted from recomputed %#x", step, got, want)
-					}
-					for s := 0; s < cfg.Sets; s++ {
-						if got, want := pc.SetFingerprint(s), pc.RecomputedSetFingerprint(s); got != want {
-							t.Fatalf("step %d set %d: incremental set fingerprint %#x drifted from recomputed %#x", step, s, got, want)
-						}
-					}
 				}
 			}
 			if ok, msg := rc.matches(pc); !ok {
 				t.Fatalf("final state diverged: %s", msg)
 			}
-			if got, want := pc.Fingerprint(), pc.RecomputedFingerprint(); got != want {
-				t.Fatalf("final incremental fingerprint %#x != recomputed %#x", got, want)
-			}
 		})
-	}
-}
-
-// TestFingerprintEqualStates: equal observable states must fingerprint
-// identically. Two caches driven by the same op sequence land in the
-// same observable state and must agree on whole-cache and per-set
-// fingerprints, even when dead state (the LFSR under non-pseudo-random
-// policies) was parked differently beforehand.
-func TestFingerprintEqualStates(t *testing.T) {
-	for ci, cfg := range propConfigs() {
-		rng := rand.New(rand.NewSource(int64(0xFACE + ci)))
-		ops := make([]uint32, 600)
-		for i := range ops {
-			ops[i] = randAddr(rng, cfg)
-		}
-		replay := func(c *Cache) {
-			c.Pollute(0x1234)
-			c.AdvanceReplacement(3)
-			for i, a := range ops {
-				c.Access(a, i%3 == 0)
-			}
-		}
-		a, b := New(cfg), New(cfg)
-		if cfg.Policy != PseudoRandom {
-			// The LFSR is dead state under these policies: clocking it
-			// must not affect any fingerprint.
-			for i := 0; i < 7; i++ {
-				b.stepLFSR()
-			}
-		}
-		replay(a)
-		replay(b)
-		if !a.Equal(b) {
-			t.Fatalf("cfg %d: same replay did not converge:\n%s\nvs\n%s", ci, a.StateString(), b.StateString())
-		}
-		if a.Fingerprint() != b.Fingerprint() {
-			t.Fatalf("cfg %d: equal states, unequal fingerprints %#x vs %#x", ci, a.Fingerprint(), b.Fingerprint())
-		}
-		for s := 0; s < cfg.Sets; s++ {
-			if a.SetFingerprint(s) != b.SetFingerprint(s) {
-				t.Fatalf("cfg %d set %d: equal states, unequal set fingerprints", ci, s)
-			}
-		}
-	}
-}
-
-// TestFingerprintCanonicalInvalid: a cache whose lines were filled and
-// then invalidated is observably identical to a fresh one (under LRU,
-// whose victim selection never moves the round-robin pointer), and must
-// fingerprint identically — stale content must not leak.
-func TestFingerprintCanonicalInvalid(t *testing.T) {
-	cfg := Config{Sets: 8, Ways: 4, LineBytes: 32, Policy: LRU}
-	rng := rand.New(rand.NewSource(5))
-	a, b := New(cfg), New(cfg)
-	for i := 0; i < 300; i++ {
-		b.Access(randAddr(rng, cfg), i%2 == 0)
-	}
-	b.InvalidateAll()
-	if !a.Equal(b) {
-		t.Fatalf("invalidated cache not equal to fresh:\n%s\nvs\n%s", a.StateString(), b.StateString())
-	}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("invalidated cache fingerprint %#x != fresh %#x", b.Fingerprint(), a.Fingerprint())
-	}
-}
-
-// TestFingerprintDistinguishesStates: on a sampled space, distinct
-// observable states get distinct fingerprints — single-line tag flips,
-// dirty-bit flips, replacement-pointer differences.
-func TestFingerprintDistinguishesStates(t *testing.T) {
-	cfg := Config{Sets: 8, Ways: 4, LineBytes: 32, Policy: RoundRobin, LockedWays: 1}
-	rng := rand.New(rand.NewSource(99))
-	seen := make(map[uint64]string)
-	record := func(c *Cache, desc string) {
-		fp := c.Fingerprint()
-		if prev, ok := seen[fp]; ok {
-			t.Fatalf("fingerprint collision between %q and %q", prev, desc)
-		}
-		seen[fp] = desc
-	}
-	base := func() *Cache {
-		c := New(cfg)
-		c.Pollute(7)
-		return c
-	}
-	record(New(cfg), "empty")
-	record(base(), "polluted")
-	lines := make(map[uint64]bool) // dedupe by (line, write): same line ⇒ same state
-	for i := 0; i < 64; i++ {
-		a := randAddr(rng, cfg)
-		w := i%2 == 0
-		key := uint64(a/uint32(cfg.LineBytes))<<1 | uint64(b2i(w))
-		if lines[key] {
-			continue
-		}
-		lines[key] = true
-		c := base()
-		c.Access(a, w)
-		record(c, fmt.Sprintf("polluted+access %#x write=%v", a, w))
-	}
-	for n := 1; n < 3; n++ {
-		c := base()
-		c.AdvanceReplacement(n)
-		record(c, fmt.Sprintf("polluted+advance %d", n))
-	}
-	c := base()
-	c.Pin(0x8000)
-	record(c, "polluted+pin")
-}
-
-// TestSetFingerprintSensitivity: a set's fingerprint must react to any
-// replacement-relevant change within the set and ignore other sets.
-func TestSetFingerprintSensitivity(t *testing.T) {
-	cfg := Config{Sets: 8, Ways: 4, LineBytes: 32, Policy: RoundRobin, LockedWays: 1}
-	c := New(cfg)
-	c.Pollute(3)
-	before := make([]uint64, cfg.Sets)
-	for s := range before {
-		before[s] = c.SetFingerprint(s)
-	}
-	// Touch one line in set 2 (address with set bits 2).
-	addr := uint32(2 * cfg.LineBytes)
-	c.Access(addr, true)
-	if c.SetFingerprint(2) == before[2] {
-		t.Fatal("set 2 fingerprint unchanged after access that allocated into it")
-	}
-	for s := 0; s < cfg.Sets; s++ {
-		if s == 2 {
-			continue
-		}
-		if c.SetFingerprint(s) != before[s] {
-			t.Fatalf("set %d fingerprint changed by access to set 2", s)
-		}
-	}
-}
-
-// TestAppendRestoreSetState: snapshot/restore round-trips exactly and
-// keeps the incremental fingerprint truthful.
-func TestAppendRestoreSetState(t *testing.T) {
-	for ci, cfg := range propConfigs() {
-		rng := rand.New(rand.NewSource(int64(31 + ci)))
-		c := New(cfg)
-		c.Pollute(rng.Uint32())
-		var tags []uint32
-		var flags []uint8
-		rrs := make([]int32, cfg.Sets)
-		for s := 0; s < cfg.Sets; s++ {
-			tags, flags, rrs[s] = c.AppendSetState(s, tags, flags)
-		}
-		fpBefore := c.Fingerprint()
-		// Scramble, then restore every set.
-		for i := 0; i < 300; i++ {
-			c.Access(randAddr(rng, cfg), i%2 == 0)
-		}
-		for s := 0; s < cfg.Sets; s++ {
-			off := s * cfg.Ways
-			c.RestoreSetState(s, tags[off:off+cfg.Ways], flags[off:off+cfg.Ways], rrs[s])
-		}
-		if cfg.Policy == PseudoRandom {
-			continue // LFSR is global, not part of set state
-		}
-		if got := c.Fingerprint(); got != fpBefore {
-			t.Fatalf("cfg %d: fingerprint %#x after restore, want %#x", ci, got, fpBefore)
-		}
-		if got, want := c.Fingerprint(), c.RecomputedFingerprint(); got != want {
-			t.Fatalf("cfg %d: incremental %#x != recomputed %#x after restore", ci, got, want)
-		}
 	}
 }

@@ -1,0 +1,83 @@
+package fleet
+
+import (
+	"context"
+	"encoding/json"
+	"testing"
+	"time"
+
+	"verikern/internal/arch"
+	"verikern/internal/konfig"
+	"verikern/internal/soak"
+)
+
+// TestSpecIdentityPinned pins the wire encoding of the benno+preempt
+// soak spec on both backends, and the coordinator's checkpoint state
+// key derived from it. Both are identity: a changed encoding orphans
+// every persisted -fleet-state file and makes workers of one release
+// disagree with coordinators of another under the same protoVersion.
+// A deliberate change must update these goldens and bump protoVersion.
+func TestSpecIdentityPinned(t *testing.T) {
+	if protoVersion != 2 {
+		t.Fatalf("protoVersion = %d; re-derive the goldens below for the new protocol", protoVersion)
+	}
+	cases := []struct {
+		arch     string
+		wantJSON string
+		wantKey  string
+	}{
+		{
+			arch:     arch.ARM1136ID,
+			wantJSON: `{"label":"benno+preempt","arch":"arm1136","config_key":"0a4a64bb6de9e056","seed":42,"ops":4000,"workers":2,"kernel":{"Scheduler":2,"VSpace":1,"PreemptionPoints":true,"Fastpath":true,"SplitSendReceive":false,"ClearChunkBytes":1024,"CheckInvariants":false}}`,
+			wantKey:  "3d634a21ee9878175e00ad4ce96194095ccb1a6427e4fb8b10076d530df268df",
+		},
+		{
+			arch:     arch.CVA6RTID,
+			wantJSON: `{"label":"benno+preempt","arch":"cva6rt","config_key":"d1e885614ca7ec47","seed":42,"ops":4000,"workers":2,"kernel":{"Scheduler":2,"VSpace":1,"PreemptionPoints":true,"Fastpath":true,"SplitSendReceive":false,"ClearChunkBytes":1024,"CheckInvariants":false}}`,
+			wantKey:  "2691ae7901c6fe36eaca35dca6de95aba51e29fc0c73e5a648081d4da90fa2c1",
+		},
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for _, tc := range cases {
+		t.Run(tc.arch, func(t *testing.T) {
+			m, err := konfig.LegacySoakMatrix(tc.arch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cfg soak.Config
+			for _, np := range m {
+				if np.Name == "benno+preempt" {
+					cfg = soak.Config{
+						Label:     np.Name,
+						Arch:      tc.arch,
+						ConfigKey: np.Point.Hash(),
+						Seed:      42,
+						Ops:       4000,
+						Workers:   2,
+						Kernel:    np.Point.KernelConfig(),
+						Pinned:    np.Point.Pinned(),
+					}
+				}
+			}
+			if cfg.Label == "" {
+				t.Fatal("legacy soak matrix has no benno+preempt point")
+			}
+			got, err := json.Marshal(SpecFromConfig(cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != tc.wantJSON {
+				t.Errorf("spec encoding changed:\n got %s\nwant %s", got, tc.wantJSON)
+			}
+			c, err := New(ctx, Config{Spec: SpecFromConfig(cfg)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Stop()
+			if c.stateKey != tc.wantKey {
+				t.Errorf("state key changed: got %s, want %s", c.stateKey, tc.wantKey)
+			}
+		})
+	}
+}

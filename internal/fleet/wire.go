@@ -72,9 +72,7 @@ type Hello struct {
 }
 
 // Spec is the wire form of the fleet-wide workload: the serialisable
-// subset of soak.Config (the ReplayPlan never crosses the wire —
-// workers rebuild it deterministically from the same analysis
-// pipeline when MachineReplay is set).
+// subset of soak.Config.
 type Spec struct {
 	Label string `json:"label"`
 	Arch  string `json:"arch,omitempty"`
@@ -96,8 +94,6 @@ type Spec struct {
 	MaxCaptures       int           `json:"max_captures,omitempty"`
 	PoolThreads       int           `json:"pool_threads,omitempty"`
 	AllocReserveBytes uint32        `json:"alloc_reserve_bytes,omitempty"`
-	MachineReplay     bool          `json:"machine_replay,omitempty"`
-	Memo              bool          `json:"memo,omitempty"`
 }
 
 // SpecFromConfig projects a soak.Config onto the wire form.
@@ -118,8 +114,6 @@ func SpecFromConfig(cfg soak.Config) Spec {
 		MaxCaptures:       cfg.MaxCaptures,
 		PoolThreads:       cfg.PoolThreads,
 		AllocReserveBytes: cfg.AllocReserveBytes,
-		MachineReplay:     cfg.MachineReplay,
-		Memo:              cfg.Memo,
 	}
 }
 
@@ -141,8 +135,6 @@ func (sp Spec) SoakConfig() soak.Config {
 		MaxCaptures:       sp.MaxCaptures,
 		PoolThreads:       sp.PoolThreads,
 		AllocReserveBytes: sp.AllocReserveBytes,
-		MachineReplay:     sp.MachineReplay,
-		Memo:              sp.Memo,
 	}
 }
 

@@ -132,17 +132,7 @@ func runWorkerConn(ctx context.Context, conn io.ReadWriteCloser, opt WorkerOptio
 	// still surfaces as EOF/reset on the watcher's read, and the write
 	// side keeps its per-frame deadline.
 	armRead(conn, 0)
-	cfg := as.Spec.SoakConfig().WithDefaults()
-	if cfg.MachineReplay {
-		// The plan never crosses the wire; the analysis pipeline is
-		// deterministic, so a local rebuild yields the identical plan.
-		plan, err := soak.BuildReplayPlan(ctx, cfg)
-		if err != nil {
-			return workerErr, fmt.Errorf("fleet worker: replay plan: %w", err)
-		}
-		cfg.Replay = plan
-	}
-	rn, err := soak.NewRunner(cfg, as.Shard)
+	rn, err := soak.NewRunner(as.Spec.SoakConfig(), as.Shard)
 	if err != nil {
 		return workerErr, fmt.Errorf("fleet worker: shard %d: %w", as.Shard, err)
 	}

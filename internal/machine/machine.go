@@ -8,13 +8,9 @@
 package machine
 
 import (
-	"fmt"
-	"sync"
-
 	"verikern/internal/arch"
 	"verikern/internal/cache"
 	"verikern/internal/kimage"
-	"verikern/internal/obs"
 	"verikern/internal/pipeline"
 )
 
@@ -46,31 +42,7 @@ type Machine struct {
 	// execIndex tracks, per instruction, how many times it has run
 	// in the current trace, to resolve strided data references.
 	execIndex map[*kimage.Block][]uint64
-	// tracer, when set, receives one replay event per Run.
-	tracer *obs.Tracer
-	// memo, when set, retires blocks through the memoized engine.
-	memo *Memo
 }
-
-// SetTracer attaches a tracer; each Run then emits one replay event
-// carrying the trace's cycle count and block count.
-func (m *Machine) SetTracer(t *obs.Tracer) { m.tracer = t }
-
-// SetMemo attaches (or, with nil, detaches) a memoized block-retirement
-// engine. The memo binds to the machine's platform configuration on
-// first attach and may be shared by any number of machines of that
-// configuration — measurement helpers construct a fresh machine per
-// run, and sharing the memo across them is where the speedup comes
-// from. Memos are not safe for concurrent use.
-func (m *Machine) SetMemo(mm *Memo) {
-	if mm != nil {
-		mm.bind(m.cfg)
-	}
-	m.memo = mm
-}
-
-// Memo returns the attached memo engine, nil when retiring naively.
-func (m *Machine) Memo() *Memo { return m.memo }
 
 // New constructs a machine for the platform configuration. Cache
 // geometries are fixed by the configuration's backend; cfg selects the
@@ -152,12 +124,19 @@ func (m *Machine) LoadImage(img *kimage.Image) int {
 }
 
 // Pollute fills all caches with conflicting dirty lines and resets the
-// branch predictor — the adversarial pre-state for worst-case
-// measurement runs (§5.4).
+// replacement state and the branch predictor — the adversarial
+// pre-state for worst-case measurement runs (§5.4). Only the pinned
+// lines carry over from earlier runs (possibly dirtied by a store,
+// which costs nothing since pinned lines are never evicted), so a
+// polluted machine times a run exactly as a freshly loaded one
+// polluted with the same seed would.
 func (m *Machine) Pollute(seed uint32) {
+	m.l1i.ResetReplacement()
 	m.l1i.Pollute(seed)
+	m.l1d.ResetReplacement()
 	m.l1d.Pollute(seed ^ 0x5555)
 	if m.l2 != nil {
+		m.l2.ResetReplacement()
 		m.l2.Pollute(seed ^ 0xAAAA)
 	}
 	m.bp.Reset()
@@ -220,15 +199,6 @@ func (m *Machine) Prime(trace []*kimage.Block, spec PrimeSpec) {
 	}
 }
 
-// InvalidateCaches drops all cache contents (except pinned lines).
-func (m *Machine) InvalidateCaches() {
-	m.l1i.InvalidateAll()
-	m.l1d.InvalidateAll()
-	if m.l2 != nil {
-		m.l2.InvalidateAll()
-	}
-}
-
 // memAccess plays one access through L1 (i or d), then L2/memory, and
 // returns its cycle cost beyond the instruction's base cost.
 func (m *Machine) memAccess(l1 *cache.Cache, addr uint32, write bool) uint64 {
@@ -265,9 +235,10 @@ func (m *Machine) memAccess(l1 *cache.Cache, addr uint32, write bool) uint64 {
 	return cost + m.b.LatMemL2On
 }
 
-// execIndexSlice returns block b's execution-index slice, allocating a
-// zeroed one on first sight.
-func (m *Machine) execIndexSlice(b *kimage.Block) []uint64 {
+// execIndexFor returns (and advances) the execution index of
+// instruction i in block b, allocating the block's zeroed index slice
+// on first sight.
+func (m *Machine) execIndexFor(b *kimage.Block, i int) uint64 {
 	if m.execIndex == nil {
 		m.execIndex = make(map[*kimage.Block][]uint64)
 	}
@@ -276,23 +247,16 @@ func (m *Machine) execIndexSlice(b *kimage.Block) []uint64 {
 		idx = make([]uint64, len(b.Instrs))
 		m.execIndex[b] = idx
 	}
-	return idx
-}
-
-// execIndexFor returns (and advances) the execution index of
-// instruction i in block b.
-func (m *Machine) execIndexFor(b *kimage.Block, i int) uint64 {
-	idx := m.execIndexSlice(b)
 	n := idx[i]
 	idx[i] = n + 1
 	return n
 }
 
-// ResetTrace clears per-trace execution state (strided-reference
+// resetTrace clears per-trace execution state (strided-reference
 // indices) without touching cache or predictor contents. The index
 // slices are zeroed in place rather than dropped, so repeated Runs on
 // one machine reach an allocation-free steady state.
-func (m *Machine) ResetTrace() {
+func (m *Machine) resetTrace() {
 	for _, idx := range m.execIndex {
 		for i := range idx {
 			idx[i] = 0
@@ -300,23 +264,11 @@ func (m *Machine) ResetTrace() {
 	}
 }
 
-// ExecBlock executes one basic block: fetches every instruction through
+// execBlock executes one basic block: fetches every instruction through
 // the I-side hierarchy, performs data accesses through the D-side, and
 // charges base pipeline costs. taken tells the branch model whether the
 // block's terminating branch was taken. Returns the cycles consumed.
-// With a memo attached the block retires through the memoized engine,
-// which is cycle- and state-identical to naive retirement (the
-// differential tests hold it to that).
-func (m *Machine) ExecBlock(b *kimage.Block, taken bool) uint64 {
-	if m.memo != nil {
-		return m.memo.exec(m, b, taken)
-	}
-	return m.execBlockNaive(b, taken)
-}
-
-// execBlockNaive is the reference retirement path: every fetch and data
-// access walks the concrete cache hierarchy.
-func (m *Machine) execBlockNaive(b *kimage.Block, taken bool) uint64 {
+func (m *Machine) execBlock(b *kimage.Block, taken bool) uint64 {
 	var cycles uint64
 	for i := range b.Instrs {
 		ins := &b.Instrs[i]
@@ -355,49 +307,15 @@ func traceTaken(trace []*kimage.Block, i int) bool {
 	return true
 }
 
-// eventBatchPool recycles the per-run event batch buffers so tracing
-// machines stay allocation-free in steady state; with a nil tracer the
-// pool is never touched at all.
-var eventBatchPool = sync.Pool{
-	New: func() any {
-		s := make([]obs.Event, 0, 4)
-		return &s
-	},
-}
-
 // Run executes a trace of blocks in order, returning total cycles. The
 // per-trace execution indices are reset first; cache and predictor
-// state persists from previous runs (call Pollute, Prime or
-// InvalidateCaches to control it).
-//
-// The run's events are emitted as one batch carrying an explicit
-// replay tag, so a Run fired from inside a traced kernel operation
-// (the soak machine-replay path) never disturbs the tracer's
-// current-operation attribution.
+// state persists from previous runs (call Pollute or Prime to control
+// it).
 func (m *Machine) Run(trace []*kimage.Block) uint64 {
-	m.ResetTrace()
+	m.resetTrace()
 	var total uint64
-	if m.memo != nil {
-		// Retire through the memo's run-level engine: a whole-run hit
-		// replays the compiled run effect at once; otherwise blocks
-		// retire through the per-position lookup caches.
-		total = m.memo.runExec(m, trace)
-	} else {
-		for i, b := range trace {
-			total += m.execBlockNaive(b, traceTaken(trace, i))
-		}
-	}
-	if m.tracer != nil {
-		batch := eventBatchPool.Get().(*[]obs.Event)
-		*batch = append((*batch)[:0], obs.Event{
-			TS:   m.counters.Cycles,
-			Arg1: total,
-			Arg2: uint64(len(trace)),
-			Kind: obs.KindReplay,
-			Op:   obs.OpReplay,
-		})
-		m.tracer.EmitBatch(*batch)
-		eventBatchPool.Put(batch)
+	for i, b := range trace {
+		total += m.execBlock(b, traceTaken(trace, i))
 	}
 	return total
 }
@@ -421,51 +339,4 @@ func (m *Machine) ResetCounters() {
 	if m.l2 != nil {
 		m.l2.ResetStats()
 	}
-}
-
-// StateFingerprint folds the incremental fingerprints of every cache
-// and the predictor table into one word — equal microarchitectural
-// states produce equal fingerprints. Statistics and counters do not
-// participate.
-func (m *Machine) StateFingerprint() uint64 {
-	h := m.l1i.Fingerprint()
-	h ^= h >> 30
-	h *= 0xBF58476D1CE4E5B9
-	h ^= m.l1d.Fingerprint()
-	h ^= h >> 27
-	h *= 0x94D049BB133111EB
-	if m.l2 != nil {
-		h ^= m.l2.Fingerprint()
-	}
-	h ^= h >> 31
-	h ^= m.bp.Fingerprint()
-	return h
-}
-
-// StateEqual reports whether two machines of identical configuration
-// hold the same microarchitectural state (caches and predictor).
-func (m *Machine) StateEqual(o *Machine) bool {
-	if m.cfg != o.cfg {
-		return false
-	}
-	if !m.l1i.Equal(o.l1i) || !m.l1d.Equal(o.l1d) {
-		return false
-	}
-	if (m.l2 == nil) != (o.l2 == nil) {
-		return false
-	}
-	if m.l2 != nil && !m.l2.Equal(o.l2) {
-		return false
-	}
-	return m.bp.Equal(o.bp)
-}
-
-// StateString renders the machine state for differential-test failure
-// messages.
-func (m *Machine) StateString() string {
-	s := "l1i:\n" + m.l1i.StateString() + "l1d:\n" + m.l1d.StateString()
-	if m.l2 != nil {
-		s += "l2:\n" + m.l2.StateString()
-	}
-	return s + fmt.Sprintf("bp fp %#x\n", m.bp.Fingerprint())
 }

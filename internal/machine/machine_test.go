@@ -66,6 +66,40 @@ func TestPollutionIncreasesTime(t *testing.T) {
 	}
 }
 
+// TestPolluteForgetsEarlierRuns: measurement campaigns reuse one
+// machine across runs, so Pollute must leave a used machine in exactly
+// the state a freshly loaded one reaches with the same seed —
+// replacement pointers included.
+func TestPolluteForgetsEarlierRuns(t *testing.T) {
+	img, trace := buildLinear(t, 128)
+	img.PinLines(trace[0].Addr)
+	for _, cfg := range []arch.Config{{}, {L2Enabled: true, PinnedL1Ways: 1}} {
+		used := New(cfg)
+		used.LoadImage(img)
+		used.Pollute(7)
+		used.Run(trace)
+		used.Pollute(9)
+
+		fresh := New(cfg)
+		fresh.LoadImage(img)
+		fresh.Pollute(9)
+
+		state := func(m *Machine) string {
+			s := m.l1i.StateString() + m.l1d.StateString()
+			if m.l2 != nil {
+				s += m.l2.StateString()
+			}
+			return s
+		}
+		if state(used) != state(fresh) {
+			t.Fatalf("%+v: polluted used machine differs from a fresh one", cfg)
+		}
+		if u, f := used.Run(trace), fresh.Run(trace); u != f {
+			t.Fatalf("%+v: used machine ran %d cycles, fresh %d", cfg, u, f)
+		}
+	}
+}
+
 func TestPinnedLinesAlwaysHit(t *testing.T) {
 	img, trace := buildLinear(t, 16)
 	// Pin every line of the function.

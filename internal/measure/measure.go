@@ -56,7 +56,7 @@ func PolluteSeed(base uint64, run int) uint32 {
 // over (root, FNV-1a(label)): every named campaign sharing one root —
 // the per-configuration series of a benchmark sweep, say — draws from
 // its own well-mixed seed space, and the same (root, label) pair always
-// derives the same base, which is what makes `-bench-sim` artifacts
+// derives the same base, which is what makes seeded campaigns
 // reproducible run-to-run. The derivation chain is fixed:
 //
 //	root ──CampaignSeed(label)──▶ base ──PolluteSeed(run)──▶ per-run seed
@@ -97,25 +97,6 @@ func ArchSeed(root uint64, b *arch.Backend) uint64 {
 	return CampaignSeed(root, "arch/"+b.ID)
 }
 
-// Replayer carries the engine configuration measurement campaigns run
-// under. The zero value is the naive engine; setting Memo routes every
-// replay through the memoized block-retirement engine, shared across
-// the fresh per-run machines these helpers construct — which is where
-// the memo's speedup comes from. A Replayer (because its memo) is not
-// safe for concurrent use.
-type Replayer struct {
-	// Memo, when non-nil, is attached to every machine the replayer
-	// constructs.
-	Memo *machine.Memo
-}
-
-// apply attaches the replayer's engine configuration to a machine.
-func (r *Replayer) apply(m *machine.Machine) {
-	if r.Memo != nil {
-		m.SetMemo(r.Memo)
-	}
-}
-
 // Observe replays trace on a machine configured with hw, runs times,
 // each from a freshly polluted cache state (a different pollution seed
 // per run), and reports the distribution. The image's pin set is
@@ -131,12 +112,6 @@ func Observe(img *kimage.Image, hw arch.Config, trace []*kimage.Block, runs int)
 // for a fixed base and composable — two campaigns with different bases
 // never reuse a pollution state.
 func ObserveSeeded(img *kimage.Image, hw arch.Config, trace []*kimage.Block, runs int, base uint64) Observation {
-	return (&Replayer{}).ObserveSeeded(img, hw, trace, runs, base)
-}
-
-// ObserveSeeded is the package-level ObserveSeeded under the replayer's
-// engine configuration.
-func (r *Replayer) ObserveSeeded(img *kimage.Image, hw arch.Config, trace []*kimage.Block, runs int, base uint64) Observation {
 	if runs <= 0 {
 		runs = 1
 	}
@@ -144,10 +119,11 @@ func (r *Replayer) ObserveSeeded(img *kimage.Image, hw arch.Config, trace []*kim
 	o.Runs = runs
 	o.Min = ^uint64(0)
 	var sum uint64
+	// One machine serves every run: Pollute resets all state a run
+	// leaves behind except the pinned lines, which never leave.
+	m := machine.New(hw)
+	m.LoadImage(img)
 	for i := 0; i < runs; i++ {
-		m := machine.New(hw)
-		m.LoadImage(img)
-		r.apply(m)
 		m.Pollute(PolluteSeed(base, i))
 		c := m.Run(trace)
 		if c > o.Max {
@@ -169,15 +145,8 @@ func (r *Replayer) ObserveSeeded(img *kimage.Image, hw arch.Config, trace []*kim
 // probe: each search candidate is one PrimeSpec, and its fitness is the
 // cycles this returns.
 func ReplayPrimed(img *kimage.Image, hw arch.Config, trace []*kimage.Block, spec machine.PrimeSpec) uint64 {
-	return (&Replayer{}).ReplayPrimed(img, hw, trace, spec)
-}
-
-// ReplayPrimed is the package-level ReplayPrimed under the replayer's
-// engine configuration.
-func (r *Replayer) ReplayPrimed(img *kimage.Image, hw arch.Config, trace []*kimage.Block, spec machine.PrimeSpec) uint64 {
 	m := machine.New(hw)
 	m.LoadImage(img)
-	r.apply(m)
 	m.Prime(trace, spec)
 	return m.Run(trace)
 }
@@ -187,12 +156,6 @@ func (r *Replayer) ReplayPrimed(img *kimage.Image, hw arch.Config, trace []*kima
 // specs), so a caller can both rank candidates and fold the campaign
 // into an Observation.
 func ObservePrimed(img *kimage.Image, hw arch.Config, trace []*kimage.Block, specs []machine.PrimeSpec) (Observation, []uint64) {
-	return (&Replayer{}).ObservePrimed(img, hw, trace, specs)
-}
-
-// ObservePrimed is the package-level ObservePrimed under the replayer's
-// engine configuration.
-func (r *Replayer) ObservePrimed(img *kimage.Image, hw arch.Config, trace []*kimage.Block, specs []machine.PrimeSpec) (Observation, []uint64) {
 	if len(specs) == 0 {
 		return Observation{}, nil
 	}
@@ -200,7 +163,7 @@ func (r *Replayer) ObservePrimed(img *kimage.Image, hw arch.Config, trace []*kim
 	per := make([]uint64, len(specs))
 	var sum uint64
 	for i, spec := range specs {
-		c := r.ReplayPrimed(img, hw, trace, spec)
+		c := ReplayPrimed(img, hw, trace, spec)
 		per[i] = c
 		if c > o.Max {
 			o.Max = c
@@ -218,15 +181,8 @@ func (r *Replayer) ObservePrimed(img *kimage.Image, hw arch.Config, trace []*kim
 // same machine and the second (warm) time is reported. This is the
 // fastpath-style measurement used for the IPC fastpath figure (§6.1).
 func ObserveWarm(img *kimage.Image, hw arch.Config, trace []*kimage.Block) uint64 {
-	return (&Replayer{}).ObserveWarm(img, hw, trace)
-}
-
-// ObserveWarm is the package-level ObserveWarm under the replayer's
-// engine configuration.
-func (r *Replayer) ObserveWarm(img *kimage.Image, hw arch.Config, trace []*kimage.Block) uint64 {
 	m := machine.New(hw)
 	m.LoadImage(img)
-	r.apply(m)
 	m.Run(trace)
 	return m.Run(trace)
 }

@@ -25,9 +25,6 @@ type Report struct {
 	// SimCycles is the simulated time consumed, summed across
 	// workers.
 	SimCycles uint64
-	// Replays counts machine-replay executions across workers (zero
-	// unless Config.MachineReplay).
-	Replays uint64
 	// MaxLatency is the worst interrupt-response latency observed.
 	MaxLatency uint64
 	// Bound is the sentinel's merged verdict.
@@ -82,7 +79,6 @@ func report(cfg Config, runners []*Runner) *Report {
 		snap.AddTracer(rn.tracer)
 		r.Ops += rn.ops
 		r.SimCycles += rn.k.Now()
-		r.Replays += rn.replays
 		if m := rn.k.MaxLatency(); m > r.MaxLatency {
 			r.MaxLatency = m
 		}
@@ -122,10 +118,8 @@ func ShardBudget(total uint64, workers, i int) uint64 {
 	return per
 }
 
-// resolve fills in the config's analysed artifacts: the sentinel's
-// WCET bound (unless pinned) and, for machine-replay soaks, the shared
-// interrupt-path replay plan. Both run the analysis pipeline at most
-// once per config.
+// resolve fills in the sentinel's WCET bound unless the config pins
+// one, running the analysis pipeline at most once per config.
 func resolve(ctx context.Context, cfg Config) (Config, error) {
 	cfg = cfg.WithDefaults()
 	if cfg.BoundCycles == 0 {
@@ -134,13 +128,6 @@ func resolve(ctx context.Context, cfg Config) (Config, error) {
 			return cfg, err
 		}
 		cfg.BoundCycles = b
-	}
-	if cfg.MachineReplay && cfg.Replay == nil {
-		p, err := BuildReplayPlan(ctx, cfg)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Replay = p
 	}
 	return cfg, nil
 }

@@ -25,7 +25,6 @@ import (
 	"verikern/internal/arch"
 	"verikern/internal/kernel"
 	"verikern/internal/kobj"
-	"verikern/internal/machine"
 	"verikern/internal/measure"
 	"verikern/internal/obs"
 )
@@ -35,11 +34,11 @@ type Config struct {
 	// Label names the configuration (e.g. "benno+preempt+pinned").
 	Label string
 	// Arch names the hardware backend (internal/arch registry) that
-	// the sentinel bound, the machine replays and the seed derivation
-	// run against; empty selects the default ARM1136 backend. The
-	// backend id is mixed into every derived seed (measure.ArchSeed),
-	// so a two-backend sweep sharing one Seed drives each timing
-	// model with a distinct op stream.
+	// the sentinel bound and the seed derivation run against; empty
+	// selects the default ARM1136 backend. The backend id is mixed into
+	// every derived seed (measure.ArchSeed), so a two-backend sweep
+	// sharing one Seed drives each timing model with a distinct op
+	// stream.
 	Arch string
 	// ConfigKey is the konfig lattice-point hash identifying the full
 	// kernel+hardware configuration (konfig.Point.Hash); empty for
@@ -92,26 +91,6 @@ type Config struct {
 	// keeping. Off by default (the passive soak captures only
 	// violations and near-bound maxima).
 	CaptureNewMax bool
-	// MachineReplay attaches a cycle-accurate ARM1136 machine to every
-	// worker: each serviced interrupt replays the analysed worst-case
-	// interrupt-path trace on simulated hardware from a deterministically
-	// polluted cache state, interleaving one KindReplay event per
-	// serviced interrupt into the worker's trace stream. The replay
-	// seeds derive from the campaign seed per worker and per replay, so
-	// machine-replay soaks stay byte-reproducible.
-	MachineReplay bool
-	// Memo routes each worker's machine replays through the memoized
-	// block-retirement engine (machine.Memo, one per worker — workers
-	// run on concurrent goroutines and the memo is not thread-safe).
-	// The replayed cycles and events are identical either way; see
-	// docs/simulator.md.
-	Memo bool
-	// Replay optionally pins a pre-built replay plan, sharing one WCET
-	// analysis across many soaks of the same configuration. Run and
-	// RunFor fill it via BuildReplayPlan when MachineReplay is set and
-	// Replay is nil; direct Runner users must supply it themselves for
-	// MachineReplay to take effect.
-	Replay *ReplayPlan
 }
 
 // WithDefaults returns the config with every zero field resolved to
@@ -288,13 +267,6 @@ type Runner struct {
 	deep   *kobj.TCB
 	chains map[int]deepChain
 
-	// Machine-replay state (Config.MachineReplay): the worker's private
-	// simulated machine, the campaign-derived base for per-replay
-	// pollution seeds, and how many replays have run.
-	replayM    *machine.Machine
-	replaySeed uint64
-	replays    uint64
-
 	params Params
 	ops    uint64
 }
@@ -343,35 +315,7 @@ func NewRunner(cfg Config, index int) (*Runner, error) {
 	r.sent.seed = cfg.Seed
 	r.sent.configKey = cfg.ConfigKey
 	r.sent.opsFn = func() uint64 { return r.ops }
-	hook := r.sent.sample
-	if cfg.MachineReplay && cfg.Replay != nil {
-		// The worker's private machine shares the worker's tracer, so
-		// each replay's KindReplay event lands in the same ring as the
-		// IRQ-service sample that triggered it — deterministically,
-		// because the hook runs synchronously on the worker goroutine.
-		m := machine.New(cfg.Replay.HW)
-		m.LoadImage(cfg.Replay.Img)
-		m.SetTracer(tr)
-		if cfg.Memo {
-			// One memo per worker: workers are concurrent goroutines
-			// and the memo is deliberately not thread-safe.
-			m.SetMemo(machine.NewMemo())
-		}
-		r.replayM = m
-		r.replaySeed = measure.CampaignSeed(seedRoot,
-			fmt.Sprintf("%s/machine-replay/w%d", cfg.Label, index))
-		plan := cfg.Replay
-		hook = func(sm obs.Sample) {
-			r.sent.sample(sm)
-			// Pollution is per-replay and campaign-derived, so the
-			// replayed microarchitectural states are reproducible
-			// run-to-run yet never reuse a pollution sequence.
-			m.Pollute(measure.PolluteSeed(r.replaySeed, int(r.replays)))
-			r.replays++
-			m.Run(plan.Trace)
-		}
-	}
-	tr.SetSampleHook(hook)
+	tr.SetSampleHook(r.sent.sample)
 
 	if r.adv, err = k.CreateThread(fmt.Sprintf("soak%d/adv", index), 128); err != nil {
 		return nil, err
@@ -425,14 +369,6 @@ func (r *Runner) Params() Params { return r.params }
 // MaxObserved returns the worst interrupt-response latency the
 // sentinel has seen so far — the probe's fitness signal.
 func (r *Runner) MaxObserved() uint64 { return r.sent.maxSeen }
-
-// ReplayMachine exposes the worker's machine-replay simulator (nil
-// unless Config.MachineReplay was armed with a plan) — differential
-// tests compare its final state across engines.
-func (r *Runner) ReplayMachine() *machine.Machine { return r.replayM }
-
-// Replays returns how many interrupt-path replays have run.
-func (r *Runner) Replays() uint64 { return r.replays }
 
 // SentinelStatus returns the live bound-checker's standing verdict.
 func (r *Runner) SentinelStatus() obs.BoundStatus { return r.sent.status() }

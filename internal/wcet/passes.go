@@ -35,7 +35,7 @@ const (
 	cfgPassVersion         = 1
 	classifyPassVersion    = 1
 	solvePassVersion       = 1
-	reconstructPassVersion = 1
+	reconstructPassVersion = 2
 	resultVersion          = 1
 )
 

@@ -13,13 +13,16 @@ import (
 // trace from entry to exit — the paper's "converted the solution to a
 // concrete execution trace" step (§6). The counts satisfy flow
 // conservation, so they define an Eulerian trail of the count
-// multigraph, found with Hierholzer's algorithm.
+// multigraph, found with Hierholzer's algorithm. Many trails are valid
+// when a node has several successors; the adjacency lists are built
+// from the edges in (from, to) order so the same counts always yield
+// the same trail.
 func reconstruct(g *cfg.Graph, edgeCount map[edgeKey]int64) ([]*kimage.Block, error) {
 	// Hierholzer's algorithm over edgeCount, from entry.
 	adj := make(map[cfg.NodeID][]cfg.NodeID)
-	for k, c := range edgeCount {
-		for i := int64(0); i < c; i++ {
-			adj[k.from] = append(adj[k.from], k.to)
+	for _, e := range sortedEdgeFlows(edgeCount) {
+		for i := int64(0); i < e.Count; i++ {
+			adj[e.From] = append(adj[e.From], e.To)
 		}
 	}
 	var trail []cfg.NodeID
