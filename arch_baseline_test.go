@@ -86,9 +86,9 @@ func collectBaseline(t *testing.T) *baselineDoc {
 		}
 	}
 
-	reps, err := SoakReport(ctx, 1, 400)
+	reps, err := SoakReportArch(ctx, 1, 400, "")
 	if err != nil {
-		t.Fatalf("SoakReport: %v", err)
+		t.Fatalf("SoakReportArch: %v", err)
 	}
 	for _, r := range reps {
 		doc.Soak[r.Label+"/ops"] = r.Ops

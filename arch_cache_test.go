@@ -20,7 +20,7 @@ import (
 // two backends.
 func TestArchCacheInvalidation(t *testing.T) {
 	ctx := context.Background()
-	cache := passes.NewCache(nil)
+	cache := passes.NewCache()
 	analyse := func(archID string) uint64 {
 		t.Helper()
 		img, cons, err := kbin.Build(kbin.Options{Modernised: true, Arch: archID})
@@ -51,7 +51,7 @@ func TestArchCacheInvalidation(t *testing.T) {
 
 	// Cross-check against an unshared cache: the shared-cache cva6rt
 	// result must equal a from-scratch cva6rt analysis.
-	fresh := passes.NewCache(nil)
+	fresh := passes.NewCache()
 	img, cons, err := kbin.Build(kbin.Options{Modernised: true, Arch: arch.CVA6RTID})
 	if err != nil {
 		t.Fatal(err)

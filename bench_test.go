@@ -17,6 +17,7 @@ import (
 	"verikern/internal/ilp"
 	"verikern/internal/kernel"
 	"verikern/internal/kobj"
+	"verikern/internal/machine"
 	"verikern/internal/obs"
 	"verikern/internal/sched"
 	"verikern/internal/wcet"
@@ -518,7 +519,8 @@ func BenchmarkWorstTraceReplay(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := machineFor(im, Hardware{})
+		m := machine.New(Hardware{})
+		m.LoadImage(im.Img)
 		m.Pollute(uint32(i))
 		m.Run(bd.Result.Trace)
 	}

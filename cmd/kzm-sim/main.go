@@ -86,7 +86,7 @@ import (
 	"verikern/internal/arch"
 	"verikern/internal/chaos"
 	"verikern/internal/fleet"
-	"verikern/internal/kernel"
+	"verikern/internal/konfig"
 	"verikern/internal/measure"
 	"verikern/internal/obs"
 	"verikern/internal/soak"
@@ -336,25 +336,7 @@ func runSoak(ctx context.Context, spec, variantName string, seed uint64, pinned 
 		log.Fatal(err)
 	}
 
-	kcfg := kernel.Modern()
-	label := "benno+preempt"
-	if variantName == "original" {
-		kcfg = kernel.Original()
-		label = "lazy"
-	}
-	kcfg.CheckInvariants = false
-	if pinned {
-		label += "+pinned"
-	}
-	cfg := soak.Config{
-		Label:   label,
-		Arch:    archID,
-		Seed:    seed,
-		Ops:     ops,
-		Workers: workers,
-		Kernel:  kcfg,
-		Pinned:  pinned,
-	}
+	cfg := campaign(variantName, archID, pinned, seed, ops, workers)
 
 	var rep *soak.Report
 	if wall > 0 {
@@ -525,28 +507,20 @@ type fleetRunConfig struct {
 	verify     bool
 }
 
-// fleetSpec translates the CLI variant flags into the fleet workload
-// spec, mirroring runSoak's config construction.
-func fleetSpec(rc fleetRunConfig, ops uint64) fleet.Spec {
-	kcfg := kernel.Modern()
-	label := "benno+preempt"
-	if rc.variant == "original" {
-		kcfg = kernel.Original()
-		label = "lazy"
+// campaign resolves the -variant/-pinned flags to their lattice point
+// (konfig.LegacyPoint: "original -pinned" is the lazy+pinned point) and
+// returns the soak campaign it selects, configuration stamp included.
+// Both -soak and -fleet-coordinator run through it.
+func campaign(variant, archID string, pinned bool, seed, ops uint64, workers int) soak.Config {
+	np, err := konfig.LegacyPoint(archID, variant != "original", pinned)
+	if err != nil {
+		log.Fatal(err)
 	}
-	kcfg.CheckInvariants = false
-	if rc.pinned {
-		label += "+pinned"
+	cfg, err := verikern.CampaignConfig(np, seed, ops, workers)
+	if err != nil {
+		log.Fatal(err)
 	}
-	return fleet.Spec{
-		Label:   label,
-		Arch:    rc.arch,
-		Seed:    rc.seed,
-		Ops:     ops,
-		Workers: rc.workers,
-		Kernel:  kcfg,
-		Pinned:  rc.pinned,
-	}
+	return cfg
 }
 
 // runFleetCoordinator is the fleet-observatory mode: shard the soak
@@ -564,7 +538,7 @@ func runFleetCoordinator(ctx context.Context, rc fleetRunConfig) {
 	if rc.workers < 1 {
 		log.Fatal("-fleet-workers must be at least 1")
 	}
-	spec := fleetSpec(rc, ops)
+	spec := fleet.SpecFromConfig(campaign(rc.variant, rc.arch, rc.pinned, rc.seed, ops, rc.workers))
 	fcfg := fleet.Config{Spec: spec, StatePath: rc.statePath, Logf: log.Printf}
 	var eng *chaos.Engine
 	if rc.chaosSeed != 0 {

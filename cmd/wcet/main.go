@@ -10,12 +10,13 @@
 //	     [-l2] [-bpred] [-pin] [-observe N] [-trace] [-hot N]
 //	     [-lp] [-verify] [-obligations] [-dump] [-timings]
 //
-// -konfig selects a configuration-lattice point instead of the legacy
-// variant/feature flags: assignments are applied to the backend's
-// default point, validated by the konfig rule engine (an infeasible
-// combination fails with its named-rule diagnostics), and the image and
-// hardware model are derived from the point. See docs/config-lattice.md
-// for the key reference.
+// Every run analyses one configuration-lattice point. -konfig assigns
+// keys on the backend's default point; without it the legacy
+// variant/feature flags select the variant's point plus the L2 and
+// branch-predictor enables. The point is validated by the konfig rule
+// engine (an infeasible combination fails with its named-rule
+// diagnostics), and the image and hardware model are derived from it.
+// See docs/config-lattice.md for the key reference.
 package main
 
 import (
@@ -29,6 +30,7 @@ import (
 
 	"verikern"
 	"verikern/internal/arch"
+	"verikern/internal/konfig"
 )
 
 func main() {
@@ -55,17 +57,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	var (
-		im      *verikern.Image
-		hw      verikern.Hardware
-		variant verikern.Variant
-		err     error
-	)
+	// Both flag sets select a lattice point: -konfig assigns keys on the
+	// backend's default point, the legacy flags name the variant's
+	// point (konfig.LegacyPoint) plus the L2 and predictor enables.
+	var p verikern.LatticePoint
 	if *konfigSpec != "" {
-		p, perr := verikern.DefaultLatticePoint(*archName)
-		if perr != nil {
-			log.Fatal(perr)
-		}
+		p = mustPoint(verikern.DefaultLatticePoint(*archName))
 		for _, kv := range strings.Split(*konfigSpec, ",") {
 			kv = strings.TrimSpace(kv)
 			if kv == "" {
@@ -75,31 +72,26 @@ func main() {
 			if !ok {
 				log.Fatalf("-konfig %q: want key=value", kv)
 			}
-			if p, err = p.Set(strings.TrimSpace(k), strings.TrimSpace(v)); err != nil {
-				log.Fatal(err)
-			}
+			p = mustPoint(p.Set(strings.TrimSpace(k), strings.TrimSpace(v)))
 		}
-		im, hw, err = verikern.BuildImagePoint(p)
-		if err != nil {
-			log.Fatal(err)
-		}
-		variant = im.Variant
-		fmt.Printf("konfig:       %s  %s\n", p.Hash(), p.Listing())
 	} else {
-		variant = verikern.Modern
-		if *variantName == "original" {
-			variant = verikern.Original
-		} else if *variantName != "modern" {
+		if *variantName != "modern" && *variantName != "original" {
 			log.Fatalf("unknown variant %q", *variantName)
 		}
-		im, err = verikern.BuildImageArch(variant, *pin, *archName)
+		np, err := konfig.LegacyPoint(*archName, *variantName == "modern", *pin)
 		if err != nil {
 			log.Fatal(err)
 		}
-		hw = verikern.Hardware{Arch: im.Arch, L2Enabled: *l2, BranchPredictor: *bpred}
-		if *pin {
-			hw.PinnedL1Ways = 1
-		}
+		p = np.Point
+		p.L2Enabled, p.BranchPredictor = *l2, *bpred
+	}
+	im, hw, err := verikern.BuildImagePoint(p)
+	if err != nil {
+		log.Fatal(err)
+	}
+	variant := im.Variant
+	if *konfigSpec != "" {
+		fmt.Printf("konfig:       %s  %s\n", p.Hash(), p.Listing())
 	}
 	if *verify {
 		if err := im.VerifyLoopBounds(); err != nil {
@@ -193,6 +185,14 @@ func main() {
 		fmt.Printf("  mean: %.0f cycles\n", obs.Mean)
 		fmt.Printf("  min:  %d cycles\n", obs.Min)
 	}
+}
+
+// mustPoint unwraps a lattice-point result, exiting on error.
+func mustPoint(p verikern.LatticePoint, err error) verikern.LatticePoint {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return p
 }
 
 func pinSuffix(pin bool) string {

@@ -83,11 +83,7 @@ func TestCVA6RTEndToEnd(t *testing.T) {
 // in the image) does not.
 func TestCVA6RTBoundIncludesEntryCost(t *testing.T) {
 	ctx := context.Background()
-	im, err := BuildImageArch(Modern, false, arch.CVA6RTID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hw := Hardware{Arch: arch.CVA6RTID}
+	im, hw := buildDefaultImage(t, arch.CVA6RTID)
 	sys, err := im.AnalyzeContext(ctx, hw, Syscall)
 	if err != nil {
 		t.Fatal(err)
@@ -116,11 +112,23 @@ func TestCVA6RTBoundIncludesEntryCost(t *testing.T) {
 // hardware config for a different backend is a category error the
 // pipeline must refuse, not silently mis-time.
 func TestAnalyzeRejectsBackendMismatch(t *testing.T) {
-	im, err := BuildImageArch(Modern, false, arch.CVA6RTID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	im, _ := buildDefaultImage(t, arch.CVA6RTID)
 	if _, err := im.AnalyzeContext(context.Background(), Hardware{}, Interrupt); err == nil {
 		t.Fatal("cva6rt image analysed under an arm1136 hardware config without error")
 	}
+}
+
+// buildDefaultImage builds the modern, unpinned image of a backend's
+// default lattice point and the hardware it is analysed under.
+func buildDefaultImage(t *testing.T, archID string) (*Image, Hardware) {
+	t.Helper()
+	p, err := DefaultLatticePoint(archID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, hw, err := BuildImagePoint(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return im, hw
 }

@@ -13,9 +13,7 @@ import (
 	"verikern/internal/chaos"
 	"verikern/internal/fleet"
 	"verikern/internal/kbin"
-	"verikern/internal/kernel"
 	"verikern/internal/konfig"
-	"verikern/internal/machine"
 	"verikern/internal/measure"
 	"verikern/internal/obs"
 	"verikern/internal/probe"
@@ -562,57 +560,6 @@ func FastpathCycles() (uint64, error) {
 	return sys.Now() - before, nil
 }
 
-// MatrixCell is one point of the full experiment matrix: one entry
-// point's bound under one (variant, pin set, hardware) combination.
-type MatrixCell struct {
-	Variant Variant
-	Pinned  bool
-	Config  string
-	Entry   EntryPoint
-	Cycles  uint64
-	Micros  float64
-}
-
-// ExperimentMatrix computes the WCET bound for every combination the
-// evaluation sweeps: both kernel variants, with and without the §4 pin
-// set, under the four Fig. 9 hardware configurations, for all four
-// entry points (64 analyses). Within one cold run the artifact cache
-// already shares work — each (image, entry) CFG is built once and
-// reused across the four hardware configurations — and a warm re-run
-// over the same build inputs is served whole from cached Results.
-func ExperimentMatrix(ctx context.Context) ([]MatrixCell, error) {
-	var cells []MatrixCell
-	for _, v := range []Variant{Original, Modern} {
-		for _, pinned := range []bool{false, true} {
-			im, err := BuildImage(v, pinned)
-			if err != nil {
-				return nil, err
-			}
-			for _, cfg := range Fig9Configs {
-				hw := cfg.HW
-				if pinned {
-					hw.PinnedL1Ways = 1
-				}
-				bounds, err := im.AnalyzeAll(ctx, hw, 0)
-				if err != nil {
-					return nil, err
-				}
-				for _, b := range bounds {
-					cells = append(cells, MatrixCell{
-						Variant: v,
-						Pinned:  pinned,
-						Config:  cfg.Name,
-						Entry:   b.Entry,
-						Cycles:  b.Cycles,
-						Micros:  b.Micros,
-					})
-				}
-			}
-		}
-	}
-	return cells, nil
-}
-
 // ArchBoundsRow is one row of the cross-architecture bounds table: one
 // entry point's computed WCET on one hardware backend, with and
 // without the §4 pin set, in the backend's baseline configuration.
@@ -631,21 +578,28 @@ type ArchBoundsRow struct {
 // backends disagree on). It is the architecture-portable core of
 // Table 1: the ARM1136 rows reproduce that table's cycle counts.
 func ArchBounds(ctx context.Context, archID string) ([]ArchBoundsRow, error) {
-	plain, err := BuildImageArch(Modern, false, archID)
+	build := func(pinned bool) (*Image, Hardware, error) {
+		np, err := konfig.LegacyPoint(archID, true, pinned)
+		if err != nil {
+			return nil, Hardware{}, err
+		}
+		return BuildImagePoint(np.Point)
+	}
+	plain, plainHW, err := build(false)
 	if err != nil {
 		return nil, err
 	}
-	pinned, err := BuildImageArch(Modern, true, archID)
+	pinned, pinnedHW, err := build(true)
 	if err != nil {
 		return nil, err
 	}
 	var rows []ArchBoundsRow
 	for _, e := range EntryPoints() {
-		u, err := plain.AnalyzeContext(ctx, Hardware{Arch: plain.Arch}, e)
+		u, err := plain.AnalyzeContext(ctx, plainHW, e)
 		if err != nil {
 			return nil, err
 		}
-		p, err := pinned.AnalyzeContext(ctx, Hardware{Arch: pinned.Arch, PinnedL1Ways: 1}, e)
+		p, err := pinned.AnalyzeContext(ctx, pinnedHW, e)
 		if err != nil {
 			return nil, err
 		}
@@ -677,14 +631,6 @@ func FormatArchBounds(rows []ArchBoundsRow) string {
 	return b.String()
 }
 
-// machineFor builds a machine configured like hw with the image's pin
-// set applied, for ad-hoc exploration from cmd tools.
-func machineFor(im *Image, hw Hardware) *machine.Machine {
-	m := machine.New(hw)
-	m.LoadImage(im.Img)
-	return m
-}
-
 // --- Soak matrix (latency observatory) ---
 
 // SoakConfig names one configuration of the soak matrix.
@@ -708,21 +654,9 @@ type SoakConfig struct {
 // konfig lattice points (konfig.LegacySoakMatrix) on the default
 // ARM1136 backend.
 func SoakConfigs() []SoakConfig {
-	cfgs, err := SoakConfigsArch("")
+	m, err := konfig.LegacySoakMatrix("")
 	if err != nil {
 		panic(err) // static matrix on the built-in backend; cannot fail
-	}
-	return cfgs
-}
-
-// SoakConfigsArch is SoakConfigs with the lattice points — and so the
-// configuration hashes — resolved on an explicit backend. The kernel
-// configurations are backend-independent; only the identity stamps
-// differ.
-func SoakConfigsArch(archID string) ([]SoakConfig, error) {
-	m, err := konfig.LegacySoakMatrix(archID)
-	if err != nil {
-		return nil, err
 	}
 	out := make([]SoakConfig, 0, len(m))
 	for _, np := range m {
@@ -733,59 +667,70 @@ func SoakConfigsArch(archID string) ([]SoakConfig, error) {
 			Key:    np.Point.Hash(),
 		})
 	}
+	return out
+}
+
+// CampaignConfig is the soak campaign a lattice point selects — the
+// one route from a configuration to a run. The label is the point's
+// name; the backend, the configuration stamp (the point's hash), the
+// functional kernel and the pinned bound all derive from the point,
+// which must be feasible. The WCET bound is left for soak.Run (or the
+// fleet coordinator) to analyse.
+func CampaignConfig(np konfig.NamedPoint, seed, ops uint64, workers int) (soak.Config, error) {
+	if err := np.Point.Check(); err != nil {
+		return soak.Config{}, err
+	}
+	return soak.Config{
+		Label:     np.Name,
+		Arch:      np.Point.Arch,
+		ConfigKey: np.Point.Hash(),
+		Seed:      seed,
+		Ops:       ops,
+		Workers:   workers,
+		Kernel:    np.Point.KernelConfig(),
+		Pinned:    np.Point.Pinned(),
+	}, nil
+}
+
+// soakMatrixCampaigns is the soak matrix (konfig.LegacySoakMatrix) on a
+// backend as the campaigns SoakReportArch runs, two workers each.
+func soakMatrixCampaigns(archID string, seed, ops uint64) ([]soak.Config, error) {
+	m, err := konfig.LegacySoakMatrix(archID)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]soak.Config, 0, len(m))
+	for _, np := range m {
+		cfg, err := CampaignConfig(np, seed, ops, 2)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, cfg)
+	}
 	return out, nil
 }
 
-// SoakReport soaks every matrix configuration for `ops` operations at
-// the given seed and returns one report per configuration, in matrix
-// order. Each configuration's WCET bound is computed once through the
-// analysis pipeline; every interrupt-response sample is checked
-// against it live. The matrix runs on the default ARM1136 backend;
-// SoakReportArch selects another.
-func SoakReport(ctx context.Context, seed, ops uint64) ([]*soak.Report, error) {
-	return SoakReportArch(ctx, seed, ops, "")
-}
-
-// SoakReportArch is SoakReport on an explicit hardware backend
-// ("arm1136", "cva6rt", ...; empty means ARM1136): the sentinel bound
-// is analysed for that backend's image and timing model, and each
-// worker's op stream is drawn from a backend-mixed seed.
+// SoakReportArch soaks every matrix configuration on a hardware backend
+// ("arm1136", "cva6rt", ...; empty means ARM1136) for `ops` operations
+// at the given seed and returns one report per configuration, in matrix
+// order. Each configuration's WCET bound is analysed once for that
+// backend's image and timing model; every interrupt-response sample is
+// checked against it live, and each worker's op stream is drawn from a
+// backend-mixed seed.
 func SoakReportArch(ctx context.Context, seed, ops uint64, archID string) ([]*soak.Report, error) {
-	cfgs, err := SoakConfigsArch(archID)
+	cfgs, err := soakMatrixCampaigns(archID, seed, ops)
 	if err != nil {
 		return nil, err
 	}
 	var reps []*soak.Report
-	for _, sc := range cfgs {
-		rep, err := soak.Run(ctx, soak.Config{
-			Label:     sc.Name,
-			Arch:      archID,
-			ConfigKey: sc.Key,
-			Seed:      seed,
-			Ops:       ops,
-			Workers:   2,
-			Kernel:    sc.Kernel,
-			Pinned:    sc.Pinned,
-		})
+	for _, cfg := range cfgs {
+		rep, err := soak.Run(ctx, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("soak %s: %w", sc.Name, err)
+			return nil, fmt.Errorf("soak %s: %w", cfg.Label, err)
 		}
 		reps = append(reps, rep)
 	}
 	return reps, nil
-}
-
-// FormatSoakReport renders the matrix reports as the text block
-// cmd/kzm-sim prints.
-func FormatSoakReport(reps []*soak.Report) string {
-	var b strings.Builder
-	for i, r := range reps {
-		if i > 0 {
-			b.WriteString("\n")
-		}
-		b.WriteString(r.String())
-	}
-	return b.String()
 }
 
 // SoakBench is the BENCH_soak.json document: one merged observability
@@ -845,18 +790,13 @@ func ProbeConfigs() []ProbeConfig {
 	return out
 }
 
-// TightnessReport runs the directed probe over every matrix
-// configuration with the given seed and per-configuration evaluation
+// TightnessReportArch runs the directed probe over every matrix
+// configuration on a hardware backend ("arm1136", "cva6rt", ...; empty
+// means ARM1136) with the given seed and per-configuration evaluation
 // budget, sharing the process-wide analysis cache so bounds are
 // computed once. A returned report with Violations != 0 means an
 // observation exceeded its computed bound — an analysis soundness bug;
 // the acceptance tests gate on it.
-func TightnessReport(ctx context.Context, seed uint64, budget int) ([]*probe.Report, error) {
-	return TightnessReportArch(ctx, seed, budget, "")
-}
-
-// TightnessReportArch is TightnessReport on an explicit hardware
-// backend ("arm1136", "cva6rt", ...; empty means ARM1136).
 func TightnessReportArch(ctx context.Context, seed uint64, budget int, archID string) ([]*probe.Report, error) {
 	var reps []*probe.Report
 	for _, pc := range ProbeConfigs() {
@@ -921,8 +861,11 @@ func WriteTightnessBench(w io.Writer, seed uint64, budget int, reps []*probe.Rep
 // FleetBenchRow is one architecture's fleet-campaign result in the
 // BENCH_fleet.json artifact.
 type FleetBenchRow struct {
-	Arch    string `json:"arch"`
-	Label   string `json:"label"`
+	Arch  string `json:"arch"`
+	Label string `json:"label"`
+	// Config is the campaign's konfig lattice-point hash, as stamped
+	// into the merged snapshot.
+	Config  string `json:"config"`
 	Workers int    `json:"workers"`
 	Ops     uint64 `json:"ops"`
 	// Samples is the merged IRQ sample count; SamplesPerSec the
@@ -954,6 +897,17 @@ type FleetBench struct {
 	Configs    []FleetBenchRow `json:"configs"`
 }
 
+// fleetCampaign is the benno+preempt campaign FleetReport and
+// ChaosReport shard on one backend: the modernised kernel's lattice
+// point, unpinned.
+func fleetCampaign(archID string, seed, ops uint64, workers int) (soak.Config, error) {
+	np, err := konfig.LegacyPoint(archID, true, false)
+	if err != nil {
+		return soak.Config{}, err
+	}
+	return CampaignConfig(np, seed, ops, workers)
+}
+
 // FleetReport runs one fleet campaign per architecture backend (the
 // modern benno+preempt kernel), injecting chaosKills worker kills per
 // campaign, and verifies each merged result against a single-process
@@ -961,18 +915,13 @@ type FleetBench struct {
 // merge protocol guarantees. An inequivalent campaign is reported,
 // not an error; callers (and CI) gate on the Equivalent flags.
 func FleetReport(ctx context.Context, seed, ops uint64, workers, chaosKills int, archIDs []string) (*FleetBench, error) {
-	modern := kernel.Modern()
-	modern.CheckInvariants = false
 	doc := &FleetBench{Seed: seed, Ops: ops, Workers: workers, ChaosKills: chaosKills}
 	for _, id := range archIDs {
-		spec := fleet.Spec{
-			Label:   "benno+preempt",
-			Arch:    id,
-			Seed:    seed,
-			Ops:     ops,
-			Workers: workers,
-			Kernel:  modern,
+		campaign, err := fleetCampaign(id, seed, ops, workers)
+		if err != nil {
+			return nil, err
 		}
+		spec := fleet.SpecFromConfig(campaign)
 		start := time.Now()
 		c, err := fleet.RunLocal(ctx, fleet.Config{Spec: spec}, fleet.LocalOptions{ChaosKills: chaosKills})
 		if err != nil {
@@ -996,6 +945,7 @@ func FleetReport(ctx context.Context, seed, ops uint64, workers, chaosKills int,
 		row := FleetBenchRow{
 			Arch:        snap.Arch,
 			Label:       snap.Label,
+			Config:      snap.Config,
 			Workers:     workers,
 			Ops:         snap.Ops,
 			Samples:     snap.IRQ.Count,
@@ -1050,8 +1000,11 @@ func WriteFleetBench(w io.Writer, doc *FleetBench) error {
 // how many leases timed out and were re-issued, and the tail latency
 // of shard recovery (dirty release to successor lease).
 type ChaosBenchRow struct {
-	Arch      string `json:"arch"`
-	Label     string `json:"label"`
+	Arch  string `json:"arch"`
+	Label string `json:"label"`
+	// Config is the campaign's konfig lattice-point hash, as stamped
+	// into the merged snapshot.
+	Config    string `json:"config"`
 	ChaosSeed uint64 `json:"chaos_seed"`
 	Workers   int    `json:"workers"`
 	Ops       uint64 `json:"ops"`
@@ -1093,18 +1046,13 @@ type ChaosBench struct {
 // soak at the same kernel seed. An inequivalent campaign is reported,
 // not an error; callers (and CI) gate on the Equivalent flags.
 func ChaosReport(ctx context.Context, seed, ops, chaosSeed uint64, workers int, archIDs []string) (*ChaosBench, error) {
-	modern := kernel.Modern()
-	modern.CheckInvariants = false
 	doc := &ChaosBench{Seed: seed, ChaosSeed: chaosSeed, Ops: ops, Workers: workers}
 	for i, id := range archIDs {
-		spec := fleet.Spec{
-			Label:   "benno+preempt",
-			Arch:    id,
-			Seed:    seed,
-			Ops:     ops,
-			Workers: workers,
-			Kernel:  modern,
+		campaign, err := fleetCampaign(id, seed, ops, workers)
+		if err != nil {
+			return nil, err
 		}
+		spec := fleet.SpecFromConfig(campaign)
 		// Per-arch chaos seed keeps each campaign's fault schedule
 		// distinct while the whole document stays reproducible.
 		eng := chaos.New(chaos.Aggressive(chaosSeed + uint64(i)))
@@ -1139,6 +1087,7 @@ func ChaosReport(ctx context.Context, seed, ops, chaosSeed uint64, workers int, 
 		doc.Configs = append(doc.Configs, ChaosBenchRow{
 			Arch:           snap.Arch,
 			Label:          snap.Label,
+			Config:         snap.Config,
 			ChaosSeed:      eng.Seed(),
 			Workers:        workers,
 			Ops:            snap.Ops,

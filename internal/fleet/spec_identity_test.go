@@ -18,7 +18,7 @@ import (
 // disagree with coordinators of another under the same protoVersion.
 // A deliberate change must update these goldens and bump protoVersion.
 func TestSpecIdentityPinned(t *testing.T) {
-	if protoVersion != 2 {
+	if protoVersion != 3 {
 		t.Fatalf("protoVersion = %d; re-derive the goldens below for the new protocol", protoVersion)
 	}
 	cases := []struct {
@@ -29,12 +29,12 @@ func TestSpecIdentityPinned(t *testing.T) {
 		{
 			arch:     arch.ARM1136ID,
 			wantJSON: `{"label":"benno+preempt","arch":"arm1136","config_key":"0a4a64bb6de9e056","seed":42,"ops":4000,"workers":2,"kernel":{"Scheduler":2,"VSpace":1,"PreemptionPoints":true,"Fastpath":true,"SplitSendReceive":false,"ClearChunkBytes":1024,"CheckInvariants":false}}`,
-			wantKey:  "3d634a21ee9878175e00ad4ce96194095ccb1a6427e4fb8b10076d530df268df",
+			wantKey:  "ae902a24022b0ccf6e9c95bdb87c28c7007e84ecbff3c2e428e832c3be1a3203",
 		},
 		{
 			arch:     arch.CVA6RTID,
 			wantJSON: `{"label":"benno+preempt","arch":"cva6rt","config_key":"d1e885614ca7ec47","seed":42,"ops":4000,"workers":2,"kernel":{"Scheduler":2,"VSpace":1,"PreemptionPoints":true,"Fastpath":true,"SplitSendReceive":false,"ClearChunkBytes":1024,"CheckInvariants":false}}`,
-			wantKey:  "2691ae7901c6fe36eaca35dca6de95aba51e29fc0c73e5a648081d4da90fa2c1",
+			wantKey:  "90a6aa6ce1e5967b69f238e819a1460eda67822b36a8bf5c648871dc8ced6eb4",
 		},
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

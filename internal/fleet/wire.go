@@ -32,8 +32,11 @@ import (
 
 // protoVersion guards against mixed coordinator/worker builds: the
 // hello carries it and the coordinator rejects mismatches. Version 2
-// added the per-frame CRC32 trailer and the hello retry count.
-const protoVersion = 2
+// added the per-frame CRC32 trailer and the hello retry count; version
+// 3 dropped the per-worker resource knobs (ring capacity, flight
+// window, thread pool, allocation reserve) from the spec — they are
+// fixed soak constants now.
+const protoVersion = 3
 
 // maxFrame bounds one wire frame (type byte + JSON payload). Batches
 // are a few KiB of sparse histogram deltas; 16 MiB is generous
@@ -81,60 +84,48 @@ type Spec struct {
 	// coordinator's spec hash — so persisted checkpoint state from a
 	// different configuration is refused on resume — and every batch
 	// echoes it, so a mixed-config merge is refused at admission.
-	ConfigKey         string        `json:"config_key,omitempty"`
-	Seed              uint64        `json:"seed"`
-	Ops               uint64        `json:"ops"`
-	Workers           int           `json:"workers"`
-	Kernel            kernel.Config `json:"kernel"`
-	Pinned            bool          `json:"pinned,omitempty"`
-	BoundCycles       uint64        `json:"bound_cycles,omitempty"`
-	MarginPercent     float64       `json:"margin_percent,omitempty"`
-	RingCap           int           `json:"ring_cap,omitempty"`
-	FlightEvents      int           `json:"flight_events,omitempty"`
-	MaxCaptures       int           `json:"max_captures,omitempty"`
-	PoolThreads       int           `json:"pool_threads,omitempty"`
-	AllocReserveBytes uint32        `json:"alloc_reserve_bytes,omitempty"`
+	ConfigKey     string        `json:"config_key,omitempty"`
+	Seed          uint64        `json:"seed"`
+	Ops           uint64        `json:"ops"`
+	Workers       int           `json:"workers"`
+	Kernel        kernel.Config `json:"kernel"`
+	Pinned        bool          `json:"pinned,omitempty"`
+	BoundCycles   uint64        `json:"bound_cycles,omitempty"`
+	MarginPercent float64       `json:"margin_percent,omitempty"`
+	MaxCaptures   int           `json:"max_captures,omitempty"`
 }
 
 // SpecFromConfig projects a soak.Config onto the wire form.
 func SpecFromConfig(cfg soak.Config) Spec {
 	return Spec{
-		Label:             cfg.Label,
-		Arch:              cfg.Arch,
-		ConfigKey:         cfg.ConfigKey,
-		Seed:              cfg.Seed,
-		Ops:               cfg.Ops,
-		Workers:           cfg.Workers,
-		Kernel:            cfg.Kernel,
-		Pinned:            cfg.Pinned,
-		BoundCycles:       cfg.BoundCycles,
-		MarginPercent:     cfg.MarginPercent,
-		RingCap:           cfg.RingCap,
-		FlightEvents:      cfg.FlightEvents,
-		MaxCaptures:       cfg.MaxCaptures,
-		PoolThreads:       cfg.PoolThreads,
-		AllocReserveBytes: cfg.AllocReserveBytes,
+		Label:         cfg.Label,
+		Arch:          cfg.Arch,
+		ConfigKey:     cfg.ConfigKey,
+		Seed:          cfg.Seed,
+		Ops:           cfg.Ops,
+		Workers:       cfg.Workers,
+		Kernel:        cfg.Kernel,
+		Pinned:        cfg.Pinned,
+		BoundCycles:   cfg.BoundCycles,
+		MarginPercent: cfg.MarginPercent,
+		MaxCaptures:   cfg.MaxCaptures,
 	}
 }
 
 // SoakConfig reconstructs the soak.Config a worker runs.
 func (sp Spec) SoakConfig() soak.Config {
 	return soak.Config{
-		Label:             sp.Label,
-		Arch:              sp.Arch,
-		ConfigKey:         sp.ConfigKey,
-		Seed:              sp.Seed,
-		Ops:               sp.Ops,
-		Workers:           sp.Workers,
-		Kernel:            sp.Kernel,
-		Pinned:            sp.Pinned,
-		BoundCycles:       sp.BoundCycles,
-		MarginPercent:     sp.MarginPercent,
-		RingCap:           sp.RingCap,
-		FlightEvents:      sp.FlightEvents,
-		MaxCaptures:       sp.MaxCaptures,
-		PoolThreads:       sp.PoolThreads,
-		AllocReserveBytes: sp.AllocReserveBytes,
+		Label:         sp.Label,
+		Arch:          sp.Arch,
+		ConfigKey:     sp.ConfigKey,
+		Seed:          sp.Seed,
+		Ops:           sp.Ops,
+		Workers:       sp.Workers,
+		Kernel:        sp.Kernel,
+		Pinned:        sp.Pinned,
+		BoundCycles:   sp.BoundCycles,
+		MarginPercent: sp.MarginPercent,
+		MaxCaptures:   sp.MaxCaptures,
 	}
 }
 

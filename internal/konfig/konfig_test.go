@@ -92,7 +92,7 @@ func TestRandomAssignmentsProperty(t *testing.T) {
 		t.Skip("randomized build+analyze property: skipped in -short")
 	}
 	ctx := context.Background()
-	cache := passes.NewCache(nil)
+	cache := passes.NewCache()
 	known := map[string]bool{}
 	for _, n := range RuleNames() {
 		known[n] = true

@@ -54,6 +54,36 @@ type NamedPoint struct {
 	Point Point
 }
 
+// LegacyPoint maps the legacy (kernel generation, pinning) selection —
+// the Variant/pinned pair of verikern.BuildImage and the CLIs'
+// -variant/-pinned/-pin flags — onto the lattice. The modernised
+// generation is DefaultPoint; the original is the lazy scheduler with
+// ASID address spaces and every preemption point off; pinning locks one
+// L1 way. The name is the matching soak-matrix row label
+// ("benno+preempt" or "lazy", "+pinned" appended when pinned), and the
+// point is checked feasible.
+func LegacyPoint(archID string, modernised, pinned bool) (NamedPoint, error) {
+	p, err := DefaultPoint(archID)
+	if err != nil {
+		return NamedPoint{}, err
+	}
+	name := "benno+preempt"
+	if !modernised {
+		p.Scheduler = sched.Lazy
+		p.VSpace = vspace.ASIDDesign
+		p.PreemptDelete, p.PreemptClear = false, false
+		name = "lazy"
+	}
+	if pinned {
+		p.PinnedL1Ways = 1
+		name += "+pinned"
+	}
+	if err := p.Check(); err != nil {
+		return NamedPoint{}, fmt.Errorf("konfig: legacy point %q: %w", name, err)
+	}
+	return NamedPoint{Name: name, Point: p}, nil
+}
+
 // LegacySoakMatrix expresses the historical 4-config soak matrix
 // (experiments.SoakConfigs) as lattice points: the modernised kernel
 // with and without one pinned L1 way, the modernised structures with
@@ -70,14 +100,15 @@ func LegacySoakMatrix(archID string) ([]NamedPoint, error) {
 	noPre := base
 	noPre.PreemptDelete = false
 	noPre.PreemptClear = false
-	lazy := noPre
-	lazy.Scheduler = sched.Lazy
-	lazy.VSpace = vspace.ASIDDesign
+	lazy, err := LegacyPoint(archID, false, false)
+	if err != nil {
+		return nil, err
+	}
 	m := []NamedPoint{
 		{Name: "benno+preempt+pinned", Point: pinned},
 		{Name: "benno+preempt", Point: base},
 		{Name: "benno+nopreempt", Point: noPre},
-		{Name: "lazy", Point: lazy},
+		lazy,
 	}
 	return checkAll("soak", m)
 }

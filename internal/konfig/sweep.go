@@ -190,11 +190,7 @@ func analyze(ctx context.Context, c *passes.Cache, p Point) (*analysis, error) {
 		}
 		out.wcet[entry] = res.Cycles
 	}
-	be, err := p.Backend()
-	if err != nil {
-		return nil, err
-	}
-	out.bound = out.wcet[kbin.EntrySyscall] + out.wcet[kbin.EntryInterrupt] + be.InterruptEntryCost(hw)
+	out.bound = soak.ResponseBound(out.wcet[kbin.EntrySyscall], out.wcet[kbin.EntryInterrupt], hw)
 	return out, nil
 }
 

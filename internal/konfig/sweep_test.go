@@ -35,12 +35,12 @@ func TestSweepDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep: skipped in -short")
 	}
-	first, sw := sweepDoc(t, passes.NewCache(nil), 1)
+	first, sw := sweepDoc(t, passes.NewCache(), 1)
 	if len(sw.Points) < 10 {
 		t.Fatalf("cva6rt DefaultSpace swept %d points, want a real sub-lattice", len(sw.Points))
 	}
 	for _, workers := range []int{1, 3, 8} {
-		again, _ := sweepDoc(t, passes.NewCache(nil), workers)
+		again, _ := sweepDoc(t, passes.NewCache(), workers)
 		if !bytes.Equal(first, again) {
 			t.Fatalf("sweep output with %d workers differs from the single-worker run", workers)
 		}
@@ -56,7 +56,7 @@ func TestSweepFrontierSound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep: skipped in -short")
 	}
-	_, sw := sweepDoc(t, passes.NewCache(nil), 4)
+	_, sw := sweepDoc(t, passes.NewCache(), 4)
 	rows := map[string]SweepResult{}
 	for _, r := range sw.Points {
 		rows[r.Konfig] = r
@@ -110,7 +110,7 @@ func TestSweepCacheLeverage(t *testing.T) {
 		t.Skip("double sweep: skipped in -short")
 	}
 	ctx := context.Background()
-	c := passes.NewCache(nil)
+	c := passes.NewCache()
 	_, sw := sweepDoc(t, c, 4)
 	cold := c.Stats()
 	if cold.Misses == 0 {
@@ -129,7 +129,7 @@ func TestSweepCacheLeverage(t *testing.T) {
 	}
 	var isolated uint64
 	for _, p := range points {
-		pc := passes.NewCache(nil)
+		pc := passes.NewCache()
 		if _, err := analyze(ctx, pc, p); err != nil {
 			t.Fatal(err)
 		}

@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 )
@@ -22,102 +20,56 @@ func KeyID(pass string, version int, fingerprint string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Store is a byte-level artifact store backing a Cache, e.g. an
-// on-disk directory. Implementations are best-effort: a failed read is
-// a miss, a failed write is ignored. They must be safe for concurrent
-// use.
-type Store interface {
-	Get(key string) ([]byte, bool)
-	Put(key string, b []byte)
-}
-
 // CacheStats is a point-in-time snapshot of cache effectiveness.
 type CacheStats struct {
-	// Hits counts artifacts served from the cache (memory or disk);
-	// Misses counts lookups that fell through to a pass run.
+	// Hits counts artifacts served from the cache; Misses counts
+	// lookups that fell through to a pass run.
 	Hits, Misses uint64
-	// DiskHits counts the subset of Hits served by decoding the
-	// backing Store rather than from memory.
-	DiskHits uint64
-	// Entries is the number of artifacts currently held in memory.
+	// Entries is the number of artifacts currently held.
 	Entries int
 }
 
-// Cache is a content-addressed artifact cache: an always-present
-// in-memory map, optionally layered over a byte Store for artifacts
-// whose passes provide Encode/Decode. Safe for concurrent use.
+// Cache is a content-addressed, in-memory artifact cache. Safe for
+// concurrent use.
 type Cache struct {
-	mu   sync.Mutex
-	mem  map[string]any
-	disk Store
+	mu  sync.Mutex
+	mem map[string]any
 
-	hits, misses, diskHits atomic.Uint64
+	hits, misses atomic.Uint64
 }
 
-// NewCache returns a cache; disk may be nil for memory-only operation.
-func NewCache(disk Store) *Cache {
-	return &Cache{mem: make(map[string]any), disk: disk}
+// NewCache returns an empty cache.
+func NewCache() *Cache {
+	return &Cache{mem: make(map[string]any)}
 }
 
-// SetDisk installs (or removes, with nil) the backing byte store.
-func (c *Cache) SetDisk(s Store) {
-	c.mu.Lock()
-	c.disk = s
-	c.mu.Unlock()
-}
-
-// Get returns the artifact under key. On a memory miss it consults the
-// backing store (when present and decode is non-nil) and promotes a
-// decoded artifact into memory.
-func (c *Cache) Get(key string, decode func([]byte) (any, error)) (any, bool) {
+// Get returns the artifact under key.
+func (c *Cache) Get(key string) (any, bool) {
 	c.mu.Lock()
 	v, ok := c.mem[key]
-	disk := c.disk
 	c.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
 		return v, true
 	}
-	if disk != nil && decode != nil {
-		if b, ok := disk.Get(key); ok {
-			if v, err := decode(b); err == nil {
-				c.mu.Lock()
-				c.mem[key] = v
-				c.mu.Unlock()
-				c.hits.Add(1)
-				c.diskHits.Add(1)
-				return v, true
-			}
-		}
-	}
 	c.misses.Add(1)
 	return nil, false
 }
 
-// Put stores the artifact in memory and, when encode is non-nil and a
-// backing store is present, persists its encoding.
-func (c *Cache) Put(key string, v any, encode func(any) ([]byte, error)) {
+// Put stores the artifact under key.
+func (c *Cache) Put(key string, v any) {
 	c.mu.Lock()
 	c.mem[key] = v
-	disk := c.disk
 	c.mu.Unlock()
-	if disk != nil && encode != nil {
-		if b, err := encode(v); err == nil {
-			disk.Put(key, b)
-		}
-	}
 }
 
-// Reset drops every in-memory artifact and zeroes the counters. The
-// backing store is left untouched (its artifacts remain valid: keys
-// are content-addressed).
+// Reset drops every artifact and zeroes the counters.
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	c.mem = make(map[string]any)
 	c.mu.Unlock()
 	c.hits.Store(0)
 	c.misses.Store(0)
-	c.diskHits.Store(0)
 }
 
 // Stats returns a snapshot of the hit/miss counters.
@@ -126,66 +78,8 @@ func (c *Cache) Stats() CacheStats {
 	n := len(c.mem)
 	c.mu.Unlock()
 	return CacheStats{
-		Hits:     c.hits.Load(),
-		Misses:   c.misses.Load(),
-		DiskHits: c.diskHits.Load(),
-		Entries:  n,
-	}
-}
-
-// DiskStore is a Store rooted at a directory: one file per artifact,
-// fanned out by key prefix. Writes are atomic (temp file + rename), so
-// concurrent processes can share a store directory.
-type DiskStore struct {
-	dir string
-}
-
-// NewDiskStore creates (if needed) and opens a store directory.
-func NewDiskStore(dir string) (*DiskStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("passes: disk store: %w", err)
-	}
-	return &DiskStore{dir: dir}, nil
-}
-
-// Dir returns the store's root directory.
-func (s *DiskStore) Dir() string { return s.dir }
-
-func (s *DiskStore) path(key string) string {
-	if len(key) < 2 {
-		return filepath.Join(s.dir, key+".art")
-	}
-	return filepath.Join(s.dir, key[:2], key+".art")
-}
-
-// Get reads an artifact; any error is a miss.
-func (s *DiskStore) Get(key string) ([]byte, bool) {
-	b, err := os.ReadFile(s.path(key))
-	if err != nil {
-		return nil, false
-	}
-	return b, true
-}
-
-// Put writes an artifact atomically; errors are ignored (the cache
-// must never fail an analysis).
-func (s *DiskStore) Put(key string, b []byte) {
-	p := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(p), ".tmp-*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	_, werr := tmp.Write(b)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, p); err != nil {
-		os.Remove(name)
+		Hits:    c.hits.Load(),
+		Misses:  c.misses.Load(),
+		Entries: n,
 	}
 }

@@ -3,8 +3,7 @@
 // with composable, individually cacheable analysis passes: each pass
 // names its dependencies, fingerprints the inputs it reads, and
 // produces one typed artifact into a shared AnalysisContext. A
-// content-addressed artifact cache (in-memory, optionally backed by an
-// on-disk store) lets an experiment matrix that analyses many
+// content-addressed in-memory artifact cache lets an experiment matrix that analyses many
 // (variant, hardware, constraint) combinations reuse every artifact
 // whose inputs did not change, instead of recomputing the whole
 // pipeline per configuration.
@@ -38,11 +37,6 @@ type Pass struct {
 	// A nil Fingerprint or an empty return disables caching for the
 	// pass: Run executes on every invocation.
 	Fingerprint func(ac *AnalysisContext) string
-	// Encode and Decode serialise the artifact for on-disk stores.
-	// When nil the artifact is cached in memory only — right for
-	// artifacts that share pointers with the analysed image.
-	Encode func(v any) ([]byte, error)
-	Decode func(b []byte) (any, error)
 	// Run computes the artifact. It must not mutate artifacts of
 	// earlier passes: cached artifacts are shared across analyses
 	// and across goroutines.
@@ -180,7 +174,7 @@ func (pl *Pipeline) Run(ac *AnalysisContext) error {
 		if ac.Cache != nil && p.Fingerprint != nil {
 			if fp := p.Fingerprint(ac); fp != "" {
 				key = KeyID(p.Name, p.Version, fp)
-				if v, ok := ac.Cache.Get(key, p.Decode); ok {
+				if v, ok := ac.Cache.Get(key); ok {
 					ac.Set(p.Name, v)
 					ac.Metrics.Add("passcache.hits", 1)
 					ac.Metrics.Add("passcache.hit."+p.Name, 1)
@@ -197,7 +191,7 @@ func (pl *Pipeline) Run(ac *AnalysisContext) error {
 		}
 		ac.Set(p.Name, v)
 		if key != "" {
-			ac.Cache.Put(key, v, p.Encode)
+			ac.Cache.Put(key, v)
 		}
 	}
 	return nil

@@ -2,7 +2,6 @@ package passes
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
@@ -71,7 +70,7 @@ func TestPipelineRejectsCycleAndUnknownDep(t *testing.T) {
 }
 
 func TestCacheHitSkipsRun(t *testing.T) {
-	cache := NewCache(nil)
+	cache := NewCache()
 	runs := 0
 	p := &Pass{
 		Name:        "p",
@@ -113,7 +112,7 @@ func TestCacheHitSkipsRun(t *testing.T) {
 }
 
 func TestCacheInvalidatedByFingerprintAndVersion(t *testing.T) {
-	cache := NewCache(nil)
+	cache := NewCache()
 	runPass := func(fp string, version int) int {
 		runs := 0
 		p := &Pass{
@@ -149,7 +148,7 @@ func TestCacheInvalidatedByFingerprintAndVersion(t *testing.T) {
 }
 
 func TestUncacheablePassAlwaysRuns(t *testing.T) {
-	cache := NewCache(nil)
+	cache := NewCache()
 	runs := 0
 	p := &Pass{
 		Name: "volatile",
@@ -216,80 +215,6 @@ func TestPassErrorAborts(t *testing.T) {
 	}
 }
 
-func TestDiskStoreRoundTripAndPromotion(t *testing.T) {
-	dir := t.TempDir()
-	ds, err := NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type artifact struct{ Cycles uint64 }
-	encode := func(v any) ([]byte, error) { return json.Marshal(v) }
-	decode := func(b []byte) (any, error) {
-		var a artifact
-		if err := json.Unmarshal(b, &a); err != nil {
-			return nil, err
-		}
-		return a, nil
-	}
-	mk := func(cache *Cache, runs *int) *Pipeline {
-		p := &Pass{
-			Name:        "solve",
-			Version:     3,
-			Fingerprint: func(*AnalysisContext) string { return "img|hw|cons" },
-			Encode:      encode,
-			Decode:      decode,
-			Run: func(*AnalysisContext) (any, error) {
-				*runs++
-				return artifact{Cycles: 9000}, nil
-			},
-		}
-		pl, err := NewPipeline(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pl
-	}
-
-	// First cache (cold process): runs and persists.
-	runs1 := 0
-	c1 := NewCache(ds)
-	if err := mk(c1, &runs1).Run(NewContext(context.Background(), nil, c1)); err != nil {
-		t.Fatal(err)
-	}
-	if runs1 != 1 {
-		t.Fatalf("cold run executed %d times", runs1)
-	}
-
-	// Fresh cache over the same store (new process): served from disk.
-	runs2 := 0
-	c2 := NewCache(ds)
-	ac := NewContext(context.Background(), nil, c2)
-	if err := mk(c2, &runs2).Run(ac); err != nil {
-		t.Fatal(err)
-	}
-	if runs2 != 0 {
-		t.Errorf("warm-disk run executed %d times, want 0", runs2)
-	}
-	if v, ok := Artifact[artifact](ac, "solve"); !ok || v.Cycles != 9000 {
-		t.Errorf("disk artifact = %+v, %v", v, ok)
-	}
-	if st := c2.Stats(); st.DiskHits != 1 {
-		t.Errorf("disk hits = %d, want 1", st.DiskHits)
-	}
-
-	// A corrupted entry is a miss, not a failure.
-	key := KeyID("solve", 3, "img|hw|cons")
-	ds.Put(key, []byte("not json"))
-	runs3 := 0
-	c3 := NewCache(ds)
-	if err := mk(c3, &runs3).Run(NewContext(context.Background(), nil, c3)); err != nil {
-		t.Fatal(err)
-	}
-	if runs3 != 1 {
-		t.Errorf("corrupt-entry run executed %d times, want 1 (recompute)", runs3)
-	}
-}
-
 func TestKeyIDSeparatesComponents(t *testing.T) {
 	keys := map[string]bool{}
 	for _, k := range []string{
@@ -309,14 +234,14 @@ func TestKeyIDSeparatesComponents(t *testing.T) {
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
-	cache := NewCache(nil)
+	cache := NewCache()
 	done := make(chan bool)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			for i := 0; i < 200; i++ {
 				k := fmt.Sprintf("k%d", i%17)
-				if _, ok := cache.Get(k, nil); !ok {
-					cache.Put(k, i, nil)
+				if _, ok := cache.Get(k); !ok {
+					cache.Put(k, i)
 				}
 			}
 			done <- true

@@ -61,13 +61,6 @@ type Config struct {
 	// Pinned selects the L1 way-pinned interrupt path for both the
 	// analysis and the measurement machine.
 	Pinned bool
-	// PoolThreads sizes the workload runner's thread pool (also the
-	// ceiling for queue-depth and ready-queue genome knobs).
-	// Default 8.
-	PoolThreads int
-	// MaxCaptures caps the flight-recorder dumps the runner keeps
-	// (one fires on every new observed maximum). Default 8.
-	MaxCaptures int
 	// Cache, when set, shares per-pass analysis artifacts with the
 	// rest of the toolchain (the bounds here are the same analyses
 	// the tables and the soak sentinel use).
@@ -84,14 +77,12 @@ func (c Config) withDefaults() Config {
 	if c.Budget <= 0 {
 		c.Budget = 160
 	}
-	if c.PoolThreads <= 0 {
-		c.PoolThreads = 8
-	}
-	if c.MaxCaptures <= 0 {
-		c.MaxCaptures = 8
-	}
 	return c
 }
+
+// maxCaptures caps the flight-recorder dumps the kernel-layer runner
+// keeps (one fires on every new observed maximum).
+const maxCaptures = 8
 
 // Entry is one row of the tightness report: the directed search's
 // best observation against the computed bound for one entry point.
@@ -212,11 +203,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		rep.Entries = append(rep.Entries, e)
 	}
 
-	// The kernel-layer bound composes as the soak sentinel's does:
-	// syscall + interrupt path + the backend's architectural
-	// interrupt-entry cost (zero on ARM1136, whose entry sequence the
-	// image itself models).
-	kernelBound := sysBound + irqBound + backend.InterruptEntryCost(hw)
+	// The kernel-layer bound composes as the soak sentinel's does.
+	kernelBound := soak.ResponseBound(sysBound, irqBound, hw)
 	ke, status, caps, err := searchKernel(cfg, seedRoot, kernelBound, kernelBudget)
 	if err != nil {
 		return nil, fmt.Errorf("probe %s: kernel-layer search: %w", cfg.Label, err)

@@ -18,7 +18,7 @@ func probeConfig(preempt, pinned bool) Config {
 		Budget: 40,
 		Kernel: kernel.Config{Scheduler: sched.Benno, PreemptionPoints: preempt},
 		Pinned: pinned,
-		Cache:  passes.NewCache(nil),
+		Cache:  passes.NewCache(),
 	}
 }
 
@@ -27,7 +27,7 @@ func probeConfig(preempt, pinned bool) Config {
 // observed maximum stays under its computed bound, across the full
 // preemption × pinning matrix.
 func TestProbeSound(t *testing.T) {
-	cache := passes.NewCache(nil)
+	cache := passes.NewCache()
 	for _, c := range []struct {
 		preempt, pinned bool
 	}{{true, true}, {true, false}, {false, true}, {false, false}} {

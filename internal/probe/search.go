@@ -110,8 +110,7 @@ func searchKernel(cfg Config, seedRoot, bound uint64, budget int) (Entry, obs.Bo
 		Kernel:        cfg.Kernel,
 		Pinned:        cfg.Pinned,
 		BoundCycles:   bound,
-		PoolThreads:   cfg.PoolThreads,
-		MaxCaptures:   cfg.MaxCaptures,
+		MaxCaptures:   maxCaptures,
 		CaptureNewMax: true,
 	}, 0)
 	if err != nil {
@@ -120,7 +119,7 @@ func searchKernel(cfg Config, seedRoot, bound uint64, budget int) (Entry, obs.Bo
 	s := &kernelSearch{
 		rn:      rn,
 		rng:     rand.New(rand.NewSource(int64(seedRoot) ^ 0x5DEECE66D)),
-		pool:    cfg.PoolThreads,
+		pool:    len(rn.Pool()),
 		metrics: cfg.Metrics,
 	}
 

@@ -9,17 +9,25 @@ import (
 	"verikern/internal/wcet"
 )
 
-// ComputeBound runs the WCET analysis pipeline for the configuration's
-// kernel image and returns the worst-case interrupt-response bound the
-// sentinel checks live samples against: the system-call bound (the
-// longest non-preemptible stretch an interrupt can land behind) plus
-// the interrupt-path bound, as composed by the paper's headline number
+// ResponseBound composes the worst-case interrupt-response bound from
+// the analysed entry bounds: the system-call bound (the longest
+// non-preemptible stretch an interrupt can land behind) plus the
+// interrupt-path bound, as composed by the paper's headline number
 // (§6), plus the backend's architectural interrupt-entry cost (zero on
 // ARM1136, whose entry sequence the image models; a constant on
-// CVA6-RT's direct-vectoring path). The kernel generation is taken
-// from the functional config's PreemptionPoints flag — the modernised
-// image carries the §3 restructuring, the original image the
-// monolithic walks.
+// CVA6-RT's direct-vectoring path). The soak sentinel, the probe's
+// kernel-layer search and the konfig sweep all judge samples against
+// it.
+func ResponseBound(syscall, interrupt uint64, hw arch.Config) uint64 {
+	return syscall + interrupt + hw.Backend().InterruptEntryCost(hw)
+}
+
+// ComputeBound runs the WCET analysis pipeline for the configuration's
+// kernel image and returns its ResponseBound, the bound the sentinel
+// checks live samples against. The kernel generation is taken from the
+// functional config's PreemptionPoints flag — the modernised image
+// carries the §3 restructuring, the original image the monolithic
+// walks.
 func ComputeBound(ctx context.Context, cfg Config) (uint64, error) {
 	img, cons, err := kbin.Build(kbin.Options{
 		Modernised: cfg.Kernel.PreemptionPoints,
@@ -43,5 +51,5 @@ func ComputeBound(ctx context.Context, cfg Config) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("soak: interrupt bound: %w", err)
 	}
-	return sys.Cycles + irq.Cycles + hw.Backend().InterruptEntryCost(hw), nil
+	return ResponseBound(sys.Cycles, irq.Cycles, hw), nil
 }

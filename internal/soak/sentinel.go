@@ -46,7 +46,6 @@ type sentinel struct {
 	tracer        *obs.Tracer
 	bound         uint64
 	margin        float64 // percent
-	flightEvents  int
 	maxCaptures   int
 	captureNewMax bool
 
@@ -62,12 +61,11 @@ type sentinel struct {
 	captures   []Capture
 }
 
-func newSentinel(tr *obs.Tracer, bound uint64, marginPercent float64, flightEvents, maxCaptures int, captureNewMax bool) *sentinel {
+func newSentinel(tr *obs.Tracer, bound uint64, marginPercent float64, maxCaptures int, captureNewMax bool) *sentinel {
 	return &sentinel{
 		tracer:        tr,
 		bound:         bound,
 		margin:        marginPercent,
-		flightEvents:  flightEvents,
 		maxCaptures:   maxCaptures,
 		captureNewMax: captureNewMax,
 	}
@@ -107,7 +105,7 @@ func (s *sentinel) sample(sm obs.Sample) {
 			Seed:   s.seed,
 			Op:     ops,
 			Config: s.configKey,
-			Events: s.tracer.LastEvents(s.flightEvents),
+			Events: s.tracer.LastEvents(flightEvents),
 		})
 	}
 }

@@ -69,22 +69,8 @@ type Config struct {
 	// maximum within this percentage of the bound takes a flight
 	// capture even without a violation. Default 10.
 	MarginPercent float64
-	// RingCap is the per-worker tracer ring capacity. Default 4096.
-	RingCap int
-	// FlightEvents is how many trailing events a flight-recorder
-	// capture preserves. Default 64.
-	FlightEvents int
 	// MaxCaptures caps the per-worker capture count. Default 4.
 	MaxCaptures int
-	// PoolThreads is the per-worker reusable thread-pool size.
-	// Default 8. The pool is allocated once at boot — long soaks must
-	// not grow the (never-reclaimed) untyped watermark per op.
-	PoolThreads int
-	// AllocReserveBytes stops allocating op kinds once the root
-	// untyped's free space falls below it, so arbitrarily long soaks
-	// degrade to non-allocating churn instead of failing. Default
-	// 8 MiB.
-	AllocReserveBytes uint32
 	// CaptureNewMax arms the flight recorder on every new observed
 	// maximum latency, regardless of the bound margin — the directed
 	// probe's mode, where each fitness improvement is evidence worth
@@ -110,23 +96,28 @@ func (c Config) WithDefaults() Config {
 	if c.MarginPercent == 0 {
 		c.MarginPercent = 10
 	}
-	if c.RingCap == 0 {
-		c.RingCap = 4096
-	}
-	if c.FlightEvents == 0 {
-		c.FlightEvents = 64
-	}
 	if c.MaxCaptures == 0 {
 		c.MaxCaptures = 4
 	}
-	if c.PoolThreads == 0 {
-		c.PoolThreads = 8
-	}
-	if c.AllocReserveBytes == 0 {
-		c.AllocReserveBytes = 8 << 20
-	}
 	return c
 }
+
+// Fixed per-worker resources of every Runner.
+const (
+	// ringCap is the tracer ring capacity.
+	ringCap = 4096
+	// flightEvents is how many trailing events a flight-recorder
+	// capture preserves.
+	flightEvents = 64
+	// poolThreads is the reusable thread-pool size. The pool is
+	// allocated once at boot — long soaks must not grow the
+	// (never-reclaimed) untyped watermark per op.
+	poolThreads = 8
+	// allocReserveBytes stops allocating op kinds once the root
+	// untyped's free space falls below it, so arbitrarily long soaks
+	// degrade to non-allocating churn instead of failing.
+	allocReserveBytes = 8 << 20
+)
 
 // OpKind names one operation driver of the workload vocabulary. The
 // passive soak picks kinds by weighted random draw (pickOp); the
@@ -205,8 +196,8 @@ type Params struct {
 	// MsgLen pins the IPC message length (OpIPC). 0 draws 0–119.
 	MsgLen int
 	// Waiters pins the endpoint queue depth (OpEndpointChurn). 0 draws
-	// 2–6. Depth is effectively capped by PoolThreads: each waiter
-	// blocks one pool thread.
+	// 2–6. Depth is effectively capped by the pool size (Runner.Pool):
+	// each waiter blocks one pool thread.
 	Waiters int
 	// Badges spreads the churn queue across this many distinct badges
 	// (OpEndpointChurn), each revoked in turn. 0 or 1 mints a single
@@ -298,7 +289,7 @@ func NewRunner(cfg Config, index int) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := obs.NewTracer(cfg.RingCap)
+	tr := obs.NewTracer(ringCap)
 	k.SetTracer(tr)
 	r := &Runner{
 		cfg:    cfg,
@@ -307,7 +298,7 @@ func NewRunner(cfg Config, index int) (*Runner, error) {
 		tracer: tr,
 		rng:    rand.New(rand.NewSource(subSeed(seedRoot, index))),
 	}
-	r.sent = newSentinel(tr, cfg.BoundCycles, cfg.MarginPercent, cfg.FlightEvents, cfg.MaxCaptures, cfg.CaptureNewMax)
+	r.sent = newSentinel(tr, cfg.BoundCycles, cfg.MarginPercent, cfg.MaxCaptures, cfg.CaptureNewMax)
 	// Stamp the capture identity up front: a fleet-level violation dump
 	// must name the shard and campaign seed that produced it even when
 	// the capture crosses the wire without the Runner.
@@ -325,7 +316,7 @@ func NewRunner(cfg Config, index int) (*Runner, error) {
 		return nil, err
 	}
 	k.StartThread(r.vs)
-	for i := 0; i < cfg.PoolThreads; i++ {
+	for i := 0; i < poolThreads; i++ {
 		w, err := k.CreateThread(fmt.Sprintf("soak%d/w%d", index, i), uint8(40+i%32))
 		if err != nil {
 			return nil, err
@@ -426,7 +417,7 @@ func (r *Runner) armTimer() {
 
 // canAlloc reports whether allocating op kinds may still run.
 func (r *Runner) canAlloc(need uint32) bool {
-	return r.k.RootUntyped().FreeBytes() >= need+r.cfg.AllocReserveBytes
+	return r.k.RootUntyped().FreeBytes() >= need+allocReserveBytes
 }
 
 // Step executes n workload operations. Errors are fatal to the run —

@@ -140,13 +140,13 @@ func TestSoakResumable(t *testing.T) {
 
 // TestSoakFlightRecorder injects an absurd bound (1 cycle) so every
 // sample is a violation, and checks the sentinel takes captures with
-// real trailing event windows, honouring MaxCaptures.
+// real trailing event windows, honouring MaxCaptures and the fixed
+// flight-recorder window.
 func TestSoakFlightRecorder(t *testing.T) {
 	cfg := modernCfg("flight", false)
 	cfg.Ops, cfg.Workers = 500, 1
 	cfg.BoundCycles = 1
 	cfg.MaxCaptures = 3
-	cfg.FlightEvents = 16
 	rep, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -164,8 +164,8 @@ func TestSoakFlightRecorder(t *testing.T) {
 		if c.Reason != "violation" {
 			t.Errorf("capture %d reason %q", i, c.Reason)
 		}
-		if len(c.Events) == 0 || len(c.Events) > cfg.FlightEvents {
-			t.Errorf("capture %d has %d events (window %d)", i, len(c.Events), cfg.FlightEvents)
+		if len(c.Events) == 0 || len(c.Events) > flightEvents {
+			t.Errorf("capture %d has %d events (window %d)", i, len(c.Events), flightEvents)
 		}
 		if c.Sample.Latency <= cfg.BoundCycles {
 			t.Errorf("capture %d latency %d does not violate bound", i, c.Sample.Latency)

@@ -47,7 +47,7 @@ func cachedAnalyzer(img *kimage.Image, hw arch.Config, c *passes.Cache) *Analyze
 }
 
 func TestCacheHitMissAccounting(t *testing.T) {
-	c := passes.NewCache(nil)
+	c := passes.NewCache()
 	a := cachedAnalyzer(cacheImage(t), arch.Config{}, c)
 
 	if _, err := a.Analyze("e1"); err != nil {
@@ -98,7 +98,7 @@ func TestCachedResultEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := passes.NewCache(nil)
+	c := passes.NewCache()
 	warmer := cachedAnalyzer(cacheImage(t), hw, c)
 	warmer.AddConstraints(cons...)
 	if _, err := warmer.Analyze("e2"); err != nil {
@@ -150,7 +150,7 @@ func TestCachedResultEquivalence(t *testing.T) {
 // image and entry alone) still is.
 func TestCacheInvalidation(t *testing.T) {
 	img := cacheImage(t)
-	c := passes.NewCache(nil)
+	c := passes.NewCache()
 
 	a1 := cachedAnalyzer(img, arch.Config{}, c)
 	r1, err := a1.Analyze("e1")
@@ -204,40 +204,6 @@ func TestCacheInvalidation(t *testing.T) {
 	}
 	if r4.LPText == "" {
 		t.Error("KeepLP analysis served a cached solution without LP text")
-	}
-}
-
-// TestCacheDiskStore: serialisable artifacts written by one cache are
-// served to a fresh cache (fresh process, in effect) from the same
-// directory.
-func TestCacheDiskStore(t *testing.T) {
-	dir := t.TempDir()
-	store, err := passes.NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c1 := passes.NewCache(store)
-	a1 := cachedAnalyzer(cacheImage(t), arch.Config{}, c1)
-	want, err := a1.Analyze("e3")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Fresh in-memory cache over the same directory: classify and
-	// solve come from disk; cfg/reconstruct/result are memory-only
-	// (they hold image pointers) and recompute.
-	c2 := passes.NewCache(store)
-	a2 := cachedAnalyzer(cacheImage(t), arch.Config{}, c2)
-	got, err := a2.Analyze("e3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cycles != want.Cycles {
-		t.Errorf("disk-warmed bound %d != original %d", got.Cycles, want.Cycles)
-	}
-	if s := c2.Stats(); s.DiskHits == 0 {
-		t.Errorf("no artifacts served from disk: %+v", s)
 	}
 }
 

@@ -1,8 +1,6 @@
 package wcet
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"time"
@@ -29,8 +27,8 @@ const (
 )
 
 // Pass versions, part of every cache key. Bump a version whenever the
-// corresponding computation changes so stale artifacts (in memory or
-// in an on-disk store shared between runs) can never be served.
+// corresponding computation changes so stale artifacts can never be
+// served.
 const (
 	cfgPassVersion         = 1
 	classifyPassVersion    = 1
@@ -78,26 +76,6 @@ func (s *Solution) edgeCountMap() map[edgeKey]int64 {
 		m[edgeKey{from: e.From, to: e.To}] = e.Count
 	}
 	return m
-}
-
-// gobEncode/gobDecode adapt a typed artifact to the byte-level
-// interface of an on-disk store.
-func gobEncode(v any) ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(v); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-func gobDecodeInto[T any]() func([]byte) (any, error) {
-	return func(b []byte) (any, error) {
-		var v T
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
-			return nil, err
-		}
-		return &v, nil
-	}
 }
 
 // imageFingerprint digests the analysis inputs shared by every pass:
@@ -170,8 +148,6 @@ func (a *Analyzer) pipeline(entry string) (*passes.Pipeline, error) {
 		Fingerprint: func(*passes.AnalysisContext) string {
 			return a.imageFingerprint(entry) + "|" + a.hwFingerprint()
 		},
-		Encode: gobEncode,
-		Decode: gobDecodeInto[Classification](),
 		Run: func(ac *passes.AnalysisContext) (any, error) {
 			g, ok := passes.Artifact[*cfg.Graph](ac, PassCFG)
 			if !ok {
@@ -189,8 +165,6 @@ func (a *Analyzer) pipeline(entry string) (*passes.Pipeline, error) {
 		Fingerprint: func(*passes.AnalysisContext) string {
 			return a.solveFingerprint(entry)
 		},
-		Encode: gobEncode,
-		Decode: gobDecodeInto[Solution](),
 		Run: func(ac *passes.AnalysisContext) (any, error) {
 			g, _ := passes.Artifact[*cfg.Graph](ac, PassCFG)
 			cls, _ := passes.Artifact[*Classification](ac, PassClassify)
@@ -227,8 +201,8 @@ func (a *Analyzer) pipeline(entry string) (*passes.Pipeline, error) {
 }
 
 // sortedEdgeFlows converts the solved edge-count map into a
-// deterministic slice, so the Solution artifact (and its disk
-// encoding) is byte-stable across runs.
+// deterministic slice, so the Solution artifact is byte-stable across
+// runs.
 func sortedEdgeFlows(m map[edgeKey]int64) []EdgeFlow {
 	out := make([]EdgeFlow, 0, len(m))
 	for k, c := range m {

@@ -210,7 +210,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, entry string) (*Result, e
 	var resultKey string
 	if a.Cache != nil {
 		resultKey = passes.KeyID("result", resultVersion, a.solveFingerprint(entry))
-		if v, ok := a.Cache.Get(resultKey, nil); ok {
+		if v, ok := a.Cache.Get(resultKey); ok {
 			a.Metrics.Add("passcache.hits", 1)
 			a.Metrics.Add("passcache.hit.result", 1)
 			a.Metrics.Add("wcet.entries_cached", 1)
@@ -255,7 +255,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, entry string) (*Result, e
 	res.AnalysisTime = time.Since(start)
 	a.Metrics.Add("wcet.entries_analyzed", 1)
 	if resultKey != "" {
-		a.Cache.Put(resultKey, res, nil)
+		a.Cache.Put(resultKey, res)
 	}
 	return res, nil
 }

@@ -27,7 +27,7 @@ func TestTightnessMatrix(t *testing.T) {
 	}
 	const seed, budget = 42, 40
 	ctx := context.Background()
-	reps, err := TightnessReport(ctx, seed, budget)
+	reps, err := TightnessReportArch(ctx, seed, budget, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestTightnessMatrix(t *testing.T) {
 	if err := WriteTightnessBench(&a, seed, budget, reps); err != nil {
 		t.Fatal(err)
 	}
-	reps2, err := TightnessReport(ctx, seed, budget)
+	reps2, err := TightnessReportArch(ctx, seed, budget, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestTightnessPinnedTighter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the WCET pipeline four times")
 	}
-	reps, err := TightnessReport(context.Background(), 7, 16)
+	reps, err := TightnessReportArch(context.Background(), 7, 16, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func TestSoakReportMatrix(t *testing.T) {
 		t.Skip("runs the WCET pipeline four times")
 	}
 	const seed, ops = 42, 600
-	reps, err := SoakReport(context.Background(), seed, ops)
+	reps, err := SoakReportArch(context.Background(), seed, ops, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +62,9 @@ func TestSoakReportMatrix(t *testing.T) {
 		t.Errorf("document header {seed %d, ops %d, %d configs}", doc.Seed, doc.Ops, len(doc.Configs))
 	}
 
-	text := FormatSoakReport(reps)
-	for _, sc := range cfgs {
-		if !strings.Contains(text, sc.Name) {
-			t.Errorf("formatted report missing configuration %q", sc.Name)
+	for i, r := range reps {
+		if !strings.HasPrefix(r.String(), cfgs[i].Name+":") {
+			t.Errorf("formatted report %d does not name configuration %q", i, cfgs[i].Name)
 		}
 	}
 }

@@ -118,32 +118,14 @@ var pipelineMetrics *obs.Metrics
 // so separately built but identical images — the common shape of the
 // experiment drivers, which rebuild images per table — share CFGs,
 // classifications, ILP solutions and whole Results.
-var analysisCache = passes.NewCache(nil)
+var analysisCache = passes.NewCache()
 
 // AnalysisCacheStats returns a snapshot of the shared artifact cache's
 // hit/miss counters.
 func AnalysisCacheStats() passes.CacheStats { return analysisCache.Stats() }
 
-// ResetAnalysisCache drops every in-memory artifact and zeroes the
-// counters; an attached disk store keeps its artifacts (content-
-// addressed keys never go stale — invalidation is by key change).
+// ResetAnalysisCache drops every artifact and zeroes the counters.
 func ResetAnalysisCache() { analysisCache.Reset() }
-
-// SetAnalysisCacheDir attaches an on-disk artifact store at dir, so
-// serialisable artifacts (classifications, ILP solutions) survive
-// across processes. An empty dir detaches the store.
-func SetAnalysisCacheDir(dir string) error {
-	if dir == "" {
-		analysisCache.SetDisk(nil)
-		return nil
-	}
-	s, err := passes.NewDiskStore(dir)
-	if err != nil {
-		return err
-	}
-	analysisCache.SetDisk(s)
-	return nil
-}
 
 // ObservePipeline installs a metrics registry that every subsequent
 // BuildImage attaches to its image. Pass nil to disable. The drivers in
@@ -198,22 +180,15 @@ func WriteParetoBench(w io.Writer, doc *ParetoBench) error {
 
 // BuildImage constructs the synthetic kernel binary for a variant,
 // optionally with the §4 pin set, linked for the default ARM1136/KZM
-// backend.
+// backend: BuildImagePoint of the variant's legacy lattice point
+// (konfig.LegacyPoint). Other backends are reached through a point.
 func BuildImage(v Variant, pinned bool) (*Image, error) {
-	return BuildImageArch(v, pinned, "")
-}
-
-// BuildImageArch is BuildImage for an explicit hardware backend
-// ("arm1136", "cva6rt", ...; empty means ARM1136). The image's layout,
-// pin sets and analysis all follow the backend's address map and cache
-// geometry; analyse it under a Hardware whose Arch field matches.
-func BuildImageArch(v Variant, pinned bool, archID string) (*Image, error) {
-	img, cons, err := kbin.Build(kbin.Options{Modernised: v == Modern, Pinned: pinned, Arch: archID})
+	np, err := konfig.LegacyPoint("", v == Modern, pinned)
 	if err != nil {
 		return nil, err
 	}
-	return &Image{Img: img, Constraints: cons, Variant: v, Pinned: pinned,
-		Arch: img.Backend().ID, Metrics: pipelineMetrics}, nil
+	im, _, err := BuildImagePoint(np.Point)
+	return im, err
 }
 
 // BuildImagePoint builds the kernel image a validated lattice point
