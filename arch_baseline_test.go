@@ -74,7 +74,7 @@ func collectBaseline(t *testing.T) *baselineDoc {
 					// pin1 row only meaningful with a pinned image;
 					// keep it for both to pin behaviour anyway.
 				}
-				bounds, err := im.AnalyzeAll(ctx, hw, 0)
+				bounds, err := im.AnalyzeAll(ctx, hw)
 				if err != nil {
 					t.Fatalf("AnalyzeAll(%v,%v,%s): %v", v, pinned, hc.Label, err)
 				}

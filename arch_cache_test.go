@@ -6,21 +6,20 @@ import (
 
 	"verikern/internal/arch"
 	"verikern/internal/kbin"
-	"verikern/internal/passes"
 	"verikern/internal/wcet"
 )
 
 // TestArchCacheInvalidation is the stale-result guard for backend
-// switching: one shared artifact cache must never serve a result
+// switching: one shared analysis cache must never serve a result
 // computed under one backend to an analysis running under another. The
-// backend identity reaches the content-addressed keys through two
+// backend identity reaches the cache keys through two
 // routes — the image fingerprint (kimage hashes the backend key) and
 // the analyser's hardware fingerprint — and this test exercises the
 // full path: same logical kernel, same entry point, same shared cache,
 // two backends.
 func TestArchCacheInvalidation(t *testing.T) {
 	ctx := context.Background()
-	cache := passes.NewCache()
+	cache := wcet.NewCache()
 	analyse := func(archID string) uint64 {
 		t.Helper()
 		img, cons, err := kbin.Build(kbin.Options{Modernised: true, Arch: archID})
@@ -51,7 +50,7 @@ func TestArchCacheInvalidation(t *testing.T) {
 
 	// Cross-check against an unshared cache: the shared-cache cva6rt
 	// result must equal a from-scratch cva6rt analysis.
-	fresh := passes.NewCache()
+	fresh := wcet.NewCache()
 	img, cons, err := kbin.Build(kbin.Options{Modernised: true, Arch: arch.CVA6RTID})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +74,7 @@ func TestArchCacheInvalidation(t *testing.T) {
 
 // TestImageFingerprintCarriesBackend: identically-built kernels on
 // different backends must have different fingerprints — the property
-// the pass-cache keys inherit.
+// the analysis-cache keys inherit.
 func TestImageFingerprintCarriesBackend(t *testing.T) {
 	armImg, _, err := kbin.Build(kbin.Options{Modernised: true})
 	if err != nil {

@@ -33,7 +33,7 @@
 // backend's feasible sub-lattice of paper features (scheduler
 // generation, preemption sites, way pinning, clearing granularity, L2
 // and branch-predictor enables) is analysed through the shared
-// content-addressed pass cache and soaked deterministically, and the
+// analysis cache and soaked deterministically, and the
 // per-entry-point WCET-vs-throughput Pareto frontiers are written as a
 // byte-stable BENCH_pareto.json artifact. The document is identical
 // across runs and -sweep-workers counts for a fixed seed.
@@ -437,8 +437,8 @@ func runSweep(ctx context.Context, seed, ops uint64, workers int, out string) {
 		}
 	}
 	cs := verikern.AnalysisCacheStats()
-	fmt.Printf("sweep done in %.1fs (pass cache: %d hits / %d misses)\n",
-		time.Since(start).Seconds(), cs.Hits, cs.Misses)
+	fmt.Printf("sweep done in %.1fs (analysis cache: %d hits / %d misses, %d entries)\n",
+		time.Since(start).Seconds(), cs.Hits, cs.Misses, cs.Entries)
 	if out != "" {
 		f, err := os.Create(out)
 		if err != nil {

@@ -47,7 +47,7 @@ func main() {
 	flag.Parse()
 
 	// Interrupting the run (SIGINT/SIGTERM) cancels the analysis
-	// pipeline between passes instead of killing it mid-write.
+	// pipeline between stages instead of killing it mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -153,7 +153,7 @@ func main() {
 
 // writePipelineTrace dumps the collected stage timings and counters as
 // a Chrome trace plus a plain-text summary on stdout, followed by the
-// artifact cache's effectiveness counters.
+// analysis cache's effectiveness counters.
 func writePipelineTrace(m *obs.Metrics, path string) {
 	snap := m.Stats()
 	f, err := os.Create(path)
@@ -168,7 +168,7 @@ func writePipelineTrace(m *obs.Metrics, path string) {
 	}
 	fmt.Printf("\nAnalysis pipeline stats (trace written to %s):\n%s", path, snap)
 	cs := verikern.AnalysisCacheStats()
-	fmt.Printf("\nArtifact cache: %d hits, %d misses, %d entries in memory\n",
+	fmt.Printf("\nAnalysis cache: %d hits, %d misses, %d entries in memory\n",
 		cs.Hits, cs.Misses, cs.Entries)
 }
 

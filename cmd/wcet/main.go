@@ -112,7 +112,7 @@ func main() {
 	}
 
 	if *all {
-		bounds, err := im.AnalyzeAll(ctx, hw, 0)
+		bounds, err := im.AnalyzeAll(ctx, hw)
 		if err != nil {
 			log.Fatal(err)
 		}

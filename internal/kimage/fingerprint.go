@@ -24,7 +24,7 @@ type fingerprintState struct {
 // addresses, instruction classes and data references, calls, successor
 // edges, loop bounds) and the pinned line sets. Two images built from
 // the same configuration digest identically even when they are
-// distinct Go objects, which is what lets the artifact cache share
+// distinct Go objects, which is what lets the analysis cache share
 // analysis results across separately built images.
 //
 // Call only after Link: the digest covers link-time addresses.

@@ -31,8 +31,10 @@ import (
 	"verikern/internal/cache"
 	"verikern/internal/kbin"
 	"verikern/internal/kernel"
+	"verikern/internal/kimage"
 	"verikern/internal/sched"
 	"verikern/internal/vspace"
+	"verikern/internal/wcet"
 )
 
 // Point is one complete assignment of the configuration lattice: the
@@ -406,8 +408,8 @@ func (p Point) KernelConfig() kernel.Config {
 }
 
 // Hardware derives the platform configuration. For TCM-enabled points
-// the ITCM/DTCM windows depend on the built image; the sweep driver
-// fills them from kbin.TCMConfig after building.
+// the ITCM/DTCM windows depend on the built image; Build fills them
+// from kbin.TCMConfig.
 func (p Point) Hardware() arch.Config {
 	return arch.Config{
 		Arch:            p.Arch,
@@ -431,12 +433,30 @@ func (p Point) KbinOptions() kbin.Options {
 	}
 }
 
+// Build builds the kernel image the point selects, with its manual
+// infeasible-path constraints, and the hardware configuration to
+// analyse it under, the ITCM/DTCM bases resolved from the image layout
+// when the point enables the TCM. It does not validate the point.
+func (p Point) Build() (*kimage.Image, []wcet.UserConstraint, arch.Config, error) {
+	img, cons, err := kbin.Build(p.KbinOptions())
+	if err != nil {
+		return nil, nil, arch.Config{}, err
+	}
+	hw := p.Hardware()
+	if p.TCMEnabled {
+		if hw.ITCMBase, hw.DTCMBase, err = kbin.TCMConfig(img); err != nil {
+			return nil, nil, arch.Config{}, err
+		}
+	}
+	return img, cons, hw, nil
+}
+
 // AnalysisKey is the point's projection onto the WCET-analysis inputs:
 // the canonical image options and the canonical hardware config. Keys
 // that do not change the built image or the timing model — scheduler
 // flavour within a generation, vspace design, fastpath, clearing
 // granularity, invariant checking — project out, so the sweep computes
-// one analysis per projection and the pass cache shares the rest.
+// one analysis per projection and the analysis cache shares the rest.
 func (p Point) AnalysisKey() string {
 	return p.KbinOptions().Canonical() + "||" + p.Hardware().CanonicalKey()
 }

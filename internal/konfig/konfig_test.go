@@ -7,7 +7,6 @@ import (
 
 	"verikern/internal/arch"
 	"verikern/internal/kbin"
-	"verikern/internal/passes"
 	"verikern/internal/wcet"
 )
 
@@ -92,7 +91,7 @@ func TestRandomAssignmentsProperty(t *testing.T) {
 		t.Skip("randomized build+analyze property: skipped in -short")
 	}
 	ctx := context.Background()
-	cache := passes.NewCache()
+	cache := wcet.NewCache()
 	known := map[string]bool{}
 	for _, n := range RuleNames() {
 		known[n] = true
@@ -121,15 +120,9 @@ func TestRandomAssignmentsProperty(t *testing.T) {
 				continue
 			}
 			accepted++
-			hw := p.Hardware()
-			img, cons, err := kbin.Build(p.KbinOptions())
+			img, cons, hw, err := p.Build()
 			if err != nil {
 				t.Fatalf("accepted point %s does not build: %v", p.Hash(), err)
-			}
-			if p.TCMEnabled {
-				if hw.ITCMBase, hw.DTCMBase, err = kbin.TCMConfig(img); err != nil {
-					t.Fatalf("accepted point %s: TCM windows: %v", p.Hash(), err)
-				}
 			}
 			if err := b.ValidateConfig(hw); err != nil {
 				t.Fatalf("accepted point %s rejected by backend: %v", p.Hash(), err)

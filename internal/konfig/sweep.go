@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"verikern/internal/kbin"
-	"verikern/internal/passes"
 	"verikern/internal/soak"
 	"verikern/internal/wcet"
 )
@@ -161,23 +160,14 @@ type analysis struct {
 }
 
 // analyze computes the per-entry WCET bounds and the composed
-// interrupt-response bound for one point, through the shared pass
+// interrupt-response bound for one point, through the shared analysis
 // cache: points differing only in keys that project out (scheduler
 // flavour within a generation, clearing granularity, ...) reuse whole
-// cached Results, and points sharing an image or hardware prefix reuse
-// the per-pass artifacts.
-func analyze(ctx context.Context, c *passes.Cache, p Point) (*analysis, error) {
-	img, cons, err := kbin.Build(p.KbinOptions())
+// cached Results, and points sharing an image reuse its CFGs.
+func analyze(ctx context.Context, c *wcet.Cache, p Point) (*analysis, error) {
+	img, cons, hw, err := p.Build()
 	if err != nil {
 		return nil, fmt.Errorf("konfig: building image for %s: %w", p.Hash(), err)
-	}
-	hw := p.Hardware()
-	if p.TCMEnabled {
-		itcm, dtcm, err := kbin.TCMConfig(img)
-		if err != nil {
-			return nil, err
-		}
-		hw.ITCMBase, hw.DTCMBase = itcm, dtcm
 	}
 	a := wcet.New(img, hw)
 	a.AddConstraints(cons...)
@@ -195,13 +185,13 @@ func analyze(ctx context.Context, c *passes.Cache, p Point) (*analysis, error) {
 }
 
 // Sweep walks a space and measures every feasible point: the WCET axis
-// through the content-addressed pass cache (one analysis per distinct
+// through the analysis cache (one analysis per distinct
 // analysis projection — see Point.AnalysisKey) and the throughput axis
 // with one deterministic single-worker soak of `ops` operations at
 // `seed`, sentinel-bounded by the point's own analysed bound. The
 // result is independent of `workers` (parallelism only): rows land in
 // enumeration order and each is a pure function of (point, seed, ops).
-func Sweep(ctx context.Context, c *passes.Cache, sp Space, seed, ops uint64, workers int) (*ArchSweep, error) {
+func Sweep(ctx context.Context, c *wcet.Cache, sp Space, seed, ops uint64, workers int) (*ArchSweep, error) {
 	points, err := Enumerate(sp)
 	if err != nil {
 		return nil, err

@@ -5,12 +5,12 @@ import (
 	"context"
 	"testing"
 
-	"verikern/internal/passes"
+	"verikern/internal/wcet"
 )
 
 // sweepDoc runs one DefaultSpace sweep on cva6rt (the smaller feasible
 // sub-lattice: 20 points) and serialises it.
-func sweepDoc(t *testing.T, c *passes.Cache, workers int) ([]byte, *ArchSweep) {
+func sweepDoc(t *testing.T, c *wcet.Cache, workers int) ([]byte, *ArchSweep) {
 	t.Helper()
 	sp, err := DefaultSpace("cva6rt")
 	if err != nil {
@@ -35,12 +35,12 @@ func TestSweepDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep: skipped in -short")
 	}
-	first, sw := sweepDoc(t, passes.NewCache(), 1)
+	first, sw := sweepDoc(t, wcet.NewCache(), 1)
 	if len(sw.Points) < 10 {
 		t.Fatalf("cva6rt DefaultSpace swept %d points, want a real sub-lattice", len(sw.Points))
 	}
 	for _, workers := range []int{1, 3, 8} {
-		again, _ := sweepDoc(t, passes.NewCache(), workers)
+		again, _ := sweepDoc(t, wcet.NewCache(), workers)
 		if !bytes.Equal(first, again) {
 			t.Fatalf("sweep output with %d workers differs from the single-worker run", workers)
 		}
@@ -56,7 +56,7 @@ func TestSweepFrontierSound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep: skipped in -short")
 	}
-	_, sw := sweepDoc(t, passes.NewCache(), 4)
+	_, sw := sweepDoc(t, wcet.NewCache(), 4)
 	rows := map[string]SweepResult{}
 	for _, r := range sw.Points {
 		rows[r.Konfig] = r
@@ -100,7 +100,7 @@ func TestSweepFrontierSound(t *testing.T) {
 	}
 }
 
-// TestSweepCacheLeverage holds the content-addressed pass cache doing
+// TestSweepCacheLeverage holds the analysis cache doing
 // its job across the lattice: a cold sweep misses far fewer artifacts
 // than analyzing every point in isolation (shared-prefix configs
 // re-analyze nearly free), and a warm identical sweep is all hits —
@@ -110,7 +110,7 @@ func TestSweepCacheLeverage(t *testing.T) {
 		t.Skip("double sweep: skipped in -short")
 	}
 	ctx := context.Background()
-	c := passes.NewCache()
+	c := wcet.NewCache()
 	_, sw := sweepDoc(t, c, 4)
 	cold := c.Stats()
 	if cold.Misses == 0 {
@@ -129,7 +129,7 @@ func TestSweepCacheLeverage(t *testing.T) {
 	}
 	var isolated uint64
 	for _, p := range points {
-		pc := passes.NewCache()
+		pc := wcet.NewCache()
 		if _, err := analyze(ctx, pc, p); err != nil {
 			t.Fatal(err)
 		}

@@ -22,9 +22,9 @@ type StageTiming struct {
 // every method is nil-safe and costs one branch, so instrumentation
 // can be threaded through the pipeline unconditionally.
 //
-// Metrics is safe for concurrent use — wcet.(*Analyzer).
-// AnalyzeAllParallel fans analyses out across goroutines that all
-// report into one shared registry.
+// Metrics is safe for concurrent use — wcet.(*Analyzer).AnalyzeAll
+// fans analyses out across goroutines that all report into one shared
+// registry.
 type Metrics struct {
 	mu       sync.Mutex
 	counters map[string]uint64

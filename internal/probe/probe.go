@@ -35,7 +35,6 @@ import (
 	"verikern/internal/machine"
 	"verikern/internal/measure"
 	"verikern/internal/obs"
-	"verikern/internal/passes"
 	"verikern/internal/soak"
 	"verikern/internal/wcet"
 )
@@ -61,10 +60,10 @@ type Config struct {
 	// Pinned selects the L1 way-pinned interrupt path for both the
 	// analysis and the measurement machine.
 	Pinned bool
-	// Cache, when set, shares per-pass analysis artifacts with the
+	// Cache, when set, shares CFGs and whole analysis Results with the
 	// rest of the toolchain (the bounds here are the same analyses
 	// the tables and the soak sentinel use).
-	Cache *passes.Cache
+	Cache *wcet.Cache
 	// Metrics, when set, receives probe counters (probe.evals,
 	// probe.improvements, ...) alongside the analysis pipeline's.
 	Metrics *obs.Metrics

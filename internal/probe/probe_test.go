@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"verikern/internal/kernel"
-	"verikern/internal/passes"
 	"verikern/internal/sched"
+	"verikern/internal/wcet"
 )
 
 func probeConfig(preempt, pinned bool) Config {
@@ -18,7 +18,7 @@ func probeConfig(preempt, pinned bool) Config {
 		Budget: 40,
 		Kernel: kernel.Config{Scheduler: sched.Benno, PreemptionPoints: preempt},
 		Pinned: pinned,
-		Cache:  passes.NewCache(),
+		Cache:  wcet.NewCache(),
 	}
 }
 
@@ -27,7 +27,7 @@ func probeConfig(preempt, pinned bool) Config {
 // observed maximum stays under its computed bound, across the full
 // preemption × pinning matrix.
 func TestProbeSound(t *testing.T) {
-	cache := passes.NewCache()
+	cache := wcet.NewCache()
 	for _, c := range []struct {
 		preempt, pinned bool
 	}{{true, true}, {true, false}, {false, true}, {false, false}} {

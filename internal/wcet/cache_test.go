@@ -3,7 +3,9 @@ package wcet
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,11 +13,10 @@ import (
 	"verikern/internal/arch"
 	"verikern/internal/kimage"
 	"verikern/internal/obs"
-	"verikern/internal/passes"
 )
 
 // cacheImage builds a multi-entry image with loops, loads and branches
-// — enough structure to exercise every pass.
+// — enough structure to exercise every stage.
 func cacheImage(t *testing.T) *kimage.Image {
 	t.Helper()
 	img := kimage.New()
@@ -39,7 +40,7 @@ func cacheImage(t *testing.T) *kimage.Image {
 	return img
 }
 
-func cachedAnalyzer(img *kimage.Image, hw arch.Config, c *passes.Cache) *Analyzer {
+func cachedAnalyzer(img *kimage.Image, hw arch.Config, c *Cache) *Analyzer {
 	a := New(img, hw)
 	a.Cache = c
 	a.Metrics = obs.NewMetrics()
@@ -47,7 +48,7 @@ func cachedAnalyzer(img *kimage.Image, hw arch.Config, c *passes.Cache) *Analyze
 }
 
 func TestCacheHitMissAccounting(t *testing.T) {
-	c := passes.NewCache()
+	c := NewCache()
 	a := cachedAnalyzer(cacheImage(t), arch.Config{}, c)
 
 	if _, err := a.Analyze("e1"); err != nil {
@@ -57,9 +58,12 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	if cold.Hits != 0 {
 		t.Errorf("cold run recorded %d hits, want 0", cold.Hits)
 	}
-	// Result lookup + four pass lookups all missed.
-	if cold.Misses != 5 {
-		t.Errorf("cold run recorded %d misses, want 5", cold.Misses)
+	// Result lookup + CFG lookup both missed.
+	if cold.Misses != 2 {
+		t.Errorf("cold run recorded %d misses, want 2", cold.Misses)
+	}
+	if cold.Entries != 2 {
+		t.Errorf("cold run left %d entries, want 2 (one graph, one result)", cold.Entries)
 	}
 
 	if _, err := a.Analyze("e1"); err != nil {
@@ -98,7 +102,7 @@ func TestCachedResultEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := passes.NewCache()
+	c := NewCache()
 	warmer := cachedAnalyzer(cacheImage(t), hw, c)
 	warmer.AddConstraints(cons...)
 	if _, err := warmer.Analyze("e2"); err != nil {
@@ -145,12 +149,12 @@ func TestCachedResultEquivalence(t *testing.T) {
 }
 
 // TestCacheInvalidation: changing the hardware config or the
-// constraint set changes the content-addressed keys, so the cached
-// solve/result artifacts are not reused — while the CFG (a function of
-// image and entry alone) still is.
+// constraint set changes the result key, so the cached Result is not
+// reused — while the CFG (a function of image and entry alone) still
+// is.
 func TestCacheInvalidation(t *testing.T) {
 	img := cacheImage(t)
-	c := passes.NewCache()
+	c := NewCache()
 
 	a1 := cachedAnalyzer(img, arch.Config{}, c)
 	r1, err := a1.Analyze("e1")
@@ -176,8 +180,7 @@ func TestCacheInvalidation(t *testing.T) {
 		t.Errorf("L2-on bound %d equals L2-off bound — suspicious reuse", r2.Cycles)
 	}
 
-	// Different constraints: classification is shared (keyed by
-	// image+hw), solve and result are not.
+	// Different constraints: the result is not shared, the CFG is.
 	a3 := cachedAnalyzer(img, arch.Config{}, c)
 	a3.AddConstraints(ExecutesAtMost("e1", "entry0", 1))
 	if _, err := a3.Analyze("e1"); err != nil {
@@ -187,15 +190,12 @@ func TestCacheInvalidation(t *testing.T) {
 	if m3["wcet.entries_cached"] != 0 {
 		t.Error("constraint change served a stale cached result")
 	}
-	if m3["passcache.hit.classify"] != 1 {
-		t.Errorf("classification not shared across constraint sets: %v", m3)
-	}
-	if m3["passcache.hit.solve"] != 0 {
-		t.Errorf("solve artifact unsoundly shared across constraint sets: %v", m3)
+	if m3["passcache.hit.cfg"] != 1 {
+		t.Errorf("CFG not shared across constraint sets: %v", m3)
 	}
 
-	// KeepLP also keys the solve: flipping it cannot reuse a
-	// solution missing its LP text.
+	// KeepLP also keys the result: flipping it cannot reuse a
+	// Result missing its LP text.
 	a4 := cachedAnalyzer(img, arch.Config{}, c)
 	a4.KeepLP = true
 	r4, err := a4.Analyze("e1")
@@ -207,11 +207,11 @@ func TestCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestParallelRespectsWorkerBound: with Workers=2 and all workers
+// TestParallelRespectsWorkerBound: with GOMAXPROCS=2 and all workers
 // blocked, no third entry is ever picked up.
 func TestParallelRespectsWorkerBound(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	a := New(cacheImage(t), arch.Config{})
-	a.Workers = 2
 
 	started := make(chan string, 16)
 	release := make(chan struct{})
@@ -223,7 +223,7 @@ func TestParallelRespectsWorkerBound(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := a.AnalyzeAllParallelOrdered(context.Background())
+		_, err := a.AnalyzeAll(context.Background())
 		done <- err
 	}()
 
@@ -248,8 +248,8 @@ func TestParallelRespectsWorkerBound(t *testing.T) {
 // TestParallelCancellation: a cancelled context aborts the fan-out and
 // surfaces context.Canceled.
 func TestParallelCancellation(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	a := New(cacheImage(t), arch.Config{})
-	a.Workers = 1
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var picked atomic.Int32
@@ -260,7 +260,7 @@ func TestParallelCancellation(t *testing.T) {
 	}
 	defer func() { analyzeWorkerHook = nil }()
 
-	_, err := a.AnalyzeAllParallelOrdered(ctx)
+	_, err := a.AnalyzeAll(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -272,7 +272,7 @@ func TestParallelCancellation(t *testing.T) {
 	pre, cancel2 := context.WithCancel(context.Background())
 	cancel2()
 	picked.Store(0)
-	if _, err := a.AnalyzeAllParallelOrdered(pre); !errors.Is(err, context.Canceled) {
+	if _, err := a.AnalyzeAll(pre); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled err = %v, want context.Canceled", err)
 	}
 }
@@ -288,7 +288,7 @@ func TestParallelAggregatesAllErrors(t *testing.T) {
 		ExecutesAtMost("e2", "entry0", 0),
 		ExecutesAtMost("e5", "entry0", 0),
 	)
-	_, err := a.AnalyzeAllParallelOrdered(context.Background())
+	_, err := a.AnalyzeAll(context.Background())
 	if err == nil {
 		t.Fatal("contradictory constraints did not fail")
 	}
@@ -296,5 +296,259 @@ func TestParallelAggregatesAllErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), entry) {
 			t.Errorf("aggregated error missing entry %s: %v", entry, err)
 		}
+	}
+}
+
+// stageNames lists the recorded stage names in completion order.
+func stageNames(m *obs.Metrics) []string {
+	var out []string
+	for _, s := range m.Stats().Stages {
+		out = append(out, s.Name)
+	}
+	return out
+}
+
+// TestCacheHitSkipsRun: a cached re-analysis runs no stage at all.
+func TestCacheHitSkipsRun(t *testing.T) {
+	cached := cachedAnalyzer(cacheImage(t), arch.Config{}, NewCache())
+	for i := 0; i < 3; i++ {
+		if _, err := cached.Analyze("e1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(stageNames(cached.Metrics)); n != 5 {
+		t.Errorf("cached analyzer recorded %d stages over 3 runs, want 5 (one cold run)", n)
+	}
+	st := cached.Cache.Stats()
+	if st.Hits != 2 || st.Misses != 2 {
+		t.Errorf("cache stats = %+v, want 2 hits / 2 misses", st)
+	}
+}
+
+// TestUncachedAnalyzerAlwaysRuns: an analyzer without a cache runs
+// every stage on every call.
+func TestUncachedAnalyzerAlwaysRuns(t *testing.T) {
+	uncached := New(cacheImage(t), arch.Config{})
+	uncached.Metrics = obs.NewMetrics()
+	for i := 0; i < 3; i++ {
+		if _, err := uncached.Analyze("e1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(stageNames(uncached.Metrics)); n != 15 {
+		t.Errorf("uncached analyzer recorded %d stages over 3 runs, want 15", n)
+	}
+}
+
+// TestCacheInvalidatedByFingerprint: an image whose content differs
+// under the same entry name shares neither tier with the first, while
+// an identically built image hits both.
+func TestCacheInvalidatedByFingerprint(t *testing.T) {
+	c := NewCache()
+	short := cachedAnalyzer(straightImage(t, 3), arch.Config{}, c)
+	r1, err := short.Analyze("entry")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	long := cachedAnalyzer(straightImage(t, 9), arch.Config{}, c)
+	r2, err := long.Analyze("entry")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := long.Metrics.Stats().Counters
+	if m["passcache.hits"] != 0 || m["wcet.entries_analyzed"] != 1 {
+		t.Errorf("changed image hit the cache: %v", m)
+	}
+	if r2.Cycles <= r1.Cycles {
+		t.Errorf("9-instruction bound %d not above 3-instruction bound %d — stale reuse", r2.Cycles, r1.Cycles)
+	}
+	if st := c.Stats(); st.Entries != 4 {
+		t.Errorf("cache holds %d entries, want 4 (a graph and a result per image)", st.Entries)
+	}
+
+	same := cachedAnalyzer(straightImage(t, 9), arch.Config{}, c)
+	r3, err := same.Analyze("entry")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same.Metrics.Stats().Counters["passcache.hit.result"] != 1 || r3.Cycles != r2.Cycles {
+		t.Errorf("identically built image missed the cache or got bound %d, want %d", r3.Cycles, r2.Cycles)
+	}
+}
+
+// TestStagesRunInOrder: one analysis completes its stages in pipeline
+// order; the ILP solve completes inside the IPET stage.
+func TestStagesRunInOrder(t *testing.T) {
+	a := New(cacheImage(t), arch.Config{})
+	a.Metrics = obs.NewMetrics()
+	if _, err := a.Analyze("e1"); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(stageNames(a.Metrics), " ")
+	if want := "wcet.cfg wcet.classify wcet.ilp_solve wcet.ipet wcet.reconstruct"; got != want {
+		t.Errorf("stage order = %q, want %q", got, want)
+	}
+}
+
+// cancelAfter is a context whose Err reports cancellation from its
+// (n+1)th call on, so a test can cancel an analysis between two
+// given stages.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n <= 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestCancellationStopsBetweenStages: a context cancelled after the CFG
+// stage stops the analysis before classification runs.
+func TestCancellationStopsBetweenStages(t *testing.T) {
+	a := New(cacheImage(t), arch.Config{})
+	a.Metrics = obs.NewMetrics()
+	_, err := a.AnalyzeContext(&cancelAfter{Context: context.Background(), n: 1}, "e1")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := strings.Join(stageNames(a.Metrics), " "); got != "wcet.cfg" {
+		t.Errorf("stages run = %q, want the CFG stage only", got)
+	}
+}
+
+// TestStageErrorAborts: a failing ILP stops the analysis before path
+// reconstruction and caches nothing but the CFG.
+func TestStageErrorAborts(t *testing.T) {
+	c := NewCache()
+	a := cachedAnalyzer(cacheImage(t), arch.Config{}, c)
+	a.AddConstraints(ExecutesAtMost("e1", "entry0", 0))
+	if _, err := a.Analyze("e1"); err == nil {
+		t.Fatal("contradictory constraints did not fail")
+	}
+	for _, s := range stageNames(a.Metrics) {
+		if s == "wcet.reconstruct" {
+			t.Error("path reconstruction ran after the ILP failed")
+		}
+	}
+	if st := c.Stats(); st.Entries != 1 {
+		t.Errorf("failed analysis left %d cache entries, want 1 (the CFG)", st.Entries)
+	}
+}
+
+// TestCacheKeysSeparateComponents: every input of an analysis reaches
+// the result key, and only the image and entry reach the graph key.
+func TestCacheKeysSeparateComponents(t *testing.T) {
+	img, other := cacheImage(t), straightImage(t, 3)
+	base := New(img, arch.Config{})
+	variants := map[string]*Analyzer{
+		"base":        base,
+		"image":       New(other, arch.Config{}),
+		"hardware":    New(img, arch.Config{L2Enabled: true}),
+		"backend":     New(img, arch.Config{Arch: arch.CVA6RTID}),
+		"constraints": New(img, arch.Config{}),
+		"keepLP":      New(img, arch.Config{}),
+	}
+	variants["constraints"].AddConstraints(ExecutesAtMost("e1", "entry0", 1))
+	variants["keepLP"].KeepLP = true
+	seen := map[string]string{}
+	for name, a := range variants {
+		k := a.resultKey("e1")
+		if prev, dup := seen[k]; dup {
+			t.Errorf("result keys of %s and %s collide: %s", prev, name, k)
+		}
+		seen[k] = name
+	}
+	if base.resultKey("e1") == base.resultKey("e2") {
+		t.Error("result key ignores the entry")
+	}
+	if base.resultKey("e1") != New(cacheImage(t), arch.Config{}).resultKey("e1") {
+		t.Error("result key differs across identically built images")
+	}
+	for _, name := range []string{"hardware", "constraints", "keepLP"} {
+		if variants[name].graphKey("e1") != base.graphKey("e1") {
+			t.Errorf("graph key depends on %s", name)
+		}
+	}
+	if variants["image"].graphKey("e1") == base.graphKey("e1") {
+		t.Error("graph key ignores the image")
+	}
+}
+
+// TestCacheConcurrentAccess: analyses racing on one cache all get the
+// uncached bound, every lookup is counted, and the cache ends with one
+// graph and one Result per entry.
+func TestCacheConcurrentAccess(t *testing.T) {
+	img := cacheImage(t)
+	want := map[string]uint64{}
+	for _, e := range img.Entries {
+		r, err := New(img, arch.Config{}).Analyze(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[e] = r.Cycles
+	}
+	c := NewCache()
+	m := obs.NewMetrics()
+	const goroutines, rounds = 8, 20
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			a := New(img, arch.Config{})
+			a.Cache, a.Metrics = c, m
+			for i := 0; i < rounds; i++ {
+				e := img.Entries[(g+i)%len(img.Entries)]
+				r, err := a.Analyze(e)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if r.Cycles != want[e] {
+					t.Errorf("%s: cached bound %d, uncached %d", e, r.Cycles, want[e])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.Entries != 2*len(img.Entries) {
+		t.Errorf("cache holds %d entries, want %d", st.Entries, 2*len(img.Entries))
+	}
+	// Every analysis looks up its Result; every Result miss also
+	// looks up the CFG.
+	analyses := uint64(goroutines * rounds)
+	resultMisses := analyses - m.Stats().Counters["passcache.hit.result"]
+	if st.Hits+st.Misses != analyses+resultMisses {
+		t.Errorf("lookups = %d, want %d", st.Hits+st.Misses, analyses+resultMisses)
+	}
+}
+
+// TestCacheReset: Reset drops every entry and zeroes the counters.
+func TestCacheReset(t *testing.T) {
+	c := NewCache()
+	a := cachedAnalyzer(cacheImage(t), arch.Config{}, c)
+	for i := 0; i < 2; i++ {
+		if _, err := a.Analyze("e1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Hits == 0 || st.Misses == 0 || st.Entries == 0 {
+		t.Fatalf("stats before Reset = %+v, want hits, misses and entries", st)
+	}
+	c.Reset()
+	if st := c.Stats(); st != (CacheStats{}) {
+		t.Errorf("stats after Reset = %+v, want zero", st)
+	}
+	if _, err := a.Analyze("e1"); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 2 {
+		t.Errorf("analysis after Reset = %+v, want 2 cold misses", st)
 	}
 }

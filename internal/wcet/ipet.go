@@ -35,21 +35,23 @@ func (ip *ipetProblem) inflowCoeffs(n cfg.NodeID, coeffs map[int]float64, scale 
 }
 
 // solveIPET encodes flow conservation, loop bounds and user constraints
-// into an ILP, solves it and returns the Solution artifact (bound,
-// per-node and per-edge counts, problem dimensions).
-func (a *Analyzer) solveIPET(g *cfg.Graph, cls *Classification, entry string) (*Solution, error) {
+// into an ILP over the classified node costs and the per-loop first-miss
+// costs, solves it, and returns a Result carrying the bound, the
+// per-node counts and the problem dimensions, plus the solved per-edge
+// flows (only non-zero edges) for path reconstruction.
+func (a *Analyzer) solveIPET(g *cfg.Graph, nodeCost, loopEntryCost []uint64, entry string) (*Result, map[edgeKey]int64, error) {
 	ip := &ipetProblem{p: ilp.NewProblem(), edges: make(map[edgeKey]int), g: g}
 
 	// Loop-entry edges additionally carry the loop's one-off
 	// first-miss cost (persistence refinement).
 	entryExtra := make(map[edgeKey]uint64)
 	for li, l := range g.Loops {
-		if cls.LoopEntryCost == nil || cls.LoopEntryCost[li] == 0 {
+		if loopEntryCost == nil || loopEntryCost[li] == 0 {
 			continue
 		}
 		for _, p := range g.Node(l.Header).Preds {
 			if !l.Body[p] {
-				entryExtra[edgeKey{p, l.Header}] += cls.LoopEntryCost[li]
+				entryExtra[edgeKey{p, l.Header}] += loopEntryCost[li]
 			}
 		}
 	}
@@ -62,10 +64,10 @@ func (a *Analyzer) solveIPET(g *cfg.Graph, cls *Classification, entry string) (*
 		for _, s := range n.Succs {
 			k := edgeKey{n.ID, s}
 			if _, dup := ip.edges[k]; dup {
-				return nil, fmt.Errorf("wcet: parallel edge %v", k)
+				return nil, nil, fmt.Errorf("wcet: parallel edge %v", k)
 			}
 			name := fmt.Sprintf("e%d_%d", n.ID, s)
-			ip.edges[k] = ip.p.AddVar(name, float64(cls.NodeCost[s]+entryExtra[k]), true)
+			ip.edges[k] = ip.p.AddVar(name, float64(nodeCost[s]+entryExtra[k]), true)
 		}
 	}
 
@@ -119,11 +121,11 @@ func (a *Analyzer) solveIPET(g *cfg.Graph, cls *Classification, entry string) (*
 	// User constraints (§5.2).
 	for ci, uc := range a.Constraints {
 		if err := ip.addUser(uc, ci); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
-	out := &Solution{
+	out := &Result{
 		LPVars:        ip.p.NumVars(),
 		LPConstraints: ip.p.NumConstraints(),
 	}
@@ -139,17 +141,17 @@ func (a *Analyzer) solveIPET(g *cfg.Graph, cls *Classification, entry string) (*
 	a.Metrics.Add("ilp.presolve_fixed", uint64(fixed))
 	if st == ilp.Infeasible {
 		stopSolve()
-		return nil, fmt.Errorf("wcet: %s: constraints are contradictory (presolve)", entry)
+		return nil, nil, fmt.Errorf("wcet: %s: constraints are contradictory (presolve)", entry)
 	}
 	sol, err := ilp.Solve(ip.p)
 	stopSolve()
 	if err != nil {
-		return nil, fmt.Errorf("wcet: %s: %w", entry, err)
+		return nil, nil, fmt.Errorf("wcet: %s: %w", entry, err)
 	}
 	a.Metrics.Add("ilp.pivots", uint64(sol.Pivots))
 	out.SolveTime = time.Since(solveStart)
 	if sol.Status != ilp.Optimal {
-		return nil, fmt.Errorf("wcet: %s: ILP %v", entry, sol.Status)
+		return nil, nil, fmt.Errorf("wcet: %s: ILP %v", entry, sol.Status)
 	}
 
 	// Node counts from edge counts.
@@ -164,15 +166,14 @@ func (a *Analyzer) solveIPET(g *cfg.Graph, cls *Classification, entry string) (*
 		}
 	}
 	out.Counts = counts
-	out.Edges = sortedEdgeFlows(edgeCounts)
 
 	var total uint64
-	total += cls.NodeCost[g.Entry] // virtual entry edge
+	total += nodeCost[g.Entry] // virtual entry edge
 	for k, c := range edgeCounts {
-		total += uint64(c) * (cls.NodeCost[k.to] + entryExtra[k])
+		total += uint64(c) * (nodeCost[k.to] + entryExtra[k])
 	}
 	out.Cycles = total
-	return out, nil
+	return out, edgeCounts, nil
 }
 
 // addUser encodes one user constraint. Conflicts and Consistent apply

@@ -1,58 +1,41 @@
 package wcet
 
 import (
+	"context"
+	"sort"
 	"testing"
 
 	"verikern/internal/arch"
-	"verikern/internal/kimage"
 	"verikern/internal/obs"
 )
 
 // TestAnalyzeAllParallelWithMetrics shares one obs.Metrics registry
-// across AnalyzeAllParallel's worker goroutines (exactly how the
-// pipeline wires it up) and checks that the aggregated counters agree
-// with a sequential run over the same image. Run under -race in CI,
-// this is the regression test for the registry's internal locking.
+// across AnalyzeAll's worker goroutines (exactly how the pipeline wires
+// it up) and checks that the aggregated counters agree with a
+// sequential run over the same image. Run under -race in CI, this is
+// the regression test for the registry's internal locking.
 func TestAnalyzeAllParallelWithMetrics(t *testing.T) {
-	build := func() *kimage.Image {
-		img := kimage.New()
-		data := img.Data("d", 8*1024)
-		for _, n := range []string{"e1", "e2", "e3", "e4", "e5", "e6"} {
-			b := img.NewFunc(n)
-			b.ALU(4)
-			b.Load(data)
-			b.Loop(8, func(b *kimage.FuncBuilder) {
-				b.LoadStride(data+1024, 32, 4)
-				b.ALU(1)
-			})
-			b.If(func(b *kimage.FuncBuilder) { b.Store(data + 64) },
-				func(b *kimage.FuncBuilder) { b.ALU(3) })
-			b.Ret()
-		}
-		img.Entries = []string{"e1", "e2", "e3", "e4", "e5", "e6"}
-		if err := img.Link(); err != nil {
+	seqA := New(cacheImage(t), arch.Config{})
+	seqA.Metrics = obs.NewMetrics()
+	seq := map[string]*Result{}
+	for _, e := range seqA.Img.Entries {
+		r, err := seqA.Analyze(e)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return img
+		seq[e] = r
 	}
 
-	seqA := New(build(), arch.Config{})
-	seqA.Metrics = obs.NewMetrics()
-	seq, err := seqA.AnalyzeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	parA := New(build(), arch.Config{})
+	parA := New(cacheImage(t), arch.Config{})
 	parA.Metrics = obs.NewMetrics()
-	par, err := parA.AnalyzeAllParallel()
+	par, err := parA.AnalyzeAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for e, r := range seq {
-		if par[e] == nil || par[e].Cycles != r.Cycles {
-			t.Errorf("%s: parallel %v, sequential %d", e, par[e], r.Cycles)
+	for _, r := range par {
+		if seq[r.Entry] == nil || seq[r.Entry].Cycles != r.Cycles {
+			t.Errorf("%s: parallel %d, sequential %v", r.Entry, r.Cycles, seq[r.Entry])
 		}
 	}
 
@@ -77,5 +60,64 @@ func TestAnalyzeAllParallelWithMetrics(t *testing.T) {
 	// One stage record per (entry, stage) pair regardless of ordering.
 	if len(ss.Stages) != len(ps.Stages) {
 		t.Errorf("stage records: sequential %d, parallel %d", len(ss.Stages), len(ps.Stages))
+	}
+}
+
+// TestBenchReadsStageAndCounterNames pins the stage and counter names
+// the benchmark harness (bench/main.go) reads as strings to build its
+// per-layer metrics: a renamed stage or counter would otherwise
+// silently zero them.
+func TestBenchReadsStageAndCounterNames(t *testing.T) {
+	img := cacheImage(t)
+	c := NewCache()
+	m := obs.NewMetrics()
+	analyze := func(hw arch.Config) {
+		t.Helper()
+		a := New(img, hw)
+		a.Cache, a.Metrics = c, m
+		if _, err := a.Analyze("e1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	analyze(arch.Config{})
+	// Same image under other hardware: the CFG comes from the cache.
+	analyze(arch.Config{L2Enabled: true})
+	before := m.Stats().Counters
+	// Warm re-run: the whole Result comes from the cache.
+	analyze(arch.Config{})
+	st := m.Stats()
+
+	names := map[string]bool{}
+	for _, s := range st.Stages {
+		names[s.Name] = true
+	}
+	var got []string
+	for n := range names {
+		got = append(got, n)
+	}
+	sort.Strings(got)
+	want := []string{"wcet.cfg", "wcet.classify", "wcet.ilp_solve", "wcet.ipet", "wcet.reconstruct"}
+	if len(got) != len(want) {
+		t.Fatalf("stage names = %v, want exactly %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("stage names = %v, want exactly %v", got, want)
+		}
+	}
+
+	for _, name := range []string{
+		"passcache.hits", "passcache.misses", "passcache.hit.cfg",
+		"passcache.hit.result", "wcet.entries_analyzed", "wcet.entries_cached",
+	} {
+		if st.Counters[name] == 0 {
+			t.Errorf("counter %s never recorded (counters %v)", name, st.Counters)
+		}
+	}
+	if st.Counters["passcache.hits"] <= before["passcache.hits"] {
+		t.Errorf("warm re-run did not move passcache.hits: %d -> %d", before["passcache.hits"], st.Counters["passcache.hits"])
+	}
+	if st.Counters["passcache.misses"] != before["passcache.misses"] {
+		t.Errorf("warm re-run moved passcache.misses: %d -> %d", before["passcache.misses"], st.Counters["passcache.misses"])
 	}
 }

@@ -2,6 +2,7 @@ package wcet
 
 import (
 	"fmt"
+	"sort"
 
 	"verikern/internal/arch"
 	"verikern/internal/cache"
@@ -19,10 +20,20 @@ import (
 // the same trail.
 func reconstruct(g *cfg.Graph, edgeCount map[edgeKey]int64) ([]*kimage.Block, error) {
 	// Hierholzer's algorithm over edgeCount, from entry.
+	edges := make([]edgeKey, 0, len(edgeCount))
+	for k := range edgeCount {
+		edges = append(edges, k)
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].from != edges[j].from {
+			return edges[i].from < edges[j].from
+		}
+		return edges[i].to < edges[j].to
+	})
 	adj := make(map[cfg.NodeID][]cfg.NodeID)
-	for _, e := range sortedEdgeFlows(edgeCount) {
-		for i := int64(0); i < e.Count; i++ {
-			adj[e.From] = append(adj[e.From], e.To)
+	for _, e := range edges {
+		for i := int64(0); i < edgeCount[e]; i++ {
+			adj[e.from] = append(adj[e.from], e.to)
 		}
 	}
 	var trail []cfg.NodeID

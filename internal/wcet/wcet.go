@@ -21,7 +21,6 @@ import (
 	"verikern/internal/cfg"
 	"verikern/internal/kimage"
 	"verikern/internal/obs"
-	"verikern/internal/passes"
 )
 
 // ConstraintKind selects one of the three user-constraint forms of
@@ -115,12 +114,6 @@ type Result struct {
 	Classified ClassStats
 	// LPVars and LPConstraints report the ILP problem size.
 	LPVars, LPConstraints int
-	// edgeCounts holds the solved per-edge flows, used for path
-	// reconstruction.
-	edgeCounts map[edgeKey]int64
-	// loopEntryCost holds the per-loop one-off first-miss cost,
-	// charged on loop-entry edges.
-	loopEntryCost []uint64
 	// LPText is the ILP dump (only when Analyzer.KeepLP is set).
 	LPText string
 	// SolveTime is the wall time spent in ILP solving, and
@@ -154,21 +147,16 @@ type Analyzer struct {
 	KeepLP bool
 	// Metrics, when set, receives per-stage wall times and pipeline
 	// counters (CFG size, fixpoint sweeps, ILP dimensions, simplex
-	// pivots), plus artifact-cache hit/miss counters when Cache is
-	// set. It is safe to share across AnalyzeAllParallel's
-	// goroutines; nil disables collection.
+	// pivots), plus cache hit/miss counters when Cache is set. It is
+	// safe to share across AnalyzeAll's goroutines; nil disables
+	// collection.
 	Metrics *obs.Metrics
-	// Cache, when set, serves and stores per-pass analysis artifacts
-	// content-addressed by (image fingerprint, hardware config,
-	// constraint set, pass version). Analyzers over identical inputs
-	// — even distinct Analyzer or Image objects — share artifacts
-	// through one cache. Cached artifacts (including whole Results)
-	// are shared and must be treated as immutable. Nil disables
-	// caching.
-	Cache *passes.Cache
-	// Workers bounds AnalyzeAllParallel's concurrency; 0 means
-	// GOMAXPROCS.
-	Workers int
+	// Cache, when set, serves and stores CFGs and whole Results keyed
+	// by the content of their inputs (image fingerprint, entry,
+	// hardware config, constraint set, KeepLP). Analyzers over
+	// identical inputs — even distinct Analyzer or Image objects —
+	// share entries through one cache. Nil disables caching.
+	Cache *Cache
 }
 
 // New returns an analyzer for the image under the hardware config.
@@ -186,12 +174,11 @@ func (a *Analyzer) Analyze(entry string) (*Result, error) {
 	return a.AnalyzeContext(context.Background(), entry)
 }
 
-// AnalyzeContext computes the WCET bound for one entry point, running
-// the pass pipeline (CFG → classify → IPET/solve → reconstruct) under
-// the given context. Cancellation is honoured between passes. With a
-// Cache set, each pass's artifact — and the assembled Result — is
-// served from the cache when its content-addressed inputs match a
-// previous analysis.
+// AnalyzeContext computes the WCET bound for one entry point: CFG →
+// classify → IPET/solve → reconstruct, under the given context.
+// Cancellation is honoured between stages. With a Cache set, a whole
+// Result is served when an identical analysis ran before, and the CFG
+// when only the hardware or the constraint set differs.
 func (a *Analyzer) AnalyzeContext(ctx context.Context, entry string) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -207,57 +194,83 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, entry string) (*Result, e
 	}
 	start := time.Now()
 
-	var resultKey string
+	var key string
 	if a.Cache != nil {
-		resultKey = passes.KeyID("result", resultVersion, a.solveFingerprint(entry))
-		if v, ok := a.Cache.Get(resultKey); ok {
-			a.Metrics.Add("passcache.hits", 1)
-			a.Metrics.Add("passcache.hit.result", 1)
+		key = a.resultKey(entry)
+		if r, ok := lookup(a.Cache, a.Metrics, a.Cache.results, "result", key); ok {
 			a.Metrics.Add("wcet.entries_cached", 1)
-			return v.(*Result), nil
+			return r, nil
 		}
-		a.Metrics.Add("passcache.misses", 1)
 	}
 
-	pl, err := a.pipeline(entry)
+	g, err := a.graph(entry)
 	if err != nil {
 		return nil, err
 	}
-	ac := passes.NewContext(ctx, a.Metrics, a.Cache)
-	if err := pl.Run(ac); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	g, _ := passes.Artifact[*cfg.Graph](ac, PassCFG)
-	cls, _ := passes.Artifact[*Classification](ac, PassClassify)
-	sol, _ := passes.Artifact[*Solution](ac, PassSolve)
-	trace, _ := passes.Artifact[[]*kimage.Block](ac, PassReconstruct)
-	if g == nil || cls == nil || sol == nil {
-		return nil, fmt.Errorf("wcet: %s: pipeline produced incomplete artifacts", entry)
+	stop := a.Metrics.Stage("wcet.classify")
+	nodeCost, loopEntryCost, stats := a.classify(g)
+	stop()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	stop = a.Metrics.Stage("wcet.ipet")
+	res, edgeCounts, err := a.solveIPET(g, nodeCost, loopEntryCost, entry)
+	stop()
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	stop = a.Metrics.Stage("wcet.reconstruct")
+	res.Trace, err = reconstruct(g, edgeCounts)
+	stop()
+	if err != nil {
+		return nil, fmt.Errorf("wcet: %s: %w", entry, err)
 	}
 
-	res := &Result{
-		Entry:         entry,
-		Graph:         g,
-		NodeCost:      cls.NodeCost,
-		Classified:    cls.Stats,
-		loopEntryCost: cls.LoopEntryCost,
-		Cycles:        sol.Cycles,
-		Counts:        sol.Counts,
-		LPVars:        sol.LPVars,
-		LPConstraints: sol.LPConstraints,
-		LPText:        sol.LPText,
-		SolveTime:     sol.SolveTime,
-		edgeCounts:    sol.edgeCountMap(),
-		Trace:         trace,
-	}
+	res.Entry = entry
+	res.Graph = g
+	res.NodeCost = nodeCost
+	res.Classified = stats
 	res.Micros = a.HW.Backend().CyclesToMicros(res.Cycles)
 	res.AnalysisTime = time.Since(start)
 	a.Metrics.Add("wcet.entries_analyzed", 1)
-	if resultKey != "" {
-		a.Cache.Put(resultKey, res)
+	if a.Cache != nil {
+		store(a.Cache, a.Cache.results, key, res)
 	}
 	return res, nil
+}
+
+// graph returns the entry's inlined whole-program CFG with loop bounds
+// attached, from the cache's graph tier when an identical image was
+// analysed before. The graph is immutable once built.
+func (a *Analyzer) graph(entry string) (*cfg.Graph, error) {
+	var key string
+	if a.Cache != nil {
+		key = a.graphKey(entry)
+		if g, ok := lookup(a.Cache, a.Metrics, a.Cache.graphs, "cfg", key); ok {
+			return g, nil
+		}
+	}
+	stop := a.Metrics.Stage("wcet.cfg")
+	g, err := cfg.Inline(a.Img, entry)
+	if err == nil {
+		err = g.FindLoops(a.Img)
+	}
+	stop()
+	if err != nil {
+		return nil, err
+	}
+	a.Metrics.Add("cfg.nodes", uint64(len(g.Nodes)))
+	a.Metrics.Add("cfg.loops", uint64(len(g.Loops)))
+	if a.Cache != nil {
+		store(a.Cache, a.Cache.graphs, key, g)
+	}
+	return g, nil
 }
 
 // Footprint returns the address footprint (instruction fetches, data
@@ -307,84 +320,25 @@ func (r *Result) Hottest(n int) []HotBlock {
 	return hot
 }
 
-// AnalyzeAll runs every entry point declared by the image. The
-// returned map is keyed by entry name; use AnalyzeAllOrdered when the
-// caller needs results in the image's deterministic entry order.
-func (a *Analyzer) AnalyzeAll() (map[string]*Result, error) {
-	ordered, err := a.AnalyzeAllOrdered(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return resultMap(ordered), nil
-}
-
-// AnalyzeAllOrdered analyses every entry point sequentially and
-// returns the results in the image's entry order — the deterministic
-// form consumers should iterate when their output must be byte-stable
-// across runs.
-func (a *Analyzer) AnalyzeAllOrdered(ctx context.Context) ([]*Result, error) {
-	out := make([]*Result, 0, len(a.Img.Entries))
-	for _, e := range a.Img.Entries {
-		r, err := a.AnalyzeContext(ctx, e)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-func resultMap(ordered []*Result) map[string]*Result {
-	out := make(map[string]*Result, len(ordered))
-	for _, r := range ordered {
-		out[r.Entry] = r
-	}
-	return out
-}
-
 // analyzeWorkerHook, when set (tests only), observes each entry as a
 // worker picks it up.
 var analyzeWorkerHook func(entry string)
 
-// AnalyzeAllParallel analyses every entry point concurrently. The
-// per-entry analyses share only immutable inputs (the linked image and
-// the constraint list), so they parallelise trivially; the paper's
-// sequential 65-minute run would have shortened to its longest entry.
-func (a *Analyzer) AnalyzeAllParallel() (map[string]*Result, error) {
-	ordered, err := a.AnalyzeAllParallelOrdered(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return resultMap(ordered), nil
-}
-
-// AnalyzeAllParallelContext is AnalyzeAllParallel with cancellation.
-func (a *Analyzer) AnalyzeAllParallelContext(ctx context.Context) (map[string]*Result, error) {
-	ordered, err := a.AnalyzeAllParallelOrdered(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return resultMap(ordered), nil
-}
-
-// AnalyzeAllParallelOrdered fans the image's entry points out over a
-// bounded worker pool (Workers wide, GOMAXPROCS by default) and
-// returns the results in the image's entry order. Cancelling the
-// context stops workers between passes and abandons unstarted entries.
-// When several entries fail, every per-entry error is reported,
-// aggregated with errors.Join in entry order.
-func (a *Analyzer) AnalyzeAllParallelOrdered(ctx context.Context) ([]*Result, error) {
+// AnalyzeAll analyses every entry point declared by the image over a
+// pool of min(GOMAXPROCS, entries) workers and returns the results in
+// the image's entry order. The per-entry analyses share only immutable
+// inputs (the linked image and the constraint list), so they
+// parallelise trivially; the paper's sequential 65-minute run would
+// have shortened to its longest entry. Cancelling the context stops
+// workers between stages and abandons unstarted entries. When several
+// entries fail, every per-entry error is reported, aggregated with
+// errors.Join in entry order.
+func (a *Analyzer) AnalyzeAll(ctx context.Context) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	entries := a.Img.Entries
-	workers := a.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(entries) {
-		workers = len(entries)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(entries))
 
 	results := make([]*Result, len(entries))
 	errs := make([]error, len(entries))

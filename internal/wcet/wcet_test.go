@@ -1,6 +1,7 @@
 package wcet
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -453,15 +454,15 @@ func TestAnalyzeAllEntries(t *testing.T) {
 	if err := img.Link(); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := New(img, arch.Config{}).AnalyzeAll()
+	rs, err := New(img, arch.Config{}).AnalyzeAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rs) != 2 {
-		t.Errorf("AnalyzeAll returned %d results, want 2", len(rs))
+		t.Fatalf("AnalyzeAll returned %d results, want 2", len(rs))
 	}
-	for e, r := range rs {
-		if r.Entry != e || r.Cycles == 0 {
+	for i, r := range rs {
+		if e := img.Entries[i]; r.Entry != e || r.Cycles == 0 {
 			t.Errorf("result for %s malformed: %+v", e, r)
 		}
 	}
@@ -540,17 +541,18 @@ func TestAnalyzeAllParallelMatchesSequential(t *testing.T) {
 	if err := img.Link(); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := New(img, arch.Config{}).AnalyzeAll()
+	par, err := New(img, arch.Config{}).AnalyzeAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := New(img, arch.Config{}).AnalyzeAllParallel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e, r := range seq {
-		if par[e] == nil || par[e].Cycles != r.Cycles {
-			t.Errorf("%s: parallel %v, sequential %d", e, par[e], r.Cycles)
+	seqA := New(img, arch.Config{})
+	for i, e := range img.Entries {
+		r, err := seqA.Analyze(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par[i].Entry != e || par[i].Cycles != r.Cycles {
+			t.Errorf("%s: parallel %v, sequential %d", e, par[i], r.Cycles)
 		}
 	}
 }

@@ -65,7 +65,7 @@ func TestLatticeMatchesLegacyMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.prefix, err)
 			}
-			bounds, err := im.AnalyzeAll(ctx, hw, 0)
+			bounds, err := im.AnalyzeAll(ctx, hw)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.prefix, err)
 			}

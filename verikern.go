@@ -29,7 +29,6 @@ import (
 	"verikern/internal/konfig"
 	"verikern/internal/measure"
 	"verikern/internal/obs"
-	"verikern/internal/passes"
 	"verikern/internal/sched"
 	"verikern/internal/vspace"
 	"verikern/internal/wcet"
@@ -112,19 +111,19 @@ type Image struct {
 // experiments.go report their analysis stages without any API change.
 var pipelineMetrics *obs.Metrics
 
-// analysisCache is the process-wide artifact cache behind every
-// Analyze call made through this package. Keys are content-addressed
-// (image fingerprint, hardware config, constraint set, pass version),
+// analysisCache is the process-wide analysis cache behind every
+// Analyze call made through this package. Keys are built from input
+// content (image fingerprint, entry, hardware config, constraint set),
 // so separately built but identical images — the common shape of the
-// experiment drivers, which rebuild images per table — share CFGs,
-// classifications, ILP solutions and whole Results.
-var analysisCache = passes.NewCache()
+// experiment drivers, which rebuild images per table — share CFGs and
+// whole Results.
+var analysisCache = wcet.NewCache()
 
-// AnalysisCacheStats returns a snapshot of the shared artifact cache's
-// hit/miss counters.
-func AnalysisCacheStats() passes.CacheStats { return analysisCache.Stats() }
+// AnalysisCacheStats returns a snapshot of the shared analysis cache's
+// hit/miss counters and entry count.
+func AnalysisCacheStats() wcet.CacheStats { return analysisCache.Stats() }
 
-// ResetAnalysisCache drops every artifact and zeroes the counters.
+// ResetAnalysisCache drops every cached entry and zeroes the counters.
 func ResetAnalysisCache() { analysisCache.Reset() }
 
 // ObservePipeline installs a metrics registry that every subsequent
@@ -199,17 +198,9 @@ func BuildImagePoint(p LatticePoint) (*Image, Hardware, error) {
 	if err := p.Check(); err != nil {
 		return nil, Hardware{}, err
 	}
-	img, cons, err := kbin.Build(p.KbinOptions())
+	img, cons, hw, err := p.Build()
 	if err != nil {
 		return nil, Hardware{}, err
-	}
-	hw := p.Hardware()
-	if p.TCMEnabled {
-		itcm, dtcm, err := kbin.TCMConfig(img)
-		if err != nil {
-			return nil, Hardware{}, err
-		}
-		hw.ITCMBase, hw.DTCMBase = itcm, dtcm
 	}
 	v := Original
 	if p.PreemptionPoints() {
@@ -235,7 +226,7 @@ type Bound struct {
 }
 
 // analyzer assembles the wcet.Analyzer every facade entry point uses:
-// the image's constraints and metrics, plus the shared artifact cache.
+// the image's constraints and metrics, plus the shared analysis cache.
 func (im *Image) analyzer(hw Hardware) *wcet.Analyzer {
 	a := wcet.New(im.Img, hw)
 	a.AddConstraints(im.Constraints...)
@@ -251,7 +242,7 @@ func (im *Image) Analyze(hw Hardware, e EntryPoint) (Bound, error) {
 }
 
 // AnalyzeContext is Analyze under a context: cancellation is honoured
-// between analysis passes.
+// between analysis stages.
 func (im *Image) AnalyzeContext(ctx context.Context, hw Hardware, e EntryPoint) (Bound, error) {
 	r, err := im.analyzer(hw).AnalyzeContext(ctx, string(e))
 	if err != nil {
@@ -260,13 +251,10 @@ func (im *Image) AnalyzeContext(ctx context.Context, hw Hardware, e EntryPoint) 
 	return Bound{Entry: e, Cycles: r.Cycles, Micros: r.Micros, Result: r}, nil
 }
 
-// AnalyzeAll analyses every entry point of the image over a bounded
-// worker pool and returns the bounds in the image's deterministic
-// entry order. workers <= 0 means GOMAXPROCS.
-func (im *Image) AnalyzeAll(ctx context.Context, hw Hardware, workers int) ([]Bound, error) {
-	a := im.analyzer(hw)
-	a.Workers = workers
-	results, err := a.AnalyzeAllParallelOrdered(ctx)
+// AnalyzeAll analyses every entry point of the image in parallel and
+// returns the bounds in the image's deterministic entry order.
+func (im *Image) AnalyzeAll(ctx context.Context, hw Hardware) ([]Bound, error) {
+	results, err := im.analyzer(hw).AnalyzeAll(ctx)
 	if err != nil {
 		return nil, err
 	}
