@@ -316,10 +316,12 @@ func checkVSpace(s *State, add adder) {
 		if s.AtKernelExit && !pd.KernelWindowCopied {
 			add("kernel-window", "pd %d missing kernel mappings at kernel exit", pd.ID)
 		}
-		for di := 0; di < kobj.PDEntries; di++ {
-			pt := pd.Tables[di]
+		// Only indices holding a table or a shadow entry can violate
+		// anything, so the walk visits the union of the two.
+		for di := nextPDEntry(pd, 0); di < kobj.PDEntries; di = nextPDEntry(pd, di+1) {
+			pt := pd.Tables.Get(di)
 			if s.VSpace.Design() == vspace.ShadowDesign {
-				shadowed := pd.Shadow != nil && pd.Shadow[di] != nil
+				shadowed := pd.Shadow.Get(di) != nil
 				if (pt != nil) != shadowed {
 					add("shadow-consistent", "pd %d dir %d: table %v shadow %v",
 						pd.ID, di, pt != nil, shadowed)
@@ -358,4 +360,10 @@ func checkVSpace(s *State, add adder) {
 			}
 		}
 	}
+}
+
+// nextPDEntry returns the lowest directory index >= i holding a table
+// or a shadow entry, or kobj.PDEntries when there is none.
+func nextPDEntry(pd *kobj.PageDirectory, i int) int {
+	return min(pd.Tables.Next(i), pd.Shadow.Next(i))
 }

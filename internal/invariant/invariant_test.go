@@ -191,7 +191,11 @@ func TestDetectsCapToDestroyedObject(t *testing.T) {
 	mustViolate(t, s, "cap-liveness")
 }
 
-func TestDetectsShadowSkew(t *testing.T) {
+// shadowSpace adds to a clean state a shadow-design page directory with
+// a page table mapped at directory index 3, returning the directory and
+// a spare cap slot.
+func shadowSpace(t *testing.T) (*State, *kobj.PageDirectory, *kobj.Slot) {
+	t.Helper()
 	s, m, _, _ := cleanState(t)
 	mgr := vspace.New(vspace.ShadowDesign)
 	e := &vspace.Env{Clock: clock(), Preempt: never}
@@ -211,8 +215,21 @@ func TestDetectsShadowSkew(t *testing.T) {
 	s.VSpace = mgr
 	s.Objects = m.Objects()
 	mustClean(t, s)
+	return s, pd, cn.Slot(1)
+}
+
+func TestDetectsShadowSkew(t *testing.T) {
+	s, pd, _ := shadowSpace(t)
 	// Drop the shadow entry while the table stays mapped.
-	pd.Shadow[3] = nil
+	pd.Shadow.Set(3, nil)
+	mustViolate(t, s, "shadow-consistent")
+}
+
+func TestDetectsShadowWithoutTable(t *testing.T) {
+	s, pd, spare := shadowSpace(t)
+	// A shadow entry far from any mapped table: the walk must visit
+	// shadow-only indices, not just the mapped ones.
+	pd.Shadow.Set(2000, spare)
 	mustViolate(t, s, "shadow-consistent")
 }
 

@@ -47,7 +47,7 @@ func (k *Kernel) signalIRQHandler() {
 		return
 	}
 	hadWaiter := ntfn.QHead != nil
-	if w := ipc.Signal(k.ipcEnv(), ntfn, irqBadge, k.current); w != nil {
+	if w := ipc.Signal(&k.ipcEnv, ntfn, irqBadge, k.current); w != nil {
 		// Signal chose a direct switch; from the interrupt path
 		// we queue instead.
 		k.clock.Advance(k.sched.Enqueue(w))
@@ -74,7 +74,7 @@ func (k *Kernel) WaitIRQ(t *kobj.TCB, ntfnCapAddr uint32) error {
 	}
 	ntfn := slot.Cap.Notification()
 	return k.runRestartable(t, levels, obs.OpWaitIRQ, func() opOutcome {
-		switch ipc.Wait(k.ipcEnv(), t, ntfn) {
+		switch ipc.Wait(&k.ipcEnv, t, ntfn) {
 		case ipc.Done:
 			k.irqHandlerRuns++
 		case ipc.Blocked:
@@ -100,7 +100,7 @@ func (k *Kernel) SignalCap(t *kobj.TCB, ntfnCapAddr uint32) error {
 		badge = 1
 	}
 	return k.runRestartable(t, levels, obs.OpSignal, func() opOutcome {
-		if sw := ipc.Signal(k.ipcEnv(), ntfn, badge, t); sw != nil {
+		if sw := ipc.Signal(&k.ipcEnv, ntfn, badge, t); sw != nil {
 			k.switchTo(sw)
 		}
 		return opDone
@@ -120,7 +120,7 @@ func (k *Kernel) PollCap(t *kobj.TCB, ntfnCapAddr uint32) (bool, error) {
 	ntfn := slot.Cap.Notification()
 	var got bool
 	err = k.runRestartable(t, levels, obs.OpPoll, func() opOutcome {
-		got = ipc.Poll(k.ipcEnv(), t, ntfn)
+		got = ipc.Poll(&k.ipcEnv, t, ntfn)
 		return opDone
 	})
 	return got, err

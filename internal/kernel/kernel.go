@@ -164,6 +164,13 @@ type Kernel struct {
 	// disabled-tracing cycle behaviour identical to the seed.
 	tracer *obs.Tracer
 
+	// ipcEnv and vsEnv are the environments handed to the IPC and
+	// vspace layers. They live as long as the kernel (SetTracer keeps
+	// ipcEnv's tracer current), so a system call or restart allocates
+	// neither them nor the bound preemption probe.
+	ipcEnv ipc.Env
+	vsEnv  vspace.Env
+
 	rootUntyped *kobj.Untyped
 	rootCNode   *kobj.CNode
 
@@ -188,6 +195,9 @@ func New(cfg Config) (*Kernel, error) {
 		vspace:       vspace.New(cfg.VSpace),
 		pendingClear: make(map[*kobj.Untyped]*clearProgress),
 	}
+	preempt := k.preempt
+	k.ipcEnv = ipc.Env{Clock: &k.clock, Sched: k.sched, Preempt: preempt}
+	k.vsEnv = vspace.Env{Clock: &k.clock, Preempt: preempt}
 	u, err := k.objects.NewRootUntyped(26) // 64 MiB of untyped at boot
 	if err != nil {
 		return nil, err
@@ -214,6 +224,7 @@ func (k *Kernel) Config() Config { return k.cfg }
 // Pass nil to disable tracing.
 func (k *Kernel) SetTracer(t *obs.Tracer) {
 	k.tracer = t
+	k.ipcEnv.Tracer = t
 	if ts, ok := k.sched.(sched.Traceable); ok {
 		ts.SetTrace(t, &k.clock)
 	}
@@ -343,16 +354,6 @@ func (k *Kernel) serviceIRQ() {
 	k.irqPending = false
 	k.stats.IRQsServiced++
 	k.signalIRQHandler()
-}
-
-// ipcEnv builds the Env handed to the IPC layer.
-func (k *Kernel) ipcEnv() *ipc.Env {
-	return &ipc.Env{Clock: &k.clock, Sched: k.sched, Preempt: k.preempt, Tracer: k.tracer}
-}
-
-// vsEnv builds the Env handed to the vspace layer.
-func (k *Kernel) vsEnv() *vspace.Env {
-	return &vspace.Env{Clock: &k.clock, Preempt: k.preempt}
 }
 
 // checkInvariants runs the invariant suite and records violations.

@@ -82,14 +82,14 @@ func (k *Kernel) Send(t *kobj.TCB, capAddr uint32, msgLen int, capsToSend []uint
 
 	return k.runRestartable(t, levels, obs.OpSend, func() opOutcome {
 		if k.cfg.Fastpath && len(capsToSend) == 0 && !call && ipc.FastpathOK(ep, t, msgLen, 0) {
-			r := ipc.Fastpath(k.ipcEnv(), t, ep, badge, msgLen)
+			r := ipc.Fastpath(&k.ipcEnv, t, ep, badge, msgLen)
 			k.stats.FastpathIPCs++
 			k.switchTo(r)
 			return opDone
 		}
 		k.stats.SlowpathIPCs++
 		k.clock.Advance(uint64(capLevels) * CostDecodeLevel)
-		out, sw := ipc.Send(k.ipcEnv(), t, ep, badge, msgLen, len(capsToSend), call)
+		out, sw := ipc.Send(&k.ipcEnv, t, ep, badge, msgLen, len(capsToSend), call)
 		switch out {
 		case ipc.Failed:
 			return opFailed
@@ -124,7 +124,7 @@ func (k *Kernel) Recv(t *kobj.TCB, capAddr uint32) error {
 	}
 	ep := slot.Cap.Endpoint()
 	return k.runRestartable(t, levels, obs.OpRecv, func() opOutcome {
-		out, sw := ipc.Recv(k.ipcEnv(), t, ep)
+		out, sw := ipc.Recv(&k.ipcEnv, t, ep)
 		switch out {
 		case ipc.Failed:
 			return opFailed
@@ -155,7 +155,7 @@ func (k *Kernel) ReplyRecv(t *kobj.TCB, capAddr uint32) error {
 	ep := slot.Cap.Endpoint()
 	return k.runRestartable(t, levels, obs.OpReplyRecv, func() opOutcome {
 		if !t.ReplyPhaseDone {
-			if out, _ := ipc.Reply(k.ipcEnv(), t); out == ipc.Failed {
+			if out, _ := ipc.Reply(&k.ipcEnv, t); out == ipc.Failed {
 				return opFailed
 			}
 			if k.cfg.SplitSendReceive {
@@ -166,7 +166,7 @@ func (k *Kernel) ReplyRecv(t *kobj.TCB, capAddr uint32) error {
 			}
 		}
 		t.ReplyPhaseDone = false
-		out, sw := ipc.Recv(k.ipcEnv(), t, ep)
+		out, sw := ipc.Recv(&k.ipcEnv, t, ep)
 		switch out {
 		case ipc.Failed:
 			return opFailed
@@ -197,7 +197,7 @@ func (k *Kernel) DeleteCap(t *kobj.TCB, capAddr uint32) error {
 		}
 		if slot.Cap.Type == kobj.CapEndpoint && k.objects.IsFinal(slot) {
 			ep := slot.Cap.Endpoint()
-			switch ipc.DeleteEndpoint(k.ipcEnv(), ep) {
+			switch ipc.DeleteEndpoint(&k.ipcEnv, ep) {
 			case ipc.Preempted:
 				return opPreempted
 			case ipc.Failed:
@@ -246,7 +246,7 @@ func (k *Kernel) RevokeBadge(t *kobj.TCB, capAddr uint32, badge uint32) error {
 			}
 		}
 		// Phase 2: abort pending IPCs with the badge.
-		switch ipc.AbortBadged(k.ipcEnv(), t, ep, badge) {
+		switch ipc.AbortBadged(&k.ipcEnv, t, ep, badge) {
 		case ipc.Preempted:
 			return opPreempted
 		case ipc.Failed:
@@ -337,7 +337,7 @@ func (k *Kernel) CreateObjects(t *kobj.TCB, ot kobj.ObjType, param uint8, count 
 			// kernel window — non-preemptible (§3.5), the
 			// 20 µs floor of the paper's latency budget.
 			if pd, ok := o.(*kobj.PageDirectory); ok {
-				if k.vspace.InitPD(k.vsEnv(), pd) != nil {
+				if k.vspace.InitPD(&k.vsEnv, pd) != nil {
 					return opFailed
 				}
 			}
@@ -388,7 +388,7 @@ func (k *Kernel) MapPageTable(t *kobj.TCB, ptAddr uint32, vaddr uint32) error {
 	pt := slot.Cap.Obj.(*kobj.PageTable)
 	var mapErr error
 	err = k.runRestartable(t, levels, obs.OpMapTable, func() opOutcome {
-		mapErr = k.vspace.MapTable(k.vsEnv(), t.VSpaceRoot, int(vaddr>>20), pt, slot)
+		mapErr = k.vspace.MapTable(&k.vsEnv, t.VSpaceRoot, int(vaddr>>20), pt, slot)
 		if mapErr != nil {
 			return opFailed
 		}
@@ -413,7 +413,7 @@ func (k *Kernel) MapFrame(t *kobj.TCB, frameAddr uint32, vaddr uint32) error {
 	f := slot.Cap.Frame()
 	var mapErr error
 	err = k.runRestartable(t, levels, obs.OpMapFrame, func() opOutcome {
-		mapErr = k.vspace.MapFrame(k.vsEnv(), t.VSpaceRoot, vaddr, f, slot)
+		mapErr = k.vspace.MapFrame(&k.vsEnv, t.VSpaceRoot, vaddr, f, slot)
 		if mapErr != nil {
 			return opFailed
 		}
@@ -433,7 +433,7 @@ func (k *Kernel) UnmapFrame(t *kobj.TCB, frameAddr uint32) error {
 	}
 	var unmapErr error
 	err = k.runRestartable(t, levels, obs.OpUnmapFrame, func() opOutcome {
-		unmapErr = k.vspace.UnmapFrame(k.vsEnv(), slot)
+		unmapErr = k.vspace.UnmapFrame(&k.vsEnv, slot)
 		if unmapErr != nil {
 			return opFailed
 		}
@@ -457,7 +457,7 @@ func (k *Kernel) DeleteVSpace(t *kobj.TCB, pdAddr uint32) error {
 	}
 	pd := slot.Cap.Obj.(*kobj.PageDirectory)
 	return k.runRestartable(t, levels, obs.OpVSpaceDelete, func() opOutcome {
-		switch k.vspace.DeletePD(k.vsEnv(), pd) {
+		switch k.vspace.DeletePD(&k.vsEnv, pd) {
 		case vspace.Preempted:
 			return opPreempted
 		case vspace.Failed:

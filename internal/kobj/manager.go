@@ -47,6 +47,7 @@ func (m *Manager) register(o Object, t ObjType, sizeBits uint8, paddr uint32) {
 	h.PAddr = paddr
 	m.nextID++
 	h.ID = m.nextID
+	h.liveIdx = len(m.objects)
 	m.objects = append(m.objects, o)
 }
 
@@ -164,6 +165,9 @@ func (m *Manager) Retype(u *Untyped, t ObjType, param uint8, count int) ([]Objec
 			o = &Untyped{}
 		}
 		m.register(o, t, sizeBits, base)
+		h := o.Hdr()
+		h.parent = u
+		h.childIdx = len(u.Children)
 		u.Children = append(u.Children, o)
 		u.Watermark = end - u.PAddr
 		out = append(out, o)
@@ -172,28 +176,38 @@ func (m *Manager) Retype(u *Untyped, t ObjType, param uint8, count int) ([]Objec
 }
 
 // Destroy marks an object dead and removes it from the live set and
-// its parent untyped's children. The caller is responsible for having
-// already removed all references (caps, queue membership, mappings) —
-// the invariant checker verifies that.
+// its parent untyped's children, in constant time: the object's header
+// records both positions, and the last element of each list moves into
+// the hole. Destroying an object that is no longer live only marks it.
+// The caller is responsible for having already removed all references
+// (caps, queue membership, mappings) — the invariant checker verifies
+// that.
 func (m *Manager) Destroy(o Object) {
 	h := o.Hdr()
 	h.Destroyed = true
-	for i, x := range m.objects {
-		if x == o {
-			m.objects = append(m.objects[:i], m.objects[i+1:]...)
-			break
-		}
+	i := h.liveIdx
+	if i < 0 || i >= len(m.objects) || m.objects[i] != o {
+		return
 	}
-	for _, p := range m.objects {
-		if u, ok := p.(*Untyped); ok {
-			for i, c := range u.Children {
-				if c == o {
-					u.Children = append(u.Children[:i], u.Children[i+1:]...)
-					break
-				}
-			}
-		}
+	m.objects = swapRemove(m.objects, i, func(x Object) { x.Hdr().liveIdx = i })
+	h.liveIdx = -1
+	if u := h.parent; u != nil {
+		j := h.childIdx
+		u.Children = swapRemove(u.Children, j, func(x Object) { x.Hdr().childIdx = j })
+		h.parent = nil
 	}
+}
+
+// swapRemove removes s[i] by moving the last element into its place,
+// telling moved about the element's new index.
+func swapRemove(s []Object, i int, moved func(Object)) []Object {
+	last := len(s) - 1
+	if i != last {
+		s[i] = s[last]
+		moved(s[i])
+	}
+	s[last] = nil
+	return s[:last]
 }
 
 // --- Capability derivation tree (MDB) ---

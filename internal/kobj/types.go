@@ -67,6 +67,14 @@ type Header struct {
 	// Destroyed marks an object deleted; reuse of destroyed objects
 	// is an invariant violation.
 	Destroyed bool
+
+	// liveIdx, parent and childIdx locate the object for an O(1)
+	// Manager.Destroy: its index in the manager's live set, the
+	// untyped it was retyped from (nil for a boot region), and its
+	// index in that untyped's Children.
+	liveIdx  int
+	parent   *Untyped
+	childIdx int
 }
 
 // Hdr returns the header; all objects embed Header and satisfy Object.
@@ -317,9 +325,10 @@ const PDEntries = 4096
 type PageDirectory struct {
 	Header
 	// Tables maps directory index to second-level tables.
-	Tables [PDEntries]*PageTable
-	// Shadow back-pointers per directory entry (shadow design).
-	Shadow []*Slot
+	Tables Sparse[PageTable]
+	// Shadow back-pointers per directory entry (shadow design;
+	// empty in the ASID design).
+	Shadow Sparse[Slot]
 	// KernelWindowCopied marks the global kernel mappings present —
 	// an invariant that must hold whenever the kernel exits (§3.5).
 	KernelWindowCopied bool

@@ -91,8 +91,22 @@ func TestRingCapacityFloor(t *testing.T) {
 
 func TestConcurrentEmit(t *testing.T) {
 	tr := NewTracer(128)
-	const workers, per = 8, 1000
+	const workers, taggers, per = 8, 4, 1000
 	var wg sync.WaitGroup
+	// Taggers move the lock-free op tag while the workers emit.
+	for w := 0; w < taggers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				tr.SetOp(Op((w + i) % int(numOps)))
+				if op := tr.Op(); op >= numOps {
+					t.Errorf("Op() = %d, not a tag any tagger set", op)
+					return
+				}
+			}
+		}(w)
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -116,6 +130,18 @@ func TestConcurrentEmit(t *testing.T) {
 	}
 	if total != workers*per {
 		t.Fatalf("per-kind counts sum to %d, want %d", total, workers*per)
+	}
+	for _, e := range tr.Events() {
+		if e.Op >= numOps {
+			t.Fatalf("event stamped with op %d, not a tag any tagger set", e.Op)
+		}
+	}
+	var attributed uint64
+	for _, sl := range tr.SourceLatencies() {
+		attributed += sl.Hist.Count()
+	}
+	if lat := tr.Latencies(); attributed != lat.Count() {
+		t.Fatalf("per-source latencies hold %d samples, total histogram %d", attributed, lat.Count())
 	}
 }
 

@@ -65,11 +65,11 @@ func (m *asidManager) InitPD(e *Env, pd *kobj.PageDirectory) error {
 }
 
 func (m *asidManager) MapTable(e *Env, pd *kobj.PageDirectory, idx int, pt *kobj.PageTable, slot *kobj.Slot) error {
-	if idx < 0 || idx >= kobj.PDEntries || pd.Tables[idx] != nil {
+	if idx < 0 || idx >= kobj.PDEntries || pd.Tables.Get(idx) != nil {
 		return fmt.Errorf("vspace: bad or occupied directory index %d", idx)
 	}
 	e.charge(CostPTEntry)
-	pd.Tables[idx] = pt
+	pd.Tables.Set(idx, pt)
 	pt.Parent = pd
 	pt.ParentIndex = idx
 	if idx < pd.LowestMapped {
@@ -86,7 +86,7 @@ func (m *asidManager) MapFrame(e *Env, pd *kobj.PageDirectory, vaddr uint32, f *
 		return fmt.Errorf("vspace: vaddr %#x in kernel window", vaddr)
 	}
 	di, pi := split(vaddr)
-	pt := pd.Tables[di]
+	pt := pd.Tables.Get(di)
 	if pt == nil {
 		return fmt.Errorf("vspace: no page table for %#x", vaddr)
 	}
@@ -137,7 +137,7 @@ func (m *asidManager) UnmapFrame(e *Env, slot *kobj.Slot) error {
 	}
 	f := slot.Cap.Frame()
 	di, pi := split(slot.Cap.MappedVaddr)
-	pt := pd.Tables[di]
+	pt := pd.Tables.Get(di)
 	if pt != nil && pt.Entries[pi] == f {
 		e.charge(CostPTEntry)
 		pt.Entries[pi] = nil

@@ -20,25 +20,24 @@ type shadowManager struct {
 func (m *shadowManager) Design() Design                 { return ShadowDesign }
 func (m *shadowManager) VSpaces() []*kobj.PageDirectory { return m.spaces }
 
-// InitPD copies the kernel window and allocates the shadow array —
+// InitPD copies the kernel window; the shadow array starts empty —
 // constant-time setup; no ASID search (§3.6's latency win on the
 // allocation side).
 func (m *shadowManager) InitPD(e *Env, pd *kobj.PageDirectory) error {
 	e.charge(CostKernelWindowCopy)
 	pd.KernelWindowCopied = true
-	pd.Shadow = make([]*kobj.Slot, kobj.PDEntries)
 	m.spaces = append(m.spaces, pd)
 	return nil
 }
 
 func (m *shadowManager) MapTable(e *Env, pd *kobj.PageDirectory, idx int, pt *kobj.PageTable, slot *kobj.Slot) error {
-	if idx < 0 || idx >= kobj.PDEntries || pd.Tables[idx] != nil {
+	if idx < 0 || idx >= kobj.PDEntries || pd.Tables.Get(idx) != nil {
 		return fmt.Errorf("vspace: bad or occupied directory index %d", idx)
 	}
 	e.charge(2 * CostPTEntry) // entry + shadow entry
 	pt.Shadow = make([]*kobj.Slot, kobj.PTEntries)
-	pd.Tables[idx] = pt
-	pd.Shadow[idx] = slot
+	pd.Tables.Set(idx, pt)
+	pd.Shadow.Set(idx, slot)
 	pt.Parent = pd
 	pt.ParentIndex = idx
 	if idx < pd.LowestMapped {
@@ -54,7 +53,7 @@ func (m *shadowManager) MapFrame(e *Env, pd *kobj.PageDirectory, vaddr uint32, f
 		return fmt.Errorf("vspace: vaddr %#x in kernel window", vaddr)
 	}
 	di, pi := split(vaddr)
-	pt := pd.Tables[di]
+	pt := pd.Tables.Get(di)
 	if pt == nil {
 		return fmt.Errorf("vspace: no page table for %#x", vaddr)
 	}
@@ -84,7 +83,7 @@ func (m *shadowManager) UnmapFrame(e *Env, slot *kobj.Slot) error {
 		return nil // not mapped
 	}
 	di, pi := split(f.MappedVaddr)
-	pt := f.MappedIn.Tables[di]
+	pt := f.MappedIn.Tables.Get(di)
 	if pt == nil || pt.Entries[pi] != f || pt.Shadow[pi] != slot {
 		return fmt.Errorf("vspace: shadow back-pointer inconsistent for %#x", f.MappedVaddr)
 	}
@@ -101,15 +100,17 @@ func (m *shadowManager) UnmapFrame(e *Env, slot *kobj.Slot) error {
 // point after each page-table entry (§3.6: "the natural preemption
 // point in the deletion path is to preempt after unmapping each entry").
 // The lowest-mapped indices persist across preemption so resumed
-// deletions never re-scan (§3.6's forward-progress refinement).
+// deletions never re-scan (§3.6's forward-progress refinement). An
+// unmapped directory entry costs no cycles and holds no preemption
+// point, so the walk jumps straight to the next mapped one.
 func (m *shadowManager) DeletePD(e *Env, pd *kobj.PageDirectory) Outcome {
-	for pd.LowestMapped < kobj.PDEntries {
-		di := pd.LowestMapped
-		pt := pd.Tables[di]
-		if pt == nil {
-			pd.LowestMapped++
-			continue
+	for {
+		pd.LowestMapped = pd.Tables.Next(pd.LowestMapped)
+		if pd.LowestMapped >= kobj.PDEntries {
+			break
 		}
+		di := pd.LowestMapped
+		pt := pd.Tables.Get(di)
 		for pt.LowestMapped < kobj.PTEntries {
 			pi := pt.LowestMapped
 			f := pt.Entries[pi]
@@ -133,8 +134,8 @@ func (m *shadowManager) DeletePD(e *Env, pd *kobj.PageDirectory) Outcome {
 		}
 		// Table fully unmapped: detach it from the directory.
 		e.charge(2 * CostPTEntry)
-		pd.Tables[di] = nil
-		pd.Shadow[di] = nil
+		pd.Tables.Set(di, nil)
+		pd.Shadow.Set(di, nil)
 		pt.Parent = nil
 		pd.LowestMapped++
 		if e.Preempt() {

@@ -282,7 +282,7 @@ func TestShadowResumeSkipsUnmappedPrefix(t *testing.T) {
 	pd, _ := setupSpace(t, m, e, 4)
 	*pending = true
 	m.DeletePD(e, pd) // one step
-	pt := pd.Tables[16]
+	pt := pd.Tables.Get(16)
 	if pt == nil {
 		t.Skip("table already detached") // only if all 4 in one step
 	}
@@ -297,7 +297,7 @@ func TestShadowBackPointerConsistencyChecked(t *testing.T) {
 	pd, slots := setupSpace(t, m, e, 1)
 	// Corrupt the shadow: unmap must detect it.
 	di, pi := split(16 << 20)
-	pd.Tables[di].Shadow[pi] = nil
+	pd.Tables.Get(di).Shadow[pi] = nil
 	if err := m.UnmapFrame(e, slots[0]); err == nil {
 		t.Error("unmap accepted corrupted shadow back-pointer")
 	}
