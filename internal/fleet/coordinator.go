@@ -141,6 +141,10 @@ type Coordinator struct {
 	draining bool
 	started  time.Time
 
+	// srcScratch holds a batch's decoded source deltas during merge,
+	// reused from batch to batch (merge runs under mu).
+	srcScratch []obs.Histogram
+
 	// Transport health counters (exposed as fleet.* snapshot
 	// counters; excluded from the equivalence digest).
 	batches       uint64
@@ -605,7 +609,7 @@ func (c *Coordinator) merge(connID uint64, b Batch) {
 		c.logfSafe("fleet: shard %d: bad irq delta: %v", b.Shard, err)
 		return
 	}
-	srcDs := make([]obs.Histogram, 0, len(b.Sources))
+	srcDs := c.srcScratch[:0]
 	for _, sd := range b.Sources {
 		if int(sd.Op) >= obs.NumOps() {
 			c.dropped++
@@ -619,6 +623,7 @@ func (c *Coordinator) merge(connID uint64, b Batch) {
 		}
 		srcDs = append(srcDs, h)
 	}
+	c.srcScratch = srcDs
 
 	c.agg.irq.Merge(&irqD)
 	for i, sd := range b.Sources {

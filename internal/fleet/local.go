@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -11,9 +12,10 @@ import (
 // LocalOptions tunes RunLocal.
 type LocalOptions struct {
 	// ChaosKills abruptly severs this many worker connections
-	// mid-campaign (after roughly a third of the budget has merged),
-	// exercising the kill/restart/fast-forward path. The supervisor
-	// replaces each killed worker, so the campaign still completes.
+	// mid-campaign, each as its worker streams past about a third of
+	// a shard's budget, exercising the kill/restart/fast-forward path.
+	// The supervisor replaces each killed worker, so the campaign
+	// still completes.
 	ChaosKills int
 	// Logf receives progress lines; nil silences them.
 	Logf func(format string, args ...any)
@@ -36,7 +38,7 @@ func RunLocal(ctx context.Context, cfg Config, opt LocalOptions) (*Coordinator, 
 	defer cancel()
 
 	var mu sync.Mutex
-	var live []net.Conn // coordinator-side ends, for chaos kills
+	var live []net.Conn // coordinator-side ends, severed on exit
 	// closeLive severs every remaining pipe so goroutines wedged in
 	// undeadlined reads (possible under chaos with frame deadlines off)
 	// unblock before wg.Wait; cancel alone cannot reach a blocked Read.
@@ -47,7 +49,24 @@ func RunLocal(ctx context.Context, cfg Config, opt LocalOptions) (*Coordinator, 
 		}
 		mu.Unlock()
 	}
-	kills := 0
+	// A chaos kill fails the worker's write of the batch that would
+	// take it past a third of an average shard. Striking from the
+	// worker's side of the pipe makes every kill sever a lease that
+	// still has batches to stream: a supervisor watching merged ops
+	// can be outrun by workers that stream their whole shard before
+	// the merger catches up.
+	killAfter := max(1, int(c.spec.Ops/uint64(c.spec.Workers)/3)/c.batchOps)
+	var kills atomic.Int64
+	claimKill := func() bool {
+		n := kills.Add(1)
+		if n > int64(opt.ChaosKills) {
+			return false
+		}
+		if opt.Logf != nil {
+			opt.Logf("fleet: chaos kill %d/%d", n, opt.ChaosKills)
+		}
+		return true
+	}
 	var pendingRetries atomic.Int64 // failed sessions, reported at the next hello
 
 	var wg sync.WaitGroup
@@ -69,10 +88,14 @@ func RunLocal(ctx context.Context, cfg Config, opt LocalOptions) (*Coordinator, 
 			}
 			mu.Unlock()
 		}()
+		var wconn net.Conn = client
+		if opt.ChaosKills > 0 {
+			wconn = &killConn{Conn: client, after: 1 + killAfter, kill: claimKill}
+		}
 		go func() {
 			defer wg.Done()
 			wopt := WorkerOptions{Logf: opt.Logf, Retries: int(pendingRetries.Swap(0))}
-			if err := RunWorker(workerCtx, client, wopt); err != nil && workerCtx.Err() == nil {
+			if err := RunWorker(workerCtx, wconn, wopt); err != nil && workerCtx.Err() == nil {
 				// The replacement's hello carries the retry count, the
 				// in-process analogue of RunWorkerLoop's reconnects.
 				pendingRetries.Add(int64(wopt.Retries) + 1)
@@ -97,21 +120,6 @@ supervise:
 			c.Stop()
 			return c, ctx.Err()
 		case <-tick.C:
-		}
-		if kills < opt.ChaosKills && c.MergedOps() > c.spec.Ops/3 {
-			mu.Lock()
-			var victim net.Conn
-			if len(live) > 0 {
-				victim = live[0]
-			}
-			mu.Unlock()
-			if victim != nil {
-				victim.Close()
-				kills++
-				if opt.Logf != nil {
-					opt.Logf("fleet: chaos kill %d/%d", kills, opt.ChaosKills)
-				}
-			}
 		}
 		// Keep enough workers alive for the incomplete shards: a
 		// killed (or drained) worker's replacement leases the freed
@@ -138,4 +146,24 @@ supervise:
 	wg.Wait()
 	c.Stop()
 	return c, nil
+}
+
+// killConn is a worker's end of a local pipe. Its write number
+// after+1 (writeMsg makes one Write per frame: the hello, then one per
+// batch) claims a chaos kill and, when one is left, closes the pipe
+// instead of sending.
+type killConn struct {
+	net.Conn
+	after  int
+	writes int
+	kill   func() bool
+}
+
+func (k *killConn) Write(p []byte) (int, error) {
+	k.writes++
+	if k.writes == k.after+1 && k.kill() {
+		k.Conn.Close()
+		return 0, io.ErrClosedPipe
+	}
+	return k.Conn.Write(p)
 }

@@ -17,12 +17,14 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 	"time"
 
 	"verikern/internal/kernel"
@@ -194,28 +196,41 @@ var errCorruptFrame = errors.New("corrupt frame")
 // frameMinLen is the smallest valid frame body: type byte + CRC32.
 const frameMinLen = 5
 
+// frameBufs recycles frame buffers across writeMsg calls. Buffers
+// grown past maxPooledFrame by a rare capture-heavy frame are dropped
+// rather than kept.
+var frameBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledFrame = 64 << 10
+
 // writeMsg frames and writes one message. Callers must serialise
 // writes per connection themselves (the worker writes from one
 // goroutine; the coordinator guards each conn with a mutex).
 func writeMsg(w io.Writer, t msgType, v any) error {
-	var body []byte
+	buf := frameBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledFrame {
+			frameBufs.Put(buf)
+		}
+	}()
+	buf.Reset()
+	buf.Write([]byte{0, 0, 0, 0, byte(t)}) // length prefix, filled in below
 	if v != nil {
-		b, err := json.Marshal(v)
-		if err != nil {
+		if err := json.NewEncoder(buf).Encode(v); err != nil {
 			return fmt.Errorf("fleet: marshal %d: %w", t, err)
 		}
-		body = b
+		buf.Truncate(buf.Len() - 1) // Encode's newline; the payload is json.Marshal's bytes
 	}
-	if len(body)+frameMinLen > maxFrame {
+	bodyLen := buf.Len() - 5
+	if bodyLen+frameMinLen > maxFrame {
 		return fmt.Errorf("fleet: frame type %d exceeds %d bytes", t, maxFrame)
 	}
-	frame := make([]byte, 4+frameMinLen+len(body))
-	binary.BigEndian.PutUint32(frame[:4], uint32(frameMinLen+len(body)))
-	frame[4] = byte(t)
-	copy(frame[5:], body)
-	sum := crc32.ChecksumIEEE(frame[4 : 5+len(body)])
-	binary.BigEndian.PutUint32(frame[5+len(body):], sum)
-	_, err := w.Write(frame)
+	frame := buf.Bytes()
+	binary.BigEndian.PutUint32(frame[:4], uint32(frameMinLen+bodyLen))
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(frame[4:]))
+	buf.Write(sum[:])
+	_, err := w.Write(buf.Bytes())
 	return err
 }
 

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,6 +85,43 @@ func TestWireEncodeDecodeRoundTrip(t *testing.T) {
 				t.Errorf("round trip diverged:\n got %+v\nwant %+v", got, tc.in)
 			}
 		})
+	}
+}
+
+// TestWriteMsgFrameLayout pins writeMsg's bytes to the documented
+// layout: big-endian length, type byte, json.Marshal's payload, then
+// the CRC32 of type and payload. Back-to-back writes share a pooled
+// buffer, so each frame is also checked after a larger one.
+func TestWriteMsgFrameLayout(t *testing.T) {
+	want := func(mt msgType, v any) []byte {
+		var body []byte
+		if v != nil {
+			b, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body = b
+		}
+		f := binary.BigEndian.AppendUint32(nil, uint32(frameMinLen+len(body)))
+		f = append(f, byte(mt))
+		f = append(f, body...)
+		return binary.BigEndian.AppendUint32(f, crc32.ChecksumIEEE(f[4:]))
+	}
+	big := Batch{Shard: 1, Config: strings.Repeat("<&>", 500), EventCounts: map[string]uint64{"irq-service": 9, "sched-pick": 3}}
+	msgs := []struct {
+		mt msgType
+		v  any
+	}{
+		{msgBatch, big},
+		{msgHello, Hello{Proto: protoVersion, PID: 7}},
+		{msgDrain, nil},
+		{msgAssign, Assign{Shard: 1, Budget: 10, Spec: Spec{Label: "a<b>&c", Seed: 3}}},
+		{msgBatch, Batch{Shard: 0, FromOps: 1, ToOps: 2}},
+	}
+	for _, m := range msgs {
+		if got := encodeFrame(t, m.mt, m.v); !bytes.Equal(got, want(m.mt, m.v)) {
+			t.Errorf("type %d frame:\n got %q\nwant %q", m.mt, got, want(m.mt, m.v))
+		}
 	}
 }
 

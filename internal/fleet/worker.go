@@ -267,6 +267,10 @@ type cursor struct {
 	prevViol     uint64
 	prevNearMax  uint64
 	sentCaptures int
+	// srcBuf and sources are reused by every batch, so streaming a
+	// window allocates little beyond its wire encoding.
+	srcBuf  []obs.SourceLatency
+	sources []SourceDelta
 }
 
 func newCursor(shard int) *cursor {
@@ -286,7 +290,8 @@ func (c *cursor) sync(rn *soak.Runner) {
 	for i := range c.prevSrc {
 		c.prevSrc[i] = obs.Histogram{}
 	}
-	for _, sl := range tr.SourceLatencies() {
+	c.srcBuf = tr.AppendSourceLatencies(c.srcBuf[:0])
+	for _, sl := range c.srcBuf {
 		c.prevSrc[sl.Source] = sl.Hist
 	}
 	for k := range c.prevKinds {
@@ -301,7 +306,8 @@ func (c *cursor) sync(rn *soak.Runner) {
 }
 
 // batch extracts the delta window since the last batch (or sync) and
-// advances the cursor.
+// advances the cursor. The returned batch's Sources share the
+// cursor's buffer and are valid until the next call.
 func (c *cursor) batch(rn *soak.Runner) (Batch, error) {
 	tr := rn.Tracer()
 	b := Batch{
@@ -318,16 +324,21 @@ func (c *cursor) batch(rn *soak.Runner) (Batch, error) {
 	}
 	b.IRQ = d.State()
 	c.prevIRQ = irq
-	for _, sl := range tr.SourceLatencies() {
-		h := sl.Hist
-		sd, err := h.DeltaSince(&c.prevSrc[sl.Source])
+	c.srcBuf = tr.AppendSourceLatencies(c.srcBuf[:0])
+	c.sources = c.sources[:0]
+	for i := range c.srcBuf {
+		sl := &c.srcBuf[i]
+		sd, err := sl.Hist.DeltaSince(&c.prevSrc[sl.Source])
 		if err != nil {
 			return b, err
 		}
 		if sd.Count() > 0 {
-			b.Sources = append(b.Sources, SourceDelta{Op: uint8(sl.Source), Hist: sd.State()})
+			c.sources = append(c.sources, SourceDelta{Op: uint8(sl.Source), Hist: sd.State()})
 		}
-		c.prevSrc[sl.Source] = h
+		c.prevSrc[sl.Source] = sl.Hist
+	}
+	if len(c.sources) > 0 {
+		b.Sources = c.sources
 	}
 	for k := range c.prevKinds {
 		if cnt := tr.Count(obs.Kind(k)); cnt > c.prevKinds[k] {

@@ -137,6 +137,16 @@ type HistogramState struct {
 // HistogramState.
 func (h *Histogram) State() HistogramState {
 	st := HistogramState{Total: h.total, Sum: h.sum, Max: h.max, Min: h.min}
+	n := 0
+	for _, c := range h.counts {
+		if c > 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return st
+	}
+	st.Buckets = make([]BucketCountEntry, 0, n)
 	for i, c := range h.counts {
 		if c > 0 {
 			st.Buckets = append(st.Buckets, BucketCountEntry{Bucket: i, Count: c})
