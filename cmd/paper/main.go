@@ -170,6 +170,9 @@ func writePipelineTrace(m *obs.Metrics, path string) {
 	cs := verikern.AnalysisCacheStats()
 	fmt.Printf("\nAnalysis cache: %d hits, %d misses, %d entries in memory\n",
 		cs.Hits, cs.Misses, cs.Entries)
+	ms := verikern.ObservationCacheStats()
+	fmt.Printf("Observation memo: %d campaigns shared, %d replayed, %d entries in memory\n",
+		ms.Hits, ms.Misses, ms.Entries)
 }
 
 // printAblations renders the design-space experiments beyond the

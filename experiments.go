@@ -280,7 +280,7 @@ func Fig9(ctx context.Context, runs int) ([]Fig9Bar, error) {
 		}
 		var baseline uint64
 		for _, cfg := range Fig9Configs {
-			obs := measure.Observe(im.Img, cfg.HW, bd.Result.Trace, runs)
+			obs := im.Observe(cfg.HW, bd, runs)
 			if cfg.Name == "Baseline" {
 				baseline = obs.Max
 			}

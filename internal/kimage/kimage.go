@@ -90,13 +90,6 @@ func (b *Block) NumInstrs() int { return len(b.Instrs) }
 // InstrAddr returns the link-time address of instruction i.
 func (b *Block) InstrAddr(i int) uint32 { return b.Addr + uint32(4*i) }
 
-// EndsInBranch reports whether leaving this block costs a branch: any
-// block with a call, with multiple successors, or with a single
-// successor (an unconditional branch; the linker does not lay blocks
-// out for fallthrough). Return blocks also branch (back to the caller
-// or to the exception return).
-func (b *Block) EndsInBranch() bool { return true }
-
 // Func is a function: a named list of blocks, entry first.
 type Func struct {
 	Name   string

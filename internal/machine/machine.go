@@ -39,9 +39,6 @@ type Machine struct {
 	bp  *pipeline.Predictor
 
 	counters Counters
-	// execIndex tracks, per instruction, how many times it has run
-	// in the current trace, to resolve strided data references.
-	execIndex map[*kimage.Block][]uint64
 }
 
 // New constructs a machine for the platform configuration. Cache
@@ -161,16 +158,24 @@ type PrimeSpec struct {
 }
 
 // Prime places the machine in an adversarial state for a subsequent
-// Run(trace): full cache pollution, optional footprint-targeted
-// dirtying, replacement-state phase advance, and predictor mistraining.
-// Every priming dimension is bounded by the static analyser's
-// assumptions (all unclassifiable accesses miss with write-back; all
-// branches mispredict when prediction is enabled), so no primed run can
-// exceed a computed bound — the probe's soundness invariant.
+// Run(trace); it compiles the trace and calls PrimeReplay.
 func (m *Machine) Prime(trace []*kimage.Block, spec PrimeSpec) {
+	m.PrimeReplay(kimage.Compile(trace), spec)
+}
+
+// PrimeReplay places the machine in an adversarial state for a
+// subsequent RunReplay(r): full cache pollution, optional
+// footprint-targeted dirtying, replacement-state phase advance, and
+// predictor mistraining. Every priming dimension is bounded by the
+// static analyser's assumptions (all unclassifiable accesses miss with
+// write-back; all branches mispredict when prediction is enabled), so
+// no primed run can exceed a computed bound — the probe's soundness
+// invariant. Like Pollute, it leaves a used machine in the state a
+// freshly loaded one reaches with the same spec.
+func (m *Machine) PrimeReplay(r *kimage.Replay, spec PrimeSpec) {
 	m.Pollute(spec.Seed)
 	if spec.Footprint {
-		code, data := kimage.TraceFootprint(trace)
+		code, data := r.Footprint()
 		m.l1i.DirtyFootprint(code, spec.Seed^0x3333)
 		m.l1d.DirtyFootprint(data, spec.Seed^0x6666)
 		if m.l2 != nil {
@@ -186,15 +191,8 @@ func (m *Machine) Prime(trace []*kimage.Block, spec PrimeSpec) {
 		}
 	}
 	if spec.Mistrain {
-		for i, b := range trace {
-			if !b.EndsInBranch() {
-				continue
-			}
-			last := b.Addr
-			if n := len(b.Instrs); n > 0 {
-				last = b.InstrAddr(n - 1)
-			}
-			m.bp.Mistrain(last, traceTaken(trace, i))
+		for _, b := range r.Blocks {
+			m.bp.Mistrain(b.Branch, b.Taken)
 		}
 	}
 }
@@ -235,89 +233,41 @@ func (m *Machine) memAccess(l1 *cache.Cache, addr uint32, write bool) uint64 {
 	return cost + m.b.LatMemL2On
 }
 
-// execIndexFor returns (and advances) the execution index of
-// instruction i in block b, allocating the block's zeroed index slice
-// on first sight.
-func (m *Machine) execIndexFor(b *kimage.Block, i int) uint64 {
-	if m.execIndex == nil {
-		m.execIndex = make(map[*kimage.Block][]uint64)
-	}
-	idx := m.execIndex[b]
-	if idx == nil {
-		idx = make([]uint64, len(b.Instrs))
-		m.execIndex[b] = idx
-	}
-	n := idx[i]
-	idx[i] = n + 1
-	return n
+// Run executes a trace of blocks in order, returning total cycles; it
+// compiles the trace and calls RunReplay.
+func (m *Machine) Run(trace []*kimage.Block) uint64 {
+	return m.RunReplay(kimage.Compile(trace))
 }
 
-// resetTrace clears per-trace execution state (strided-reference
-// indices) without touching cache or predictor contents. The index
-// slices are zeroed in place rather than dropped, so repeated Runs on
-// one machine reach an allocation-free steady state.
-func (m *Machine) resetTrace() {
-	for _, idx := range m.execIndex {
-		for i := range idx {
-			idx[i] = 0
-		}
-	}
-}
-
-// execBlock executes one basic block: fetches every instruction through
-// the I-side hierarchy, performs data accesses through the D-side, and
-// charges base pipeline costs. taken tells the branch model whether the
-// block's terminating branch was taken. Returns the cycles consumed.
-func (m *Machine) execBlock(b *kimage.Block, taken bool) uint64 {
+// RunReplay executes a compiled trace in order, returning total
+// cycles. Every instruction is charged its class's base cost and
+// fetched through the I-side hierarchy, and its data access goes
+// through the D-side; TCM-backed addresses bypass the caches. Each
+// block's terminating branch goes through the predictor. Cache and
+// predictor state persists from previous runs (call Pollute or
+// PrimeReplay to control it).
+func (m *Machine) RunReplay(r *kimage.Replay) uint64 {
 	var cycles uint64
-	for i := range b.Instrs {
-		ins := &b.Instrs[i]
-		m.counters.Instructions++
-		cycles += m.b.BaseCost(ins.Class)
-		if fa := b.InstrAddr(i); !m.cfg.InITCM(fa) {
-			cycles += m.memAccess(m.l1i, fa, false)
-		}
-		if ins.Data.Base != 0 {
-			n := m.execIndexFor(b, i)
-			if da := ins.Data.Addr(n); !m.cfg.InDTCM(da) {
-				cycles += m.memAccess(m.l1d, da, ins.Data.Write)
+	start := uint32(0)
+	for _, b := range r.Blocks {
+		fetch := b.Addr
+		for _, s := range r.Steps[start:b.End] {
+			cycles += m.b.BaseCost(s.Class)
+			if !m.cfg.InITCM(fetch) {
+				cycles += m.memAccess(m.l1i, fetch, false)
+			}
+			fetch += 4
+			if s.HasData && !m.cfg.InDTCM(s.Data) {
+				cycles += m.memAccess(m.l1d, s.Data, s.Write)
 			}
 		}
+		start = b.End
+		cycles += m.bp.Branch(b.Branch, b.Taken)
 	}
-	if b.EndsInBranch() {
-		m.counters.Branches++
-		last := b.Addr
-		if n := len(b.Instrs); n > 0 {
-			last = b.InstrAddr(n - 1)
-		}
-		cycles += m.bp.Branch(last, taken)
-	}
+	m.counters.Instructions += uint64(len(r.Steps))
+	m.counters.Branches += uint64(len(r.Blocks))
 	m.counters.Cycles += cycles
 	return cycles
-}
-
-// traceTaken reports the direction of block i's terminating branch
-// within a trace: not-taken only when control fell through to the first
-// successor without an intervening call.
-func traceTaken(trace []*kimage.Block, i int) bool {
-	b := trace[i]
-	if i+1 < len(trace) && len(b.Succs) > 0 && trace[i+1].Name == b.Succs[0] && b.Call == "" {
-		return false
-	}
-	return true
-}
-
-// Run executes a trace of blocks in order, returning total cycles. The
-// per-trace execution indices are reset first; cache and predictor
-// state persists from previous runs (call Pollute or Prime to control
-// it).
-func (m *Machine) Run(trace []*kimage.Block) uint64 {
-	m.resetTrace()
-	var total uint64
-	for i, b := range trace {
-		total += m.execBlock(b, traceTaken(trace, i))
-	}
-	return total
 }
 
 // Counters returns the accumulated PMU counters.

@@ -119,13 +119,15 @@ func ObserveSeeded(img *kimage.Image, hw arch.Config, trace []*kimage.Block, run
 	o.Runs = runs
 	o.Min = ^uint64(0)
 	var sum uint64
-	// One machine serves every run: Pollute resets all state a run
-	// leaves behind except the pinned lines, which never leave.
+	// One machine and one compiled trace serve every run: Pollute
+	// resets all state a run leaves behind except the pinned lines,
+	// which never leave.
 	m := machine.New(hw)
 	m.LoadImage(img)
+	r := kimage.Compile(trace)
 	for i := 0; i < runs; i++ {
 		m.Pollute(PolluteSeed(base, i))
-		c := m.Run(trace)
+		c := m.RunReplay(r)
 		if c > o.Max {
 			o.Max = c
 		}
@@ -136,55 +138,6 @@ func ObserveSeeded(img *kimage.Image, hw arch.Config, trace []*kimage.Block, run
 	}
 	o.Mean = float64(sum) / float64(runs)
 	return o
-}
-
-// ReplayPrimed measures one execution of trace from an explicitly
-// primed adversarial machine state (targeted footprint eviction,
-// replacement-phase advance, predictor mistraining) instead of blind
-// pollution. It is the evaluation primitive of the directed worst-case
-// probe: each search candidate is one PrimeSpec, and its fitness is the
-// cycles this returns.
-func ReplayPrimed(img *kimage.Image, hw arch.Config, trace []*kimage.Block, spec machine.PrimeSpec) uint64 {
-	m := machine.New(hw)
-	m.LoadImage(img)
-	m.Prime(trace, spec)
-	return m.Run(trace)
-}
-
-// ObservePrimed runs one primed replay per spec and reports the
-// distribution alongside the per-spec observations (index-aligned with
-// specs), so a caller can both rank candidates and fold the campaign
-// into an Observation.
-func ObservePrimed(img *kimage.Image, hw arch.Config, trace []*kimage.Block, specs []machine.PrimeSpec) (Observation, []uint64) {
-	if len(specs) == 0 {
-		return Observation{}, nil
-	}
-	o := Observation{Runs: len(specs), Min: ^uint64(0)}
-	per := make([]uint64, len(specs))
-	var sum uint64
-	for i, spec := range specs {
-		c := ReplayPrimed(img, hw, trace, spec)
-		per[i] = c
-		if c > o.Max {
-			o.Max = c
-		}
-		if c < o.Min {
-			o.Min = c
-		}
-		sum += c
-	}
-	o.Mean = float64(sum) / float64(len(specs))
-	return o, per
-}
-
-// ObserveWarm measures the best case: the trace is run twice on the
-// same machine and the second (warm) time is reported. This is the
-// fastpath-style measurement used for the IPC fastpath figure (§6.1).
-func ObserveWarm(img *kimage.Image, hw arch.Config, trace []*kimage.Block) uint64 {
-	m := machine.New(hw)
-	m.LoadImage(img)
-	m.Run(trace)
-	return m.Run(trace)
 }
 
 // Ratio returns computed/observed, the pessimism ratio reported in

@@ -49,20 +49,6 @@ func TestObserveBelowComputed(t *testing.T) {
 	}
 }
 
-func TestObserveWarmBelowCold(t *testing.T) {
-	img := testImage(t)
-	hw := arch.Config{}
-	r, err := wcet.New(img, hw).Analyze("entry")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := Observe(img, hw, r.Trace, 10)
-	warm := ObserveWarm(img, hw, r.Trace)
-	if warm >= cold.Max {
-		t.Errorf("warm run (%d) not faster than polluted worst (%d)", warm, cold.Max)
-	}
-}
-
 func TestRatioAndOverestimation(t *testing.T) {
 	if got := Ratio(300, 100); got != 3 {
 		t.Errorf("Ratio = %v, want 3", got)

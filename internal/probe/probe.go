@@ -218,19 +218,27 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 // searchMachine hill-climbs the adversarial priming knobs for one
 // analysed entry point: each candidate is a machine.PrimeSpec, its
 // fitness one primed replay of the entry's reconstructed worst-case
-// trace.
+// trace. The trace is compiled once, so its footprint is computed once
+// for every candidate, and one loaded machine serves them all:
+// PrimeReplay starts with a full pollution, which leaves a used machine
+// timing a replay exactly as a fresh one would.
 func searchMachine(img *kimage.Image, hw arch.Config, res *wcet.Result, budget int, rng *rand.Rand, m *obs.Metrics) Entry {
+	r := kimage.Compile(res.Trace)
+	mach := machine.New(hw)
+	mach.LoadImage(img)
+	replay := func(spec machine.PrimeSpec) uint64 {
+		mach.PrimeReplay(r, spec)
+		m.Add("probe.evals", 1)
+		m.Add("probe.machine_evals", 1)
+		return mach.RunReplay(r)
+	}
 	best := machine.PrimeSpec{Seed: uint32(rng.Int63()), Footprint: true, Mistrain: true}
-	bestFit := measure.ReplayPrimed(img, hw, res.Trace, best)
-	m.Add("probe.evals", 1)
-	m.Add("probe.machine_evals", 1)
+	bestFit := replay(best)
 	evals, improvements := 1, 0
 	for evals < budget {
 		cand := mutateSpec(best, rng)
-		fit := measure.ReplayPrimed(img, hw, res.Trace, cand)
+		fit := replay(cand)
 		evals++
-		m.Add("probe.evals", 1)
-		m.Add("probe.machine_evals", 1)
 		if fit >= bestFit {
 			if fit > bestFit {
 				improvements++

@@ -72,10 +72,10 @@ func reconstruct(g *cfg.Graph, edgeCount map[edgeKey]int64) ([]*kimage.Block, er
 // TraceCycles computes the analyser's cost for one specific concrete
 // path — the "extra constraints to force analysis of the desired path"
 // step used to quantify hardware-model conservatism (§6.2, Fig. 8). It
-// walks the trace with the same must-analysis and cost model used for
-// the full bound, so the difference from the ILP result is purely the
-// path, and the difference from the simulator is purely the hardware
-// model's pessimism.
+// walks the compiled trace the simulator replays with the same
+// must-analysis and cost model used for the full bound, so the
+// difference from the ILP result is purely the path, and the difference
+// from the simulator is purely the hardware model's pessimism.
 func TraceCycles(img *kimage.Image, hw arch.Config, trace []*kimage.Block) uint64 {
 	be := hw.Backend()
 	l1i := be.L1I
@@ -90,49 +90,34 @@ func TraceCycles(img *kimage.Image, hw arch.Config, trace []*kimage.Block) uint6
 
 	miss := missCost(hw)
 	fetchMiss := fetchMissCost(hw)
-	branch := be.WorstBranchCost(hw.BranchPredictor)
-	var cycles uint64
+	r := kimage.Compile(trace)
+	cycles := be.WorstBranchCost(hw.BranchPredictor) * uint64(len(r.Blocks))
 	var stats ClassStats
-	// Execution indices for striding refs, as in the simulator.
-	execIndex := make(map[*kimage.Block][]uint64)
-	for _, b := range trace {
-		idx := execIndex[b]
-		if idx == nil {
-			idx = make([]uint64, len(b.Instrs))
-			execIndex[b] = idx
-		}
-		for k := range b.Instrs {
-			ins := &b.Instrs[k]
-			cycles += be.BaseCost(ins.Class)
-			fa := b.InstrAddr(k)
-			if !hw.InITCM(fa) {
-				if !st.i.Hit(fa) {
+	start := uint32(0)
+	for _, b := range r.Blocks {
+		fetch := b.Addr
+		for _, s := range r.Steps[start:b.End] {
+			cycles += be.BaseCost(s.Class)
+			if !hw.InITCM(fetch) {
+				if !st.i.Hit(fetch) {
 					cycles += fetchMiss
 				}
-				st.i.Update(fa)
+				st.i.Update(fetch)
 			}
-			if ins.Data.Base != 0 {
-				if ins.Data.Fixed() {
-					if hw.InDTCM(ins.Data.Base) {
-						stats.DataHit++
-					} else {
-						applyData(be, st, ins.Data, &cycles, &stats, miss)
-					}
-				} else {
-					// Along a concrete path the access
-					// address is known; classify it.
-					a := ins.Data.Addr(idx[k])
-					idx[k]++
-					if hw.InDTCM(a) {
-						stats.DataHit++
-						continue
-					}
-					ref := kimage.DataRef{Base: a, Write: ins.Data.Write}
-					applyData(be, st, ref, &cycles, &stats, miss)
-				}
+			fetch += 4
+			if !s.HasData {
+				continue
 			}
+			// Along a concrete path every access address is
+			// known, so even a strided reference classifies as
+			// a fixed one.
+			if hw.InDTCM(s.Data) {
+				stats.DataHit++
+				continue
+			}
+			applyData(be, st, kimage.DataRef{Base: s.Data, Write: s.Write}, &cycles, &stats, miss)
 		}
-		cycles += branch
+		start = b.End
 	}
 	return cycles
 }

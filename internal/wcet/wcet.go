@@ -273,15 +273,6 @@ func (a *Analyzer) graph(entry string) (*cfg.Graph, error) {
 	return g, nil
 }
 
-// Footprint returns the address footprint (instruction fetches, data
-// accesses) of the result's reconstructed worst-case trace, in
-// first-touch order. The adversarial probe feeds it to the machine's
-// targeted cache-dirtying (cache.DirtyFootprint via machine.Prime) so
-// measurement runs start with exactly the victim path's sets evicted.
-func (r *Result) Footprint() (code, data []uint32) {
-	return kimage.TraceFootprint(r.Trace)
-}
-
 // HotBlock is one entry of the worst-case profile: a CFG node's total
 // contribution to the bound.
 type HotBlock struct {
