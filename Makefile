@@ -34,5 +34,5 @@ cover:
 
 examples:
 	@for e in quickstart mixedcrit rt-task badge-revoke adversary wcet-analysis; do \
-		echo "== examples/$$e =="; $(GO) run ./examples/$$e; echo; \
+		echo "== examples/$$e =="; $(GO) run ./examples/$$e || exit 1; echo; \
 	done

@@ -102,12 +102,19 @@ func collectBaseline(t *testing.T) *baselineDoc {
 		doc.Soak[r.Label+"/violations"] = r.Bound.Violations
 	}
 
+	// The pinned modern kernel with invariant checking on, as the
+	// baseline was captured with kernel.Modern().
+	p, err := DefaultLatticePoint("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.PinnedL1Ways = 1
+	p.CheckInvariants = true
 	prep, err := probe.Run(ctx, probe.Config{
 		Label:  "benno+preempt+pinned",
+		Point:  p,
 		Seed:   7,
 		Budget: 24,
-		Kernel: ModernKernel(),
-		Pinned: true,
 	})
 	if err != nil {
 		t.Fatalf("probe.Run: %v", err)

@@ -112,7 +112,7 @@ func main() {
 	tightnessOut := flag.String("tightness-out", "BENCH_tightness.json", "write the probe matrix as a BENCH_tightness.json artifact to this file (with -probe; empty disables)")
 	fleetCoord := flag.String("fleet-coordinator", "", "run a fleet coordinator listening for workers on this address (op budget from -soak)")
 	fleetWorkerAddr := flag.String("fleet-worker", "", "run one fleet worker dialing a coordinator at this address")
-	fleetWorkers := flag.Int("fleet-workers", 3, "worker processes the coordinator spawns locally (0 = attach externally)")
+	fleetWorkers := flag.Int("fleet-workers", 3, "worker processes the coordinator spawns locally (at least 1; more may attach with -fleet-worker)")
 	fleetChaosKill := flag.Int("fleet-chaos-kill", 0, "kill and respawn this many workers mid-campaign (restart-path smoke)")
 	fleetVerify := flag.Bool("fleet-verify", false, "after the campaign, verify the merged snapshot byte-matches a single-process soak")
 	fleetState := flag.String("fleet-state", "", "persist coordinator checkpoints to this file (resume on restart)")
@@ -358,17 +358,7 @@ func runSoak(ctx context.Context, spec, variantName string, seed uint64, pinned 
 		if err != nil {
 			log.Fatal(err)
 		}
-		f, err := os.Create(benchOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := verikern.WriteSoakBench(f, seed, ops, reps); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %d-config soak matrix to %s\n", len(reps), benchOut)
+		writeArtifact(benchOut, verikern.NewSoakBench(seed, ops, reps), fmt.Sprintf("%d-config soak matrix", len(reps)))
 	}
 
 	if serveAddr != "" {
@@ -390,17 +380,8 @@ func runProbe(ctx context.Context, seed uint64, budget int, out, archID string) 
 		violations += r.Violations
 	}
 	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := verikern.WriteTightnessBench(f, seed, budget, reps); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %d-config tightness matrix to %s\n", len(reps), out)
+		doc := &verikern.TightnessBench{Seed: seed, Budget: budget, Configs: reps}
+		writeArtifact(out, doc, fmt.Sprintf("%d-config tightness matrix", len(reps)))
 	}
 	if violations != 0 {
 		log.Fatalf("SOUNDNESS VIOLATION: %d observations exceeded their computed bound", violations)
@@ -440,18 +421,24 @@ func runSweep(ctx context.Context, seed, ops uint64, workers int, out string) {
 	fmt.Printf("sweep done in %.1fs (analysis cache: %d hits / %d misses, %d entries)\n",
 		time.Since(start).Seconds(), cs.Hits, cs.Misses, cs.Entries)
 	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := verikern.WriteParetoBench(f, doc); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %d-backend Pareto sweep to %s\n", len(doc.Archs), out)
+		writeArtifact(out, doc, fmt.Sprintf("%d-backend Pareto sweep", len(doc.Archs)))
 	}
+}
+
+// writeArtifact writes a BENCH_*.json document to path and reports it
+// as "wrote <what> to <path>", exiting on any error.
+func writeArtifact(path string, doc any, what string) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := verikern.WriteBench(f, doc); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("wrote %s to %s\n", what, path)
 }
 
 // parseSoakSpec interprets -soak's argument: a bare integer is an op
@@ -516,7 +503,7 @@ func campaign(variant, archID string, pinned bool, seed, ops uint64, workers int
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg, err := verikern.CampaignConfig(np, seed, ops, workers)
+	cfg, err := np.Campaign(seed, ops, workers)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -582,16 +569,13 @@ func runFleetCoordinator(ctx context.Context, rc fleetRunConfig) {
 	// the drain completes are the processes torn down.
 	spawnCtx, stopSpawn := context.WithCancel(context.Background())
 	defer stopSpawn()
-	var procs *fleet.ProcSet
-	if rc.workers > 0 {
-		bin, err := os.Executable()
-		if err != nil {
-			log.Fatal(err)
-		}
-		procs = fleet.SpawnLocalWorkers(spawnCtx, bin, rc.workers,
-			[]string{"-fleet-worker", ln.Addr().String()}, log.Printf)
+	bin, err := os.Executable()
+	if err != nil {
+		log.Fatal(err)
 	}
-	if rc.chaosKills > 0 && procs != nil {
+	procs := fleet.SpawnLocalWorkers(spawnCtx, bin, rc.workers,
+		[]string{"-fleet-worker", ln.Addr().String()}, log.Printf)
+	if rc.chaosKills > 0 {
 		go func() {
 			for c.MergedOps() <= spec.Ops/3 {
 				select {
@@ -626,9 +610,7 @@ func runFleetCoordinator(ctx context.Context, rc fleetRunConfig) {
 	}
 	stopSpawn()
 	ln.Close()
-	if procs != nil {
-		procs.Wait()
-	}
+	procs.Wait()
 
 	st := c.Status()
 	snap := c.Snapshot()
@@ -647,15 +629,7 @@ func runFleetCoordinator(ctx context.Context, rc fleetRunConfig) {
 		if interrupted || !c.Completed() {
 			log.Println("fleet-verify skipped: campaign incomplete")
 		} else {
-			fleetDigest, err := fleet.EquivalenceDigest(snap)
-			if err != nil {
-				log.Fatal(err)
-			}
-			rep, err := soak.Run(context.Background(), spec.SoakConfig())
-			if err != nil {
-				log.Fatal(err)
-			}
-			singleDigest, err := fleet.EquivalenceDigest(rep.Snapshot)
+			fleetDigest, singleDigest, err := fleet.EquivalenceDigests(context.Background(), c)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -698,17 +672,7 @@ func runFleetBench(ctx context.Context, seed, ops uint64, workers, chaosKills in
 	}
 	fmt.Print(verikern.FormatFleetReport(doc))
 	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := verikern.WriteFleetBench(f, doc); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %d-arch fleet benchmark to %s\n", len(doc.Configs), out)
+		writeArtifact(out, doc, fmt.Sprintf("%d-arch fleet benchmark", len(doc.Configs)))
 	}
 	for _, r := range doc.Configs {
 		if !r.Equivalent {
@@ -730,17 +694,7 @@ func runChaosBench(ctx context.Context, seed, ops, chaosSeed uint64, workers int
 	}
 	fmt.Print(verikern.FormatChaosReport(doc))
 	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := verikern.WriteChaosBench(f, doc); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %d-arch chaos benchmark to %s\n", len(doc.Configs), out)
+		writeArtifact(out, doc, fmt.Sprintf("%d-arch chaos benchmark", len(doc.Configs)))
 	}
 	for _, r := range doc.Configs {
 		if !r.Equivalent {

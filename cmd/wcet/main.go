@@ -89,7 +89,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	variant := im.Variant
+	variant := "original"
+	if p.PreemptionPoints() {
+		variant = "modern"
+	}
 	if *konfigSpec != "" {
 		fmt.Printf("konfig:       %s  %s\n", p.Hash(), p.Listing())
 	}
@@ -116,8 +119,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("kernel:       %s%s\n", variant, pinSuffix(im.Pinned))
-		fmt.Printf("hardware:     arch=%s L2=%v branch-predictor=%v pinned-ways=%d\n", im.Arch, hw.L2Enabled, hw.BranchPredictor, hw.PinnedL1Ways)
+		fmt.Printf("kernel:       %s%s\n", variant, pinSuffix(p.Pinned()))
+		fmt.Printf("hardware:     arch=%s L2=%v branch-predictor=%v pinned-ways=%d\n", p.Arch, hw.L2Enabled, hw.BranchPredictor, hw.PinnedL1Ways)
 		fmt.Printf("%-24s %12s %10s %8s %8s\n", "entry", "cycles", "µs", "blocks", "ilp-vars")
 		for _, b := range bounds {
 			fmt.Printf("%-24s %12d %10.1f %8d %8d\n",
@@ -137,8 +140,8 @@ func main() {
 	}
 	r := bd.Result
 
-	fmt.Printf("entry:        %s (%s kernel%s)\n", *entry, variant, pinSuffix(im.Pinned))
-	fmt.Printf("hardware:     arch=%s L2=%v branch-predictor=%v pinned-ways=%d\n", im.Arch, hw.L2Enabled, hw.BranchPredictor, hw.PinnedL1Ways)
+	fmt.Printf("entry:        %s (%s kernel%s)\n", *entry, variant, pinSuffix(p.Pinned()))
+	fmt.Printf("hardware:     arch=%s L2=%v branch-predictor=%v pinned-ways=%d\n", p.Arch, hw.L2Enabled, hw.BranchPredictor, hw.PinnedL1Ways)
 	fmt.Printf("bound:        %d cycles = %.1f µs\n", bd.Cycles, bd.Micros)
 	fmt.Printf("cfg:          %d inlined nodes, %d loops\n", len(r.Graph.Nodes), len(r.Graph.Loops))
 	if *timings {
@@ -181,7 +184,7 @@ func main() {
 		obs := im.Observe(hw, bd, *observe)
 		fmt.Printf("\nobserved over %d polluted runs:\n", obs.Runs)
 		fmt.Printf("  max:  %d cycles = %.1f µs  (ratio %.2f)\n",
-			obs.Max, arch.MustLookup(im.Arch).CyclesToMicros(obs.Max), float64(bd.Cycles)/float64(obs.Max))
+			obs.Max, arch.MustLookup(p.Arch).CyclesToMicros(obs.Max), float64(bd.Cycles)/float64(obs.Max))
 		fmt.Printf("  mean: %.0f cycles\n", obs.Mean)
 		fmt.Printf("  min:  %d cycles\n", obs.Min)
 	}

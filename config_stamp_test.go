@@ -1,6 +1,7 @@
 package verikern
 
 import (
+	"context"
 	"regexp"
 	"testing"
 
@@ -63,11 +64,14 @@ func checkStamped(t *testing.T, idx map[string]konfig.Point, cfg soak.Config) {
 }
 
 // TestShippedConfigsStamped checks every campaign the package ships —
-// the soak matrix SoakReportArch runs and the benno+preempt campaign
-// FleetReport and ChaosReport shard — carries the identity of the
-// lattice point it runs, on both backends. The CLI's campaigns are
-// checked by cmd/kzm-sim's test of the same name.
+// the soak matrix SoakReportArch runs, the benno+preempt campaign
+// FleetReport and ChaosReport shard, the per-point soaks of the Pareto
+// sweep, and the kernel-layer runner of every probe-matrix report —
+// carries the identity of the lattice point it runs, on both backends.
+// The CLI's campaigns are checked by cmd/kzm-sim's test of the same
+// name.
 func TestShippedConfigsStamped(t *testing.T) {
+	ctx := context.Background()
 	for _, id := range []string{arch.ARM1136ID, arch.CVA6RTID} {
 		idx := latticeIndex(t, id)
 		matrix, err := soakMatrixCampaigns(id, 42, 4000)
@@ -88,5 +92,46 @@ func TestShippedConfigsStamped(t *testing.T) {
 			t.Errorf("%s: fleet campaign is %q pinned=%v, want unpinned benno+preempt", id, fleetCfg.Label, fleetCfg.Pinned)
 		}
 		checkStamped(t, idx, fleetCfg)
+
+		sp, err := konfig.DefaultSpace(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points, err := konfig.Enumerate(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep, err := konfig.SweepCampaigns(points, 42, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cfg := range sweep {
+			checkStamped(t, idx, cfg)
+			if cfg.ConfigKey != points[i].Hash() {
+				t.Errorf("%s: sweep campaign %d stamped %s, its point hashes %s", id, i, cfg.ConfigKey, points[i].Hash())
+			}
+		}
+
+		// A probe's captures come from its kernel-layer runner, so
+		// each must carry the hash of the matrix point it probed.
+		probes, err := konfig.LegacyProbeMatrix(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps, err := TightnessReportArch(ctx, 42, 16, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rep := range reps {
+			want := probes[i].Point.Hash()
+			if len(rep.Captures) == 0 {
+				t.Errorf("%s/%s: probe kept no captures", id, rep.Label)
+			}
+			for _, c := range rep.Captures {
+				if c.Config != want {
+					t.Errorf("%s/%s: probe capture stamped %q, want %s", id, rep.Label, c.Config, want)
+				}
+			}
+		}
 	}
 }

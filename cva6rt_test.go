@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"verikern/internal/arch"
-	"verikern/internal/kernel"
+	"verikern/internal/konfig"
 	"verikern/internal/probe"
 	"verikern/internal/soak"
 )
@@ -20,18 +20,21 @@ func TestCVA6RTEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	for _, pp := range []bool{false, true} {
 		for _, pin := range []bool{false, true} {
-			kcfg := kernel.Modern()
-			kcfg.CheckInvariants = false
-			kcfg.PreemptionPoints = pp
+			p, err := DefaultLatticePoint(arch.CVA6RTID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.PreemptDelete, p.PreemptClear = pp, pp
+			if pin {
+				p.PinnedL1Ways = 1
+			}
+			np := konfig.NamedPoint{Name: "cva6rt-e2e", Point: p}
 
-			rep, err := soak.Run(ctx, soak.Config{
-				Label:  "cva6rt-e2e",
-				Arch:   arch.CVA6RTID,
-				Seed:   7,
-				Ops:    400,
-				Kernel: kcfg,
-				Pinned: pin,
-			})
+			cfg, err := np.Campaign(7, 400, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := soak.Run(ctx, cfg)
 			if err != nil {
 				t.Fatalf("soak pp=%v pin=%v: %v", pp, pin, err)
 			}
@@ -47,12 +50,10 @@ func TestCVA6RTEndToEnd(t *testing.T) {
 			}
 
 			prep, err := probe.Run(ctx, probe.Config{
-				Label:  "cva6rt-e2e",
-				Arch:   arch.CVA6RTID,
+				Label:  np.Name,
+				Point:  p,
 				Seed:   7,
 				Budget: 24,
-				Kernel: kcfg,
-				Pinned: pin,
 			})
 			if err != nil {
 				t.Fatalf("probe pp=%v pin=%v: %v", pp, pin, err)
@@ -92,9 +93,11 @@ func TestCVA6RTBoundIncludesEntryCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kcfg := kernel.Modern()
-	kcfg.CheckInvariants = false
-	bound, err := soak.ComputeBound(ctx, soak.Config{Arch: arch.CVA6RTID, Kernel: kcfg})
+	cfg, err := konfig.NamedPoint{Point: im.Point}.Campaign(0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := soak.ComputeBound(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,7 @@ package verikern
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 	"strings"
 	"time"
@@ -13,7 +11,6 @@ import (
 	"verikern/internal/arch"
 	"verikern/internal/chaos"
 	"verikern/internal/fleet"
-	"verikern/internal/kbin"
 	"verikern/internal/konfig"
 	"verikern/internal/measure"
 	"verikern/internal/obs"
@@ -41,33 +38,22 @@ type Table1Row struct {
 
 // Table1 reproduces Table 1 (§4): the computed worst-case latency per
 // entry point with and without pinning frequently used cache lines
-// into the L1 caches (modern kernel, L2 disabled).
+// into the L1 caches (modern kernel, L2 disabled) — the ARM1136 rows
+// of ArchBounds.
 func Table1(ctx context.Context) ([]Table1Row, error) {
-	plain, err := BuildImage(Modern, false)
+	bounds, err := ArchBounds(ctx, "")
 	if err != nil {
 		return nil, err
 	}
-	pinned, err := BuildImage(Modern, true)
-	if err != nil {
-		return nil, err
-	}
-	var rows []Table1Row
-	for _, e := range EntryPoints() {
-		u, err := plain.AnalyzeContext(ctx, Hardware{}, e)
-		if err != nil {
-			return nil, err
-		}
-		p, err := pinned.AnalyzeContext(ctx, Hardware{PinnedL1Ways: 1}, e)
-		if err != nil {
-			return nil, err
-		}
+	rows := make([]Table1Row, 0, len(bounds))
+	for _, r := range bounds {
 		rows = append(rows, Table1Row{
-			Entry:         e,
-			WithoutMicros: u.Micros,
-			WithMicros:    p.Micros,
-			GainPercent:   100 * (1 - float64(p.Cycles)/float64(u.Cycles)),
-			WithoutCycles: u.Cycles,
-			WithCycles:    p.Cycles,
+			Entry:         r.Entry,
+			WithoutMicros: r.Micros,
+			WithMicros:    r.PinnedMicros,
+			GainPercent:   100 * (1 - float64(r.PinnedCycles)/float64(r.Cycles)),
+			WithoutCycles: r.Cycles,
+			WithCycles:    r.PinnedCycles,
 		})
 	}
 	return rows, nil
@@ -505,42 +491,27 @@ type TCMAblation struct {
 // code-placement control the paper's pinning approach avoided.
 func AblationTCM(ctx context.Context) (TCMAblation, error) {
 	var out TCMAblation
-	plain, err := BuildImage(Modern, false)
+	plain, err := konfig.DefaultPoint("")
 	if err != nil {
 		return out, err
 	}
-	base, err := plain.AnalyzeContext(ctx, Hardware{}, Interrupt)
-	if err != nil {
-		return out, err
+	pinned, tcm := plain, plain
+	pinned.PinnedL1Ways = 1
+	tcm.TCMEnabled = true
+	for _, c := range []struct {
+		p   LatticePoint
+		dst *uint64
+	}{{plain, &out.BaselineCycles}, {pinned, &out.PinnedCycles}, {tcm, &out.TCMCycles}} {
+		im, hw, err := BuildImagePoint(c.p)
+		if err != nil {
+			return out, err
+		}
+		b, err := im.AnalyzeContext(ctx, hw, Interrupt)
+		if err != nil {
+			return out, err
+		}
+		*c.dst = b.Cycles
 	}
-	out.BaselineCycles = base.Cycles
-
-	pinned, err := BuildImage(Modern, true)
-	if err != nil {
-		return out, err
-	}
-	pb, err := pinned.AnalyzeContext(ctx, Hardware{PinnedL1Ways: 1}, Interrupt)
-	if err != nil {
-		return out, err
-	}
-	out.PinnedCycles = pb.Cycles
-
-	tcmImg, tcmCons, err := kbin.Build(kbin.Options{Modernised: true, TCM: true})
-	if err != nil {
-		return out, err
-	}
-	itcm, dtcm, err := kbin.TCMConfig(tcmImg)
-	if err != nil {
-		return out, err
-	}
-	a := wcet.New(tcmImg, Hardware{TCMEnabled: true, ITCMBase: itcm, DTCMBase: dtcm})
-	a.AddConstraints(tcmCons...)
-	a.Cache = analysisCache
-	tb, err := a.AnalyzeContext(ctx, string(Interrupt))
-	if err != nil {
-		return out, err
-	}
-	out.TCMCycles = tb.Cycles
 	return out, nil
 }
 
@@ -620,7 +591,7 @@ func ArchBounds(ctx context.Context, archID string) ([]ArchBoundsRow, error) {
 			return nil, err
 		}
 		rows = append(rows, ArchBoundsRow{
-			Arch:         plain.Arch,
+			Arch:         plain.Point.Arch,
 			Entry:        e,
 			Cycles:       u.Cycles,
 			Micros:       u.Micros,
@@ -686,28 +657,6 @@ func SoakConfigs() []SoakConfig {
 	return out
 }
 
-// CampaignConfig is the soak campaign a lattice point selects — the
-// one route from a configuration to a run. The label is the point's
-// name; the backend, the configuration stamp (the point's hash), the
-// functional kernel and the pinned bound all derive from the point,
-// which must be feasible. The WCET bound is left for soak.Run (or the
-// fleet coordinator) to analyse.
-func CampaignConfig(np konfig.NamedPoint, seed, ops uint64, workers int) (soak.Config, error) {
-	if err := np.Point.Check(); err != nil {
-		return soak.Config{}, err
-	}
-	return soak.Config{
-		Label:     np.Name,
-		Arch:      np.Point.Arch,
-		ConfigKey: np.Point.Hash(),
-		Seed:      seed,
-		Ops:       ops,
-		Workers:   workers,
-		Kernel:    np.Point.KernelConfig(),
-		Pinned:    np.Point.Pinned(),
-	}, nil
-}
-
 // soakMatrixCampaigns is the soak matrix (konfig.LegacySoakMatrix) on a
 // backend as the campaigns SoakReportArch runs, two workers each.
 func soakMatrixCampaigns(archID string, seed, ops uint64) ([]soak.Config, error) {
@@ -717,7 +666,7 @@ func soakMatrixCampaigns(archID string, seed, ops uint64) ([]soak.Config, error)
 	}
 	out := make([]soak.Config, 0, len(m))
 	for _, np := range m {
-		cfg, err := CampaignConfig(np, seed, ops, 2)
+		cfg, err := np.Campaign(seed, ops, 2)
 		if err != nil {
 			return nil, err
 		}
@@ -757,16 +706,14 @@ type SoakBench struct {
 	Configs []*obs.Snapshot `json:"configs"`
 }
 
-// WriteSoakBench serialises the matrix reports as the BENCH_soak.json
-// artifact.
-func WriteSoakBench(w io.Writer, seed, ops uint64, reps []*soak.Report) error {
-	doc := SoakBench{Seed: seed, Ops: ops}
+// NewSoakBench collects the matrix reports' snapshots into the
+// BENCH_soak.json document.
+func NewSoakBench(seed, ops uint64, reps []*soak.Report) *SoakBench {
+	doc := &SoakBench{Seed: seed, Ops: ops}
 	for _, r := range reps {
 		doc.Configs = append(doc.Configs, r.Snapshot)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
+	return doc
 }
 
 // --- Adversarial probe (directed worst-case search) ---
@@ -814,20 +761,22 @@ func ProbeConfigs() []ProbeConfig {
 // observation exceeded its computed bound — an analysis soundness bug;
 // the acceptance tests gate on it.
 func TightnessReportArch(ctx context.Context, seed uint64, budget int, archID string) ([]*probe.Report, error) {
+	m, err := konfig.LegacyProbeMatrix(archID)
+	if err != nil {
+		return nil, err
+	}
 	var reps []*probe.Report
-	for _, pc := range ProbeConfigs() {
+	for _, np := range m {
 		rep, err := probe.Run(ctx, probe.Config{
-			Label:   pc.Name,
-			Arch:    archID,
+			Label:   np.Name,
+			Point:   np.Point,
 			Seed:    seed,
 			Budget:  budget,
-			Kernel:  pc.Kernel,
-			Pinned:  pc.Pinned,
 			Cache:   analysisCache,
 			Metrics: pipelineMetrics,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("probe %s: %w", pc.Name, err)
+			return nil, fmt.Errorf("probe %s: %w", np.Name, err)
 		}
 		reps = append(reps, rep)
 	}
@@ -861,15 +810,6 @@ type TightnessBench struct {
 	Seed    uint64          `json:"seed"`
 	Budget  int             `json:"budget"`
 	Configs []*probe.Report `json:"configs"`
-}
-
-// WriteTightnessBench serialises the probe reports as the
-// BENCH_tightness.json artifact.
-func WriteTightnessBench(w io.Writer, seed uint64, budget int, reps []*probe.Report) error {
-	doc := TightnessBench{Seed: seed, Budget: budget, Configs: reps}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
 }
 
 // --- Fleet observatory (sharded soak farm) ---
@@ -921,7 +861,7 @@ func fleetCampaign(archID string, seed, ops uint64, workers int) (soak.Config, e
 	if err != nil {
 		return soak.Config{}, err
 	}
-	return CampaignConfig(np, seed, ops, workers)
+	return np.Campaign(seed, ops, workers)
 }
 
 // FleetReport runs one fleet campaign per architecture backend (the
@@ -946,17 +886,9 @@ func FleetReport(ctx context.Context, seed, ops uint64, workers, chaosKills int,
 		wall := time.Since(start)
 		snap := c.Snapshot()
 		st := c.Status()
-		fleetDigest, err := fleet.EquivalenceDigest(snap)
+		fleetDigest, singleDigest, err := fleet.EquivalenceDigests(ctx, c)
 		if err != nil {
-			return nil, err
-		}
-		rep, err := soak.Run(ctx, spec.SoakConfig())
-		if err != nil {
-			return nil, fmt.Errorf("fleet %s: single-process comparator: %w", id, err)
-		}
-		singleDigest, err := fleet.EquivalenceDigest(rep.Snapshot)
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fleet %s: %w", id, err)
 		}
 		row := FleetBenchRow{
 			Arch:        snap.Arch,
@@ -996,14 +928,6 @@ func FormatFleetReport(doc *FleetBench) string {
 			r.Arch, r.Label, r.Samples, r.SamplesPerSec, r.MaxLatency, r.Batches, r.Dropped, r.Restarts, r.Equivalent)
 	}
 	return b.String()
-}
-
-// WriteFleetBench serialises the fleet benchmark as the
-// BENCH_fleet.json artifact.
-func WriteFleetBench(w io.Writer, doc *FleetBench) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
 }
 
 // --- Deterministic chaos engine (fault-injected fleet) ---
@@ -1088,17 +1012,9 @@ func ChaosReport(ctx context.Context, seed, ops, chaosSeed uint64, workers int, 
 		wall := time.Since(start)
 		snap := c.Snapshot()
 		st := c.Status()
-		fleetDigest, err := fleet.EquivalenceDigest(snap)
+		fleetDigest, singleDigest, err := fleet.EquivalenceDigests(ctx, c)
 		if err != nil {
-			return nil, err
-		}
-		rep, err := soak.Run(ctx, spec.SoakConfig())
-		if err != nil {
-			return nil, fmt.Errorf("chaos fleet %s: single-process comparator: %w", id, err)
-		}
-		singleDigest, err := fleet.EquivalenceDigest(rep.Snapshot)
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("chaos fleet %s: %w", id, err)
 		}
 		doc.Configs = append(doc.Configs, ChaosBenchRow{
 			Arch:           snap.Arch,
@@ -1138,12 +1054,4 @@ func FormatChaosReport(doc *ChaosBench) string {
 			r.Releases, r.Restarts, r.Recoveries, r.RecoveryP99MS, r.Equivalent)
 	}
 	return b.String()
-}
-
-// WriteChaosBench serialises the chaos benchmark as the
-// BENCH_chaos.json artifact.
-func WriteChaosBench(w io.Writer, doc *ChaosBench) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
 }

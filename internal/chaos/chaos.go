@@ -102,24 +102,6 @@ type Config struct {
 	Stall time.Duration
 }
 
-// Default is a gentle profile for CLI smoke runs: occasional faults of
-// every kind, short stalls, so a demo campaign visibly survives
-// corruption without crawling.
-func Default(seed uint64) Config {
-	return Config{
-		Seed:              seed,
-		BitFlipPer65536:   800,
-		TruncatePer65536:  300,
-		DuplicatePer65536: 600,
-		DelayPer65536:     400,
-		ResetPer65536:     300,
-		StallPer65536:     150,
-		StatePer65536:     6000,
-		Delay:             5 * time.Millisecond,
-		Stall:             300 * time.Millisecond,
-	}
-}
-
 // Aggressive is the test/bench profile: roughly one operation in five
 // is faulted, stalls long enough to trip sub-second deadlines.
 func Aggressive(seed uint64) Config {

@@ -20,6 +20,11 @@ import (
 	"verikern/internal/soak"
 )
 
+// ingestQueueCap bounds the ingest queue between connection readers and
+// the merger. A full queue blocks the reader (TCP backpressure): merged
+// data is never dropped for queue pressure.
+const ingestQueueCap = 64
+
 // Config parameterises a Coordinator.
 type Config struct {
 	// Spec is the fleet-wide workload: Spec.Ops is the total op
@@ -30,10 +35,6 @@ type Config struct {
 	// BatchOps is how many ops a worker runs between streamed
 	// batches. Default 512.
 	BatchOps int
-	// QueueCap bounds the ingest queue between connection readers and
-	// the merger. A full queue blocks the reader (TCP backpressure) —
-	// merged data is never dropped for queue pressure. Default 64.
-	QueueCap int
 	// StatePath optionally persists merged checkpoints (atomically,
 	// after every merge) so a restarted coordinator resumes the
 	// campaign instead of starting over. The file is keyed by a hash
@@ -187,10 +188,6 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 		scfg.BoundCycles = b
 	}
 	spec := SpecFromConfig(scfg)
-	queueCap := cfg.QueueCap
-	if queueCap <= 0 {
-		queueCap = 64
-	}
 	c := &Coordinator{
 		spec:             spec,
 		backend:          backend.ID,
@@ -204,7 +201,7 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 		wrapConn:         cfg.WrapConn,
 		conns:            make(map[uint64]io.Closer),
 		started:          time.Now(),
-		ingest:           make(chan envelope, queueCap),
+		ingest:           make(chan envelope, ingestQueueCap),
 		stopCh:           make(chan struct{}),
 		doneCh:           make(chan struct{}),
 	}
@@ -722,23 +719,6 @@ func (c *Coordinator) Stop() {
 	c.reaperWG.Wait()
 }
 
-// CloseShardConn abruptly severs the connection currently leasing a
-// shard — the chaos hook simulating a worker kill without process
-// machinery. Returns false if the shard has no live lease.
-func (c *Coordinator) CloseShardConn(shard int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if shard < 0 || shard >= len(c.shards) {
-		return false
-	}
-	cn, ok := c.conns[c.shards[shard].owner]
-	if !ok {
-		return false
-	}
-	cn.Close()
-	return true
-}
-
 // Snapshot renders the merged aggregate as the standard exposition
 // snapshot — the same document a single-process soak produces, plus
 // fleet.* transport counters.
@@ -820,6 +800,25 @@ func EquivalenceDigest(s *obs.Snapshot) ([]byte, error) {
 		return nil, err
 	}
 	return append(out, '\n'), nil
+}
+
+// EquivalenceDigests is the equal-seed equivalence verdict for a
+// finished campaign: the EquivalenceDigest of the coordinator's merged
+// snapshot, and that of a single-process soak of its resolved spec
+// (whose bound is already analysed). The fleet is equivalent when the
+// two are byte-equal.
+func EquivalenceDigests(ctx context.Context, c *Coordinator) (fleetDigest, singleDigest []byte, err error) {
+	if fleetDigest, err = EquivalenceDigest(c.Snapshot()); err != nil {
+		return nil, nil, err
+	}
+	rep, err := soak.Run(ctx, c.Spec().SoakConfig())
+	if err != nil {
+		return nil, nil, fmt.Errorf("fleet: single-process comparator: %w", err)
+	}
+	if singleDigest, err = EquivalenceDigest(rep.Snapshot); err != nil {
+		return nil, nil, err
+	}
+	return fleetDigest, singleDigest, nil
 }
 
 // persistedState is the coordinator's checkpoint file: merged shard
@@ -976,13 +975,4 @@ func (c *Coordinator) saveStateLocked() {
 		_ = d.Sync()
 		d.Close()
 	}
-}
-
-// StateDirDefault returns a conventional state path beside an output
-// file, for CLI wiring.
-func StateDirDefault(out string) string {
-	if out == "" {
-		return ""
-	}
-	return filepath.Join(filepath.Dir(out), "fleet-state.json")
 }

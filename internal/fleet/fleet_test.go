@@ -89,6 +89,25 @@ func TestFleetEquivalence(t *testing.T) {
 	}
 }
 
+// TestEquivalenceDigests: the shared verdict soaks the coordinator's
+// resolved spec, whose bound is already analysed; that soak must
+// digest the same as one of the caller's unresolved spec, and the
+// fleet's merge must match it.
+func TestEquivalenceDigests(t *testing.T) {
+	sp := fleetSpec(1500, 2)
+	_, c := digestFleet(t, Config{Spec: sp, BatchOps: 199}, LocalOptions{})
+	fleet, single, err := EquivalenceDigests(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fleet, single) {
+		t.Errorf("fleet snapshot diverges from the resolved spec's soak:\n--- fleet ---\n%s\n--- single ---\n%s", fleet, single)
+	}
+	if !bytes.Equal(single, digestSingle(t, sp)) {
+		t.Error("soaking the resolved spec digests differently from soaking the input spec")
+	}
+}
+
 // TestFleetKillRestartEquivalence kills worker connections
 // mid-campaign: replacements must fast-forward to the merged
 // checkpoint and resume streaming with no lost and no double-counted

@@ -16,10 +16,9 @@ type ProcSet struct {
 	ctx  context.Context
 	logf func(format string, args ...any)
 
-	mu     sync.Mutex
-	live   []*exec.Cmd
-	killed int
-	wg     sync.WaitGroup
+	mu   sync.Mutex
+	live []*exec.Cmd
+	wg   sync.WaitGroup
 }
 
 // SpawnLocalWorkers starts n supervised worker processes. Cancelling
@@ -85,7 +84,6 @@ func (p *ProcSet) KillOne() bool {
 	for _, cmd := range p.live {
 		if cmd.Process != nil {
 			if err := cmd.Process.Kill(); err == nil {
-				p.killed++
 				if p.logf != nil {
 					p.logf("fleet: chaos-killed worker pid %d", cmd.Process.Pid)
 				}
@@ -94,13 +92,6 @@ func (p *ProcSet) KillOne() bool {
 		}
 	}
 	return false
-}
-
-// Killed returns how many workers KillOne has terminated.
-func (p *ProcSet) Killed() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.killed
 }
 
 // Wait blocks until every supervision loop has stopped (after the

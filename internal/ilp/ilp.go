@@ -76,9 +76,6 @@ func (p *Problem) NumVars() int { return len(p.names) }
 // Name returns a variable's name.
 func (p *Problem) Name(i int) string { return p.names[i] }
 
-// SetObjective replaces a variable's objective coefficient.
-func (p *Problem) SetObjective(i int, c float64) { p.objective[i] = c }
-
 // AddConstraint appends a constraint. Coefficient maps are retained,
 // not copied.
 func (p *Problem) AddConstraint(c Constraint) { p.cons = append(p.cons, c) }

@@ -291,15 +291,6 @@ func (k *Kernel) SetPeriodicTimer(period uint64) {
 	k.timerPeriod = period
 }
 
-// RaiseIRQ asserts the interrupt line now (an external device).
-func (k *Kernel) RaiseIRQ() {
-	if !k.irqPending {
-		k.irqPending = true
-		k.irqRaisedAt = k.clock.Now()
-		k.tracer.Emit(obs.KindIRQRaise, k.irqRaisedAt, 0, 0)
-	}
-}
-
 // pollIRQ latches the timer into the pending line. Hardware asserts
 // asynchronously; the simulation latches whenever the kernel looks.
 func (k *Kernel) pollIRQ() bool {

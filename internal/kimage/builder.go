@@ -172,15 +172,6 @@ func (b *FuncBuilder) Loop(bound int, body func(*FuncBuilder)) string {
 // constraints.
 func (b *FuncBuilder) BlockName() string { return b.cur.Name }
 
-// Mark starts a fresh block and returns its name, so specific program
-// points can be referenced by constraints.
-func (b *FuncBuilder) Mark(hint string) string {
-	nb := b.newBlock(hint)
-	link(b.cur, nb)
-	b.cur = nb
-	return nb.Name
-}
-
 // Ret finishes the function: the current block becomes a return block.
 // Further building is invalid.
 func (b *FuncBuilder) Ret() *Func {

@@ -15,8 +15,9 @@
 // Pareto frontiers as the byte-stable BENCH_pareto.json artifact.
 //
 // Points translate losslessly onto the structs the rest of the stack
-// consumes — kernel.Config, arch.Config, kbin.Options — and hash to a
-// stable identity (Point.Hash) that the soak/fleet layers stamp into
+// consumes — kernel.Config, arch.Config, kbin.Options, and through
+// NamedPoint.Campaign and Point.Analyzer the soak.Config and
+// wcet.Analyzer every run starts from — and hash to a stable identity (Point.Hash) that the soak/fleet layers stamp into
 // snapshots, captures and wire batches so observations from different
 // configurations can never be merged.
 package konfig
@@ -32,6 +33,7 @@ import (
 	"verikern/internal/kbin"
 	"verikern/internal/kernel"
 	"verikern/internal/kimage"
+	"verikern/internal/obs"
 	"verikern/internal/sched"
 	"verikern/internal/vspace"
 	"verikern/internal/wcet"
@@ -449,6 +451,22 @@ func (p Point) Build() (*kimage.Image, []wcet.UserConstraint, arch.Config, error
 		}
 	}
 	return img, cons, hw, nil
+}
+
+// Analyzer builds the point's image and returns the WCET analyser for
+// it: the image's infeasible-path constraints and the point's hardware
+// (TCM bases resolved, as in Build), with the shared cache and the
+// metrics registry attached (either may be nil). It does not validate
+// the point.
+func (p Point) Analyzer(c *wcet.Cache, m *obs.Metrics) (*wcet.Analyzer, error) {
+	img, cons, hw, err := p.Build()
+	if err != nil {
+		return nil, err
+	}
+	a := wcet.New(img, hw)
+	a.AddConstraints(cons...)
+	a.Cache, a.Metrics = c, m
+	return a, nil
 }
 
 // AnalysisKey is the point's projection onto the WCET-analysis inputs:

@@ -7,6 +7,7 @@ import (
 	"verikern/internal/cache"
 	"verikern/internal/kernel"
 	"verikern/internal/sched"
+	"verikern/internal/soak"
 	"verikern/internal/vspace"
 )
 
@@ -52,6 +53,29 @@ func mustDefault(archID string) Point {
 type NamedPoint struct {
 	Name  string
 	Point Point
+}
+
+// Campaign is the soak campaign the named point selects — the one route
+// from a configuration to a run. The label is the point's name; the
+// backend, the configuration stamp (the point's hash), the functional
+// kernel and the pinned bound all derive from the point, which must be
+// feasible. The WCET bound is left for the caller (or soak.Run, or the
+// fleet coordinator) to fill in.
+func (np NamedPoint) Campaign(seed, ops uint64, workers int) (soak.Config, error) {
+	p := np.Point
+	if err := p.Check(); err != nil {
+		return soak.Config{}, err
+	}
+	return soak.Config{
+		Label:     np.Name,
+		Arch:      p.Arch,
+		ConfigKey: p.Hash(),
+		Seed:      seed,
+		Ops:       ops,
+		Workers:   workers,
+		Kernel:    p.KernelConfig(),
+		Pinned:    p.Pinned(),
+	}, nil
 }
 
 // LegacyPoint maps the legacy (kernel generation, pinning) selection —

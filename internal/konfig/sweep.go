@@ -2,9 +2,7 @@ package konfig
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -165,13 +163,10 @@ type analysis struct {
 // flavour within a generation, clearing granularity, ...) reuse whole
 // cached Results, and points sharing an image reuse its CFGs.
 func analyze(ctx context.Context, c *wcet.Cache, p Point) (*analysis, error) {
-	img, cons, hw, err := p.Build()
+	a, err := p.Analyzer(c, nil)
 	if err != nil {
 		return nil, fmt.Errorf("konfig: building image for %s: %w", p.Hash(), err)
 	}
-	a := wcet.New(img, hw)
-	a.AddConstraints(cons...)
-	a.Cache = c
 	out := &analysis{wcet: make(map[string]uint64, len(sweepEntries))}
 	for _, entry := range sweepEntries {
 		res, err := a.AnalyzeContext(ctx, entry)
@@ -180,7 +175,7 @@ func analyze(ctx context.Context, c *wcet.Cache, p Point) (*analysis, error) {
 		}
 		out.wcet[entry] = res.Cycles
 	}
-	out.bound = soak.ResponseBound(out.wcet[kbin.EntrySyscall], out.wcet[kbin.EntryInterrupt], hw)
+	out.bound = soak.ResponseBound(out.wcet[kbin.EntrySyscall], out.wcet[kbin.EntryInterrupt], a.HW)
 	return out, nil
 }
 
@@ -230,21 +225,17 @@ func Sweep(ctx context.Context, c *wcet.Cache, sp Space, seed, ops uint64, worke
 	}
 
 	// Phase 2: one deterministic soak per point, in parallel.
+	campaigns, err := SweepCampaigns(points, seed, ops)
+	if err != nil {
+		return nil, err
+	}
 	results := make([]SweepResult, len(points))
 	err = runIndexed(ctx, len(points), workers, func(i int) error {
 		p := points[i]
 		an := analyses[keyOf[i]]
-		rep, err := soak.Run(ctx, soak.Config{
-			Label:       "sweep",
-			Arch:        p.Arch,
-			ConfigKey:   p.Hash(),
-			Seed:        seed,
-			Ops:         ops,
-			Workers:     1,
-			Kernel:      p.KernelConfig(),
-			Pinned:      p.Pinned(),
-			BoundCycles: an.bound,
-		})
+		cfg := campaigns[i]
+		cfg.BoundCycles = an.bound
+		rep, err := soak.Run(ctx, cfg)
 		if err != nil {
 			return fmt.Errorf("konfig: soaking %s: %w", p.Hash(), err)
 		}
@@ -269,6 +260,22 @@ func Sweep(ctx context.Context, c *wcet.Cache, sp Space, seed, ops uint64, worke
 		sw.Frontiers = append(sw.Frontiers, paretoFrontier(entry, results))
 	}
 	return sw, nil
+}
+
+// SweepCampaigns is the throughput-axis soak Sweep runs for each point,
+// in order: one worker, `ops` operations at `seed`, labelled "sweep"
+// and stamped with the point's hash. Sweep fills in each campaign's
+// analysed bound.
+func SweepCampaigns(points []Point, seed, ops uint64) ([]soak.Config, error) {
+	out := make([]soak.Config, len(points))
+	for i, p := range points {
+		cfg, err := NamedPoint{Name: "sweep", Point: p}.Campaign(seed, ops, 1)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = cfg
+	}
+	return out, nil
 }
 
 // paretoFrontier extracts the entry's non-dominated set, minimising
@@ -340,13 +347,4 @@ func runIndexed(ctx context.Context, n, workers int, f func(i int) error) error 
 		}
 	}
 	return nil
-}
-
-// WriteParetoBench serialises the document as the byte-stable
-// BENCH_pareto.json artifact (keys maps are emitted sorted by
-// encoding/json).
-func WriteParetoBench(w io.Writer, doc *ParetoBench) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
 }

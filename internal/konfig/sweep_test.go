@@ -3,6 +3,7 @@ package konfig
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"verikern/internal/wcet"
@@ -20,12 +21,11 @@ func sweepDoc(t *testing.T, c *wcet.Cache, workers int) ([]byte, *ArchSweep) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	doc := &ParetoBench{Seed: 7, Ops: 96, Archs: []ArchSweep{*sw}}
-	if err := WriteParetoBench(&buf, doc); err != nil {
+	doc, err := json.Marshal(&ParetoBench{Seed: 7, Ops: 96, Archs: []ArchSweep{*sw}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), sw
+	return doc, sw
 }
 
 // TestSweepDeterminism holds BENCH_pareto.json byte-identical across

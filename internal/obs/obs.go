@@ -204,51 +204,6 @@ func (t *Tracer) Emit(kind Kind, ts, arg1, arg2 uint64) {
 	}
 }
 
-// EmitBatch records a batch of pre-assembled events under one lock
-// acquisition. Unlike Emit, the events carry their Op tag explicitly —
-// the batching emitter (the machine simulator) stamps its own tag
-// without touching the tracer's current-operation state, so a replay
-// fired from inside a kernel operation (the soak sampling path) never
-// clobbers that operation's attribution. All per-event bookkeeping
-// (kind counts, the irq-raise source latch, latency histograms) matches
-// Emit exactly; sample hooks collected for irq-service events fire
-// after the lock is released, in batch order. Nil-safe and
-// allocation-free unless the batch contains irq-service events.
-func (t *Tracer) EmitBatch(events []Event) {
-	if t == nil || len(events) == 0 {
-		return
-	}
-	var fired []Sample
-	t.mu.Lock()
-	for _, e := range events {
-		if len(t.buf) < cap(t.buf) {
-			t.buf = t.buf[:len(t.buf)+1]
-		}
-		t.buf[t.emitted%uint64(cap(t.buf))] = e
-		t.emitted++
-		if e.Kind < numKinds {
-			t.counts[e.Kind]++
-		}
-		if e.Kind == KindIRQRaise {
-			t.raiseOp = e.Op
-		}
-		if e.Kind == KindIRQService {
-			t.lat.Record(e.Arg1)
-			t.srcLat[t.raiseOp].Record(e.Arg1)
-			if t.onSample != nil {
-				fired = append(fired, Sample{TS: e.TS, Latency: e.Arg1, Source: t.raiseOp})
-			}
-		}
-	}
-	fire := t.onSample
-	t.mu.Unlock()
-	if fire != nil {
-		for _, s := range fired {
-			fire(s)
-		}
-	}
-}
-
 // Op returns the current operation tag (OpUser on a nil tracer).
 // Lock-free.
 func (t *Tracer) Op() Op {

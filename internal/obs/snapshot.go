@@ -174,24 +174,6 @@ func (s *Snapshot) AddSourceHistogram(op Op, h *Histogram) {
 	s.refreshDigests()
 }
 
-// AddMetrics folds a metrics registry's counters into the snapshot
-// (stage timings are excluded; see Counters).
-func (s *Snapshot) AddMetrics(m *Metrics) {
-	if m == nil {
-		return
-	}
-	stats := m.Stats()
-	if len(stats.Counters) == 0 {
-		return
-	}
-	if s.Counters == nil {
-		s.Counters = make(map[string]uint64, len(stats.Counters))
-	}
-	for k, v := range stats.Counters {
-		s.Counters[k] += v
-	}
-}
-
 // refreshDigests recomputes the derived digest fields from the raw
 // histograms.
 func (s *Snapshot) refreshDigests() {

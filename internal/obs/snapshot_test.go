@@ -70,7 +70,7 @@ func fixtureSnapshot() *Snapshot {
 	s.Ops = 3
 	s.SimCycles = 9700
 	s.AddTracer(tr)
-	s.AddMetrics(m)
+	s.Counters = m.Stats().Counters
 	s.Bound = &BoundStatus{Cycles: 115147, MarginPercent: 10, Violations: 0, NearMax: 1, Captures: 1}
 	return s
 }

@@ -15,7 +15,7 @@ import "verikern/internal/arch"
 
 // Predictor is a dynamic branch predictor: a table of 2-bit saturating
 // counters indexed by branch address. The zero value is not usable;
-// construct with NewPredictor.
+// construct with NewPredictorArch.
 type Predictor struct {
 	enabled  bool
 	counters []uint8
@@ -28,13 +28,6 @@ type Predictor struct {
 	noPredict  uint64
 	predicted  uint64
 	mispredict uint64
-}
-
-// NewPredictor constructs a predictor with 2^bits entries for the
-// default ARM1136 backend. If enabled is false, Branch always charges
-// the constant no-predictor cost.
-func NewPredictor(enabled bool, bits uint) *Predictor {
-	return NewPredictorArch(arch.ARM1136, enabled, bits)
 }
 
 // NewPredictorArch constructs a predictor with 2^bits entries charging
@@ -56,9 +49,6 @@ func NewPredictorArch(b *arch.Backend, enabled bool, bits uint) *Predictor {
 	// scenarios of §6.4 see little benefit from the predictor.
 	return p
 }
-
-// Enabled reports whether dynamic prediction is active.
-func (p *Predictor) Enabled() bool { return p.enabled }
 
 // Branch accounts one branch at addr with the actual direction taken,
 // returning its cost in cycles and updating predictor state.
@@ -91,8 +81,9 @@ func (p *Predictor) Branch(addr uint32, taken bool) uint64 {
 // mispredicts and pays the full 7-cycle penalty. Adversarial priming
 // uses it to place the predictor in its worst state for a known path;
 // the static analyser already assumes every branch mispredicts when the
-// predictor is enabled (WorstBranchCost), so a mistrained run can never
-// exceed the computed bound. No-op when prediction is disabled.
+// predictor is enabled (arch.Backend.WorstBranchCost), so a mistrained
+// run can never exceed the computed bound. No-op when prediction is
+// disabled.
 func (p *Predictor) Mistrain(addr uint32, taken bool) {
 	if !p.enabled {
 		return
@@ -114,14 +105,4 @@ func (p *Predictor) Reset() {
 		p.counters[i] = 0
 	}
 	p.hits, p.misses = 0, 0
-}
-
-// WorstBranchCost returns the per-branch cost bound the static analyser
-// must assume under a configuration on the default ARM1136 backend: the
-// constant 5 cycles with the predictor disabled, or the 7-cycle
-// misprediction bound with it enabled (the analyser cannot model
-// predictor state, §5.1). Backend-aware callers use
-// (*arch.Backend).WorstBranchCost.
-func WorstBranchCost(predictorEnabled bool) uint64 {
-	return arch.ARM1136.WorstBranchCost(predictorEnabled)
 }

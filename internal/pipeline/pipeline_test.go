@@ -8,7 +8,7 @@ import (
 )
 
 func TestDisabledPredictorConstantCost(t *testing.T) {
-	p := NewPredictor(false, 8)
+	p := NewPredictorArch(arch.ARM1136, false, 8)
 	f := func(addr uint32, taken bool) bool {
 		return p.Branch(addr, taken) == arch.BranchCostNoPredict
 	}
@@ -21,7 +21,7 @@ func TestDisabledPredictorConstantCost(t *testing.T) {
 }
 
 func TestPredictorLearnsLoop(t *testing.T) {
-	p := NewPredictor(true, 8)
+	p := NewPredictorArch(arch.ARM1136, true, 8)
 	const addr = 0x8000
 	// A loop branch taken many times: after warm-up every branch is
 	// predicted.
@@ -42,7 +42,7 @@ func TestPredictorLearnsLoop(t *testing.T) {
 }
 
 func TestPredictorColdNotTakenBias(t *testing.T) {
-	p := NewPredictor(true, 8)
+	p := NewPredictorArch(arch.ARM1136, true, 8)
 	// Cold counters are not-taken: a first not-taken branch is
 	// predicted correctly, a first taken branch is not.
 	if got := p.Branch(0x100, false); got != arch.BranchCostPredicted {
@@ -54,7 +54,7 @@ func TestPredictorColdNotTakenBias(t *testing.T) {
 }
 
 func TestPredictorReset(t *testing.T) {
-	p := NewPredictor(true, 4)
+	p := NewPredictorArch(arch.ARM1136, true, 4)
 	for i := 0; i < 10; i++ {
 		p.Branch(0x40, true)
 	}
@@ -68,10 +68,10 @@ func TestPredictorReset(t *testing.T) {
 }
 
 func TestWorstBranchCost(t *testing.T) {
-	if WorstBranchCost(false) != arch.BranchCostNoPredict {
+	if arch.ARM1136.WorstBranchCost(false) != arch.BranchCostNoPredict {
 		t.Error("wrong analyser bound with predictor disabled")
 	}
-	if WorstBranchCost(true) != arch.BranchCostMispredict {
+	if arch.ARM1136.WorstBranchCost(true) != arch.BranchCostMispredict {
 		t.Error("wrong analyser bound with predictor enabled")
 	}
 }
@@ -80,8 +80,8 @@ func TestWorstBranchCost(t *testing.T) {
 // the soundness relation for the branch model.
 func TestPropertyBranchCostBounded(t *testing.T) {
 	for _, enabled := range []bool{false, true} {
-		p := NewPredictor(enabled, 10)
-		bound := WorstBranchCost(enabled)
+		p := NewPredictorArch(arch.ARM1136, enabled, 10)
+		bound := arch.ARM1136.WorstBranchCost(enabled)
 		f := func(addr uint32, taken bool) bool {
 			return p.Branch(addr, taken) <= bound
 		}

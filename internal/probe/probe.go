@@ -30,8 +30,8 @@ import (
 
 	"verikern/internal/arch"
 	"verikern/internal/kbin"
-	"verikern/internal/kernel"
 	"verikern/internal/kimage"
+	"verikern/internal/konfig"
 	"verikern/internal/machine"
 	"verikern/internal/measure"
 	"verikern/internal/obs"
@@ -44,22 +44,19 @@ import (
 type Config struct {
 	// Label names the configuration (e.g. "benno+preempt+pinned").
 	Label string
-	// Arch selects the hardware backend the probe builds, analyses
-	// and measures against ("" means arch.ARM1136ID). The search's
-	// rng streams mix the backend id (identity for the default, so
-	// historical ARM1136 trajectories are unchanged).
-	Arch string
+	// Point is the configuration lattice point under probe: the image
+	// the bounds are analysed on, the hardware the machine layer
+	// measures, and the kernel the genome search drives all derive
+	// from it. Run rejects an infeasible point. The search's rng
+	// streams mix the backend id (identity for ARM1136, so historical
+	// trajectories are unchanged).
+	Point konfig.Point
 	// Seed makes the search reproducible.
 	Seed uint64
 	// Budget is the total evaluation budget: half is split evenly
 	// across the four machine-layer entry points, half drives the
 	// kernel-layer genome search. Default 160.
 	Budget int
-	// Kernel is the functional-kernel configuration under probe.
-	Kernel kernel.Config
-	// Pinned selects the L1 way-pinned interrupt path for both the
-	// analysis and the measurement machine.
-	Pinned bool
 	// Cache, when set, shares CFGs and whole analysis Results with the
 	// rest of the toolchain (the bounds here are the same analyses
 	// the tables and the soak sentinel use).
@@ -141,33 +138,25 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		ctx = context.Background()
 	}
 
-	backend, err := arch.Lookup(cfg.Arch)
+	// The kernel-layer runner's campaign; Campaign rejects an
+	// infeasible point, so everything below runs a checked one.
+	campaign, err := konfig.NamedPoint{Name: cfg.Label, Point: cfg.Point}.Campaign(cfg.Seed, 0, 0)
 	if err != nil {
 		return nil, fmt.Errorf("probe %s: %w", cfg.Label, err)
 	}
-	img, cons, err := kbin.Build(kbin.Options{
-		Modernised: cfg.Kernel.PreemptionPoints,
-		Pinned:     cfg.Pinned,
-		Arch:       cfg.Arch,
-	})
+	backend := arch.MustLookup(campaign.Arch)
+	a, err := cfg.Point.Analyzer(cfg.Cache, cfg.Metrics)
 	if err != nil {
 		return nil, fmt.Errorf("probe %s: building image: %w", cfg.Label, err)
 	}
-	hw := arch.Config{Arch: cfg.Arch}
-	if cfg.Pinned {
-		hw.PinnedL1Ways = 1
-	}
-	a := wcet.New(img, hw)
-	a.AddConstraints(cons...)
-	a.Cache = cfg.Cache
-	a.Metrics = cfg.Metrics
+	img, hw := a.Img, a.HW
 
 	// The machine-layer searches draw from a backend-mixed root so a
 	// two-backend probe matrix explores distinct priming trajectories;
 	// identity for ARM1136 keeps historical reports byte-identical.
 	seedRoot := measure.ArchSeed(cfg.Seed, backend)
 
-	rep := &Report{Label: cfg.Label, Arch: backend.ID, Pinned: cfg.Pinned, Seed: cfg.Seed, Budget: cfg.Budget}
+	rep := &Report{Label: cfg.Label, Arch: backend.ID, Pinned: cfg.Point.Pinned(), Seed: cfg.Seed, Budget: cfg.Budget}
 
 	// Budget split: half across the four machine-layer entries, half
 	// for the kernel-layer genome search.
@@ -204,7 +193,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	// The kernel-layer bound composes as the soak sentinel's does.
 	kernelBound := soak.ResponseBound(sysBound, irqBound, hw)
-	ke, status, caps, err := searchKernel(cfg, seedRoot, kernelBound, kernelBudget)
+	campaign.BoundCycles = kernelBound
+	ke, status, caps, err := searchKernel(campaign, cfg.Metrics, seedRoot, kernelBudget)
 	if err != nil {
 		return nil, fmt.Errorf("probe %s: kernel-layer search: %w", cfg.Label, err)
 	}

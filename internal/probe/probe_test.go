@@ -4,22 +4,30 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
-	"verikern/internal/kernel"
+	"verikern/internal/konfig"
 	"verikern/internal/sched"
+	"verikern/internal/vspace"
 	"verikern/internal/wcet"
 )
 
-func probeConfig(preempt, pinned bool) Config {
-	return Config{
-		Label:  "test",
-		Seed:   42,
-		Budget: 40,
-		Kernel: kernel.Config{Scheduler: sched.Benno, PreemptionPoints: preempt},
-		Pinned: pinned,
-		Cache:  wcet.NewCache(),
+// probeConfig probes the Benno-scheduler kernel on ASID address spaces
+// without the fastpath, with both preemption sites and one pinned L1
+// way selected by the flags.
+func probeConfig(t *testing.T, preempt, pinned bool) Config {
+	t.Helper()
+	p, err := konfig.DefaultPoint("")
+	if err != nil {
+		t.Fatal(err)
 	}
+	p.Scheduler, p.VSpace, p.Fastpath = sched.Benno, vspace.ASIDDesign, false
+	p.PreemptDelete, p.PreemptClear = preempt, preempt
+	if pinned {
+		p.PinnedL1Ways = 1
+	}
+	return Config{Label: "test", Point: p, Seed: 42, Budget: 40, Cache: wcet.NewCache()}
 }
 
 // TestProbeSound: the probe's entire point is adversarial pressure on
@@ -31,7 +39,7 @@ func TestProbeSound(t *testing.T) {
 	for _, c := range []struct {
 		preempt, pinned bool
 	}{{true, true}, {true, false}, {false, true}, {false, false}} {
-		cfg := probeConfig(c.preempt, c.pinned)
+		cfg := probeConfig(t, c.preempt, c.pinned)
 		cfg.Cache = cache
 		rep, err := Run(context.Background(), cfg)
 		if err != nil {
@@ -61,7 +69,7 @@ func TestProbeSound(t *testing.T) {
 // byte-stability rests on.
 func TestProbeDeterministic(t *testing.T) {
 	run := func() *Report {
-		rep, err := Run(context.Background(), probeConfig(true, false))
+		rep, err := Run(context.Background(), probeConfig(t, true, false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +87,7 @@ func TestProbeDeterministic(t *testing.T) {
 // TestProbeEntryCoverage: the report carries the four machine entry
 // points plus the composed kernel-layer entry, and spends the budget.
 func TestProbeEntryCoverage(t *testing.T) {
-	rep, err := Run(context.Background(), probeConfig(true, false))
+	rep, err := Run(context.Background(), probeConfig(t, true, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +110,11 @@ func TestProbeEntryCoverage(t *testing.T) {
 // TestProbeCapturesNewMax: the kernel-layer search runs with the
 // flight recorder armed on every new observed maximum, so a campaign
 // that improved at least once must carry captures, each stamped
-// "new-max" and holding a trailing event window.
+// "new-max" and with the probed point's hash, and holding a trailing
+// event window.
 func TestProbeCapturesNewMax(t *testing.T) {
-	rep, err := Run(context.Background(), probeConfig(true, false))
+	cfg := probeConfig(t, true, false)
+	rep, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +125,24 @@ func TestProbeCapturesNewMax(t *testing.T) {
 		if c.Reason != "new-max" {
 			t.Errorf("capture reason %q, want new-max", c.Reason)
 		}
+		if c.Config != cfg.Point.Hash() {
+			t.Errorf("capture stamped %q, want the point's hash %s", c.Config, cfg.Point.Hash())
+		}
 		if len(c.Events) == 0 {
 			t.Errorf("capture carries no trace events")
 		}
+	}
+}
+
+// TestProbeRejectsInfeasiblePoint: Run checks its point before
+// building anything, so an assignment the rule engine refuses fails
+// with the named rule instead of probing an unanalysable kernel.
+func TestProbeRejectsInfeasiblePoint(t *testing.T) {
+	cfg := probeConfig(t, true, false)
+	cfg.Point.Scheduler = sched.Lazy
+	_, err := Run(context.Background(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "lazy-excludes-preemption") {
+		t.Fatalf("lazy scheduler with preemption points: err = %v, want the lazy-excludes-preemption rule", err)
 	}
 }
 

@@ -100,19 +100,12 @@ type kernelSearch struct {
 // searchKernel runs the kernel-layer campaign: a deterministic sweep
 // over op×phase seeds, then hill-climbing mutations of the best
 // genome, all against one persistent runner whose sentinel checks
-// every sample against the composed interrupt-response bound and
-// captures the flight recorder on each new maximum.
-func searchKernel(cfg Config, seedRoot, bound uint64, budget int) (Entry, obs.BoundStatus, []soak.Capture, error) {
-	rn, err := soak.NewRunner(soak.Config{
-		Label:         cfg.Label,
-		Arch:          cfg.Arch,
-		Seed:          cfg.Seed,
-		Kernel:        cfg.Kernel,
-		Pinned:        cfg.Pinned,
-		BoundCycles:   bound,
-		MaxCaptures:   maxCaptures,
-		CaptureNewMax: true,
-	}, 0)
+// every sample against the campaign's composed interrupt-response
+// bound and captures the flight recorder on each new maximum.
+func searchKernel(campaign soak.Config, m *obs.Metrics, seedRoot uint64, budget int) (Entry, obs.BoundStatus, []soak.Capture, error) {
+	campaign.MaxCaptures = maxCaptures
+	campaign.CaptureNewMax = true
+	rn, err := soak.NewRunner(campaign, 0)
 	if err != nil {
 		return Entry{}, obs.BoundStatus{}, nil, err
 	}
@@ -120,7 +113,7 @@ func searchKernel(cfg Config, seedRoot, bound uint64, budget int) (Entry, obs.Bo
 		rn:      rn,
 		rng:     rand.New(rand.NewSource(int64(seedRoot) ^ 0x5DEECE66D)),
 		pool:    len(rn.Pool()),
-		metrics: cfg.Metrics,
+		metrics: m,
 	}
 
 	var best genome
@@ -178,8 +171,8 @@ func searchKernel(cfg Config, seedRoot, bound uint64, budget int) (Entry, obs.Bo
 	e := Entry{
 		Name:         "irq-response",
 		ObservedMax:  rn.MaxObserved(),
-		BoundCycles:  bound,
-		Tightness:    tightness(rn.MaxObserved(), bound),
+		BoundCycles:  campaign.BoundCycles,
+		Tightness:    tightness(rn.MaxObserved(), campaign.BoundCycles),
 		Evals:        evals,
 		Improvements: improvements,
 		Best:         best.String(),

@@ -382,10 +382,6 @@ func (r *Runner) Driver() *kobj.TCB { return r.adv }
 // Pool returns the reusable worker threads backing the op vocabulary.
 func (r *Runner) Pool() []*kobj.TCB { return r.pool }
 
-// EndpointAddr returns the persistent rendezvous endpoint's cap
-// address in the driver's cap space.
-func (r *Runner) EndpointAddr() uint32 { return r.epAddr }
-
 // freeThread returns a runnable pool thread, preferring a rotating
 // start point so work spreads across the pool. Threads left blocked by
 // an in-flight wait are skipped.

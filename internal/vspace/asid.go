@@ -30,9 +30,6 @@ func (m *asidManager) Design() Design                 { return ASIDDesign }
 func (m *asidManager) VSpaces() []*kobj.PageDirectory { return m.spaces }
 func (m *asidManager) Pools() []*kobj.ASIDPool        { return m.pools }
 
-// AddPool installs an additional ASID pool.
-func (m *asidManager) AddPool(p *kobj.ASIDPool) { m.pools = append(m.pools, p) }
-
 // findFreeASID locates a free ASID: a linear probe over pool entries.
 // This is the loop the paper could not preempt ("locating a free ASID
 // is difficult to make preemptible", §3.6) — the whole probe runs with

@@ -209,7 +209,7 @@ func TestParetoSweepAcceptance(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := WriteParetoBench(&buf, doc); err != nil {
+		if err := WriteBench(&buf, doc); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes(), doc

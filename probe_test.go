@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"verikern/internal/konfig"
 	"verikern/internal/soak"
 )
 
@@ -31,8 +32,12 @@ func TestTightnessMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reps) != len(ProbeConfigs()) {
-		t.Fatalf("got %d reports, want %d", len(reps), len(ProbeConfigs()))
+	matrix, err := konfig.LegacyProbeMatrix("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reps) != len(matrix) {
+		t.Fatalf("got %d reports, want %d", len(reps), len(matrix))
 	}
 
 	// 1. Soundness, every config, every entry.
@@ -71,19 +76,15 @@ func TestTightnessMatrix(t *testing.T) {
 	if probeMax == 0 {
 		t.Fatal("no irq-response entry for benno+preempt")
 	}
-	var sc ProbeConfig
-	for _, c := range ProbeConfigs() {
-		if c.Name == "benno+preempt" {
-			sc = c
-		}
+	np, err := konfig.LegacyPoint("", true, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	passive, err := soak.Run(ctx, soak.Config{
-		Label:  sc.Name,
-		Seed:   seed,
-		Ops:    budget,
-		Kernel: sc.Kernel,
-		Pinned: sc.Pinned,
-	})
+	passiveCfg, err := np.Campaign(seed, budget, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	passive, err := soak.Run(ctx, passiveCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +95,14 @@ func TestTightnessMatrix(t *testing.T) {
 
 	// 3. The artifact is deterministic and round-trips.
 	var a, b bytes.Buffer
-	if err := WriteTightnessBench(&a, seed, budget, reps); err != nil {
+	if err := WriteBench(&a, &TightnessBench{Seed: seed, Budget: budget, Configs: reps}); err != nil {
 		t.Fatal(err)
 	}
 	reps2, err := TightnessReportArch(ctx, seed, budget, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteTightnessBench(&b, seed, budget, reps2); err != nil {
+	if err := WriteBench(&b, &TightnessBench{Seed: seed, Budget: budget, Configs: reps2}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

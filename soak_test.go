@@ -51,7 +51,7 @@ func TestSoakReportMatrix(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteSoakBench(&buf, seed, ops, reps); err != nil {
+	if err := WriteBench(&buf, NewSoakBench(seed, ops, reps)); err != nil {
 		t.Fatal(err)
 	}
 	var doc SoakBench

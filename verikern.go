@@ -18,6 +18,7 @@ package verikern
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -97,11 +98,9 @@ func (e EntryPoint) Label() string {
 type Image struct {
 	Img         *kimage.Image
 	Constraints []wcet.UserConstraint
-	Variant     Variant
-	Pinned      bool
-	// Arch is the hardware backend the image was linked for
-	// (arch.ARM1136ID when built via BuildImage).
-	Arch string
+	// Point is the lattice point the image was built from: its kernel
+	// generation, pin set and hardware backend.
+	Point LatticePoint
 	// Metrics, when set, collects analysis-pipeline stage timings and
 	// counters for every Analyze call on this image.
 	Metrics *obs.Metrics
@@ -217,10 +216,14 @@ func ParetoSweep(ctx context.Context, archIDs []string, seed, ops uint64, worker
 	return doc, nil
 }
 
-// WriteParetoBench serialises a sweep document as the byte-stable
-// BENCH_pareto.json artifact.
-func WriteParetoBench(w io.Writer, doc *ParetoBench) error {
-	return konfig.WriteParetoBench(w, doc)
+// WriteBench serialises a BENCH_*.json artifact document (SoakBench,
+// TightnessBench, ParetoBench, FleetBench, ChaosBench) as indented
+// JSON. Map keys are emitted sorted, so the bytes are a pure function
+// of the document.
+func WriteBench(w io.Writer, doc any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(doc)
 }
 
 // BuildImage constructs the synthetic kernel binary for a variant,
@@ -248,12 +251,7 @@ func BuildImagePoint(p LatticePoint) (*Image, Hardware, error) {
 	if err != nil {
 		return nil, Hardware{}, err
 	}
-	v := Original
-	if p.PreemptionPoints() {
-		v = Modern
-	}
-	return &Image{Img: img, Constraints: cons, Variant: v, Pinned: p.Pinned(),
-		Arch: img.Backend().ID, Metrics: pipelineMetrics}, hw, nil
+	return &Image{Img: img, Constraints: cons, Point: p, Metrics: pipelineMetrics}, hw, nil
 }
 
 // Architectures lists the registered hardware backend ids, sorted.
@@ -328,7 +326,7 @@ func (im *Image) AnalyzeWithLP(hw Hardware, e EntryPoint) (Bound, error) {
 // the §5.3 model-checked bounds, returning an error for any annotation
 // the models prove unsound.
 func (im *Image) VerifyLoopBounds() error {
-	models, err := kbin.LoopModels(kbin.Options{Modernised: im.Variant == Modern, Pinned: im.Pinned, Arch: im.Arch}, im.Img)
+	models, err := kbin.LoopModels(im.Point.KbinOptions(), im.Img)
 	if err != nil {
 		return err
 	}
