@@ -49,11 +49,12 @@
 //	kzm-sim -sweep [-sweep-workers N] [-sweep-ops N] [-seed N]
 //	        [-sweep-out BENCH_pareto.json]
 //	kzm-sim -fleet-coordinator ADDR -soak <ops> [-fleet-workers N]
-//	        [-fleet-chaos-kill N] [-fleet-verify] [-fleet-state F]
-//	        [-serve :9090]
+//	        [-fleet-chaos-kill N] [-fleet-chaos SEED] [-fleet-verify]
+//	        [-fleet-state F] [-serve :9090]
 //	kzm-sim -fleet-worker ADDR
 //	kzm-sim -fleet-bench -soak <ops> [-fleet-workers N]
-//	        [-fleet-chaos-kill N] [-fleet-out BENCH_fleet.json]
+//	        [-fleet-chaos-kill N] [-fleet-chaos SEED]
+//	        [-fleet-out BENCH_fleet.json]
 //
 // With -fleet-coordinator, kzm-sim becomes the fleet observatory: the
 // soak campaign is sharded across worker processes (spawned locally
@@ -63,7 +64,12 @@
 // to a single-process soak at the same seed, even across worker kills
 // — and serves /metrics, /snapshot.json, /fleet.json and /debug/pprof
 // on -serve. SIGTERM drains workers gracefully, flushing final
-// batches before the terminal snapshot prints.
+// batches before the terminal snapshot prints. -fleet-bench runs one
+// in-process fleet campaign per backend instead, each checked against
+// a single-process soak, and writes them as a BENCH_fleet.json
+// artifact. In both modes -fleet-chaos-kill kills workers mid-campaign
+// and -fleet-chaos wraps every worker connection in a seeded transport
+// fault schedule; the merge stays byte-identical through both.
 package main
 
 import (
@@ -118,9 +124,7 @@ func main() {
 	fleetState := flag.String("fleet-state", "", "persist coordinator checkpoints to this file (resume on restart)")
 	fleetBench := flag.Bool("fleet-bench", false, "run the fleet benchmark across all architecture backends")
 	fleetOut := flag.String("fleet-out", "BENCH_fleet.json", "write the fleet benchmark as a BENCH_fleet.json artifact to this file (with -fleet-bench; empty disables)")
-	fleetChaos := flag.Uint64("fleet-chaos", 0, "inject deterministic transport faults into every worker connection, seeded by this value (coordinator mode; 0 disables)")
-	chaosBench := flag.Bool("chaos-bench", false, "run the fault-injected fleet benchmark across all architecture backends (chaos seed from -fleet-chaos, default 1)")
-	chaosOut := flag.String("chaos-out", "BENCH_chaos.json", "write the chaos benchmark as a BENCH_chaos.json artifact to this file (with -chaos-bench; empty disables)")
+	fleetChaos := flag.Uint64("fleet-chaos", 0, "inject deterministic transport faults into every worker connection, seeded by this value (with -fleet-coordinator or -fleet-bench; 0 disables)")
 	sweepMode := flag.Bool("sweep", false, "sweep the konfig lattice on every backend and emit WCET-vs-throughput Pareto frontiers")
 	sweepWorkers := flag.Int("sweep-workers", 4, "parallel analyses/soaks during -sweep (result is worker-count independent)")
 	sweepOps := flag.Uint64("sweep-ops", 256, "soak operations per swept lattice point")
@@ -155,20 +159,7 @@ func main() {
 		if err != nil || wall > 0 {
 			log.Fatalf("-fleet-bench needs an op budget via -soak (got %q)", *soakSpec)
 		}
-		runFleetBench(ctx, *seed, ops, *fleetWorkers, *fleetChaosKill, *fleetOut)
-		return
-	}
-
-	if *chaosBench {
-		ops, wall, err := parseSoakSpec(*soakSpec)
-		if err != nil || wall > 0 {
-			log.Fatalf("-chaos-bench needs an op budget via -soak (got %q)", *soakSpec)
-		}
-		chaosSeed := *fleetChaos
-		if chaosSeed == 0 {
-			chaosSeed = 1
-		}
-		runChaosBench(ctx, *seed, ops, chaosSeed, *fleetWorkers, *chaosOut)
+		runFleetBench(ctx, *seed, ops, *fleetWorkers, *fleetChaosKill, *fleetChaos, *fleetOut)
 		return
 	}
 
@@ -526,20 +517,18 @@ func runFleetCoordinator(ctx context.Context, rc fleetRunConfig) {
 		log.Fatal("-fleet-workers must be at least 1")
 	}
 	spec := fleet.SpecFromConfig(campaign(rc.variant, rc.arch, rc.pinned, rc.seed, ops, rc.workers))
-	fcfg := fleet.Config{Spec: spec, StatePath: rc.statePath, Logf: log.Printf}
+	fcfg := fleet.Config{Spec: spec}
 	var eng *chaos.Engine
 	if rc.chaosSeed != 0 {
 		// Chaos mode: wrap every accepted connection in the seeded
-		// fault injector and tighten the recovery timeouts so lease
-		// reaping and frame deadlines actually fire within the run.
-		// The aggressive profile lands faults even on short smoke
+		// fault injector under the fleet's chaos profile. The
+		// aggressive schedule lands faults even on short smoke
 		// campaigns; recovery keeps the merge byte-identical anyway.
 		eng = chaos.New(chaos.Aggressive(rc.chaosSeed))
-		fcfg.WrapConn = eng.Wrap
-		fcfg.LeaseTimeout = 2 * time.Second
-		fcfg.FrameTimeout = time.Second
+		fcfg = fleet.ChaosConfig(spec, eng.Wrap)
 		fmt.Printf("chaos engine armed: seed %d (deterministic fault schedule)\n", rc.chaosSeed)
 	}
+	fcfg.StatePath, fcfg.Logf = rc.statePath, log.Printf
 	c, err := fleet.New(ctx, fcfg)
 	if err != nil {
 		log.Fatal(err)
@@ -620,8 +609,6 @@ func runFleetCoordinator(ctx context.Context, rc fleetRunConfig) {
 		fmt.Printf("chaos: %d faults injected, %d corrupt frames detected, %d quarantined, %d retries, %d lease releases, %d recoveries (p99 %.1f ms)\n",
 			eng.Injected(), st.FramesCorrupt, st.Quarantined, st.Retries, st.Releases, st.Recoveries, st.RecoveryP99MS)
 	}
-	var buf bytes.Buffer
-	_ = snap.WriteJSON(&buf)
 	fmt.Printf("terminal snapshot: irq count %d max %d, bound %d (%d violations)\n",
 		snap.IRQ.Count, snap.IRQ.Max, snap.Bound.Cycles, snap.Bound.Violations)
 
@@ -661,12 +648,13 @@ func runFleetWorker(ctx context.Context, addr string) {
 	}
 }
 
-// runFleetBench runs one chaos-injected fleet campaign per
-// architecture backend, verifies equal-seed equivalence for each, and
+// runFleetBench runs one fleet campaign per architecture backend,
+// with chaosKills worker kills and, for a non-zero chaosSeed, seeded
+// transport chaos; verifies equal-seed equivalence for each; and
 // writes the BENCH_fleet.json artifact. Any inequivalent campaign is
 // fatal — the artifact's Equivalent flags are the CI gate.
-func runFleetBench(ctx context.Context, seed, ops uint64, workers, chaosKills int, out string) {
-	doc, err := verikern.FleetReport(ctx, seed, ops, workers, chaosKills, verikern.Architectures())
+func runFleetBench(ctx context.Context, seed, ops uint64, workers, chaosKills int, chaosSeed uint64, out string) {
+	doc, err := verikern.FleetReport(ctx, seed, ops, workers, chaosKills, chaosSeed, verikern.Architectures())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -676,30 +664,8 @@ func runFleetBench(ctx context.Context, seed, ops uint64, workers, chaosKills in
 	}
 	for _, r := range doc.Configs {
 		if !r.Equivalent {
-			log.Fatalf("EQUIVALENCE VIOLATION: %s fleet merge diverges from single-process soak", r.Arch)
+			log.Fatalf("EQUIVALENCE VIOLATION: %s fleet merge diverges from fault-free single-process soak", r.Arch)
 		}
 	}
-	fmt.Println("equal-seed equivalence: every fleet merge byte-identical to its single-process soak")
-}
-
-// runChaosBench runs one fault-injected fleet campaign per
-// architecture backend, verifies that each merged snapshot is
-// byte-identical to a fault-free single-process soak, and writes the
-// BENCH_chaos.json artifact. Any inequivalent campaign is fatal — the
-// artifact's Equivalent flags are the CI gate.
-func runChaosBench(ctx context.Context, seed, ops, chaosSeed uint64, workers int, out string) {
-	doc, err := verikern.ChaosReport(ctx, seed, ops, chaosSeed, workers, verikern.Architectures())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(verikern.FormatChaosReport(doc))
-	if out != "" {
-		writeArtifact(out, doc, fmt.Sprintf("%d-arch chaos benchmark", len(doc.Configs)))
-	}
-	for _, r := range doc.Configs {
-		if !r.Equivalent {
-			log.Fatalf("EQUIVALENCE VIOLATION: %s chaos campaign diverges from fault-free single-process soak", r.Arch)
-		}
-	}
-	fmt.Println("chaos recovery proof: every fault-injected merge byte-identical to its fault-free soak")
+	fmt.Println("equal-seed equivalence: every fleet merge byte-identical to its fault-free single-process soak")
 }

@@ -815,15 +815,20 @@ type TightnessBench struct {
 // --- Fleet observatory (sharded soak farm) ---
 
 // FleetBenchRow is one architecture's fleet-campaign result in the
-// BENCH_fleet.json artifact.
+// BENCH_fleet.json artifact: the merged soak, the transport health,
+// and — when the campaign ran under transport chaos — the fault
+// injection and recovery telemetry (zero otherwise).
 type FleetBenchRow struct {
 	Arch  string `json:"arch"`
 	Label string `json:"label"`
 	// Config is the campaign's konfig lattice-point hash, as stamped
 	// into the merged snapshot.
-	Config  string `json:"config"`
-	Workers int    `json:"workers"`
-	Ops     uint64 `json:"ops"`
+	Config string `json:"config"`
+	// ChaosSeed is this campaign's fault-schedule seed; 0 without
+	// transport chaos.
+	ChaosSeed uint64 `json:"chaos_seed"`
+	Workers   int    `json:"workers"`
+	Ops       uint64 `json:"ops"`
 	// Samples is the merged IRQ sample count; SamplesPerSec the
 	// aggregate merge throughput over the campaign wall time (host-
 	// dependent, unlike everything else in the row).
@@ -835,27 +840,42 @@ type FleetBenchRow struct {
 	Violations    uint64  `json:"violations"`
 	MaxLatency    uint64  `json:"max_latency"`
 	// Transport health: streamed batches, checkpoint-gate drops, and
-	// worker restarts (equal to the chaos kills injected).
+	// worker restarts (one per kill, plus one per lease that transport
+	// chaos severed).
 	Batches  uint64 `json:"batches"`
 	Dropped  uint64 `json:"dropped"`
 	Restarts uint64 `json:"restarts"`
-	// Equivalent is the keystone verdict: the fleet's merged snapshot
-	// is byte-identical to a single-process soak at the same seed.
+	// Fault injection and detection: faults the seeded schedule
+	// landed, frames the CRC layer caught, connections quarantined as
+	// poisoned.
+	FaultsInjected int    `json:"faults_injected"`
+	FramesCorrupt  uint64 `json:"frames_corrupt"`
+	Quarantined    uint64 `json:"quarantined"`
+	// Recovery: worker reconnects, lease-timeout reclaims, and the
+	// tail latency of shard recovery (dirty release to successor
+	// lease).
+	Retries       uint64  `json:"retries"`
+	Releases      uint64  `json:"releases"`
+	Recoveries    int     `json:"recoveries"`
+	RecoveryP99MS float64 `json:"recovery_p99_ms"`
+	// Equivalent is the keystone verdict: despite every kill and
+	// injected fault, the fleet's merged snapshot is byte-identical to
+	// a fault-free single-process soak at the same seed.
 	Equivalent bool `json:"equivalent"`
 }
 
 // FleetBench is the BENCH_fleet.json document.
 type FleetBench struct {
 	Seed       uint64          `json:"seed"`
+	ChaosSeed  uint64          `json:"chaos_seed"`
+	ChaosKills int             `json:"chaos_kills"`
 	Ops        uint64          `json:"ops"`
 	Workers    int             `json:"workers"`
-	ChaosKills int             `json:"chaos_kills"`
 	Configs    []FleetBenchRow `json:"configs"`
 }
 
-// fleetCampaign is the benno+preempt campaign FleetReport and
-// ChaosReport shard on one backend: the modernised kernel's lattice
-// point, unpinned.
+// fleetCampaign is the benno+preempt campaign FleetReport shards on
+// one backend: the modernised kernel's lattice point, unpinned.
 func fleetCampaign(archID string, seed, ops uint64, workers int) (soak.Config, error) {
 	np, err := konfig.LegacyPoint(archID, true, false)
 	if err != nil {
@@ -865,21 +885,30 @@ func fleetCampaign(archID string, seed, ops uint64, workers int) (soak.Config, e
 }
 
 // FleetReport runs one fleet campaign per architecture backend (the
-// modern benno+preempt kernel), injecting chaosKills worker kills per
-// campaign, and verifies each merged result against a single-process
-// soak at the same seed — the equal-seed equivalence the fleet's
-// merge protocol guarantees. An inequivalent campaign is reported,
-// not an error; callers (and CI) gate on the Equivalent flags.
-func FleetReport(ctx context.Context, seed, ops uint64, workers, chaosKills int, archIDs []string) (*FleetBench, error) {
-	doc := &FleetBench{Seed: seed, Ops: ops, Workers: workers, ChaosKills: chaosKills}
-	for _, id := range archIDs {
+// modern benno+preempt kernel) and verifies each merged result against
+// a single-process soak at the same seed — the equal-seed equivalence
+// the fleet's merge protocol guarantees. Each campaign suffers
+// chaosKills worker kills and, when chaosSeed is non-zero, runs under
+// the fleet's chaos profile (fleet.ChaosConfig) with every worker
+// connection wrapped in an aggressive fault schedule seeded
+// chaosSeed+i for the i-th backend; kills and transport chaos combine.
+// An inequivalent campaign is reported, not an error; callers (and CI)
+// gate on the Equivalent flags.
+func FleetReport(ctx context.Context, seed, ops uint64, workers, chaosKills int, chaosSeed uint64, archIDs []string) (*FleetBench, error) {
+	doc := &FleetBench{Seed: seed, ChaosSeed: chaosSeed, ChaosKills: chaosKills, Ops: ops, Workers: workers}
+	for i, id := range archIDs {
 		campaign, err := fleetCampaign(id, seed, ops, workers)
 		if err != nil {
 			return nil, err
 		}
-		spec := fleet.SpecFromConfig(campaign)
+		cfg := fleet.Config{Spec: fleet.SpecFromConfig(campaign)}
+		var eng *chaos.Engine
+		if chaosSeed != 0 {
+			eng = chaos.New(chaos.Aggressive(chaosSeed + uint64(i)))
+			cfg = fleet.ChaosConfig(cfg.Spec, eng.Wrap)
+		}
 		start := time.Now()
-		c, err := fleet.RunLocal(ctx, fleet.Config{Spec: spec}, fleet.LocalOptions{ChaosKills: chaosKills})
+		c, err := fleet.RunLocal(ctx, cfg, fleet.LocalOptions{ChaosKills: chaosKills})
 		if err != nil {
 			return nil, fmt.Errorf("fleet %s: %w", id, err)
 		}
@@ -891,21 +920,31 @@ func FleetReport(ctx context.Context, seed, ops uint64, workers, chaosKills int,
 			return nil, fmt.Errorf("fleet %s: %w", id, err)
 		}
 		row := FleetBenchRow{
-			Arch:        snap.Arch,
-			Label:       snap.Label,
-			Config:      snap.Config,
-			Workers:     workers,
-			Ops:         snap.Ops,
-			Samples:     snap.IRQ.Count,
-			WallMS:      wall.Milliseconds(),
-			SimCycles:   snap.SimCycles,
-			BoundCycles: snap.Bound.Cycles,
-			Violations:  snap.Bound.Violations,
-			MaxLatency:  snap.IRQ.Max,
-			Batches:     st.Batches,
-			Dropped:     st.Dropped,
-			Restarts:    st.Restarts,
-			Equivalent:  bytes.Equal(fleetDigest, singleDigest),
+			Arch:          snap.Arch,
+			Label:         snap.Label,
+			Config:        snap.Config,
+			Workers:       workers,
+			Ops:           snap.Ops,
+			Samples:       snap.IRQ.Count,
+			WallMS:        wall.Milliseconds(),
+			SimCycles:     snap.SimCycles,
+			BoundCycles:   snap.Bound.Cycles,
+			Violations:    snap.Bound.Violations,
+			MaxLatency:    snap.IRQ.Max,
+			Batches:       st.Batches,
+			Dropped:       st.Dropped,
+			Restarts:      st.Restarts,
+			FramesCorrupt: st.FramesCorrupt,
+			Quarantined:   st.Quarantined,
+			Retries:       st.Retries,
+			Releases:      st.Releases,
+			Recoveries:    st.Recoveries,
+			RecoveryP99MS: st.RecoveryP99MS,
+			Equivalent:    bytes.Equal(fleetDigest, singleDigest),
+		}
+		if eng != nil {
+			row.ChaosSeed = eng.Seed()
+			row.FaultsInjected = eng.Injected()
 		}
 		if s := wall.Seconds(); s > 0 {
 			row.SamplesPerSec = float64(row.Samples) / s
@@ -916,142 +955,19 @@ func FleetReport(ctx context.Context, seed, ops uint64, workers, chaosKills int,
 }
 
 // FormatFleetReport renders the fleet benchmark as the text table
-// cmd/kzm-sim prints.
+// cmd/kzm-sim prints: the merge and transport columns, then the fault
+// injection and recovery columns.
 func FormatFleetReport(doc *FleetBench) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fleet observatory: %d workers, %d ops, seed %d, %d chaos kills\n",
-		doc.Workers, doc.Ops, doc.Seed, doc.ChaosKills)
-	fmt.Fprintf(&b, "%-10s %-16s %10s %12s %10s %9s %8s %8s %s\n",
-		"arch", "label", "samples", "samples/s", "max cyc", "batches", "drops", "restarts", "equivalent")
+	fmt.Fprintf(&b, "fleet observatory: %d workers, %d ops, seed %d, %d chaos kills, chaos seed %d\n",
+		doc.Workers, doc.Ops, doc.Seed, doc.ChaosKills, doc.ChaosSeed)
+	fmt.Fprintf(&b, "%-10s %-16s %10s %12s %10s %9s %8s %8s %7s %8s %6s %8s %9s %8s %11s %s\n",
+		"arch", "label", "samples", "samples/s", "max cyc", "batches", "drops", "restarts",
+		"faults", "corrupt", "quar", "retries", "releases", "recover", "rec p99 ms", "equivalent")
 	for _, r := range doc.Configs {
-		fmt.Fprintf(&b, "%-10s %-16s %10d %12.0f %10d %9d %8d %8d %v\n",
-			r.Arch, r.Label, r.Samples, r.SamplesPerSec, r.MaxLatency, r.Batches, r.Dropped, r.Restarts, r.Equivalent)
-	}
-	return b.String()
-}
-
-// --- Deterministic chaos engine (fault-injected fleet) ---
-
-// ChaosBenchRow is one architecture's fault-injected fleet campaign
-// in the BENCH_chaos.json artifact. Beyond the fleet row's transport
-// health it reports the fault-injection and recovery telemetry: how
-// many faults the seeded schedule landed, how many frames the CRC
-// layer caught, how many connections were quarantined as poisoned,
-// how many leases timed out and were re-issued, and the tail latency
-// of shard recovery (dirty release to successor lease).
-type ChaosBenchRow struct {
-	Arch  string `json:"arch"`
-	Label string `json:"label"`
-	// Config is the campaign's konfig lattice-point hash, as stamped
-	// into the merged snapshot.
-	Config    string `json:"config"`
-	ChaosSeed uint64 `json:"chaos_seed"`
-	Workers   int    `json:"workers"`
-	Ops       uint64 `json:"ops"`
-	WallMS    int64  `json:"wall_ms"`
-	// Fault injection and detection.
-	FaultsInjected int    `json:"faults_injected"`
-	FramesCorrupt  uint64 `json:"frames_corrupt"`
-	Quarantined    uint64 `json:"quarantined"`
-	// Retry / recovery telemetry.
-	Retries       uint64  `json:"retries"`
-	Releases      uint64  `json:"releases"`
-	Batches       uint64  `json:"batches"`
-	Dropped       uint64  `json:"dropped"`
-	Restarts      uint64  `json:"restarts"`
-	Recoveries    int     `json:"recoveries"`
-	RecoveryP99MS float64 `json:"recovery_p99_ms"`
-	// Equivalent is the keystone verdict: despite every injected
-	// fault, the merged snapshot is byte-identical to a fault-free
-	// single-process soak at the same seed.
-	Equivalent bool `json:"equivalent"`
-}
-
-// ChaosBench is the BENCH_chaos.json document.
-type ChaosBench struct {
-	Seed      uint64          `json:"seed"`
-	ChaosSeed uint64          `json:"chaos_seed"`
-	Ops       uint64          `json:"ops"`
-	Workers   int             `json:"workers"`
-	Configs   []ChaosBenchRow `json:"configs"`
-}
-
-// ChaosReport runs one fault-injected fleet campaign per architecture
-// backend: every worker connection is wrapped in a chaos.Conn driven
-// by a deterministic schedule derived from chaosSeed, with aggressive
-// transport fault rates and tightened lease/frame timeouts so the
-// recovery machinery (CRC strikes, quarantine, lease reaping, worker
-// reconnect) is actually exercised. Each campaign's merged snapshot
-// is then compared byte-for-byte against a fault-free single-process
-// soak at the same kernel seed. An inequivalent campaign is reported,
-// not an error; callers (and CI) gate on the Equivalent flags.
-func ChaosReport(ctx context.Context, seed, ops, chaosSeed uint64, workers int, archIDs []string) (*ChaosBench, error) {
-	doc := &ChaosBench{Seed: seed, ChaosSeed: chaosSeed, Ops: ops, Workers: workers}
-	for i, id := range archIDs {
-		campaign, err := fleetCampaign(id, seed, ops, workers)
-		if err != nil {
-			return nil, err
-		}
-		spec := fleet.SpecFromConfig(campaign)
-		// Per-arch chaos seed keeps each campaign's fault schedule
-		// distinct while the whole document stays reproducible.
-		eng := chaos.New(chaos.Aggressive(chaosSeed + uint64(i)))
-		cfg := fleet.Config{
-			Spec:            spec,
-			BatchOps:        151,
-			LeaseTimeout:    2 * time.Second,
-			FrameTimeout:    time.Second,
-			QuarantineAfter: 4,
-			WrapConn:        eng.Wrap,
-		}
-		start := time.Now()
-		c, err := fleet.RunLocal(ctx, cfg, fleet.LocalOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("chaos fleet %s: %w", id, err)
-		}
-		wall := time.Since(start)
-		snap := c.Snapshot()
-		st := c.Status()
-		fleetDigest, singleDigest, err := fleet.EquivalenceDigests(ctx, c)
-		if err != nil {
-			return nil, fmt.Errorf("chaos fleet %s: %w", id, err)
-		}
-		doc.Configs = append(doc.Configs, ChaosBenchRow{
-			Arch:           snap.Arch,
-			Label:          snap.Label,
-			Config:         snap.Config,
-			ChaosSeed:      eng.Seed(),
-			Workers:        workers,
-			Ops:            snap.Ops,
-			WallMS:         wall.Milliseconds(),
-			FaultsInjected: eng.Injected(),
-			FramesCorrupt:  st.FramesCorrupt,
-			Quarantined:    st.Quarantined,
-			Retries:        st.Retries,
-			Releases:       st.Releases,
-			Batches:        st.Batches,
-			Dropped:        st.Dropped,
-			Restarts:       st.Restarts,
-			Recoveries:     st.Recoveries,
-			RecoveryP99MS:  st.RecoveryP99MS,
-			Equivalent:     bytes.Equal(fleetDigest, singleDigest),
-		})
-	}
-	return doc, nil
-}
-
-// FormatChaosReport renders the chaos benchmark as the text table
-// cmd/kzm-sim prints.
-func FormatChaosReport(doc *ChaosBench) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "chaos engine: %d workers, %d ops, kernel seed %d, chaos seed %d\n",
-		doc.Workers, doc.Ops, doc.Seed, doc.ChaosSeed)
-	fmt.Fprintf(&b, "%-10s %7s %8s %6s %8s %9s %9s %8s %11s %s\n",
-		"arch", "faults", "corrupt", "quar", "retries", "releases", "restarts", "recover", "rec p99 ms", "equivalent")
-	for _, r := range doc.Configs {
-		fmt.Fprintf(&b, "%-10s %7d %8d %6d %8d %9d %9d %8d %11.1f %v\n",
-			r.Arch, r.FaultsInjected, r.FramesCorrupt, r.Quarantined, r.Retries,
-			r.Releases, r.Restarts, r.Recoveries, r.RecoveryP99MS, r.Equivalent)
+		fmt.Fprintf(&b, "%-10s %-16s %10d %12.0f %10d %9d %8d %8d %7d %8d %6d %8d %9d %8d %11.1f %v\n",
+			r.Arch, r.Label, r.Samples, r.SamplesPerSec, r.MaxLatency, r.Batches, r.Dropped, r.Restarts,
+			r.FaultsInjected, r.FramesCorrupt, r.Quarantined, r.Retries, r.Releases, r.Recoveries, r.RecoveryP99MS, r.Equivalent)
 	}
 	return b.String()
 }

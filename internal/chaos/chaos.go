@@ -168,21 +168,26 @@ type Record struct {
 	Arg uint64 `json:"arg"`
 }
 
-// Engine owns one fault schedule and the log of everything it
-// injected. Safe for concurrent use.
+// logCap bounds the engine's fault log, so a long-running chaos
+// campaign holds at most 4096 records however many faults it injects.
+const logCap = 4096
+
+// Engine owns one fault schedule, the log of the first faults it
+// injected (at most 4096), and per-kind counts of all of them. Safe for
+// concurrent use.
 type Engine struct {
 	cfg Config
 
 	mu       sync.Mutex
 	log      []Record
-	faults   map[string]int
+	counts   [len(faultNames)]int
 	nextConn uint64
 	stateOps uint64
 }
 
 // New builds an engine from a schedule config.
 func New(cfg Config) *Engine {
-	return &Engine{cfg: cfg, faults: make(map[string]int)}
+	return &Engine{cfg: cfg}
 }
 
 // Seed returns the engine's schedule seed.
@@ -201,25 +206,32 @@ func (e *Engine) Wrap(rwc io.ReadWriteCloser) io.ReadWriteCloser {
 
 func (e *Engine) record(conn uint64, dir Dir, op uint64, f Fault, arg uint64) {
 	e.mu.Lock()
-	e.log = append(e.log, Record{Conn: conn, Dir: dir.String(), Op: op, Fault: f.String(), Arg: arg})
-	e.faults[f.String()]++
+	if len(e.log) < logCap {
+		e.log = append(e.log, Record{Conn: conn, Dir: dir.String(), Op: op, Fault: f.String(), Arg: arg})
+	}
+	e.counts[f]++
 	e.mu.Unlock()
 }
 
 // Log returns a copy of the injected-fault log, in injection order.
+// The log is capped: it holds the first 4096 faults (logCap), while
+// Injected and Faults keep counting every one.
 func (e *Engine) Log() []Record {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return append([]Record(nil), e.log...)
 }
 
-// Faults returns injected-fault counts by kind name.
+// Faults returns injected-fault counts by kind name, for the kinds
+// injected at least once.
 func (e *Engine) Faults() map[string]int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make(map[string]int, len(e.faults))
-	for k, v := range e.faults {
-		out[k] = v
+	out := make(map[string]int)
+	for f, n := range e.counts {
+		if n > 0 {
+			out[Fault(f).String()] = n
+		}
 	}
 	return out
 }
@@ -228,7 +240,11 @@ func (e *Engine) Faults() map[string]int {
 func (e *Engine) Injected() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.log)
+	n := 0
+	for _, c := range e.counts {
+		n += c
+	}
+	return n
 }
 
 // CorruptState is the checkpoint-store fault hook: given the bytes a

@@ -198,3 +198,29 @@ func TestChaosPassThrough(t *testing.T) {
 		t.Error("fresh engine reports injected faults")
 	}
 }
+
+// TestChaosLogCapped checks the fault log stops at logCap records
+// while Injected and Faults keep counting every injected fault, and
+// that the capped log is the schedule's prefix.
+func TestChaosLogCapped(t *testing.T) {
+	eng := New(only(BitFlip))
+	c := eng.Wrap(&nullRWC{})
+	buf := make([]byte, 8)
+	const writes = logCap + 100
+	for i := 0; i < writes; i++ {
+		_, _ = c.Write(buf)
+	}
+	log := eng.Log()
+	if len(log) != logCap {
+		t.Errorf("log holds %d records, want the cap %d", len(log), logCap)
+	}
+	if got := eng.Injected(); got != writes {
+		t.Errorf("Injected %d, want every fault (%d)", got, writes)
+	}
+	if got := eng.Faults()["bitflip"]; got != writes {
+		t.Errorf("Faults counts %d bitflips, want %d", got, writes)
+	}
+	if last := log[len(log)-1]; last.Op != logCap-1 {
+		t.Errorf("last logged record is op %d, want op %d", last.Op, logCap-1)
+	}
+}

@@ -12,20 +12,14 @@ import (
 	"verikern/internal/chaos"
 )
 
-// chaosFleetConfig is the hardened-coordinator profile the chaos
-// campaigns run under: short lease and frame timeouts so stalls are
-// reclaimed quickly, a low quarantine threshold so poisoned
-// connections are cut fast, and the engine wrapped around every
-// served connection.
+// chaosFleetConfig is the shipped chaos profile (ChaosConfig) with
+// shorter lease and frame timeouts, so the campaigns' injected stalls
+// are reclaimed quickly enough for a test.
 func chaosFleetConfig(sp Spec, eng *chaos.Engine) Config {
-	return Config{
-		Spec:            sp,
-		BatchOps:        151,
-		LeaseTimeout:    400 * time.Millisecond,
-		FrameTimeout:    250 * time.Millisecond,
-		QuarantineAfter: 4,
-		WrapConn:        eng.Wrap,
-	}
+	cfg := ChaosConfig(sp, eng.Wrap)
+	cfg.LeaseTimeout = 400 * time.Millisecond
+	cfg.FrameTimeout = 250 * time.Millisecond
+	return cfg
 }
 
 // TestChaosEquivalence is the keystone robustness proof: full fleet

@@ -63,8 +63,8 @@ type Config struct {
 	// 0 defaults to 8.
 	QuarantineAfter int
 	// WrapConn, when set, wraps every served connection before the
-	// protocol runs — the fault-injection seam (chaos.Engine.Wrap)
-	// used by tests, benches and the -fleet-chaos CLI mode.
+	// protocol runs — the fault-injection seam (chaos.Engine.Wrap),
+	// set by ChaosConfig for every chaos campaign and by tests.
 	WrapConn func(io.ReadWriteCloser) io.ReadWriteCloser
 	// PersistTransform, when set, filters the state-file bytes just
 	// before they hit disk — the checkpoint-store fault seam
@@ -72,6 +72,23 @@ type Config struct {
 	PersistTransform func([]byte) []byte
 	// Logf receives progress lines; nil silences them.
 	Logf func(format string, args ...any)
+}
+
+// ChaosConfig is the coordinator profile every fault-injected campaign
+// runs under: wrap (chaos.Engine.Wrap) around every served connection,
+// lease and frame timeouts short enough that injected stalls are
+// reclaimed within a smoke-sized run, a low quarantine threshold so a
+// poisoned connection is cut fast, and batches small enough that each
+// shard streams many frames for the schedule to strike.
+func ChaosConfig(spec Spec, wrap func(io.ReadWriteCloser) io.ReadWriteCloser) Config {
+	return Config{
+		Spec:            spec,
+		BatchOps:        151,
+		LeaseTimeout:    2 * time.Second,
+		FrameTimeout:    time.Second,
+		QuarantineAfter: 4,
+		WrapConn:        wrap,
+	}
 }
 
 // shardState is the coordinator's view of one shard.
@@ -100,7 +117,7 @@ type aggregate struct {
 	dropped     uint64
 	violations  uint64
 	nearMax     uint64
-	captures    []soak.Capture
+	captures    uint64 // flight-recorder dumps merged; only the count is kept
 }
 
 // recoveryWindow bounds the recovery-time sample ring: the reported
@@ -633,7 +650,7 @@ func (c *Coordinator) merge(connID uint64, b Batch) {
 	c.agg.dropped += b.Dropped
 	c.agg.violations += b.Violations
 	c.agg.nearMax += b.NearMax
-	c.agg.captures = append(c.agg.captures, b.Captures...)
+	c.agg.captures += uint64(len(b.Captures))
 
 	now := time.Now()
 	if !sh.lastBatch.IsZero() {
@@ -752,7 +769,7 @@ func (c *Coordinator) Snapshot() *obs.Snapshot {
 		MarginPercent: c.spec.MarginPercent,
 		Violations:    c.agg.violations,
 		NearMax:       c.agg.nearMax,
-		Captures:      uint64(len(c.agg.captures)),
+		Captures:      c.agg.captures,
 	}
 	s.Counters = map[string]uint64{
 		"fleet.batches":        c.batches,
@@ -766,14 +783,6 @@ func (c *Coordinator) Snapshot() *obs.Snapshot {
 		"fleet.quarantined":    c.quarantined,
 	}
 	return s
-}
-
-// Captures returns the merged flight-recorder dumps, each stamped with
-// the worker/seed/op identity the producing shard recorded.
-func (c *Coordinator) Captures() []soak.Capture {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]soak.Capture(nil), c.agg.captures...)
 }
 
 // EquivalenceDigest renders a snapshot's equivalence-comparable form:

@@ -112,24 +112,37 @@ func TestEquivalenceDigests(t *testing.T) {
 // mid-campaign: replacements must fast-forward to the merged
 // checkpoint and resume streaming with no lost and no double-counted
 // samples — the merged snapshot still matches the single-process run
-// byte-for-byte.
+// byte-for-byte. Every requested kill must land, including on shards
+// small enough to stream in a single batch.
 func TestFleetKillRestartEquivalence(t *testing.T) {
-	sp := fleetSpec(6000, 3)
-	fleet, c := digestFleet(t, Config{Spec: sp, BatchOps: 251}, LocalOptions{ChaosKills: 2})
-	single := digestSingle(t, sp)
-	if !bytes.Equal(fleet, single) {
-		t.Errorf("post-kill fleet snapshot diverges from single-process soak:\n--- fleet ---\n%s\n--- single ---\n%s", fleet, single)
-	}
-	st := c.Status()
-	if st.Restarts == 0 {
-		t.Error("chaos kills produced no restarts — the restart path went unexercised")
-	}
-	var restarts int
-	for _, sh := range st.Shards {
-		restarts += sh.Restarts
-	}
-	if uint64(restarts) != st.Restarts {
-		t.Errorf("per-shard restarts sum %d != aggregate %d", restarts, st.Restarts)
+	for _, tc := range []struct {
+		name     string
+		ops      uint64
+		batchOps int
+		kills    int
+	}{
+		{"multi-batch-shards", 6000, 251, 2},
+		{"one-batch-shards", 1500, 0, 1}, // 500-op shards, default 512-op batches
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sp := fleetSpec(tc.ops, 3)
+			fleet, c := digestFleet(t, Config{Spec: sp, BatchOps: tc.batchOps}, LocalOptions{ChaosKills: tc.kills})
+			single := digestSingle(t, sp)
+			if !bytes.Equal(fleet, single) {
+				t.Errorf("post-kill fleet snapshot diverges from single-process soak:\n--- fleet ---\n%s\n--- single ---\n%s", fleet, single)
+			}
+			st := c.Status()
+			if st.Restarts != uint64(tc.kills) {
+				t.Errorf("%d restarts, want one per requested kill (%d)", st.Restarts, tc.kills)
+			}
+			var restarts int
+			for _, sh := range st.Shards {
+				restarts += sh.Restarts
+			}
+			if uint64(restarts) != st.Restarts {
+				t.Errorf("per-shard restarts sum %d != aggregate %d", restarts, st.Restarts)
+			}
+		})
 	}
 }
 

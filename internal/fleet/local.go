@@ -50,12 +50,12 @@ func RunLocal(ctx context.Context, cfg Config, opt LocalOptions) (*Coordinator, 
 		mu.Unlock()
 	}
 	// A chaos kill fails the worker's write of the batch that would
-	// take it past a third of an average shard. Striking from the
-	// worker's side of the pipe makes every kill sever a lease that
-	// still has batches to stream: a supervisor watching merged ops
-	// can be outrun by workers that stream their whole shard before
-	// the merger catches up.
-	killAfter := max(1, int(c.spec.Ops/uint64(c.spec.Workers)/3)/c.batchOps)
+	// take it past a third of an average shard — the first batch when
+	// a shard fits in one. Striking from the worker's side of the pipe
+	// makes every kill sever a lease that still has batches to stream:
+	// a supervisor watching merged ops can be outrun by workers that
+	// stream their whole shard before the merger catches up.
+	killAfter := int(c.spec.Ops/uint64(c.spec.Workers)/3) / c.batchOps
 	var kills atomic.Int64
 	claimKill := func() bool {
 		n := kills.Add(1)

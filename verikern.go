@@ -217,7 +217,7 @@ func ParetoSweep(ctx context.Context, archIDs []string, seed, ops uint64, worker
 }
 
 // WriteBench serialises a BENCH_*.json artifact document (SoakBench,
-// TightnessBench, ParetoBench, FleetBench, ChaosBench) as indented
+// TightnessBench, ParetoBench, FleetBench) as indented
 // JSON. Map keys are emitted sorted, so the bytes are a pure function
 // of the document.
 func WriteBench(w io.Writer, doc any) error {
