@@ -91,15 +91,15 @@ func collectBaseline(t *testing.T) *baselineDoc {
 		t.Fatalf("SoakReportArch: %v", err)
 	}
 	for _, r := range reps {
-		doc.Soak[r.Label+"/ops"] = r.Ops
-		doc.Soak[r.Label+"/simcycles"] = r.SimCycles
-		doc.Soak[r.Label+"/maxlatency"] = r.MaxLatency
-		doc.Soak[r.Label+"/irq_count"] = r.Snapshot.IRQ.Count
-		doc.Soak[r.Label+"/irq_min"] = r.Snapshot.IRQ.Min
-		doc.Soak[r.Label+"/irq_max"] = r.Snapshot.IRQ.Max
-		doc.Soak[r.Label+"/irq_p99"] = r.Snapshot.IRQ.P99
-		doc.Soak[r.Label+"/bound"] = r.Bound.Cycles
-		doc.Soak[r.Label+"/violations"] = r.Bound.Violations
+		doc.Soak[r.Snapshot.Label+"/ops"] = r.Snapshot.Ops
+		doc.Soak[r.Snapshot.Label+"/simcycles"] = r.Snapshot.SimCycles
+		doc.Soak[r.Snapshot.Label+"/maxlatency"] = r.Snapshot.IRQ.Max
+		doc.Soak[r.Snapshot.Label+"/irq_count"] = r.Snapshot.IRQ.Count
+		doc.Soak[r.Snapshot.Label+"/irq_min"] = r.Snapshot.IRQ.Min
+		doc.Soak[r.Snapshot.Label+"/irq_max"] = r.Snapshot.IRQ.Max
+		doc.Soak[r.Snapshot.Label+"/irq_p99"] = r.Snapshot.IRQ.P99
+		doc.Soak[r.Snapshot.Label+"/bound"] = r.Snapshot.Bound.Cycles
+		doc.Soak[r.Snapshot.Label+"/violations"] = r.Snapshot.Bound.Violations
 	}
 
 	// The pinned modern kernel with invariant checking on, as the

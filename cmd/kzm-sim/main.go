@@ -194,11 +194,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var tracer *obs.Tracer
+	// The tracer's histograms are the demo's one record of the
+	// interrupt-response samples; the event ring matters only to -trace.
+	ringCap := 1
 	if *tracePath != "" {
-		tracer = obs.NewTracer(1 << 16)
-		sys.SetTracer(tracer)
+		ringCap = 1 << 16
 	}
+	tracer := obs.NewTracer(ringCap)
+	sys.SetTracer(tracer)
 
 	adversary, err := sys.CreateThread("adversary", 100)
 	if err != nil {
@@ -210,7 +213,8 @@ func main() {
 		if err := ctx.Err(); err != nil {
 			log.Fatalf("interrupted before %s: %v", name, err)
 		}
-		start := len(sys.Latencies())
+		before := tracer.Latencies()
+		sys.ResetMaxLatency()
 		sys.SetTimer(sys.Now() + *period)
 		if err := fn(); err != nil && *verbose {
 			log.Printf("%s: %v", name, err)
@@ -219,13 +223,8 @@ func main() {
 		// real-time task's release point.
 		sys.Yield()
 		if *verbose {
-			n := len(sys.Latencies()) - start
-			worst := uint64(0)
-			for _, l := range sys.Latencies()[start:] {
-				if l > worst {
-					worst = l
-				}
-			}
+			after := tracer.Latencies()
+			n, worst := after.Count()-before.Count(), sys.MaxLatency()
 			fmt.Printf("  %-28s IRQs=%d worst latency=%d cycles (%.1f µs)\n",
 				name, n, worst, backend.CyclesToMicros(worst))
 		}
@@ -293,13 +292,14 @@ func main() {
 	fmt.Printf("syscalls:      %d (%d restarts, %d preemption points hit)\n",
 		stats.Syscalls, stats.Restarts, stats.Preemptions)
 	fmt.Printf("IRQs serviced: %d\n", stats.IRQsServiced)
-	fmt.Printf("latency:       %s\n", measure.Summarize(sys.Latencies()))
+	lat := tracer.Latencies()
+	fmt.Printf("latency:       %s\n", measure.SummarizeHistogram(&lat).Text(backend))
 	if err := sys.InvariantFailure(); err != nil {
 		log.Fatalf("INVARIANT VIOLATION: %v", err)
 	}
 	fmt.Println("invariants:    all checks passed at every preemption point and kernel exit")
 
-	if tracer != nil {
+	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			log.Fatal(err)

@@ -38,15 +38,15 @@ func TestCVA6RTEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatalf("soak pp=%v pin=%v: %v", pp, pin, err)
 			}
-			if rep.Bound.Cycles == 0 {
+			if rep.Snapshot.Bound.Cycles == 0 {
 				t.Fatalf("soak pp=%v pin=%v: no bound resolved", pp, pin)
 			}
-			if rep.Bound.Violations != 0 {
+			if rep.Snapshot.Bound.Violations != 0 {
 				t.Errorf("soak pp=%v pin=%v: %d samples over the %d-cycle bound (max %d)",
-					pp, pin, rep.Bound.Violations, rep.Bound.Cycles, rep.MaxLatency)
+					pp, pin, rep.Snapshot.Bound.Violations, rep.Snapshot.Bound.Cycles, rep.Snapshot.IRQ.Max)
 			}
-			if rep.Arch != arch.CVA6RTID {
-				t.Errorf("soak pp=%v pin=%v: report arch %q", pp, pin, rep.Arch)
+			if rep.Snapshot.Arch != arch.CVA6RTID {
+				t.Errorf("soak pp=%v pin=%v: report arch %q", pp, pin, rep.Snapshot.Arch)
 			}
 
 			prep, err := probe.Run(ctx, probe.Config{

@@ -147,7 +147,9 @@ type Kernel struct {
 	// tick source); zero means one-shot.
 	timerPeriod uint64
 
-	latencies  []uint64
+	// maxLatency is the worst interrupt-response latency since boot or
+	// the last ResetMaxLatency; the kernel keeps no sample list (the
+	// tracer's histograms hold the distribution).
 	maxLatency uint64
 
 	// irqHandlerNtfn, when set, receives a signal on every serviced
@@ -261,11 +263,13 @@ func (k *Kernel) Scheduler() sched.Scheduler { return k.sched }
 // correct kernel keeps this empty.
 func (k *Kernel) Violations() []invariant.Violation { return k.violations }
 
-// Latencies returns all recorded interrupt-response latencies.
-func (k *Kernel) Latencies() []uint64 { return k.latencies }
-
-// MaxLatency returns the worst recorded interrupt-response latency.
+// MaxLatency returns the worst interrupt-response latency recorded
+// since boot or the last ResetMaxLatency.
 func (k *Kernel) MaxLatency() uint64 { return k.maxLatency }
+
+// ResetMaxLatency restarts the MaxLatency window, so a caller can read
+// the worst sample of one phase or probe evaluation.
+func (k *Kernel) ResetMaxLatency() { k.maxLatency = 0 }
 
 // --- IRQ model ---
 
@@ -338,7 +342,6 @@ func (k *Kernel) serviceIRQ() {
 	k.clock.Advance(CostIRQPath)
 	lat := k.clock.Now() - k.irqRaisedAt
 	k.tracer.Emit(obs.KindIRQService, k.clock.Now(), lat, 0)
-	k.latencies = append(k.latencies, lat)
 	if lat > k.maxLatency {
 		k.maxLatency = lat
 	}

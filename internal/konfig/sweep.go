@@ -239,15 +239,16 @@ func Sweep(ctx context.Context, c *wcet.Cache, sp Space, seed, ops uint64, worke
 		if err != nil {
 			return fmt.Errorf("konfig: soaking %s: %w", p.Hash(), err)
 		}
+		snap := rep.Snapshot
 		results[i] = SweepResult{
 			Konfig:               p.Hash(),
 			Keys:                 p.Assignments(),
 			WCET:                 an.wcet,
 			BoundCycles:          an.bound,
-			SimCycles:            rep.SimCycles,
-			Ops:                  rep.Ops,
-			ThroughputOpsPerMcyc: float64(rep.Ops) * 1e6 / float64(rep.SimCycles),
-			Violations:           rep.Bound.Violations,
+			SimCycles:            snap.SimCycles,
+			Ops:                  snap.Ops,
+			ThroughputOpsPerMcyc: float64(snap.Ops) * 1e6 / float64(snap.SimCycles),
+			Violations:           snap.Bound.Violations,
 		}
 		return nil
 	})

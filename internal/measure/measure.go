@@ -170,21 +170,8 @@ type Summary struct {
 	Mean          float64
 }
 
-// Summarize computes a distribution digest of the samples by folding
-// them through an obs.Histogram — one digest type across the
-// measurement and observability layers, where this package previously
-// reported exact sorted percentiles and obs reported bucketed ones.
-// An empty input yields a zero Summary.
-func Summarize(samples []uint64) Summary {
-	var h obs.Histogram
-	for _, s := range samples {
-		h.Record(s)
-	}
-	return SummarizeHistogram(&h)
-}
-
-// SummarizeHistogram digests an already-populated histogram — the
-// zero-copy path for tracer and soak-pool histograms.
+// SummarizeHistogram digests a tracer or soak-pool histogram. An empty
+// histogram yields a zero Summary.
 func SummarizeHistogram(h *obs.Histogram) Summary {
 	if h.Count() == 0 {
 		return Summary{}
@@ -200,11 +187,12 @@ func SummarizeHistogram(h *obs.Histogram) Summary {
 	}
 }
 
-// String renders the digest on the 532 MHz clock.
-func (s Summary) String() string {
+// Text renders the digest, with the maximum also in microseconds on
+// the backend's clock.
+func (s Summary) Text(b *arch.Backend) string {
 	if s.Count == 0 {
 		return "no samples"
 	}
 	return fmt.Sprintf("n=%d min=%d p50=%d p90=%d p99=%d max=%d cycles (max %.1f µs)",
-		s.Count, s.Min, s.P50, s.P90, s.P99, s.Max, arch.CyclesToMicros(s.Max))
+		s.Count, s.Min, s.P50, s.P90, s.P99, s.Max, b.CyclesToMicros(s.Max))
 }

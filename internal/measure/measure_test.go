@@ -74,14 +74,14 @@ func TestObserveDefaultsRuns(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	if s := Summarize(nil); s.Count != 0 || s.String() != "no samples" {
+	if s := SummarizeHistogram(&obs.Histogram{}); s.Count != 0 || s.Text(arch.ARM1136) != "no samples" {
 		t.Errorf("empty summary: %+v", s)
 	}
-	samples := make([]uint64, 100)
-	for i := range samples {
-		samples[i] = uint64(i + 1) // 1..100
+	var h obs.Histogram
+	for i := 1; i <= 100; i++ {
+		h.Record(uint64(i))
 	}
-	s := Summarize(samples)
+	s := SummarizeHistogram(&h)
 	if s.Min != 1 || s.Max != 100 || s.Count != 100 {
 		t.Errorf("summary %+v", s)
 	}
@@ -99,35 +99,47 @@ func TestSummarize(t *testing.T) {
 	if s.Mean != 50.5 {
 		t.Errorf("mean %v", s.Mean)
 	}
-	if !strings.Contains(s.String(), "max=100") {
-		t.Errorf("String() = %q", s.String())
+	if !strings.Contains(s.Text(arch.ARM1136), "max=100") {
+		t.Errorf("Text() = %q", s.Text(arch.ARM1136))
 	}
-	// Input must not be mutated.
-	if samples[0] != 1 || samples[99] != 100 {
-		t.Error("Summarize mutated its input")
+	var shuffled obs.Histogram
+	for _, v := range []uint64{5, 1, 3, 2, 4} {
+		shuffled.Record(v)
 	}
-	shuffled := []uint64{5, 1, 3, 2, 4}
-	if got := Summarize(shuffled); got.P50 < 3 || got.Min != 1 || got.Max != 5 {
+	if got := SummarizeHistogram(&shuffled); got.P50 < 3 || got.Min != 1 || got.Max != 5 {
 		t.Errorf("unsorted input summary %+v", got)
 	}
 }
 
-// TestSummarizeMatchesHistogram pins the rebase invariant: Summarize
-// over raw samples and SummarizeHistogram over the equivalent
-// histogram are the same digest, and both agree with obs.Histogram's
-// own accessors — the exact-percentile vs bucketed-quantile split the
-// two packages used to have is gone.
-func TestSummarizeMatchesHistogram(t *testing.T) {
-	samples := []uint64{3, 17, 90, 1500, 1500, 65536, 7}
+// TestSummaryTextBackendClock: the microsecond figure uses the
+// backend's clock, so 3631 cycles read 6.8 µs at the ARM1136's 532 MHz
+// and 3.6 µs at the CVA6-RT's 1 GHz.
+func TestSummaryTextBackendClock(t *testing.T) {
 	var h obs.Histogram
-	for _, v := range samples {
+	h.Record(1555)
+	h.Record(3631)
+	s := SummarizeHistogram(&h)
+	for _, c := range []struct {
+		b    *arch.Backend
+		want string
+	}{{arch.ARM1136, "(max 6.8 µs)"}, {arch.CVA6RT, "(max 3.6 µs)"}} {
+		if got := s.Text(c.b); !strings.HasSuffix(got, "max=3631 cycles "+c.want) {
+			t.Errorf("%s: %q, want it to end %q", c.b.ID, got, "max=3631 cycles "+c.want)
+		}
+	}
+}
+
+// TestSummarizeMatchesHistogram pins that the digest agrees with
+// obs.Histogram's own accessors: the exact-percentile vs
+// bucketed-quantile split the two packages used to have is gone.
+func TestSummarizeMatchesHistogram(t *testing.T) {
+	var h obs.Histogram
+	for _, v := range []uint64{3, 17, 90, 1500, 1500, 65536, 7} {
 		h.Record(v)
 	}
-	a, b := Summarize(samples), SummarizeHistogram(&h)
-	if a != b {
-		t.Fatalf("Summarize %+v != SummarizeHistogram %+v", a, b)
-	}
-	if a.P99 != h.Quantile(0.99) || a.Max != h.Max() || a.Mean != h.Mean() {
+	a := SummarizeHistogram(&h)
+	if a.P50 != h.Quantile(0.50) || a.P90 != h.Quantile(0.90) || a.P99 != h.Quantile(0.99) ||
+		a.Min != h.Min() || a.Max != h.Max() || a.Mean != h.Mean() || uint64(a.Count) != h.Count() {
 		t.Errorf("digest disagrees with histogram: %+v", a)
 	}
 }

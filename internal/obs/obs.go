@@ -139,7 +139,6 @@ type Tracer struct {
 	buf     []Event
 	emitted uint64 // total events ever emitted
 	counts  [numKinds]uint64
-	lat     Histogram // interrupt-response latencies (KindIRQService)
 
 	// op is the operation tag stamped on emitted events. It is
 	// atomic so the kernel can bracket every system call without
@@ -149,8 +148,9 @@ type Tracer struct {
 	// raiseOp is the tag latched by the most recent irq-raise, which
 	// attributes the next irq-service sample.
 	raiseOp Op
-	// srcLat holds one latency histogram per operation tag; the
-	// array is preallocated so attribution never allocates.
+	// srcLat holds one latency histogram per operation tag: the one
+	// record of every interrupt-response sample (KindIRQService's
+	// Arg1). The array is preallocated so attribution never allocates.
 	srcLat [numOps]Histogram
 	// onSample, when set, receives every interrupt-response sample
 	// as it is recorded (the bound sentinel's live feed). It is
@@ -193,7 +193,6 @@ func (t *Tracer) Emit(kind Kind, ts, arg1, arg2 uint64) {
 	var fire func(Sample)
 	var s Sample
 	if kind == KindIRQService {
-		t.lat.Record(arg1)
 		t.srcLat[t.raiseOp].Record(arg1)
 		s = Sample{TS: ts, Latency: arg1, Source: t.raiseOp}
 		fire = t.onSample
@@ -344,15 +343,23 @@ func (t *Tracer) AppendSourceLatencies(dst []SourceLatency) []SourceLatency {
 	return dst
 }
 
-// Latencies returns a snapshot of the interrupt-response latency
-// histogram, fed by every KindIRQService event's Arg1.
+// Latencies returns the all-sources interrupt-response latency
+// histogram: the exact merge of the per-source histograms.
 func (t *Tracer) Latencies() Histogram {
 	if t == nil {
 		return Histogram{}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.lat
+	return t.latenciesLocked()
+}
+
+func (t *Tracer) latenciesLocked() Histogram {
+	var h Histogram
+	for op := range t.srcLat {
+		h.Merge(&t.srcLat[op])
+	}
+	return h
 }
 
 // Summary renders a one-line-per-kind plain-text digest: event counts
@@ -364,7 +371,7 @@ func (t *Tracer) Summary() string {
 	t.mu.Lock()
 	counts := t.counts
 	emitted := t.emitted
-	lat := t.lat
+	lat := t.latenciesLocked()
 	t.mu.Unlock()
 
 	var b strings.Builder

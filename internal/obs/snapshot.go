@@ -145,11 +145,9 @@ func (s *Snapshot) AddTracer(t *Tracer) {
 			s.EventCounts[k.String()] += c
 		}
 	}
-	lat := t.Latencies()
-	s.irqHist.Merge(&lat)
 	for _, sl := range t.SourceLatencies() {
-		h := sl.Hist
-		s.srcHist[sl.Source].Merge(&h)
+		s.irqHist.Merge(&sl.Hist)
+		s.srcHist[sl.Source].Merge(&sl.Hist)
 	}
 	s.refreshDigests()
 }

@@ -212,7 +212,7 @@ func (s *kernelSearch) eval(g genome) (uint64, error) {
 		TimerPhase:  g.Phase,
 		DecodeDepth: g.DecodeDepth,
 	})
-	before := len(k.Latencies())
+	k.ResetMaxLatency()
 	s.rn.ArmTimer(g.Phase)
 	opErr := s.rn.RunOp(g.Op)
 	for _, w := range pool {
@@ -236,13 +236,7 @@ func (s *kernelSearch) eval(g genome) (uint64, error) {
 	if err := k.InvariantFailure(); err != nil {
 		return 0, err
 	}
-	var fit uint64
-	for _, l := range k.Latencies()[before:] {
-		if l > fit {
-			fit = l
-		}
-	}
-	return fit, nil
+	return k.MaxLatency(), nil
 }
 
 // random draws a fresh genome.

@@ -1,6 +1,9 @@
 package soak
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // maxVSpaceAllocs bounds the heap allocations of one OpVSpace in the
 // steady state. The op makes three CreateObjects calls, each
@@ -9,9 +12,14 @@ import "testing"
 // leaves: 15 allocations in all today.
 const maxVSpaceAllocs = 20
 
+// steadyOps is the length of the long warm IPC run whose mallocs are
+// counted directly.
+const steadyOps = 20_000
+
 // TestSteadyStateAllocs guards the allocation-free kernel hot path:
 // once a runner is warm, an IPC rendezvous and a reply-receive round
-// allocate nothing on the host, interrupts included. Building and
+// allocate nothing on the host, interrupts included, not even
+// amortised over a long run. Building and
 // tearing down an address space must still allocate (the objects are
 // new), but only a bounded amount.
 func TestSteadyStateAllocs(t *testing.T) {
@@ -22,8 +30,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm up every op kind so lazily grown state (sample rings,
-	// latency slices, scheduler queues) reaches its working size.
+	// Warm up every op kind so lazily grown state (the tracer's event
+	// ring, scheduler queues) reaches its working size.
 	if err := r.Step(2000); err != nil {
 		t.Fatal(err)
 	}
@@ -32,14 +40,15 @@ func TestSteadyStateAllocs(t *testing.T) {
 	// interrupt path (and, in OpVSpace, preempted and restarted
 	// calls).
 	phase := uint64(0)
+	op := func(kind OpKind) {
+		phase = (phase + 337) % 3000
+		r.ArmTimer(100 + phase)
+		if err := r.RunOp(kind); err != nil {
+			t.Fatal(err)
+		}
+	}
 	run := func(kind OpKind) float64 {
-		return testing.AllocsPerRun(200, func() {
-			phase = (phase + 337) % 3000
-			r.ArmTimer(100 + phase)
-			if err := r.RunOp(kind); err != nil {
-				t.Fatal(err)
-			}
-		})
+		return testing.AllocsPerRun(200, func() { op(kind) })
 	}
 	for _, kind := range []OpKind{OpIPC, OpReplyRecv} {
 		before := r.Kernel().Stats().IRQsServiced
@@ -49,6 +58,26 @@ func TestSteadyStateAllocs(t *testing.T) {
 			t.Errorf("%v: %v allocs per op after warm-up, want 0", kind, got)
 		}
 	}
+	// AllocsPerRun rounds amortised growth (a slice appended per
+	// interrupt, reallocated every few thousand) down to zero, so a
+	// long run counts mallocs directly.
+	var m0, m1 runtime.MemStats
+	irqs := r.Kernel().Stats().IRQsServiced
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < steadyOps; i++ {
+		op([2]OpKind{OpIPC, OpReplyRecv}[i%2])
+	}
+	runtime.ReadMemStats(&m1)
+	irqs = r.Kernel().Stats().IRQsServiced - irqs
+	t.Logf("%d IPC/reply-receive ops: %d mallocs (%d bytes), %d IRQs serviced",
+		steadyOps, m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc, irqs)
+	if m1.Mallocs != m0.Mallocs {
+		t.Errorf("%d warm IPC/reply-receive ops made %d allocations, want 0", steadyOps, m1.Mallocs-m0.Mallocs)
+	}
+	if irqs == 0 {
+		t.Error("the long run serviced no interrupts")
+	}
+
 	before := r.Kernel().Stats().Preemptions
 	got := run(OpVSpace)
 	t.Logf("%v: %v allocs/op, %d preemptions", OpVSpace, got, r.Kernel().Stats().Preemptions-before)

@@ -33,27 +33,24 @@ func TestSoakArchDistinctStreams(t *testing.T) {
 	armRep := run("")
 	cvaRep := run(arch.CVA6RTID)
 
-	if armRep.Arch != arch.ARM1136ID {
-		t.Errorf("default soak reported arch %q, want %q", armRep.Arch, arch.ARM1136ID)
+	if armRep.Snapshot.Arch != arch.ARM1136ID {
+		t.Errorf("default soak reported arch %q, want %q", armRep.Snapshot.Arch, arch.ARM1136ID)
 	}
-	if cvaRep.Arch != arch.CVA6RTID {
-		t.Errorf("cva6rt soak reported arch %q, want %q", cvaRep.Arch, arch.CVA6RTID)
-	}
-	if armRep.Snapshot.Arch != armRep.Arch || cvaRep.Snapshot.Arch != cvaRep.Arch {
-		t.Error("snapshot arch field does not match the report's")
+	if cvaRep.Snapshot.Arch != arch.CVA6RTID {
+		t.Errorf("cva6rt soak reported arch %q, want %q", cvaRep.Snapshot.Arch, arch.CVA6RTID)
 	}
 	// Same seed, same op count — but the per-worker streams must
 	// differ. Event-kind counts are a whole-run digest of the stream.
 	if reflect.DeepEqual(armRep.Snapshot.EventCounts, cvaRep.Snapshot.EventCounts) &&
-		armRep.SimCycles == cvaRep.SimCycles {
+		armRep.Snapshot.SimCycles == cvaRep.Snapshot.SimCycles {
 		t.Fatalf("arm1136 and cva6rt soaks replayed an identical op stream (events %v, %d sim cycles)",
-			armRep.Snapshot.EventCounts, armRep.SimCycles)
+			armRep.Snapshot.EventCounts, armRep.Snapshot.SimCycles)
 	}
 	// And the arm1136 run must be byte-identical to a pre-backend one:
 	// the zero-arch config re-run reproduces itself exactly.
 	again := run(arch.ARM1136ID)
 	if !reflect.DeepEqual(armRep.Snapshot.EventCounts, again.Snapshot.EventCounts) ||
-		armRep.MaxLatency != again.MaxLatency || armRep.SimCycles != again.SimCycles {
+		armRep.Snapshot.IRQ.Max != again.Snapshot.IRQ.Max || armRep.Snapshot.SimCycles != again.Snapshot.SimCycles {
 		t.Fatal(`soak with Arch:"" and Arch:"arm1136" disagree; the default backend must be a pure alias`)
 	}
 }

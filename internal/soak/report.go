@@ -3,6 +3,7 @@ package soak
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -12,45 +13,31 @@ import (
 )
 
 // Report is the outcome of one soak run: the merged observability
-// snapshot (event counts, overall and per-source latency digests,
-// sentinel status) plus the flight-recorder captures.
+// snapshot (identity, op and cycle totals, event counts, overall and
+// per-source latency digests, sentinel status) plus the
+// flight-recorder captures.
 type Report struct {
-	// Label, Arch, Seed, Workers and Ops echo the configuration
-	// actually run (Arch resolved to the backend id, never empty).
-	Label   string
-	Arch    string
-	Seed    uint64
-	Workers int
-	Ops     uint64
-	// SimCycles is the simulated time consumed, summed across
-	// workers.
-	SimCycles uint64
-	// MaxLatency is the worst interrupt-response latency observed.
-	MaxLatency uint64
-	// Bound is the sentinel's merged verdict.
-	Bound obs.BoundStatus
+	// Snapshot is the merged exposition document. Its IRQ.Max is the
+	// worst interrupt-response latency observed and its Bound the
+	// sentinel's merged verdict.
+	Snapshot *obs.Snapshot
 	// Captures are the flight-recorder dumps, in worker order.
 	Captures []Capture
-	// Snapshot is the merged exposition document (per-source digests,
-	// Prometheus rendering).
-	Snapshot *obs.Snapshot
 }
-
-// Sources returns the per-source latency digests.
-func (r *Report) Sources() []obs.LatencyDigest { return r.Snapshot.SourceDigests() }
 
 // String renders a compact human summary.
 func (r *Report) String() string {
+	s := r.Snapshot
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %d ops, %d workers, seed %d\n", r.Label, r.Ops, r.Workers, r.Seed)
+	fmt.Fprintf(&b, "%s: %d ops, %d workers, seed %d\n", s.Label, s.Ops, s.Workers, s.Seed)
 	fmt.Fprintf(&b, "  irq samples %d, max %d cycles (%.1f µs)",
-		r.Snapshot.IRQ.Count, r.MaxLatency, arch.MustLookup(r.Arch).CyclesToMicros(r.MaxLatency))
-	if r.Bound.Cycles > 0 {
+		s.IRQ.Count, s.IRQ.Max, arch.MustLookup(s.Arch).CyclesToMicros(s.IRQ.Max))
+	if bd := s.Bound; bd != nil && bd.Cycles > 0 {
 		fmt.Fprintf(&b, ", bound %d: %d violations, %d near-max, %d captures",
-			r.Bound.Cycles, r.Bound.Violations, r.Bound.NearMax, r.Bound.Captures)
+			bd.Cycles, bd.Violations, bd.NearMax, bd.Captures)
 	}
 	b.WriteString("\n")
-	for _, d := range r.Sources() {
+	for _, d := range s.Sources {
 		fmt.Fprintf(&b, "  %-14s n=%-7d p50<=%-8d p99<=%-8d max=%d\n",
 			d.Source, d.Count, d.P50, d.P99, d.Max)
 	}
@@ -61,27 +48,18 @@ func (r *Report) String() string {
 // index order so the result is deterministic regardless of goroutine
 // scheduling.
 func report(cfg Config, runners []*Runner) *Report {
-	backend := arch.MustLookup(cfg.Arch)
 	snap := obs.NewSnapshot()
 	snap.Label = cfg.Label
-	snap.Arch = backend.ID
+	snap.Arch = arch.MustLookup(cfg.Arch).ID
 	snap.Config = cfg.ConfigKey
 	snap.Seed = cfg.Seed
 	snap.Workers = len(runners)
-	r := &Report{
-		Label:   cfg.Label,
-		Arch:    backend.ID,
-		Seed:    cfg.Seed,
-		Workers: len(runners),
-	}
 	bound := obs.BoundStatus{Cycles: cfg.BoundCycles, MarginPercent: cfg.MarginPercent}
+	r := &Report{Snapshot: snap}
 	for _, rn := range runners {
 		snap.AddTracer(rn.tracer)
-		r.Ops += rn.ops
-		r.SimCycles += rn.k.Now()
-		if m := rn.k.MaxLatency(); m > r.MaxLatency {
-			r.MaxLatency = m
-		}
+		snap.Ops += rn.ops
+		snap.SimCycles += rn.k.Now()
 		st := rn.sent.status()
 		bound.Violations += st.Violations
 		bound.NearMax += st.NearMax
@@ -90,11 +68,7 @@ func report(cfg Config, runners []*Runner) *Report {
 		// capture time); the merge just concatenates in worker order.
 		r.Captures = append(r.Captures, rn.sent.captures...)
 	}
-	snap.Ops = r.Ops
-	snap.SimCycles = r.SimCycles
 	snap.Bound = &bound
-	r.Bound = bound
-	r.Snapshot = snap
 	return r
 }
 
@@ -139,97 +113,67 @@ func resolve(ctx context.Context, cfg Config) (Config, error) {
 // operation chunks; the partial report is returned alongside the
 // context error.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	cfg, err := resolve(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	runners := make([]*Runner, cfg.Workers)
-	for i := range runners {
-		rn, err := NewRunner(cfg, i)
-		if err != nil {
-			return nil, err
-		}
-		runners[i] = rn
-	}
-
-	// Split the op budget; earlier workers absorb the remainder.
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Workers)
-	for i, rn := range runners {
-		budget := ShardBudget(cfg.Ops, cfg.Workers, i)
-		wg.Add(1)
-		go func(i int, rn *Runner, budget uint64) {
-			defer wg.Done()
-			for rn.ops < budget {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					return
-				}
-				n := budget - rn.ops
-				if n > stepChunk {
-					n = stepChunk
-				}
-				if err := rn.Step(int(n)); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-		}(i, rn, budget)
-	}
-	wg.Wait()
-
-	rep := report(cfg, runners)
-	for _, err := range errs {
-		if err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
+	rep, _, err := run(ctx, cfg, 0)
+	return rep, err
 }
 
 // RunFor is Run under a wall-clock budget instead of an op budget:
-// workers step until the deadline (or cancellation), so the op count
-// is whatever the host machine managed — the interactive `kzm-sim
-// -soak 2s` mode. The per-worker operation *sequences* are still
-// seeded and deterministic; only how far each sequence gets depends on
-// the wall clock.
+// workers step until the deadline (or cancellation, which here is a
+// deliberate stop, not an error), so the op count is whatever the host
+// machine managed — the interactive `kzm-sim -soak 2s` mode. The
+// per-worker operation *sequences* are still seeded and deterministic;
+// only how far each sequence gets depends on the wall clock.
 func RunFor(ctx context.Context, cfg Config, wall time.Duration) (*Report, error) {
+	rep, _, err := run(ctx, cfg, wall)
+	return rep, err
+}
+
+// run is the one soak loop: with wall == 0 each worker steps its
+// ShardBudget share of cfg.Ops, otherwise it steps until a deadline
+// wall after boot (the bound analysis in resolve does not eat the
+// budget). The runners come back with the report so tests can check
+// the merge against them.
+func run(ctx context.Context, cfg Config, wall time.Duration) (*Report, []*Runner, error) {
 	cfg, err := resolve(ctx, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	runners := make([]*Runner, cfg.Workers)
 	for i := range runners {
-		rn, err := NewRunner(cfg, i)
-		if err != nil {
-			return nil, err
+		if runners[i], err = NewRunner(cfg, i); err != nil {
+			return nil, nil, err
 		}
-		runners[i] = rn
 	}
 	deadline := time.Now().Add(wall)
+	errs := make([]error, len(runners))
 	var wg sync.WaitGroup
-	errs := make([]error, cfg.Workers)
 	for i, rn := range runners {
+		budget := ShardBudget(cfg.Ops, cfg.Workers, i)
+		if wall > 0 {
+			budget = math.MaxUint64
+		}
 		wg.Add(1)
-		go func(i int, rn *Runner) {
+		go func() {
 			defer wg.Done()
-			for time.Now().Before(deadline) {
-				if ctx.Err() != nil {
-					return // deliberate stop, not an error
+			for rn.ops < budget && (wall == 0 || time.Now().Before(deadline)) {
+				if err := ctx.Err(); err != nil {
+					if wall == 0 {
+						errs[i] = err
+					}
+					return
 				}
-				if err := rn.Step(stepChunk); err != nil {
-					errs[i] = err
+				if errs[i] = rn.Step(int(min(budget-rn.ops, stepChunk))); errs[i] != nil {
 					return
 				}
 			}
-		}(i, rn)
+		}()
 	}
 	wg.Wait()
 	rep := report(cfg, runners)
 	for _, err := range errs {
 		if err != nil {
-			return rep, err
+			return rep, runners, err
 		}
 	}
-	return rep, nil
+	return rep, runners, nil
 }

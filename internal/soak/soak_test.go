@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"testing"
+	"time"
 
 	"verikern/internal/kernel"
 )
@@ -35,20 +36,20 @@ func TestSoakSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Label, err)
 		}
-		if rep.Ops != cfg.Ops {
-			t.Errorf("%s: ran %d ops, want %d", cfg.Label, rep.Ops, cfg.Ops)
+		if rep.Snapshot.Ops != cfg.Ops {
+			t.Errorf("%s: ran %d ops, want %d", cfg.Label, rep.Snapshot.Ops, cfg.Ops)
 		}
-		if rep.Bound.Cycles == 0 {
+		if rep.Snapshot.Bound.Cycles == 0 {
 			t.Fatalf("%s: no WCET bound resolved", cfg.Label)
 		}
-		if rep.Bound.Violations != 0 {
+		if rep.Snapshot.Bound.Violations != 0 {
 			t.Errorf("%s: %d bound violations (bound %d, max %d); captures: %+v",
-				cfg.Label, rep.Bound.Violations, rep.Bound.Cycles, rep.MaxLatency, rep.Captures)
+				cfg.Label, rep.Snapshot.Bound.Violations, rep.Snapshot.Bound.Cycles, rep.Snapshot.IRQ.Max, rep.Captures)
 		}
-		if rep.MaxLatency == 0 || rep.MaxLatency > rep.Bound.Cycles {
-			t.Errorf("%s: max latency %d vs bound %d", cfg.Label, rep.MaxLatency, rep.Bound.Cycles)
+		if rep.Snapshot.IRQ.Max == 0 || rep.Snapshot.IRQ.Max > rep.Snapshot.Bound.Cycles {
+			t.Errorf("%s: max latency %d vs bound %d", cfg.Label, rep.Snapshot.IRQ.Max, rep.Snapshot.Bound.Cycles)
 		}
-		srcs := rep.Sources()
+		srcs := rep.Snapshot.Sources
 		if len(srcs) < 4 {
 			t.Errorf("%s: only %d attributed sources: %+v", cfg.Label, len(srcs), srcs)
 		}
@@ -75,13 +76,13 @@ func TestSoakOriginalConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Bound.Violations != 0 {
-		t.Errorf("lazy config violated its own bound %d (max %d)", rep.Bound.Cycles, rep.MaxLatency)
+	if rep.Snapshot.Bound.Violations != 0 {
+		t.Errorf("lazy config violated its own bound %d (max %d)", rep.Snapshot.Bound.Cycles, rep.Snapshot.IRQ.Max)
 	}
 	// The 64 KiB non-preemptible clear dominates: the observed worst
 	// case must dwarf the modern kernel's ~13k-cycle ceiling.
-	if rep.MaxLatency < 100_000 {
-		t.Errorf("original kernel max latency %d suspiciously low", rep.MaxLatency)
+	if rep.Snapshot.IRQ.Max < 100_000 {
+		t.Errorf("original kernel max latency %d suspiciously low", rep.Snapshot.IRQ.Max)
 	}
 }
 
@@ -151,7 +152,7 @@ func TestSoakFlightRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Bound.Violations == 0 {
+	if rep.Snapshot.Bound.Violations == 0 {
 		t.Fatal("injected 1-cycle bound produced no violations")
 	}
 	if len(rep.Captures) == 0 {
@@ -177,8 +178,8 @@ func TestSoakFlightRecorder(t *testing.T) {
 			t.Errorf("capture %d trailing event TS %d is past the sample TS %d", i, last.TS, c.Sample.TS)
 		}
 	}
-	if rep.Bound.Captures != uint64(len(rep.Captures)) {
-		t.Errorf("status captures %d != %d", rep.Bound.Captures, len(rep.Captures))
+	if rep.Snapshot.Bound.Captures != uint64(len(rep.Captures)) {
+		t.Errorf("status captures %d != %d", rep.Snapshot.Bound.Captures, len(rep.Captures))
 	}
 }
 
@@ -241,8 +242,8 @@ func TestSoakInvariantsOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Ops != 300 {
-		t.Errorf("ran %d ops", rep.Ops)
+	if rep.Snapshot.Ops != 300 {
+		t.Errorf("ran %d ops", rep.Snapshot.Ops)
 	}
 }
 
@@ -257,8 +258,35 @@ func TestSoakCancel(t *testing.T) {
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if rep == nil || rep.Ops >= cfg.Ops {
+	if rep == nil || rep.Snapshot.Ops >= cfg.Ops {
 		t.Errorf("expected a partial report, got %+v", rep)
+	}
+}
+
+// TestRunForWallBudget: a wall budget ends without error after some
+// ops, the snapshot's op total is the sum of the workers' counts, and
+// a cancelled context is a deliberate stop rather than an error.
+func TestRunForWallBudget(t *testing.T) {
+	cfg := modernCfg("wall", false)
+	cfg.BoundCycles = 142_957
+	rep, runners, err := run(context.Background(), cfg, 20*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum uint64
+	for _, rn := range runners {
+		sum += rn.Ops()
+	}
+	if rep.Snapshot.Ops == 0 || rep.Snapshot.Ops != sum {
+		t.Errorf("snapshot ops %d, workers ran %d in total", rep.Snapshot.Ops, sum)
+	}
+	if rep.Snapshot.Workers != cfg.Workers || len(runners) != cfg.Workers {
+		t.Errorf("%d workers in the snapshot, %d runners, want %d", rep.Snapshot.Workers, len(runners), cfg.Workers)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if rep, err = RunFor(ctx, cfg, time.Minute); err != nil || rep.Snapshot.Ops != 0 {
+		t.Errorf("cancelled wall budget: err %v, %d ops; want a clean stop with 0 ops", err, rep.Snapshot.Ops)
 	}
 }
 

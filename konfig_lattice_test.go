@@ -111,15 +111,15 @@ func TestLatticeMatchesLegacyMatrix(t *testing.T) {
 				t.Fatalf("soak %s: %v", np.Name, err)
 			}
 			got := map[string]uint64{
-				np.Name + "/ops":        rep.Ops,
-				np.Name + "/simcycles":  rep.SimCycles,
-				np.Name + "/maxlatency": rep.MaxLatency,
+				np.Name + "/ops":        rep.Snapshot.Ops,
+				np.Name + "/simcycles":  rep.Snapshot.SimCycles,
+				np.Name + "/maxlatency": rep.Snapshot.IRQ.Max,
 				np.Name + "/irq_count":  rep.Snapshot.IRQ.Count,
 				np.Name + "/irq_min":    rep.Snapshot.IRQ.Min,
 				np.Name + "/irq_max":    rep.Snapshot.IRQ.Max,
 				np.Name + "/irq_p99":    rep.Snapshot.IRQ.P99,
-				np.Name + "/bound":      rep.Bound.Cycles,
-				np.Name + "/violations": rep.Bound.Violations,
+				np.Name + "/bound":      rep.Snapshot.Bound.Cycles,
+				np.Name + "/violations": rep.Snapshot.Bound.Violations,
 			}
 			for k, g := range got {
 				if w, ok := golden.Soak[k]; !ok {

@@ -88,9 +88,9 @@ func TestTightnessMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probeMax <= passive.MaxLatency {
+	if probeMax <= passive.Snapshot.IRQ.Max {
 		t.Errorf("directed search (%d cycles) did not beat the passive soak (%d cycles) at the same budget",
-			probeMax, passive.MaxLatency)
+			probeMax, passive.Snapshot.IRQ.Max)
 	}
 
 	// 3. The artifact is deterministic and round-trips.

@@ -26,28 +26,28 @@ func TestSoakReportMatrix(t *testing.T) {
 		t.Fatalf("got %d reports for %d configs", len(reps), len(cfgs))
 	}
 	for i, r := range reps {
-		if r.Label != cfgs[i].Name {
-			t.Errorf("report %d label %q, want %q", i, r.Label, cfgs[i].Name)
+		if r.Snapshot.Label != cfgs[i].Name {
+			t.Errorf("report %d label %q, want %q", i, r.Snapshot.Label, cfgs[i].Name)
 		}
-		if r.Ops != ops {
-			t.Errorf("%s: ran %d ops, want %d", r.Label, r.Ops, ops)
+		if r.Snapshot.Ops != ops {
+			t.Errorf("%s: ran %d ops, want %d", r.Snapshot.Label, r.Snapshot.Ops, ops)
 		}
-		if r.Bound.Cycles == 0 {
-			t.Errorf("%s: no WCET bound resolved", r.Label)
+		if r.Snapshot.Bound.Cycles == 0 {
+			t.Errorf("%s: no WCET bound resolved", r.Snapshot.Label)
 		}
-		if r.Bound.Violations != 0 {
+		if r.Snapshot.Bound.Violations != 0 {
 			t.Errorf("%s: %d violations of bound %d (max %d)",
-				r.Label, r.Bound.Violations, r.Bound.Cycles, r.MaxLatency)
+				r.Snapshot.Label, r.Snapshot.Bound.Violations, r.Snapshot.Bound.Cycles, r.Snapshot.IRQ.Max)
 		}
 	}
 	// The pinned bound is the tightest; the lazy kernel's the loosest.
-	if reps[0].Bound.Cycles >= reps[1].Bound.Cycles {
+	if reps[0].Snapshot.Bound.Cycles >= reps[1].Snapshot.Bound.Cycles {
 		t.Errorf("pinned bound %d not tighter than unpinned %d",
-			reps[0].Bound.Cycles, reps[1].Bound.Cycles)
+			reps[0].Snapshot.Bound.Cycles, reps[1].Snapshot.Bound.Cycles)
 	}
-	if reps[3].Bound.Cycles <= reps[1].Bound.Cycles {
+	if reps[3].Snapshot.Bound.Cycles <= reps[1].Snapshot.Bound.Cycles {
 		t.Errorf("lazy bound %d not looser than modern %d",
-			reps[3].Bound.Cycles, reps[1].Bound.Cycles)
+			reps[3].Snapshot.Bound.Cycles, reps[1].Snapshot.Bound.Cycles)
 	}
 
 	var buf bytes.Buffer
