@@ -566,7 +566,7 @@ func runFleetCoordinator(ctx context.Context, rc fleetRunConfig) {
 		[]string{"-fleet-worker", ln.Addr().String()}, log.Printf)
 	if rc.chaosKills > 0 {
 		go func() {
-			for c.MergedOps() <= spec.Ops/3 {
+			for c.Status().MergedOps <= spec.Ops/3 {
 				select {
 				case <-ctx.Done():
 					return

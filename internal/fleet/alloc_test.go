@@ -66,16 +66,13 @@ func TestMergeReusesScratch(t *testing.T) {
 	c.shards[0].owner = 1
 	c.mu.Unlock()
 
-	var irq, a, b obs.Histogram
+	var a, b obs.Histogram
 	for _, v := range []uint64{900, 1500, 40_000} {
-		irq.Record(v)
 		a.Record(v)
 	}
 	b.Record(7)
-	irq.Record(7)
 	batch := Batch{
 		Shard:       0,
-		IRQ:         irq.State(),
 		Sources:     []SourceDelta{{Op: 1, Hist: a.State()}, {Op: 2, Hist: b.State()}},
 		EventCounts: map[string]uint64{"irq-service": 4},
 	}

@@ -119,7 +119,7 @@ func TestChaosEquivalence(t *testing.T) {
 
 // TestFleetLeaseTimeout checks the reaper: a leased shard whose worker
 // goes silent is reclaimed after LeaseTimeout, counted in
-// fleet.releases, and immediately re-leasable — with the recovery
+// Status.Releases, and immediately re-leasable — with the recovery
 // latency recorded.
 func TestFleetLeaseTimeout(t *testing.T) {
 	sp := fleetSpec(1000, 1)
@@ -140,8 +140,8 @@ func TestFleetLeaseTimeout(t *testing.T) {
 		t.Fatal("no shard leased")
 	}
 	// The worker never streams a batch: the reaper must reclaim.
-	waitCounter(t, c, "fleet.releases", 1)
-	waitCounter(t, c, "fleet.restarts", 1)
+	waitCounter(t, c, "releases", 1)
+	waitCounter(t, c, "restarts", 1)
 
 	successor, as2 := dialHello(t, c)
 	defer successor.Close()
@@ -154,7 +154,7 @@ func TestFleetLeaseTimeout(t *testing.T) {
 	if err := writeMsg(successor, msgBatch, Batch{Shard: 0, FromOps: 0, ToOps: 7}); err != nil {
 		t.Fatal(err)
 	}
-	waitCounter(t, c, "fleet.batches", 1)
+	waitCounter(t, c, "batches", 1)
 
 	st := c.Status()
 	if st.Releases != 1 {
@@ -205,12 +205,12 @@ func TestFleetQuarantine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitCounter(t, c, "fleet.frames_corrupt", 2)
+	waitCounter(t, c, "frames_corrupt", 2)
 	if err := writeMsg(client, msgBatch, Batch{Shard: 0, FromOps: 0, ToOps: 7}); err != nil {
 		t.Fatal(err)
 	}
-	waitCounter(t, c, "fleet.batches", 1)
-	if got := c.Snapshot().Counters["fleet.quarantined"]; got != 0 {
+	waitCounter(t, c, "batches", 1)
+	if got := c.Status().Quarantined; got != 0 {
 		t.Fatalf("quarantined after a reset strike count: %d", got)
 	}
 
@@ -220,9 +220,9 @@ func TestFleetQuarantine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitCounter(t, c, "fleet.frames_corrupt", 5)
-	waitCounter(t, c, "fleet.quarantined", 1)
-	waitCounter(t, c, "fleet.restarts", 1)
+	waitCounter(t, c, "frames_corrupt", 5)
+	waitCounter(t, c, "quarantined", 1)
+	waitCounter(t, c, "restarts", 1)
 
 	st := c.Status()
 	if st.Shards[0].Checkpoint != 7 {

@@ -36,7 +36,7 @@ func TestFleetMixedConfigRefused(t *testing.T) {
 	if err := writeMsg(client, msgBatch, foreign); err != nil {
 		t.Fatal(err)
 	}
-	waitCounter(t, c, "fleet.dropped", 1)
+	waitCounter(t, c, "dropped", 1)
 	if st := c.Status(); st.Shards[0].Checkpoint != 0 {
 		t.Errorf("foreign-config batch moved the checkpoint to %d", st.Shards[0].Checkpoint)
 	}
@@ -46,7 +46,7 @@ func TestFleetMixedConfigRefused(t *testing.T) {
 	if err := writeMsg(client, msgBatch, ok); err != nil {
 		t.Fatal(err)
 	}
-	waitCounter(t, c, "fleet.batches", 1)
+	waitCounter(t, c, "batches", 1)
 	if st := c.Status(); st.Shards[0].Checkpoint != 7 {
 		t.Errorf("checkpoint = %d, want 7", st.Shards[0].Checkpoint)
 	}

@@ -110,7 +110,6 @@ type shardState struct {
 
 // aggregate is the merged observability state across all shards.
 type aggregate struct {
-	irq         obs.Histogram
 	src         []obs.Histogram
 	eventCounts map[string]uint64
 	emitted     uint64
@@ -163,10 +162,10 @@ type Coordinator struct {
 	// reused from batch to batch (merge runs under mu).
 	srcScratch []obs.Histogram
 
-	// Transport health counters (exposed as fleet.* snapshot
-	// counters; excluded from the equivalence digest).
+	// Transport health counters, exposed only through Status
+	// (/fleet.json and the verikern_fleet_* metrics).
 	batches       uint64
-	dropped       uint64 // stale/foreign batches rejected by the checkpoint gate
+	dropped       uint64 // batches refused at admission
 	mergeNS       uint64
 	restarts      uint64
 	retries       uint64 // worker reconnect attempts reported at hello
@@ -336,17 +335,6 @@ func (c *Coordinator) Completed() bool {
 	default:
 		return false
 	}
-}
-
-// MergedOps returns the sum of merged shard checkpoints.
-func (c *Coordinator) MergedOps() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n uint64
-	for _, sh := range c.shards {
-		n += sh.checkpoint
-	}
-	return n
 }
 
 // Serve accepts worker connections until the listener closes.
@@ -589,10 +577,12 @@ func (c *Coordinator) merger() {
 }
 
 // merge applies one batch under the coordinator lock. Batches from a
-// stale lease, or not contiguous with the merged checkpoint, are
-// counted in fleet.dropped and discarded — dropping them is
-// correctness-preserving because the checkpoint only advances on
-// merge, so a successor worker regenerates exactly the dropped window.
+// stale lease, not contiguous with the merged checkpoint, past the
+// shard's budget, from another configuration or with a malformed
+// source delta are counted in Status.Dropped and discarded whole —
+// dropping them is correctness-preserving because the checkpoint only
+// advances on merge, so a successor worker regenerates exactly the
+// dropped window.
 func (c *Coordinator) merge(connID uint64, b Batch) {
 	start := time.Now()
 	c.mu.Lock()
@@ -609,6 +599,12 @@ func (c *Coordinator) merge(connID uint64, b Batch) {
 		c.dropped++
 		return
 	}
+	if b.ToOps > sh.budget {
+		// Merging it would persist a checkpoint that loadState refuses.
+		c.dropped++
+		c.logfSafe("fleet: shard %d: batch ends at op %d past budget %d, refused", b.Shard, b.ToOps, sh.budget)
+		return
+	}
 	if b.Config != c.spec.ConfigKey {
 		// A delta observed under a different konfig lattice point is
 		// not mergeable: the histograms would silently blend two
@@ -617,16 +613,12 @@ func (c *Coordinator) merge(connID uint64, b Batch) {
 		c.logfSafe("fleet: shard %d: batch config %q != campaign config %q, refused", b.Shard, b.Config, c.spec.ConfigKey)
 		return
 	}
-	irqD, err := obs.HistogramFromState(b.IRQ)
-	if err != nil {
-		c.dropped++
-		c.logfSafe("fleet: shard %d: bad irq delta: %v", b.Shard, err)
-		return
-	}
 	srcDs := c.srcScratch[:0]
+	var samples uint64
 	for _, sd := range b.Sources {
 		if int(sd.Op) >= obs.NumOps() {
 			c.dropped++
+			c.logfSafe("fleet: shard %d: source op %d out of range, batch refused", b.Shard, sd.Op)
 			return
 		}
 		h, err := obs.HistogramFromState(sd.Hist)
@@ -636,10 +628,10 @@ func (c *Coordinator) merge(connID uint64, b Batch) {
 			return
 		}
 		srcDs = append(srcDs, h)
+		samples += h.Count()
 	}
 	c.srcScratch = srcDs
 
-	c.agg.irq.Merge(&irqD)
 	for i, sd := range b.Sources {
 		c.agg.src[sd.Op].Merge(&srcDs[i])
 	}
@@ -655,7 +647,7 @@ func (c *Coordinator) merge(connID uint64, b Batch) {
 	now := time.Now()
 	if !sh.lastBatch.IsZero() {
 		if dt := now.Sub(sh.lastBatch).Seconds(); dt > 0 {
-			inst := float64(irqD.Count()) / dt
+			inst := float64(samples) / dt
 			if sh.rate == 0 {
 				sh.rate = inst
 			} else {
@@ -665,7 +657,7 @@ func (c *Coordinator) merge(connID uint64, b Batch) {
 	}
 	sh.lastBatch = now
 	c.lastMerge = now
-	sh.samples += irqD.Count()
+	sh.samples += samples
 	sh.checkpoint = b.ToOps
 	sh.simCycles = b.SimCycles
 	c.batches++
@@ -737,8 +729,8 @@ func (c *Coordinator) Stop() {
 }
 
 // Snapshot renders the merged aggregate as the standard exposition
-// snapshot — the same document a single-process soak produces, plus
-// fleet.* transport counters.
+// snapshot — the same document a single-process soak produces. The
+// transport counters live in Status only.
 func (c *Coordinator) Snapshot() *obs.Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -757,11 +749,9 @@ func (c *Coordinator) Snapshot() *obs.Snapshot {
 	for k, v := range c.agg.eventCounts {
 		s.EventCounts[k] = v
 	}
-	s.AddIRQHistogram(&c.agg.irq)
-	for op := 0; op < len(c.agg.src); op++ {
+	for op := range c.agg.src {
 		if c.agg.src[op].Count() > 0 {
-			h := c.agg.src[op]
-			s.AddSourceHistogram(obs.Op(op), &h)
+			s.AddSourceHistogram(obs.Op(op), &c.agg.src[op])
 		}
 	}
 	s.Bound = &obs.BoundStatus{
@@ -771,38 +761,28 @@ func (c *Coordinator) Snapshot() *obs.Snapshot {
 		NearMax:       c.agg.nearMax,
 		Captures:      c.agg.captures,
 	}
-	s.Counters = map[string]uint64{
-		"fleet.batches":        c.batches,
-		"fleet.dropped":        c.dropped,
-		"fleet.merge_ns":       c.mergeNS,
-		"fleet.queue_depth":    uint64(len(c.ingest)),
-		"fleet.restarts":       c.restarts,
-		"fleet.retries":        c.retries,
-		"fleet.releases":       c.releases,
-		"fleet.frames_corrupt": c.framesCorrupt,
-		"fleet.quarantined":    c.quarantined,
-	}
 	return s
 }
 
 // EquivalenceDigest renders a snapshot's equivalence-comparable form:
-// the full JSON document minus the "counters" key (fleet transport
-// counters are real but transport-dependent) and the "config" identity
-// stamp (two runs of behaviourally identical configurations — e.g. a
-// legacy struct and its konfig lattice point — must digest equal even
-// though only one carries a lattice hash); everything else —
-// histograms, digests, event counts, sentinel verdict — must match a
-// single-process soak byte-for-byte.
+// the full JSON document minus the "config" identity stamp (two runs of
+// behaviourally identical configurations — e.g. a legacy struct and its
+// konfig lattice point — must digest equal even though only one carries
+// a lattice hash); everything else — histograms, digests, event counts,
+// sentinel verdict — must match a single-process soak byte-for-byte.
+// Numbers are decoded as json.Number, so a uint64 above 2^53 keeps
+// every digit.
 func EquivalenceDigest(s *obs.Snapshot) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := s.WriteJSON(&buf); err != nil {
 		return nil, err
 	}
 	var m map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
+	dec := json.NewDecoder(&buf)
+	dec.UseNumber()
+	if err := dec.Decode(&m); err != nil {
 		return nil, err
 	}
-	delete(m, "counters")
 	delete(m, "config")
 	out, err := json.MarshalIndent(m, "", " ")
 	if err != nil {

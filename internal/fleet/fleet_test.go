@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"verikern/internal/kernel"
+	"verikern/internal/obs"
 	"verikern/internal/soak"
 )
 
@@ -83,8 +84,7 @@ func TestFleetEquivalence(t *testing.T) {
 	if st.MergedOps != sp.Ops {
 		t.Errorf("merged %d ops, want %d", st.MergedOps, sp.Ops)
 	}
-	snap := c.Snapshot()
-	if snap.Counters["fleet.batches"] == 0 {
+	if st.Batches == 0 {
 		t.Error("no batches counted")
 	}
 }
@@ -105,6 +105,28 @@ func TestEquivalenceDigests(t *testing.T) {
 	}
 	if !bytes.Equal(single, digestSingle(t, sp)) {
 		t.Error("soaking the resolved spec digests differently from soaking the input spec")
+	}
+}
+
+// TestEquivalenceDigestKeepsUint64Precision: seeds one apart above
+// 2^53 are distinct as float64s only by luck, so the digest must keep
+// every number's digits rather than round-trip them through float64.
+func TestEquivalenceDigestKeepsUint64Precision(t *testing.T) {
+	digest := func(seed uint64) []byte {
+		s := obs.NewSnapshot()
+		s.Seed = seed
+		d, err := EquivalenceDigest(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	a, b := digest(1<<53), digest(1<<53+1)
+	if bytes.Equal(a, b) {
+		t.Fatalf("seeds 2^53 and 2^53+1 digest equal:\n%s", a)
+	}
+	if !bytes.Contains(b, []byte(`"seed": 9007199254740993`)) {
+		t.Errorf("digest lost the seed's digits:\n%s", b)
 	}
 }
 
@@ -175,26 +197,42 @@ func dialHello(t *testing.T, c *Coordinator) (net.Conn, *Assign) {
 	}
 }
 
-// waitCounter polls a snapshot counter until it reaches want.
-func waitCounter(t *testing.T, c *Coordinator, name string, want uint64) {
+// waitCounter polls the /fleet.json field named key (a Status
+// counter) until it reaches want.
+func waitCounter(t *testing.T, c *Coordinator, key string, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if c.Snapshot().Counters[name] >= want {
+	for {
+		b, err := json.Marshal(c.Status())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]any
+		if err := json.Unmarshal(b, &fields); err != nil {
+			t.Fatal(err)
+		}
+		n, ok := fields[key].(float64)
+		if !ok {
+			t.Fatalf("status has no counter %q", key)
+		}
+		if uint64(n) >= want {
 			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("counter %s never reached %d (status: %s)", key, want, b)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("counter %s never reached %d (snapshot: %+v)", name, want, c.Snapshot().Counters)
 }
 
-// TestFleetStaleBatchDropped checks the checkpoint gate: batches that
-// do not continue the merged prefix, or come from a connection that
-// does not own the shard, are counted in fleet.dropped and change
+// TestFleetStaleBatchDropped checks the admission gate: batches that
+// do not continue the merged prefix, come from a connection that does
+// not own the shard, run past the shard's budget or name an
+// out-of-range source op are counted in Status.Dropped and change
 // nothing.
 func TestFleetStaleBatchDropped(t *testing.T) {
 	ctx := context.Background()
-	sp := fleetSpec(1000, 2)
+	sp := fleetSpec(2000, 2)
 	sp.BoundCycles = 142_957 // skip analysis; the gate is the subject
 	c, err := New(ctx, Config{Spec: sp})
 	if err != nil {
@@ -206,41 +244,50 @@ func TestFleetStaleBatchDropped(t *testing.T) {
 	if as == nil {
 		t.Fatal("no shard leased")
 	}
-	if as.Shard != 0 || as.Checkpoint != 0 || as.Budget != soak.ShardBudget(sp.Ops, 2, 0) {
+	if as.Shard != 0 || as.Checkpoint != 0 || as.Budget != 1000 {
 		t.Fatalf("unexpected lease: %+v", as)
 	}
 
-	// Not contiguous with the checkpoint (5 != 0) → dropped.
-	stale := Batch{Shard: 0, FromOps: 5, ToOps: 10}
-	if err := writeMsg(client, msgBatch, stale); err != nil {
-		t.Fatal(err)
-	}
-	waitCounter(t, c, "fleet.dropped", 1)
-
-	// A shard this connection does not own → dropped.
-	foreign := Batch{Shard: 1, FromOps: 0, ToOps: 5}
-	if err := writeMsg(client, msgBatch, foreign); err != nil {
-		t.Fatal(err)
-	}
-	waitCounter(t, c, "fleet.dropped", 2)
-
-	// A contiguous (empty) batch advances the checkpoint...
+	var h obs.Histogram
+	h.Record(900)
 	ok := Batch{Shard: 0, FromOps: 0, ToOps: 7}
-	if err := writeMsg(client, msgBatch, ok); err != nil {
-		t.Fatal(err)
-	}
-	waitCounter(t, c, "fleet.batches", 1)
-	if st := c.Status(); st.Shards[0].Checkpoint != 7 {
-		t.Errorf("checkpoint = %d, want 7", st.Shards[0].Checkpoint)
-	}
-
-	// ...after which a replay of the same window is stale → dropped.
-	if err := writeMsg(client, msgBatch, ok); err != nil {
-		t.Fatal(err)
-	}
-	waitCounter(t, c, "fleet.dropped", 3)
-	if st := c.Status(); st.Shards[0].Checkpoint != 7 {
-		t.Errorf("stale replay moved the checkpoint to %d", st.Shards[0].Checkpoint)
+	var checkpoint, dropped, batches uint64
+	for _, in := range []struct {
+		name  string
+		b     Batch
+		merge bool
+	}{
+		{"not contiguous with the checkpoint", Batch{Shard: 0, FromOps: 5, ToOps: 10}, false},
+		{"a shard this connection does not own", Batch{Shard: 1, FromOps: 0, ToOps: 5}, false},
+		{"contiguous and empty", ok, true},
+		{"a replay of the merged window", ok, false},
+		{"past the shard's budget", Batch{Shard: 0, FromOps: 7, ToOps: 5000}, false},
+		{"an out-of-range source op", Batch{Shard: 0, FromOps: 7, ToOps: 9, Sources: []SourceDelta{
+			{Op: 1, Hist: h.State()},
+			{Op: uint8(obs.NumOps()), Hist: h.State()},
+		}}, false},
+	} {
+		if err := writeMsg(client, msgBatch, in.b); err != nil {
+			t.Fatal(err)
+		}
+		if in.merge {
+			batches++
+			checkpoint = in.b.ToOps
+			waitCounter(t, c, "batches", batches)
+		} else {
+			dropped++
+			waitCounter(t, c, "dropped", dropped)
+		}
+		st := c.Status()
+		if st.Batches != batches || st.Dropped != dropped {
+			t.Errorf("%s: %d merged and %d dropped, want %d and %d", in.name, st.Batches, st.Dropped, batches, dropped)
+		}
+		if st.Shards[0].Checkpoint != checkpoint || st.Samples != 0 {
+			t.Errorf("%s: checkpoint %d and %d samples, want %d and 0", in.name, st.Shards[0].Checkpoint, st.Samples, checkpoint)
+		}
+		if n := c.Snapshot().IRQ.Count; n != 0 {
+			t.Errorf("%s: snapshot holds %d samples, want 0", in.name, n)
+		}
 	}
 }
 
@@ -263,10 +310,10 @@ func TestFleetDrain(t *testing.T) {
 	go func() { workerDone <- RunWorker(ctx, client, WorkerOptions{}) }()
 
 	deadline := time.Now().Add(30 * time.Second)
-	for c.MergedOps() == 0 && time.Now().Before(deadline) {
+	for c.Status().MergedOps == 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if c.MergedOps() == 0 {
+	if c.Status().MergedOps == 0 {
 		t.Fatal("no progress before drain")
 	}
 	if err := c.Drain(ctx); err != nil {

@@ -46,10 +46,10 @@ func TestServeUnderLoad(t *testing.T) {
 
 	// Let some merges land first so the assertions bite.
 	deadline := time.Now().Add(10 * time.Second)
-	for c.MergedOps() == 0 && time.Now().Before(deadline) {
+	for c.Status().MergedOps == 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if c.MergedOps() == 0 {
+	if c.Status().MergedOps == 0 {
 		t.Fatal("no merges before load")
 	}
 
@@ -99,7 +99,7 @@ func TestServeUnderLoad(t *testing.T) {
 						"verikern_irq_latency_cycles_bucket",
 						"verikern_irq_latency_quantile_cycles",
 						"verikern_build_info",
-						"verikern_pipeline_counter{name=\"fleet.batches\"}",
+						"verikern_fleet_batches_total",
 					} {
 						if !strings.Contains(text, want) {
 							t.Errorf("/metrics missing %s", want)
@@ -152,4 +152,39 @@ func get(url string) ([]byte, error) {
 	}
 	defer resp.Body.Close()
 	return io.ReadAll(resp.Body)
+}
+
+// TestStatusPrometheus checks the verikern_fleet_* family: every
+// series is typed, and each carries the value /fleet.json serves.
+func TestStatusPrometheus(t *testing.T) {
+	st := Status{TotalOps: 4000, Batches: 9, Dropped: 2, Degraded: true, Recoveries: 1, RecoveryP99MS: 12.5, SnapshotAgeMS: -1}
+	var buf strings.Builder
+	writeStatusProm(&buf, st)
+	text := buf.String()
+	for _, want := range []string{
+		"verikern_fleet_total_ops 4000\n",
+		"# TYPE verikern_fleet_batches_total counter\nverikern_fleet_batches_total 9\n",
+		"verikern_fleet_dropped_total 2\n",
+		"verikern_fleet_degraded 1\n",
+		"verikern_fleet_completed 0\n",
+		"verikern_fleet_recoveries_total 1\n",
+		"verikern_fleet_recovery_p99_milliseconds 12.5\n",
+		"verikern_fleet_snapshot_age_milliseconds -1\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition lacks %q:\n%s", want, text)
+		}
+	}
+	var series, typed int
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		switch {
+		case strings.HasPrefix(line, "# TYPE verikern_fleet_"):
+			typed++
+		case !strings.HasPrefix(line, "#"):
+			series++
+		}
+	}
+	if series == 0 || series != typed {
+		t.Errorf("%d series, %d TYPE lines", series, typed)
+	}
 }

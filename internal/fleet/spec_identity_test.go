@@ -18,7 +18,7 @@ import (
 // disagree with coordinators of another under the same protoVersion.
 // A deliberate change must update these goldens and bump protoVersion.
 func TestSpecIdentityPinned(t *testing.T) {
-	if protoVersion != 3 {
+	if protoVersion != 4 {
 		t.Fatalf("protoVersion = %d; re-derive the goldens below for the new protocol", protoVersion)
 	}
 	cases := []struct {

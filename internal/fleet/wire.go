@@ -10,10 +10,10 @@
 // the in-process soak uses, histogram deltas telescope
 // (obs.Histogram.DeltaSince), and restarted workers deterministically
 // fast-forward to their merged checkpoint before streaming — so an
-// N-worker fleet's merged snapshot is byte-identical (modulo the
-// fleet.* transport counters) to a single-process N-worker soak at the
-// same seed, even across worker kills. EquivalenceDigest renders the
-// comparable form; the fleet tests and the CI smoke job compare it.
+// N-worker fleet's merged snapshot is byte-identical to a
+// single-process N-worker soak at the same seed, even across worker
+// kills. EquivalenceDigest renders the comparable form; the fleet
+// tests and the CI smoke job compare it.
 package fleet
 
 import (
@@ -37,8 +37,11 @@ import (
 // added the per-frame CRC32 trailer and the hello retry count; version
 // 3 dropped the per-worker resource knobs (ring capacity, flight
 // window, thread pool, allocation reserve) from the spec — they are
-// fixed soak constants now.
-const protoVersion = 3
+// fixed soak constants now. Version 4 dropped the batch's all-sources
+// latency delta: the per-source deltas are the only record, and the
+// coordinator sums them. The spec encoding, and so the state key, is
+// unchanged.
+const protoVersion = 4
 
 // maxFrame bounds one wire frame (type byte + JSON payload). Batches
 // are a few KiB of sparse histogram deltas; 16 MiB is generous
@@ -71,8 +74,8 @@ type Hello struct {
 	Proto int `json:"proto"`
 	PID   int `json:"pid"`
 	// Retries is how many failed connection attempts preceded this
-	// hello (reconnect loop); the coordinator folds it into the
-	// fleet.retries counter.
+	// hello (reconnect loop); the coordinator folds it into
+	// Status.Retries.
 	Retries int `json:"retries,omitempty"`
 }
 
@@ -171,9 +174,9 @@ type Batch struct {
 	Dropped uint64 `json:"dropped,omitempty"`
 	// EventCounts maps event-kind wire names to window deltas.
 	EventCounts map[string]uint64 `json:"event_counts,omitempty"`
-	// IRQ is the all-sources latency delta for the window.
-	IRQ obs.HistogramState `json:"irq"`
-	// Sources carries the non-empty per-source deltas, in op order.
+	// Sources carries the non-empty per-source latency deltas, in op
+	// order. They are the window's only latency record: the
+	// all-sources delta is their merge.
 	Sources []SourceDelta `json:"sources,omitempty"`
 	// Violations / NearMax are sentinel deltas for the window.
 	Violations uint64 `json:"violations,omitempty"`

@@ -36,6 +36,9 @@ func TestWireEncodeDecodeRoundTrip(t *testing.T) {
 		BatchOps:   257,
 		Spec:       Spec{Label: "rt", Arch: "arm1136", ConfigKey: "cfg", Seed: 42, Ops: 9000, Workers: 3},
 	}
+	var lat obs.Histogram
+	lat.Record(1500)
+	lat.Record(40_000)
 	batch := Batch{
 		Shard:       1,
 		Config:      "cfg",
@@ -45,7 +48,7 @@ func TestWireEncodeDecodeRoundTrip(t *testing.T) {
 		Emitted:     7,
 		Dropped:     1,
 		EventCounts: map[string]uint64{"irq_enter": 42},
-		IRQ:         obs.HistogramState{},
+		Sources:     []SourceDelta{{Op: 3, Hist: lat.State()}},
 		Violations:  1,
 		NearMax:     2,
 		Final:       true,

@@ -259,7 +259,6 @@ type cursor struct {
 	// coordinator can refuse deltas from another configuration.
 	config       string
 	prevOps      uint64
-	prevIRQ      obs.Histogram
 	prevSrc      []obs.Histogram
 	prevKinds    []uint64
 	prevEmitted  uint64
@@ -286,7 +285,6 @@ func newCursor(shard int) *cursor {
 func (c *cursor) sync(rn *soak.Runner) {
 	tr := rn.Tracer()
 	c.prevOps = rn.Ops()
-	c.prevIRQ = tr.Latencies()
 	for i := range c.prevSrc {
 		c.prevSrc[i] = obs.Histogram{}
 	}
@@ -317,13 +315,6 @@ func (c *cursor) batch(rn *soak.Runner) (Batch, error) {
 		ToOps:     rn.Ops(),
 		SimCycles: rn.Kernel().Now(),
 	}
-	irq := tr.Latencies()
-	d, err := irq.DeltaSince(&c.prevIRQ)
-	if err != nil {
-		return b, err
-	}
-	b.IRQ = d.State()
-	c.prevIRQ = irq
 	c.srcBuf = tr.AppendSourceLatencies(c.srcBuf[:0])
 	c.sources = c.sources[:0]
 	for i := range c.srcBuf {

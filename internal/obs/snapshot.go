@@ -9,12 +9,12 @@ import (
 )
 
 // This file is the exposition layer of the latency observatory: a
-// Snapshot aggregates tracer histograms, per-source latency digests
-// and metrics counters into a stable JSON document and a
-// Prometheus-style text format, served by `kzm-sim -serve` and written
-// by `kzm-sim -bench-out`. Both renderings are deterministic for a
-// fixed input: struct fields are emitted in declaration order, maps
-// with sorted keys, so golden tests can byte-compare the output.
+// Snapshot aggregates tracer histograms and per-source latency digests
+// into a stable JSON document and a Prometheus-style text format,
+// served by `kzm-sim -serve` and written by `kzm-sim -bench-out`. Both
+// renderings are deterministic for a fixed input: struct fields are
+// emitted in declaration order, maps with sorted keys, so golden tests
+// can byte-compare the output.
 
 // LatencyDigest is the serialisable distribution digest of one latency
 // histogram. Quantiles carry the histogram's conservative semantics:
@@ -80,9 +80,12 @@ type BoundStatus struct {
 
 // Snapshot is a point-in-time, serialisable view of the observability
 // state: event counts, the overall and per-source interrupt-latency
-// digests, the sentinel's bound status and any metrics counters.
-// Construct with NewSnapshot, fold state in with the Add methods, set
-// the identity fields, then render with WriteJSON or WritePrometheus.
+// digests and the sentinel's bound status. Latency enters only by
+// source (AddTracer, AddSourceHistogram), and each source merges into
+// the all-sources histogram too, so the per-source counts always sum
+// to the aggregate. Construct with NewSnapshot, fold state in with the
+// Add methods, set the identity fields, then render with WriteJSON or
+// WritePrometheus.
 type Snapshot struct {
 	// Label identifies the run configuration (e.g.
 	// "benno+preempt+pinned").
@@ -94,7 +97,7 @@ type Snapshot struct {
 	// kernel+hardware configuration the run executed (empty for ad-hoc
 	// configs). Like Arch, it is identity, not content: the fleet layer
 	// refuses to merge observations whose Config differs, and strips it
-	// (with Counters) from equivalence digests.
+	// from equivalence digests.
 	Config string `json:"config,omitempty"`
 	// Seed is the workload seed the run is reproducible from.
 	Seed uint64 `json:"seed"`
@@ -116,10 +119,6 @@ type Snapshot struct {
 	Sources []LatencyDigest `json:"sources,omitempty"`
 	// Bound is the sentinel status, when a sentinel was attached.
 	Bound *BoundStatus `json:"bound,omitempty"`
-	// Counters carries metrics-registry counters (analysis pipeline,
-	// cache, ...). Stage wall times are deliberately excluded: they
-	// are not deterministic and would break byte-stable goldens.
-	Counters map[string]uint64 `json:"counters,omitempty"`
 
 	// Raw histograms backing the digests, kept for the Prometheus
 	// bucket exposition; not serialised to JSON.
@@ -146,28 +145,20 @@ func (s *Snapshot) AddTracer(t *Tracer) {
 		}
 	}
 	for _, sl := range t.SourceLatencies() {
-		s.irqHist.Merge(&sl.Hist)
-		s.srcHist[sl.Source].Merge(&sl.Hist)
+		s.AddSourceHistogram(sl.Source, &sl.Hist)
 	}
 	s.refreshDigests()
 }
 
-// AddIRQHistogram merges h into the all-sources interrupt-latency
-// histogram — the fleet coordinator's entry point for streamed
-// histogram deltas, where AddTracer's in-process fold is unavailable.
-func (s *Snapshot) AddIRQHistogram(h *Histogram) {
-	s.irqHist.Merge(h)
-	s.refreshDigests()
-}
-
-// AddSourceHistogram merges h into the per-source histogram of op. It
-// deliberately leaves the all-sources aggregate alone (the wire carries
-// that delta separately), preserving the invariant that per-source
-// counts sum to the aggregate count only when the sender maintains it.
+// AddSourceHistogram merges h into the per-source histogram of op and
+// into the all-sources histogram. AddTracer calls it per source; the
+// fleet coordinator calls it with its merged per-source deltas. An op
+// outside the tag range is ignored.
 func (s *Snapshot) AddSourceHistogram(op Op, h *Histogram) {
 	if op >= numOps {
 		return
 	}
+	s.irqHist.Merge(h)
 	s.srcHist[op].Merge(h)
 	s.refreshDigests()
 }
@@ -229,9 +220,9 @@ func writeHistProm(w io.Writer, source string, h *Histogram) error {
 
 // WritePrometheus renders the snapshot in the Prometheus text
 // exposition format (version 0.0.4). Latency histograms become
-// histogram series labelled by source; event counts, sentinel status
-// and metrics counters become counters and gauges. Output is
-// byte-stable for a fixed snapshot.
+// histogram series labelled by source; event counts and sentinel
+// status become counters and gauges. Output is byte-stable for a fixed
+// snapshot.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	s.refreshDigests()
 	fmt.Fprintf(w, "# HELP verikern_irq_latency_cycles Interrupt-response latency in simulated cycles, by kernel operation in progress at IRQ latch.\n")
@@ -295,19 +286,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(w, "# TYPE verikern_wcet_bound_cycles gauge\nverikern_wcet_bound_cycles %d\n", s.Bound.Cycles)
 		fmt.Fprintf(w, "# TYPE verikern_wcet_bound_violations_total counter\nverikern_wcet_bound_violations_total %d\n", s.Bound.Violations)
 		fmt.Fprintf(w, "# TYPE verikern_flight_recorder_captures_total counter\nverikern_flight_recorder_captures_total %d\n", s.Bound.Captures)
-	}
-
-	if len(s.Counters) > 0 {
-		fmt.Fprintf(w, "# HELP verikern_pipeline_counter Analysis-pipeline and cache counters from the metrics registry.\n")
-		fmt.Fprintf(w, "# TYPE verikern_pipeline_counter counter\n")
-		names := make([]string, 0, len(s.Counters))
-		for n := range s.Counters {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(w, "verikern_pipeline_counter{name=%q} %d\n", promEscape(n), s.Counters[n])
-		}
 	}
 	return nil
 }

@@ -33,9 +33,9 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// observatoryFixture builds a small deterministic tracer/metrics pair
-// used by the snapshot and exposition goldens.
-func observatoryFixture() (*Tracer, *Metrics) {
+// observatoryFixture builds a small deterministic tracer used by the
+// snapshot and exposition goldens.
+func observatoryFixture() *Tracer {
 	tr := NewTracer(16)
 	tr.SetOp(OpSend)
 	tr.Emit(KindIRQRaise, 100, 0, 0)
@@ -49,20 +49,11 @@ func observatoryFixture() (*Tracer, *Metrics) {
 	tr.Emit(KindIRQRaise, 9000, 0, 0)
 	tr.Emit(KindIRQService, 9700, 700, 0)
 
-	m := NewMetrics()
-	m.Add("ilp/solves", 3)
-	m.Add("cache/hits", 41)
-	// Fleet recovery telemetry, as merged from a chaos campaign: the
-	// exposition path must surface them like any other counter.
-	m.Add("fleet.retries", 2)
-	m.Add("fleet.releases", 1)
-	m.Add("fleet.frames_corrupt", 3)
-	m.Add("fleet.quarantined", 1)
-	return tr, m
+	return tr
 }
 
 func fixtureSnapshot() *Snapshot {
-	tr, m := observatoryFixture()
+	tr := observatoryFixture()
 	s := NewSnapshot()
 	s.Label = "benno+preempt+pinned"
 	s.Seed = 42
@@ -70,7 +61,6 @@ func fixtureSnapshot() *Snapshot {
 	s.Ops = 3
 	s.SimCycles = 9700
 	s.AddTracer(tr)
-	s.Counters = m.Stats().Counters
 	s.Bound = &BoundStatus{Cycles: 115147, MarginPercent: 10, Violations: 0, NearMax: 1, Captures: 1}
 	return s
 }
@@ -131,6 +121,27 @@ func TestSnapshotAggregation(t *testing.T) {
 	}
 	if s.EventCounts["irq-service"] != 2 || s.EventsEmitted != 4 {
 		t.Errorf("event fold: %+v emitted=%d", s.EventCounts, s.EventsEmitted)
+	}
+}
+
+// TestAddSourceHistogramFeedsAggregate: a streamed per-source delta
+// lands in its source and in the all-sources histogram, so the sources
+// sum to the aggregate without a second record; an out-of-range op is
+// ignored.
+func TestAddSourceHistogramFeedsAggregate(t *testing.T) {
+	var send, del Histogram
+	send.Record(100)
+	send.Record(300)
+	del.Record(900)
+	s := NewSnapshot()
+	s.AddSourceHistogram(OpSend, &send)
+	s.AddSourceHistogram(OpDelete, &del)
+	s.AddSourceHistogram(numOps, &del)
+	if s.IRQ.Count != 3 || s.IRQ.Min != 100 || s.IRQ.Max != 900 || s.IRQ.Mean != 1300.0/3 {
+		t.Errorf("aggregate digest %+v", s.IRQ)
+	}
+	if len(s.Sources) != 2 || s.Sources[0].Count != 2 || s.Sources[1].Count != 1 {
+		t.Errorf("sources %+v", s.Sources)
 	}
 }
 
