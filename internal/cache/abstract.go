@@ -107,26 +107,14 @@ func (m *Must) Join(other *Must) bool {
 
 // Clone returns a deep copy sharing only the pinned set.
 func (m *Must) Clone() *Must {
-	c := &Must{
-		sets:      m.sets,
-		lineShift: m.lineShift,
-		setMask:   m.setMask,
-		tags:      make([]uint32, len(m.tags)),
-		pinned:    m.pinned,
-	}
-	copy(c.tags, m.tags)
+	c := new(Must)
+	c.CopyFrom(m)
 	return c
 }
 
-// Equal reports whether two states carry identical guarantees.
-func (m *Must) Equal(other *Must) bool {
-	if len(m.tags) != len(other.tags) {
-		return false
-	}
-	for i := range m.tags {
-		if m.tags[i] != other.tags[i] {
-			return false
-		}
-	}
-	return true
+// CopyFrom overwrites m with a copy of other, sharing only the pinned
+// set. It allocates nothing when m's geometry already matches.
+func (m *Must) CopyFrom(other *Must) {
+	m.sets, m.lineShift, m.setMask, m.pinned = other.sets, other.lineShift, other.setMask, other.pinned
+	m.tags = append(m.tags[:0], other.tags...)
 }

@@ -360,18 +360,31 @@ func TestMustClobber(t *testing.T) {
 	}
 }
 
+// TestMustCloneIndependent: Clone and CopyFrom carry exactly the
+// original's guarantees, pins included, and leave the copy independent
+// of it; CopyFrom drops the destination's own guarantees and reuses
+// its storage.
 func TestMustCloneIndependent(t *testing.T) {
 	m := NewMust(128, 32)
+	m.SetPinned(map[uint32]bool{0x8040: true})
 	m.Update(0x1000)
-	c := m.Clone()
-	if !c.Equal(m) {
-		t.Error("clone not equal to original")
+	dst := NewMust(128, 32)
+	dst.Update(0x1020)
+	tags := &dst.tags[0]
+	dst.CopyFrom(m)
+	if &dst.tags[0] != tags {
+		t.Error("CopyFrom reallocated a same-geometry state")
 	}
-	c.Update(0x1000 + 128*32)
-	if m.Hit(0x1000+128*32) || !m.Hit(0x1000) {
-		t.Error("mutating clone affected original")
-	}
-	if c.Equal(m) {
-		t.Error("diverged states compare equal")
+	for name, c := range map[string]*Must{"Clone": m.Clone(), "CopyFrom": dst} {
+		if !c.Hit(0x1000) || !c.Hit(0x8040) || c.Hit(0x1000+128*32) || c.Hit(0x1020) {
+			t.Errorf("%s does not carry exactly the original's guarantees", name)
+		}
+		c.Update(0x1000 + 128*32)
+		if m.Hit(0x1000+128*32) || !m.Hit(0x1000) {
+			t.Errorf("mutating the %s copy affected the original", name)
+		}
+		if c.Hit(0x1000) || !c.Hit(0x1000+128*32) {
+			t.Errorf("diverged %s copy kept the evicted guarantee", name)
+		}
 	}
 }

@@ -436,7 +436,7 @@ func TestAdversarialCapSpaceDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		cn := cnObjs[0].(*kobj.CNode)
-		cn.Slots[1].Cap = next
+		cn.Slot(1).Cap = next
 		next = kobj.Cap{Type: kobj.CapCNode, Obj: cn, Rights: kobj.RightsAll}
 	}
 	adversary.CSpaceRoot = next

@@ -137,10 +137,26 @@ type Slot struct {
 	MDBDepth         int
 }
 
-// IsEmpty reports whether the slot holds no cap.
-func (s *Slot) IsEmpty() bool { return s.Cap.IsNull() }
+// IsEmpty reports whether the slot holds no cap. A nil slot, one in a
+// CNode leaf never allocated, is empty.
+func (s *Slot) IsEmpty() bool { return s == nil || s.Cap.IsNull() }
+
+// cnodeLeafBits sets the host storage of CNode slots: leaves of
+// 1<<cnodeLeafBits slots.
+const (
+	cnodeLeafBits = 6
+	cnodeLeafSize = 1 << cnodeLeafBits
+)
 
 // CNode is a capability storage node of 2^RadixBits slots.
+//
+// On the host the slots live in leaves of cnodeLeafSize, each
+// allocated on its first access, so a radix-12 root CNode holding a
+// few dozen caps costs one leaf rather than a dense 4,096-slot array.
+// Leaves are never freed or moved, so Slot pointers stay stable. A
+// CNode of at most one leaf gets its slots at retype, in one
+// allocation. The simulated object and every simulated cost are
+// unchanged.
 type CNode struct {
 	Header
 	Name string
@@ -149,22 +165,56 @@ type CNode struct {
 	GuardValue uint32
 	GuardBits  uint8
 	RadixBits  uint8
-	Slots      []Slot
+	// leaves[l] holds slots l<<cnodeLeafBits onwards, or is nil
+	// until one of them is first accessed.
+	leaves [][]Slot
+	// leaf0 is the leaf table of a CNode of at most one leaf, so
+	// that its table needs no allocation of its own.
+	leaf0 [1][]Slot
 }
 
 // NumSlots returns the number of slots.
-func (cn *CNode) NumSlots() int { return len(cn.Slots) }
+func (cn *CNode) NumSlots() int { return 1 << cn.RadixBits }
 
-// Slot returns the i-th slot.
-func (cn *CNode) Slot(i int) *Slot { return &cn.Slots[i] }
-
-// initSlots wires the slots' back-references.
-func (cn *CNode) initSlots() {
-	cn.Slots = make([]Slot, 1<<cn.RadixBits)
-	for i := range cn.Slots {
-		cn.Slots[i].CNode = cn
-		cn.Slots[i].Index = i
+// Slot returns the i-th slot, allocating its leaf on first access.
+func (cn *CNode) Slot(i int) *Slot {
+	leaf := cn.leaves[i>>cnodeLeafBits]
+	if leaf == nil {
+		leaf = cn.newLeaf(i >> cnodeLeafBits)
 	}
+	return &leaf[i&(cnodeLeafSize-1)]
+}
+
+// peek returns the i-th slot without allocating: nil when its leaf
+// was never accessed, so every slot in it is still empty.
+func (cn *CNode) peek(i int) *Slot {
+	leaf := cn.leaves[i>>cnodeLeafBits]
+	if leaf == nil {
+		return nil
+	}
+	return &leaf[i&(cnodeLeafSize-1)]
+}
+
+// newLeaf allocates leaf l and wires its slots' back-references.
+func (cn *CNode) newLeaf(l int) []Slot {
+	leaf := make([]Slot, min(cnodeLeafSize, cn.NumSlots()))
+	for j := range leaf {
+		leaf[j].CNode = cn
+		leaf[j].Index = l<<cnodeLeafBits + j
+	}
+	cn.leaves[l] = leaf
+	return leaf
+}
+
+// initSlots sizes the leaf table at retype. A CNode of one leaf gets
+// its slots now; a larger one gets them leaf by leaf.
+func (cn *CNode) initSlots() {
+	if cn.NumSlots() <= cnodeLeafSize {
+		cn.leaves = cn.leaf0[:]
+		cn.newLeaf(0)
+		return
+	}
+	cn.leaves = make([][]Slot, cn.NumSlots()>>cnodeLeafBits)
 }
 
 // DecodeError describes a failed capability-space lookup.
@@ -216,17 +266,17 @@ func Decode(root Cap, addr uint32) (DecodeResult, error) {
 		}
 		idx := (addr >> uint(remaining-r)) & ((1 << uint(r)) - 1)
 		remaining -= r
-		slot := cn.Slot(int(idx))
+		slot := cn.peek(int(idx))
 		if remaining == 0 {
 			if slot.IsEmpty() {
 				return DecodeResult{}, &DecodeError{Addr: addr, Depth: levels, Reason: "empty slot"}
 			}
 			return DecodeResult{Slot: slot, Levels: levels}, nil
 		}
+		if slot.IsEmpty() {
+			return DecodeResult{}, &DecodeError{Addr: addr, Depth: levels, Reason: "empty slot mid-decode"}
+		}
 		if slot.Cap.Type != CapCNode {
-			if slot.IsEmpty() {
-				return DecodeResult{}, &DecodeError{Addr: addr, Depth: levels, Reason: "empty slot mid-decode"}
-			}
 			return DecodeResult{}, &DecodeError{Addr: addr, Depth: levels, Reason: "non-CNode cap with bits remaining"}
 		}
 		cn = slot.Cap.CNode()

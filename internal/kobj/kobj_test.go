@@ -105,6 +105,78 @@ func TestCNodeRetypeSlots(t *testing.T) {
 	}
 }
 
+// TestCNodeSlotLeaves: a large CNode allocates its slot leaves on first
+// access, Decode reads an untouched leaf as empty slots without
+// allocating it, and slot pointers stay put as other leaves fill in. A
+// CNode of one leaf has its slots from retype, with no separate leaf
+// table.
+func TestCNodeSlotLeaves(t *testing.T) {
+	m, u := newTestManager(t)
+	objs, err := m.Retype(u, TypeCNode, 12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cn := objs[0].(*CNode)
+	allocated := func() (n int) {
+		for _, l := range cn.leaves {
+			if l != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := allocated(); n != 0 {
+		t.Fatalf("fresh radix-12 CNode has %d leaves, want 0", n)
+	}
+	root := Cap{Type: CapCNode, Obj: cn}
+	for _, c := range []struct {
+		guard  uint8
+		reason string
+	}{{0, "empty slot mid-decode"}, {20, "empty slot"}} {
+		cn.GuardBits = c.guard
+		_, err := Decode(root, 100<<(20-c.guard))
+		if de, ok := err.(*DecodeError); !ok || de.Reason != c.reason {
+			t.Errorf("guard %d: decode through an absent leaf: %v, want %q", c.guard, err, c.reason)
+		}
+	}
+	if n := allocated(); n != 0 {
+		t.Fatalf("decode allocated %d leaves", n)
+	}
+	s := cn.Slot(100)
+	if s.CNode != cn || s.Index != 100 || !s.IsEmpty() {
+		t.Fatalf("slot 100 miswired: %+v", s)
+	}
+	epObjs, err := m.Retype(u, TypeEndpoint, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Cap = Cap{Type: CapEndpoint, Obj: epObjs[0]}
+	if last := cn.Slot(cn.NumSlots() - 1); last.Index != cn.NumSlots()-1 || last.CNode != cn {
+		t.Errorf("last slot miswired: %+v", last)
+	}
+	cn.Slot(0)
+	if n := allocated(); n != 3 {
+		t.Errorf("%d leaves after touching three, want 3", n)
+	}
+	res, err := Decode(root, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Slot != s || cn.Slot(100) != s {
+		t.Error("slot 100 moved when other leaves were allocated")
+	}
+
+	objs, err = m.Retype(u, TypeCNode, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := objs[0].(*CNode)
+	if &small.leaves[0] != &small.leaf0[0] || len(small.leaf0[0]) != 2 {
+		t.Errorf("radix-1 CNode: %d leaf entries, table inline %v; want 2 slots in the inline table",
+			len(small.leaf0[0]), &small.leaves[0] == &small.leaf0[0])
+	}
+}
+
 func TestDestroyRemovesFromLiveSet(t *testing.T) {
 	m, u := newTestManager(t)
 	objs, err := m.Retype(u, TypeEndpoint, 0, 1)
@@ -154,7 +226,7 @@ func buildLinearCSpace(t *testing.T, m *Manager, u *Untyped, levels int) (Cap, u
 		cn := objs[0].(*CNode)
 		cn.GuardBits = uint8(per - 1)
 		cn.GuardValue = 0
-		cn.Slots[1].Cap = next // address bit 1 at each level
+		cn.Slot(1).Cap = next // address bit 1 at each level
 		next = Cap{Type: CapCNode, Obj: cn, Rights: RightsAll}
 	}
 	// Address: each level consumes per-1 guard zeros then index bit
@@ -192,7 +264,7 @@ func TestDecodeShallow(t *testing.T) {
 	cn.GuardBits = 24
 	epObjs, _ := m.Retype(u, TypeEndpoint, 0, 1)
 	ep := epObjs[0].(*Endpoint)
-	cn.Slots[42].Cap = Cap{Type: CapEndpoint, Obj: ep}
+	cn.Slot(42).Cap = Cap{Type: CapEndpoint, Obj: ep}
 	root := Cap{Type: CapCNode, Obj: cn}
 	res, err := Decode(root, 42)
 	if err != nil {

@@ -24,7 +24,9 @@ package konfig
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -99,10 +101,13 @@ func gatedBoolDomain(has func(*arch.Backend) bool) func(*arch.Backend) []string 
 	}
 }
 
-// keys returns the key registry bound to one point, in canonical
-// order. The order is the hash and listing order; append new keys at
-// the position that keeps related keys adjacent, never reuse a name.
-func keys(p *Point) []Key {
+// registry is the key registry, built once, in canonical order.
+var registry = newRegistry()
+
+// newRegistry returns the key registry in canonical order. The order
+// is the hash and listing order; append new keys at the position that
+// keeps related keys adjacent, never reuse a name.
+func newRegistry() []Key {
 	return []Key{
 		{
 			Name: "arch",
@@ -301,17 +306,13 @@ func designNames() []string {
 	return out
 }
 
-// Keys returns the key registry (bound to a throwaway point for the
-// accessors), in canonical order.
-func Keys() []Key {
-	var p Point
-	return keys(&p)
-}
+// Keys returns a copy of the key registry, in canonical order.
+func Keys() []Key { return slices.Clone(registry) }
 
 // KeyNames returns the key names in canonical order.
 func KeyNames() []string {
 	var out []string
-	for _, k := range Keys() {
+	for _, k := range registry {
 		out = append(out, k.Name)
 	}
 	return out
@@ -319,7 +320,7 @@ func KeyNames() []string {
 
 // Set assigns one key by name, returning the updated point.
 func (p Point) Set(name, value string) (Point, error) {
-	for _, k := range keys(&p) {
+	for _, k := range registry {
 		if k.Name == name {
 			if err := k.Set(&p, value); err != nil {
 				return p, fmt.Errorf("konfig: key %s: %w", name, err)
@@ -332,7 +333,7 @@ func (p Point) Set(name, value string) (Point, error) {
 
 // Get reads one key by name.
 func (p Point) Get(name string) (string, error) {
-	for _, k := range keys(&p) {
+	for _, k := range registry {
 		if k.Name == name {
 			return k.Get(p), nil
 		}
@@ -344,8 +345,8 @@ func (p Point) Get(name string) (string, error) {
 // rows and diagnostics. JSON-marshalling the map is deterministic
 // (encoding/json sorts string keys).
 func (p Point) Assignments() map[string]string {
-	out := make(map[string]string, len(Keys()))
-	for _, k := range keys(&p) {
+	out := make(map[string]string, len(registry))
+	for _, k := range registry {
 		out[k.Name] = k.Get(p)
 	}
 	return out
@@ -355,7 +356,7 @@ func (p Point) Assignments() map[string]string {
 // order — the hash pre-image and the -konfig echo format.
 func (p Point) Listing() string {
 	var b strings.Builder
-	for i, k := range keys(&p) {
+	for i, k := range registry {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
@@ -378,7 +379,7 @@ func (p Point) Hash() string {
 		prefix = b.Key()
 	}
 	sum := sha256.Sum256([]byte(prefix + "|" + p.Listing()))
-	return fmt.Sprintf("%x", sum[:8])
+	return hex.EncodeToString(sum[:8])
 }
 
 // Backend resolves the point's hardware backend.

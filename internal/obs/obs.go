@@ -8,8 +8,10 @@
 // *Tracer is a single predictable branch and no allocation, so a
 // kernel run with tracing disabled costs the same cycles as the
 // uninstrumented seed (bench_test.go proves this). With tracing
-// enabled, Emit takes a mutex and writes one fixed-size slot of a
-// preallocated ring — still zero allocations per event.
+// enabled, Emit takes a mutex and writes one fixed-size slot of the
+// ring. The ring grows on demand up to its capacity: it starts at a
+// few hundred events and reallocates once, to full capacity, when it
+// first fills. A full ring makes zero allocations per event.
 //
 // Sinks render collected events as Chrome trace_event JSON (loadable
 // in chrome://tracing or https://ui.perfetto.dev) or as a plain-text
@@ -135,10 +137,13 @@ type Sample struct {
 //
 // Tracer is safe for concurrent use.
 type Tracer struct {
-	mu      sync.Mutex
-	buf     []Event
-	emitted uint64 // total events ever emitted
-	counts  [numKinds]uint64
+	mu sync.Mutex
+	// buf is the ring. It starts at ringStart events (or capacity,
+	// if smaller) and grows once, to capacity, when it first fills.
+	buf      []Event
+	capacity int
+	emitted  uint64 // total events ever emitted
+	counts   [numKinds]uint64
 
 	// op is the operation tag stamped on emitted events. It is
 	// atomic so the kernel can bracket every system call without
@@ -159,13 +164,25 @@ type Tracer struct {
 	onSample func(Sample)
 }
 
+// ringStart is the ring's first allocation, in events (24 KiB). A
+// configuration-sweep point emits 3.5 to 13 events per operation
+// (ARM1136 lattice, seed 42): 169–530 at 48 ops, which all fit, and
+// 245–839 at 64 ops, where 16 of 100 points outgrow the start. At
+// kzm-sim's default of 256 ops (944–3,230 events) every point
+// outgrows it, as do long soaks, fleet workers and a probe at budget
+// 160 (one at budget 16 does not). A tracer that outgrows the start
+// pays one more allocation, to full capacity, and a copy of ringStart
+// events. Its size keeps one soak-runner boot under TestBootAllocs's
+// 64 KiB.
+const ringStart = 768
+
 // NewTracer returns a tracer whose ring holds the last `capacity`
 // events. Capacities below 1 are raised to 1.
 func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Tracer{buf: make([]Event, 0, capacity)}
+	return &Tracer{buf: make([]Event, 0, min(capacity, ringStart)), capacity: capacity}
 }
 
 // Emit records one event. On a nil tracer this is a single predictable
@@ -177,10 +194,15 @@ func (t *Tracer) Emit(kind Kind, ts, arg1, arg2 uint64) {
 	}
 	t.mu.Lock()
 	op := Op(t.op.Load())
-	if len(t.buf) < cap(t.buf) {
+	if len(t.buf) < t.capacity {
+		if len(t.buf) == cap(t.buf) {
+			full := make([]Event, len(t.buf), t.capacity)
+			copy(full, t.buf)
+			t.buf = full
+		}
 		t.buf = t.buf[:len(t.buf)+1]
 	}
-	t.buf[t.emitted%uint64(cap(t.buf))] = Event{TS: ts, Arg1: arg1, Arg2: arg2, Kind: kind, Op: op}
+	t.buf[t.emitted%uint64(t.capacity)] = Event{TS: ts, Arg1: arg1, Arg2: arg2, Kind: kind, Op: op}
 	t.emitted++
 	if kind < numKinds {
 		t.counts[kind]++
@@ -253,10 +275,10 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.emitted <= uint64(cap(t.buf)) {
+	if t.emitted <= uint64(t.capacity) {
 		return 0
 	}
-	return t.emitted - uint64(cap(t.buf))
+	return t.emitted - uint64(t.capacity)
 }
 
 // Count returns how many events of the given kind were emitted
@@ -284,12 +306,12 @@ func (t *Tracer) Events() []Event {
 func (t *Tracer) eventsLocked() []Event {
 	n := len(t.buf)
 	out := make([]Event, n)
-	if t.emitted <= uint64(cap(t.buf)) {
+	if t.emitted <= uint64(t.capacity) {
 		copy(out, t.buf[:n])
 		return out
 	}
 	// Wrapped: the oldest retained event sits at the write cursor.
-	start := int(t.emitted % uint64(cap(t.buf)))
+	start := int(t.emitted % uint64(t.capacity))
 	copy(out, t.buf[start:])
 	copy(out[n-start:], t.buf[:start])
 	return out

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -86,6 +87,81 @@ func TestRingCapacityFloor(t *testing.T) {
 	evs := tr.Events()
 	if len(evs) != 1 || evs[0].TS != 2 {
 		t.Errorf("capacity floor: got %+v, want single event TS=2", evs)
+	}
+}
+
+// refRing is a fully preallocated ring with the tracer's retention
+// rules, the reference for the tracer's ring that grows on demand.
+type refRing struct {
+	buf     []Event
+	emitted uint64
+	counts  [numKinds]uint64
+}
+
+func (r *refRing) emit(e Event) {
+	r.buf[r.emitted%uint64(len(r.buf))] = e
+	r.emitted++
+	r.counts[e.Kind]++
+}
+
+func (r *refRing) events() []Event {
+	n := min(r.emitted, uint64(len(r.buf)))
+	start := uint64(0)
+	if r.emitted > uint64(len(r.buf)) {
+		start = r.emitted % uint64(len(r.buf))
+	}
+	out := make([]Event, 0, n)
+	for i := uint64(0); i < n; i++ {
+		out = append(out, r.buf[(start+i)%uint64(len(r.buf))])
+	}
+	return out
+}
+
+func (r *refRing) dropped() uint64 {
+	return r.emitted - min(r.emitted, uint64(len(r.buf)))
+}
+
+// TestRingGrowthMatchesPreallocated: a ring that grows on demand
+// retains and reports exactly what a fully preallocated ring of the
+// same capacity does, below, at and past its first allocation, its
+// capacity and its wrap.
+func TestRingGrowthMatchesPreallocated(t *testing.T) {
+	cases := map[int][]int{
+		1:    {0, 1, 2, 5},
+		3:    {0, 1, 2, 3, 4, 7},
+		4096: {0, 1, ringStart - 1, ringStart, ringStart + 1, 4095, 4096, 4097, 2*4096 + 5},
+	}
+	for capacity, counts := range cases {
+		for _, n := range counts {
+			tr := NewTracer(capacity)
+			ref := &refRing{buf: make([]Event, capacity)}
+			for i := 0; i < n; i++ {
+				e := Event{TS: uint64(i), Arg1: uint64(3 * i), Arg2: uint64(n - i), Kind: Kind(i % int(numKinds))}
+				tr.Emit(e.Kind, e.TS, e.Arg1, e.Arg2)
+				ref.emit(e)
+			}
+			want := ref.events()
+			if got := tr.Events(); !slices.Equal(got, want) {
+				t.Errorf("cap %d, %d events: Events = %v, want %v", capacity, n, got, want)
+			}
+			for _, last := range []int{1, 2, capacity - 1, capacity, capacity + 1} {
+				var wantLast []Event
+				if last > 0 {
+					wantLast = want[len(want)-min(last, len(want)):]
+				}
+				if got := tr.LastEvents(last); !slices.Equal(got, wantLast) {
+					t.Errorf("cap %d, %d events: LastEvents(%d) = %v, want %v", capacity, n, last, got, wantLast)
+				}
+			}
+			if got, want := tr.Dropped(), ref.dropped(); got != want {
+				t.Errorf("cap %d, %d events: Dropped = %d, want %d", capacity, n, got, want)
+			}
+			for k := Kind(0); k < numKinds; k++ {
+				if got, want := tr.Count(k), ref.counts[k]; got != want {
+					t.Errorf("cap %d, %d events: Count(%v) = %d, want %d", capacity, n, k, got, want)
+				}
+			}
+		}
 	}
 }
 

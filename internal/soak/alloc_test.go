@@ -85,3 +85,44 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Errorf("%v: %v allocs per op after warm-up, want 1..%d", OpVSpace, got, maxVSpaceAllocs)
 	}
 }
+
+// Bounds on one modern-configuration NewRunner: the kernel boot, its
+// threads and objects, and the tracer. The root CNode's slot leaves
+// and the tracer's ring are allocated as they are used, so a boot
+// costs tens of KiB rather than a dense radix-12 slot array and a
+// full event ring.
+const (
+	maxBootBytes  = 64 << 10
+	maxBootAllocs = 72
+)
+
+// TestBootAllocs guards the allocation cost of booting a runner, which
+// a configuration sweep pays once per lattice point.
+func TestBootAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	cfg := modernCfg("boot", false)
+	boot := func() {
+		if _, err := NewRunner(cfg, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boot() // one-time package state
+	const runs = 20
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		boot()
+	}
+	runtime.ReadMemStats(&m1)
+	allocs := (m1.Mallocs - m0.Mallocs) / runs
+	bytes := (m1.TotalAlloc - m0.TotalAlloc) / runs
+	t.Logf("NewRunner: %d allocations, %d bytes", allocs, bytes)
+	if bytes > maxBootBytes {
+		t.Errorf("NewRunner allocated %d bytes, want at most %d", bytes, maxBootBytes)
+	}
+	if allocs > maxBootAllocs {
+		t.Errorf("NewRunner made %d allocations, want at most %d", allocs, maxBootAllocs)
+	}
+}

@@ -53,7 +53,7 @@ type sentinel struct {
 	worker    int
 	seed      uint64
 	configKey string
-	opsFn     func() uint64
+	ops       *uint64 // the runner's op counter
 
 	violations uint64
 	nearMax    uint64
@@ -94,16 +94,12 @@ func (s *sentinel) sample(sm obs.Sample) {
 		s.maxSeen = sm.Latency
 	}
 	if reason != "" && len(s.captures) < s.maxCaptures {
-		var ops uint64
-		if s.opsFn != nil {
-			ops = s.opsFn()
-		}
 		s.captures = append(s.captures, Capture{
 			Sample: sm,
 			Reason: reason,
 			Worker: s.worker,
 			Seed:   s.seed,
-			Op:     ops,
+			Op:     *s.ops,
 			Config: s.configKey,
 			Events: s.tracer.LastEvents(flightEvents),
 		})

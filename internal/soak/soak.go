@@ -305,7 +305,7 @@ func NewRunner(cfg Config, index int) (*Runner, error) {
 	r.sent.worker = index
 	r.sent.seed = cfg.Seed
 	r.sent.configKey = cfg.ConfigKey
-	r.sent.opsFn = func() uint64 { return r.ops }
+	r.sent.ops = &r.ops
 	tr.SetSampleHook(r.sent.sample)
 
 	if r.adv, err = k.CreateThread(fmt.Sprintf("soak%d/adv", index), 128); err != nil {
@@ -316,6 +316,7 @@ func NewRunner(cfg Config, index int) (*Runner, error) {
 		return nil, err
 	}
 	k.StartThread(r.vs)
+	r.pool = make([]*kobj.TCB, 0, poolThreads)
 	for i := 0; i < poolThreads; i++ {
 		w, err := k.CreateThread(fmt.Sprintf("soak%d/w%d", index, i), uint8(40+i%32))
 		if err != nil {
@@ -555,7 +556,7 @@ func (r *Runner) ensureDeep(levels int) error {
 		cn := cnObjs[0].(*kobj.CNode)
 		cn.Name = fmt.Sprintf("soak%d/deep%d-l%d", r.index, levels, levels-l)
 		cn.GuardBits = guard
-		cn.Slots[1].Cap = next
+		cn.Slot(1).Cap = next
 		next = kobj.Cap{Type: kobj.CapCNode, Obj: cn, Rights: kobj.RightsAll}
 	}
 	// Address: guard zeros, then bit 1 at every level.

@@ -23,6 +23,12 @@ type absState struct {
 
 func (s absState) clone() absState { return absState{i: s.i.Clone(), d: s.d.Clone()} }
 
+// copyFrom overwrites s with o's guarantees without allocating.
+func (s absState) copyFrom(o absState) {
+	s.i.CopyFrom(o.i)
+	s.d.CopyFrom(o.d)
+}
+
 func (s absState) join(o absState) bool {
 	ci := s.i.Join(o.i)
 	cd := s.d.Join(o.d)
@@ -81,6 +87,11 @@ func (a *Analyzer) classify(g *cfg.Graph) ([]uint64, []uint64, ClassStats) {
 	in := make([]absState, len(g.Nodes))
 	in[g.Entry] = newState()
 
+	// One scratch state per call carries each node's out-state and,
+	// below, its cost walk; only a successor's first in-state is a
+	// fresh copy.
+	scratch := newState()
+
 	rpo := g.RPO()
 	// Fixpoint iteration.
 	var sweeps uint64
@@ -91,7 +102,8 @@ func (a *Analyzer) classify(g *cfg.Graph) ([]uint64, []uint64, ClassStats) {
 			if in[id].i == nil {
 				continue // not yet reached
 			}
-			out := in[id].clone()
+			out := scratch
+			out.copyFrom(in[id])
 			a.applyTransfer(out, g.Node(id))
 			for _, s := range g.Node(id).Succs {
 				if in[s].i == nil {
@@ -131,7 +143,8 @@ func (a *Analyzer) classify(g *cfg.Graph) ([]uint64, []uint64, ClassStats) {
 		if st.i == nil {
 			continue // unreachable
 		}
-		s := st.clone()
+		s := scratch
+		s.copyFrom(st)
 		var c uint64
 		for i := range n.Block.Instrs {
 			ins := &n.Block.Instrs[i]

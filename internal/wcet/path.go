@@ -1,8 +1,9 @@
 package wcet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"verikern/internal/arch"
 	"verikern/internal/cache"
@@ -12,54 +13,12 @@ import (
 
 // reconstruct converts the ILP's edge counts into a concrete block
 // trace from entry to exit — the paper's "converted the solution to a
-// concrete execution trace" step (§6). The counts satisfy flow
-// conservation, so they define an Eulerian trail of the count
-// multigraph, found with Hierholzer's algorithm. Many trails are valid
-// when a node has several successors; the adjacency lists are built
-// from the edges in (from, to) order so the same counts always yield
-// the same trail.
+// concrete execution trace" step (§6).
 func reconstruct(g *cfg.Graph, edgeCount map[edgeKey]int64) ([]*kimage.Block, error) {
-	// Hierholzer's algorithm over edgeCount, from entry.
-	edges := make([]edgeKey, 0, len(edgeCount))
-	for k := range edgeCount {
-		edges = append(edges, k)
+	trail, err := reconstructTrail(g, edgeCount)
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].from != edges[j].from {
-			return edges[i].from < edges[j].from
-		}
-		return edges[i].to < edges[j].to
-	})
-	adj := make(map[cfg.NodeID][]cfg.NodeID)
-	for _, e := range edges {
-		for i := int64(0); i < edgeCount[e]; i++ {
-			adj[e.from] = append(adj[e.from], e.to)
-		}
-	}
-	var trail []cfg.NodeID
-	stack := []cfg.NodeID{g.Entry}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		if outs := adj[v]; len(outs) > 0 {
-			next := outs[len(outs)-1]
-			adj[v] = outs[:len(outs)-1]
-			stack = append(stack, next)
-		} else {
-			trail = append(trail, v)
-			stack = stack[:len(stack)-1]
-		}
-	}
-	// The trail is reversed.
-	for i, j := 0, len(trail)-1; i < j; i, j = i+1, j-1 {
-		trail[i], trail[j] = trail[j], trail[i]
-	}
-	// Verify every edge was consumed (the counts formed one trail).
-	for v, outs := range adj {
-		if len(outs) > 0 {
-			return nil, fmt.Errorf("path reconstruction: %d unused edges at node %d (disconnected flow)", len(outs), v)
-		}
-	}
-
 	blocks := make([]*kimage.Block, 0, len(trail))
 	for _, id := range trail {
 		if n := g.Node(id); n.Block != nil {
@@ -67,6 +26,92 @@ func reconstruct(g *cfg.Graph, edgeCount map[edgeKey]int64) ([]*kimage.Block, er
 		}
 	}
 	return blocks, nil
+}
+
+// countRun is one edge of the count multigraph with the traversals
+// still left to take.
+type countRun struct {
+	to   cfg.NodeID
+	left int64
+}
+
+// reconstructTrail returns the node trail the edge counts define. The
+// counts satisfy flow conservation, so they define an Eulerian trail
+// of the count multigraph, found with Hierholzer's algorithm. Many
+// trails are valid when a node has several successors; each node's
+// outgoing edges are kept in ascending target order and the walk
+// always leaves by the last one with a count left, so the same counts
+// always yield the same trail.
+//
+// An edge taken k times is one run with k left, not k adjacency
+// entries, so the work space is the node and edge tables plus one
+// buffer for the trail.
+func reconstructTrail(g *cfg.Graph, edgeCount map[edgeKey]int64) ([]cfg.NodeID, error) {
+	n := len(g.Nodes)
+	// Node v's runs are runs[first[v]:live[v]], sorted by target; a
+	// run leaves the live range when its count reaches zero, and it
+	// is always the last live one.
+	first := make([]int, n+1)
+	var total int64
+	for e, c := range edgeCount {
+		if c > 0 {
+			first[e.from+1]++
+			total += c
+		}
+	}
+	for v := 0; v < n; v++ {
+		first[v+1] += first[v]
+	}
+	runs := make([]countRun, first[n])
+	live := make([]int, n)
+	copy(live, first[:n])
+	for e, c := range edgeCount {
+		if c > 0 {
+			runs[live[e.from]] = countRun{to: e.to, left: c}
+			live[e.from]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		slices.SortFunc(runs[first[v]:live[v]], func(a, b countRun) int { return cmp.Compare(a.to, b.to) })
+	}
+
+	// The stack grows up from buf[0] and the finished trail down
+	// from the end. Every vertex on either was pushed once, and each
+	// push but the first takes an edge, so together they never hold
+	// more than total+1 vertices and cannot overlap. Vertices leave
+	// the stack in reverse trail order, so writing the trail back to
+	// front leaves it in order.
+	buf := make([]cfg.NodeID, total+1)
+	sp, tp := 0, len(buf)
+	buf[sp] = g.Entry
+	sp++
+	for sp > 0 {
+		v := buf[sp-1]
+		if live[v] > first[v] {
+			r := &runs[live[v]-1]
+			r.left--
+			if r.left == 0 {
+				live[v]--
+			}
+			buf[sp] = r.to
+			sp++
+		} else {
+			sp--
+			tp--
+			buf[tp] = v
+		}
+	}
+	// Verify every edge was consumed (the counts formed one trail).
+	for v := 0; v < n; v++ {
+		var left int64
+		for _, r := range runs[first[v]:live[v]] {
+			left += r.left
+		}
+		if left > 0 {
+			return nil, fmt.Errorf("path reconstruction: %d unused edges at node %d (disconnected flow)", left, v)
+		}
+	}
+	return buf[tp:], nil
 }
 
 // TraceCycles computes the analyser's cost for one specific concrete

@@ -474,7 +474,7 @@ func (s *System) BuildAdversarialCSpace(t *TCB, levels int) (uint32, error) {
 		cn := cnObjs[0].(*kobj.CNode)
 		cn.Name = fmt.Sprintf("adv-l%d", levels-l)
 		cn.GuardBits = guard
-		cn.Slots[1].Cap = next
+		cn.Slot(1).Cap = next
 		next = kobj.Cap{Type: kobj.CapCNode, Obj: cn, Rights: kobj.RightsAll}
 	}
 	t.CSpaceRoot = next
