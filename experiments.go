@@ -335,7 +335,7 @@ func ComputeHeadline(ctx context.Context, l2 bool) (Headline, error) {
 		SyscallCycles:   sys.Cycles,
 		InterruptCycles: irq.Cycles,
 		TotalCycles:     total,
-		TotalMicros:     arch.CyclesToMicros(total),
+		TotalMicros:     arch.ARM1136.CyclesToMicros(total),
 		L2Enabled:       l2,
 	}, nil
 }

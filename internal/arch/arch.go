@@ -1,13 +1,14 @@
-// Package arch describes the simulated evaluation platform: a 532 MHz
-// ARM1136-class CPU on a KZM-like board, as used by the paper
+// Package arch describes the simulated evaluation platforms. Each
+// hardware backend (backend.go) states one core's instruction timing
+// classes, cache geometries, memory latencies and address map; the
+// default is the paper's 532 MHz ARM1136 on a KZM-like board
 // (Blackham, Shi & Heiser, EuroSys 2012, §5.1).
 //
-// The package is purely descriptive: it defines instruction classes,
-// cache geometries, memory latencies and the platform address map that
-// the timing simulator (internal/machine), the synthetic kernel binary
-// (internal/kimage) and the static WCET analyser (internal/wcet) all
-// share. Keeping the description in one place guarantees the analyser
-// and the simulator model the same hardware.
+// The package is purely descriptive. The timing simulator
+// (internal/machine), the synthetic kernel binary (internal/kimage) and
+// the static WCET analyser (internal/wcet) all read the backend their
+// Config selects, so the analyser and the simulator model the same
+// hardware.
 package arch
 
 import "fmt"
@@ -33,9 +34,9 @@ const (
 	// Store is a data store (STR/STM of one register).
 	Store
 	// Branch is any control transfer. With the branch predictor
-	// disabled all branches cost a constant BranchCostNoPredict
-	// cycles; with it enabled they cost between 0 and 7 cycles
-	// depending on prediction outcome (§5.1).
+	// disabled all branches cost the backend's constant
+	// BranchNoPredict cycles; with it enabled the cost depends on
+	// the prediction outcome (§5.1).
 	Branch
 	// System covers coprocessor and system instructions (CP15 ops,
 	// TLB/cache maintenance, mode changes).
@@ -68,75 +69,6 @@ func (c Class) String() string {
 // NumClasses reports the number of distinct instruction classes.
 const NumClasses = int(numClasses)
 
-// Base pipeline costs in cycles. Derived from the ARM1136 technical
-// reference manual figures the paper relies on: most data-processing
-// instructions single-issue, multiplies take two cycles, branches cost
-// a constant 5 cycles with the predictor disabled (§5.1).
-const (
-	CostALU    = 1
-	CostMul    = 2
-	CostCLZ    = 1
-	CostLoad   = 1 // plus memory hierarchy
-	CostStore  = 1 // plus memory hierarchy
-	CostSystem = 3
-
-	// BranchCostNoPredict is the constant branch cost with the
-	// predictor disabled: "all branches execute in a constant 5
-	// cycles" (§5.1).
-	BranchCostNoPredict = 5
-	// BranchCostPredicted is the cost of a correctly predicted
-	// branch with the predictor enabled.
-	BranchCostPredicted = 1
-	// BranchCostMispredict is the cost of a mispredicted branch
-	// with the predictor enabled (the 0–7 cycle upper end).
-	BranchCostMispredict = 7
-)
-
-// BaseCost returns the pipeline issue cost of an instruction class,
-// excluding memory-hierarchy penalties and excluding branch resolution
-// (which depends on the predictor configuration).
-func BaseCost(c Class) uint64 {
-	switch c {
-	case ALU:
-		return CostALU
-	case Mul:
-		return CostMul
-	case CLZ:
-		return CostCLZ
-	case Load:
-		return CostLoad
-	case Store:
-		return CostStore
-	case Branch:
-		return 0 // resolved by the predictor model
-	case System:
-		return CostSystem
-	default:
-		return CostALU
-	}
-}
-
-// Memory hierarchy latencies of the KZM board (§5.1): a 26-cycle L2
-// hit, 60-cycle memory access with the L2 disabled and 96 cycles with
-// it enabled.
-const (
-	LatencyL2Hit    = 26
-	LatencyMemL2Off = 60
-	LatencyMemL2On  = 96
-)
-
-// ClockHz is the simulated CPU clock: 532 MHz (i.MX31).
-const ClockHz = 532_000_000
-
-// CyclesToMicros converts a cycle count to microseconds on the
-// simulated 532 MHz clock.
-func CyclesToMicros(cycles uint64) float64 {
-	return float64(cycles) / (ClockHz / 1e6)
-}
-
-// LineBytes is the cache line size used by all caches on the platform.
-const LineBytes = 32
-
 // CacheGeometry describes one cache.
 type CacheGeometry struct {
 	// SizeBytes is the total capacity.
@@ -158,30 +90,6 @@ func (g CacheGeometry) Sets() int {
 func (g CacheGeometry) WaySizeBytes() int {
 	return g.SizeBytes / g.Ways
 }
-
-// Platform cache geometries (§5.1): split 16 KiB 4-way L1 caches and a
-// unified 128 KiB 8-way L2.
-var (
-	L1IGeometry = CacheGeometry{SizeBytes: 16 * 1024, Ways: 4, LineBytes: LineBytes}
-	L1DGeometry = CacheGeometry{SizeBytes: 16 * 1024, Ways: 4, LineBytes: LineBytes}
-	L2Geometry  = CacheGeometry{SizeBytes: 128 * 1024, Ways: 8, LineBytes: LineBytes}
-)
-
-// Address map of the simulated platform. The kernel image is linked at
-// KernelBase; kernel objects live above KernelHeapBase; user images at
-// UserBase. The precise values only matter in that they determine
-// cache-set mappings, exactly as the link address did for the paper's
-// measured binary.
-const (
-	KernelBase     uint32 = 0xF000_0000
-	KernelHeapBase uint32 = 0xF010_0000
-	KernelStack    uint32 = 0xF00F_F000
-	UserBase       uint32 = 0x0000_8000
-	// KernelWindowBytes is the amount of the page directory that
-	// holds kernel global mappings and must be copied into every
-	// new page directory: 1 KiB on ARMv6 (§3.5).
-	KernelWindowBytes = 1024
-)
 
 // Config selects the platform features that the paper varies in its
 // evaluation (§5.1, §6.4), on a particular backend.
@@ -226,7 +134,10 @@ type Config struct {
 	ITCMBase, DTCMBase uint32
 }
 
-// TCMBytes is the size of each TCM window: one L1 way.
+// TCMBytes is the size of each TCM window: one L1 way of a backend
+// with HasTCM (Backend.Validate holds the two equal). It is a constant,
+// not a backend field, because InITCM/InDTCM run once per simulated
+// access and must not resolve the backend.
 const TCMBytes = 4096
 
 // InITCM reports whether addr falls in the instruction TCM window.
@@ -237,16 +148,6 @@ func (c Config) InITCM(addr uint32) bool {
 // InDTCM reports whether addr falls in the data TCM window.
 func (c Config) InDTCM(addr uint32) bool {
 	return c.TCMEnabled && addr >= c.DTCMBase && addr < c.DTCMBase+TCMBytes
-}
-
-// MemLatency returns the main-memory access latency for the
-// configuration on its backend.
-func (c Config) MemLatency() uint64 {
-	b := c.Backend()
-	if c.L2Enabled && b.HasL2 {
-		return b.LatMemL2On
-	}
-	return b.LatMemL2Off
 }
 
 // Backend resolves the configuration's hardware backend. The empty

@@ -6,35 +6,37 @@ import (
 )
 
 func TestCacheGeometry(t *testing.T) {
-	if got := L1IGeometry.Sets(); got != 128 {
+	if got := ARM1136.L1I.Sets(); got != 128 {
 		t.Errorf("L1I sets = %d, want 128", got)
 	}
-	if got := L1IGeometry.WaySizeBytes(); got != 4096 {
+	if got := ARM1136.L1I.WaySizeBytes(); got != 4096 {
 		t.Errorf("L1I way size = %d, want 4096", got)
 	}
-	if got := L2Geometry.Sets(); got != 512 {
+	if got := ARM1136.L2.Sets(); got != 512 {
 		t.Errorf("L2 sets = %d, want 512", got)
 	}
-	if got := L2Geometry.WaySizeBytes(); got != 16384 {
+	if got := ARM1136.L2.WaySizeBytes(); got != 16384 {
 		t.Errorf("L2 way size = %d, want 16 KiB", got)
 	}
 }
 
+// TestMemLatencyBySetting pins the KZM board's memory latencies
+// (§5.1): 60 cycles with the L2 disabled, 96 with it enabled.
 func TestMemLatencyBySetting(t *testing.T) {
-	if got := (Config{}).MemLatency(); got != LatencyMemL2Off {
-		t.Errorf("L2-off latency %d, want %d", got, LatencyMemL2Off)
+	if got := ARM1136.LatMemL2Off; got != 60 {
+		t.Errorf("L2-off latency %d, want 60", got)
 	}
-	if got := (Config{L2Enabled: true}).MemLatency(); got != LatencyMemL2On {
-		t.Errorf("L2-on latency %d, want %d", got, LatencyMemL2On)
+	if got := ARM1136.LatMemL2On; got != 96 {
+		t.Errorf("L2-on latency %d, want 96", got)
 	}
 }
 
 func TestCyclesToMicros(t *testing.T) {
 	// 532 cycles = 1 µs on the 532 MHz clock.
-	if got := CyclesToMicros(532_000_000); got != 1e6 {
+	if got := ARM1136.CyclesToMicros(532_000_000); got != 1e6 {
 		t.Errorf("one second = %v µs", got)
 	}
-	if got := CyclesToMicros(0); got != 0 {
+	if got := ARM1136.CyclesToMicros(0); got != 0 {
 		t.Errorf("zero cycles = %v µs", got)
 	}
 }
@@ -42,12 +44,12 @@ func TestCyclesToMicros(t *testing.T) {
 func TestBaseCostsPositive(t *testing.T) {
 	for c := Class(0); c < Class(NumClasses); c++ {
 		if c == Branch {
-			if BaseCost(c) != 0 {
+			if ARM1136.BaseCost(c) != 0 {
 				t.Error("branch base cost must defer to the predictor model")
 			}
 			continue
 		}
-		if BaseCost(c) == 0 {
+		if ARM1136.BaseCost(c) == 0 {
 			t.Errorf("class %v has zero base cost", c)
 		}
 		if c.String() == "unknown" {
@@ -61,7 +63,7 @@ func TestBaseCostsPositive(t *testing.T) {
 func TestPropertyBaseCostsBounded(t *testing.T) {
 	f := func(b uint8) bool {
 		c := Class(b % uint8(NumClasses))
-		return BaseCost(c) <= CostSystem
+		return ARM1136.BaseCost(c) <= ARM1136.BaseCost(System)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -69,7 +71,7 @@ func TestPropertyBaseCostsBounded(t *testing.T) {
 }
 
 func TestKernelWindowConstant(t *testing.T) {
-	if KernelWindowBytes != 1024 {
-		t.Errorf("kernel window %d bytes, want the paper's 1 KiB", KernelWindowBytes)
+	if ARM1136.KernelWindowBytes != 1024 {
+		t.Errorf("kernel window %d bytes, want the paper's 1 KiB", ARM1136.KernelWindowBytes)
 	}
 }

@@ -24,10 +24,10 @@ type Backend struct {
 	// ID is the backend's stable identifier ("arm1136", "cva6rt"),
 	// used by -arch flags, cache keys and BENCH_* artifact rows.
 	ID string
-	// Version participates in every content-addressed cache key
-	// derived from this backend. Bump it whenever any timing or
-	// geometry parameter changes, so stale cached analyses (in memory
-	// or in an on-disk artifact store) can never be served.
+	// Version participates in every content-addressed cache key and
+	// every konfig point hash derived from this backend. Bump it
+	// whenever any timing or geometry parameter changes, so the
+	// in-memory analysis cache can never serve a stale result.
 	Version int
 	// Desc is a one-line human description.
 	Desc string
@@ -68,9 +68,8 @@ type Backend struct {
 
 	// HasTCM reports whether one L1 way can be repurposed as
 	// tightly-coupled memory; Config.TCMEnabled is invalid without
-	// it. TCMBytes is the window size (one L1 way).
-	HasTCM   bool
-	TCMBytes uint32
+	// it. Each window is TCMBytes, one L1 way.
+	HasTCM bool
 
 	// Address map: kernel text from KernelBase, kernel objects above
 	// KernelHeapBase, the kernel stack at KernelStack, user images at
@@ -208,8 +207,8 @@ func (b *Backend) Validate() error {
 	if b.HasL2 && b.LatL2Hit >= b.LatMemL2On {
 		return fmt.Errorf("arch %s: L2 hit (%d) not cheaper than memory (%d)", b.ID, b.LatL2Hit, b.LatMemL2On)
 	}
-	if b.HasTCM && b.TCMBytes == 0 {
-		return fmt.Errorf("arch %s: TCM present with zero window", b.ID)
+	if b.HasTCM && (b.L1I.WaySizeBytes() != TCMBytes || b.L1D.WaySizeBytes() != TCMBytes) {
+		return fmt.Errorf("arch %s: TCM window %d bytes is not one L1 way", b.ID, TCMBytes)
 	}
 	if b.KernelHeapBase <= b.KernelBase {
 		return fmt.Errorf("arch %s: kernel heap (%#x) not above kernel base (%#x)", b.ID, b.KernelHeapBase, b.KernelBase)
@@ -306,19 +305,6 @@ func MustLookup(id string) *Backend {
 	return b
 }
 
-// Backends returns every registered backend, sorted by ID — the
-// matrix the bench drivers and CI sweep.
-func Backends() []*Backend {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]*Backend, 0, len(registry))
-	for _, b := range registry {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // BackendIDs returns the registered backend IDs, sorted.
 func BackendIDs() []string {
 	registryMu.RLock()
@@ -342,48 +328,58 @@ const (
 )
 
 // ARM1136 is the default backend: the paper's evaluation platform, a
-// 532 MHz ARM1136 on a KZM board (§5.1). Its parameters are exactly
-// the package-level constants this file's values are drawn from, and
-// the differential baseline test holds it byte-identical to the
-// pre-Backend hard-wired model.
+// 532 MHz ARM1136 (i.MX31) on a KZM board (§5.1). The baseline test
+// (TestARM1136Baseline) holds every bound it yields to a golden.
 var ARM1136 = &Backend{
 	ID:      ARM1136ID,
 	Version: 1,
 	Desc:    "532 MHz ARM1136 (KZM/i.MX31), split 16K 4-way L1s, unified 128K 8-way L2",
 
-	ClockHz:   ClockHz,
-	LineBytes: LineBytes,
-	L1I:       L1IGeometry,
-	L1D:       L1DGeometry,
-	L2:        L2Geometry,
-	HasL2:     true,
+	ClockHz:   532_000_000,
+	LineBytes: 32,
+	// Split 16 KiB 4-way L1 caches and a unified 128 KiB 8-way L2.
+	L1I:   CacheGeometry{SizeBytes: 16 * 1024, Ways: 4, LineBytes: 32},
+	L1D:   CacheGeometry{SizeBytes: 16 * 1024, Ways: 4, LineBytes: 32},
+	L2:    CacheGeometry{SizeBytes: 128 * 1024, Ways: 8, LineBytes: 32},
+	HasL2: true,
 
-	LatL2Hit:    LatencyL2Hit,
-	LatMemL2Off: LatencyMemL2Off,
-	LatMemL2On:  LatencyMemL2On,
+	// A 26-cycle L2 hit; a 60-cycle memory access with the L2
+	// disabled and 96 cycles with it enabled.
+	LatL2Hit:    26,
+	LatMemL2Off: 60,
+	LatMemL2On:  96,
 
+	// Most data-processing instructions single-issue; multiplies
+	// take two cycles, coprocessor/system instructions three. Loads
+	// and stores also pay the memory hierarchy.
 	ClassCosts: [NumClasses]uint64{
-		ALU:    CostALU,
-		Mul:    CostMul,
-		CLZ:    CostCLZ,
-		Load:   CostLoad,
-		Store:  CostStore,
+		ALU:    1,
+		Mul:    2,
+		CLZ:    1,
+		Load:   1,
+		Store:  1,
 		Branch: 0,
-		System: CostSystem,
+		System: 3,
 	},
-	BranchNoPredict:     BranchCostNoPredict,
-	BranchPredicted:     BranchCostPredicted,
-	BranchMispredict:    BranchCostMispredict,
+	// "All branches execute in a constant 5 cycles" with the
+	// predictor disabled; with it enabled, 1 cycle when predicted
+	// and 7 (the upper end of 0–7) when mispredicted.
+	BranchNoPredict:     5,
+	BranchPredicted:     1,
+	BranchMispredict:    7,
 	HasDynamicPredictor: true,
 
-	HasTCM:   true,
-	TCMBytes: TCMBytes,
+	HasTCM: true,
 
-	KernelBase:        KernelBase,
-	KernelHeapBase:    KernelHeapBase,
-	KernelStack:       KernelStack,
-	UserBase:          UserBase,
-	KernelWindowBytes: KernelWindowBytes,
+	// The precise addresses only matter in that they fix cache-set
+	// mappings, as the link address did for the paper's measured
+	// binary. The kernel window is the 1 KiB of each page directory
+	// holding kernel global mappings on ARMv6 (§3.5).
+	KernelBase:        0xF000_0000,
+	KernelHeapBase:    0xF010_0000,
+	KernelStack:       0xF00F_F000,
+	UserBase:          0x0000_8000,
+	KernelWindowBytes: 1024,
 
 	// The ARM1136 exception sequence (mode switch, vector fetch,
 	// pipeline refill) is modelled by the image's entrySave code, so
@@ -407,9 +403,9 @@ var CVA6RT = &Backend{
 	Desc:    "1 GHz CVA6-RT-style in-order RV64, 16K/32K way-lockable L1s, predictable memory path, constant-cost IRQ entry",
 
 	ClockHz:   1_000_000_000,
-	LineBytes: LineBytes,
-	L1I:       CacheGeometry{SizeBytes: 16 * 1024, Ways: 4, LineBytes: LineBytes},
-	L1D:       CacheGeometry{SizeBytes: 32 * 1024, Ways: 8, LineBytes: LineBytes},
+	LineBytes: 32,
+	L1I:       CacheGeometry{SizeBytes: 16 * 1024, Ways: 4, LineBytes: 32},
+	L1D:       CacheGeometry{SizeBytes: 32 * 1024, Ways: 8, LineBytes: 32},
 	HasL2:     false,
 
 	// One predictable memory path: a constant 40-cycle access to

@@ -1,65 +1,20 @@
 // Package cache models the set-associative caches of the simulated
-// platform: the split 4-way L1 caches and the unified 8-way L2 of the
-// ARM1136 (§5.1 of the paper). It supports the replacement policies the
-// hardware offers (round-robin and pseudo-random), way-locking for
-// cache pinning (§4), dirty-line tracking for write-back cost, and an
-// abstract "must" cache used by the static analyser's conservative
-// direct-mapped approximation.
+// platforms, with the geometry each hardware backend states (the split
+// 4-way L1 caches and unified 8-way L2 of the ARM1136, §5.1 of the
+// paper). It models round-robin replacement (the policy the analysed
+// deployments use), way-locking for cache pinning (§4), dirty-line
+// tracking for write-back cost, and an abstract "must" cache used by
+// the static analyser's conservative direct-mapped approximation.
 //
 // The metadata layout is flat: tags and per-line flags live in two
-// contiguous slices indexed by set*Ways+way, with the replacement
-// pointers in a third.
+// contiguous slices indexed by set*Ways+way, with the round-robin
+// victim pointers in a third.
 package cache
 
 import (
 	"fmt"
 	"strings"
 )
-
-// Policy selects the replacement policy of a concrete cache.
-type Policy uint8
-
-// Replacement policies supported by the ARM1136 caches.
-const (
-	// RoundRobin cycles the victim way per set.
-	RoundRobin Policy = iota
-	// PseudoRandom picks the victim way from a small LFSR, as the
-	// hardware's pseudo-random mode does.
-	PseudoRandom
-	// LRU evicts the least recently used way. The ARM1136 does not
-	// implement LRU; it is provided as a reference policy for tests.
-	LRU
-)
-
-// String returns the policy name.
-func (p Policy) String() string {
-	switch p {
-	case RoundRobin:
-		return "round-robin"
-	case PseudoRandom:
-		return "pseudo-random"
-	case LRU:
-		return "lru"
-	default:
-		return "unknown"
-	}
-}
-
-// Policies returns every modelled replacement policy, in definition
-// order — the raw domain of the konfig "cache.replacement" key (the
-// rule engine narrows it to the policies a deployment is verifiable
-// under; see internal/konfig).
-func Policies() []Policy { return []Policy{RoundRobin, PseudoRandom, LRU} }
-
-// ParsePolicy resolves a policy name as printed by Policy.String.
-func ParsePolicy(s string) (Policy, error) {
-	for _, p := range Policies() {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("cache: unknown replacement policy %q", s)
-}
 
 // Config describes a concrete cache instance.
 type Config struct {
@@ -69,8 +24,6 @@ type Config struct {
 	Ways int
 	// LineBytes is the line size; must be a power of two.
 	LineBytes int
-	// Policy is the replacement policy.
-	Policy Policy
 	// LockedWays reserves the first LockedWays ways of every set
 	// for pinned lines: replacement never selects them, so lines
 	// installed there by Pin stay resident forever (§4).
@@ -113,7 +66,6 @@ type Cache struct {
 	tags   []uint32
 	flags  []uint8
 	rrNext []int32
-	lfsr   uint32 // pseudo-random replacement state
 
 	lineShift uint
 	tagShift  uint
@@ -172,12 +124,6 @@ func (c *Cache) setLine(i int, tag uint32, fl uint8) {
 	c.flags[i] = fl
 }
 
-// stepLFSR clocks the 16-bit Fibonacci LFSR once.
-func (c *Cache) stepLFSR() {
-	bit := ((c.lfsr >> 0) ^ (c.lfsr >> 2) ^ (c.lfsr >> 3) ^ (c.lfsr >> 5)) & 1
-	c.lfsr = (c.lfsr >> 1) | (bit << 15)
-}
-
 // Result describes the outcome of a cache access.
 type Result struct {
 	// Hit reports whether the line was resident.
@@ -202,9 +148,6 @@ func (c *Cache) Access(addr uint32, write bool) Result {
 			if write {
 				c.flags[i] |= flagDirty
 			}
-			if c.cfg.Policy == LRU {
-				c.touchLRU(base, i-base)
-			}
 			return Result{Hit: true}
 		}
 	}
@@ -220,59 +163,29 @@ func (c *Cache) Access(addr uint32, write bool) Result {
 		fl |= flagDirty
 	}
 	c.setLine(victim, tag, fl)
-	if c.cfg.Policy == LRU {
-		c.touchLRU(base, victim-base)
-	}
 	return Result{Hit: false, Writeback: wb}
 }
 
-// touchLRU moves way w to the most-recently-used position (the end of
-// the unlocked region). LRU order is encoded by position: lower
-// unlocked indices are older.
-func (c *Cache) touchLRU(base, w int) {
-	if w < c.cfg.LockedWays {
-		return
-	}
-	end := base + c.cfg.Ways
-	t, fl := c.tags[base+w], c.flags[base+w]
-	copy(c.tags[base+w:end], c.tags[base+w+1:end])
-	copy(c.flags[base+w:end], c.flags[base+w+1:end])
-	c.tags[end-1], c.flags[end-1] = t, fl
-}
-
-// victim selects the way (relative to the set) to replace. Locked ways
-// are never selected.
+// victim selects the way (relative to the set) to replace: an invalid
+// unlocked way if there is one, else the set's round-robin pointer,
+// which it advances. Locked ways are never selected.
 func (c *Cache) victim(set, base int) int {
 	lo := c.cfg.LockedWays
-	n := c.cfg.Ways - lo
-	// Prefer an invalid unlocked way.
 	for w := lo; w < c.cfg.Ways; w++ {
 		if c.flags[base+w]&flagValid == 0 {
 			return w
 		}
 	}
-	switch c.cfg.Policy {
-	case RoundRobin:
-		v := int(c.rrNext[set])
-		if v < lo || v >= c.cfg.Ways {
-			v = lo
-		}
-		next := v + 1
-		if next >= c.cfg.Ways {
-			next = lo
-		}
-		c.rrNext[set] = int32(next)
-		return v
-	case PseudoRandom:
-		// 16-bit Fibonacci LFSR, as a stand-in for the
-		// hardware's pseudo-random replacement source.
-		c.stepLFSR()
-		return lo + int(c.lfsr)%n
-	case LRU:
-		return lo // oldest unlocked position
-	default:
-		return lo
+	v := int(c.rrNext[set])
+	if v < lo || v >= c.cfg.Ways {
+		v = lo
 	}
+	next := v + 1
+	if next >= c.cfg.Ways {
+		next = lo
+	}
+	c.rrNext[set] = int32(next)
+	return v
 }
 
 // Pin installs addr's line into a locked way of its set and marks it
@@ -381,17 +294,16 @@ func (c *Cache) DirtyFootprint(addrs []uint32, seed uint32) {
 
 // ResetReplacement returns the replacement state to its power-on value
 // without touching cache contents: every round-robin victim pointer at
-// the first unlocked way, and the LFSR at its seed.
+// the first unlocked way.
 func (c *Cache) ResetReplacement() {
 	for s := range c.rrNext {
 		c.rrNext[s] = int32(c.cfg.LockedWays)
 	}
-	c.lfsr = 0xACE1
 }
 
 // AdvanceReplacement clocks the replacement state n steps without
 // touching cache contents: the round-robin victim pointer of every set
-// advances (skipping locked ways), and the pseudo-random LFSR shifts.
+// advances, skipping locked ways.
 // Worst-case search uses it to sweep the victim-selection phase a run
 // starts from — a dimension Pollute alone does not explore.
 func (c *Cache) AdvanceReplacement(n int) {
@@ -403,9 +315,6 @@ func (c *Cache) AdvanceReplacement(n int) {
 	for s := range c.rrNext {
 		v := c.rrNext[s] - lo
 		c.rrNext[s] = lo + (v+int32(n))%span
-	}
-	for i := 0; i < n; i++ {
-		c.stepLFSR()
 	}
 }
 
@@ -431,7 +340,6 @@ func (c *Cache) StateString() string {
 			b.WriteByte('\n')
 		}
 	}
-	fmt.Fprintf(&b, "lfsr %x\n", c.lfsr)
 	return b.String()
 }
 

@@ -5,8 +5,8 @@ import (
 	"testing/quick"
 )
 
-func testConfig(policy Policy, lockedWays int) Config {
-	return Config{Sets: 128, Ways: 4, LineBytes: 32, Policy: policy, LockedWays: lockedWays}
+func testConfig(lockedWays int) Config {
+	return Config{Sets: 128, Ways: 4, LineBytes: 32, LockedWays: lockedWays}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -31,14 +31,14 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestSizeBytes(t *testing.T) {
-	cfg := testConfig(RoundRobin, 0)
+	cfg := testConfig(0)
 	if got, want := cfg.SizeBytes(), 16*1024; got != want {
 		t.Errorf("SizeBytes() = %d, want %d", got, want)
 	}
 }
 
 func TestMissThenHit(t *testing.T) {
-	c := New(testConfig(RoundRobin, 0))
+	c := New(testConfig(0))
 	if r := c.Access(0x1000, false); r.Hit {
 		t.Error("first access hit an empty cache")
 	}
@@ -57,7 +57,7 @@ func TestMissThenHit(t *testing.T) {
 
 func TestAssociativityHoldsConflicts(t *testing.T) {
 	// 4 ways: 4 conflicting lines all fit, the 5th evicts one.
-	c := New(testConfig(RoundRobin, 0))
+	c := New(testConfig(0))
 	stride := uint32(128 * 32) // maps to the same set
 	for i := uint32(0); i < 4; i++ {
 		c.Access(0x1000+i*stride, false)
@@ -80,7 +80,7 @@ func TestAssociativityHoldsConflicts(t *testing.T) {
 }
 
 func TestRoundRobinVictimOrder(t *testing.T) {
-	c := New(testConfig(RoundRobin, 0))
+	c := New(testConfig(0))
 	stride := uint32(128 * 32)
 	for i := uint32(0); i < 4; i++ {
 		c.Access(uint32(0x1000)+i*stride, false)
@@ -97,7 +97,7 @@ func TestRoundRobinVictimOrder(t *testing.T) {
 }
 
 func TestWritebackOnDirtyEviction(t *testing.T) {
-	c := New(Config{Sets: 1, Ways: 1, LineBytes: 32, Policy: RoundRobin})
+	c := New(Config{Sets: 1, Ways: 1, LineBytes: 32})
 	if r := c.Access(0x0, true); r.Writeback {
 		t.Error("filling an empty cache reported a writeback")
 	}
@@ -114,7 +114,7 @@ func TestWritebackOnDirtyEviction(t *testing.T) {
 }
 
 func TestPinSurvivesConflicts(t *testing.T) {
-	c := New(testConfig(RoundRobin, 1))
+	c := New(testConfig(1))
 	if !c.Pin(0x1000) {
 		t.Fatal("Pin failed with a locked way available")
 	}
@@ -132,7 +132,7 @@ func TestPinSurvivesConflicts(t *testing.T) {
 }
 
 func TestPinCapacity(t *testing.T) {
-	c := New(testConfig(RoundRobin, 1))
+	c := New(testConfig(1))
 	stride := uint32(128 * 32)
 	if !c.Pin(0x1000) {
 		t.Fatal("first pin failed")
@@ -150,14 +150,14 @@ func TestPinCapacity(t *testing.T) {
 }
 
 func TestPinWithoutLockedWays(t *testing.T) {
-	c := New(testConfig(RoundRobin, 0))
+	c := New(testConfig(0))
 	if c.Pin(0x1000) {
 		t.Error("Pin succeeded with no locked ways")
 	}
 }
 
 func TestPolluteFillsCache(t *testing.T) {
-	c := New(testConfig(RoundRobin, 0))
+	c := New(testConfig(0))
 	c.Pollute(42)
 	// Every subsequent distinct access must miss and evict dirty data.
 	r := c.Access(0x1000, false)
@@ -170,7 +170,7 @@ func TestPolluteFillsCache(t *testing.T) {
 }
 
 func TestPollutePreservesPins(t *testing.T) {
-	c := New(testConfig(RoundRobin, 1))
+	c := New(testConfig(1))
 	c.Pin(0x1000)
 	c.Pollute(7)
 	if !c.Pinned(0x1000) {
@@ -179,7 +179,7 @@ func TestPollutePreservesPins(t *testing.T) {
 }
 
 func TestInvalidateAllPreservesPins(t *testing.T) {
-	c := New(testConfig(RoundRobin, 1))
+	c := New(testConfig(1))
 	c.Pin(0x1000)
 	c.Access(0x2000, false)
 	c.InvalidateAll()
@@ -191,25 +191,8 @@ func TestInvalidateAllPreservesPins(t *testing.T) {
 	}
 }
 
-func TestLRUEvictionOrder(t *testing.T) {
-	c := New(testConfig(LRU, 0))
-	stride := uint32(128 * 32)
-	for i := uint32(0); i < 4; i++ {
-		c.Access(0x1000+i*stride, false)
-	}
-	// Touch line 0 so line 1 becomes LRU.
-	c.Access(0x1000, false)
-	c.Access(0x1000+4*stride, false)
-	if !c.Contains(0x1000) {
-		t.Error("LRU evicted the most recently used line")
-	}
-	if c.Contains(0x1000 + stride) {
-		t.Error("LRU did not evict the least recently used line")
-	}
-}
-
 func TestStatsCount(t *testing.T) {
-	c := New(testConfig(RoundRobin, 0))
+	c := New(testConfig(0))
 	c.Access(0x0, false)
 	c.Access(0x0, false)
 	c.Access(0x20, false)
@@ -224,24 +207,22 @@ func TestStatsCount(t *testing.T) {
 	}
 }
 
-// Property: immediately re-accessing any address hits, under any policy.
+// Property: immediately re-accessing any address hits.
 func TestPropertyRepeatAccessHits(t *testing.T) {
-	for _, p := range []Policy{RoundRobin, PseudoRandom, LRU} {
-		c := New(testConfig(p, 0))
-		f := func(addr uint32) bool {
-			c.Access(addr, false)
-			return c.Access(addr, false).Hit
-		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("policy %v: %v", p, err)
-		}
+	c := New(testConfig(0))
+	f := func(addr uint32) bool {
+		c.Access(addr, false)
+		return c.Access(addr, false).Hit
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 
 // Property: the number of resident lines per set never exceeds the
 // associativity; equivalently Contains is consistent with a bounded set.
 func TestPropertySetOccupancyBounded(t *testing.T) {
-	c := New(Config{Sets: 4, Ways: 2, LineBytes: 32, Policy: PseudoRandom})
+	c := New(Config{Sets: 4, Ways: 2, LineBytes: 32})
 	seen := make(map[uint32]bool)
 	f := func(addrs []uint32) bool {
 		for _, a := range addrs {
@@ -268,27 +249,25 @@ func TestPropertySetOccupancyBounded(t *testing.T) {
 }
 
 // Property: a concrete cache is never less capable than the abstract
-// must-cache — whenever Must guarantees a hit, the concrete LRU cache
-// hits. This is the soundness relation the analyser relies on (§5.1).
+// must-cache — whenever Must guarantees a hit, the concrete cache hits.
+// This is the soundness relation the analyser relies on (§5.1).
 func TestPropertyMustAnalysisSound(t *testing.T) {
-	for _, p := range []Policy{RoundRobin, PseudoRandom, LRU} {
-		c := New(testConfig(p, 0))
-		m := NewMust(128, 32)
-		f := func(addrs []uint32) bool {
-			for _, a := range addrs {
-				if m.Hit(a) && !c.Access(a, false).Hit {
-					return false
-				}
-				if !m.Hit(a) {
-					c.Access(a, false)
-				}
-				m.Update(a)
+	c := New(testConfig(0))
+	m := NewMust(128, 32)
+	f := func(addrs []uint32) bool {
+		for _, a := range addrs {
+			if m.Hit(a) && !c.Access(a, false).Hit {
+				return false
 			}
-			return true
+			if !m.Hit(a) {
+				c.Access(a, false)
+			}
+			m.Update(a)
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-			t.Errorf("policy %v: must-analysis unsound: %v", p, err)
-		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Errorf("must-analysis unsound: %v", err)
 	}
 }
 

@@ -6,7 +6,7 @@ import "testing"
 // evicted, and its set full of dirty conflicting lines, while other
 // sets stay empty.
 func TestDirtyFootprintEvictsListedAddrs(t *testing.T) {
-	c := New(Config{Sets: 16, Ways: 4, LineBytes: 32, Policy: RoundRobin})
+	c := New(Config{Sets: 16, Ways: 4, LineBytes: 32})
 	addrs := []uint32{0x8000_0000, 0x8000_0020, 0x8000_0400}
 	for _, a := range addrs {
 		c.Access(a, false) // make the footprint resident
@@ -31,7 +31,7 @@ func TestDirtyFootprintEvictsListedAddrs(t *testing.T) {
 // TestDirtyFootprintSkipsLockedWays: pinned lines survive targeted
 // dirtying exactly as they survive Pollute.
 func TestDirtyFootprintSkipsLockedWays(t *testing.T) {
-	c := New(Config{Sets: 8, Ways: 4, LineBytes: 32, Policy: RoundRobin, LockedWays: 1})
+	c := New(Config{Sets: 8, Ways: 4, LineBytes: 32, LockedWays: 1})
 	const pinned = 0x8000_0000
 	if !c.Pin(pinned) {
 		t.Fatal("pin failed")
@@ -46,7 +46,7 @@ func TestDirtyFootprintSkipsLockedWays(t *testing.T) {
 // changes which way a subsequent allocation replaces.
 func TestAdvanceReplacementShiftsVictims(t *testing.T) {
 	mk := func() *Cache {
-		c := New(Config{Sets: 4, Ways: 4, LineBytes: 32, Policy: RoundRobin})
+		c := New(Config{Sets: 4, Ways: 4, LineBytes: 32})
 		// Fill one set.
 		for w := uint32(0); w < 4; w++ {
 			c.Access(w<<7, false)

@@ -17,7 +17,6 @@ type refCache struct {
 	cfg   Config
 	sets  map[int][]refLine
 	rr    map[int]int
-	lfsr  uint32
 	hits  uint64
 	miss  uint64
 	wback uint64
@@ -28,7 +27,6 @@ func newRefCache(cfg Config) *refCache {
 		cfg:  cfg,
 		sets: make(map[int][]refLine),
 		rr:   make(map[int]int),
-		lfsr: 0xACE1,
 	}
 }
 
@@ -66,9 +64,6 @@ func (c *refCache) access(addr uint32, write bool) Result {
 			if write {
 				ways[w].dirty = true
 			}
-			if c.cfg.Policy == LRU {
-				c.touchLRU(ways, w)
-			}
 			return Result{Hit: true}
 		}
 	}
@@ -79,50 +74,26 @@ func (c *refCache) access(addr uint32, write bool) Result {
 		c.wback++
 	}
 	ways[victim] = refLine{valid: true, dirty: write, tag: tag}
-	if c.cfg.Policy == LRU {
-		c.touchLRU(ways, victim)
-	}
 	return Result{Hit: false, Writeback: wb}
-}
-
-func (c *refCache) touchLRU(ways []refLine, w int) {
-	if w < c.cfg.LockedWays {
-		return
-	}
-	l := ways[w]
-	copy(ways[w:], ways[w+1:])
-	ways[len(ways)-1] = l
 }
 
 func (c *refCache) victim(set int, ways []refLine) int {
 	lo := c.cfg.LockedWays
-	n := c.cfg.Ways - lo
 	for w := lo; w < c.cfg.Ways; w++ {
 		if !ways[w].valid {
 			return w
 		}
 	}
-	switch c.cfg.Policy {
-	case RoundRobin:
-		v := c.rrOf(set)
-		if v < lo || v >= c.cfg.Ways {
-			v = lo
-		}
-		next := v + 1
-		if next >= c.cfg.Ways {
-			next = lo
-		}
-		c.rr[set] = next
-		return v
-	case PseudoRandom:
-		bit := ((c.lfsr >> 0) ^ (c.lfsr >> 2) ^ (c.lfsr >> 3) ^ (c.lfsr >> 5)) & 1
-		c.lfsr = (c.lfsr >> 1) | (bit << 15)
-		return lo + int(c.lfsr)%n
-	case LRU:
-		return lo
-	default:
-		return lo
+	v := c.rrOf(set)
+	if v < lo || v >= c.cfg.Ways {
+		v = lo
 	}
+	next := v + 1
+	if next >= c.cfg.Ways {
+		next = lo
+	}
+	c.rr[set] = next
+	return v
 }
 
 func (c *refCache) pin(addr uint32) bool {
@@ -192,10 +163,6 @@ func (c *refCache) advanceReplacement(n int) {
 		v := c.rrOf(s) - lo
 		c.rr[s] = lo + (v+n)%span
 	}
-	for i := 0; i < n; i++ {
-		bit := ((c.lfsr >> 0) ^ (c.lfsr >> 2) ^ (c.lfsr >> 3) ^ (c.lfsr >> 5)) & 1
-		c.lfsr = (c.lfsr >> 1) | (bit << 15)
-	}
 }
 
 // matches reports whether the production cache's observable state is
@@ -226,12 +193,9 @@ func (c *refCache) matches(pc *Cache) (bool, string) {
 				return false, stateDiff("set", s, "way", w, want, got)
 			}
 		}
-		if c.cfg.Policy == RoundRobin && c.rrOf(s) != int(pc.rrNext[s]) {
+		if c.rrOf(s) != int(pc.rrNext[s]) {
 			return false, stateDiff("set", s, "rr", 0, c.rrOf(s), pc.rrNext[s])
 		}
-	}
-	if c.cfg.Policy == PseudoRandom && c.lfsr != pc.lfsr {
-		return false, stateDiff("lfsr", 0, "", 0, c.lfsr, pc.lfsr)
 	}
 	h, m, wb := pc.Stats()
 	if h != c.hits || m != c.miss || wb != c.wback {

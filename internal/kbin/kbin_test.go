@@ -183,7 +183,7 @@ func TestHeadlineLatency(t *testing.T) {
 	sys := analyze(t, img, cons, arch.Config{}, EntrySyscall)
 	irq := analyze(t, img, cons, arch.Config{}, EntryInterrupt)
 	total := sys.Cycles + irq.Cycles
-	t.Logf("headline latency: %d cycles (%.1f µs); paper: 189117 cycles", total, arch.CyclesToMicros(total))
+	t.Logf("headline latency: %d cycles (%.1f µs); paper: 189117 cycles", total, arch.ARM1136.CyclesToMicros(total))
 	if total < 100000 || total > 400000 {
 		t.Errorf("headline latency %d cycles outside the paper's magnitude (189117)", total)
 	}

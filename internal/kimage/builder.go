@@ -168,10 +168,6 @@ func (b *FuncBuilder) Loop(bound int, body func(*FuncBuilder)) string {
 	return header.Name
 }
 
-// Block returns the name of the current block, for attaching user
-// constraints.
-func (b *FuncBuilder) BlockName() string { return b.cur.Name }
-
 // Ret finishes the function: the current block becomes a return block.
 // Further building is invalid.
 func (b *FuncBuilder) Ret() *Func {

@@ -51,7 +51,7 @@ func TestBuilderStraightLine(t *testing.T) {
 	if blk.Instrs[4].Data.Base != 0x2000 || !blk.Instrs[4].Data.Write {
 		t.Error("store ref wrong")
 	}
-	if blk.Addr < arch.KernelBase {
+	if blk.Addr < arch.ARM1136.KernelBase {
 		t.Error("block linked below kernel base")
 	}
 	if blk.InstrAddr(2) != blk.Addr+8 {
@@ -166,7 +166,7 @@ func TestImageDataAllocation(t *testing.T) {
 	if a == b {
 		t.Error("distinct symbols share an address")
 	}
-	if a%arch.LineBytes != 0 || b%arch.LineBytes != 0 {
+	if line := uint32(arch.ARM1136.LineBytes); a%line != 0 || b%line != 0 {
 		t.Error("data not line-aligned")
 	}
 	if again := img.Data("runqueue", 1024); again != a {

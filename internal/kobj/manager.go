@@ -23,11 +23,12 @@ type Manager struct {
 	mdbHead Slot
 }
 
-// NewManager creates a manager over the platform's kernel heap.
+// NewManager creates a manager over the default (ARM1136) backend's
+// kernel heap.
 func NewManager() *Manager {
 	m := &Manager{
-		nextAddr: arch.KernelHeapBase,
-		memEnd:   arch.KernelHeapBase + 128*1024*1024,
+		nextAddr: arch.ARM1136.KernelHeapBase,
+		memEnd:   arch.ARM1136.KernelHeapBase + 128*1024*1024,
 	}
 	m.mdbHead.MDBDepth = -1
 	return m

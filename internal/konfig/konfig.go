@@ -2,9 +2,11 @@
 // simulated system: every design knob the paper varies — scheduler
 // generation, address-space design, each preemption point, clearing
 // granularity, IPC fastpath, L1 way-pinning, L2 and branch-predictor
-// enables, TCM, cache geometry and replacement policy — is an
-// independently assignable typed key, so each claim is individually
-// attributable instead of being bundled into a hand-picked matrix.
+// enables and TCM — is an independently assignable typed key, so each
+// claim is individually attributable instead of being bundled into a
+// hand-picked matrix. The backend's cache geometry and replacement
+// policy are keys too, but backend-fixed: derived from the arch key,
+// never stored.
 //
 // A lattice point (Point) is one complete key assignment. A rule
 // engine (rules.go) rejects unverifiable or physically-impossible
@@ -17,8 +19,9 @@
 // Points translate losslessly onto the structs the rest of the stack
 // consumes — kernel.Config, arch.Config, kbin.Options, and through
 // NamedPoint.Campaign and Point.Analyzer the soak.Config and
-// wcet.Analyzer every run starts from — and hash to a stable identity (Point.Hash) that the soak/fleet layers stamp into
-// snapshots, captures and wire batches so observations from different
+// wcet.Analyzer every run starts from — and hash to a stable identity
+// (Point.Hash) that the soak/fleet layers stamp into snapshots,
+// captures and wire batches so observations from different
 // configurations can never be merged.
 package konfig
 
@@ -31,7 +34,6 @@ import (
 	"strings"
 
 	"verikern/internal/arch"
-	"verikern/internal/cache"
 	"verikern/internal/kbin"
 	"verikern/internal/kernel"
 	"verikern/internal/kimage"
@@ -44,8 +46,8 @@ import (
 // Point is one complete assignment of the configuration lattice: the
 // kernel-design axis (scheduler, vspace, preemption points, fastpath,
 // clearing granularity, invariant checking) and the hardware axis
-// (pinning, L2, predictor, TCM, geometry, replacement policy) on one
-// backend. The zero Point is NOT valid; start from DefaultPoint.
+// (pinning, L2, predictor, TCM) on one backend. The zero Point is NOT
+// valid; start from DefaultPoint.
 type Point struct {
 	// Arch is the hardware backend id (internal/arch registry).
 	Arch string
@@ -60,17 +62,12 @@ type Point struct {
 	ClearChunkBytes uint32
 	CheckInvariants bool
 
-	// Hardware axis. The geometry keys (L1IWays, L1DWays, L2Ways) are
-	// part of the assignment so physically-impossible requests are
-	// expressible — and rejected by name — rather than silently
-	// coerced; their only feasible value is the backend's own.
-	L1IWays, L1DWays, L2Ways int
-	PinnedL1Ways             int
-	L2Enabled                bool
-	L2LockedKernel           bool
-	BranchPredictor          bool
-	TCMEnabled               bool
-	Replacement              cache.Policy
+	// Hardware axis.
+	PinnedL1Ways    int
+	L2Enabled       bool
+	L2LockedKernel  bool
+	BranchPredictor bool
+	TCMEnabled      bool
 }
 
 // Key is one typed lattice key: a name, accessors over Point, and the
@@ -80,9 +77,12 @@ type Key struct {
 	Name string
 	// Doc is a one-line description for -konfig help and the docs.
 	Doc string
-	// Get renders the key's value in a point.
-	Get func(Point) string
+	// Get renders the key's value in a point whose resolved backend
+	// is b (nil when the point names no registered backend). A
+	// backend-fixed key reads b; every other key reads the point.
+	Get func(p Point, b *arch.Backend) string
 	// Set parses a raw value into the point; the error names the key.
+	// A backend-fixed key's Set accepts only the backend's own value.
 	Set func(*Point, string) error
 	// Domain lists the feasible raw values on a backend, in canonical
 	// order. Cross-key feasibility (e.g. pinned ways under TCM) is the
@@ -91,6 +91,34 @@ type Key struct {
 }
 
 func boolDomain(*arch.Backend) []string { return []string{"false", "true"} }
+
+// fixedKey is a backend-fixed key: a hardware fact the lattice names
+// so listings and hashes state the hardware they describe, but which
+// no point can change. It has no Point field; its value is the
+// backend's.
+func fixedKey(name, doc string, value func(*arch.Backend) string) Key {
+	return Key{
+		Name: name,
+		Doc:  doc,
+		Get: func(_ Point, b *arch.Backend) string {
+			if b == nil {
+				return ""
+			}
+			return value(b)
+		},
+		Set: func(p *Point, v string) error {
+			b, err := p.Backend()
+			if err != nil {
+				return err
+			}
+			if want := value(b); v != want {
+				return fmt.Errorf("value %s: backend %s fixes this key at %s", v, b.ID, want)
+			}
+			return nil
+		},
+		Domain: func(b *arch.Backend) []string { return []string{value(b)} },
+	}
+}
 
 func gatedBoolDomain(has func(*arch.Backend) bool) func(*arch.Backend) []string {
 	return func(b *arch.Backend) []string {
@@ -112,7 +140,7 @@ func newRegistry() []Key {
 		{
 			Name: "arch",
 			Doc:  "hardware backend id",
-			Get:  func(p Point) string { return p.Arch },
+			Get:  func(p Point, _ *arch.Backend) string { return p.Arch },
 			Set: func(p *Point, v string) error {
 				b, err := arch.Lookup(v)
 				if err != nil {
@@ -126,49 +154,49 @@ func newRegistry() []Key {
 		{
 			Name:   "sched.policy",
 			Doc:    "scheduler design: lazy | benno | benno+bitmap (§3.1–3.2)",
-			Get:    func(p Point) string { return p.Scheduler.String() },
+			Get:    func(p Point, _ *arch.Backend) string { return p.Scheduler.String() },
 			Set:    func(p *Point, v string) error { k, err := sched.ParseKind(v); p.Scheduler = k; return err },
 			Domain: func(*arch.Backend) []string { return kindNames() },
 		},
 		{
 			Name:   "vspace.design",
 			Doc:    "address-space design: asid | shadow (§3.6)",
-			Get:    func(p Point) string { return p.VSpace.String() },
+			Get:    func(p Point, _ *arch.Backend) string { return p.VSpace.String() },
 			Set:    func(p *Point, v string) error { d, err := vspace.ParseDesign(v); p.VSpace = d; return err },
 			Domain: func(*arch.Backend) []string { return designNames() },
 		},
 		{
 			Name:   "preempt.delete",
 			Doc:    "preemption points in deletion/revocation walks (§3.3–3.4)",
-			Get:    func(p Point) string { return strconv.FormatBool(p.PreemptDelete) },
+			Get:    func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.PreemptDelete) },
 			Set:    func(p *Point, v string) error { return parseBoolInto(&p.PreemptDelete, v) },
 			Domain: boolDomain,
 		},
 		{
 			Name:   "preempt.clear",
 			Doc:    "preemption points in object clearing (§3.5)",
-			Get:    func(p Point) string { return strconv.FormatBool(p.PreemptClear) },
+			Get:    func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.PreemptClear) },
 			Set:    func(p *Point, v string) error { return parseBoolInto(&p.PreemptClear, v) },
 			Domain: boolDomain,
 		},
 		{
 			Name:   "preempt.split-reply",
 			Doc:    "future-work preemption point between ReplyRecv's send and receive phases (§6.1, §8)",
-			Get:    func(p Point) string { return strconv.FormatBool(p.SplitReply) },
+			Get:    func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.SplitReply) },
 			Set:    func(p *Point, v string) error { return parseBoolInto(&p.SplitReply, v) },
 			Domain: boolDomain,
 		},
 		{
 			Name:   "ipc.fastpath",
 			Doc:    "IPC fastpath (§6.1)",
-			Get:    func(p Point) string { return strconv.FormatBool(p.Fastpath) },
+			Get:    func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.Fastpath) },
 			Set:    func(p *Point, v string) error { return parseBoolInto(&p.Fastpath, v) },
 			Domain: boolDomain,
 		},
 		{
 			Name: "clear.chunk-bytes",
 			Doc:  "object-clearing preemption granularity in bytes (§3.5)",
-			Get:  func(p Point) string { return strconv.FormatUint(uint64(p.ClearChunkBytes), 10) },
+			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatUint(uint64(p.ClearChunkBytes), 10) },
 			Set: func(p *Point, v string) error {
 				n, err := strconv.ParseUint(v, 10, 32)
 				if err != nil {
@@ -184,40 +212,25 @@ func newRegistry() []Key {
 		{
 			Name:   "debug.check-invariants",
 			Doc:    "run the invariant suite at every operation boundary and preemption point",
-			Get:    func(p Point) string { return strconv.FormatBool(p.CheckInvariants) },
+			Get:    func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.CheckInvariants) },
 			Set:    func(p *Point, v string) error { return parseBoolInto(&p.CheckInvariants, v) },
 			Domain: boolDomain,
 		},
-		{
-			Name:   "cache.l1i.ways",
-			Doc:    "L1 instruction-cache associativity (backend-fixed)",
-			Get:    func(p Point) string { return strconv.Itoa(p.L1IWays) },
-			Set:    func(p *Point, v string) error { return parseIntInto(&p.L1IWays, v) },
-			Domain: func(b *arch.Backend) []string { return []string{strconv.Itoa(b.L1I.Ways)} },
-		},
-		{
-			Name:   "cache.l1d.ways",
-			Doc:    "L1 data-cache associativity (backend-fixed)",
-			Get:    func(p Point) string { return strconv.Itoa(p.L1DWays) },
-			Set:    func(p *Point, v string) error { return parseIntInto(&p.L1DWays, v) },
-			Domain: func(b *arch.Backend) []string { return []string{strconv.Itoa(b.L1D.Ways)} },
-		},
-		{
-			Name: "cache.l2.ways",
-			Doc:  "unified L2 associativity (backend-fixed; 0 without an L2)",
-			Get:  func(p Point) string { return strconv.Itoa(p.L2Ways) },
-			Set:  func(p *Point, v string) error { return parseIntInto(&p.L2Ways, v) },
-			Domain: func(b *arch.Backend) []string {
+		fixedKey("cache.l1i.ways", "L1 instruction-cache associativity (backend-fixed)",
+			func(b *arch.Backend) string { return strconv.Itoa(b.L1I.Ways) }),
+		fixedKey("cache.l1d.ways", "L1 data-cache associativity (backend-fixed)",
+			func(b *arch.Backend) string { return strconv.Itoa(b.L1D.Ways) }),
+		fixedKey("cache.l2.ways", "unified L2 associativity (backend-fixed; 0 without an L2)",
+			func(b *arch.Backend) string {
 				if b.HasL2 {
-					return []string{strconv.Itoa(b.L2.Ways)}
+					return strconv.Itoa(b.L2.Ways)
 				}
-				return []string{"0"}
-			},
-		},
+				return "0"
+			}),
 		{
 			Name: "cache.l1.pinned-ways",
 			Doc:  "L1 ways locked for the pinned interrupt path (§4)",
-			Get:  func(p Point) string { return strconv.Itoa(p.PinnedL1Ways) },
+			Get:  func(p Point, _ *arch.Backend) string { return strconv.Itoa(p.PinnedL1Ways) },
 			Set:  func(p *Point, v string) error { return parseIntInto(&p.PinnedL1Ways, v) },
 			Domain: func(b *arch.Backend) []string {
 				var out []string
@@ -230,45 +243,33 @@ func newRegistry() []Key {
 		{
 			Name:   "cache.l2.enabled",
 			Doc:    "unified L2 cache enable (§6.4)",
-			Get:    func(p Point) string { return strconv.FormatBool(p.L2Enabled) },
+			Get:    func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.L2Enabled) },
 			Set:    func(p *Point, v string) error { return parseBoolInto(&p.L2Enabled, v) },
 			Domain: gatedBoolDomain(func(b *arch.Backend) bool { return b.HasL2 }),
 		},
 		{
 			Name:   "cache.l2.lock-kernel",
 			Doc:    "lock the whole kernel text into the L2 (§6.4 future work)",
-			Get:    func(p Point) string { return strconv.FormatBool(p.L2LockedKernel) },
+			Get:    func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.L2LockedKernel) },
 			Set:    func(p *Point, v string) error { return parseBoolInto(&p.L2LockedKernel, v) },
 			Domain: gatedBoolDomain(func(b *arch.Backend) bool { return b.HasL2 }),
 		},
 		{
 			Name:   "predictor.dynamic",
 			Doc:    "dynamic branch predictor enable (§5.1)",
-			Get:    func(p Point) string { return strconv.FormatBool(p.BranchPredictor) },
+			Get:    func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.BranchPredictor) },
 			Set:    func(p *Point, v string) error { return parseBoolInto(&p.BranchPredictor, v) },
 			Domain: gatedBoolDomain(func(b *arch.Backend) bool { return b.HasDynamicPredictor }),
 		},
 		{
 			Name:   "mem.tcm",
 			Doc:    "repurpose one L1 way per side as tightly-coupled memory (§5.1)",
-			Get:    func(p Point) string { return strconv.FormatBool(p.TCMEnabled) },
+			Get:    func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.TCMEnabled) },
 			Set:    func(p *Point, v string) error { return parseBoolInto(&p.TCMEnabled, v) },
 			Domain: gatedBoolDomain(func(b *arch.Backend) bool { return b.HasTCM }),
 		},
-		{
-			Name: "cache.replacement",
-			Doc:  "cache replacement policy (the analysed deployments use round-robin)",
-			Get:  func(p Point) string { return p.Replacement.String() },
-			Set: func(p *Point, v string) error {
-				pol, err := cache.ParsePolicy(v)
-				p.Replacement = pol
-				return err
-			},
-			// The raw model offers pseudo-random and LRU too, but only
-			// round-robin is verifiable end to end; the rule engine
-			// names the reason (rule replacement-verifiable).
-			Domain: func(*arch.Backend) []string { return []string{cache.RoundRobin.String()} },
-		},
+		fixedKey("cache.replacement", "cache replacement policy (backend-fixed; round-robin, the policy the analysis is validated against)",
+			func(*arch.Backend) string { return "round-robin" }),
 	}
 }
 
@@ -335,7 +336,8 @@ func (p Point) Set(name, value string) (Point, error) {
 func (p Point) Get(name string) (string, error) {
 	for _, k := range registry {
 		if k.Name == name {
-			return k.Get(p), nil
+			b, _ := p.Backend()
+			return k.Get(p, b), nil
 		}
 	}
 	return "", fmt.Errorf("konfig: unknown key %q", name)
@@ -345,9 +347,10 @@ func (p Point) Get(name string) (string, error) {
 // rows and diagnostics. JSON-marshalling the map is deterministic
 // (encoding/json sorts string keys).
 func (p Point) Assignments() map[string]string {
+	b, _ := p.Backend()
 	out := make(map[string]string, len(registry))
 	for _, k := range registry {
-		out[k.Name] = k.Get(p)
+		out[k.Name] = k.Get(p, b)
 	}
 	return out
 }
@@ -355,6 +358,12 @@ func (p Point) Assignments() map[string]string {
 // Listing renders the assignment as "k=v" pairs in canonical key
 // order — the hash pre-image and the -konfig echo format.
 func (p Point) Listing() string {
+	b, _ := p.Backend()
+	return p.listing(b)
+}
+
+// listing is Listing for a point whose backend is already resolved.
+func (p Point) listing(be *arch.Backend) string {
 	var b strings.Builder
 	for i, k := range registry {
 		if i > 0 {
@@ -362,7 +371,7 @@ func (p Point) Listing() string {
 		}
 		b.WriteString(k.Name)
 		b.WriteByte('=')
-		b.WriteString(k.Get(p))
+		b.WriteString(k.Get(p, be))
 	}
 	return b.String()
 }
@@ -374,11 +383,12 @@ func (p Point) Listing() string {
 // flight captures and fleet batches carry it so mixed-config merges
 // are refused (see internal/soak, internal/fleet).
 func (p Point) Hash() string {
+	b, err := p.Backend()
 	prefix := p.Arch
-	if b, err := arch.Lookup(p.Arch); err == nil {
+	if err == nil {
 		prefix = b.Key()
 	}
-	sum := sha256.Sum256([]byte(prefix + "|" + p.Listing()))
+	sum := sha256.Sum256([]byte(prefix + "|" + p.listing(b)))
 	return hex.EncodeToString(sum[:8])
 }
 

@@ -2,7 +2,11 @@ package konfig
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"verikern/internal/arch"
@@ -12,7 +16,8 @@ import (
 
 // TestKeyRegistry holds the registry's structural invariants: unique
 // names, Get/Set round-trips over every in-domain value, Listing in
-// canonical order, and unknown keys rejected by name.
+// canonical order, unknown keys rejected by name, and backend-fixed
+// keys refusing any value but their backend's, by name.
 func TestKeyRegistry(t *testing.T) {
 	seen := map[string]bool{}
 	for _, k := range Keys() {
@@ -48,6 +53,11 @@ func TestKeyRegistry(t *testing.T) {
 	}
 	if _, err := mustDefault("").Get("no.such.key"); err == nil {
 		t.Error("Get accepted an unknown key")
+	}
+	for _, name := range []string{"cache.l1i.ways", "cache.l1d.ways", "cache.l2.ways", "cache.replacement"} {
+		if _, err := mustDefault(arch.CVA6RTID).Set(name, "3"); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("Set(%s, 3) = %v, want an error naming the key", name, err)
+		}
 	}
 }
 
@@ -144,4 +154,67 @@ func TestRandomAssignmentsProperty(t *testing.T) {
 		t.Fatal("no random assignment was accepted; the property is vacuous")
 	}
 	t.Logf("accepted %d/%d random points, %d distinct analysis projections", accepted, trials*len(arch.BackendIDs()), len(analyzed))
+}
+
+// TestArchReassignment: assigning the arch key moves a point to the
+// other backend whole. The backend-fixed keys follow the backend, so
+// DefaultPoint(a) with arch=b is feasible and is DefaultPoint(b).
+func TestArchReassignment(t *testing.T) {
+	for _, a := range arch.BackendIDs() {
+		for _, b := range arch.BackendIDs() {
+			p, err := mustDefault(a).Set("arch", b)
+			if err != nil {
+				t.Fatalf("%s -> %s: %v", a, b, err)
+			}
+			if err := p.Check(); err != nil {
+				t.Errorf("%s -> %s: %v", a, b, err)
+			}
+			if got, want := p.Hash(), mustDefault(b).Hash(); got != want {
+				t.Errorf("%s -> %s: hash %s, want DefaultPoint(%s)'s %s", a, b, got, b, want)
+			}
+		}
+	}
+}
+
+// latticeIdentityDigest is the SHA-256 over every DefaultSpace point's
+// hash and listing on every backend, then every legacy matrix point's.
+const latticeIdentityDigest = "9ab3e0a3821efcd4eea7673514d96a7b71d813c61efe66bdfbaf69e4d33abe0f"
+
+// TestLatticeIdentityPinned holds every shipped lattice identity — the
+// hash and the listing it is taken over — to a constant, so a change
+// to the key registry or to a backend cannot silently re-key stamped
+// snapshots, captures and artifact rows.
+func TestLatticeIdentityPinned(t *testing.T) {
+	h := sha256.New()
+	write := func(name string, p Point) {
+		fmt.Fprintf(h, "%s %s %s\n", name, p.Hash(), p.Listing())
+	}
+	for _, id := range arch.BackendIDs() {
+		sp, err := DefaultSpace(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, err := Enumerate(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pts {
+			write("space", p)
+		}
+		for _, m := range []func(string) ([]NamedPoint, error){LegacySoakMatrix, LegacyProbeMatrix} {
+			nps, err := m(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, np := range nps {
+				write(np.Name, np.Point)
+			}
+		}
+	}
+	for _, np := range LegacyHardwareMatrix() {
+		write(np.Name, np.Point)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != latticeIdentityDigest {
+		t.Errorf("lattice identity digest %s, want %s", got, latticeIdentityDigest)
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"verikern/internal/arch"
-	"verikern/internal/cache"
 	"verikern/internal/kernel"
 	"verikern/internal/sched"
 	"verikern/internal/soak"
@@ -14,9 +13,9 @@ import (
 // DefaultPoint is the lattice origin on a backend: the modernised
 // kernel (benno+bitmap, shadow page tables, preemption points on,
 // fastpath, the paper's 1 KiB clearing granularity) on stock hardware
-// (no pinning, L2 and predictor off, no TCM, round-robin replacement,
-// the backend's own geometry). Invariant checking is off, matching the
-// soak/probe matrices (it is O(objects) per preemption point).
+// (no pinning, L2 and predictor off, no TCM). Invariant checking is
+// off, matching the soak/probe matrices (it is O(objects) per
+// preemption point).
 func DefaultPoint(archID string) (Point, error) {
 	b, err := arch.Lookup(archID)
 	if err != nil {
@@ -30,12 +29,6 @@ func DefaultPoint(archID string) (Point, error) {
 		PreemptClear:    true,
 		Fastpath:        true,
 		ClearChunkBytes: kernel.DefaultClearChunkBytes,
-		L1IWays:         b.L1I.Ways,
-		L1DWays:         b.L1D.Ways,
-		Replacement:     cache.RoundRobin,
-	}
-	if b.HasL2 {
-		p.L2Ways = b.L2.Ways
 	}
 	return p, nil
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"verikern/internal/arch"
-	"verikern/internal/cache"
 	"verikern/internal/sched"
 )
 
@@ -32,26 +31,6 @@ const RuleArchRegistered = "arch-registered"
 
 // rules is the rule table, in evaluation order.
 var rules = []Rule{
-	{
-		Name: "geometry-matches-backend",
-		Doc:  "cache geometry keys must equal the backend's physical associativities (they are lattice keys so impossible requests are named, not coerced)",
-		check: func(p Point, b *arch.Backend) error {
-			if p.L1IWays != b.L1I.Ways {
-				return fmt.Errorf("cache.l1i.ways=%d but backend %s has %d-way L1I", p.L1IWays, b.ID, b.L1I.Ways)
-			}
-			if p.L1DWays != b.L1D.Ways {
-				return fmt.Errorf("cache.l1d.ways=%d but backend %s has %d-way L1D", p.L1DWays, b.ID, b.L1D.Ways)
-			}
-			want := 0
-			if b.HasL2 {
-				want = b.L2.Ways
-			}
-			if p.L2Ways != want {
-				return fmt.Errorf("cache.l2.ways=%d but backend %s has %d", p.L2Ways, b.ID, want)
-			}
-			return nil
-		},
-	},
 	{
 		Name: "l2-requires-backend-l2",
 		Doc:  "cache.l2.enabled needs a backend with a unified L2",
@@ -140,16 +119,6 @@ var rules = []Rule{
 		check: func(p Point, b *arch.Backend) error {
 			if p.SplitReply && !(p.PreemptDelete && p.PreemptClear) {
 				return fmt.Errorf("preempt.split-reply=true without the preemption points enabled")
-			}
-			return nil
-		},
-	},
-	{
-		Name: "replacement-verifiable",
-		Doc:  "only round-robin replacement is verifiable end to end: it is what both modelled cores deploy, and the analyser's must/persistence classification is validated against it (pseudo-random and LRU exist in the cache model as references only)",
-		check: func(p Point, b *arch.Backend) error {
-			if p.Replacement != cache.RoundRobin {
-				return fmt.Errorf("cache.replacement=%s is not verifiable (round-robin only)", p.Replacement)
 			}
 			return nil
 		},

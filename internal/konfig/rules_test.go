@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"verikern/internal/arch"
-	"verikern/internal/cache"
 	"verikern/internal/sched"
 )
 
@@ -24,7 +23,6 @@ func counterexamples(t *testing.T) map[string]Point {
 	}
 	return map[string]Point{
 		RuleArchRegistered:                     mut(arm, func(p *Point) { p.Arch = "nonesuch" }),
-		"geometry-matches-backend":             mut(arm, func(p *Point) { p.L1IWays = 2 }),
 		"l2-requires-backend-l2":               mut(riscv, func(p *Point) { p.L2Enabled = true }),
 		"l2-lock-requires-l2-enabled":          mut(arm, func(p *Point) { p.L2LockedKernel = true }),
 		"predictor-requires-backend-predictor": mut(riscv, func(p *Point) { p.BranchPredictor = true }),
@@ -38,7 +36,6 @@ func counterexamples(t *testing.T) map[string]Point {
 			p.PreemptDelete = false
 			p.PreemptClear = false
 		}),
-		"replacement-verifiable": mut(arm, func(p *Point) { p.Replacement = cache.LRU }),
 	}
 }
 

@@ -65,7 +65,6 @@ func New(cfg arch.Config) *Machine {
 			Sets:       g.Sets(),
 			Ways:       ways,
 			LineBytes:  g.LineBytes,
-			Policy:     cache.RoundRobin,
 			LockedWays: locked,
 		})
 	}

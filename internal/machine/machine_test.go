@@ -30,7 +30,7 @@ func TestColdVsWarmRun(t *testing.T) {
 		t.Errorf("cold run (%d) not slower than warm run (%d)", cold, warm)
 	}
 	// Warm: 64 ALU cycles + 1 branch (5 cycles, predictor off).
-	want := uint64(64*arch.CostALU + arch.BranchCostNoPredict)
+	want := uint64(64*1 + 5)
 	if warm != want {
 		t.Errorf("warm run = %d cycles, want %d", warm, want)
 	}
@@ -105,7 +105,8 @@ func TestPinnedLinesAlwaysHit(t *testing.T) {
 	// Pin every line of the function.
 	blk := trace[0]
 	var lines []uint32
-	for a := blk.Addr &^ uint32(arch.LineBytes-1); a < blk.InstrAddr(blk.NumInstrs()-1); a += arch.LineBytes {
+	const line = 32
+	for a := blk.Addr &^ uint32(line-1); a < blk.InstrAddr(blk.NumInstrs()-1); a += line {
 		lines = append(lines, a)
 	}
 	img.PinLines(lines...)
@@ -116,7 +117,7 @@ func TestPinnedLinesAlwaysHit(t *testing.T) {
 	}
 	m.Pollute(3)
 	run := m.Run(trace)
-	want := uint64(16*arch.CostALU + arch.BranchCostNoPredict)
+	want := uint64(16*1 + 5) // 16 ALU cycles + the 5-cycle branch
 	if run != want {
 		t.Errorf("pinned run = %d cycles, want %d (no misses)", run, want)
 	}
@@ -222,7 +223,7 @@ func TestBranchPredictorLowersWarmCost(t *testing.T) {
 }
 
 func TestCyclesToMicros(t *testing.T) {
-	if got := arch.CyclesToMicros(532); got != 1.0 {
+	if got := arch.ARM1136.CyclesToMicros(532); got != 1.0 {
 		t.Errorf("532 cycles = %v µs, want 1.0", got)
 	}
 }

@@ -29,7 +29,7 @@ type Observation struct {
 
 // Micros returns the worst observation in microseconds on the 532 MHz
 // clock.
-func (o Observation) Micros() float64 { return arch.CyclesToMicros(o.Max) }
+func (o Observation) Micros() float64 { return arch.ARM1136.CyclesToMicros(o.Max) }
 
 // PolluteSeed derives the cache-pollution seed for one run of a
 // measurement campaign from the campaign's base seed. The derivation

@@ -10,7 +10,7 @@ import (
 func TestDisabledPredictorConstantCost(t *testing.T) {
 	p := NewPredictorArch(arch.ARM1136, false, 8)
 	f := func(addr uint32, taken bool) bool {
-		return p.Branch(addr, taken) == arch.BranchCostNoPredict
+		return p.Branch(addr, taken) == arch.ARM1136.BranchNoPredict
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -29,8 +29,8 @@ func TestPredictorLearnsLoop(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		last = p.Branch(addr, true)
 	}
-	if last != arch.BranchCostPredicted {
-		t.Errorf("warmed-up taken branch cost %d, want %d", last, arch.BranchCostPredicted)
+	if last != arch.ARM1136.BranchPredicted {
+		t.Errorf("warmed-up taken branch cost %d, want %d", last, arch.ARM1136.BranchPredicted)
 	}
 	correct, wrong := p.Stats()
 	if wrong == 0 {
@@ -45,11 +45,11 @@ func TestPredictorColdNotTakenBias(t *testing.T) {
 	p := NewPredictorArch(arch.ARM1136, true, 8)
 	// Cold counters are not-taken: a first not-taken branch is
 	// predicted correctly, a first taken branch is not.
-	if got := p.Branch(0x100, false); got != arch.BranchCostPredicted {
-		t.Errorf("cold not-taken branch cost %d, want %d", got, arch.BranchCostPredicted)
+	if got := p.Branch(0x100, false); got != arch.ARM1136.BranchPredicted {
+		t.Errorf("cold not-taken branch cost %d, want %d", got, arch.ARM1136.BranchPredicted)
 	}
-	if got := p.Branch(0x200, true); got != arch.BranchCostMispredict {
-		t.Errorf("cold taken branch cost %d, want %d", got, arch.BranchCostMispredict)
+	if got := p.Branch(0x200, true); got != arch.ARM1136.BranchMispredict {
+		t.Errorf("cold taken branch cost %d, want %d", got, arch.ARM1136.BranchMispredict)
 	}
 }
 
@@ -62,16 +62,16 @@ func TestPredictorReset(t *testing.T) {
 	if c, w := p.Stats(); c != 0 || w != 0 {
 		t.Error("Reset did not clear statistics")
 	}
-	if got := p.Branch(0x40, true); got != arch.BranchCostMispredict {
+	if got := p.Branch(0x40, true); got != arch.ARM1136.BranchMispredict {
 		t.Error("Reset did not return counters to cold state")
 	}
 }
 
 func TestWorstBranchCost(t *testing.T) {
-	if arch.ARM1136.WorstBranchCost(false) != arch.BranchCostNoPredict {
+	if arch.ARM1136.WorstBranchCost(false) != arch.ARM1136.BranchNoPredict {
 		t.Error("wrong analyser bound with predictor disabled")
 	}
-	if arch.ARM1136.WorstBranchCost(true) != arch.BranchCostMispredict {
+	if arch.ARM1136.WorstBranchCost(true) != arch.ARM1136.BranchMispredict {
 		t.Error("wrong analyser bound with predictor enabled")
 	}
 }

@@ -28,7 +28,6 @@ func newASIDManager() *asidManager {
 
 func (m *asidManager) Design() Design                 { return ASIDDesign }
 func (m *asidManager) VSpaces() []*kobj.PageDirectory { return m.spaces }
-func (m *asidManager) Pools() []*kobj.ASIDPool        { return m.pools }
 
 // findFreeASID locates a free ASID: a linear probe over pool entries.
 // This is the loop the paper could not preempt ("locating a free ASID

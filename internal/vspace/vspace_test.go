@@ -165,7 +165,7 @@ func TestASIDAllocationWorstCase(t *testing.T) {
 	// entries directly.
 	e, _ := env()
 	m := New(ASIDDesign).(*asidManager)
-	pool := m.Pools()[0]
+	pool := m.pools[0]
 	for i := 0; i < kobj.ASIDPoolSize-1; i++ {
 		pool.Entries[i] = &kobj.PageDirectory{}
 	}
@@ -186,7 +186,7 @@ func TestASIDAllocationWorstCase(t *testing.T) {
 func TestASIDDeletePoolIteratesAll(t *testing.T) {
 	e, _ := env()
 	m := New(ASIDDesign).(*asidManager)
-	pool := m.Pools()[0]
+	pool := m.pools[0]
 	for i := 0; i < 100; i++ {
 		pd := &kobj.PageDirectory{ASID: uint32(i + 1)}
 		pool.Entries[i] = pd
@@ -200,7 +200,7 @@ func TestASIDDeletePoolIteratesAll(t *testing.T) {
 	if cost < kobj.ASIDPoolSize*CostASIDProbe {
 		t.Errorf("pool delete cost %d, want a full %d-entry iteration", cost, kobj.ASIDPoolSize)
 	}
-	if len(m.Pools()) != 0 {
+	if len(m.pools) != 0 {
 		t.Error("pool not removed")
 	}
 	if len(m.VSpaces()) != 0 {

@@ -326,15 +326,15 @@ func TestConflictConstraint(t *testing.T) {
 	img := kimage.New()
 	data := img.Data("tbl", 8192)
 	b := img.NewFunc("entry")
-	var arm1, arm2 string
+	// FuncBuilder names blocks in creation order: entry0, then1,
+	// join2, then3, join4.
+	const arm1, arm2 = "then1", "then3"
 	b.If(func(b *kimage.FuncBuilder) {
-		arm1 = b.BlockName()
 		for i := uint32(0); i < 16; i++ {
 			b.Load(data + i*32)
 		}
 	}, nil)
 	b.If(func(b *kimage.FuncBuilder) {
-		arm2 = b.BlockName()
 		for i := uint32(0); i < 16; i++ {
 			b.Load(data + 4096 + i*32)
 		}

@@ -440,7 +440,7 @@ const (
 )
 
 // CyclesToMicros converts simulated cycles to microseconds at 532 MHz.
-func CyclesToMicros(c uint64) float64 { return arch.CyclesToMicros(c) }
+func CyclesToMicros(c uint64) float64 { return arch.ARM1136.CyclesToMicros(c) }
 
 // BuildAdversarialCSpace constructs the Fig. 7 worst-case capability
 // space — a chain of radix-1 CNodes so that decoding consumes one
