@@ -23,8 +23,10 @@ paper:
 ablations:
 	$(GO) run ./cmd/paper -ablations
 
+# bench/ is its own module built against this one's API; vet it too.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 fmt:
 	gofmt -w .

@@ -94,17 +94,6 @@ func (g *Graph) NodesOf(fn, block string) []NodeID {
 	return m[block]
 }
 
-// Funcs returns the names of all functions with at least one inlined
-// copy in the graph.
-func (g *Graph) Funcs() []string {
-	out := make([]string, 0, len(g.byOrigin))
-	for f := range g.byOrigin {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}
-
 type builder struct {
 	img   *kimage.Image
 	g     *Graph

@@ -20,11 +20,6 @@ import (
 	"verikern/internal/soak"
 )
 
-// ingestQueueCap bounds the ingest queue between connection readers and
-// the merger. A full queue blocks the reader (TCP backpressure): merged
-// data is never dropped for queue pressure.
-const ingestQueueCap = 64
-
 // Config parameterises a Coordinator.
 type Config struct {
 	// Spec is the fleet-wide workload: Spec.Ops is the total op
@@ -124,15 +119,6 @@ type aggregate struct {
 // neither grows the slice nor re-sorts its whole history per poll.
 const recoveryWindow = 512
 
-// envelope is one ingest-queue entry: a batch tagged with the
-// connection that produced it, or a flush sentinel (reply closed once
-// every earlier entry has been merged — FIFO order makes that exact).
-type envelope struct {
-	connID uint64
-	batch  Batch
-	flush  chan struct{}
-}
-
 // Coordinator shards one soak campaign across attached workers and
 // merges their streamed deltas into a live aggregate snapshot.
 type Coordinator struct {
@@ -156,6 +142,7 @@ type Coordinator struct {
 	conns    map[uint64]io.Closer
 	nextConn uint64
 	draining bool
+	stopped  bool // set by Stop; merge ignores batches afterwards
 	started  time.Time
 
 	// srcScratch holds a batch's decoded source deltas during merge,
@@ -177,19 +164,17 @@ type Coordinator struct {
 	recoveriesMS  []float64 // ring of the most recent recoveryWindow recovery times
 	recoveryIdx   int       // next ring slot once the window is full
 
-	ingest chan envelope
 	stopCh chan struct{}
 	doneCh chan struct{} // closed when every shard completes
 	doneMu sync.Once
 	stopMu sync.Once
 
-	mergerWG sync.WaitGroup
 	reaperWG sync.WaitGroup
 }
 
 // New resolves the spec (defaults, backend, WCET bound, shard
-// budgets), loads any persisted checkpoints, and starts the merger.
-// Callers must Stop it.
+// budgets), loads any persisted checkpoints, and starts the lease
+// reaper. Callers must Stop it.
 func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	scfg := cfg.Spec.SoakConfig().WithDefaults()
 	backend, err := arch.Lookup(scfg.Arch)
@@ -217,7 +202,6 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 		wrapConn:         cfg.WrapConn,
 		conns:            make(map[uint64]io.Closer),
 		started:          time.Now(),
-		ingest:           make(chan envelope, ingestQueueCap),
 		stopCh:           make(chan struct{}),
 		doneCh:           make(chan struct{}),
 	}
@@ -252,8 +236,6 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c.checkComplete()
-	c.mergerWG.Add(1)
-	go c.merger()
 	if c.leaseTimeout > 0 {
 		interval := c.leaseTimeout / 4
 		if interval < 5*time.Millisecond {
@@ -354,8 +336,11 @@ func (c *Coordinator) Serve(ln net.Listener) error {
 
 // ServeConn runs one worker connection to completion: handshake,
 // shard lease, then batch ingestion until the worker finishes or the
-// connection breaks. A broken lease (connection lost before the final
-// batch) releases the shard for the next hello, counting a restart.
+// connection breaks. Each batch is merged on this goroutine before the
+// next frame is read, so a slow merge blocks the reader (transport
+// backpressure) and every batch is merged before the lease is
+// released. A broken lease (connection lost before the final batch)
+// releases the shard for the next hello, counting a restart.
 // Corrupt frames (CRC/length/type failures) are counted and skipped —
 // never merged — and QuarantineAfter consecutive strikes sever the
 // connection as poisoned.
@@ -401,7 +386,7 @@ func (c *Coordinator) ServeConn(conn io.ReadWriteCloser) error {
 		c.retries += uint64(h.Retries)
 	}
 	shard := -1
-	if !c.draining {
+	if !c.draining && !c.stopped {
 		for i, sh := range c.shards {
 			if !sh.completed && sh.owner == 0 {
 				shard = i
@@ -411,10 +396,10 @@ func (c *Coordinator) ServeConn(conn io.ReadWriteCloser) error {
 	}
 	if shard < 0 {
 		c.mu.Unlock()
-		// Nothing to lease (fleet complete, draining, or every
-		// incomplete shard is still owned — possibly by a dead conn
-		// whose queued batches are mid-flush). The worker exits; a
-		// supervising spawner retries.
+		// Nothing to lease (fleet complete, draining, stopped, or
+		// every incomplete shard is still owned — possibly by a dead
+		// conn whose reader has not yet released it). The worker
+		// exits; a supervising spawner retries.
 		armWrite(conn, c.frameTimeout)
 		writeMsg(conn, msgDrain, nil)
 		return nil
@@ -495,9 +480,7 @@ func (c *Coordinator) ServeConn(conn io.ReadWriteCloser) error {
 		if b.Final {
 			sawFinal = true
 		}
-		if !c.enqueue(envelope{connID: id, batch: b}) {
-			break // coordinator stopping
-		}
+		c.merge(id, b)
 	}
 	c.release(id, shard, sawFinal)
 	return readErr
@@ -517,30 +500,11 @@ func (c *Coordinator) strike(shard, strikes int) bool {
 	return false
 }
 
-// enqueue blocks until the merger accepts the envelope (bounded-queue
-// backpressure) or the coordinator stops.
-func (c *Coordinator) enqueue(env envelope) bool {
-	select {
-	case c.ingest <- env:
-		return true
-	case <-c.stopCh:
-		return false
-	}
-}
-
-// release returns a shard lease. It first flushes the ingest queue so
-// every batch this connection enqueued has been merged — only then is
-// it safe to let a successor lease the shard (the successor's
-// checkpoint must include them). A lease lost before the final batch
-// counts as a restart.
+// release returns a shard lease. ServeConn calls it only after merging
+// every batch the connection read, so a successor's checkpoint
+// includes them. A lease lost before the final batch counts as a
+// restart.
 func (c *Coordinator) release(id uint64, shard int, clean bool) {
-	flush := make(chan struct{})
-	if c.enqueue(envelope{flush: flush}) {
-		select {
-		case <-flush:
-		case <-c.stopCh:
-		}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.conns, id)
@@ -556,36 +520,23 @@ func (c *Coordinator) release(id uint64, shard int, clean bool) {
 	}
 }
 
-// merger is the single goroutine that folds batches into the
-// aggregate. One merger means no merge races and an exact,
-// order-independent result: the checkpoint gate only admits the batch
-// continuing each shard's merged prefix.
-func (c *Coordinator) merger() {
-	defer c.mergerWG.Done()
-	for {
-		select {
-		case env := <-c.ingest:
-			if env.flush != nil {
-				close(env.flush)
-				continue
-			}
-			c.merge(env.connID, env.batch)
-		case <-c.stopCh:
-			return
-		}
-	}
-}
-
-// merge applies one batch under the coordinator lock. Batches from a
-// stale lease, not contiguous with the merged checkpoint, past the
-// shard's budget, from another configuration or with a malformed
-// source delta are counted in Status.Dropped and discarded whole —
-// dropping them is correctness-preserving because the checkpoint only
-// advances on merge, so a successor worker regenerates exactly the
-// dropped window.
+// merge applies one batch under the coordinator lock, which serialises
+// every connection's merges: the result is exact and order-independent
+// because the checkpoint gate only admits the batch continuing each
+// shard's merged prefix. Batches from a stale lease, not contiguous
+// with the merged checkpoint, past the shard's budget, from another
+// configuration or with a malformed source delta are counted in
+// Status.Dropped and discarded whole — dropping them is
+// correctness-preserving because the checkpoint only advances on
+// merge, so a successor worker regenerates exactly the dropped window.
+// Once Stop has run, batches are ignored and nothing changes.
 func (c *Coordinator) merge(connID uint64, b Batch) {
 	start := time.Now()
 	c.mu.Lock()
+	if c.stopped {
+		c.mu.Unlock()
+		return
+	}
 	defer func() {
 		c.mergeNS += uint64(time.Since(start).Nanoseconds())
 		c.mu.Unlock()
@@ -669,9 +620,7 @@ func (c *Coordinator) merge(connID uint64, b Batch) {
 }
 
 // checkComplete closes doneCh once every shard reached its budget.
-// Caller may or may not hold mu; shard completion flags only ever go
-// false→true so a race-free read suffices under mu — New calls it
-// before the merger starts, merge under mu.
+// New calls it before any connection is served, merge under mu.
 func (c *Coordinator) checkComplete() {
 	for _, sh := range c.shards {
 		if !sh.completed {
@@ -715,16 +664,17 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 	}
 }
 
-// Stop shuts the merger down and severs any remaining connections.
-// The aggregate stays readable.
+// Stop freezes the aggregate, stops the lease reaper and severs any
+// remaining connections. The aggregate stays readable; batches read
+// afterwards are ignored and no further leases are granted.
 func (c *Coordinator) Stop() {
 	c.stopMu.Do(func() { close(c.stopCh) })
 	c.mu.Lock()
+	c.stopped = true
 	for _, cn := range c.conns {
 		cn.Close()
 	}
 	c.mu.Unlock()
-	c.mergerWG.Wait()
 	c.reaperWG.Wait()
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -291,6 +292,74 @@ func TestFleetStaleBatchDropped(t *testing.T) {
 	}
 }
 
+// keepOpen is a connection whose Close is a no-op, so Stop cannot
+// sever it and the test decides when the coordinator's reader sees EOF.
+type keepOpen struct{ io.ReadWriteCloser }
+
+func (keepOpen) Close() error { return nil }
+
+// TestStopFreezesAggregate checks that Stop freezes the merge: a batch
+// the coordinator reads after Stop returns is not merged, and neither
+// the snapshot nor the transport counters move.
+func TestStopFreezesAggregate(t *testing.T) {
+	sp := fleetSpec(2000, 1)
+	sp.BoundCycles = 142_957
+	c, err := New(context.Background(), Config{
+		Spec:         sp,
+		LeaseTimeout: -1,
+		WrapConn:     func(rw io.ReadWriteCloser) io.ReadWriteCloser { return keepOpen{rw} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, client := net.Pipe()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		c.ServeConn(server)
+	}()
+	if err := writeMsg(client, msgHello, Hello{Proto: protoVersion, PID: 99}); err != nil {
+		t.Fatal(err)
+	}
+	if mt, _, err := readMsg(client); err != nil || mt != msgAssign {
+		t.Fatalf("lease: type %d, err %v", mt, err)
+	}
+	var h obs.Histogram
+	h.Record(900)
+	batch := func(from, to uint64) Batch {
+		return Batch{Shard: 0, FromOps: from, ToOps: to, SimCycles: to * 100, Emitted: 3,
+			EventCounts: map[string]uint64{"irq-raise": 1},
+			Sources:     []SourceDelta{{Op: 1, Hist: h.State()}}}
+	}
+	if err := writeMsg(client, msgBatch, batch(0, 10)); err != nil {
+		t.Fatal(err)
+	}
+	waitCounter(t, c, "batches", 1)
+	c.Stop()
+	var before bytes.Buffer
+	if err := c.Snapshot().WriteJSON(&before); err != nil {
+		t.Fatal(err)
+	}
+
+	// This batch continues the merged prefix on the owning connection:
+	// only the stop keeps it out of the aggregate.
+	if err := writeMsg(client, msgBatch, batch(10, 20)); err != nil {
+		t.Fatal(err)
+	}
+	client.Close()
+	<-served // ServeConn returns only after handling every batch it read
+	var after bytes.Buffer
+	if err := c.Snapshot().WriteJSON(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Errorf("snapshot changed after Stop:\nbefore %s\nafter  %s", before.Bytes(), after.Bytes())
+	}
+	if st := c.Status(); st.Batches != 1 || st.Dropped != 0 || st.Shards[0].Checkpoint != 10 {
+		t.Errorf("after Stop: %d merged, %d dropped, checkpoint %d; want 1, 0, 10", st.Batches, st.Dropped, st.Shards[0].Checkpoint)
+	}
+}
+
 // TestFleetDrain checks graceful drain: workers flush and exit, the
 // partial merge is preserved, nothing is dropped, and no new shard
 // leases are granted afterwards.
@@ -361,8 +430,9 @@ func TestFleetStateResume(t *testing.T) {
 	if err := RunWorker(ctx, client, WorkerOptions{}); err != nil {
 		t.Fatalf("leg-1 worker: %v", err)
 	}
-	// The worker has flushed, but the merger drains its queue
-	// asynchronously; wait for the shard to complete.
+	// The worker returns once the pipe has handed over its final
+	// batch, which the connection goroutine may still be merging;
+	// wait for the shard to complete.
 	deadline := time.Now().Add(10 * time.Second)
 	for !c1.Status().Shards[0].Completed && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)

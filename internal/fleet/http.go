@@ -88,7 +88,6 @@ func writeStatusProm(w io.Writer, st Status) {
 		{"batches_total", "counter", "Batches merged.", st.Batches},
 		{"dropped_total", "counter", "Batches refused at admission (stale, foreign, over budget or malformed).", st.Dropped},
 		{"merge_nanoseconds_total", "counter", "Wall time spent merging batches.", st.MergeNS},
-		{"queue_depth", "gauge", "Batches waiting in the ingest queue.", st.QueueDepth},
 		{"restarts_total", "counter", "Shard leases lost before completion.", st.Restarts},
 		{"retries_total", "counter", "Worker reconnect attempts reported at hello.", st.Retries},
 		{"releases_total", "counter", "Leases reclaimed by the lease-timeout reaper.", st.Releases},

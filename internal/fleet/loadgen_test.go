@@ -20,7 +20,7 @@ import (
 // sample counts summing to the aggregate count) — the merge holds the
 // coordinator lock for the whole batch, so readers may never observe
 // a half-applied batch. Run under -race in CI, this also proves the
-// snapshot path racefree against the merger.
+// snapshot path racefree against the connections merging.
 func TestServeUnderLoad(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -54,7 +54,7 @@ func RunLocal(ctx context.Context, cfg Config, opt LocalOptions) (*Coordinator, 
 	// a shard fits in one. Striking from the worker's side of the pipe
 	// makes every kill sever a lease that still has batches to stream:
 	// a supervisor watching merged ops can be outrun by workers that
-	// stream their whole shard before the merger catches up.
+	// stream their whole shard before any of it is merged.
 	killAfter := int(c.spec.Ops/uint64(c.spec.Workers)/3) / c.batchOps
 	var kills atomic.Int64
 	claimKill := func() bool {

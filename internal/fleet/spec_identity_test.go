@@ -3,12 +3,16 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
 	"verikern/internal/arch"
+	"verikern/internal/kernel"
 	"verikern/internal/konfig"
+	"verikern/internal/sched"
 	"verikern/internal/soak"
+	"verikern/internal/vspace"
 )
 
 // TestSpecIdentityPinned pins the wire encoding of the benno+preempt
@@ -79,5 +83,59 @@ func TestSpecIdentityPinned(t *testing.T) {
 				t.Errorf("state key changed: got %s, want %s", c.stateKey, tc.wantKey)
 			}
 		})
+	}
+}
+
+// TestSpecCarriesWholeCampaign checks that the wire carries every
+// soak.Config field: a config with no zero field survives the
+// SpecFromConfig → JSON → Spec → SoakConfig round trip unchanged.
+func TestSpecCarriesWholeCampaign(t *testing.T) {
+	want := soak.Config{
+		Label:     "whole",
+		Arch:      arch.CVA6RTID,
+		ConfigKey: "0123456789abcdef",
+		Seed:      7,
+		Ops:       9000,
+		Workers:   3,
+		Kernel: kernel.Config{
+			Scheduler:        sched.Benno,
+			VSpace:           vspace.ShadowDesign,
+			PreemptionPoints: true,
+			Fastpath:         true,
+			SplitSendReceive: true,
+			ClearChunkBytes:  512,
+			CheckInvariants:  true,
+		},
+		Pinned:        true,
+		BoundCycles:   123_456,
+		MarginPercent: 12.5,
+		MaxCaptures:   5,
+		CaptureNewMax: true,
+	}
+	assertNoZeroField(t, "soak.Config", reflect.ValueOf(want))
+	b, err := json.Marshal(SpecFromConfig(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sp Spec
+	if err := json.Unmarshal(b, &sp); err != nil {
+		t.Fatal(err)
+	}
+	if got := sp.SoakConfig(); got != want {
+		t.Errorf("round trip through %s:\n got %+v\nwant %+v", b, got, want)
+	}
+}
+
+// assertNoZeroField fails for every zero field of the struct v,
+// descending into nested structs.
+func assertNoZeroField(t *testing.T, path string, v reflect.Value) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), path+"."+v.Type().Field(i).Name
+		if f.IsZero() {
+			t.Errorf("%s is zero; give it a non-zero value so the round trip covers it", name)
+		} else if f.Kind() == reflect.Struct {
+			assertNoZeroField(t, name, f)
+		}
 	}
 }

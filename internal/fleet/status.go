@@ -51,14 +51,13 @@ type Status struct {
 	SamplesPerSec float64 `json:"samples_per_sec"`
 	// UptimeMS is wall time since the coordinator started.
 	UptimeMS int64 `json:"uptime_ms"`
-	// Transport health: merged batch count, batches rejected by the
-	// checkpoint gate, cumulative merge time, current ingest-queue
-	// depth, and total lost leases.
-	Batches    uint64 `json:"batches"`
-	Dropped    uint64 `json:"dropped"`
-	MergeNS    uint64 `json:"merge_ns"`
-	QueueDepth int    `json:"queue_depth"`
-	Restarts   uint64 `json:"restarts"`
+	// Transport health: merged batch count, batches refused at
+	// admission (stale, foreign, over budget or malformed), cumulative
+	// merge time, and total lost leases.
+	Batches  uint64 `json:"batches"`
+	Dropped  uint64 `json:"dropped"`
+	MergeNS  uint64 `json:"merge_ns"`
+	Restarts uint64 `json:"restarts"`
 	// Fault-recovery health: worker reconnect attempts (reported at
 	// hello), lease-timeout reclaims, frames that failed CRC/length/
 	// type validation (detected, counted, never merged), and
@@ -100,7 +99,6 @@ func (c *Coordinator) Status() Status {
 		Batches:       c.batches,
 		Dropped:       c.dropped,
 		MergeNS:       c.mergeNS,
-		QueueDepth:    len(c.ingest),
 		Restarts:      c.restarts,
 		Retries:       c.retries,
 		Releases:      c.releases,
@@ -121,7 +119,7 @@ func (c *Coordinator) Status() Status {
 			Completed:      sh.completed,
 			Checkpoint:     sh.checkpoint,
 			Budget:         sh.budget,
-			LagOps:         sh.budget - min64(sh.checkpoint, sh.budget),
+			LagOps:         sh.budget - min(sh.checkpoint, sh.budget),
 			SimCycles:      sh.simCycles,
 			Restarts:       sh.restarts,
 			Releases:       sh.releases,
@@ -151,13 +149,6 @@ func (c *Coordinator) Status() Status {
 		}
 	}
 	return st
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // p99 returns the 99th-percentile of vals (nearest-rank), 0 if empty.

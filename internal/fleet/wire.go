@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"verikern/internal/kernel"
 	"verikern/internal/obs"
 	"verikern/internal/soak"
 )
@@ -79,60 +78,17 @@ type Hello struct {
 	Retries int `json:"retries,omitempty"`
 }
 
-// Spec is the wire form of the fleet-wide workload: the serialisable
-// subset of soak.Config.
-type Spec struct {
-	Label string `json:"label"`
-	Arch  string `json:"arch,omitempty"`
-	// ConfigKey is the konfig lattice-point hash of the campaign's
-	// configuration (soak.Config.ConfigKey). It participates in the
-	// coordinator's spec hash — so persisted checkpoint state from a
-	// different configuration is refused on resume — and every batch
-	// echoes it, so a mixed-config merge is refused at admission.
-	ConfigKey     string        `json:"config_key,omitempty"`
-	Seed          uint64        `json:"seed"`
-	Ops           uint64        `json:"ops"`
-	Workers       int           `json:"workers"`
-	Kernel        kernel.Config `json:"kernel"`
-	Pinned        bool          `json:"pinned,omitempty"`
-	BoundCycles   uint64        `json:"bound_cycles,omitempty"`
-	MarginPercent float64       `json:"margin_percent,omitempty"`
-	MaxCaptures   int           `json:"max_captures,omitempty"`
-}
+// Spec is the wire form of the fleet-wide workload: a soak.Config,
+// whose JSON tags are the wire encoding, so every campaign field
+// reaches the workers. The JSON of the resolved spec also keys the
+// coordinator's persisted checkpoint state.
+type Spec soak.Config
 
-// SpecFromConfig projects a soak.Config onto the wire form.
-func SpecFromConfig(cfg soak.Config) Spec {
-	return Spec{
-		Label:         cfg.Label,
-		Arch:          cfg.Arch,
-		ConfigKey:     cfg.ConfigKey,
-		Seed:          cfg.Seed,
-		Ops:           cfg.Ops,
-		Workers:       cfg.Workers,
-		Kernel:        cfg.Kernel,
-		Pinned:        cfg.Pinned,
-		BoundCycles:   cfg.BoundCycles,
-		MarginPercent: cfg.MarginPercent,
-		MaxCaptures:   cfg.MaxCaptures,
-	}
-}
+// SpecFromConfig converts a soak.Config to the wire form.
+func SpecFromConfig(cfg soak.Config) Spec { return Spec(cfg) }
 
-// SoakConfig reconstructs the soak.Config a worker runs.
-func (sp Spec) SoakConfig() soak.Config {
-	return soak.Config{
-		Label:         sp.Label,
-		Arch:          sp.Arch,
-		ConfigKey:     sp.ConfigKey,
-		Seed:          sp.Seed,
-		Ops:           sp.Ops,
-		Workers:       sp.Workers,
-		Kernel:        sp.Kernel,
-		Pinned:        sp.Pinned,
-		BoundCycles:   sp.BoundCycles,
-		MarginPercent: sp.MarginPercent,
-		MaxCaptures:   sp.MaxCaptures,
-	}
-}
+// SoakConfig returns the soak.Config a worker runs.
+func (sp Spec) SoakConfig() soak.Config { return soak.Config(sp) }
 
 // Assign is the coordinator's shard lease: which shard the connection
 // owns, how far it has already been merged (the checkpoint the worker
@@ -206,9 +162,10 @@ var frameBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledFrame = 64 << 10
 
-// writeMsg frames and writes one message. Callers must serialise
-// writes per connection themselves (the worker writes from one
-// goroutine; the coordinator guards each conn with a mutex).
+// writeMsg frames and writes one message as a single Write call, so
+// frames written concurrently to one connection (a coordinator's
+// Drain racing its connection goroutine) never interleave: net.Conn
+// and net.Pipe serialise concurrent Write calls.
 func writeMsg(w io.Writer, t msgType, v any) error {
 	buf := frameBufs.Get().(*bytes.Buffer)
 	defer func() {

@@ -73,9 +73,6 @@ func (p *Problem) AddVar(name string, objCoeff float64, integer bool) int {
 // NumVars returns the number of variables.
 func (p *Problem) NumVars() int { return len(p.names) }
 
-// Name returns a variable's name.
-func (p *Problem) Name(i int) string { return p.names[i] }
-
 // AddConstraint appends a constraint. Coefficient maps are retained,
 // not copied.
 func (p *Problem) AddConstraint(c Constraint) { p.cons = append(p.cons, c) }

@@ -265,18 +265,6 @@ func Reply(e *Env, t *kobj.TCB) (Outcome, *kobj.TCB) {
 	return Done, nil
 }
 
-// ReplyRecv is the atomic send-receive the worst case of §6.1
-// exercises: reply to the current caller and atomically wait for the
-// next request. The paper notes this operation could be split by a
-// preemption point to nearly halve the worst case (§6.1) — the kernel
-// exposes that as a configuration.
-func ReplyRecv(e *Env, t *kobj.TCB, ep *kobj.Endpoint) (Outcome, *kobj.TCB) {
-	if out, _ := Reply(e, t); out == Failed {
-		return Failed, nil
-	}
-	return Recv(e, t, ep)
-}
-
 // DeleteEndpoint deletes ep: deactivate it (guaranteeing forward
 // progress — no thread can start new IPC on it, §3.3), then dequeue
 // and restart waiting threads one at a time, with a preemption point

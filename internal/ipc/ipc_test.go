@@ -136,10 +136,13 @@ func TestReplyRecvAtomic(t *testing.T) {
 	if out != Blocked {
 		t.Fatalf("second call should queue, got %v", out)
 	}
-	// Server replies to c1 and receives c2 in one operation.
-	out, _ = ReplyRecv(e, server, ep)
-	if out != Done {
-		t.Fatalf("ReplyRecv = %v", out)
+	// Server replies to c1 and receives c2 in one operation, as the
+	// kernel's ReplyRecv composes it.
+	if out, _ = Reply(e, server); out != Done {
+		t.Fatalf("Reply = %v", out)
+	}
+	if out, _ = Recv(e, server, ep); out != Done {
+		t.Fatalf("Recv = %v", out)
 	}
 	if c1.State != kobj.ThreadRunnable {
 		t.Error("c1 not unblocked")

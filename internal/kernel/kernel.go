@@ -219,9 +219,6 @@ func New(cfg Config) (*Kernel, error) {
 	return k, nil
 }
 
-// Config returns the kernel's configuration.
-func (k *Kernel) Config() Config { return k.cfg }
-
 // SetTracer attaches an event tracer to the kernel and its scheduler.
 // Pass nil to disable tracing.
 func (k *Kernel) SetTracer(t *obs.Tracer) {
@@ -258,10 +255,6 @@ func (k *Kernel) VSpace() vspace.Manager { return k.vspace }
 
 // Scheduler returns the scheduler.
 func (k *Kernel) Scheduler() sched.Scheduler { return k.sched }
-
-// Violations returns every invariant violation detected so far; a
-// correct kernel keeps this empty.
-func (k *Kernel) Violations() []invariant.Violation { return k.violations }
 
 // MaxLatency returns the worst interrupt-response latency recorded
 // since boot or the last ResetMaxLatency.

@@ -100,23 +100,10 @@ type Func struct {
 	// either authored (annotations, §5.2) or computed by the
 	// loop-bound inference of internal/loopbound (§5.3).
 	LoopBounds map[string]int
-
-	byName map[string]*Block
 }
 
 // Entry returns the function's entry block.
 func (f *Func) Entry() *Block { return f.Blocks[0] }
-
-// Block returns the named block, or nil.
-func (f *Func) Block(name string) *Block {
-	if f.byName == nil {
-		f.byName = make(map[string]*Block, len(f.Blocks))
-		for _, b := range f.Blocks {
-			f.byName[b.Name] = b
-		}
-	}
-	return f.byName[name]
-}
 
 // Image is a linked kernel image.
 type Image struct {

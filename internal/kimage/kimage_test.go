@@ -78,11 +78,21 @@ func TestBuilderIfElse(t *testing.T) {
 		t.Fatalf("condition block has %d successors, want 2", len(entry.Succs))
 	}
 	for _, s := range entry.Succs {
-		arm := f.Block(s)
+		arm := blockNamed(f, s)
 		if len(arm.Succs) != 1 {
 			t.Errorf("arm %q has %d successors, want 1", s, len(arm.Succs))
 		}
 	}
+}
+
+// blockNamed returns f's block called name, or nil.
+func blockNamed(f *Func, name string) *Block {
+	for _, b := range f.Blocks {
+		if b.Name == name {
+			return b
+		}
+	}
+	return nil
 }
 
 func TestBuilderLoopBound(t *testing.T) {
@@ -96,7 +106,7 @@ func TestBuilderLoopBound(t *testing.T) {
 	if got := f.LoopBounds[header]; got != 10 {
 		t.Errorf("loop bound = %d, want 10", got)
 	}
-	h := f.Block(header)
+	h := blockNamed(f, header)
 	if len(h.Succs) != 2 {
 		t.Errorf("loop header has %d successors, want 2 (body, exit)", len(h.Succs))
 	}
@@ -153,7 +163,7 @@ func TestBuilderSwitchArms(t *testing.T) {
 		t.Errorf("switch head has %d successors, want 3", len(f.Entry().Succs))
 	}
 	for i, a := range arms {
-		if f.Block(a) == nil {
+		if blockNamed(f, a) == nil {
 			t.Errorf("arm %d name %q not a block", i, a)
 		}
 	}

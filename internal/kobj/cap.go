@@ -95,10 +95,6 @@ type Cap struct {
 // IsNull reports whether the cap is empty.
 func (c Cap) IsNull() bool { return c.Type == CapNull }
 
-// TCB returns the referenced TCB; it panics on type confusion, which
-// the kernel's decode layer rules out.
-func (c Cap) TCB() *TCB { return c.Obj.(*TCB) }
-
 // Endpoint returns the referenced endpoint.
 func (c Cap) Endpoint() *Endpoint { return c.Obj.(*Endpoint) }
 

@@ -1,6 +1,7 @@
 package kobj
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -250,6 +251,34 @@ func TestDecodeLinear32Levels(t *testing.T) {
 	}
 	if res.Slot.Cap.Endpoint() != ep {
 		t.Error("decode returned wrong object")
+	}
+}
+
+// TestDecodeChain checks the Fig. 7 chain at every depth: the address
+// decodes through exactly levels CNodes to the leaf, and the CNodes are
+// named by level from the outermost.
+func TestDecodeChain(t *testing.T) {
+	for _, levels := range []int{1, 11, 32} {
+		m, u := newTestManager(t)
+		epObjs, err := m.Retype(u, TypeEndpoint, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf := Cap{Type: CapEndpoint, Obj: epObjs[0], Rights: RightsAll}
+		root, addr, err := m.DecodeChain(u, leaf, levels, func(l int) string { return fmt.Sprintf("c%d", l) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Decode(root, addr)
+		if err != nil {
+			t.Fatalf("levels %d: %v", levels, err)
+		}
+		if res.Levels != levels || res.Slot.Cap.Obj != leaf.Obj {
+			t.Errorf("levels %d: decode used %d levels to reach %v", levels, res.Levels, res.Slot.Cap)
+		}
+		if name := root.Obj.(*CNode).Name; name != "c1" {
+			t.Errorf("levels %d: outermost CNode named %q, want c1", levels, name)
+		}
 	}
 }
 

@@ -176,6 +176,37 @@ func (m *Manager) Retype(u *Untyped, t ObjType, param uint8, count int) ([]Objec
 	return out, nil
 }
 
+// DecodeChain retypes from u the Fig. 7 worst-case capability space: a
+// chain of levels radix-1 CNodes, each holding the next level's cap in
+// slot 1, so that decoding consumes one address bit per level before
+// reaching leaf. The outermost CNode's guard absorbs the remaining
+// address bits, so the address is exactly 32 bits. CNodes are retyped
+// leaf-first and named name(level), level 1 being the outermost. It
+// returns the chain's root cap and the address that decodes through
+// every level to leaf.
+func (m *Manager) DecodeChain(u *Untyped, leaf Cap, levels int, name func(level int) string) (Cap, uint32, error) {
+	next := leaf
+	for l := 0; l < levels; l++ {
+		cnObjs, err := m.Retype(u, TypeCNode, 1, 1)
+		if err != nil {
+			return Cap{}, 0, err
+		}
+		cn := cnObjs[0].(*CNode)
+		cn.Name = name(levels - l)
+		if l == levels-1 {
+			cn.GuardBits = uint8(32 - levels)
+		}
+		cn.Slot(1).Cap = next
+		next = Cap{Type: CapCNode, Obj: cn, Rights: RightsAll}
+	}
+	// Address: guard zeros, then bit 1 at every level.
+	var addr uint32
+	for l := 0; l < levels; l++ {
+		addr = addr<<1 | 1
+	}
+	return next, addr, nil
+}
+
 // Destroy marks an object dead and removes it from the live set and
 // its parent untyped's children, in constant time: the object's header
 // records both positions, and the last element of each list moves into

@@ -175,10 +175,6 @@ func (s *Snapshot) refreshDigests() {
 	}
 }
 
-// SourceDigests returns the per-source digests (nil when no samples
-// were attributed).
-func (s *Snapshot) SourceDigests() []LatencyDigest { return s.Sources }
-
 // WriteJSON renders the snapshot as an indented, byte-stable JSON
 // document (terminated by a newline).
 func (s *Snapshot) WriteJSON(w io.Writer) error {

@@ -113,7 +113,7 @@ func TestSnapshotAggregation(t *testing.T) {
 		t.Errorf("source order: %q, %q", s.Sources[0].Source, s.Sources[1].Source)
 	}
 	var n uint64
-	for _, d := range s.SourceDigests() {
+	for _, d := range s.Sources {
 		n += d.Count
 	}
 	if n != s.IRQ.Count {

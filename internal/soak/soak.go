@@ -29,54 +29,57 @@ import (
 	"verikern/internal/obs"
 )
 
-// Config parameterises one soak run.
+// Config parameterises one soak run. Its JSON encoding is the fleet
+// wire spec (fleet.Spec) and keys persisted fleet checkpoints, so a
+// new field needs omitempty to leave existing encodings unchanged
+// (fleet's TestSpecIdentityPinned pins them).
 type Config struct {
 	// Label names the configuration (e.g. "benno+preempt+pinned").
-	Label string
+	Label string `json:"label"`
 	// Arch names the hardware backend (internal/arch registry) that
 	// the sentinel bound and the seed derivation run against; empty
 	// selects the default ARM1136 backend. The backend id is mixed into
 	// every derived seed (measure.ArchSeed), so a two-backend sweep
 	// sharing one Seed drives each timing model with a distinct op
 	// stream.
-	Arch string
+	Arch string `json:"arch,omitempty"`
 	// ConfigKey is the konfig lattice-point hash identifying the full
 	// kernel+hardware configuration (konfig.Point.Hash); empty for
 	// ad-hoc configs. It is stamped into the merged snapshot and every
 	// flight capture, and carried by the fleet wire protocol so batches
 	// and persisted checkpoints from a different configuration are
 	// refused at merge time.
-	ConfigKey string
+	ConfigKey string `json:"config_key,omitempty"`
 	// Seed makes the workload reproducible; workers derive disjoint
 	// sub-seeds from it.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Ops is the total operation budget across all workers.
-	Ops uint64
+	Ops uint64 `json:"ops"`
 	// Workers is the number of independent kernel instances driven in
 	// parallel (each deterministic in isolation; results merge in
 	// worker order). Defaults to 1.
-	Workers int
+	Workers int `json:"workers"`
 	// Kernel is the functional-kernel configuration under soak.
-	Kernel kernel.Config
+	Kernel kernel.Config `json:"kernel"`
 	// Pinned selects the L1 way-pinned interrupt path when computing
 	// the WCET bound for the sentinel.
-	Pinned bool
+	Pinned bool `json:"pinned,omitempty"`
 	// BoundCycles is the WCET interrupt-response bound the sentinel
 	// checks samples against. Zero means "compute it" via
 	// ComputeBound (Run does this once per config).
-	BoundCycles uint64
+	BoundCycles uint64 `json:"bound_cycles,omitempty"`
 	// MarginPercent arms the near-bound capture: a new observed
 	// maximum within this percentage of the bound takes a flight
 	// capture even without a violation. Default 10.
-	MarginPercent float64
+	MarginPercent float64 `json:"margin_percent,omitempty"`
 	// MaxCaptures caps the per-worker capture count. Default 4.
-	MaxCaptures int
+	MaxCaptures int `json:"max_captures,omitempty"`
 	// CaptureNewMax arms the flight recorder on every new observed
 	// maximum latency, regardless of the bound margin — the directed
 	// probe's mode, where each fitness improvement is evidence worth
 	// keeping. Off by default (the passive soak captures only
 	// violations and near-bound maxima).
-	CaptureNewMax bool
+	CaptureNewMax bool `json:"capture_new_max,omitempty"`
 }
 
 // WithDefaults returns the config with every zero field resolved to
@@ -355,9 +358,6 @@ func (r *Runner) Ops() uint64 { return r.ops }
 // per candidate between RunOp calls.
 func (r *Runner) SetParams(p Params) { r.params = p }
 
-// Params returns the currently pinned workload knobs.
-func (r *Runner) Params() Params { return r.params }
-
 // MaxObserved returns the worst interrupt-response latency the
 // sentinel has seen so far — the probe's fitness signal.
 func (r *Runner) MaxObserved() uint64 { return r.sent.maxSeen }
@@ -517,11 +517,11 @@ func (r *Runner) opIPC() error {
 	return r.k.Recv(r.adv, r.epAddr)
 }
 
-// ensureDeep builds (once per depth) the radix-1 CNode chain of
-// `levels` levels whose leaf is a cap to the persistent endpoint, plus
-// the dedicated sender thread, mirroring the Fig. 7 adversarial cap
-// space. CNodes come straight off the object manager — they carry no
-// caps of their own, so the cap-derivation bookkeeping stays clean.
+// ensureDeep builds (once per depth) the Fig. 7 decode chain
+// (kobj.Manager.DecodeChain) of `levels` levels whose leaf is a cap to
+// the persistent endpoint, plus the dedicated sender thread. CNodes
+// come straight off the object manager — they carry no caps of their
+// own, so the cap-derivation bookkeeping stays clean.
 func (r *Runner) ensureDeep(levels int) error {
 	if r.deep == nil {
 		d, err := r.k.CreateThread(fmt.Sprintf("soak%d/deep", r.index), 72)
@@ -539,32 +539,12 @@ func (r *Runner) ensureDeep(levels int) error {
 	if err != nil {
 		return err
 	}
-	leaf := res.Slot.Cap
-	next := leaf
-	mgr := r.k.Objects()
-	for l := 0; l < levels; l++ {
-		guard := uint8(0)
-		if l == levels-1 {
-			// The outermost CNode absorbs the remaining address
-			// bits in its guard so the address is exactly 32 bits.
-			guard = uint8(32 - levels)
-		}
-		cnObjs, err := mgr.Retype(r.k.RootUntyped(), kobj.TypeCNode, 1, 1)
-		if err != nil {
-			return err
-		}
-		cn := cnObjs[0].(*kobj.CNode)
-		cn.Name = fmt.Sprintf("soak%d/deep%d-l%d", r.index, levels, levels-l)
-		cn.GuardBits = guard
-		cn.Slot(1).Cap = next
-		next = kobj.Cap{Type: kobj.CapCNode, Obj: cn, Rights: kobj.RightsAll}
+	root, addr, err := r.k.Objects().DecodeChain(r.k.RootUntyped(), res.Slot.Cap, levels,
+		func(l int) string { return fmt.Sprintf("soak%d/deep%d-l%d", r.index, levels, l) })
+	if err != nil {
+		return err
 	}
-	// Address: guard zeros, then bit 1 at every level.
-	var addr uint32
-	for l := 0; l < levels; l++ {
-		addr = addr<<1 | 1
-	}
-	r.chains[levels] = deepChain{root: next, addr: addr}
+	r.chains[levels] = deepChain{root: root, addr: addr}
 	return nil
 }
 

@@ -458,30 +458,11 @@ func (s *System) BuildAdversarialCSpace(t *TCB, levels int) (uint32, error) {
 		return 0, err
 	}
 	leaf := kobj.Cap{Type: kobj.CapEndpoint, Obj: epObjs[0], Rights: kobj.RightsAll}
-	next := leaf
-	for l := 0; l < levels; l++ {
-		guard := uint8(0)
-		if l == levels-1 {
-			// The outermost CNode absorbs the remaining
-			// address bits in its guard so the address is
-			// exactly 32 bits.
-			guard = uint8(32 - levels)
-		}
-		cnObjs, err := mgr.Retype(s.RootUntyped(), kobj.TypeCNode, 1, 1)
-		if err != nil {
-			return 0, err
-		}
-		cn := cnObjs[0].(*kobj.CNode)
-		cn.Name = fmt.Sprintf("adv-l%d", levels-l)
-		cn.GuardBits = guard
-		cn.Slot(1).Cap = next
-		next = kobj.Cap{Type: kobj.CapCNode, Obj: cn, Rights: kobj.RightsAll}
+	root, addr, err := mgr.DecodeChain(s.RootUntyped(), leaf, levels,
+		func(l int) string { return fmt.Sprintf("adv-l%d", l) })
+	if err != nil {
+		return 0, err
 	}
-	t.CSpaceRoot = next
-	// Address: guard zeros, then bit 1 at every level.
-	var addr uint32
-	for l := 0; l < levels; l++ {
-		addr = addr<<1 | 1
-	}
+	t.CSpaceRoot = root
 	return addr, nil
 }
