@@ -484,12 +484,12 @@ func BenchmarkILPSolve(b *testing.B) {
 	build := func() *ilp.Problem {
 		p := ilp.NewProblem()
 		const n = 60
-		prev := p.AddVar("entry", 1, true)
+		prev := p.AddVar("entry", 1)
 		p.AddConstraint(ilp.Constraint{Coeffs: map[int]float64{prev: 1}, Sense: ilp.EQ, RHS: 1})
 		for i := 0; i < n; i++ {
-			a := p.AddVar("a", float64(10+i%7), true)
-			c := p.AddVar("b", float64(5+i%11), true)
-			j := p.AddVar("j", 1, true)
+			a := p.AddVar("a", float64(10+i%7))
+			c := p.AddVar("b", float64(5+i%11))
+			j := p.AddVar("j", 1)
 			p.AddConstraint(ilp.Constraint{Coeffs: map[int]float64{a: 1, c: 1, prev: -1}, Sense: ilp.EQ, RHS: 0})
 			p.AddConstraint(ilp.Constraint{Coeffs: map[int]float64{j: 1, a: -1, c: -1}, Sense: ilp.EQ, RHS: 0})
 			prev = j

@@ -97,10 +97,15 @@ func main() {
 		fmt.Printf("konfig:       %s  %s\n", p.Hash(), p.Listing())
 	}
 	if *verify {
-		if err := im.VerifyLoopBounds(); err != nil {
+		checked, unmodelled, err := im.VerifyLoopBounds()
+		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println("loop bounds: every annotation justified by its model-checked bound")
+		fmt.Printf("loop bounds: %d of %d annotated loops justified by their model-checked bounds\n",
+			checked, checked+len(unmodelled))
+		if len(unmodelled) > 0 {
+			fmt.Printf("  unmodelled (annotation unchecked): %s\n", strings.Join(unmodelled, ", "))
+		}
 	}
 	if *obligations {
 		fmt.Println("proof obligations for manual infeasible-path constraints:")

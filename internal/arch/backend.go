@@ -65,6 +65,9 @@ type Backend struct {
 	// HasDynamicPredictor reports whether the core has a dynamic
 	// branch predictor; Config.BranchPredictor is invalid without it.
 	HasDynamicPredictor bool
+	// PredictorBits is log2 of the dynamic predictor's table of 2-bit
+	// counters. It is non-zero exactly when HasDynamicPredictor is set.
+	PredictorBits uint
 
 	// HasTCM reports whether one L1 way can be repurposed as
 	// tightly-coupled memory; Config.TCMEnabled is invalid without
@@ -186,6 +189,9 @@ func (b *Backend) Validate() error {
 	}
 	if b.BranchNoPredict == 0 {
 		return fmt.Errorf("arch %s: zero no-predict branch cost", b.ID)
+	}
+	if b.HasDynamicPredictor != (b.PredictorBits != 0) {
+		return fmt.Errorf("arch %s: predictor table of 2^%d entries with HasDynamicPredictor=%v", b.ID, b.PredictorBits, b.HasDynamicPredictor)
 	}
 	if b.HasDynamicPredictor {
 		if b.BranchPredicted == 0 || b.BranchMispredict == 0 {
@@ -368,6 +374,8 @@ var ARM1136 = &Backend{
 	BranchPredicted:     1,
 	BranchMispredict:    7,
 	HasDynamicPredictor: true,
+	// A 512-entry table of 2-bit counters.
+	PredictorBits: 9,
 
 	HasTCM: true,
 

@@ -139,6 +139,20 @@ func TestValidateConfigRejectsMissingFeatures(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsPredictorTableMismatch: a predictor table size is
+// required exactly on backends with a dynamic predictor.
+func TestValidateRejectsPredictorTableMismatch(t *testing.T) {
+	noTable := *MustLookup(ARM1136ID)
+	noTable.PredictorBits = 0
+	strayTable := *MustLookup(CVA6RTID)
+	strayTable.PredictorBits = 9
+	for _, b := range []*Backend{&noTable, &strayTable} {
+		if err := b.Validate(); err == nil {
+			t.Errorf("%s: predictor bits %d with HasDynamicPredictor=%v accepted", b.ID, b.PredictorBits, b.HasDynamicPredictor)
+		}
+	}
+}
+
 // TestLookup pins the registry's resolution rules: empty means the
 // default ARM1136 backend, unknown ids error (and MustLookup panics).
 func TestLookup(t *testing.T) {

@@ -119,9 +119,10 @@ func Aggressive(seed uint64) Config {
 	}
 }
 
-// splitmix64 is the same mixer the soak layer uses for seed
-// derivation: one pass is a full-avalanche permutation, so chaining it
-// over (seed, conn, dir, op) gives independent per-operation rolls.
+// splitmix64 is a copy of measure.SplitMix64, kept because chaos
+// imports no repository package: one pass is a full-avalanche
+// permutation, so chaining it over (seed, conn, dir, op) gives
+// independent per-operation rolls.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

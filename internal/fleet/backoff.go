@@ -3,6 +3,8 @@ package fleet
 import (
 	"context"
 	"time"
+
+	"verikern/internal/measure"
 )
 
 // Backoff is the fleet's shared jittered exponential backoff: doubling
@@ -23,14 +25,7 @@ type Backoff struct {
 // NewBackoff returns a backoff seeded for jitter. Zero Base and Cap
 // default to 100ms and 5s.
 func NewBackoff(base, cap time.Duration, seed uint64) *Backoff {
-	return &Backoff{Base: base, Cap: cap, rng: splitmix64seed(seed)}
-}
-
-func splitmix64seed(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return &Backoff{Base: base, Cap: cap, rng: measure.SplitMix64(seed)}
 }
 
 // Next returns the next jittered delay and advances the schedule.
@@ -51,7 +46,7 @@ func (b *Backoff) Next() time.Duration {
 		d = lim
 	}
 	b.cur = d * 2
-	b.rng = splitmix64seed(b.rng)
+	b.rng = measure.SplitMix64(b.rng)
 	// Uniform in [d/2, d): full decorrelation while keeping the
 	// doubling envelope.
 	half := d / 2

@@ -593,7 +593,7 @@ func (c *Coordinator) merge(connID uint64, b Batch) {
 	c.agg.dropped += b.Dropped
 	c.agg.violations += b.Violations
 	c.agg.nearMax += b.NearMax
-	c.agg.captures += uint64(len(b.Captures))
+	c.agg.captures += b.Captures
 
 	now := time.Now()
 	if !sh.lastBatch.IsZero() {

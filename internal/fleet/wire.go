@@ -38,14 +38,15 @@ import (
 // window, thread pool, allocation reserve) from the spec — they are
 // fixed soak constants now. Version 4 dropped the batch's all-sources
 // latency delta: the per-source deltas are the only record, and the
-// coordinator sums them. The spec encoding, and so the state key, is
-// unchanged.
-const protoVersion = 4
+// coordinator sums them. Version 5 sends the batch's flight-recorder
+// captures as a count, not the dumps. The spec encoding, and so the
+// state key, is unchanged.
+const protoVersion = 5
 
 // maxFrame bounds one wire frame (type byte + JSON payload). Batches
 // are a few KiB of sparse histogram deltas; 16 MiB is generous
-// headroom for capture-heavy batches while still rejecting a corrupt
-// length prefix before allocating.
+// headroom while still rejecting a corrupt length prefix before
+// allocating.
 const maxFrame = 16 << 20
 
 // Message types. Every frame is 4 bytes big-endian length (of
@@ -137,9 +138,9 @@ type Batch struct {
 	// Violations / NearMax are sentinel deltas for the window.
 	Violations uint64 `json:"violations,omitempty"`
 	NearMax    uint64 `json:"near_max,omitempty"`
-	// Captures are flight-recorder dumps taken during the window,
-	// each already stamped with worker/seed/op identity.
-	Captures []soak.Capture `json:"captures,omitempty"`
+	// Captures counts the flight-recorder dumps taken during the
+	// window; the dumps stay with the worker.
+	Captures uint64 `json:"captures,omitempty"`
 	// Final marks the shard's last batch: budget reached or drain
 	// honoured. The connection closes after it.
 	Final bool `json:"final,omitempty"`

@@ -51,6 +51,7 @@ func TestWireEncodeDecodeRoundTrip(t *testing.T) {
 		Sources:     []SourceDelta{{Op: 3, Hist: lat.State()}},
 		Violations:  1,
 		NearMax:     2,
+		Captures:    3,
 		Final:       true,
 	}
 	cases := []struct {

@@ -265,7 +265,7 @@ type cursor struct {
 	prevDropped  uint64
 	prevViol     uint64
 	prevNearMax  uint64
-	sentCaptures int
+	prevCaptures uint64
 	// srcBuf and sources are reused by every batch, so streaming a
 	// window allocates little beyond its wire encoding.
 	srcBuf  []obs.SourceLatency
@@ -300,7 +300,7 @@ func (c *cursor) sync(rn *soak.Runner) {
 	st := rn.SentinelStatus()
 	c.prevViol = st.Violations
 	c.prevNearMax = st.NearMax
-	c.sentCaptures = len(rn.Captures())
+	c.prevCaptures = uint64(len(rn.Captures()))
 }
 
 // batch extracts the delta window since the last batch (or sync) and
@@ -347,11 +347,9 @@ func (c *cursor) batch(rn *soak.Runner) (Batch, error) {
 	b.Violations = st.Violations - c.prevViol
 	b.NearMax = st.NearMax - c.prevNearMax
 	c.prevViol, c.prevNearMax = st.Violations, st.NearMax
-	caps := rn.Captures()
-	if len(caps) > c.sentCaptures {
-		b.Captures = append([]soak.Capture(nil), caps[c.sentCaptures:]...)
-		c.sentCaptures = len(caps)
-	}
+	caps := uint64(len(rn.Captures()))
+	b.Captures = caps - c.prevCaptures
+	c.prevCaptures = caps
 	c.prevOps = rn.Ops()
 	return b, nil
 }

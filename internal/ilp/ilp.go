@@ -1,15 +1,18 @@
-// Package ilp is a from-scratch integer linear programming solver: a
-// two-phase dense simplex for the LP relaxation and branch-and-bound
-// for integrality. It plays the role of the "off-the-shelf ILP solver"
-// the paper feeds its IPET problems to (§5.2).
+// Package ilp is the from-scratch solver for the paper's IPET integer
+// linear programs (§5.2), which the paper hands to an off-the-shelf
+// ILP solver: a two-phase dense simplex solves the LP relaxation, and
+// an integrality check accepts its optimum only when every variable
+// is integral.
 //
-// Problems are maximisation over non-negative variables with <=, >=
-// and = constraints. IPET flow problems are network-flow-like, so the
-// LP relaxation is usually integral and branch-and-bound rarely
-// branches; the solver nevertheless handles general problems.
+// Problems are maximisation over non-negative integer variables with
+// <=, >= and = constraints. IPET flow problems are network-flow-like,
+// and every shipped one has an integral LP optimum, so one LP is the
+// whole solve. A fractional optimum is reported as an error, never
+// branched on and never rounded.
 package ilp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -49,24 +52,21 @@ type Constraint struct {
 }
 
 // Problem is an ILP: maximise Objective·x subject to Constraints,
-// x >= 0, and x integer where Integer is set.
+// x >= 0 and x integer.
 type Problem struct {
 	names     []string
 	objective []float64
 	cons      []Constraint
-	integer   []bool
 }
 
 // NewProblem returns an empty problem.
 func NewProblem() *Problem { return &Problem{} }
 
-// AddVar adds a variable with the given objective coefficient and
-// returns its index. If integer is true the variable is constrained
-// integral.
-func (p *Problem) AddVar(name string, objCoeff float64, integer bool) int {
+// AddVar adds an integer variable with the given objective
+// coefficient and returns its index.
+func (p *Problem) AddVar(name string, objCoeff float64) int {
 	p.names = append(p.names, name)
 	p.objective = append(p.objective, objCoeff)
-	p.integer = append(p.integer, integer)
 	return len(p.names) - 1
 }
 
@@ -106,129 +106,44 @@ type Solution struct {
 	Status Status
 	// Value is the objective value (meaningful when Optimal).
 	Value float64
-	// X holds the variable values (meaningful when Optimal).
+	// X holds the variable values, each exactly integral (meaningful
+	// when Optimal).
 	X []float64
-	// Pivots counts simplex pivots across both phases and all
-	// branch-and-bound nodes — the solver-effort metric the
-	// pipeline's Stats() reports.
+	// Pivots counts simplex pivots across both phases — the
+	// solver-effort metric the pipeline's Stats() reports.
 	Pivots int
 }
 
 const (
 	tol = 1e-7
-	// maxNodes bounds branch-and-bound; IPET problems are near-
-	// integral so hitting it indicates a malformed problem.
-	maxNodes = 100000
+	// intTol is how far from an integer a variable of the LP
+	// optimum may lie and still count as integral.
+	intTol = 1e-5
 )
 
-// Solve solves the ILP.
+// errFractional reports an LP optimum with a non-integral variable.
+var errFractional = errors.New("ilp: LP optimum is fractional")
+
+// Solve solves the problem's LP relaxation and checks that its optimum
+// is integral. An integral optimum comes back with X rounded to the
+// exact integers; a fractional one is an error naming the variable.
 func Solve(p *Problem) (*Solution, error) {
-	lp, err := solveLP(p, nil)
-	if err != nil {
-		return nil, err
+	s, err := solveLP(p)
+	if err != nil || s.Status != Optimal {
+		return s, err
 	}
-	if lp.Status != Optimal {
-		return lp, nil
+	for i, v := range s.X {
+		r := math.Round(v)
+		if math.Abs(v-r) > intTol {
+			return nil, fmt.Errorf("%w (%s=%g); IPET expects integral flows", errFractional, p.names[i], v)
+		}
+		s.X[i] = r
 	}
-	if intFeasible(p, lp.X) {
-		roundInts(p, lp)
-		return lp, nil
-	}
-	return branchAndBound(p, lp)
+	return s, nil
 }
 
-// intFeasible reports whether all integer variables are integral.
-func intFeasible(p *Problem, x []float64) bool {
-	for i, isInt := range p.integer {
-		if isInt && math.Abs(x[i]-math.Round(x[i])) > 1e-5 {
-			return false
-		}
-	}
-	return true
-}
-
-func roundInts(p *Problem, s *Solution) {
-	for i, isInt := range p.integer {
-		if isInt {
-			s.X[i] = math.Round(s.X[i])
-		}
-	}
-}
-
-// bound is an extra variable bound imposed by branching.
-type bound struct {
-	v     int
-	upper bool // true: x_v <= val; false: x_v >= val
-	val   float64
-}
-
-func branchAndBound(p *Problem, root *Solution) (*Solution, error) {
-	type node struct {
-		bounds []bound
-		relax  float64 // LP bound of parent, for pruning
-	}
-	var best *Solution
-	stack := []node{{relax: root.Value}}
-	nodes := 0
-	pivots := root.Pivots
-	defer func() {
-		if best != nil {
-			best.Pivots = pivots
-		}
-	}()
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nodes++
-		if nodes > maxNodes {
-			return nil, fmt.Errorf("ilp: branch-and-bound exceeded %d nodes", maxNodes)
-		}
-		if best != nil && n.relax <= best.Value+tol {
-			continue
-		}
-		lp, err := solveLP(p, n.bounds)
-		if err != nil {
-			return nil, err
-		}
-		pivots += lp.Pivots
-		if lp.Status != Optimal {
-			continue
-		}
-		if best != nil && lp.Value <= best.Value+tol {
-			continue
-		}
-		// Find the most fractional integer variable.
-		frac, fv := -1, 0.0
-		for i, isInt := range p.integer {
-			if !isInt {
-				continue
-			}
-			f := math.Abs(lp.X[i] - math.Round(lp.X[i]))
-			if f > 1e-5 && f > fv {
-				frac, fv = i, f
-			}
-		}
-		if frac < 0 {
-			roundInts(p, lp)
-			if best == nil || lp.Value > best.Value {
-				best = lp
-			}
-			continue
-		}
-		lo := math.Floor(lp.X[frac])
-		down := append(append([]bound{}, n.bounds...), bound{v: frac, upper: true, val: lo})
-		up := append(append([]bound{}, n.bounds...), bound{v: frac, upper: false, val: lo + 1})
-		stack = append(stack, node{bounds: down, relax: lp.Value}, node{bounds: up, relax: lp.Value})
-	}
-	if best == nil {
-		return &Solution{Status: Infeasible, Pivots: pivots}, nil
-	}
-	return best, nil
-}
-
-// solveLP solves the LP relaxation with extra branching bounds using a
-// two-phase dense simplex.
-func solveLP(p *Problem, extra []bound) (*Solution, error) {
+// solveLP solves the LP relaxation using a two-phase dense simplex.
+func solveLP(p *Problem) (*Solution, error) {
 	n := len(p.names)
 
 	// Collect rows: every constraint, with RHS made non-negative.
@@ -237,14 +152,14 @@ func solveLP(p *Problem, extra []bound) (*Solution, error) {
 		sense  Sense
 		rhs    float64
 	}
-	rows := make([]row, 0, len(p.cons)+len(extra))
-	addRow := func(coeffs map[int]float64, sense Sense, rhs float64) {
-		r := row{coeffs: make([]float64, n), sense: sense, rhs: rhs}
-		for v, c := range coeffs {
+	rows := make([]row, len(p.cons))
+	for k, c := range p.cons {
+		r := row{coeffs: make([]float64, n), sense: c.Sense, rhs: c.RHS}
+		for v, coeff := range c.Coeffs {
 			if v < 0 || v >= n {
 				panic(fmt.Sprintf("ilp: constraint references variable %d of %d", v, n))
 			}
-			r.coeffs[v] += c
+			r.coeffs[v] += coeff
 		}
 		if r.rhs < 0 {
 			for i := range r.coeffs {
@@ -258,17 +173,7 @@ func solveLP(p *Problem, extra []bound) (*Solution, error) {
 				r.sense = LE
 			}
 		}
-		rows = append(rows, r)
-	}
-	for _, c := range p.cons {
-		addRow(c.Coeffs, c.Sense, c.RHS)
-	}
-	for _, b := range extra {
-		s := LE
-		if !b.upper {
-			s = GE
-		}
-		addRow(map[int]float64{b.v: 1}, s, b.val)
+		rows[k] = r
 	}
 
 	m := len(rows)
@@ -522,10 +427,8 @@ func (p *Problem) WriteLP() string {
 		fmt.Fprintf(&sb, " %s %g\n", c.Sense, c.RHS)
 	}
 	sb.WriteString("Generals\n")
-	for i, isInt := range p.integer {
-		if isInt {
-			fmt.Fprintf(&sb, " %s", p.names[i])
-		}
+	for _, name := range p.names {
+		fmt.Fprintf(&sb, " %s", name)
 	}
 	sb.WriteString("\nEnd\n")
 	return sb.String()

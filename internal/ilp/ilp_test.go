@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -13,8 +14,8 @@ func TestSimpleLP(t *testing.T) {
 	// max 3x + 2y  s.t. x + y <= 4; x + 3y <= 6
 	// optimum at (4, 0): value 12.
 	p := NewProblem()
-	x := p.AddVar("x", 3, false)
-	y := p.AddVar("y", 2, false)
+	x := p.AddVar("x", 3)
+	y := p.AddVar("y", 2)
 	p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1, y: 1}, Sense: LE, RHS: 4})
 	p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1, y: 3}, Sense: LE, RHS: 6})
 	s, err := Solve(p)
@@ -32,8 +33,8 @@ func TestSimpleLP(t *testing.T) {
 func TestEqualityAndGE(t *testing.T) {
 	// max x + y  s.t. x + y = 10; x >= 3; y >= 2  -> 10.
 	p := NewProblem()
-	x := p.AddVar("x", 1, false)
-	y := p.AddVar("y", 1, false)
+	x := p.AddVar("x", 1)
+	y := p.AddVar("y", 1)
 	p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1, y: 1}, Sense: EQ, RHS: 10})
 	p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1}, Sense: GE, RHS: 3})
 	p.AddConstraint(Constraint{Coeffs: map[int]float64{y: 1}, Sense: GE, RHS: 2})
@@ -51,7 +52,7 @@ func TestEqualityAndGE(t *testing.T) {
 
 func TestInfeasible(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar("x", 1, false)
+	x := p.AddVar("x", 1)
 	p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1}, Sense: LE, RHS: 1})
 	p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1}, Sense: GE, RHS: 2})
 	s, err := Solve(p)
@@ -65,8 +66,8 @@ func TestInfeasible(t *testing.T) {
 
 func TestUnbounded(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar("x", 1, false)
-	y := p.AddVar("y", 0, false)
+	x := p.AddVar("x", 1)
+	y := p.AddVar("y", 0)
 	p.AddConstraint(Constraint{Coeffs: map[int]float64{y: 1}, Sense: LE, RHS: 5})
 	_ = x
 	s, err := Solve(p)
@@ -81,8 +82,8 @@ func TestUnbounded(t *testing.T) {
 func TestNegativeRHSNormalisation(t *testing.T) {
 	// x - y >= -2 with max -x + y: optimum y = x + 2 at x = 0 -> 2.
 	p := NewProblem()
-	x := p.AddVar("x", -1, false)
-	y := p.AddVar("y", 1, false)
+	x := p.AddVar("x", -1)
+	y := p.AddVar("y", 1)
 	p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1, y: -1}, Sense: GE, RHS: -2})
 	p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1}, Sense: LE, RHS: 10})
 	p.AddConstraint(Constraint{Coeffs: map[int]float64{y: 1}, Sense: LE, RHS: 100})
@@ -95,36 +96,31 @@ func TestNegativeRHSNormalisation(t *testing.T) {
 	}
 }
 
-func TestIntegerKnapsack(t *testing.T) {
-	// max 8a + 11b + 6c + 4d s.t. 5a+7b+4c+3d <= 14, vars in {0,1}.
-	// LP relaxation is fractional; ILP optimum is a+b+d = 23... check:
-	// a+b: 12 weight 12, +d: 15 > 14. a+c+d: 18 weight 12. b+c+d: 21 weight 14. -> 21.
+// TestFractionalOptimumIsError: a 0/1 knapsack whose LP optimum
+// takes a fractional share of one item. Solve must report that
+// variable instead of branching to the integer optimum (21) or
+// rounding the relaxation.
+func TestFractionalOptimumIsError(t *testing.T) {
+	// max 8a + 11b + 6c + 4d s.t. 5a+7b+4c+3d <= 14, vars <= 1.
+	// The LP fills by value density: a and b whole, then half of c,
+	// for 22.
 	p := NewProblem()
 	vals := []float64{8, 11, 6, 4}
 	wts := []float64{5, 7, 4, 3}
-	var vs []int
-	for i, v := range vals {
-		vi := p.AddVar(string(rune('a'+i)), v, true)
-		vs = append(vs, vi)
-		p.AddConstraint(Constraint{Coeffs: map[int]float64{vi: 1}, Sense: LE, RHS: 1})
-	}
 	knap := map[int]float64{}
-	for i, vi := range vs {
+	for i, v := range vals {
+		vi := p.AddVar(string(rune('a'+i)), v)
+		p.AddConstraint(Constraint{Coeffs: map[int]float64{vi: 1}, Sense: LE, RHS: 1})
 		knap[vi] = wts[i]
 	}
 	p.AddConstraint(Constraint{Coeffs: knap, Sense: LE, RHS: 14})
 	s, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, errFractional) {
+		t.Fatalf("Solve = %+v, %v; want the fractional-optimum error", s, err)
 	}
-	if s.Status != Optimal || !near(s.Value, 21) {
-		t.Fatalf("got %v value %v, want optimal 21", s.Status, s.Value)
-	}
-	for _, vi := range vs {
-		r := math.Round(s.X[vi])
-		if !near(s.X[vi], r) || (r != 0 && r != 1) {
-			t.Errorf("x[%d] = %v, want 0/1 integral", vi, s.X[vi])
-		}
+	want := "ilp: LP optimum is fractional (c=0.5); IPET expects integral flows"
+	if err.Error() != want {
+		t.Errorf("error = %q, want %q", err, want)
 	}
 }
 
@@ -132,10 +128,10 @@ func TestFlowLikeProblem(t *testing.T) {
 	// A tiny IPET-shaped problem: entry e with count 1; branch to a
 	// or b; join j. max 10a + 50b + 5j s.t. flow conservation.
 	p := NewProblem()
-	e := p.AddVar("e", 1, true)
-	a := p.AddVar("a", 10, true)
-	b := p.AddVar("b", 50, true)
-	j := p.AddVar("j", 5, true)
+	e := p.AddVar("e", 1)
+	a := p.AddVar("a", 10)
+	b := p.AddVar("b", 50)
+	j := p.AddVar("j", 5)
 	p.AddConstraint(Constraint{Coeffs: map[int]float64{e: 1}, Sense: EQ, RHS: 1})
 	p.AddConstraint(Constraint{Coeffs: map[int]float64{a: 1, b: 1, e: -1}, Sense: EQ, RHS: 0})
 	p.AddConstraint(Constraint{Coeffs: map[int]float64{j: 1, a: -1, b: -1}, Sense: EQ, RHS: 0})
@@ -154,16 +150,17 @@ func TestFlowLikeProblem(t *testing.T) {
 
 func TestDegenerateCycling(t *testing.T) {
 	// A classically degenerate problem (Beale's example scaled);
-	// must terminate via the Bland fallback.
+	// must terminate via the Bland fallback. Its optimum (x1 = 1/25)
+	// is fractional, so this drives the simplex alone.
 	p := NewProblem()
-	x1 := p.AddVar("x1", 0.75, false)
-	x2 := p.AddVar("x2", -150, false)
-	x3 := p.AddVar("x3", 0.02, false)
-	x4 := p.AddVar("x4", -6, false)
+	x1 := p.AddVar("x1", 0.75)
+	x2 := p.AddVar("x2", -150)
+	x3 := p.AddVar("x3", 0.02)
+	x4 := p.AddVar("x4", -6)
 	p.AddConstraint(Constraint{Coeffs: map[int]float64{x1: 0.25, x2: -60, x3: -0.04, x4: 9}, Sense: LE, RHS: 0})
 	p.AddConstraint(Constraint{Coeffs: map[int]float64{x1: 0.5, x2: -90, x3: -0.02, x4: 3}, Sense: LE, RHS: 0})
 	p.AddConstraint(Constraint{Coeffs: map[int]float64{x3: 1}, Sense: LE, RHS: 1})
-	s, err := Solve(p)
+	s, err := solveLP(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +171,7 @@ func TestDegenerateCycling(t *testing.T) {
 
 func TestWriteLPFormat(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar("x", 3, true)
+	x := p.AddVar("x", 3)
 	p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 2}, Sense: LE, RHS: 7, Label: "cap"})
 	lp := p.WriteLP()
 	for _, want := range []string{"Maximize", "+3 x", "cap:", "+2 x <= 7", "Generals", "End"} {
@@ -230,9 +227,11 @@ func bruteForce(obj []float64, cons []Constraint, ub int) float64 {
 	return best
 }
 
-// Property: on random small bounded ILPs the solver matches brute force.
+// Property: on random small bounded ILPs the solver either matches
+// brute force or reports a fractional LP optimum — never another value.
 func TestPropertyMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	matched, fractional := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + rng.Intn(3) // 2..4 vars
 		const ub = 4
@@ -240,7 +239,7 @@ func TestPropertyMatchesBruteForce(t *testing.T) {
 		obj := make([]float64, n)
 		for i := 0; i < n; i++ {
 			obj[i] = float64(rng.Intn(11) - 3)
-			p.AddVar("x"+string(rune('0'+i)), obj[i], true)
+			p.AddVar("x"+string(rune('0'+i)), obj[i])
 		}
 		var cons []Constraint
 		// Upper bounds keep it bounded.
@@ -267,9 +266,14 @@ func TestPropertyMatchesBruteForce(t *testing.T) {
 		}
 		want := bruteForce(obj, cons, ub)
 		s, err := Solve(p)
+		if errors.Is(err, errFractional) {
+			fractional++
+			continue
+		}
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, p.WriteLP())
 		}
+		matched++
 		if math.IsInf(want, -1) {
 			if s.Status != Infeasible {
 				t.Errorf("trial %d: got %v value %v, want infeasible\n%s", trial, s.Status, s.Value, p.WriteLP())
@@ -279,5 +283,9 @@ func TestPropertyMatchesBruteForce(t *testing.T) {
 		if s.Status != Optimal || !near(s.Value, want) {
 			t.Errorf("trial %d: got %v value %v, brute force %v\n%s", trial, s.Status, s.Value, want, p.WriteLP())
 		}
+	}
+	t.Logf("%d trials matched brute force, %d had a fractional LP optimum", matched, fractional)
+	if matched == 0 {
+		t.Error("no trial reached an integral optimum; the property checked nothing")
 	}
 }

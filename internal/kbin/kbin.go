@@ -651,7 +651,8 @@ func fitOneWay(in []uint32, g arch.CacheGeometry) []uint32 {
 // LoopModels returns the §5.3 loop-bound models for the image's key
 // loops: IR programs whose model-checked bounds justify the authored
 // annotations. wcet.VerifyBounds cross-checks them; a tampered (too
-// small) annotation is detected as unsound.
+// small) annotation is detected as unsound. The image's other
+// annotated loops have no model; VerifyBounds names them.
 func LoopModels(o Options, img *kimage.Image) ([]wcet.BoundModel, error) {
 	singleLoop := func(fn string) (string, error) {
 		f := img.Funcs[fn]
@@ -692,6 +693,14 @@ func LoopModels(o Options, img *kimage.Image) ([]wcet.BoundModel, error) {
 	add("clearObject", p, h)
 	p, h = loopbound.CountedLoop(32)
 	add("kernelWindowCopy", p, h)
+	if o.Modernised {
+		// The preempted §3.4 walk, one entry per analysed run. The
+		// original kernel's unpreempted walk over up to
+		// preDeleteWaiters entries is beyond the checker's havoc
+		// enumeration, so it stays unmodelled.
+		p, h = loopbound.BadgedAbortWalk(1)
+		add("badgedAbort", p, h)
+	}
 
 	var out []wcet.BoundModel
 	for _, s := range specs {

@@ -1,6 +1,7 @@
 package kbin
 
 import (
+	"strings"
 	"testing"
 
 	"verikern/internal/arch"
@@ -232,8 +233,9 @@ func TestObservedVsComputedRatio(t *testing.T) {
 }
 
 // TestLoopModelsVerify cross-checks the image's loop annotations
-// against the §5.3 model-checked bounds, and proves tampering is
-// caught.
+// against the §5.3 model-checked bounds, proves tampering is caught on
+// every modelled loop it tries, and checks the unmodelled remainder is
+// named.
 func TestLoopModelsVerify(t *testing.T) {
 	for _, o := range []Options{{Modernised: false}, {Modernised: true}} {
 		img, _ := build(t, o)
@@ -244,22 +246,38 @@ func TestLoopModelsVerify(t *testing.T) {
 		if len(models) < 5 {
 			t.Fatalf("only %d loop models", len(models))
 		}
-		if err := wcet.VerifyBounds(img, models); err != nil {
+		unmodelled, err := wcet.VerifyBounds(img, models)
+		if err != nil {
 			t.Fatalf("opts %+v: %v", o, err)
 		}
-		// Tamper: shrink the decode loop's annotation below the
+		annotated := 0
+		for _, f := range img.Funcs {
+			annotated += len(f.LoopBounds)
+		}
+		if len(models)+len(unmodelled) != annotated {
+			t.Errorf("opts %+v: %d modelled + %d unmodelled %v != %d annotated loops",
+				o, len(models), len(unmodelled), unmodelled, annotated)
+		}
+		// Tamper: shrink a loop's annotation below the
 		// model-checked bound — VerifyBounds must reject it.
-		f := img.Funcs["decodeCap"]
-		var header string
-		for h := range f.LoopBounds {
-			header = h
+		tampered := []string{"decodeCap"}
+		if o.Modernised {
+			tampered = append(tampered, "badgedAbort")
 		}
-		saved := f.LoopBounds[header]
-		f.LoopBounds[header] = saved / 2
-		if err := wcet.VerifyBounds(img, models); err == nil {
-			t.Error("VerifyBounds accepted an unsound (too small) annotation")
+		for _, fn := range tampered {
+			f := img.Funcs[fn]
+			var header string
+			for h := range f.LoopBounds {
+				header = h
+			}
+			saved := f.LoopBounds[header]
+			f.LoopBounds[header] = saved / 2
+			_, err := wcet.VerifyBounds(img, models)
+			if err == nil || !strings.Contains(err.Error(), "UNSOUND annotation on "+fn+".") {
+				t.Errorf("opts %+v: VerifyBounds on a too-small %s annotation = %v, want UNSOUND", o, fn, err)
+			}
+			f.LoopBounds[header] = saved
 		}
-		f.LoopBounds[header] = saved
 	}
 }
 

@@ -417,51 +417,3 @@ func (c *checker) explore(st state, regs []int64) (int, error) {
 	c.memo[st] = total
 	return total, nil
 }
-
-// CheckBound model-checks the property "the head executes at most n
-// times", the G(count <= n) query of the paper's LTL encoding. It is
-// implemented on top of Bound for deterministic equivalence; the
-// binary-search driver SearchBound uses it the way the paper's tool
-// drives its model checker.
-func CheckBound(p *Program, head, n int) (bool, error) {
-	b, err := Bound(p, head)
-	if err != nil {
-		return false, err
-	}
-	return b <= n, nil
-}
-
-// SearchBound finds the least n such that the head executes at most n
-// times, by exponential growth followed by binary search over
-// CheckBound — mirroring §5.3's "binary search over the loop count".
-func SearchBound(p *Program, head int) (int, error) {
-	// Establish an upper bound.
-	hi := 1
-	for {
-		ok, err := CheckBound(p, head, hi)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			break
-		}
-		hi *= 2
-		if hi > 1<<30 {
-			return 0, fmt.Errorf("loopbound: bound search exceeded %d", hi)
-		}
-	}
-	lo := 0
-	for lo < hi {
-		mid := (lo + hi) / 2
-		ok, err := CheckBound(p, head, mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo, nil
-}

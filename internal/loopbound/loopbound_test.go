@@ -133,38 +133,6 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 	}
 }
 
-func TestCheckBoundAndSearch(t *testing.T) {
-	p, head := CountedLoop(10)
-	ok, err := CheckBound(p, head, 11)
-	if err != nil || !ok {
-		t.Errorf("CheckBound(11) = %v, %v; want true", ok, err)
-	}
-	ok, err = CheckBound(p, head, 10)
-	if err != nil || ok {
-		t.Errorf("CheckBound(10) = %v, %v; want false", ok, err)
-	}
-	n, err := SearchBound(p, head)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 11 {
-		t.Errorf("SearchBound = %d, want 11", n)
-	}
-}
-
-// Property: SearchBound always agrees with Bound on counted loops.
-func TestPropertySearchMatchesBound(t *testing.T) {
-	f := func(n uint8) bool {
-		p, head := CountedLoop(int64(n))
-		b, err1 := Bound(p, head)
-		s, err2 := SearchBound(p, head)
-		return err1 == nil && err2 == nil && b == s
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: nested nondeterministic branches never increase a counted
 // loop's bound beyond its counter limit.
 func TestPropertyNondetBranchesDontInflate(t *testing.T) {

@@ -73,7 +73,7 @@ func New(cfg arch.Config) *Machine {
 		b:   b,
 		l1i: mk(b.L1I, cfg.PinnedL1Ways),
 		l1d: mk(b.L1D, cfg.PinnedL1Ways),
-		bp:  pipeline.NewPredictorArch(b, cfg.BranchPredictor, 9),
+		bp:  pipeline.NewPredictorArch(b, cfg.BranchPredictor, b.PredictorBits),
 	}
 	if cfg.L2Enabled {
 		locked := 0

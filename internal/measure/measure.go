@@ -31,6 +31,18 @@ type Observation struct {
 // clock.
 func (o Observation) Micros() float64 { return arch.ARM1136.CyclesToMicros(o.Max) }
 
+// SplitMix64 is one step of the splitmix64 generator: add its
+// increment γ = 0x9E3779B97F4A7C15, then apply its finaliser. One pass
+// is a full-avalanche permutation of the 64-bit input, which makes it
+// the repository's one seed mixer: PolluteSeed, CampaignSeed, the soak
+// workers' sub-seeds and the fleet's backoff jitter all derive from it.
+func SplitMix64(x uint64) uint64 {
+	x += 0x9E3779B97F4A7C15
+	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+	x = (x ^ x>>27) * 0x94D049BB133111EB
+	return x ^ x>>31
+}
+
 // PolluteSeed derives the cache-pollution seed for one run of a
 // measurement campaign from the campaign's base seed. The derivation
 // is a splitmix64 finaliser over (base, run), so distinct campaigns —
@@ -38,12 +50,7 @@ func (o Observation) Micros() float64 { return arch.ARM1136.CyclesToMicros(o.Max
 // draw from disjoint, well-mixed pollution sequences instead of the
 // linearly reused seeds campaigns shared before. Never returns zero.
 func PolluteSeed(base uint64, run int) uint32 {
-	x := base + uint64(run)*0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
+	x := SplitMix64(base + uint64(run)*0x9E3779B97F4A7C15)
 	s := uint32(x ^ x>>32)
 	if s == 0 {
 		s = 1
@@ -69,13 +76,7 @@ func CampaignSeed(root uint64, label string) uint64 {
 		h ^= uint64(label[i])
 		h *= 0x100000001B3
 	}
-	x := root ^ h
-	x += 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
+	x := SplitMix64(root ^ h)
 	if x == 0 {
 		x = 0x9E3779B97F4A7C15
 	}

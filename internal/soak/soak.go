@@ -225,13 +225,7 @@ type Params struct {
 // a splitmix64 finaliser, so workers draw from disjoint, well-mixed
 // sequences.
 func subSeed(seed uint64, w int) int64 {
-	x := seed + uint64(w)*0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return int64(x)
+	return int64(measure.SplitMix64(seed + uint64(w)*0x9E3779B97F4A7C15))
 }
 
 // Runner drives one worker's kernel instance. It is single-goroutine

@@ -67,7 +67,7 @@ func (a *Analyzer) solveIPET(g *cfg.Graph, nodeCost, loopEntryCost []uint64, ent
 				return nil, nil, fmt.Errorf("wcet: parallel edge %v", k)
 			}
 			name := fmt.Sprintf("e%d_%d", n.ID, s)
-			ip.edges[k] = ip.p.AddVar(name, float64(nodeCost[s]+entryExtra[k]), true)
+			ip.edges[k] = ip.p.AddVar(name, float64(nodeCost[s]+entryExtra[k]))
 		}
 	}
 
@@ -137,12 +137,6 @@ func (a *Analyzer) solveIPET(g *cfg.Graph, nodeCost, loopEntryCost []uint64, ent
 
 	solveStart := time.Now()
 	stopSolve := a.Metrics.Stage("wcet.ilp_solve")
-	fixed, st := ilp.Presolve(ip.p)
-	a.Metrics.Add("ilp.presolve_fixed", uint64(fixed))
-	if st == ilp.Infeasible {
-		stopSolve()
-		return nil, nil, fmt.Errorf("wcet: %s: constraints are contradictory (presolve)", entry)
-	}
 	sol, err := ilp.Solve(ip.p)
 	stopSolve()
 	if err != nil {
@@ -159,7 +153,7 @@ func (a *Analyzer) solveIPET(g *cfg.Graph, nodeCost, loopEntryCost []uint64, ent
 	counts[g.Entry] = 1
 	edgeCounts := make(map[edgeKey]int64, len(ip.edges))
 	for k, v := range ip.edges {
-		c := int64(sol.X[v] + 0.5)
+		c := int64(sol.X[v]) // Solve returns exact integers
 		counts[k.to] += c
 		if c > 0 {
 			edgeCounts[k] = c

@@ -324,13 +324,15 @@ func (im *Image) AnalyzeWithLP(hw Hardware, e EntryPoint) (Bound, error) {
 
 // VerifyLoopBounds cross-checks the image's loop annotations against
 // the §5.3 model-checked bounds, returning an error for any annotation
-// the models prove unsound.
-func (im *Image) VerifyLoopBounds() error {
+// the models prove unsound. It reports how many annotated loops were
+// checked, and names those no model covers.
+func (im *Image) VerifyLoopBounds() (checked int, unmodelled []string, err error) {
 	models, err := kbin.LoopModels(im.Point.KbinOptions(), im.Img)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
-	return wcet.VerifyBounds(im.Img, models)
+	unmodelled, err = wcet.VerifyBounds(im.Img, models)
+	return len(models), unmodelled, err
 }
 
 // Observe replays a bound's worst-case path on the simulated hardware
