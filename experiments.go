@@ -21,8 +21,10 @@ import (
 
 // DefaultRuns is the number of polluted-state measurement runs per
 // observed value. The paper takes the maximum of 100,000 hardware
-// executions (§6.2); the simulator's adversarial pollution converges
-// with far fewer.
+// executions (§6.2). In this simulator a pollution seed only renames
+// lines no kernel address can hit, so every paper campaign is
+// seed-free (machine.SeedFree): all its runs time alike, one replay
+// serves them, and the run count moves no observed number.
 const DefaultRuns = 64
 
 // Table1Row is one line of Table 1: computed WCET with and without L1

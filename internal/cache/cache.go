@@ -253,17 +253,48 @@ func (c *Cache) InvalidateAll() {
 	}
 }
 
+// The pollution band is the tag space Pollute and DirtyFootprint fill
+// unlocked ways with: way w of a cache polluted with seed s holds the
+// tag bandBase|(s&bandSeedMask) + w<<bandWayShift.
+const (
+	bandBase     = 0x40000
+	bandSeedMask = 0xFFFF
+	bandWayShift = 20
+)
+
+// pollutionTag is the tag Pollute and DirtyFootprint install in way w
+// for seed.
+func pollutionTag(seed uint32, w int) uint32 {
+	return (bandBase | seed&bandSeedMask) + uint32(w)<<bandWayShift
+}
+
+// InPollutionBand reports whether addr's tag equals pollutionTag(s, w)
+// for some seed s and some unlocked way w. An address outside the band
+// can never hit a line Pollute or DirtyFootprint installed, whatever
+// the seed, so replays that touch no such address time identically
+// under every pollution seed. It allocates nothing.
+func (c *Cache) InPollutionBand(addr uint32) bool {
+	tag := c.Tag(addr)
+	w := tag >> bandWayShift
+	if w < uint32(c.cfg.LockedWays) || w >= uint32(c.cfg.Ways) {
+		return false
+	}
+	// The seed term is below 1<<bandWayShift, so it never carries into
+	// the way term.
+	return (tag-w<<bandWayShift)&^bandSeedMask == bandBase
+}
+
 // Pollute fills every non-pinned way of every set with distinct dirty
 // lines, the worst possible starting state for a measurement run
 // (§5.4: "test programs pollute both the instruction and data caches
-// with dirty cache lines"). The tag space used is derived from seed so
-// different runs start from different (but always conflicting) states.
+// with dirty cache lines"). The tags lie in the pollution band and
+// derive from seed, so different runs start from different (but always
+// conflicting) states.
 func (c *Cache) Pollute(seed uint32) {
-	tagBase := 0x40000 | (seed & 0xFFFF)
 	for s := 0; s < c.cfg.Sets; s++ {
 		base := s * c.cfg.Ways
 		for w := c.cfg.LockedWays; w < c.cfg.Ways; w++ {
-			c.setLine(base+w, tagBase+uint32(w)<<20, flagValid|flagDirty)
+			c.setLine(base+w, pollutionTag(seed, w), flagValid|flagDirty)
 		}
 	}
 }
@@ -273,17 +304,17 @@ func (c *Cache) Pollute(seed uint32) {
 // every other set untouched. It is the targeted counterpart of Pollute:
 // an adversary that knows a victim's footprint evicts precisely the
 // lines the victim will re-fetch, without paying to dirty sets the
-// victim never visits. Tags are derived from seed and never collide
-// with the footprint's own tags, so every listed address starts evicted
-// and every eviction writes back.
+// victim never visits. Tags are Pollute's, derived from seed, and
+// never collide with the footprint's own tags (a pollution tag equal to
+// one is flipped out of the band), so every listed address starts
+// evicted and every eviction writes back.
 func (c *Cache) DirtyFootprint(addrs []uint32, seed uint32) {
-	tagBase := 0x40000 | (seed & 0xFFFF)
 	for _, a := range addrs {
 		set := c.Set(a)
 		own := c.Tag(a)
 		base := set * c.cfg.Ways
 		for w := c.cfg.LockedWays; w < c.cfg.Ways; w++ {
-			tag := tagBase + uint32(w)<<20
+			tag := pollutionTag(seed, w)
 			if tag == own {
 				tag ^= 1 << 19
 			}

@@ -169,6 +169,49 @@ func TestPolluteFillsCache(t *testing.T) {
 	}
 }
 
+// TestPollutionBand: every line Pollute installs, under any seed, has a
+// tag InPollutionBand accepts, and the tags just outside the band, or
+// on a locked or missing way, are rejected. The 16-set, 64-byte-line
+// geometry has 22-bit tags, so its second and third ways' bands are
+// reachable by addresses too.
+func TestPollutionBand(t *testing.T) {
+	for _, cfg := range []Config{testConfig(0), testConfig(1), {Sets: 16, Ways: 4, LineBytes: 64, LockedWays: 1}} {
+		c := New(cfg)
+		addr := func(tag uint32, set int) uint32 { return tag<<c.tagShift | uint32(set)<<c.lineShift }
+		for _, seed := range []uint32{0, 1, 0xFFFF, 0x12345678} {
+			c.Pollute(seed)
+			for s := 0; s < cfg.Sets; s++ {
+				for w := cfg.LockedWays; w < cfg.Ways; w++ {
+					tag := c.tags[s*cfg.Ways+w]
+					if tag>>(32-c.tagShift) != 0 {
+						continue // no address has this tag
+					}
+					if a := addr(tag, s); !c.InPollutionBand(a) || !c.Contains(a) {
+						t.Fatalf("%+v seed %#x: way %d's line %#x not in the band or not resident", cfg, seed, w, a)
+					}
+				}
+			}
+		}
+		for _, tag := range []uint32{
+			bandBase - 1,
+			bandBase + bandSeedMask + 1,
+			pollutionTag(7, cfg.LockedWays) &^ bandBase,
+		} {
+			if c.InPollutionBand(addr(tag, 0)) {
+				t.Errorf("%+v: tag %#x outside the band accepted", cfg, tag)
+			}
+		}
+		for w := 0; w < cfg.LockedWays; w++ {
+			if c.InPollutionBand(addr(pollutionTag(7, w), 0)) {
+				t.Errorf("%+v: locked way %d's tag accepted", cfg, w)
+			}
+		}
+		if tag := pollutionTag(7, cfg.Ways); tag>>(32-c.tagShift) == 0 && c.InPollutionBand(addr(tag, 0)) {
+			t.Errorf("%+v: tag %#x of a way past the last accepted", cfg, tag)
+		}
+	}
+}
+
 func TestPollutePreservesPins(t *testing.T) {
 	c := New(testConfig(1))
 	c.Pin(0x1000)

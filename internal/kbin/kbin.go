@@ -651,8 +651,10 @@ func fitOneWay(in []uint32, g arch.CacheGeometry) []uint32 {
 // LoopModels returns the §5.3 loop-bound models for the image's key
 // loops: IR programs whose model-checked bounds justify the authored
 // annotations. wcet.VerifyBounds cross-checks them; a tampered (too
-// small) annotation is detected as unsound. The image's other
-// annotated loops have no model; VerifyBounds names them.
+// small) annotation is detected as unsound. Every loop of the
+// modernised image has a model. The original image's badgedAbort walk,
+// its two chooseThread loops and vspaceOp's ASID walk have none;
+// VerifyBounds names them.
 func LoopModels(o Options, img *kimage.Image) ([]wcet.BoundModel, error) {
 	singleLoop := func(fn string) (string, error) {
 		f := img.Funcs[fn]
@@ -693,6 +695,14 @@ func LoopModels(o Options, img *kimage.Image) ([]wcet.BoundModel, error) {
 	add("clearObject", p, h)
 	p, h = loopbound.CountedLoop(32)
 	add("kernelWindowCopy", p, h)
+	p, h = loopbound.CountedLoop(ipcDecodes - 1)
+	add(EntrySyscall, p, h)
+	p, h = loopbound.CountedLoop(8)
+	add("irqDispatch", p, h)
+	for _, fn := range []string{EntryPageFault, EntryUndefined} {
+		p, h = loopbound.CountedLoop(4)
+		add(fn, p, h)
+	}
 	if o.Modernised {
 		// The preempted §3.4 walk, one entry per analysed run. The
 		// original kernel's unpreempted walk over up to

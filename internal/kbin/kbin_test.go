@@ -258,9 +258,12 @@ func TestLoopModelsVerify(t *testing.T) {
 			t.Errorf("opts %+v: %d modelled + %d unmodelled %v != %d annotated loops",
 				o, len(models), len(unmodelled), unmodelled, annotated)
 		}
+		if o.Modernised && len(unmodelled) != 0 {
+			t.Errorf("modernised image: unmodelled loops %v, want none", unmodelled)
+		}
 		// Tamper: shrink a loop's annotation below the
 		// model-checked bound — VerifyBounds must reject it.
-		tampered := []string{"decodeCap"}
+		tampered := []string{"decodeCap", "irqDispatch"}
 		if o.Modernised {
 			tampered = append(tampered, "badgedAbort")
 		}

@@ -196,6 +196,39 @@ func (m *Machine) PrimeReplay(r *kimage.Replay, spec PrimeSpec) {
 	}
 }
 
+// SeedFree reports whether every pollution seed times r identically.
+// It holds when no fetch or data address of r that reaches a cache has
+// a tag in that cache's pollution band (cache.InPollutionBand). Two
+// seeds' Pollute or PrimeReplay states then differ only in the tags of
+// band lines, which no access of r can hit: every line is valid and
+// dirty in both, the replacement state is the same, and the footprint
+// sets DirtyFootprint visits depend on r alone. So the replay takes the
+// same hits, misses and write-backs, cycle for cycle, under either
+// seed. It allocates nothing.
+func (m *Machine) SeedFree(r *kimage.Replay) bool {
+	start := uint32(0)
+	for _, b := range r.Blocks {
+		fetch := b.Addr
+		for _, s := range r.Steps[start:b.End] {
+			if !m.cfg.InITCM(fetch) && m.inBand(m.l1i, fetch) {
+				return false
+			}
+			fetch += 4
+			if s.HasData && !m.cfg.InDTCM(s.Data) && m.inBand(m.l1d, s.Data) {
+				return false
+			}
+		}
+		start = b.End
+	}
+	return true
+}
+
+// inBand reports whether addr can hit a pollution line in l1 or, behind
+// it, in the L2.
+func (m *Machine) inBand(l1 *cache.Cache, addr uint32) bool {
+	return l1.InPollutionBand(addr) || m.l2 != nil && m.l2.InPollutionBand(addr)
+}
+
 // memAccess plays one access through L1 (i or d), then L2/memory, and
 // returns its cycle cost beyond the instruction's base cost.
 func (m *Machine) memAccess(l1 *cache.Cache, addr uint32, write bool) uint64 {

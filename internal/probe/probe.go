@@ -183,7 +183,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			irqBound = res.Cycles
 		}
 		rng := rand.New(rand.NewSource(int64(seedRoot) ^ int64(i+1)*0x9E3779B9))
-		e := searchMachine(img, hw, res, perEntry, rng, cfg.Metrics)
+		e := searchMachine(img, hw, res, perEntry, rng, cfg.Metrics, true)
 		e.Name = name
 		if e.ObservedMax > e.BoundCycles {
 			rep.Violations++
@@ -212,15 +212,39 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 // for every candidate, and one loaded machine serves them all:
 // PrimeReplay starts with a full pollution, which leaves a used machine
 // timing a replay exactly as a fresh one would.
-func searchMachine(img *kimage.Image, hw arch.Config, res *wcet.Result, budget int, rng *rand.Rand, m *obs.Metrics) Entry {
+//
+// With share set, candidates the machine cannot tell apart share one
+// replay: a spec already tried times as it did, and when the trace is
+// seed-free (machine.SeedFree) so does every spec that differs from a
+// tried one only in its seed. The Entry is the same either way;
+// probe.machine_evals counts candidates, probe.machine_replays the
+// replays actually run.
+func searchMachine(img *kimage.Image, hw arch.Config, res *wcet.Result, budget int, rng *rand.Rand, m *obs.Metrics, share bool) Entry {
 	r := kimage.Compile(res.Trace)
 	mach := machine.New(hw)
 	mach.LoadImage(img)
+	seedFree := share && mach.SeedFree(r)
+	var times map[machine.PrimeSpec]uint64
+	if share {
+		times = make(map[machine.PrimeSpec]uint64, budget)
+	}
 	replay := func(spec machine.PrimeSpec) uint64 {
-		mach.PrimeReplay(r, spec)
 		m.Add("probe.evals", 1)
 		m.Add("probe.machine_evals", 1)
-		return mach.RunReplay(r)
+		key := spec
+		if seedFree {
+			key.Seed = 0
+		}
+		if c, ok := times[key]; ok {
+			return c
+		}
+		mach.PrimeReplay(r, spec)
+		m.Add("probe.machine_replays", 1)
+		c := mach.RunReplay(r)
+		if share {
+			times[key] = c
+		}
+		return c
 	}
 	best := machine.PrimeSpec{Seed: uint32(rng.Int63()), Footprint: true, Mistrain: true}
 	bestFit := replay(best)
