@@ -28,6 +28,7 @@ import (
 
 	"verikern"
 	"verikern/internal/arch"
+	"verikern/internal/ipc"
 	"verikern/internal/konfig"
 	"verikern/internal/obs"
 )
@@ -138,7 +139,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("IPC fastpath syscall round: %d kernel cycles (fastpath body 230; paper: 200-250 plus entry/exit)\n\n", fp)
+		fmt.Printf("IPC fastpath syscall round: %d kernel cycles (fastpath body %d; paper: 200-250 plus entry/exit)\n\n", fp, ipc.CostFastpath)
 
 		times, err := verikern.AnalysisTimes(ctx)
 		if err != nil {

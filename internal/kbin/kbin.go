@@ -30,6 +30,7 @@ import (
 
 	"verikern/internal/arch"
 	"verikern/internal/kimage"
+	"verikern/internal/kobj"
 	"verikern/internal/loopbound"
 	"verikern/internal/wcet"
 )
@@ -78,15 +79,15 @@ const (
 )
 
 // Structural bounds of the modelled system, chosen to reproduce the
-// relative magnitudes of the paper's Table 2.
+// relative magnitudes of the paper's Table 2. The kernel model's own
+// limits are read from kobj: the adversarial cap-space depth
+// (kobj.CapAddrBits, Fig. 7), the full message length
+// (kobj.MaxMsgWords), the priority count (kobj.NumPrios), the ASID
+// pool (kobj.ASIDPoolSize) and the TCB size (kobj.TCBSizeBits).
 const (
-	// decodeLevels is the adversarial cap-space depth (Fig. 7).
-	decodeLevels = 32
 	// ipcDecodes is the number of cap decodes in the worst-case
 	// send-receive IPC (§6.1).
 	ipcDecodes = 11
-	// msgWords is the full message length.
-	msgWords = 120
 	// preDeleteWaiters bounds the endpoint-deletion drain and the
 	// badged-abort walk in the pre-modification kernel (all waiters
 	// processed with interrupts disabled; really only bounded by the
@@ -95,12 +96,21 @@ const (
 	// preClearChunks bounds object clearing in the pre-modification
 	// kernel: a 256 KiB capability table in 1 KiB chunks.
 	preClearChunks = 256
-	// asidPoolEntries is the ASID probe/delete bound (§3.6).
-	asidPoolEntries = 1024
 	// lazyQueueThreads bounds the lazy scheduler's bulk dequeue
 	// (§3.1) for analysis purposes (thread count is really only
 	// memory-bounded; the analysis must assume some system size).
 	lazyQueueThreads = 128
+	// windowCopyLines is the kernel-window copy's length in 32-byte
+	// lines: 1 KiB (§3.5).
+	windowCopyLines = 32
+	// irqPendingSources is the number of deferred interrupt sources
+	// the dispatch path re-checks.
+	irqPendingSources = 8
+	// faultMsgWords is the length of the fault message the fault
+	// entries send to the handler.
+	faultMsgWords = 4
+	// tcbBytes is the stride between TCBs.
+	tcbBytes = 1 << kobj.TCBSizeBits
 )
 
 // Build constructs the linked image and the §5.2 user constraints that
@@ -172,15 +182,15 @@ func (b *builder) data() {
 	img := b.img
 	b.stack = img.Data("kstack", 4096)
 	b.irqctl = img.Data("irqctl", 512)
-	b.runq = img.Data("runqueues", 256*8)
+	b.runq = img.Data("runqueues", kobj.NumPrios*8)
 	b.bitmap = img.Data("sched_bitmap", 64)
 	b.cnodes = img.Data("cnodes", 64*1024)
-	b.tcbs = img.Data("tcbs", 512*lazyQueueThreads)
+	b.tcbs = img.Data("tcbs", tcbBytes*lazyQueueThreads)
 	b.epQueue = img.Data("ep_queue", 64*preDeleteWaiters)
-	b.msgSrc = img.Data("msg_src", 4*msgWords)
-	b.msgDst = img.Data("msg_dst", 4*msgWords)
+	b.msgSrc = img.Data("msg_src", 4*kobj.MaxMsgWords)
+	b.msgDst = img.Data("msg_dst", 4*kobj.MaxMsgWords)
 	b.ptMem = img.Data("pt_mem", 64*1024)
-	b.asidTbl = img.Data("asid_table", 4*asidPoolEntries)
+	b.asidTbl = img.Data("asid_table", 4*kobj.ASIDPoolSize)
 	b.faultTbl = img.Data("fault_table", 512)
 }
 
@@ -221,13 +231,13 @@ func (b *builder) helpers() {
 	// "huge number of cache misses" of §6.1.
 	f = img.NewFunc("decodeCap")
 	f.ALU(8)
-	f.Loop(decodeLevels, func(f *kimage.FuncBuilder) {
-		f.LoadStride(b.cnodes, 2048, decodeLevels)
+	f.Loop(kobj.CapAddrBits, func(f *kimage.FuncBuilder) {
+		f.LoadStride(b.cnodes, 2048, kobj.CapAddrBits)
 		f.ALU(6) // guard check, radix extraction
-		f.LoadStride(b.cnodes+16, 2048, decodeLevels)
+		f.LoadStride(b.cnodes+16, 2048, kobj.CapAddrBits)
 		f.ALU(4)
 		// The slot's derivation-tree word, on its own line.
-		f.LoadStride(b.cnodes+32, 2048, decodeLevels)
+		f.LoadStride(b.cnodes+32, 2048, kobj.CapAddrBits)
 		f.ALU(3)
 	})
 	f.ALU(4)
@@ -236,9 +246,9 @@ func (b *builder) helpers() {
 	// transferMsg: the full-length message copy.
 	f = img.NewFunc("transferMsg")
 	f.ALU(6)
-	f.Loop(msgWords, func(f *kimage.FuncBuilder) {
-		f.LoadStride(b.msgSrc, 4, msgWords)
-		f.StoreStride(b.msgDst, 4, msgWords)
+	f.Loop(kobj.MaxMsgWords, func(f *kimage.FuncBuilder) {
+		f.LoadStride(b.msgSrc, 4, kobj.MaxMsgWords)
+		f.StoreStride(b.msgDst, 4, kobj.MaxMsgWords)
 		f.ALU(2)
 	})
 	f.Ret()
@@ -279,21 +289,19 @@ func (b *builder) scheduler() {
 	// Lazy scheduling (Fig. 2): scan priorities; each may hold
 	// blocked threads that must be dequeued.
 	f.ALU(4)
-	f.Loop(kimagePrios, func(f *kimage.FuncBuilder) {
-		f.LoadStride(b.runq, 8, kimagePrios)
+	f.Loop(kobj.NumPrios, func(f *kimage.FuncBuilder) {
+		f.LoadStride(b.runq, 8, kobj.NumPrios)
 		f.ALU(3)
 	})
 	// Bulk dequeue of blocked threads (the pathological §3.1 case).
 	f.Loop(lazyQueueThreads, func(f *kimage.FuncBuilder) {
-		f.LoadStride(b.tcbs, 512, lazyQueueThreads)
+		f.LoadStride(b.tcbs, tcbBytes, lazyQueueThreads)
 		f.ALU(8) // state test, unlink
-		f.StoreStride(b.tcbs+16, 512, lazyQueueThreads)
+		f.StoreStride(b.tcbs+16, tcbBytes, lazyQueueThreads)
 	})
 	f.ALU(4)
 	f.Ret()
 }
-
-const kimagePrios = 256
 
 // operations builds the long-running operation bodies; bounds depend
 // on whether preemption points truncate them.
@@ -318,7 +326,7 @@ func (b *builder) operations() {
 	f.Loop(deleteBound, func(f *kimage.FuncBuilder) {
 		f.LoadStride(b.epQueue, 64, preDeleteWaiters)
 		f.ALU(10) // dequeue, restart thread
-		f.StoreStride(b.tcbs+32, 512, preDeleteWaiters)
+		f.StoreStride(b.tcbs+32, tcbBytes, preDeleteWaiters)
 	})
 	f.Ret()
 
@@ -332,7 +340,7 @@ func (b *builder) operations() {
 		f.ALU(7) // badge compare
 		f.If(func(f *kimage.FuncBuilder) {
 			f.ALU(6) // dequeue matching entry
-			f.StoreStride(b.tcbs+48, 512, preDeleteWaiters)
+			f.StoreStride(b.tcbs+48, tcbBytes, preDeleteWaiters)
 		}, nil)
 	})
 	f.Store(b.epQueue + 8) // save cursor
@@ -366,8 +374,8 @@ func (b *builder) operations() {
 		// ASID design: free-ASID probe and pool-delete loops
 		// (§3.6), not preemptible.
 		f.ALU(6)
-		f.Loop(asidPoolEntries, func(f *kimage.FuncBuilder) {
-			f.LoadStride(b.asidTbl, 4, asidPoolEntries)
+		f.Loop(kobj.ASIDPoolSize, func(f *kimage.FuncBuilder) {
+			f.LoadStride(b.asidTbl, 4, kobj.ASIDPoolSize)
 			f.ALU(2)
 		})
 	}
@@ -377,9 +385,9 @@ func (b *builder) operations() {
 	// page directories (§3.5) — present in both kernels.
 	f = img.NewFunc("kernelWindowCopy")
 	f.ALU(4)
-	f.Loop(32, func(f *kimage.FuncBuilder) {
-		f.LoadStride(b.ptMem+2048, 32, 32)
-		f.StoreStride(b.ptMem+4096, 32, 32)
+	f.Loop(windowCopyLines, func(f *kimage.FuncBuilder) {
+		f.LoadStride(b.ptMem+2048, 32, windowCopyLines)
+		f.StoreStride(b.ptMem+4096, 32, windowCopyLines)
 	})
 	f.Ret()
 
@@ -411,9 +419,9 @@ func (b *builder) operations() {
 	f.Load(b.bitmap)
 	f.ALU(4)
 	f.Store(b.bitmap)
-	// Pending-source scan: up to 8 deferred sources re-checked.
-	f.Loop(8, func(f *kimage.FuncBuilder) {
-		f.LoadStride(b.irqctl+64, 32, 8)
+	// Pending-source scan: the deferred sources re-checked.
+	f.Loop(irqPendingSources, func(f *kimage.FuncBuilder) {
+		f.LoadStride(b.irqctl+64, 32, irqPendingSources)
 		f.ALU(4)
 	})
 	// IRQ state bookkeeping across distinct lines.
@@ -560,9 +568,9 @@ func (b *builder) entries() {
 	// (§6.4).
 	f.Call("decodeCap")
 	f.ALU(6)
-	f.Loop(4, func(f *kimage.FuncBuilder) { // 4-word fault message
-		f.LoadStride(b.msgSrc, 4, 4)
-		f.StoreStride(b.msgDst, 4, 4)
+	f.Loop(faultMsgWords, func(f *kimage.FuncBuilder) {
+		f.LoadStride(b.msgSrc, 4, faultMsgWords)
+		f.StoreStride(b.msgDst, 4, faultMsgWords)
 	})
 	f.Call("chooseThread")
 	f.Call("exitRestore")
@@ -579,9 +587,9 @@ func (b *builder) entries() {
 	f.ALU(8)
 	f.Call("decodeCap") // rights re-validation, as in the fault path
 	f.ALU(4)
-	f.Loop(4, func(f *kimage.FuncBuilder) {
-		f.LoadStride(b.msgSrc, 4, 4)
-		f.StoreStride(b.msgDst, 4, 4)
+	f.Loop(faultMsgWords, func(f *kimage.FuncBuilder) {
+		f.LoadStride(b.msgSrc, 4, faultMsgWords)
+		f.StoreStride(b.msgDst, 4, faultMsgWords)
 	})
 	f.Call("chooseThread")
 	f.Call("exitRestore")
@@ -625,7 +633,7 @@ func (b *builder) pin() {
 		b.runq, b.runq+line, b.faultTbl, b.faultTbl+line)
 	// IPC message buffers: fixed 480-byte regions whose transfer
 	// loops dominate the syscall path's pinnable cost.
-	for off := uint32(0); off < 4*msgWords; off += line {
+	for off := uint32(0); off < 4*kobj.MaxMsgWords; off += line {
 		data = append(data, b.msgSrc+off, b.msgDst+off)
 	}
 	img.PinData(fitOneWay(data, be.L1D)...)
@@ -653,22 +661,9 @@ func fitOneWay(in []uint32, g arch.CacheGeometry) []uint32 {
 // annotations. wcet.VerifyBounds cross-checks them; a tampered (too
 // small) annotation is detected as unsound. Every loop of the
 // modernised image has a model. The original image's badgedAbort walk,
-// its two chooseThread loops and vspaceOp's ASID walk have none;
+// chooseThread's bulk dequeue and vspaceOp's ASID walk have none;
 // VerifyBounds names them.
 func LoopModels(o Options, img *kimage.Image) ([]wcet.BoundModel, error) {
-	singleLoop := func(fn string) (string, error) {
-		f := img.Funcs[fn]
-		if f == nil {
-			return "", fmt.Errorf("kbin: no function %q", fn)
-		}
-		if len(f.LoopBounds) != 1 {
-			return "", fmt.Errorf("kbin: %q has %d loops, want 1", fn, len(f.LoopBounds))
-		}
-		for h := range f.LoopBounds {
-			return h, nil
-		}
-		return "", nil
-	}
 	deleteBound := int64(preDeleteWaiters)
 	clearBound := int64(preClearChunks)
 	if o.Modernised {
@@ -677,31 +672,31 @@ func LoopModels(o Options, img *kimage.Image) ([]wcet.BoundModel, error) {
 		deleteBound, clearBound = 1, 1
 	}
 	type spec struct {
-		fn   string
-		prog *loopbound.Program
-		head int
+		fn, header string // an empty header names fn's only loop
+		prog       *loopbound.Program
+		head       int
 	}
 	var specs []spec
-	add := func(fn string, prog *loopbound.Program, head int) {
-		specs = append(specs, spec{fn, prog, head})
+	add := func(fn, header string, prog *loopbound.Program, head int) {
+		specs = append(specs, spec{fn, header, prog, head})
 	}
-	p, h := loopbound.CapDecode(1)
-	add("decodeCap", p, h)
-	p, h = loopbound.CountedLoop(msgWords)
-	add("transferMsg", p, h)
+	p, h := loopbound.CapDecode(kobj.CapAddrBits, 1)
+	add("decodeCap", "", p, h)
+	p, h = loopbound.CountedLoop(kobj.MaxMsgWords)
+	add("transferMsg", "", p, h)
 	p, h = loopbound.CountedLoop(deleteBound)
-	add("epDelete", p, h)
+	add("epDelete", "", p, h)
 	p, h = loopbound.CountedLoop(clearBound)
-	add("clearObject", p, h)
-	p, h = loopbound.CountedLoop(32)
-	add("kernelWindowCopy", p, h)
+	add("clearObject", "", p, h)
+	p, h = loopbound.CountedLoop(windowCopyLines)
+	add("kernelWindowCopy", "", p, h)
 	p, h = loopbound.CountedLoop(ipcDecodes - 1)
-	add(EntrySyscall, p, h)
-	p, h = loopbound.CountedLoop(8)
-	add("irqDispatch", p, h)
+	add(EntrySyscall, "", p, h)
+	p, h = loopbound.CountedLoop(irqPendingSources)
+	add("irqDispatch", "", p, h)
 	for _, fn := range []string{EntryPageFault, EntryUndefined} {
-		p, h = loopbound.CountedLoop(4)
-		add(fn, p, h)
+		p, h = loopbound.CountedLoop(faultMsgWords)
+		add(fn, "", p, h)
 	}
 	if o.Modernised {
 		// The preempted §3.4 walk, one entry per analysed run. The
@@ -709,14 +704,29 @@ func LoopModels(o Options, img *kimage.Image) ([]wcet.BoundModel, error) {
 		// preDeleteWaiters entries is beyond the checker's havoc
 		// enumeration, so it stays unmodelled.
 		p, h = loopbound.BadgedAbortWalk(1)
-		add("badgedAbort", p, h)
+		add("badgedAbort", "", p, h)
+	} else {
+		// The lazy scheduler's priority scan (Fig. 3), the first of
+		// chooseThread's two loops; the bulk dequeue after it stays
+		// unmodelled.
+		p, h = loopbound.SchedulerScan(kobj.NumPrios)
+		add("chooseThread", "loophead1", p, h)
 	}
 
 	var out []wcet.BoundModel
 	for _, s := range specs {
-		header, err := singleLoop(s.fn)
-		if err != nil {
-			return nil, err
+		f := img.Funcs[s.fn]
+		if f == nil {
+			return nil, fmt.Errorf("kbin: no function %q", s.fn)
+		}
+		header := s.header
+		if header == "" {
+			if len(f.LoopBounds) != 1 {
+				return nil, fmt.Errorf("kbin: %q has %d loops, want 1", s.fn, len(f.LoopBounds))
+			}
+			for h := range f.LoopBounds {
+				header = h
+			}
 		}
 		out = append(out, wcet.BoundModel{
 			Func: s.fn, Header: header, Program: s.prog, Head: s.head,

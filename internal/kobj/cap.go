@@ -233,19 +233,25 @@ type DecodeResult struct {
 	Levels int
 }
 
+// CapAddrBits is the width of a capability address. Each decode level
+// consumes at least one bit, so it also bounds the decode depth: the
+// 32-level worst case of §6.1 (Fig. 7).
+const CapAddrBits = 32
+
 // Decode resolves a 32-bit capability address through the capability
 // space rooted at root, consuming guard and radix bits per level
-// exactly as seL4 does. Decoding may traverse up to 32 levels (Fig. 7).
+// exactly as seL4 does. Decoding may traverse up to CapAddrBits levels
+// (Fig. 7).
 func Decode(root Cap, addr uint32) (DecodeResult, error) {
 	if root.Type != CapCNode {
 		return DecodeResult{}, &DecodeError{Addr: addr, Reason: "root is not a CNode cap"}
 	}
-	remaining := 32
+	remaining := CapAddrBits
 	cn := root.CNode()
 	levels := 0
 	for {
 		levels++
-		if levels > 32 {
+		if levels > CapAddrBits {
 			return DecodeResult{}, &DecodeError{Addr: addr, Depth: levels, Reason: "depth exceeds address width"}
 		}
 		g := int(cn.GuardBits)

@@ -85,7 +85,7 @@ func ObjectSizeBits(t ObjType, param uint8) (uint8, error) {
 func objSizeBits(t ObjType, param uint8) (uint8, error) {
 	switch t {
 	case TypeTCB:
-		return 9, nil // 512 B
+		return TCBSizeBits, nil
 	case TypeEndpoint:
 		return 4, nil // 16 B
 	case TypeNotification:
@@ -194,7 +194,7 @@ func (m *Manager) DecodeChain(u *Untyped, leaf Cap, levels int, name func(level 
 		cn := cnObjs[0].(*CNode)
 		cn.Name = name(levels - l)
 		if l == levels-1 {
-			cn.GuardBits = uint8(32 - levels)
+			cn.GuardBits = uint8(CapAddrBits - levels)
 		}
 		cn.Slot(1).Cap = next
 		next = Cap{Type: CapCNode, Obj: cn, Rights: RightsAll}

@@ -158,6 +158,9 @@ const NumPrios = 256
 // "full-length message transfer" of the worst case, §6.1).
 const MaxMsgWords = 120
 
+// TCBSizeBits is log2 of a thread control block's size: 512 bytes.
+const TCBSizeBits = 9
+
 // TCB is a thread control block.
 type TCB struct {
 	Header

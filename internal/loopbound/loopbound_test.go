@@ -21,7 +21,7 @@ func TestCountedLoopBound(t *testing.T) {
 }
 
 func TestSchedulerScanBound(t *testing.T) {
-	p, head := SchedulerScan()
+	p, head := SchedulerScan(256)
 	got, err := Bound(p, head)
 	if err != nil {
 		t.Fatal(err)
@@ -31,19 +31,8 @@ func TestSchedulerScanBound(t *testing.T) {
 	}
 }
 
-func TestClearChunkBound(t *testing.T) {
-	p, head := ClearChunk(1024)
-	got, err := Bound(p, head)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 257 { // 256 words + final test
-		t.Errorf("clear bound = %d, want 257", got)
-	}
-}
-
 func TestCapDecodeBound(t *testing.T) {
-	p, head := CapDecode(1)
+	p, head := CapDecode(32, 1)
 	got, err := Bound(p, head)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +41,7 @@ func TestCapDecodeBound(t *testing.T) {
 		t.Errorf("cap decode bound = %d, want 33", got)
 	}
 	// With 4 bits consumed per level, only 8 levels.
-	p4, head4 := CapDecode(4)
+	p4, head4 := CapDecode(32, 4)
 	got4, err := Bound(p4, head4)
 	if err != nil {
 		t.Fatal(err)
@@ -60,6 +49,25 @@ func TestCapDecodeBound(t *testing.T) {
 	if got4 != 9 {
 		t.Errorf("4-bit decode bound = %d, want 9", got4)
 	}
+}
+
+// UnboundedListWalk models a linked-list traversal with no preemption
+// point: the next pointer comes from memory, so neither slicing nor
+// model checking can bound it. Bound must fail on it — these are
+// exactly the loops the paper requires preemption points for (§5.3).
+func UnboundedListWalk() (*Program, int) {
+	// r0 = node, r1 = nil.
+	p := &Program{NumRegs: 2}
+	p.Instrs = []Instr{
+		{Op: LoadUnknown, Dst: 0},
+		{Op: Const, Dst: 1, Imm: 0},
+		// 2: head: if node == nil goto exit(5)
+		{Op: BEQ, Src1: 0, Src2: 1, Target: 5},
+		{Op: LoadUnknown, Dst: 0}, // node = node->next
+		{Op: Jmp, Target: 2},
+		{Op: Exit},
+	}
+	return p, 2
 }
 
 func TestUnboundedListWalkFails(t *testing.T) {
@@ -138,19 +146,21 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 func TestPropertyNondetBranchesDontInflate(t *testing.T) {
 	f := func(n uint8) bool {
 		limit := int64(n%32) + 1
-		// for i < limit { if unknown {..} ; i++ }
+		// limit = n&31 + 1; for i < limit { if unknown {..} ; i++ }
 		p := &Program{NumRegs: 4, Instrs: []Instr{
 			{Op: Const, Dst: 0, Imm: 0},
-			{Op: Const, Dst: 1, Imm: limit},
-			{Op: BGE, Src1: 0, Src2: 1, Target: 8}, // head
+			{Op: Const, Dst: 1, Imm: int64(n)},
+			{Op: And, Dst: 1, Src1: 1, Imm: 31},
+			{Op: AddI, Dst: 1, Src1: 1, Imm: 1},
+			{Op: BGE, Src1: 0, Src2: 1, Target: 10}, // head
 			{Op: LoadUnknown, Dst: 2},
-			{Op: BNE, Src1: 2, Src2: 3, Target: 6}, // unknown cond
+			{Op: BNE, Src1: 2, Src2: 3, Target: 8}, // unknown cond
 			{Op: LoadUnknown, Dst: 2},
 			{Op: AddI, Dst: 0, Src1: 0, Imm: 1},
-			{Op: Jmp, Target: 2},
+			{Op: Jmp, Target: 4},
 			{Op: Exit},
 		}}
-		b, err := Bound(p, 2)
+		b, err := Bound(p, 4)
 		return err == nil && b == int(limit)+1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -1,11 +1,11 @@
 package loopbound
 
-// This file provides IR models of the representative seL4 loops the
-// paper's analysis bounds (§5.3): explicit counter loops (object
-// clearing, the 256-priority scheduler scan, kernel-window copy) and
-// the guarded cap-space decode loop. They are used by tests and by the
-// WCET analysis's bound-verification pass, which cross-checks authored
-// image annotations against inferred bounds.
+// This file provides IR models of the seL4 loops the paper's analysis
+// bounds (§5.3): the explicit counter loop, the scheduler's priority
+// scan with its early exit, the guarded cap-space decode loop and the
+// preempted badged-abort walk. The kernel image's bound-verification
+// pass (kbin.LoopModels) cross-checks its authored annotations against
+// their inferred bounds.
 
 // CountedLoop builds "for i = 0; i < n; i++ { body }" where the body is
 // irrelevant to the bound (modelled as an unanalysable load). The head
@@ -27,17 +27,17 @@ func CountedLoop(n int64) (*Program, int) {
 }
 
 // SchedulerScan models the pre-bitmap scheduler of Fig. 3: a loop over
-// all 256 priorities testing each run queue's head (an unanalysable
+// all prios priorities testing each run queue's head (an unanalysable
 // memory value) and exiting early when one is non-empty. The early exit
-// does not affect the worst-case bound of 256.
-func SchedulerScan() (*Program, int) {
-	// r0 = prio, r1 = 256, r2 = queue head, r3 = zero.
+// does not affect the worst-case bound of prios.
+func SchedulerScan(prios int64) (*Program, int) {
+	// r0 = prio, r1 = prios, r2 = queue head, r3 = zero.
 	p := &Program{NumRegs: 4}
 	p.Instrs = []Instr{
 		{Op: Const, Dst: 0, Imm: 0},
-		{Op: Const, Dst: 1, Imm: 256},
+		{Op: Const, Dst: 1, Imm: prios},
 		{Op: Const, Dst: 3, Imm: 0},
-		// 3: head: if prio >= 256 goto idle(8)
+		// 3: head: if prio >= prios goto idle(8)
 		{Op: BGE, Src1: 0, Src2: 1, Target: 8},
 		{Op: LoadUnknown, Dst: 2}, // runQueue[prio].head
 		// if head != 0 return thread — an unknown-condition
@@ -51,63 +51,20 @@ func SchedulerScan() (*Program, int) {
 	return p, 3
 }
 
-// ClearChunk models the preemptible object-clearing loop of §3.5:
-// clearing `bytes` of memory in words, with a preemption check every
-// 1 KiB. The returned head is the word-store loop.
-func ClearChunk(bytes int64) (*Program, int) {
-	// r0 = offset, r1 = limit, r2 = irq pending.
-	p := &Program{NumRegs: 3}
-	p.Instrs = []Instr{
-		{Op: Const, Dst: 0, Imm: 0},
-		{Op: Const, Dst: 1, Imm: bytes},
-		// 2: head: if offset >= limit goto exit(8)
-		{Op: BGE, Src1: 0, Src2: 1, Target: 8},
-		{Op: LoadUnknown, Dst: 2}, // the store; value irrelevant
-		{Op: AddI, Dst: 0, Src1: 0, Imm: 4},
-		// Preemption check every 1 KiB: offset & 1023 == 0 -> a
-		// check whose outcome is data (whether an IRQ is
-		// pending); modelled as the slice-level structure only.
-		{Op: And, Dst: 2, Src1: 0, Imm: 1023},
-		{Op: Jmp, Target: 2},
-		{Op: Exit},
-		{Op: Exit},
-	}
-	return p, 2
-}
-
-// CapDecode models the capability-space decode loop (§6.1, Fig. 7): up
-// to 32 guard/radix bits consumed per level, one level per iteration.
-// bitsPerLevel is the minimum number of address bits a level consumes
-// (1 in the adversarial worst case).
-func CapDecode(bitsPerLevel int64) (*Program, int) {
+// CapDecode models the capability-space decode loop (§6.1, Fig. 7): an
+// addrBits-wide capability address consumed level by level, one level
+// per iteration. bitsPerLevel is the minimum number of address bits a
+// level consumes (1 in the adversarial worst case).
+func CapDecode(addrBits, bitsPerLevel int64) (*Program, int) {
 	// r0 = bits remaining, r1 = zero, r2 = node (unknown).
 	p := &Program{NumRegs: 3}
 	p.Instrs = []Instr{
-		{Op: Const, Dst: 0, Imm: 32},
+		{Op: Const, Dst: 0, Imm: addrBits},
 		{Op: Const, Dst: 1, Imm: 0},
 		// 2: head: if bitsRemaining == 0 goto done(6)
 		{Op: BEQ, Src1: 0, Src2: 1, Target: 6},
 		{Op: LoadUnknown, Dst: 2}, // follow the next CNode
 		{Op: AddI, Dst: 0, Src1: 0, Imm: -bitsPerLevel},
-		{Op: Jmp, Target: 2},
-		{Op: Exit},
-	}
-	return p, 2
-}
-
-// UnboundedListWalk models a linked-list traversal with no preemption
-// point: the next pointer comes from memory, so neither slicing nor
-// model checking can bound it. Bound must fail on it — these are
-// exactly the loops the paper requires preemption points for (§5.3).
-func UnboundedListWalk() (*Program, int) {
-	// r0 = node, r1 = nil.
-	p := &Program{NumRegs: 2}
-	p.Instrs = []Instr{
-		{Op: LoadUnknown, Dst: 0},
-		{Op: Const, Dst: 1, Imm: 0},
-		// 2: head: if node == nil goto exit(5)
-		{Op: BEQ, Src1: 0, Src2: 1, Target: 5},
-		{Op: LoadUnknown, Dst: 0}, // node = node->next
 		{Op: Jmp, Target: 2},
 		{Op: Exit},
 	}

@@ -140,8 +140,8 @@ func searchKernel(campaign soak.Config, m *obs.Metrics, seedRoot uint64, budget 
 	for i := 0; i < sweepN; i++ {
 		g := s.clamp(genome{
 			Op: sweepSeeds[i].op, Phase: sweepSeeds[i].phase,
-			MsgLen: 119, Waiters: s.pool - 2, Badges: 2,
-			RetypeBits: 16, RetypeCount: 1, DecodeDepth: 32,
+			MsgLen: kobj.MaxMsgWords - 1, Waiters: s.pool - 2, Badges: 2,
+			RetypeBits: 16, RetypeCount: 1, DecodeDepth: kobj.CapAddrBits,
 		})
 		fit, err := s.eval(g)
 		if err != nil {
@@ -247,12 +247,12 @@ func (s *kernelSearch) random() genome {
 	return s.clamp(genome{
 		Op:          genomeOps[s.rng.Intn(len(genomeOps))],
 		Phase:       ph,
-		MsgLen:      1 + s.rng.Intn(119),
+		MsgLen:      1 + s.rng.Intn(kobj.MaxMsgWords-1),
 		Waiters:     1 + s.rng.Intn(s.pool),
 		Badges:      1 + s.rng.Intn(4),
 		RetypeBits:  uint8(12 + s.rng.Intn(5)),
 		RetypeCount: 1 + s.rng.Intn(16),
-		DecodeDepth: 1 + s.rng.Intn(32),
+		DecodeDepth: 1 + s.rng.Intn(kobj.CapAddrBits),
 		Sleepers:    s.rng.Intn(s.pool / 2),
 	})
 }
@@ -276,7 +276,7 @@ func (s *kernelSearch) mutate(g genome) genome {
 			n.Phase = g.Phase + d
 		}
 	case 3:
-		n.MsgLen = 1 + s.rng.Intn(119)
+		n.MsgLen = 1 + s.rng.Intn(kobj.MaxMsgWords-1)
 	case 4:
 		n.Waiters = 1 + s.rng.Intn(s.pool)
 	case 5:
@@ -285,7 +285,7 @@ func (s *kernelSearch) mutate(g genome) genome {
 		n.RetypeBits = uint8(12 + s.rng.Intn(5))
 		n.RetypeCount = 1 + s.rng.Intn(16)
 	case 7:
-		n.DecodeDepth = 1 + s.rng.Intn(32)
+		n.DecodeDepth = 1 + s.rng.Intn(kobj.CapAddrBits)
 	case 8:
 		n.Sleepers = s.rng.Intn(s.pool / 2)
 	}
@@ -306,8 +306,8 @@ func (s *kernelSearch) clamp(g genome) genome {
 	if g.MsgLen < 1 {
 		g.MsgLen = 1
 	}
-	if g.MsgLen > 119 {
-		g.MsgLen = 119
+	if g.MsgLen > kobj.MaxMsgWords-1 {
+		g.MsgLen = kobj.MaxMsgWords - 1
 	}
 	if g.Sleepers < 0 {
 		g.Sleepers = 0
@@ -348,8 +348,8 @@ func (s *kernelSearch) clamp(g genome) genome {
 	if g.DecodeDepth < 1 {
 		g.DecodeDepth = 1
 	}
-	if g.DecodeDepth > 32 {
-		g.DecodeDepth = 32
+	if g.DecodeDepth > kobj.CapAddrBits {
+		g.DecodeDepth = kobj.CapAddrBits
 	}
 	return g
 }

@@ -503,7 +503,7 @@ func (r *Runner) opIPC() error {
 	}
 	msgLen := r.params.MsgLen
 	if msgLen == 0 {
-		msgLen = r.rng.Intn(120)
+		msgLen = r.rng.Intn(kobj.MaxMsgWords)
 	}
 	if err := r.k.Send(w, r.epAddr, msgLen, nil, false); err != nil {
 		return err
@@ -551,8 +551,8 @@ func (r *Runner) opDeepIPC() error {
 	if levels <= 0 {
 		levels = 11 // the paper's §6.1 worst-case decode count
 	}
-	if levels > 32 {
-		levels = 32
+	if levels > kobj.CapAddrBits {
+		levels = kobj.CapAddrBits
 	}
 	if _, built := r.chains[levels]; !built && !r.canAlloc(uint32(levels)<<6) {
 		return r.opIPC()
@@ -564,7 +564,7 @@ func (r *Runner) opDeepIPC() error {
 	r.deep.CSpaceRoot = ch.root
 	msgLen := r.params.MsgLen
 	if msgLen == 0 {
-		msgLen = r.rng.Intn(120)
+		msgLen = r.rng.Intn(kobj.MaxMsgWords)
 	}
 	if err := r.k.Send(r.deep, ch.addr, msgLen, nil, false); err != nil {
 		return err
@@ -721,7 +721,7 @@ func (r *Runner) opVSpace() error {
 	if err := r.k.MapPageTable(r.vs, pts[0], base); err != nil {
 		return err
 	}
-	vaddr := base + uint32(r.rng.Intn(256))<<12
+	vaddr := base + uint32(r.rng.Intn(kobj.PTEntries))<<12
 	if err := r.k.MapFrame(r.vs, frames[0], vaddr); err != nil {
 		return err
 	}

@@ -451,8 +451,8 @@ func CyclesToMicros(c uint64) float64 { return arch.ARM1136.CyclesToMicros(c) }
 // `levels` levels to reach a fresh endpoint. The paper's worst-case
 // system call decodes such an address up to 11 times (§6.1).
 func (s *System) BuildAdversarialCSpace(t *TCB, levels int) (uint32, error) {
-	if levels < 1 || levels > 32 {
-		return 0, fmt.Errorf("verikern: levels must be in [1,32], got %d", levels)
+	if levels < 1 || levels > kobj.CapAddrBits {
+		return 0, fmt.Errorf("verikern: levels must be in [1,%d], got %d", kobj.CapAddrBits, levels)
 	}
 	mgr := s.Objects()
 	epObjs, err := mgr.Retype(s.RootUntyped(), kobj.TypeEndpoint, 0, 1)
