@@ -307,7 +307,7 @@ func BenchmarkEndpointDeletion(b *testing.B) {
 	for _, v := range []struct {
 		name string
 		cfg  KernelConfig
-	}{{"original", OriginalKernel()}, {"modern", ModernKernel()}} {
+	}{{"original", kernel.Original()}, {"modern", kernel.Modern()}} {
 		b.Run(v.name, func(b *testing.B) {
 			var worst uint64
 			for i := 0; i < b.N; i++ {
@@ -335,7 +335,7 @@ func BenchmarkBadgedAbort(b *testing.B) {
 	for _, v := range []struct {
 		name string
 		cfg  KernelConfig
-	}{{"original", OriginalKernel()}, {"modern", ModernKernel()}} {
+	}{{"original", kernel.Original()}, {"modern", kernel.Modern()}} {
 		b.Run(v.name, func(b *testing.B) {
 			var worst uint64
 			for i := 0; i < b.N; i++ {
@@ -367,7 +367,7 @@ func BenchmarkObjectCreation(b *testing.B) {
 	for _, v := range []struct {
 		name string
 		cfg  KernelConfig
-	}{{"original", OriginalKernel()}, {"modern", ModernKernel()}} {
+	}{{"original", kernel.Original()}, {"modern", kernel.Modern()}} {
 		b.Run(v.name, func(b *testing.B) {
 			var worst uint64
 			for i := 0; i < b.N; i++ {
@@ -389,7 +389,7 @@ func BenchmarkVSpaceDesigns(b *testing.B) {
 	for _, v := range []struct {
 		name string
 		cfg  KernelConfig
-	}{{"asid", OriginalKernel()}, {"shadow", ModernKernel()}} {
+	}{{"asid", kernel.Original()}, {"shadow", kernel.Modern()}} {
 		b.Run(v.name, func(b *testing.B) {
 			var worst uint64
 			for i := 0; i < b.N; i++ {

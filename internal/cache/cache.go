@@ -13,7 +13,6 @@ package cache
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Config describes a concrete cache instance.
@@ -243,16 +242,6 @@ func (c *Cache) Contains(addr uint32) bool {
 	return false
 }
 
-// InvalidateAll drops every non-pinned line without writeback (as after
-// a cache-clean-and-invalidate maintenance operation).
-func (c *Cache) InvalidateAll() {
-	for i := range c.flags {
-		if c.flags[i]&flagPinned == 0 {
-			c.setLine(i, 0, 0)
-		}
-	}
-}
-
 // The pollution band is the tag space Pollute and DirtyFootprint fill
 // unlocked ways with: way w of a cache polluted with seed s holds the
 // tag bandBase|(s&bandSeedMask) + w<<bandWayShift.
@@ -349,37 +338,7 @@ func (c *Cache) AdvanceReplacement(n int) {
 	}
 }
 
-// StateString renders the valid lines and replacement state compactly,
-// for differential-test failure messages.
-func (c *Cache) StateString() string {
-	var b strings.Builder
-	for s := 0; s < c.cfg.Sets; s++ {
-		base := s * c.cfg.Ways
-		wrote := false
-		for w := 0; w < c.cfg.Ways; w++ {
-			i := base + w
-			if c.flags[i]&flagValid == 0 {
-				continue
-			}
-			if !wrote {
-				fmt.Fprintf(&b, "set %d rr %d:", s, c.rrNext[s])
-				wrote = true
-			}
-			fmt.Fprintf(&b, " w%d=%x/%x", w, c.tags[i], c.flags[i])
-		}
-		if wrote {
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
-}
-
 // Stats reports accumulated hit/miss/writeback counters.
 func (c *Cache) Stats() (hits, misses, writebacks uint64) {
 	return c.hits, c.misses, c.writebacks
-}
-
-// ResetStats zeroes the counters without touching cache contents.
-func (c *Cache) ResetStats() {
-	c.hits, c.misses, c.writebacks = 0, 0, 0
 }

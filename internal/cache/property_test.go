@@ -3,8 +3,34 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
+
+// stateString renders the valid lines and replacement state compactly,
+// for failure messages.
+func stateString(c *Cache) string {
+	var b strings.Builder
+	for s := 0; s < c.cfg.Sets; s++ {
+		base := s * c.cfg.Ways
+		wrote := false
+		for w := 0; w < c.cfg.Ways; w++ {
+			i := base + w
+			if c.flags[i]&flagValid == 0 {
+				continue
+			}
+			if !wrote {
+				fmt.Fprintf(&b, "set %d rr %d:", s, c.rrNext[s])
+				wrote = true
+			}
+			fmt.Fprintf(&b, " w%d=%x/%x", w, c.tags[i], c.flags[i])
+		}
+		if wrote {
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
 
 func stateDiff(kind string, a int, sub string, b int, want, got any) string {
 	return fmt.Sprintf("%s %d %s %d: reference %v, flat %v", kind, a, sub, b, want, got)
@@ -64,14 +90,9 @@ func applyRandomOp(rng *rand.Rand, cfg Config, pc *Cache, rc *refCache) string {
 		}
 		return ""
 	case 7:
-		if rng.Intn(4) == 0 {
-			pc.InvalidateAll()
-			rc.invalidateAll()
-		} else {
-			seed := rng.Uint32()
-			pc.Pollute(seed)
-			rc.pollute(seed)
-		}
+		seed := rng.Uint32()
+		pc.Pollute(seed)
+		rc.pollute(seed)
 		return ""
 	case 8:
 		addrs := make([]uint32, 1+rng.Intn(8))
@@ -106,7 +127,7 @@ func TestFlatMatchesReference(t *testing.T) {
 				}
 				if step%257 == 0 {
 					if ok, msg := rc.matches(pc); !ok {
-						t.Fatalf("step %d: state diverged: %s\nflat state:\n%s", step, msg, pc.StateString())
+						t.Fatalf("step %d: state diverged: %s\nflat state:\n%s", step, msg, stateString(pc))
 					}
 				}
 			}

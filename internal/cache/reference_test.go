@@ -117,16 +117,6 @@ func (c *refCache) pin(addr uint32) bool {
 	return false
 }
 
-func (c *refCache) invalidateAll() {
-	for _, ways := range c.sets {
-		for w := range ways {
-			if !ways[w].pinned {
-				ways[w] = refLine{}
-			}
-		}
-	}
-}
-
 func (c *refCache) pollute(seed uint32) {
 	tagBase := 0x40000 | (seed & 0xFFFF)
 	for s := 0; s < c.cfg.Sets; s++ {

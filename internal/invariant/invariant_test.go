@@ -198,7 +198,7 @@ func shadowSpace(t *testing.T) (*State, *kobj.PageDirectory, *kobj.Slot) {
 	t.Helper()
 	s, m, _, _ := cleanState(t)
 	mgr := vspace.New(vspace.ShadowDesign)
-	e := &vspace.Env{Clock: clock(), Preempt: never}
+	e := &ktime.Env{Clock: clock(), Preempt: never}
 	u := s.Objects[0].(*kobj.Untyped)
 	pdO, _ := m.Retype(u, kobj.TypePageDirectory, 0, 1)
 	pd := pdO[0].(*kobj.PageDirectory)
@@ -236,7 +236,7 @@ func TestDetectsShadowWithoutTable(t *testing.T) {
 func TestDetectsMissingKernelWindowAtExit(t *testing.T) {
 	s, m, _, _ := cleanState(t)
 	mgr := vspace.New(vspace.ShadowDesign)
-	e := &vspace.Env{Clock: clock(), Preempt: never}
+	e := &ktime.Env{Clock: clock(), Preempt: never}
 	u := s.Objects[0].(*kobj.Untyped)
 	pdO, _ := m.Retype(u, kobj.TypePageDirectory, 0, 1)
 	pd := pdO[0].(*kobj.PageDirectory)

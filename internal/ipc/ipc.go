@@ -6,8 +6,9 @@
 //
 // Long-running operations take a preemption callback; when it reports a
 // pending interrupt, the operation saves its progress in the affected
-// objects (never in a continuation) and returns Preempted. Re-invoking
-// the operation resumes it — the restartable-system-call model of §2.1.
+// objects (never in a continuation) and returns ktime.Preempted.
+// Re-invoking the operation resumes it — the restartable-system-call
+// model of §2.1.
 package ipc
 
 import (
@@ -41,53 +42,16 @@ const (
 	CostDeactivate = 25
 )
 
-// Outcome is the result of an IPC-layer operation.
-type Outcome int
-
-// Operation outcomes.
-const (
-	// Done: the operation completed.
-	Done Outcome = iota
-	// Blocked: the caller was enqueued on the endpoint.
-	Blocked
-	// Preempted: a pending interrupt stopped the operation at a
-	// preemption point; re-invoke to resume.
-	Preempted
-	// Failed: the operation cannot proceed (deactivated endpoint).
-	Failed
-)
-
-// String returns the outcome name.
-func (o Outcome) String() string {
-	switch o {
-	case Done:
-		return "done"
-	case Blocked:
-		return "blocked"
-	case Preempted:
-		return "preempted"
-	case Failed:
-		return "failed"
-	default:
-		return "unknown"
-	}
-}
-
-// Env carries the kernel services IPC operations need: the cycle
-// clock, the scheduler, and the preemption probe consulted at
-// preemption points.
+// Env carries the kernel services IPC operations need: the clock and
+// preemption probe every preemptible operation takes, the scheduler,
+// and the tracer.
 type Env struct {
-	Clock *ktime.Clock
+	ktime.Env
 	Sched sched.Scheduler
-	// Preempt reports whether an interrupt is pending; consulted
-	// only at preemption points.
-	Preempt func() bool
 	// Tracer receives ipc-abort and ep-delete events; nil disables
 	// emission.
 	Tracer *obs.Tracer
 }
-
-func (e *Env) charge(c uint64) { e.Clock.Advance(c) }
 
 // --- Endpoint queue plumbing ---
 
@@ -133,8 +97,8 @@ func waitersLeft(ep *kobj.Endpoint) uint64 {
 
 // transfer models the message copy from sender to receiver.
 func (e *Env) transfer(sender, receiver *kobj.TCB) {
-	e.charge(uint64(sender.MsgLen) * CostTransferWord)
-	e.charge(uint64(sender.MsgCaps) * CostCapTransfer)
+	e.Clock.Advance(uint64(sender.MsgLen) * CostTransferWord)
+	e.Clock.Advance(uint64(sender.MsgCaps) * CostCapTransfer)
 	receiver.MsgLen = sender.MsgLen
 	receiver.MsgCaps = sender.MsgCaps
 	receiver.SendBadge = sender.SendBadge
@@ -146,10 +110,10 @@ func (e *Env) transfer(sender, receiver *kobj.TCB) {
 func (e *Env) makeRunnable(t, cur *kobj.TCB) bool {
 	t.State = kobj.ThreadRunnable
 	if sw, c := e.Sched.DirectSwitch(t, cur); sw {
-		e.charge(c)
+		e.Clock.Advance(c)
 		return true
 	}
-	e.charge(e.Sched.Enqueue(t))
+	e.Clock.Advance(e.Sched.Enqueue(t))
 	return false
 }
 
@@ -179,7 +143,7 @@ func Fastpath(e *Env, t *kobj.TCB, ep *kobj.Endpoint, badge uint32, msgLen int) 
 	receiver.MsgLen = msgLen
 	receiver.SendBadge = badge
 	receiver.State = kobj.ThreadRunnable
-	e.charge(CostFastpath)
+	e.Clock.Advance(CostFastpath)
 	return receiver
 }
 
@@ -187,11 +151,11 @@ func Fastpath(e *Env, t *kobj.TCB, ep *kobj.Endpoint, badge uint32, msgLen int) 
 // the message transfers and the receiver becomes runnable; the return
 // value is the thread to switch to (nil: keep running t). Otherwise t
 // blocks on the endpoint.
-func Send(e *Env, t *kobj.TCB, ep *kobj.Endpoint, badge uint32, msgLen, msgCaps int, call bool) (Outcome, *kobj.TCB) {
+func Send(e *Env, t *kobj.TCB, ep *kobj.Endpoint, badge uint32, msgLen, msgCaps int, call bool) (ktime.Outcome, *kobj.TCB) {
 	if ep.Deactivated {
-		return Failed, nil
+		return ktime.Failed, nil
 	}
-	e.charge(CostSlowpathBase)
+	e.Clock.Advance(CostSlowpathBase)
 	t.SendBadge = badge
 	t.MsgLen = msgLen
 	t.MsgCaps = msgCaps
@@ -204,29 +168,29 @@ func Send(e *Env, t *kobj.TCB, ep *kobj.Endpoint, badge uint32, msgLen, msgCaps 
 		if call {
 			receiver.CallerOf = t
 			t.State = kobj.ThreadBlockedOnReply
-			e.charge(e.Sched.OnBlock(t))
+			e.Clock.Advance(e.Sched.OnBlock(t))
 		}
 		if e.makeRunnable(receiver, t) {
-			return Done, receiver
+			return ktime.Done, receiver
 		}
-		return Done, nil
+		return ktime.Done, nil
 	}
 	// No receiver: block as a sender.
 	t.State = kobj.ThreadBlockedOnSend
-	e.charge(e.Sched.OnBlock(t))
+	e.Clock.Advance(e.Sched.OnBlock(t))
 	enqueueEP(ep, t)
 	ep.State = kobj.EPSending
-	return Blocked, nil
+	return ktime.Blocked, nil
 }
 
 // Recv performs (the receive phase of) an IPC on ep. If a sender
 // waits, its message transfers immediately; otherwise t blocks
 // waiting.
-func Recv(e *Env, t *kobj.TCB, ep *kobj.Endpoint) (Outcome, *kobj.TCB) {
+func Recv(e *Env, t *kobj.TCB, ep *kobj.Endpoint) (ktime.Outcome, *kobj.TCB) {
 	if ep.Deactivated {
-		return Failed, nil
+		return ktime.Failed, nil
 	}
-	e.charge(CostSlowpathBase)
+	e.Clock.Advance(CostSlowpathBase)
 	if ep.State == kobj.EPSending {
 		sender := ep.QHead
 		dequeueEP(ep, sender)
@@ -235,34 +199,34 @@ func Recv(e *Env, t *kobj.TCB, ep *kobj.Endpoint) (Outcome, *kobj.TCB) {
 			t.CallerOf = sender
 			sender.State = kobj.ThreadBlockedOnReply
 			// Sender stays blocked awaiting reply.
-			return Done, nil
+			return ktime.Done, nil
 		}
 		if e.makeRunnable(sender, t) {
-			return Done, sender
+			return ktime.Done, sender
 		}
-		return Done, nil
+		return ktime.Done, nil
 	}
 	t.State = kobj.ThreadBlockedOnRecv
-	e.charge(e.Sched.OnBlock(t))
+	e.Clock.Advance(e.Sched.OnBlock(t))
 	enqueueEP(ep, t)
 	ep.State = kobj.EPReceiving
-	return Blocked, nil
+	return ktime.Blocked, nil
 }
 
 // Reply completes a call: the server t replies to its caller, which
 // becomes runnable again.
-func Reply(e *Env, t *kobj.TCB) (Outcome, *kobj.TCB) {
+func Reply(e *Env, t *kobj.TCB) (ktime.Outcome, *kobj.TCB) {
 	caller := t.CallerOf
 	if caller == nil {
-		return Failed, nil
+		return ktime.Failed, nil
 	}
-	e.charge(CostSlowpathBase / 2)
+	e.Clock.Advance(CostSlowpathBase / 2)
 	e.transfer(t, caller)
 	t.CallerOf = nil
 	if e.makeRunnable(caller, t) {
-		return Done, caller
+		return ktime.Done, caller
 	}
-	return Done, nil
+	return ktime.Done, nil
 }
 
 // DeleteEndpoint deletes ep: deactivate it (guaranteeing forward
@@ -270,10 +234,10 @@ func Reply(e *Env, t *kobj.TCB) (Outcome, *kobj.TCB) {
 // and restart waiting threads one at a time, with a preemption point
 // after each. The intermediate state is consistent with all invariants
 // even if the deleting thread is itself deleted.
-func DeleteEndpoint(e *Env, ep *kobj.Endpoint) Outcome {
+func DeleteEndpoint(e *Env, ep *kobj.Endpoint) ktime.Outcome {
 	if !ep.Deactivated {
 		ep.Deactivated = true
-		e.charge(CostDeactivate)
+		e.Clock.Advance(CostDeactivate)
 	}
 	for ep.QHead != nil {
 		t := ep.QHead
@@ -282,15 +246,15 @@ func DeleteEndpoint(e *Env, ep *kobj.Endpoint) Outcome {
 		// and observes the failure.
 		t.State = kobj.ThreadRunnable
 		t.RestartPC = true
-		e.charge(CostDeleteEntry)
-		e.charge(e.Sched.Enqueue(t))
+		e.Clock.Advance(CostDeleteEntry)
+		e.Clock.Advance(e.Sched.Enqueue(t))
 		e.Tracer.Emit(obs.KindEPDelete, e.Clock.Now(), waitersLeft(ep), 0)
 		if ep.QHead != nil && e.Preempt() {
-			return Preempted
+			return ktime.Preempted
 		}
 	}
 	ep.State = kobj.EPIdle
-	return Done
+	return ktime.Done
 }
 
 // AbortBadged removes every pending IPC with the given badge from ep's
@@ -300,11 +264,11 @@ func DeleteEndpoint(e *Env, ep *kobj.Endpoint) Outcome {
 // operation started are not scanned, and (c) a different thread
 // starting a second abort first completes this one on the original
 // worker's behalf.
-func AbortBadged(e *Env, worker *kobj.TCB, ep *kobj.Endpoint, badge uint32) Outcome {
+func AbortBadged(e *Env, worker *kobj.TCB, ep *kobj.Endpoint, badge uint32) ktime.Outcome {
 	if ep.AbortActive && ep.AbortBadge != badge {
 		// Complete the in-progress abort first (§3.4 item 4).
-		if out := runAbort(e, ep); out == Preempted {
-			return Preempted
+		if out := runAbort(e, ep); out == ktime.Preempted {
+			return ktime.Preempted
 		}
 	}
 	if !ep.AbortActive {
@@ -313,24 +277,24 @@ func AbortBadged(e *Env, worker *kobj.TCB, ep *kobj.Endpoint, badge uint32) Outc
 		ep.AbortWorker = worker
 		ep.AbortCursor = ep.QHead
 		ep.AbortEnd = ep.QTail
-		e.charge(CostDeactivate)
+		e.Clock.Advance(CostDeactivate)
 	}
 	return runAbort(e, ep)
 }
 
 // runAbort advances the endpoint's in-progress abort from its saved
 // cursor, one queue entry per preemption-point interval.
-func runAbort(e *Env, ep *kobj.Endpoint) Outcome {
+func runAbort(e *Env, ep *kobj.Endpoint) ktime.Outcome {
 	for ep.AbortCursor != nil {
 		t := ep.AbortCursor
 		atEnd := t == ep.AbortEnd
 		next := t.EPNext
-		e.charge(CostAbortEntry)
+		e.Clock.Advance(CostAbortEntry)
 		if t.SendBadge == ep.AbortBadge && t.State == kobj.ThreadBlockedOnSend {
 			dequeueEP(ep, t)
 			t.State = kobj.ThreadRunnable
 			t.RestartPC = true
-			e.charge(e.Sched.Enqueue(t))
+			e.Clock.Advance(e.Sched.Enqueue(t))
 			e.Tracer.Emit(obs.KindIPCAbort, e.Clock.Now(), uint64(ep.AbortBadge), 0)
 		}
 		if atEnd {
@@ -339,7 +303,7 @@ func runAbort(e *Env, ep *kobj.Endpoint) Outcome {
 		}
 		ep.AbortCursor = next
 		if e.Preempt() {
-			return Preempted
+			return ktime.Preempted
 		}
 	}
 	// Completed: clear the resume state and notify the worker.
@@ -347,5 +311,5 @@ func runAbort(e *Env, ep *kobj.Endpoint) Outcome {
 	ep.AbortBadge = 0
 	ep.AbortEnd = nil
 	ep.AbortWorker = nil
-	return Done
+	return ktime.Done
 }

@@ -13,9 +13,8 @@ import (
 func testEnv() (*Env, *bool) {
 	pending := false
 	e := &Env{
-		Clock:   &ktime.Clock{},
-		Sched:   sched.New(sched.BennoBitmap),
-		Preempt: func() bool { return pending },
+		Env:   ktime.Env{Clock: &ktime.Clock{}, Preempt: func() bool { return pending }},
+		Sched: sched.New(sched.BennoBitmap),
 	}
 	return e, &pending
 }
@@ -31,7 +30,7 @@ func TestSendBlocksWithoutReceiver(t *testing.T) {
 	ep := mkEP()
 	s := mkThread("sender", 100)
 	out, sw := Send(e, s, ep, 7, 2, 0, false)
-	if out != Blocked || sw != nil {
+	if out != ktime.Blocked || sw != nil {
 		t.Fatalf("Send = %v/%v, want Blocked/nil", out, sw)
 	}
 	if s.State != kobj.ThreadBlockedOnSend || s.WaitingOn != ep {
@@ -47,11 +46,11 @@ func TestRendezvousTransfers(t *testing.T) {
 	ep := mkEP()
 	r := mkThread("recv", 150)
 	s := mkThread("send", 100)
-	if out, _ := Recv(e, r, ep); out != Blocked {
+	if out, _ := Recv(e, r, ep); out != ktime.Blocked {
 		t.Fatal("receiver did not block")
 	}
 	out, sw := Send(e, s, ep, 42, 8, 1, false)
-	if out != Done {
+	if out != ktime.Done {
 		t.Fatalf("Send = %v, want Done", out)
 	}
 	// Receiver has higher prio: direct switch.
@@ -76,7 +75,7 @@ func TestSendToLowerPriorityEnqueues(t *testing.T) {
 	s := mkThread("send", 100)
 	Recv(e, r, ep)
 	out, sw := Send(e, s, ep, 0, 1, 0, false)
-	if out != Done || sw != nil {
+	if out != ktime.Done || sw != nil {
 		t.Fatalf("Send = %v/%v, want Done/nil (receiver queued, no switch)", out, sw)
 	}
 	if !r.InRunQueue {
@@ -91,7 +90,7 @@ func TestCallReplyCycle(t *testing.T) {
 	client := mkThread("client", 100)
 	Recv(e, server, ep)
 	out, sw := Send(e, client, ep, 9, 4, 0, true)
-	if out != Done || sw != server {
+	if out != ktime.Done || sw != server {
 		t.Fatalf("call: %v/%v", out, sw)
 	}
 	if client.State != kobj.ThreadBlockedOnReply {
@@ -102,7 +101,7 @@ func TestCallReplyCycle(t *testing.T) {
 	}
 	server.MsgLen = 2
 	out, _ = Reply(e, server)
-	if out != Done {
+	if out != ktime.Done {
 		t.Fatalf("reply: %v", out)
 	}
 	if client.State != kobj.ThreadRunnable {
@@ -118,7 +117,7 @@ func TestCallReplyCycle(t *testing.T) {
 
 func TestReplyWithoutCallerFails(t *testing.T) {
 	e, _ := testEnv()
-	if out, _ := Reply(e, mkThread("s", 1)); out != Failed {
+	if out, _ := Reply(e, mkThread("s", 1)); out != ktime.Failed {
 		t.Error("Reply without caller did not fail")
 	}
 }
@@ -133,15 +132,15 @@ func TestReplyRecvAtomic(t *testing.T) {
 	Send(e, c1, ep, 1, 1, 0, true)
 	// c2 queues a call while the server works.
 	out, _ := Send(e, c2, ep, 2, 1, 0, true)
-	if out != Blocked {
+	if out != ktime.Blocked {
 		t.Fatalf("second call should queue, got %v", out)
 	}
 	// Server replies to c1 and receives c2 in one operation, as the
 	// kernel's ReplyRecv composes it.
-	if out, _ = Reply(e, server); out != Done {
+	if out, _ = Reply(e, server); out != ktime.Done {
 		t.Fatalf("Reply = %v", out)
 	}
-	if out, _ = Recv(e, server, ep); out != Done {
+	if out, _ = Recv(e, server, ep); out != ktime.Done {
 		t.Fatalf("Recv = %v", out)
 	}
 	if c1.State != kobj.ThreadRunnable {
@@ -204,10 +203,10 @@ func TestSendToDeactivatedFails(t *testing.T) {
 	e, _ := testEnv()
 	ep := mkEP()
 	ep.Deactivated = true
-	if out, _ := Send(e, mkThread("s", 1), ep, 0, 1, 0, false); out != Failed {
+	if out, _ := Send(e, mkThread("s", 1), ep, 0, 1, 0, false); out != ktime.Failed {
 		t.Error("send to deactivated endpoint did not fail")
 	}
-	if out, _ := Recv(e, mkThread("r", 1), ep); out != Failed {
+	if out, _ := Recv(e, mkThread("r", 1), ep); out != ktime.Failed {
 		t.Error("recv on deactivated endpoint did not fail")
 	}
 }
@@ -227,7 +226,7 @@ func TestDeleteEndpointRestartsAll(t *testing.T) {
 	ep := mkEP()
 	ws := queueN(e, ep, 20, func(i int) uint32 { return uint32(i) })
 	out := DeleteEndpoint(e, ep)
-	if out != Done {
+	if out != ktime.Done {
 		t.Fatalf("delete = %v", out)
 	}
 	for i, w := range ws {
@@ -249,7 +248,7 @@ func TestDeleteEndpointPreemptsAndResumes(t *testing.T) {
 	queueN(e, ep, 10, func(i int) uint32 { return 0 })
 	*pending = true
 	out := DeleteEndpoint(e, ep)
-	if out != Preempted {
+	if out != ktime.Preempted {
 		t.Fatalf("delete under pending IRQ = %v, want Preempted", out)
 	}
 	if !ep.Deactivated {
@@ -260,12 +259,12 @@ func TestDeleteEndpointPreemptsAndResumes(t *testing.T) {
 	}
 	// New IPC cannot start on the deactivated endpoint (forward
 	// progress guarantee, §3.3).
-	if out, _ := Send(e, mkThread("late", 5), ep, 0, 1, 0, false); out != Failed {
+	if out, _ := Send(e, mkThread("late", 5), ep, 0, 1, 0, false); out != ktime.Failed {
 		t.Error("send started on endpoint under deletion")
 	}
 	// Resume to completion.
 	*pending = false
-	if out := DeleteEndpoint(e, ep); out != Done {
+	if out := DeleteEndpoint(e, ep); out != ktime.Done {
 		t.Fatalf("resumed delete = %v", out)
 	}
 	if ep.QueueLen() != 0 {
@@ -282,7 +281,7 @@ func TestDeletePreemptionLatencyBounded(t *testing.T) {
 	*pending = true
 	for i := 0; i < 49; i++ {
 		before := e.Clock.Now()
-		if out := DeleteEndpoint(e, ep); out != Preempted {
+		if out := DeleteEndpoint(e, ep); out != ktime.Preempted {
 			t.Fatalf("step %d: %v", i, out)
 		}
 		step := e.Clock.Now() - before
@@ -290,7 +289,7 @@ func TestDeletePreemptionLatencyBounded(t *testing.T) {
 			t.Fatalf("step %d cost %d cycles; per-step work must be constant", i, step)
 		}
 	}
-	if out := DeleteEndpoint(e, ep); out != Done {
+	if out := DeleteEndpoint(e, ep); out != ktime.Done {
 		t.Fatal("final step did not complete")
 	}
 }
@@ -301,7 +300,7 @@ func TestAbortBadgedRemovesOnlyMatching(t *testing.T) {
 	ws := queueN(e, ep, 12, func(i int) uint32 { return uint32(i % 3) })
 	worker := mkThread("worker", 200)
 	out := AbortBadged(e, worker, ep, 1)
-	if out != Done {
+	if out != ktime.Done {
 		t.Fatalf("abort = %v", out)
 	}
 	for i, w := range ws {
@@ -328,14 +327,14 @@ func TestAbortBadgedPreemptsAndResumes(t *testing.T) {
 	worker := mkThread("worker", 200)
 	*pending = true
 	out := AbortBadged(e, worker, ep, 1)
-	if out != Preempted {
+	if out != ktime.Preempted {
 		t.Fatalf("abort = %v, want Preempted", out)
 	}
 	if !ep.AbortActive || ep.AbortBadge != 1 || ep.AbortWorker != worker {
 		t.Error("abort resume state not saved on the endpoint")
 	}
 	*pending = false
-	if out := AbortBadged(e, worker, ep, 1); out != Done {
+	if out := AbortBadged(e, worker, ep, 1); out != ktime.Done {
 		t.Fatalf("resumed abort = %v", out)
 	}
 	if ep.QueueLen() != 0 {
@@ -351,16 +350,16 @@ func TestAbortIgnoresLateWaiters(t *testing.T) {
 	queueN(e, ep, 5, func(i int) uint32 { return 1 })
 	worker := mkThread("worker", 200)
 	*pending = true
-	if out := AbortBadged(e, worker, ep, 1); out != Preempted {
+	if out := AbortBadged(e, worker, ep, 1); out != ktime.Preempted {
 		t.Fatal("expected preemption")
 	}
 	// A new waiter with a different badge arrives mid-abort.
 	late := mkThread("late", 10)
-	if out, _ := Send(e, late, ep, 2, 1, 0, false); out != Blocked {
+	if out, _ := Send(e, late, ep, 2, 1, 0, false); out != ktime.Blocked {
 		t.Fatal("late sender did not queue")
 	}
 	*pending = false
-	if out := AbortBadged(e, worker, ep, 1); out != Done {
+	if out := AbortBadged(e, worker, ep, 1); out != ktime.Done {
 		t.Fatal("abort did not finish")
 	}
 	if late.State != kobj.ThreadBlockedOnSend {
@@ -380,11 +379,11 @@ func TestSecondAbortCompletesFirst(t *testing.T) {
 	w1 := mkThread("w1", 200)
 	w2 := mkThread("w2", 200)
 	*pending = true
-	if out := AbortBadged(e, w1, ep, 1); out != Preempted {
+	if out := AbortBadged(e, w1, ep, 1); out != ktime.Preempted {
 		t.Fatal("expected preemption of first abort")
 	}
 	*pending = false
-	if out := AbortBadged(e, w2, ep, 2); out != Done {
+	if out := AbortBadged(e, w2, ep, 2); out != ktime.Done {
 		t.Fatal("second abort did not complete")
 	}
 	// Both badges must now be fully aborted.

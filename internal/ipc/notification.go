@@ -1,6 +1,9 @@
 package ipc
 
-import "verikern/internal/kobj"
+import (
+	"verikern/internal/kobj"
+	"verikern/internal/ktime"
+)
 
 // Notification operations: asynchronous signalling in the style of the
 // seL4 async endpoints of the paper's era. A signal ORs its badge into
@@ -18,7 +21,7 @@ const CostNtfnWait = 100
 // it is woken with the accumulated word (a direct switch if eligible);
 // the returned thread, if non-nil, should become current.
 func Signal(e *Env, ntfn *kobj.Notification, badge uint32, cur *kobj.TCB) *kobj.TCB {
-	e.charge(CostSignal)
+	e.Clock.Advance(CostSignal)
 	ntfn.Pending |= badge
 	w := ntfn.QHead
 	if w == nil {
@@ -36,24 +39,24 @@ func Signal(e *Env, ntfn *kobj.Notification, badge uint32, cur *kobj.TCB) *kobj.
 
 // Wait blocks t on the notification, or consumes a pending word
 // immediately.
-func Wait(e *Env, t *kobj.TCB, ntfn *kobj.Notification) Outcome {
-	e.charge(CostNtfnWait)
+func Wait(e *Env, t *kobj.TCB, ntfn *kobj.Notification) ktime.Outcome {
+	e.Clock.Advance(CostNtfnWait)
 	if ntfn.Pending != 0 {
 		t.SendBadge = ntfn.Pending
 		t.MsgLen = 1
 		ntfn.Pending = 0
-		return Done
+		return ktime.Done
 	}
 	t.State = kobj.ThreadBlockedOnRecv
-	e.charge(e.Sched.OnBlock(t))
+	e.Clock.Advance(e.Sched.OnBlock(t))
 	enqueueNtfn(ntfn, t)
-	return Blocked
+	return ktime.Blocked
 }
 
 // Poll consumes a pending word without blocking; it reports whether a
 // signal was present.
 func Poll(e *Env, t *kobj.TCB, ntfn *kobj.Notification) bool {
-	e.charge(CostNtfnWait)
+	e.Clock.Advance(CostNtfnWait)
 	if ntfn.Pending == 0 {
 		return false
 	}

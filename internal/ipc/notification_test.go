@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"verikern/internal/kobj"
+	"verikern/internal/ktime"
 )
 
 func mkNtfn() *kobj.Notification { return &kobj.Notification{Name: "n"} }
@@ -28,7 +29,7 @@ func TestWaitConsumesPending(t *testing.T) {
 	n := mkNtfn()
 	Signal(e, n, 0b101, nil)
 	w := mkThread("w", 100)
-	if out := Wait(e, w, n); out != Done {
+	if out := Wait(e, w, n); out != ktime.Done {
 		t.Fatalf("Wait = %v, want Done", out)
 	}
 	if w.SendBadge != 0b101 {
@@ -46,7 +47,7 @@ func TestWaitBlocksThenSignalWakes(t *testing.T) {
 	e, _ := testEnv()
 	n := mkNtfn()
 	w := mkThread("w", 150)
-	if out := Wait(e, w, n); out != Blocked {
+	if out := Wait(e, w, n); out != ktime.Blocked {
 		t.Fatalf("Wait = %v, want Blocked", out)
 	}
 	if w.State != kobj.ThreadBlockedOnRecv || w.WaitingOnNtfn != n {

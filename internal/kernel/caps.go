@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"verikern/internal/kobj"
+	"verikern/internal/ktime"
 	"verikern/internal/obs"
 )
 
@@ -29,16 +30,16 @@ func (k *Kernel) CopyCap(t *kobj.TCB, srcAddr uint32, rights kobj.Rights) (uint3
 		return 0, fmt.Errorf("kernel: copy from empty slot")
 	}
 	var addr uint32
-	err = k.runRestartable(t, levels, obs.OpCapOp, func() opOutcome {
+	err = k.runRestartable(t, levels, obs.OpCapOp, func() ktime.Outcome {
 		k.clock.Advance(CostCapOp)
 		c := slot.Cap
 		c.Rights &= rights
 		a, _, ierr := k.InstallCap(c, slot)
 		if ierr != nil {
-			return opFailed
+			return ktime.Failed
 		}
 		addr = a
-		return opDone
+		return ktime.Done
 	})
 	return addr, err
 }
@@ -55,7 +56,7 @@ func (k *Kernel) MoveCap(t *kobj.TCB, srcAddr uint32) (uint32, error) {
 		return 0, fmt.Errorf("kernel: move from empty slot")
 	}
 	var addr uint32
-	err = k.runRestartable(t, levels, obs.OpCapOp, func() opOutcome {
+	err = k.runRestartable(t, levels, obs.OpCapOp, func() ktime.Outcome {
 		k.clock.Advance(CostCapOp)
 		// Splice the new slot into the MDB where the old one was.
 		var dest *kobj.Slot
@@ -68,7 +69,7 @@ func (k *Kernel) MoveCap(t *kobj.TCB, srcAddr uint32) (uint32, error) {
 			}
 		}
 		if dest == nil {
-			return opFailed
+			return ktime.Failed
 		}
 		dest.Cap = slot.Cap
 		dest.MDBPrev = slot.MDBPrev
@@ -82,7 +83,7 @@ func (k *Kernel) MoveCap(t *kobj.TCB, srcAddr uint32) (uint32, error) {
 		}
 		slot.Cap = kobj.Cap{}
 		slot.MDBPrev, slot.MDBNext, slot.MDBDepth = nil, nil, 0
-		return opDone
+		return ktime.Done
 	})
 	return addr, err
 }
@@ -99,15 +100,15 @@ func (k *Kernel) Revoke(t *kobj.TCB, capAddr uint32) error {
 	if slot.IsEmpty() {
 		return fmt.Errorf("kernel: revoke of empty slot")
 	}
-	return k.runRestartable(t, levels, obs.OpRevoke, func() opOutcome {
+	return k.runRestartable(t, levels, obs.OpRevoke, func() ktime.Outcome {
 		for {
 			k.clock.Advance(CostCapOp)
 			remaining := k.objects.RevokeStep(slot)
 			if !remaining {
-				return opDone
+				return ktime.Done
 			}
 			if k.preempt() {
-				return opPreempted
+				return ktime.Preempted
 			}
 		}
 	})

@@ -23,44 +23,97 @@ func TestDecodeFailureChargesRoundTrip(t *testing.T) {
 	assertClean(t, k)
 }
 
+// TestTypeConfusedInvocations invokes every system call that works on
+// one capability type through a cap of another type: each must fail
+// before any cycle is charged or any counter moves.
 func TestTypeConfusedInvocations(t *testing.T) {
 	k := boot(t, Modern())
 	a := mustThread(t, k, "a", 100)
 	ep := mustEndpoint(t, k, a)
-	tcbAddrs, err := k.CreateObjects(a, kobj.TypeTCB, 0, 1)
-	if err != nil {
+	create := func(ot kobj.ObjType, param uint8) uint32 {
+		addrs, err := k.CreateObjects(a, ot, param, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return addrs[0]
+	}
+	ntfn := create(kobj.TypeNotification, 0)
+	pd := create(kobj.TypePageDirectory, 0)
+	pt := create(kobj.TypePageTable, 0)
+	frame := create(kobj.TypeFrame, 12)
+	// An address space, so the map calls can fail only on the type.
+	if err := k.AssignVSpace(a, pd); err != nil {
 		t.Fatal(err)
 	}
-	tcb := tcbAddrs[0]
 
-	if err := k.Send(a, tcb, 1, nil, false); err == nil {
-		t.Error("send on TCB cap succeeded")
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"MintBadgedCap", func() error { _, err := k.MintBadgedCap(a, ntfn, 1); return err }},
+		{"Send", func() error { return k.Send(a, ntfn, 1, nil, false) }},
+		{"Recv", func() error { return k.Recv(a, ntfn) }},
+		{"ReplyRecv", func() error { return k.ReplyRecv(a, ntfn) }},
+		{"RevokeBadge", func() error { return k.RevokeBadge(a, ntfn, 1) }},
+		{"AssignVSpace", func() error { return k.AssignVSpace(a, pt) }},
+		{"MapPageTable", func() error { return k.MapPageTable(a, frame, 64<<20) }},
+		{"MapFrame", func() error { return k.MapFrame(a, pt, 64<<20) }},
+		{"DeleteVSpace", func() error { return k.DeleteVSpace(a, ep) }},
+		{"RegisterIRQHandler", func() error { return k.RegisterIRQHandler(a, ep) }},
+		{"WaitIRQ", func() error { return k.WaitIRQ(a, ep) }},
+		{"SignalCap", func() error { return k.SignalCap(a, ep) }},
+		{"PollCap", func() error { _, err := k.PollCap(a, ep); return err }},
 	}
-	if err := k.Recv(a, tcb); err == nil {
-		t.Error("recv on TCB cap succeeded")
-	}
-	if err := k.ReplyRecv(a, tcb); err == nil {
-		t.Error("replyrecv on TCB cap succeeded")
-	}
-	if err := k.RevokeBadge(a, tcb, 1); err == nil {
-		t.Error("badge revoke on TCB cap succeeded")
-	}
-	if _, err := k.MintBadgedCap(a, tcb, 1); err == nil {
-		t.Error("mint from TCB cap succeeded")
-	}
-	if err := k.AssignVSpace(a, ep); err == nil {
-		t.Error("vspace assign of endpoint cap succeeded")
-	}
-	if err := k.MapPageTable(a, ep, 0); err == nil {
-		t.Error("page-table map of endpoint cap succeeded")
-	}
-	if err := k.MapFrame(a, ep, 0); err == nil {
-		t.Error("frame map of endpoint cap succeeded")
-	}
-	if err := k.DeleteVSpace(a, ep); err == nil {
-		t.Error("vspace delete of endpoint cap succeeded")
+	for _, c := range calls {
+		clock, stats := k.Now(), k.Stats()
+		if err := c.call(); err == nil {
+			t.Errorf("%s on a wrong-type cap succeeded", c.name)
+		}
+		if k.Now() != clock {
+			t.Errorf("%s on a wrong-type cap charged %d cycles", c.name, k.Now()-clock)
+		}
+		if k.Stats() != stats {
+			t.Errorf("%s on a wrong-type cap moved the counters: %+v, was %+v", c.name, k.Stats(), stats)
+		}
 	}
 	assertClean(t, k)
+}
+
+// TestSendMessageLength: Send refuses a negative length and one beyond
+// kobj.MaxMsgWords, on the fastpath and the slowpath alike, before any
+// cycle is charged and without touching the waiting receiver.
+func TestSendMessageLength(t *testing.T) {
+	for _, fastpath := range []bool{true, false} {
+		for _, msgLen := range []int{-1, kobj.MaxMsgWords + 1, 1200} {
+			cfg := Modern()
+			cfg.Fastpath = fastpath
+			k := boot(t, cfg)
+			recv := mustThread(t, k, "recv", 150)
+			send := mustThread(t, k, "send", 100)
+			ep := mustEndpoint(t, k, send)
+			if err := k.Recv(recv, ep); err != nil {
+				t.Fatal(err)
+			}
+			clock, got := k.Now(), recv.MsgLen
+			if err := k.Send(send, ep, msgLen, nil, false); err == nil {
+				t.Errorf("fastpath=%v: send of %d words succeeded", fastpath, msgLen)
+			}
+			if k.Now() != clock {
+				t.Errorf("fastpath=%v: send of %d words moved the clock by %d", fastpath, msgLen, int64(k.Now()-clock))
+			}
+			if recv.MsgLen != got {
+				t.Errorf("fastpath=%v: send of %d words set the receiver's MsgLen to %d", fastpath, msgLen, recv.MsgLen)
+			}
+			// A full-length message still goes through.
+			if err := k.Send(send, ep, kobj.MaxMsgWords, nil, false); err != nil {
+				t.Errorf("fastpath=%v: send of %d words: %v", fastpath, kobj.MaxMsgWords, err)
+			}
+			if recv.MsgLen != kobj.MaxMsgWords {
+				t.Errorf("fastpath=%v: receiver read %d words, want %d", fastpath, recv.MsgLen, kobj.MaxMsgWords)
+			}
+			assertClean(t, k)
+		}
+	}
 }
 
 func TestSendWithBadTransferCap(t *testing.T) {

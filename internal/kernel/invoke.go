@@ -4,16 +4,8 @@ import (
 	"fmt"
 
 	"verikern/internal/kobj"
+	"verikern/internal/ktime"
 	"verikern/internal/obs"
-)
-
-// opOutcome is the result of a syscall body.
-type opOutcome int
-
-const (
-	opDone opOutcome = iota
-	opPreempted
-	opFailed
 )
 
 // runRestartable executes a system call for thread t under the
@@ -26,7 +18,7 @@ const (
 // op tags the tracer with the operation in progress for the duration
 // of the call (including restarts), which is what attributes each
 // interrupt-response sample to the operation that delayed it.
-func (k *Kernel) runRestartable(t *kobj.TCB, decodeLevels int, op obs.Op, body func() opOutcome) error {
+func (k *Kernel) runRestartable(t *kobj.TCB, decodeLevels int, op obs.Op, body func() ktime.Outcome) error {
 	k.stats.Syscalls++
 	k.tracer.SetOp(op)
 	defer k.tracer.SetOp(obs.OpUser)
@@ -42,7 +34,7 @@ func (k *Kernel) runRestartable(t *kobj.TCB, decodeLevels int, op obs.Op, body f
 
 		out := body()
 		switch out {
-		case opPreempted:
+		case ktime.Preempted:
 			k.stats.Preemptions++
 			// Re-establish the run-queue invariant for the
 			// preempted thread (§3.1: "the preempted thread
@@ -59,7 +51,7 @@ func (k *Kernel) runRestartable(t *kobj.TCB, decodeLevels int, op obs.Op, body f
 			k.serviceIRQ()
 			k.clock.Advance(CostKernelExit)
 			continue
-		case opFailed:
+		case ktime.Failed:
 			k.finishSyscall()
 			return fmt.Errorf("kernel: syscall failed for %q", t.Name)
 		default:

@@ -1,10 +1,9 @@
 package kernel
 
 import (
-	"fmt"
-
 	"verikern/internal/ipc"
 	"verikern/internal/kobj"
+	"verikern/internal/ktime"
 	"verikern/internal/obs"
 )
 
@@ -22,12 +21,9 @@ import (
 // object: every serviced interrupt signals it (seL4's IRQHandler
 // capability model).
 func (k *Kernel) RegisterIRQHandler(t *kobj.TCB, ntfnCapAddr uint32) error {
-	slot, _, err := k.decodeCap(t, ntfnCapAddr)
+	slot, _, err := k.decodeAs(t, ntfnCapAddr, kobj.CapNotification, "IRQ handler registration")
 	if err != nil {
 		return err
-	}
-	if slot.Cap.Type != kobj.CapNotification {
-		return fmt.Errorf("kernel: IRQ handler must be a notification cap, got %v", slot.Cap.Type)
 	}
 	k.irqHandlerNtfn = slot.Cap.Notification()
 	return nil
@@ -65,63 +61,54 @@ func (k *Kernel) IRQHandlerRuns() uint64 { return k.irqHandlerRuns }
 // is consumed immediately, otherwise the thread blocks until the next
 // interrupt.
 func (k *Kernel) WaitIRQ(t *kobj.TCB, ntfnCapAddr uint32) error {
-	slot, levels, err := k.decodeCap(t, ntfnCapAddr)
+	slot, levels, err := k.decodeAs(t, ntfnCapAddr, kobj.CapNotification, "wait")
 	if err != nil {
 		return err
 	}
-	if slot.Cap.Type != kobj.CapNotification {
-		return fmt.Errorf("kernel: wait on %v cap", slot.Cap.Type)
-	}
 	ntfn := slot.Cap.Notification()
-	return k.runRestartable(t, levels, obs.OpWaitIRQ, func() opOutcome {
+	return k.runRestartable(t, levels, obs.OpWaitIRQ, func() ktime.Outcome {
 		switch ipc.Wait(&k.ipcEnv, t, ntfn) {
-		case ipc.Done:
+		case ktime.Done:
 			k.irqHandlerRuns++
-		case ipc.Blocked:
+		case ktime.Blocked:
 			k.reschedule()
 		}
-		return opDone
+		return ktime.Done
 	})
 }
 
 // SignalCap is the user-level signal system call on a notification
 // capability.
 func (k *Kernel) SignalCap(t *kobj.TCB, ntfnCapAddr uint32) error {
-	slot, levels, err := k.decodeCap(t, ntfnCapAddr)
+	slot, levels, err := k.decodeAs(t, ntfnCapAddr, kobj.CapNotification, "signal")
 	if err != nil {
 		return err
-	}
-	if slot.Cap.Type != kobj.CapNotification {
-		return fmt.Errorf("kernel: signal on %v cap", slot.Cap.Type)
 	}
 	ntfn := slot.Cap.Notification()
 	badge := slot.Cap.Badge
 	if badge == 0 {
 		badge = 1
 	}
-	return k.runRestartable(t, levels, obs.OpSignal, func() opOutcome {
+	return k.runRestartable(t, levels, obs.OpSignal, func() ktime.Outcome {
 		if sw := ipc.Signal(&k.ipcEnv, ntfn, badge, t); sw != nil {
 			k.switchTo(sw)
 		}
-		return opDone
+		return ktime.Done
 	})
 }
 
 // PollCap is the non-blocking wait on a notification capability; it
 // reports whether a signal was consumed.
 func (k *Kernel) PollCap(t *kobj.TCB, ntfnCapAddr uint32) (bool, error) {
-	slot, levels, err := k.decodeCap(t, ntfnCapAddr)
+	slot, levels, err := k.decodeAs(t, ntfnCapAddr, kobj.CapNotification, "poll")
 	if err != nil {
 		return false, err
 	}
-	if slot.Cap.Type != kobj.CapNotification {
-		return false, fmt.Errorf("kernel: poll on %v cap", slot.Cap.Type)
-	}
 	ntfn := slot.Cap.Notification()
 	var got bool
-	err = k.runRestartable(t, levels, obs.OpPoll, func() opOutcome {
+	err = k.runRestartable(t, levels, obs.OpPoll, func() ktime.Outcome {
 		got = ipc.Poll(&k.ipcEnv, t, ntfn)
-		return opDone
+		return ktime.Done
 	})
 	return got, err
 }

@@ -166,12 +166,11 @@ type Kernel struct {
 	// disabled-tracing cycle behaviour identical to the seed.
 	tracer *obs.Tracer
 
-	// ipcEnv and vsEnv are the environments handed to the IPC and
-	// vspace layers. They live as long as the kernel (SetTracer keeps
-	// ipcEnv's tracer current), so a system call or restart allocates
-	// neither them nor the bound preemption probe.
+	// ipcEnv is the environment handed to the IPC layer; the vspace
+	// layer takes its embedded ktime.Env. It lives as long as the
+	// kernel (SetTracer keeps its tracer current), so a system call
+	// or restart allocates neither it nor the bound preemption probe.
 	ipcEnv ipc.Env
-	vsEnv  vspace.Env
 
 	rootUntyped *kobj.Untyped
 	rootCNode   *kobj.CNode
@@ -197,9 +196,7 @@ func New(cfg Config) (*Kernel, error) {
 		vspace:       vspace.New(cfg.VSpace),
 		pendingClear: make(map[*kobj.Untyped]*clearProgress),
 	}
-	preempt := k.preempt
-	k.ipcEnv = ipc.Env{Clock: &k.clock, Sched: k.sched, Preempt: preempt}
-	k.vsEnv = vspace.Env{Clock: &k.clock, Preempt: preempt}
+	k.ipcEnv = ipc.Env{Env: ktime.Env{Clock: &k.clock, Preempt: k.preempt}, Sched: k.sched}
 	u, err := k.objects.NewRootUntyped(26) // 64 MiB of untyped at boot
 	if err != nil {
 		return nil, err
@@ -240,9 +237,6 @@ func (k *Kernel) Stats() Stats { return k.stats }
 
 // Current returns the running thread (nil = idle).
 func (k *Kernel) Current() *kobj.TCB { return k.current }
-
-// RootCNode returns the boot CNode, in which initial caps live.
-func (k *Kernel) RootCNode() *kobj.CNode { return k.rootCNode }
 
 // RootUntyped returns the boot untyped region.
 func (k *Kernel) RootUntyped() *kobj.Untyped { return k.rootUntyped }

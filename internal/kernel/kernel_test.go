@@ -52,7 +52,7 @@ func TestBootClean(t *testing.T) {
 		k := boot(t, cfg)
 		k.checkInvariants(true)
 		assertClean(t, k)
-		if k.RootCNode() == nil || k.RootUntyped() == nil {
+		if k.rootCNode == nil || k.RootUntyped() == nil {
 			t.Error("boot objects missing")
 		}
 	}

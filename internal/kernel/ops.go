@@ -5,6 +5,7 @@ import (
 
 	"verikern/internal/ipc"
 	"verikern/internal/kobj"
+	"verikern/internal/ktime"
 	"verikern/internal/obs"
 	"verikern/internal/vspace"
 )
@@ -18,6 +19,20 @@ func (k *Kernel) decodeCap(t *kobj.TCB, addr uint32) (*kobj.Slot, int, error) {
 		return nil, 0, err
 	}
 	return res.Slot, res.Levels, nil
+}
+
+// decodeAs is decodeCap for a system call that works on one capability
+// type; op names the call in the error. A cap of another type is
+// refused before any cycle is charged.
+func (k *Kernel) decodeAs(t *kobj.TCB, addr uint32, want kobj.CapType, op string) (*kobj.Slot, int, error) {
+	slot, levels, err := k.decodeCap(t, addr)
+	if err != nil {
+		return nil, 0, err
+	}
+	if slot.Cap.Type != want {
+		return nil, 0, fmt.Errorf("kernel: %s on %v cap", op, slot.Cap.Type)
+	}
+	return slot, levels, nil
 }
 
 // InstallCap places a capability into the first free root-CNode slot
@@ -39,12 +54,9 @@ func (k *Kernel) InstallCap(c kobj.Cap, parent *kobj.Slot) (uint32, *kobj.Slot, 
 // caps are MDB children of their unbadged original, which is what
 // badge revocation walks (§3.4).
 func (k *Kernel) MintBadgedCap(t *kobj.TCB, srcAddr uint32, badge uint32) (uint32, error) {
-	slot, _, err := k.decodeCap(t, srcAddr)
+	slot, _, err := k.decodeAs(t, srcAddr, kobj.CapEndpoint, "mint")
 	if err != nil {
 		return 0, err
-	}
-	if slot.Cap.Type != kobj.CapEndpoint {
-		return 0, fmt.Errorf("kernel: mint from non-endpoint cap")
 	}
 	c := slot.Cap
 	c.Badge = badge
@@ -57,14 +69,16 @@ func (k *Kernel) MintBadgedCap(t *kobj.TCB, srcAddr uint32, badge uint32) (uint3
 // Send performs an IPC send (optionally a call) through the endpoint
 // cap at capAddr, transferring msgLen words and granting the caps named
 // by capsToSend (each decoded in the sender's cap space — the repeated
-// decodes of the §6.1 worst case).
+// decodes of the §6.1 worst case). A message longer than
+// kobj.MaxMsgWords, which the image's transfer loop is bounded by, is
+// refused before any cycle is charged.
 func (k *Kernel) Send(t *kobj.TCB, capAddr uint32, msgLen int, capsToSend []uint32, call bool) error {
-	slot, levels, err := k.decodeCap(t, capAddr)
+	if msgLen < 0 || msgLen > kobj.MaxMsgWords {
+		return fmt.Errorf("kernel: message of %d words, want 0 to %d", msgLen, kobj.MaxMsgWords)
+	}
+	slot, levels, err := k.decodeAs(t, capAddr, kobj.CapEndpoint, "send")
 	if err != nil {
 		return err
-	}
-	if slot.Cap.Type != kobj.CapEndpoint {
-		return fmt.Errorf("kernel: send on %v cap", slot.Cap.Type)
 	}
 	ep := slot.Cap.Endpoint()
 	badge := slot.Cap.Badge
@@ -80,30 +94,20 @@ func (k *Kernel) Send(t *kobj.TCB, capAddr uint32, msgLen int, capsToSend []uint
 		capLevels += res.Levels
 	}
 
-	return k.runRestartable(t, levels, obs.OpSend, func() opOutcome {
+	return k.runRestartable(t, levels, obs.OpSend, func() ktime.Outcome {
 		if k.cfg.Fastpath && len(capsToSend) == 0 && !call && ipc.FastpathOK(ep, t, msgLen, 0) {
 			r := ipc.Fastpath(&k.ipcEnv, t, ep, badge, msgLen)
 			k.stats.FastpathIPCs++
 			k.switchTo(r)
-			return opDone
+			return ktime.Done
 		}
 		k.stats.SlowpathIPCs++
 		k.clock.Advance(uint64(capLevels) * CostDecodeLevel)
-		out, sw := ipc.Send(&k.ipcEnv, t, ep, badge, msgLen, len(capsToSend), call)
-		switch out {
-		case ipc.Failed:
-			return opFailed
-		case ipc.Blocked:
-			k.reschedule()
-			return opDone
-		}
-		if sw != nil {
-			k.switchTo(sw)
-		}
-		if k.current != nil && !k.current.State.Runnable() {
+		out := k.finishIPC(ipc.Send(&k.ipcEnv, t, ep, badge, msgLen, len(capsToSend), call))
+		if out == ktime.Done && k.current != nil && !k.current.State.Runnable() {
 			k.reschedule()
 		}
-		return opDone
+		return out
 	})
 }
 
@@ -115,28 +119,31 @@ func (k *Kernel) Call(t *kobj.TCB, capAddr uint32, msgLen int, capsToSend []uint
 
 // Recv waits for a message on the endpoint cap at capAddr.
 func (k *Kernel) Recv(t *kobj.TCB, capAddr uint32) error {
-	slot, levels, err := k.decodeCap(t, capAddr)
+	slot, levels, err := k.decodeAs(t, capAddr, kobj.CapEndpoint, "recv")
 	if err != nil {
 		return err
 	}
-	if slot.Cap.Type != kobj.CapEndpoint {
-		return fmt.Errorf("kernel: recv on %v cap", slot.Cap.Type)
-	}
 	ep := slot.Cap.Endpoint()
-	return k.runRestartable(t, levels, obs.OpRecv, func() opOutcome {
-		out, sw := ipc.Recv(&k.ipcEnv, t, ep)
-		switch out {
-		case ipc.Failed:
-			return opFailed
-		case ipc.Blocked:
-			k.reschedule()
-			return opDone
-		}
-		if sw != nil {
-			k.switchTo(sw)
-		}
-		return opDone
+	return k.runRestartable(t, levels, obs.OpRecv, func() ktime.Outcome {
+		return k.finishIPC(ipc.Recv(&k.ipcEnv, t, ep))
 	})
+}
+
+// finishIPC completes one IPC step inside a system call body: a failed
+// step fails the call, a blocked caller gives up the CPU, and a partner
+// chosen for a direct switch runs.
+func (k *Kernel) finishIPC(out ktime.Outcome, sw *kobj.TCB) ktime.Outcome {
+	switch out {
+	case ktime.Failed:
+		return ktime.Failed
+	case ktime.Blocked:
+		k.reschedule()
+		return ktime.Done
+	}
+	if sw != nil {
+		k.switchTo(sw)
+	}
+	return ktime.Done
 }
 
 // ReplyRecv is the atomic send-receive of §6.1: reply to the current
@@ -145,39 +152,25 @@ func (k *Kernel) Recv(t *kobj.TCB, capAddr uint32) error {
 // the phases is active: the reply phase's completion is recorded on
 // the server TCB so a restart resumes directly into the receive phase.
 func (k *Kernel) ReplyRecv(t *kobj.TCB, capAddr uint32) error {
-	slot, levels, err := k.decodeCap(t, capAddr)
+	slot, levels, err := k.decodeAs(t, capAddr, kobj.CapEndpoint, "replyrecv")
 	if err != nil {
 		return err
 	}
-	if slot.Cap.Type != kobj.CapEndpoint {
-		return fmt.Errorf("kernel: replyrecv on %v cap", slot.Cap.Type)
-	}
 	ep := slot.Cap.Endpoint()
-	return k.runRestartable(t, levels, obs.OpReplyRecv, func() opOutcome {
+	return k.runRestartable(t, levels, obs.OpReplyRecv, func() ktime.Outcome {
 		if !t.ReplyPhaseDone {
-			if out, _ := ipc.Reply(&k.ipcEnv, t); out == ipc.Failed {
-				return opFailed
+			if out, _ := ipc.Reply(&k.ipcEnv, t); out == ktime.Failed {
+				return ktime.Failed
 			}
 			if k.cfg.SplitSendReceive {
 				t.ReplyPhaseDone = true
 				if k.preempt() {
-					return opPreempted
+					return ktime.Preempted
 				}
 			}
 		}
 		t.ReplyPhaseDone = false
-		out, sw := ipc.Recv(&k.ipcEnv, t, ep)
-		switch out {
-		case ipc.Failed:
-			return opFailed
-		case ipc.Blocked:
-			k.reschedule()
-			return opDone
-		}
-		if sw != nil {
-			k.switchTo(sw)
-		}
-		return opDone
+		return k.finishIPC(ipc.Recv(&k.ipcEnv, t, ep))
 	})
 }
 
@@ -191,24 +184,21 @@ func (k *Kernel) DeleteCap(t *kobj.TCB, capAddr uint32) error {
 	if err != nil {
 		return err
 	}
-	return k.runRestartable(t, levels, obs.OpDelete, func() opOutcome {
+	return k.runRestartable(t, levels, obs.OpDelete, func() ktime.Outcome {
 		if slot.IsEmpty() {
-			return opDone // deleted by an earlier (preempted) pass
+			return ktime.Done // deleted by an earlier (preempted) pass
 		}
 		if slot.Cap.Type == kobj.CapEndpoint && k.objects.IsFinal(slot) {
 			ep := slot.Cap.Endpoint()
-			switch ipc.DeleteEndpoint(&k.ipcEnv, ep) {
-			case ipc.Preempted:
-				return opPreempted
-			case ipc.Failed:
-				return opFailed
+			if out := ipc.DeleteEndpoint(&k.ipcEnv, ep); out != ktime.Done {
+				return out
 			}
 			k.objects.ClearSlot(slot)
 			k.objects.Destroy(ep)
-			return opDone
+			return ktime.Done
 		}
 		k.objects.ClearSlot(slot)
-		return opDone
+		return ktime.Done
 	})
 }
 
@@ -217,15 +207,12 @@ func (k *Kernel) DeleteCap(t *kobj.TCB, capAddr uint32) error {
 // interval), then every pending IPC using the badge is aborted through
 // the endpoint's preemptible abort walk.
 func (k *Kernel) RevokeBadge(t *kobj.TCB, capAddr uint32, badge uint32) error {
-	slot, levels, err := k.decodeCap(t, capAddr)
+	slot, levels, err := k.decodeAs(t, capAddr, kobj.CapEndpoint, "badge revoke")
 	if err != nil {
 		return err
 	}
-	if slot.Cap.Type != kobj.CapEndpoint {
-		return fmt.Errorf("kernel: badge revoke on %v cap", slot.Cap.Type)
-	}
 	ep := slot.Cap.Endpoint()
-	return k.runRestartable(t, levels, obs.OpBadgeRevoke, func() opOutcome {
+	return k.runRestartable(t, levels, obs.OpBadgeRevoke, func() ktime.Outcome {
 		// Phase 1: prevent new IPC with the badge by deleting
 		// derived badged caps, one per preemption interval.
 		for {
@@ -242,17 +229,11 @@ func (k *Kernel) RevokeBadge(t *kobj.TCB, capAddr uint32, badge uint32) error {
 			k.clock.Advance(CostDecodeLevel)
 			k.objects.ClearSlot(victim)
 			if k.preempt() {
-				return opPreempted
+				return ktime.Preempted
 			}
 		}
 		// Phase 2: abort pending IPCs with the badge.
-		switch ipc.AbortBadged(&k.ipcEnv, t, ep, badge) {
-		case ipc.Preempted:
-			return opPreempted
-		case ipc.Failed:
-			return opFailed
-		}
-		return opDone
+		return ipc.AbortBadged(&k.ipcEnv, t, ep, badge)
 	})
 }
 
@@ -277,7 +258,7 @@ func (k *Kernel) CreateObjects(t *kobj.TCB, ot kobj.ObjType, param uint8, count 
 	u := k.rootUntyped
 
 	var addrs []uint32
-	err = k.runRestartable(t, 1, obs.OpRetype, func() opOutcome {
+	err = k.runRestartable(t, 1, obs.OpRetype, func() ktime.Outcome {
 		prog := k.pendingClear[u]
 		if prog == nil {
 			prog = &clearProgress{remaining: total}
@@ -294,7 +275,7 @@ func (k *Kernel) CreateObjects(t *kobj.TCB, ot kobj.ObjType, param uint8, count 
 			prog.remaining -= chunk
 			k.tracer.Emit(obs.KindCreateChunk, k.clock.Now(), uint64(chunk), uint64(prog.remaining))
 			if prog.remaining > 0 && k.preempt() {
-				return opPreempted
+				return ktime.Preempted
 			}
 		}
 		// One short atomic pass: create the objects and install
@@ -303,7 +284,7 @@ func (k *Kernel) CreateObjects(t *kobj.TCB, ot kobj.ObjType, param uint8, count 
 		k.clock.Advance(CostRetypeBookkeeping)
 		objs, rerr := k.objects.Retype(u, ot, param, count)
 		if rerr != nil {
-			return opFailed
+			return ktime.Failed
 		}
 		parent := k.rootUntypedSlot()
 		for _, o := range objs {
@@ -330,19 +311,19 @@ func (k *Kernel) CreateObjects(t *kobj.TCB, ot kobj.ObjType, param uint8, count 
 			}
 			addr, _, ierr := k.InstallCap(c, parent)
 			if ierr != nil {
-				return opFailed
+				return ktime.Failed
 			}
 			addrs = append(addrs, addr)
 			// Page directories additionally receive the
 			// kernel window — non-preemptible (§3.5), the
 			// 20 µs floor of the paper's latency budget.
 			if pd, ok := o.(*kobj.PageDirectory); ok {
-				if k.vspace.InitPD(&k.vsEnv, pd) != nil {
-					return opFailed
+				if k.vspace.InitPD(&k.ipcEnv.Env, pd) != nil {
+					return ktime.Failed
 				}
 			}
 		}
-		return opDone
+		return ktime.Done
 	})
 	if err != nil {
 		return nil, err
@@ -364,12 +345,9 @@ func (k *Kernel) rootUntypedSlot() *kobj.Slot {
 
 // AssignVSpace sets a thread's address space.
 func (k *Kernel) AssignVSpace(t *kobj.TCB, pdAddr uint32) error {
-	slot, _, err := k.decodeCap(t, pdAddr)
+	slot, _, err := k.decodeAs(t, pdAddr, kobj.CapPageDirectory, "assign")
 	if err != nil {
 		return err
-	}
-	if slot.Cap.Type != kobj.CapPageDirectory {
-		return fmt.Errorf("kernel: assign of %v cap", slot.Cap.Type)
 	}
 	t.VSpaceRoot = slot.Cap.Obj.(*kobj.PageDirectory)
 	return nil
@@ -378,21 +356,21 @@ func (k *Kernel) AssignVSpace(t *kobj.TCB, pdAddr uint32) error {
 // MapPageTable maps the page table at ptAddr into t's address space to
 // cover vaddr.
 func (k *Kernel) MapPageTable(t *kobj.TCB, ptAddr uint32, vaddr uint32) error {
-	slot, levels, err := k.decodeCap(t, ptAddr)
+	slot, levels, err := k.decodeAs(t, ptAddr, kobj.CapPageTable, "page-table map")
 	if err != nil {
 		return err
 	}
-	if slot.Cap.Type != kobj.CapPageTable || t.VSpaceRoot == nil {
-		return fmt.Errorf("kernel: bad page-table map")
+	if t.VSpaceRoot == nil {
+		return fmt.Errorf("kernel: page-table map without an address space")
 	}
 	pt := slot.Cap.Obj.(*kobj.PageTable)
 	var mapErr error
-	err = k.runRestartable(t, levels, obs.OpMapTable, func() opOutcome {
-		mapErr = k.vspace.MapTable(&k.vsEnv, t.VSpaceRoot, int(vaddr>>20), pt, slot)
+	err = k.runRestartable(t, levels, obs.OpMapTable, func() ktime.Outcome {
+		mapErr = k.vspace.MapTable(&k.ipcEnv.Env, t.VSpaceRoot, int(vaddr>>20), pt, slot)
 		if mapErr != nil {
-			return opFailed
+			return ktime.Failed
 		}
-		return opDone
+		return ktime.Done
 	})
 	if mapErr != nil {
 		return mapErr
@@ -403,21 +381,21 @@ func (k *Kernel) MapPageTable(t *kobj.TCB, ptAddr uint32, vaddr uint32) error {
 // MapFrame maps the frame at frameAddr into t's address space at
 // vaddr.
 func (k *Kernel) MapFrame(t *kobj.TCB, frameAddr uint32, vaddr uint32) error {
-	slot, levels, err := k.decodeCap(t, frameAddr)
+	slot, levels, err := k.decodeAs(t, frameAddr, kobj.CapFrame, "frame map")
 	if err != nil {
 		return err
 	}
-	if slot.Cap.Type != kobj.CapFrame || t.VSpaceRoot == nil {
-		return fmt.Errorf("kernel: bad frame map")
+	if t.VSpaceRoot == nil {
+		return fmt.Errorf("kernel: frame map without an address space")
 	}
 	f := slot.Cap.Frame()
 	var mapErr error
-	err = k.runRestartable(t, levels, obs.OpMapFrame, func() opOutcome {
-		mapErr = k.vspace.MapFrame(&k.vsEnv, t.VSpaceRoot, vaddr, f, slot)
+	err = k.runRestartable(t, levels, obs.OpMapFrame, func() ktime.Outcome {
+		mapErr = k.vspace.MapFrame(&k.ipcEnv.Env, t.VSpaceRoot, vaddr, f, slot)
 		if mapErr != nil {
-			return opFailed
+			return ktime.Failed
 		}
-		return opDone
+		return ktime.Done
 	})
 	if mapErr != nil {
 		return mapErr
@@ -432,12 +410,12 @@ func (k *Kernel) UnmapFrame(t *kobj.TCB, frameAddr uint32) error {
 		return err
 	}
 	var unmapErr error
-	err = k.runRestartable(t, levels, obs.OpUnmapFrame, func() opOutcome {
-		unmapErr = k.vspace.UnmapFrame(&k.vsEnv, slot)
+	err = k.runRestartable(t, levels, obs.OpUnmapFrame, func() ktime.Outcome {
+		unmapErr = k.vspace.UnmapFrame(&k.ipcEnv.Env, slot)
 		if unmapErr != nil {
-			return opFailed
+			return ktime.Failed
 		}
-		return opDone
+		return ktime.Done
 	})
 	if unmapErr != nil {
 		return unmapErr
@@ -448,20 +426,14 @@ func (k *Kernel) UnmapFrame(t *kobj.TCB, frameAddr uint32) error {
 // DeleteVSpace deletes the address space at pdAddr: O(1)-lazy under
 // the ASID design, a preemptible walk under shadow page tables (§3.6).
 func (k *Kernel) DeleteVSpace(t *kobj.TCB, pdAddr uint32) error {
-	slot, levels, err := k.decodeCap(t, pdAddr)
+	slot, levels, err := k.decodeAs(t, pdAddr, kobj.CapPageDirectory, "vspace delete")
 	if err != nil {
 		return err
 	}
-	if slot.Cap.Type != kobj.CapPageDirectory {
-		return fmt.Errorf("kernel: vspace delete of %v cap", slot.Cap.Type)
-	}
 	pd := slot.Cap.Obj.(*kobj.PageDirectory)
-	return k.runRestartable(t, levels, obs.OpVSpaceDelete, func() opOutcome {
-		switch k.vspace.DeletePD(&k.vsEnv, pd) {
-		case vspace.Preempted:
-			return opPreempted
-		case vspace.Failed:
-			return opFailed
+	return k.runRestartable(t, levels, obs.OpVSpaceDelete, func() ktime.Outcome {
+		if out := k.vspace.DeletePD(&k.ipcEnv.Env, pd); out != ktime.Done {
+			return out
 		}
 		k.objects.ClearSlot(slot)
 		k.objects.Destroy(pd)
@@ -470,6 +442,6 @@ func (k *Kernel) DeleteVSpace(t *kobj.TCB, pdAddr uint32) error {
 				tcb.VSpaceRoot = nil
 			}
 		}
-		return opDone
+		return ktime.Done
 	})
 }

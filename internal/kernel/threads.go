@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"verikern/internal/kobj"
+	"verikern/internal/ktime"
 	"verikern/internal/obs"
 )
 
@@ -21,7 +22,7 @@ const CostThreadOp = 220
 // is dequeued and re-enqueued at the new priority; the scheduler
 // bitmap follows automatically.
 func (k *Kernel) SetPriority(t *kobj.TCB, target *kobj.TCB, prio uint8) error {
-	return k.runRestartable(t, 1, obs.OpThreadCtl, func() opOutcome {
+	return k.runRestartable(t, 1, obs.OpThreadCtl, func() ktime.Outcome {
 		k.clock.Advance(CostThreadOp)
 		if target.InRunQueue {
 			// OnBlock/Enqueue perform the queue moves; the
@@ -39,14 +40,14 @@ func (k *Kernel) SetPriority(t *kobj.TCB, target *kobj.TCB, prio uint8) error {
 			k.clock.Advance(k.sched.OnBlock(target)) // dequeue for switch
 			k.switchTo(target)
 		}
-		return opDone
+		return ktime.Done
 	})
 }
 
 // Suspend makes a thread inactive: it leaves the run queue and aborts
 // any IPC it is blocked on (dequeuing it from the endpoint).
 func (k *Kernel) Suspend(t *kobj.TCB, target *kobj.TCB) error {
-	return k.runRestartable(t, 1, obs.OpThreadCtl, func() opOutcome {
+	return k.runRestartable(t, 1, obs.OpThreadCtl, func() ktime.Outcome {
 		k.clock.Advance(CostThreadOp)
 		if target.InRunQueue {
 			k.clock.Advance(k.sched.OnBlock(target))
@@ -75,7 +76,7 @@ func (k *Kernel) Suspend(t *kobj.TCB, target *kobj.TCB) error {
 			k.current = nil
 			k.reschedule()
 		}
-		return opDone
+		return ktime.Done
 	})
 }
 
@@ -84,7 +85,7 @@ func (k *Kernel) Resume(t *kobj.TCB, target *kobj.TCB) error {
 	if target.State != kobj.ThreadInactive {
 		return fmt.Errorf("kernel: resume of %v thread", target.State)
 	}
-	return k.runRestartable(t, 1, obs.OpThreadCtl, func() opOutcome {
+	return k.runRestartable(t, 1, obs.OpThreadCtl, func() ktime.Outcome {
 		k.clock.Advance(CostThreadOp)
 		target.State = kobj.ThreadRunnable
 		target.RestartPC = true
@@ -94,6 +95,6 @@ func (k *Kernel) Resume(t *kobj.TCB, target *kobj.TCB) error {
 		} else {
 			k.clock.Advance(k.sched.Enqueue(target))
 		}
-		return opDone
+		return ktime.Done
 	})
 }

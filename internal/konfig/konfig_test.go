@@ -103,8 +103,8 @@ func TestRandomAssignmentsProperty(t *testing.T) {
 	ctx := context.Background()
 	cache := wcet.NewCache()
 	known := map[string]bool{}
-	for _, n := range RuleNames() {
-		known[n] = true
+	for _, r := range Rules() {
+		known[r.Name] = true
 	}
 	rng := rand.New(rand.NewSource(20260808))
 	const trials = 60

@@ -135,15 +135,6 @@ func Rules() []Rule {
 	return append(all, rules...)
 }
 
-// RuleNames returns the rule names in evaluation order.
-func RuleNames() []string {
-	var out []string
-	for _, r := range Rules() {
-		out = append(out, r.Name)
-	}
-	return out
-}
-
 // Violation is one named-rule diagnostic.
 type Violation struct {
 	// Rule is the violated rule's name.

@@ -46,7 +46,8 @@ func counterexamples(t *testing.T) map[string]Point {
 // carries the rule name.
 func TestEveryRuleFires(t *testing.T) {
 	table := counterexamples(t)
-	for _, name := range RuleNames() {
+	for _, r := range Rules() {
+		name := r.Name
 		p, ok := table[name]
 		if !ok {
 			t.Errorf("rule %s has no counterexample in the table", name)
@@ -66,8 +67,8 @@ func TestEveryRuleFires(t *testing.T) {
 	}
 	for name := range table {
 		found := false
-		for _, rn := range RuleNames() {
-			if rn == name {
+		for _, r := range Rules() {
+			if r.Name == name {
 				found = true
 			}
 		}

@@ -312,13 +312,3 @@ func (m *Machine) Counters() Counters {
 	}
 	return c
 }
-
-// ResetCounters zeroes all PMU counters.
-func (m *Machine) ResetCounters() {
-	m.counters = Counters{}
-	m.l1i.ResetStats()
-	m.l1d.ResetStats()
-	if m.l2 != nil {
-		m.l2.ResetStats()
-	}
-}

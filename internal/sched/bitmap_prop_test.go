@@ -11,7 +11,7 @@ import (
 // search: scan priorities from the top for a non-empty queue.
 func naiveHighest(rq *RunQueues) int {
 	for p := kobj.NumPrios - 1; p >= 0; p-- {
-		if !rq.Q[p].Empty() {
+		if rq.Q[p].Head != nil {
 			return p
 		}
 	}
@@ -25,7 +25,7 @@ func checkBitmapConsistency(t *testing.T, rq *RunQueues) {
 	t.Helper()
 	for p := 0; p < kobj.NumPrios; p++ {
 		bit := rq.Level2[p>>5]&(1<<(p&31)) != 0
-		if got := !rq.Q[p].Empty(); bit != got {
+		if got := rq.Q[p].Head != nil; bit != got {
 			t.Fatalf("prio %d: Level2 bit %v, queue non-empty %v", p, bit, got)
 		}
 	}

@@ -93,9 +93,6 @@ type Queue struct {
 	Head, Tail *kobj.TCB
 }
 
-// Empty reports whether the queue has no threads.
-func (q *Queue) Empty() bool { return q.Head == nil }
-
 // RunQueues is the full scheduler state: one queue per priority plus
 // the optional two-level bitmap.
 type RunQueues struct {

@@ -198,8 +198,8 @@ func checkBitmap(t *testing.T, rq *RunQueues) {
 	t.Helper()
 	for p := 0; p < kobj.NumPrios; p++ {
 		bit := rq.Level2[p>>5]&(1<<(p&31)) != 0
-		if bit != !rq.Q[p].Empty() {
-			t.Fatalf("bitmap bit for prio %d = %v, queue empty = %v", p, bit, rq.Q[p].Empty())
+		if bit != (rq.Q[p].Head != nil) {
+			t.Fatalf("bitmap bit for prio %d = %v, queue empty = %v", p, bit, rq.Q[p].Head == nil)
 		}
 	}
 	for b := 0; b < 8; b++ {

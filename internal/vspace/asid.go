@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"verikern/internal/kobj"
+	"verikern/internal/ktime"
 )
 
 // asidManager is the original seL4 design (§3.6, Fig. 4): frame caps
@@ -33,10 +34,10 @@ func (m *asidManager) VSpaces() []*kobj.PageDirectory { return m.spaces }
 // This is the loop the paper could not preempt ("locating a free ASID
 // is difficult to make preemptible", §3.6) — the whole probe runs with
 // interrupts disabled.
-func (m *asidManager) findFreeASID(e *Env) (uint32, *kobj.ASIDPool, int, error) {
+func (m *asidManager) findFreeASID(e *ktime.Env) (uint32, *kobj.ASIDPool, int, error) {
 	for pi, pool := range m.pools {
 		for i := 0; i < kobj.ASIDPoolSize; i++ {
-			e.charge(CostASIDProbe)
+			e.Clock.Advance(CostASIDProbe)
 			if pool.Entries[i] == nil {
 				return uint32(pi*kobj.ASIDPoolSize + i + 1), pool, i, nil
 			}
@@ -47,8 +48,8 @@ func (m *asidManager) findFreeASID(e *Env) (uint32, *kobj.ASIDPool, int, error) 
 
 // InitPD copies the kernel window (non-preemptible) and assigns an
 // ASID.
-func (m *asidManager) InitPD(e *Env, pd *kobj.PageDirectory) error {
-	e.charge(CostKernelWindowCopy)
+func (m *asidManager) InitPD(e *ktime.Env, pd *kobj.PageDirectory) error {
+	e.Clock.Advance(CostKernelWindowCopy)
 	pd.KernelWindowCopied = true
 	asid, pool, idx, err := m.findFreeASID(e)
 	if err != nil {
@@ -60,11 +61,11 @@ func (m *asidManager) InitPD(e *Env, pd *kobj.PageDirectory) error {
 	return nil
 }
 
-func (m *asidManager) MapTable(e *Env, pd *kobj.PageDirectory, idx int, pt *kobj.PageTable, slot *kobj.Slot) error {
+func (m *asidManager) MapTable(e *ktime.Env, pd *kobj.PageDirectory, idx int, pt *kobj.PageTable, slot *kobj.Slot) error {
 	if idx < 0 || idx >= kobj.PDEntries || pd.Tables.Get(idx) != nil {
 		return fmt.Errorf("vspace: bad or occupied directory index %d", idx)
 	}
-	e.charge(CostPTEntry)
+	e.Clock.Advance(CostPTEntry)
 	pd.Tables.Set(idx, pt)
 	pt.Parent = pd
 	pt.ParentIndex = idx
@@ -77,7 +78,7 @@ func (m *asidManager) MapTable(e *Env, pd *kobj.PageDirectory, idx int, pt *kobj
 // MapFrame installs the mapping and stores the inverse information in
 // the frame cap itself: the ASID and virtual address (the 8-byte
 // payload squeeze of §3.6).
-func (m *asidManager) MapFrame(e *Env, pd *kobj.PageDirectory, vaddr uint32, f *kobj.Frame, slot *kobj.Slot) error {
+func (m *asidManager) MapFrame(e *ktime.Env, pd *kobj.PageDirectory, vaddr uint32, f *kobj.Frame, slot *kobj.Slot) error {
 	if !validVaddr(vaddr) {
 		return fmt.Errorf("vspace: vaddr %#x in kernel window", vaddr)
 	}
@@ -89,7 +90,7 @@ func (m *asidManager) MapFrame(e *Env, pd *kobj.PageDirectory, vaddr uint32, f *
 	if pt.Entries[pi] != nil {
 		return fmt.Errorf("vspace: %#x already mapped", vaddr)
 	}
-	e.charge(CostMapFrame)
+	e.Clock.Advance(CostMapFrame)
 	pt.Entries[pi] = f
 	if pi < pt.LowestMapped {
 		pt.LowestMapped = pi
@@ -103,13 +104,13 @@ func (m *asidManager) MapFrame(e *Env, pd *kobj.PageDirectory, vaddr uint32, f *
 
 // lookupPD resolves an ASID through the two-level table; nil for stale
 // ASIDs (deleted spaces).
-func (m *asidManager) lookupPD(e *Env, asid uint32) *kobj.PageDirectory {
+func (m *asidManager) lookupPD(e *ktime.Env, asid uint32) *kobj.PageDirectory {
 	if asid == 0 {
 		return nil
 	}
 	idx := int(asid - 1)
 	pi, i := idx/kobj.ASIDPoolSize, idx%kobj.ASIDPoolSize
-	e.charge(2 * CostASIDProbe)
+	e.Clock.Advance(2 * CostASIDProbe)
 	if pi >= len(m.pools) {
 		return nil
 	}
@@ -119,7 +120,7 @@ func (m *asidManager) lookupPD(e *Env, asid uint32) *kobj.PageDirectory {
 // UnmapFrame validates the possibly stale cap against the table and
 // removes the mapping if it still agrees — the "harmless dangling
 // reference" check of §3.6.
-func (m *asidManager) UnmapFrame(e *Env, slot *kobj.Slot) error {
+func (m *asidManager) UnmapFrame(e *ktime.Env, slot *kobj.Slot) error {
 	if slot.Cap.Type != kobj.CapFrame {
 		return fmt.Errorf("vspace: unmap of non-frame cap")
 	}
@@ -135,7 +136,7 @@ func (m *asidManager) UnmapFrame(e *Env, slot *kobj.Slot) error {
 	di, pi := split(slot.Cap.MappedVaddr)
 	pt := pd.Tables.Get(di)
 	if pt != nil && pt.Entries[pi] == f {
-		e.charge(CostPTEntry)
+		e.Clock.Advance(CostPTEntry)
 		pt.Entries[pi] = nil
 		f.MappedIn = nil
 		f.MappedVaddr = 0
@@ -148,16 +149,16 @@ func (m *asidManager) UnmapFrame(e *Env, slot *kobj.Slot) error {
 // DeletePD is the ASID design's one luxury: remove the table entry and
 // flush the TLB — constant time, no walk. Frame caps into the space go
 // stale harmlessly.
-func (m *asidManager) DeletePD(e *Env, pd *kobj.PageDirectory) Outcome {
+func (m *asidManager) DeletePD(e *ktime.Env, pd *kobj.PageDirectory) ktime.Outcome {
 	if pd.ASID != 0 {
 		idx := int(pd.ASID - 1)
 		pi, i := idx/kobj.ASIDPoolSize, idx%kobj.ASIDPoolSize
 		if pi < len(m.pools) && m.pools[pi].Entries[i] == pd {
 			m.pools[pi].Entries[i] = nil
 		}
-		e.charge(CostASIDProbe)
+		e.Clock.Advance(CostASIDProbe)
 	}
-	e.charge(CostTLBFlush)
+	e.Clock.Advance(CostTLBFlush)
 	for i, s := range m.spaces {
 		if s == pd {
 			m.spaces = append(m.spaces[:i], m.spaces[i+1:]...)
@@ -165,14 +166,14 @@ func (m *asidManager) DeletePD(e *Env, pd *kobj.PageDirectory) Outcome {
 		}
 	}
 	pd.ASID = 0
-	return Done
+	return ktime.Done
 }
 
 // DeletePool deletes an entire ASID pool: iterate over up to 1024
 // address spaces, deleting each — the second inherently hard-to-preempt
 // loop that motivated abandoning ASIDs (§3.6). It runs to completion
 // regardless of pending interrupts.
-func (m *asidManager) DeletePool(e *Env, pool *kobj.ASIDPool) Outcome {
+func (m *asidManager) DeletePool(e *ktime.Env, pool *kobj.ASIDPool) ktime.Outcome {
 	var poolIdx = -1
 	for i, p := range m.pools {
 		if p == pool {
@@ -181,14 +182,14 @@ func (m *asidManager) DeletePool(e *Env, pool *kobj.ASIDPool) Outcome {
 		}
 	}
 	if poolIdx < 0 {
-		return Failed
+		return ktime.Failed
 	}
 	for i := 0; i < kobj.ASIDPoolSize; i++ {
-		e.charge(CostASIDProbe)
+		e.Clock.Advance(CostASIDProbe)
 		if pd := pool.Entries[i]; pd != nil {
 			m.DeletePD(e, pd)
 		}
 	}
 	m.pools = append(m.pools[:poolIdx], m.pools[poolIdx+1:]...)
-	return Done
+	return ktime.Done
 }

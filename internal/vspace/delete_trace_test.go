@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"verikern/internal/kobj"
+	"verikern/internal/ktime"
 )
 
 // scatteredIndices are directory indices spread over several leaves of
@@ -66,10 +67,10 @@ func deleteTrace(t *testing.T) [][2]uint64 {
 		}
 		out := m.DeletePD(e, pd)
 		trace = append(trace, [2]uint64{uint64(pd.LowestMapped), e.Clock.Now()})
-		if out == Done {
+		if out == ktime.Done {
 			break
 		}
-		if out != Preempted {
+		if out != ktime.Preempted {
 			t.Fatalf("DeletePD = %v", out)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"verikern/internal/kobj"
+	"verikern/internal/ktime"
 )
 
 // shadowManager is the replacement design (§3.6, Fig. 5): every page
@@ -23,18 +24,18 @@ func (m *shadowManager) VSpaces() []*kobj.PageDirectory { return m.spaces }
 // InitPD copies the kernel window; the shadow array starts empty —
 // constant-time setup; no ASID search (§3.6's latency win on the
 // allocation side).
-func (m *shadowManager) InitPD(e *Env, pd *kobj.PageDirectory) error {
-	e.charge(CostKernelWindowCopy)
+func (m *shadowManager) InitPD(e *ktime.Env, pd *kobj.PageDirectory) error {
+	e.Clock.Advance(CostKernelWindowCopy)
 	pd.KernelWindowCopied = true
 	m.spaces = append(m.spaces, pd)
 	return nil
 }
 
-func (m *shadowManager) MapTable(e *Env, pd *kobj.PageDirectory, idx int, pt *kobj.PageTable, slot *kobj.Slot) error {
+func (m *shadowManager) MapTable(e *ktime.Env, pd *kobj.PageDirectory, idx int, pt *kobj.PageTable, slot *kobj.Slot) error {
 	if idx < 0 || idx >= kobj.PDEntries || pd.Tables.Get(idx) != nil {
 		return fmt.Errorf("vspace: bad or occupied directory index %d", idx)
 	}
-	e.charge(2 * CostPTEntry) // entry + shadow entry
+	e.Clock.Advance(2 * CostPTEntry) // entry + shadow entry
 	pt.Shadow = make([]*kobj.Slot, kobj.PTEntries)
 	pd.Tables.Set(idx, pt)
 	pd.Shadow.Set(idx, slot)
@@ -48,7 +49,7 @@ func (m *shadowManager) MapTable(e *Env, pd *kobj.PageDirectory, idx int, pt *ko
 
 // MapFrame installs the mapping and the shadow back-pointer from the
 // page-table entry to the frame-cap slot.
-func (m *shadowManager) MapFrame(e *Env, pd *kobj.PageDirectory, vaddr uint32, f *kobj.Frame, slot *kobj.Slot) error {
+func (m *shadowManager) MapFrame(e *ktime.Env, pd *kobj.PageDirectory, vaddr uint32, f *kobj.Frame, slot *kobj.Slot) error {
 	if !validVaddr(vaddr) {
 		return fmt.Errorf("vspace: vaddr %#x in kernel window", vaddr)
 	}
@@ -60,7 +61,7 @@ func (m *shadowManager) MapFrame(e *Env, pd *kobj.PageDirectory, vaddr uint32, f
 	if pt.Entries[pi] != nil {
 		return fmt.Errorf("vspace: %#x already mapped", vaddr)
 	}
-	e.charge(CostMapFrame + CostPTEntry) // mapping + shadow write
+	e.Clock.Advance(CostMapFrame + CostPTEntry) // mapping + shadow write
 	pt.Entries[pi] = f
 	pt.Shadow[pi] = slot
 	if pi < pt.LowestMapped {
@@ -74,7 +75,7 @@ func (m *shadowManager) MapFrame(e *Env, pd *kobj.PageDirectory, vaddr uint32, f
 
 // UnmapFrame removes the mapping and eagerly clears both directions:
 // no stale state can survive (the design's core obligation).
-func (m *shadowManager) UnmapFrame(e *Env, slot *kobj.Slot) error {
+func (m *shadowManager) UnmapFrame(e *ktime.Env, slot *kobj.Slot) error {
 	if slot.Cap.Type != kobj.CapFrame {
 		return fmt.Errorf("vspace: unmap of non-frame cap")
 	}
@@ -87,7 +88,7 @@ func (m *shadowManager) UnmapFrame(e *Env, slot *kobj.Slot) error {
 	if pt == nil || pt.Entries[pi] != f || pt.Shadow[pi] != slot {
 		return fmt.Errorf("vspace: shadow back-pointer inconsistent for %#x", f.MappedVaddr)
 	}
-	e.charge(2 * CostPTEntry)
+	e.Clock.Advance(2 * CostPTEntry)
 	pt.Entries[pi] = nil
 	pt.Shadow[pi] = nil
 	f.MappedIn = nil
@@ -103,7 +104,7 @@ func (m *shadowManager) UnmapFrame(e *Env, slot *kobj.Slot) error {
 // deletions never re-scan (§3.6's forward-progress refinement). An
 // unmapped directory entry costs no cycles and holds no preemption
 // point, so the walk jumps straight to the next mapped one.
-func (m *shadowManager) DeletePD(e *Env, pd *kobj.PageDirectory) Outcome {
+func (m *shadowManager) DeletePD(e *ktime.Env, pd *kobj.PageDirectory) ktime.Outcome {
 	for {
 		pd.LowestMapped = pd.Tables.Next(pd.LowestMapped)
 		if pd.LowestMapped >= kobj.PDEntries {
@@ -119,7 +120,7 @@ func (m *shadowManager) DeletePD(e *Env, pd *kobj.PageDirectory) Outcome {
 				continue
 			}
 			slot := pt.Shadow[pi]
-			e.charge(2 * CostPTEntry)
+			e.Clock.Advance(2 * CostPTEntry)
 			pt.Entries[pi] = nil
 			pt.Shadow[pi] = nil
 			f.MappedIn = nil
@@ -129,25 +130,25 @@ func (m *shadowManager) DeletePD(e *Env, pd *kobj.PageDirectory) Outcome {
 			}
 			pt.LowestMapped++
 			if e.Preempt() {
-				return Preempted
+				return ktime.Preempted
 			}
 		}
 		// Table fully unmapped: detach it from the directory.
-		e.charge(2 * CostPTEntry)
+		e.Clock.Advance(2 * CostPTEntry)
 		pd.Tables.Set(di, nil)
 		pd.Shadow.Set(di, nil)
 		pt.Parent = nil
 		pd.LowestMapped++
 		if e.Preempt() {
-			return Preempted
+			return ktime.Preempted
 		}
 	}
-	e.charge(CostTLBFlush)
+	e.Clock.Advance(CostTLBFlush)
 	for i, s := range m.spaces {
 		if s == pd {
 			m.spaces = append(m.spaces[:i], m.spaces[i+1:]...)
 			break
 		}
 	}
-	return Done
+	return ktime.Done
 }

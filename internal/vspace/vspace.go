@@ -17,7 +17,8 @@
 //     incremental-consistency pattern.
 //
 // Operations charge simulated cycles to the kernel clock and honour
-// preemption points through the same Env contract as package ipc.
+// preemption points through ktime.Env, the contract package ipc
+// shares.
 package vspace
 
 import (
@@ -80,53 +81,23 @@ const (
 	CostMapFrame = 180
 )
 
-// Outcome mirrors ipc's operation results for long-running operations.
-type Outcome int
-
-// Operation outcomes.
-const (
-	Done Outcome = iota
-	Preempted
-	Failed
-)
-
-// String returns the outcome name.
-func (o Outcome) String() string {
-	switch o {
-	case Done:
-		return "done"
-	case Preempted:
-		return "preempted"
-	default:
-		return "failed"
-	}
-}
-
-// Env carries the clock and preemption probe.
-type Env struct {
-	Clock   *ktime.Clock
-	Preempt func() bool
-}
-
-func (e *Env) charge(c uint64) { e.Clock.Advance(c) }
-
 // Manager is the common interface of both designs.
 type Manager interface {
 	Design() Design
 	// InitPD prepares a freshly retyped page directory: copies the
 	// kernel window (non-preemptible, §3.5) and performs
 	// design-specific setup (ASID assignment / shadow allocation).
-	InitPD(e *Env, pd *kobj.PageDirectory) error
+	InitPD(e *ktime.Env, pd *kobj.PageDirectory) error
 	// MapTable installs a page table at directory index idx.
-	MapTable(e *Env, pd *kobj.PageDirectory, idx int, pt *kobj.PageTable, slot *kobj.Slot) error
+	MapTable(e *ktime.Env, pd *kobj.PageDirectory, idx int, pt *kobj.PageTable, slot *kobj.Slot) error
 	// MapFrame maps a frame at vaddr through its cap slot,
 	// maintaining the design's inverse-mapping information.
-	MapFrame(e *Env, pd *kobj.PageDirectory, vaddr uint32, f *kobj.Frame, slot *kobj.Slot) error
+	MapFrame(e *ktime.Env, pd *kobj.PageDirectory, vaddr uint32, f *kobj.Frame, slot *kobj.Slot) error
 	// UnmapFrame removes a frame mapping through its cap slot.
-	UnmapFrame(e *Env, slot *kobj.Slot) error
+	UnmapFrame(e *ktime.Env, slot *kobj.Slot) error
 	// DeletePD deletes an address space; preemptible in the shadow
 	// design, O(1)-lazy in the ASID design.
-	DeletePD(e *Env, pd *kobj.PageDirectory) Outcome
+	DeletePD(e *ktime.Env, pd *kobj.PageDirectory) ktime.Outcome
 	// VSpaces returns the live address spaces, for invariants.
 	VSpaces() []*kobj.PageDirectory
 }

@@ -7,14 +7,14 @@ import (
 	"verikern/internal/ktime"
 )
 
-func env() (*Env, *bool) {
+func env() (*ktime.Env, *bool) {
 	pending := false
-	return &Env{Clock: &ktime.Clock{}, Preempt: func() bool { return pending }}, &pending
+	return &ktime.Env{Clock: &ktime.Clock{}, Preempt: func() bool { return pending }}, &pending
 }
 
 // setupSpace builds a PD with one page table holding n mapped frames
 // under the given manager, returning the PD and the frame-cap slots.
-func setupSpace(t *testing.T, m Manager, e *Env, n int) (*kobj.PageDirectory, []*kobj.Slot) {
+func setupSpace(t *testing.T, m Manager, e *ktime.Env, n int) (*kobj.PageDirectory, []*kobj.Slot) {
 	t.Helper()
 	mgr := kobj.NewManager()
 	u, err := mgr.NewRootUntyped(24)
@@ -125,7 +125,7 @@ func TestASIDDeleteIsConstantAndLazy(t *testing.T) {
 	m := New(ASIDDesign).(*asidManager)
 	pd, slots := setupSpace(t, m, e, 8)
 	before := e.Clock.Now()
-	if out := m.DeletePD(e, pd); out != Done {
+	if out := m.DeletePD(e, pd); out != ktime.Done {
 		t.Fatal("delete failed")
 	}
 	cost := e.Clock.Now() - before
@@ -193,7 +193,7 @@ func TestASIDDeletePoolIteratesAll(t *testing.T) {
 		m.spaces = append(m.spaces, pd)
 	}
 	before := e.Clock.Now()
-	if out := m.DeletePool(e, pool); out != Done {
+	if out := m.DeletePool(e, pool); out != ktime.Done {
 		t.Fatal("pool delete failed")
 	}
 	cost := e.Clock.Now() - before
@@ -212,7 +212,7 @@ func TestShadowDeleteWalksAndClears(t *testing.T) {
 	e, _ := env()
 	m := New(ShadowDesign)
 	pd, slots := setupSpace(t, m, e, 16)
-	if out := m.DeletePD(e, pd); out != Done {
+	if out := m.DeletePD(e, pd); out != ktime.Done {
 		t.Fatal("delete failed")
 	}
 	for i, s := range slots {
@@ -233,10 +233,10 @@ func TestShadowDeletePreemptsAndResumes(t *testing.T) {
 	steps := 0
 	for {
 		out := m.DeletePD(e, pd)
-		if out == Done {
+		if out == ktime.Done {
 			break
 		}
-		if out != Preempted {
+		if out != ktime.Preempted {
 			t.Fatalf("unexpected outcome %v", out)
 		}
 		steps++
@@ -268,7 +268,7 @@ func TestShadowDeleteBoundedPerStep(t *testing.T) {
 		if step > 4096*CostPTEntry {
 			t.Fatalf("step cost %d too large", step)
 		}
-		if out == Done {
+		if out == ktime.Done {
 			break
 		}
 	}

@@ -31,8 +31,6 @@ import (
 	"verikern/internal/konfig"
 	"verikern/internal/measure"
 	"verikern/internal/obs"
-	"verikern/internal/sched"
-	"verikern/internal/vspace"
 	"verikern/internal/wcet"
 )
 
@@ -377,9 +375,6 @@ type KernelConfig = kernel.Config
 // ModernKernel returns the improved kernel's configuration.
 func ModernKernel() KernelConfig { return kernel.Modern() }
 
-// OriginalKernel returns the pre-modification configuration.
-func OriginalKernel() KernelConfig { return kernel.Original() }
-
 // Boot starts a functional kernel.
 func Boot(cfg KernelConfig) (*System, error) {
 	k, err := kernel.New(cfg)
@@ -398,47 +393,17 @@ func BootVariant(v Variant) (*System, error) {
 	return Boot(kernel.Original())
 }
 
-// Re-exported object and subsystem types, forming the public API
-// surface for examples and downstream users.
-type (
-	// TCB is a thread control block.
-	TCB = kobj.TCB
-	// Endpoint is an IPC endpoint.
-	Endpoint = kobj.Endpoint
-	// Notification is an asynchronous signalling object.
-	Notification = kobj.Notification
-	// ObjType enumerates kernel object types.
-	ObjType = kobj.ObjType
-)
+// TCB re-exports the thread control block, for examples and downstream
+// users.
+type TCB = kobj.TCB
 
 // Re-exported object type constants.
 const (
-	TypeTCB           = kobj.TypeTCB
 	TypeEndpoint      = kobj.TypeEndpoint
 	TypeNotification  = kobj.TypeNotification
-	TypeCNode         = kobj.TypeCNode
 	TypeFrame         = kobj.TypeFrame
 	TypePageTable     = kobj.TypePageTable
 	TypePageDirectory = kobj.TypePageDirectory
-)
-
-// SchedulerKind re-exports the scheduler designs.
-type SchedulerKind = sched.Kind
-
-// Scheduler designs (§3.1–3.2).
-const (
-	LazyScheduler   = sched.Lazy
-	BennoScheduler  = sched.Benno
-	BitmapScheduler = sched.BennoBitmap
-)
-
-// VSpaceDesign re-exports the address-space designs (§3.6).
-type VSpaceDesign = vspace.Design
-
-// Address-space designs.
-const (
-	ASIDVSpace   = vspace.ASIDDesign
-	ShadowVSpace = vspace.ShadowDesign
 )
 
 // CyclesToMicros converts simulated cycles to microseconds at 532 MHz.

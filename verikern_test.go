@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"verikern/internal/sched"
 )
 
 func TestTable1ShapeMatchesPaper(t *testing.T) {
@@ -220,10 +222,10 @@ func TestBootVariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
-		if v == Modern && sys.Scheduler().Kind() != BitmapScheduler {
+		if v == Modern && sys.Scheduler().Kind() != sched.BennoBitmap {
 			t.Error("modern system not using bitmap scheduler")
 		}
-		if v == Original && sys.Scheduler().Kind() != LazyScheduler {
+		if v == Original && sys.Scheduler().Kind() != sched.Lazy {
 			t.Error("original system not using lazy scheduler")
 		}
 	}
