@@ -161,7 +161,8 @@ type analysis struct {
 // interrupt-response bound for one point, through the shared analysis
 // cache: points differing only in keys that project out (scheduler
 // flavour within a generation, clearing granularity, ...) reuse whole
-// cached Results, and points sharing an image reuse its CFGs.
+// cached bounds, and points sharing an image reuse its CFGs. The sweep
+// replays no worst-case path, so none is built.
 func analyze(ctx context.Context, c *wcet.Cache, p Point) (*analysis, error) {
 	a, err := p.Analyzer(c, nil)
 	if err != nil {
@@ -169,11 +170,11 @@ func analyze(ctx context.Context, c *wcet.Cache, p Point) (*analysis, error) {
 	}
 	out := &analysis{wcet: make(map[string]uint64, len(sweepEntries))}
 	for _, entry := range sweepEntries {
-		res, err := a.AnalyzeContext(ctx, entry)
+		cycles, err := a.Bound(ctx, entry)
 		if err != nil {
 			return nil, fmt.Errorf("konfig: analyzing %s for %s: %w", entry, p.Hash(), err)
 		}
-		out.wcet[entry] = res.Cycles
+		out.wcet[entry] = cycles
 	}
 	out.bound = soak.ResponseBound(out.wcet[kbin.EntrySyscall], out.wcet[kbin.EntryInterrupt], a.HW)
 	return out, nil

@@ -43,13 +43,13 @@ func ComputeBound(ctx context.Context, cfg Config) (uint64, error) {
 	}
 	a := wcet.New(img, hw)
 	a.AddConstraints(cons...)
-	sys, err := a.AnalyzeContext(ctx, kbin.EntrySyscall)
+	sys, err := a.Bound(ctx, kbin.EntrySyscall)
 	if err != nil {
 		return 0, fmt.Errorf("soak: syscall bound: %w", err)
 	}
-	irq, err := a.AnalyzeContext(ctx, kbin.EntryInterrupt)
+	irq, err := a.Bound(ctx, kbin.EntryInterrupt)
 	if err != nil {
 		return 0, fmt.Errorf("soak: interrupt bound: %w", err)
 	}
-	return ResponseBound(sys.Cycles, irq.Cycles, hw), nil
+	return ResponseBound(sys, irq, hw), nil
 }

@@ -1,6 +1,7 @@
 package wcet
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -15,65 +16,112 @@ import (
 //   - graphs: the inlined CFG with loop bounds, keyed by image
 //     fingerprint and entry, shared across every hardware
 //     configuration and constraint set analysed over that image;
-//   - results: whole Results, keyed additionally by the hardware
-//     fingerprint, the constraint set and KeepLP.
+//   - results: solved bounds, keyed additionally by the hardware
+//     fingerprint, the constraint set and KeepLP. Each holds the
+//     worst-case path's edge counts, and builds the path itself the
+//     first time an AnalyzeContext asks for it.
 //
-// The cache never evicts: it holds at most one entry per distinct
-// (image, entry) pair plus one per distinct result key. Cached values
-// are shared across analyses and goroutines and must be treated as
-// immutable. Safe for concurrent use.
+// Each key is computed once: a lookup that finds the key in flight
+// waits for the first computation and counts as a hit. The cache never
+// evicts: it holds at most one entry per distinct (image, entry) pair
+// plus one per distinct result key. Cached values are shared across
+// analyses and goroutines and must be treated as immutable. Safe for
+// concurrent use.
 type Cache struct {
 	mu           sync.Mutex
-	graphs       map[string]*cfg.Graph
-	results      map[string]*Result
+	graphs       map[string]*slot[*cfg.Graph]
+	results      map[string]*slot[*boundEntry]
 	hits, misses uint64
+}
+
+// slot is one cache entry. done is closed once the computation that
+// created the slot returns; ok then reports whether it stored v. A
+// failed computation's slot leaves the tier before done closes, so a
+// later lookup computes the key afresh.
+type slot[V any] struct {
+	done chan struct{}
+	v    V
+	ok   bool
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.
 type CacheStats struct {
-	// Hits counts lookups served from the cache; Misses counts
-	// lookups that fell through to a computation.
+	// Hits counts lookups served from the cache, including lookups
+	// that waited for another goroutine's computation of the same
+	// key; Misses counts lookups that ran the computation.
 	Hits, Misses uint64
-	// Entries is the number of graphs plus Results currently held.
+	// Entries is the number of graph and result entries currently
+	// held, including any still being computed.
 	Entries int
 }
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{graphs: make(map[string]*cfg.Graph), results: make(map[string]*Result)}
+	return &Cache{graphs: make(map[string]*slot[*cfg.Graph]), results: make(map[string]*slot[*boundEntry])}
 }
 
-// lookup returns tier[key], counting the lookup as a hit or a miss in
+// get returns tier[key], running fill to compute it on a miss. A
+// lookup that finds the key in flight waits for that computation (or
+// for ctx) and, if it failed, tries again. A lookup counts as a hit
+// when it returns a stored value and as a miss when it runs fill, in
 // the cache and in the metrics registry (passcache.hits plus
-// passcache.hit.<name>, or passcache.misses). The tier maps are emptied
-// in place, never replaced, so tier may be read from the Cache outside
-// the lock.
-func lookup[V any](c *Cache, m *obs.Metrics, tier map[string]V, name, key string) (V, bool) {
-	c.mu.Lock()
-	v, ok := tier[key]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
+// passcache.hit.<name>, or passcache.misses); one abandoned with ctx
+// counts as neither. The tier maps are emptied in place, never
+// replaced, so tier may be read from the Cache outside the lock.
+func get[V any](ctx context.Context, c *Cache, m *obs.Metrics, tier map[string]*slot[V], name, key string, fill func() (V, error)) (v V, hit bool, err error) {
+	for {
+		c.mu.Lock()
+		s, found := tier[key]
+		if !found {
+			s = &slot[V]{done: make(chan struct{})}
+			tier[key] = s
+			c.misses++
+		}
+		c.mu.Unlock()
+		if !found {
+			m.Add("passcache.misses", 1)
+			v, err = s.run(c, tier, key, fill)
+			return v, false, err
+		}
+		select {
+		case <-s.done:
+		case <-ctx.Done():
+			return v, false, ctx.Err()
+		}
+		if s.ok {
+			c.mu.Lock()
+			c.hits++
+			c.mu.Unlock()
+			m.Add("passcache.hits", 1)
+			m.Add("passcache.hit."+name, 1)
+			return s.v, true, nil
+		}
 	}
-	c.mu.Unlock()
-	if ok {
-		m.Add("passcache.hits", 1)
-		m.Add("passcache.hit."+name, 1)
-	} else {
-		m.Add("passcache.misses", 1)
-	}
-	return v, ok
 }
 
-// store sets m[key] = v under the cache lock.
-func store[V any](c *Cache, m map[string]V, key string, v V) {
-	c.mu.Lock()
-	m[key] = v
-	c.mu.Unlock()
+// run computes the value of a slot this goroutine created. On
+// failure, a panic included, the slot leaves the tier (unless a Reset
+// already dropped it) before its waiters are released.
+func (s *slot[V]) run(c *Cache, tier map[string]*slot[V], key string, fill func() (V, error)) (v V, err error) {
+	defer func() {
+		if !s.ok {
+			c.mu.Lock()
+			if tier[key] == s {
+				delete(tier, key)
+			}
+			c.mu.Unlock()
+		}
+		close(s.done)
+	}()
+	if v, err = fill(); err != nil {
+		return v, err
+	}
+	s.v, s.ok = v, true
+	return v, nil
 }
 
-// Reset drops every entry and zeroes the counters.
+// Reset drops every entry and zeroes the counters. Computations in
+// flight finish for their own callers but are not kept.
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	clear(c.graphs)

@@ -552,3 +552,148 @@ func TestCacheReset(t *testing.T) {
 		t.Errorf("analysis after Reset = %+v, want 2 cold misses", st)
 	}
 }
+
+// holdCtx holds the analysis that owns it inside its computation: the
+// second Err call, made after the CFG stage, closes entered and blocks
+// until release is closed, then reports err.
+type holdCtx struct {
+	context.Context
+	calls            int
+	entered, release chan struct{}
+	err              error
+}
+
+func (h *holdCtx) Err() error {
+	if h.calls++; h.calls == 2 {
+		close(h.entered)
+		<-h.release
+		return h.err
+	}
+	return nil
+}
+
+// waitCtx reports on reached each time a lookup selects on its Done
+// channel, which a lookup does only when it finds its key in the cache.
+type waitCtx struct {
+	context.Context
+	reached chan<- struct{}
+}
+
+func (w waitCtx) Done() <-chan struct{} {
+	w.reached <- struct{}{}
+	return w.Context.Done()
+}
+
+// boundRace runs one Bound of entry e1 under hw held inside its
+// computation by owner, starts n-1 more Bounds of the same key once it
+// is in flight, and releases the owner only when all of them wait for
+// it. It returns the n bounds, the owner's first.
+func boundRace(t *testing.T, img *kimage.Image, hw arch.Config, c *Cache, m *obs.Metrics, owner *holdCtx, n int) ([]uint64, []error) {
+	t.Helper()
+	got, errs := make([]uint64, n), make([]error, n)
+	reached := make(chan struct{}, 2*n) // a waiter whose owner fails waits at most twice
+	finished := make(chan struct{}, n)
+	var wg sync.WaitGroup
+	bound := func(i int, ctx context.Context) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a := New(img, hw)
+			a.Cache, a.Metrics = c, m
+			got[i], errs[i] = a.Bound(ctx, "e1")
+			finished <- struct{}{}
+		}()
+	}
+	bound(0, owner)
+	<-owner.entered
+	for i := 1; i < n; i++ {
+		bound(i, waitCtx{context.Background(), reached})
+	}
+	for i := 1; i < n; i++ {
+		select {
+		case <-reached:
+		case <-finished:
+			close(owner.release)
+			wg.Wait()
+			t.Fatal("a lookup of the in-flight key finished before the computation it should wait for")
+		}
+	}
+	close(owner.release)
+	wg.Wait()
+	return got, errs
+}
+
+// TestCacheInFlightMissComputesOnce: lookups that find their key in
+// flight wait for its one computation and count as hits, so N racing
+// Bounds of a cold key count one miss and N-1 hits on it.
+func TestCacheInFlightMissComputesOnce(t *testing.T) {
+	img := cacheImage(t)
+	want, err := New(img, arch.Config{}).Bound(context.Background(), "e1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache()
+	// Warm the CFG under other hardware, so that the race below
+	// looks up one cold key: the Result.
+	warm := cachedAnalyzer(img, arch.Config{L2Enabled: true}, c)
+	if _, err := warm.Bound(context.Background(), "e1"); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
+
+	const n = 8
+	m := obs.NewMetrics()
+	owner := &holdCtx{Context: context.Background(), entered: make(chan struct{}), release: make(chan struct{})}
+	got, errs := boundRace(t, img, arch.Config{}, c, m, owner, n)
+	for i := range got {
+		if errs[i] != nil || got[i] != want {
+			t.Errorf("Bound %d = %d, %v; want %d", i, got[i], errs[i], want)
+		}
+	}
+	st := c.Stats()
+	if misses := st.Misses - before.Misses; misses != 1 {
+		t.Errorf("the race counted %d misses, want 1", misses)
+	}
+	counters := m.Stats().Counters
+	if counters["passcache.hit.result"] != n-1 || counters["wcet.entries_analyzed"] != 1 {
+		t.Errorf("counters %v, want passcache.hit.result=%d and wcet.entries_analyzed=1", counters, n-1)
+	}
+	// The owner's CFG lookup is the race's one other hit.
+	if hits := st.Hits - before.Hits; hits != n {
+		t.Errorf("the race counted %d hits, want %d (%d waits and the owner's CFG)", hits, n, n-1)
+	}
+	if st.Entries != before.Entries+1 {
+		t.Errorf("cache holds %d entries, want %d", st.Entries, before.Entries+1)
+	}
+}
+
+// TestCacheFailedComputationRetried: a computation that fails (here its
+// owner is cancelled) leaves the cache, and the lookups waiting for it
+// compute the key once more among themselves instead of failing.
+func TestCacheFailedComputationRetried(t *testing.T) {
+	img := cacheImage(t)
+	want, err := New(img, arch.Config{}).Bound(context.Background(), "e1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache()
+	const n = 6
+	m := obs.NewMetrics()
+	owner := &holdCtx{Context: context.Background(), entered: make(chan struct{}), release: make(chan struct{}), err: context.Canceled}
+	got, errs := boundRace(t, img, arch.Config{}, c, m, owner, n)
+	if !errors.Is(errs[0], context.Canceled) {
+		t.Errorf("cancelled owner returned %d, %v; want context.Canceled", got[0], errs[0])
+	}
+	for i := 1; i < n; i++ {
+		if errs[i] != nil || got[i] != want {
+			t.Errorf("waiter %d got %d, %v; want %d", i, got[i], errs[i], want)
+		}
+	}
+	counters := m.Stats().Counters
+	if counters["wcet.entries_analyzed"] != 1 || counters["passcache.hit.result"] != n-2 {
+		t.Errorf("counters %v, want one analysis and %d result hits", counters, n-2)
+	}
+	if st := c.Stats(); st.Entries != 2 {
+		t.Errorf("cache holds %d entries, want 2 (one graph, one result)", st.Entries)
+	}
+}

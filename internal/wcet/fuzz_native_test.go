@@ -3,13 +3,15 @@ package wcet
 // Native fuzz target for the analysis-wide soundness theorem: fuzz
 // inputs decode into bounded structured programs (the same operation
 // vocabulary as randProgram), and for each the computed WCET bound must
-// dominate both the trace-forced cost of the reconstructed worst path
-// and every concrete replay from adversarial cache states.
+// equal the path-free Bound, and dominate both the trace-forced cost of
+// the reconstructed worst path and every concrete replay from
+// adversarial cache states.
 //
 // Seeds live in testdata/fuzz/FuzzAnalyzeSoundness; CI runs a short
 // -fuzz smoke pass over them on every push.
 
 import (
+	"context"
 	"testing"
 
 	"verikern/internal/arch"
@@ -120,6 +122,11 @@ func FuzzAnalyzeSoundness(f *testing.F) {
 			r, err := New(img, hw).Analyze("entry")
 			if err != nil {
 				t.Fatalf("hw %+v: analysis failed: %v", hw, err)
+			}
+			a := New(img, hw)
+			a.Cache = NewCache()
+			if b, err := a.Bound(context.Background(), "entry"); err != nil || b != r.Cycles {
+				t.Fatalf("hw %+v: Bound = %d, %v; want the analysed %d", hw, b, err, r.Cycles)
 			}
 			tc := TraceCycles(img, hw, r.Trace)
 			if tc > r.Cycles {

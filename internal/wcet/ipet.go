@@ -36,10 +36,11 @@ func (ip *ipetProblem) inflowCoeffs(n cfg.NodeID, coeffs map[int]float64, scale 
 
 // solveIPET encodes flow conservation, loop bounds and user constraints
 // into an ILP over the classified node costs and the per-loop first-miss
-// costs, solves it, and returns a Result carrying the bound, the
-// per-node counts and the problem dimensions, plus the solved per-edge
-// flows (only non-zero edges) for path reconstruction.
-func (a *Analyzer) solveIPET(g *cfg.Graph, nodeCost, loopEntryCost []uint64, entry string) (*Result, map[edgeKey]int64, error) {
+// costs, solves it, checks that the solution is one walk from the entry
+// (checkTrail), and returns a Result carrying the bound, the per-node
+// counts and the problem dimensions, plus the solved per-edge flows
+// (only non-zero edges) for path reconstruction.
+func (a *Analyzer) solveIPET(g *cfg.Graph, nodeCost, loopEntryCost []uint64, entry string) (*Result, []edgeCount, error) {
 	ip := &ipetProblem{p: ilp.NewProblem(), edges: make(map[edgeKey]int), g: g}
 
 	// Loop-entry edges additionally carry the loop's one-off
@@ -151,23 +152,26 @@ func (a *Analyzer) solveIPET(g *cfg.Graph, nodeCost, loopEntryCost []uint64, ent
 	// Node counts from edge counts.
 	counts := make([]int64, len(g.Nodes))
 	counts[g.Entry] = 1
-	edgeCounts := make(map[edgeKey]int64, len(ip.edges))
+	edges := make([]edgeCount, 0, len(ip.edges))
 	for k, v := range ip.edges {
 		c := int64(sol.X[v]) // Solve returns exact integers
 		counts[k.to] += c
 		if c > 0 {
-			edgeCounts[k] = c
+			edges = append(edges, edgeCount{k, c})
 		}
 	}
 	out.Counts = counts
+	if err := checkTrail(g, edges); err != nil {
+		return nil, nil, fmt.Errorf("wcet: %s: %w", entry, err)
+	}
 
 	var total uint64
 	total += nodeCost[g.Entry] // virtual entry edge
-	for k, c := range edgeCounts {
-		total += uint64(c) * (nodeCost[k.to] + entryExtra[k])
+	for _, e := range edges {
+		total += uint64(e.n) * (nodeCost[e.to] + entryExtra[e.edgeKey])
 	}
 	out.Cycles = total
-	return out, edgeCounts, nil
+	return out, edges, nil
 }
 
 // addUser encodes one user constraint. Conflicts and Consistent apply

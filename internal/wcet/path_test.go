@@ -11,6 +11,16 @@ import (
 	"verikern/internal/kimage"
 )
 
+// edgesOf lists a count map's edges in map order, which varies from
+// call to call, so every test also checks independence of edge order.
+func edgesOf(counts map[edgeKey]int64) []edgeCount {
+	edges := make([]edgeCount, 0, len(counts))
+	for k, c := range counts {
+		edges = append(edges, edgeCount{k, c})
+	}
+	return edges
+}
+
 // TestReconstructDeterministic: the reconstructed trace must be a pure
 // function of the edge counts. The count graph below leaves a hub with
 // several successors, so Hierholzer's algorithm has many valid Eulerian
@@ -47,7 +57,7 @@ func TestReconstructDeterministic(t *testing.T) {
 		{tail, g.Exit}: 1,
 	}
 	render := func() string {
-		trace, err := reconstruct(g, counts)
+		trace, err := reconstruct(g, edgesOf(counts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +144,7 @@ func TestReconstructMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
 		g, counts := countGraph(rng, 2+rng.Intn(12), rng.Intn(200))
-		got, err := reconstructTrail(g, counts)
+		got, err := reconstructTrail(g, edgesOf(counts))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -159,9 +169,73 @@ func TestReconstructDisconnectedError(t *testing.T) {
 	}
 	const want = "path reconstruction: 4 unused edges at node 2 (disconnected flow)"
 	for i := 0; i < 20; i++ {
-		_, err := reconstructTrail(g, counts)
+		_, err := reconstructTrail(g, edgesOf(counts))
 		if err == nil || err.Error() != want {
 			t.Fatalf("run %d: error %v, want %q", i, err, want)
 		}
+	}
+}
+
+// TestTrailCheckRejectsDisconnectedCirculation: counts that conserve
+// flow at every node but add a circulation the entry never reaches are
+// not one walk, so checkTrail refuses them as reconstructTrail does.
+// Joined to the trail by one more visit, the same circulation is
+// accepted by both.
+func TestTrailCheckRejectsDisconnectedCirculation(t *testing.T) {
+	g := &cfg.Graph{Entry: 0, Exit: 5}
+	for i := 0; i < 6; i++ {
+		g.Nodes = append(g.Nodes, &cfg.Node{ID: cfg.NodeID(i)})
+	}
+	counts := map[edgeKey]int64{
+		{0, 1}: 1, {1, 5}: 1, // the trail
+		{2, 3}: 2, {3, 4}: 2, {4, 2}: 2, // a circulation taken twice
+	}
+	const want = "trail check: 2 edge traversals at node 2 unreachable from the entry (disconnected flow)"
+	if err := checkTrail(g, edgesOf(counts)); err == nil || err.Error() != want {
+		t.Errorf("checkTrail: error %v, want %q", err, want)
+	}
+	if _, err := reconstructTrail(g, edgesOf(counts)); err == nil {
+		t.Error("reconstructTrail accepted a disconnected circulation")
+	}
+
+	counts[edgeKey{1, 2}], counts[edgeKey{2, 1}] = 1, 1
+	if err := checkTrail(g, edgesOf(counts)); err != nil {
+		t.Errorf("checkTrail refused a connected walk: %v", err)
+	}
+	if _, err := reconstructTrail(g, edgesOf(counts)); err != nil {
+		t.Errorf("reconstructTrail refused a connected walk: %v", err)
+	}
+}
+
+// TestTrailCheckMatchesReconstruct: on random count sets over small
+// graphs — one walk's counts with random extra edges, or random edges
+// alone, flow conserved or not — checkTrail accepts exactly the counts
+// from which reconstructTrail builds a trail.
+func TestTrailCheckMatchesReconstruct(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var accepted, refused int
+	for trial := 0; trial < 2000; trial++ {
+		n := 2 + rng.Intn(7)
+		g, counts := countGraph(rng, n, rng.Intn(12))
+		if rng.Intn(2) == 0 {
+			clear(counts)
+		}
+		for extra := rng.Intn(4); extra > 0; extra-- {
+			counts[edgeKey{cfg.NodeID(rng.Intn(n)), cfg.NodeID(rng.Intn(n))}] += 1 + int64(rng.Intn(3))
+		}
+		edges := edgesOf(counts)
+		checkErr := checkTrail(g, edges)
+		_, trailErr := reconstructTrail(g, edges)
+		if (checkErr == nil) != (trailErr == nil) {
+			t.Fatalf("trial %d: checkTrail says %v, reconstructTrail says %v, counts %v", trial, checkErr, trailErr, counts)
+		}
+		if checkErr == nil {
+			accepted++
+		} else {
+			refused++
+		}
+	}
+	if accepted < 200 || refused < 200 {
+		t.Errorf("%d count sets accepted and %d refused: the generator does not exercise both outcomes", accepted, refused)
 	}
 }

@@ -174,12 +174,66 @@ func (a *Analyzer) Analyze(entry string) (*Result, error) {
 	return a.AnalyzeContext(context.Background(), entry)
 }
 
-// AnalyzeContext computes the WCET bound for one entry point: CFG →
-// classify → IPET/solve → reconstruct, under the given context.
-// Cancellation is honoured between stages. With a Cache set, a whole
-// Result is served when an identical analysis ran before, and the CFG
-// when only the hardware or the constraint set differs.
+// Bound computes the WCET bound for one entry point: CFG → classify →
+// IPET/solve, with the solution checked to be one walk from the entry
+// (checkTrail), under the given context. It builds no worst-case path:
+// consumers that only need the number use it, and consumers that
+// replay the path use AnalyzeContext. Both share one cache entry per
+// result key, so an AnalyzeContext after a Bound builds only the path.
+func (a *Analyzer) Bound(ctx context.Context, entry string) (uint64, error) {
+	b, err := a.bound(ctx, entry)
+	if err != nil {
+		return 0, err
+	}
+	return b.res.Cycles, nil
+}
+
+// AnalyzeContext computes the WCET bound for one entry point and its
+// worst-case path: CFG → classify → IPET/solve → reconstruct, under the
+// given context. Cancellation is honoured between stages. With a Cache
+// set, a whole Result is served when an identical analysis ran before,
+// and the CFG when only the hardware or the constraint set differs.
 func (a *Analyzer) AnalyzeContext(ctx context.Context, entry string) (*Result, error) {
+	b, err := a.bound(ctx, entry)
+	if err != nil {
+		return nil, err
+	}
+	return b.withPath(a.Metrics)
+}
+
+// boundEntry is one solved analysis, the value of the cache's result
+// tier: the Result without its path, and the positive edge counts the
+// path is built from the first time withPath asks for it.
+type boundEntry struct {
+	res   *Result
+	edges []edgeCount
+	path  sync.Once
+	err   error // from building the path
+}
+
+// withPath returns the entry's Result with its Trace, building the
+// path under the wcet.reconstruct stage on the first call. Bound reads
+// only res.Cycles, so the Trace written here races with no reader.
+func (b *boundEntry) withPath(m *obs.Metrics) (*Result, error) {
+	b.path.Do(func() {
+		start := time.Now()
+		stop := m.Stage("wcet.reconstruct")
+		b.res.Trace, b.err = reconstruct(b.res.Graph, b.edges)
+		stop()
+		b.res.AnalysisTime += time.Since(start)
+		if b.err != nil {
+			b.err = fmt.Errorf("wcet: %s: %w", b.res.Entry, b.err)
+		}
+	})
+	if b.err != nil {
+		return nil, b.err
+	}
+	return b.res, nil
+}
+
+// bound returns the entry's solved analysis, through the cache when
+// one is set.
+func (a *Analyzer) bound(ctx context.Context, entry string) (*boundEntry, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -192,18 +246,21 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, entry string) (*Result, e
 	if err := a.HW.Backend().ValidateConfig(a.HW); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-
-	var key string
-	if a.Cache != nil {
-		key = a.resultKey(entry)
-		if r, ok := lookup(a.Cache, a.Metrics, a.Cache.results, "result", key); ok {
-			a.Metrics.Add("wcet.entries_cached", 1)
-			return r, nil
-		}
+	if a.Cache == nil {
+		return a.solve(ctx, entry)
 	}
+	b, hit, err := get(ctx, a.Cache, a.Metrics, a.Cache.results, "result", a.resultKey(entry),
+		func() (*boundEntry, error) { return a.solve(ctx, entry) })
+	if hit {
+		a.Metrics.Add("wcet.entries_cached", 1)
+	}
+	return b, err
+}
 
-	g, err := a.graph(entry)
+// solve runs CFG → classify → IPET/solve for one entry point.
+func (a *Analyzer) solve(ctx context.Context, entry string) (*boundEntry, error) {
+	start := time.Now()
+	g, err := a.graph(ctx, entry)
 	if err != nil {
 		return nil, err
 	}
@@ -217,19 +274,13 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, entry string) (*Result, e
 		return nil, err
 	}
 	stop = a.Metrics.Stage("wcet.ipet")
-	res, edgeCounts, err := a.solveIPET(g, nodeCost, loopEntryCost, entry)
+	res, edges, err := a.solveIPET(g, nodeCost, loopEntryCost, entry)
 	stop()
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	stop = a.Metrics.Stage("wcet.reconstruct")
-	res.Trace, err = reconstruct(g, edgeCounts)
-	stop()
-	if err != nil {
-		return nil, fmt.Errorf("wcet: %s: %w", entry, err)
 	}
 
 	res.Entry = entry
@@ -239,23 +290,23 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, entry string) (*Result, e
 	res.Micros = a.HW.Backend().CyclesToMicros(res.Cycles)
 	res.AnalysisTime = time.Since(start)
 	a.Metrics.Add("wcet.entries_analyzed", 1)
-	if a.Cache != nil {
-		store(a.Cache, a.Cache.results, key, res)
-	}
-	return res, nil
+	return &boundEntry{res: res, edges: edges}, nil
 }
 
 // graph returns the entry's inlined whole-program CFG with loop bounds
 // attached, from the cache's graph tier when an identical image was
 // analysed before. The graph is immutable once built.
-func (a *Analyzer) graph(entry string) (*cfg.Graph, error) {
-	var key string
-	if a.Cache != nil {
-		key = a.graphKey(entry)
-		if g, ok := lookup(a.Cache, a.Metrics, a.Cache.graphs, "cfg", key); ok {
-			return g, nil
-		}
+func (a *Analyzer) graph(ctx context.Context, entry string) (*cfg.Graph, error) {
+	if a.Cache == nil {
+		return a.buildGraph(entry)
 	}
+	g, _, err := get(ctx, a.Cache, a.Metrics, a.Cache.graphs, "cfg", a.graphKey(entry),
+		func() (*cfg.Graph, error) { return a.buildGraph(entry) })
+	return g, err
+}
+
+// buildGraph inlines the entry's whole-program CFG and finds its loops.
+func (a *Analyzer) buildGraph(entry string) (*cfg.Graph, error) {
 	stop := a.Metrics.Stage("wcet.cfg")
 	g, err := cfg.Inline(a.Img, entry)
 	if err == nil {
@@ -267,9 +318,6 @@ func (a *Analyzer) graph(entry string) (*cfg.Graph, error) {
 	}
 	a.Metrics.Add("cfg.nodes", uint64(len(g.Nodes)))
 	a.Metrics.Add("cfg.loops", uint64(len(g.Loops)))
-	if a.Cache != nil {
-		store(a.Cache, a.Cache.graphs, key, g)
-	}
 	return g, nil
 }
 
