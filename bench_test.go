@@ -485,13 +485,13 @@ func BenchmarkILPSolve(b *testing.B) {
 		p := ilp.NewProblem()
 		const n = 60
 		prev := p.AddVar("entry", 1)
-		p.AddConstraint(ilp.Constraint{Coeffs: map[int]float64{prev: 1}, Sense: ilp.EQ, RHS: 1})
+		p.AddConstraint(ilp.Constraint{Terms: []ilp.Term{{Var: prev, Coeff: 1}}, Sense: ilp.EQ, RHS: 1})
 		for i := 0; i < n; i++ {
 			a := p.AddVar("a", float64(10+i%7))
 			c := p.AddVar("b", float64(5+i%11))
 			j := p.AddVar("j", 1)
-			p.AddConstraint(ilp.Constraint{Coeffs: map[int]float64{a: 1, c: 1, prev: -1}, Sense: ilp.EQ, RHS: 0})
-			p.AddConstraint(ilp.Constraint{Coeffs: map[int]float64{j: 1, a: -1, c: -1}, Sense: ilp.EQ, RHS: 0})
+			p.AddConstraint(ilp.Constraint{Terms: []ilp.Term{{Var: a, Coeff: 1}, {Var: c, Coeff: 1}, {Var: prev, Coeff: -1}}, Sense: ilp.EQ, RHS: 0})
+			p.AddConstraint(ilp.Constraint{Terms: []ilp.Term{{Var: j, Coeff: 1}, {Var: a, Coeff: -1}, {Var: c, Coeff: -1}}, Sense: ilp.EQ, RHS: 0})
 			prev = j
 		}
 		return p

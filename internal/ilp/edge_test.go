@@ -52,8 +52,8 @@ func TestSolveEdgeCases(t *testing.T) {
 			build: func() *Problem {
 				p := NewProblem()
 				x := p.AddVar("x", 1)
-				p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1}, Sense: LE, RHS: 1})
-				p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1}, Sense: GE, RHS: 5})
+				p.AddConstraint(Constraint{Terms: []Term{{x, 1}}, Sense: LE, RHS: 1})
+				p.AddConstraint(Constraint{Terms: []Term{{x, 1}}, Sense: GE, RHS: 5})
 				return p
 			},
 			status:    "infeasible",
@@ -65,7 +65,7 @@ func TestSolveEdgeCases(t *testing.T) {
 				p := NewProblem()
 				x := p.AddVar("x", 3)
 				y := p.AddVar("y", 2)
-				p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1, y: 1}, Sense: EQ, RHS: 0})
+				p.AddConstraint(Constraint{Terms: []Term{{x, 1}, {y, 1}}, Sense: EQ, RHS: 0})
 				return p
 			},
 			status: "optimal",
@@ -78,7 +78,7 @@ func TestSolveEdgeCases(t *testing.T) {
 				x := p.AddVar("x", 1)
 				y := p.AddVar("y", 1)
 				// Only x is bounded; y can grow without limit.
-				p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1}, Sense: LE, RHS: 4})
+				p.AddConstraint(Constraint{Terms: []Term{{x, 1}}, Sense: LE, RHS: 4})
 				_ = y
 				return p
 			},
@@ -90,7 +90,7 @@ func TestSolveEdgeCases(t *testing.T) {
 				p := NewProblem()
 				// 2x = 1 has the LP solution x = 0.5 and no integer one.
 				x := p.AddVar("x", 1)
-				p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 2}, Sense: EQ, RHS: 1})
+				p.AddConstraint(Constraint{Terms: []Term{{x, 2}}, Sense: EQ, RHS: 1})
 				return p
 			},
 			err: errFractional,

@@ -10,14 +10,28 @@ import (
 
 func near(a, b float64) bool { return math.Abs(a-b) < 1e-5 }
 
+// relax solves p's LP relaxation on the one solve path, Prepare then
+// phase 2, without the integrality check.
+func relax(p *Problem) (*Solution, error) {
+	pp, err := Prepare(p)
+	if err != nil {
+		return nil, err
+	}
+	s, err := pp.maximizeLP(p.objective)
+	if s != nil {
+		s.Pivots += pp.Pivots
+	}
+	return s, err
+}
+
 func TestSimpleLP(t *testing.T) {
 	// max 3x + 2y  s.t. x + y <= 4; x + 3y <= 6
 	// optimum at (4, 0): value 12.
 	p := NewProblem()
 	x := p.AddVar("x", 3)
 	y := p.AddVar("y", 2)
-	p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1, y: 1}, Sense: LE, RHS: 4})
-	p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1, y: 3}, Sense: LE, RHS: 6})
+	p.AddConstraint(Constraint{Terms: []Term{{x, 1}, {y, 1}}, Sense: LE, RHS: 4})
+	p.AddConstraint(Constraint{Terms: []Term{{x, 1}, {y, 3}}, Sense: LE, RHS: 6})
 	s, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -35,9 +49,9 @@ func TestEqualityAndGE(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar("x", 1)
 	y := p.AddVar("y", 1)
-	p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1, y: 1}, Sense: EQ, RHS: 10})
-	p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1}, Sense: GE, RHS: 3})
-	p.AddConstraint(Constraint{Coeffs: map[int]float64{y: 1}, Sense: GE, RHS: 2})
+	p.AddConstraint(Constraint{Terms: []Term{{x, 1}, {y, 1}}, Sense: EQ, RHS: 10})
+	p.AddConstraint(Constraint{Terms: []Term{{x, 1}}, Sense: GE, RHS: 3})
+	p.AddConstraint(Constraint{Terms: []Term{{y, 1}}, Sense: GE, RHS: 2})
 	s, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -53,8 +67,8 @@ func TestEqualityAndGE(t *testing.T) {
 func TestInfeasible(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar("x", 1)
-	p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1}, Sense: LE, RHS: 1})
-	p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1}, Sense: GE, RHS: 2})
+	p.AddConstraint(Constraint{Terms: []Term{{x, 1}}, Sense: LE, RHS: 1})
+	p.AddConstraint(Constraint{Terms: []Term{{x, 1}}, Sense: GE, RHS: 2})
 	s, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +82,7 @@ func TestUnbounded(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar("x", 1)
 	y := p.AddVar("y", 0)
-	p.AddConstraint(Constraint{Coeffs: map[int]float64{y: 1}, Sense: LE, RHS: 5})
+	p.AddConstraint(Constraint{Terms: []Term{{y, 1}}, Sense: LE, RHS: 5})
 	_ = x
 	s, err := Solve(p)
 	if err != nil {
@@ -84,9 +98,9 @@ func TestNegativeRHSNormalisation(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar("x", -1)
 	y := p.AddVar("y", 1)
-	p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1, y: -1}, Sense: GE, RHS: -2})
-	p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 1}, Sense: LE, RHS: 10})
-	p.AddConstraint(Constraint{Coeffs: map[int]float64{y: 1}, Sense: LE, RHS: 100})
+	p.AddConstraint(Constraint{Terms: []Term{{x, 1}, {y, -1}}, Sense: GE, RHS: -2})
+	p.AddConstraint(Constraint{Terms: []Term{{x, 1}}, Sense: LE, RHS: 10})
+	p.AddConstraint(Constraint{Terms: []Term{{y, 1}}, Sense: LE, RHS: 100})
 	s, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -107,13 +121,13 @@ func TestFractionalOptimumIsError(t *testing.T) {
 	p := NewProblem()
 	vals := []float64{8, 11, 6, 4}
 	wts := []float64{5, 7, 4, 3}
-	knap := map[int]float64{}
+	var knap []Term
 	for i, v := range vals {
 		vi := p.AddVar(string(rune('a'+i)), v)
-		p.AddConstraint(Constraint{Coeffs: map[int]float64{vi: 1}, Sense: LE, RHS: 1})
-		knap[vi] = wts[i]
+		p.AddConstraint(Constraint{Terms: []Term{{vi, 1}}, Sense: LE, RHS: 1})
+		knap = append(knap, Term{vi, wts[i]})
 	}
-	p.AddConstraint(Constraint{Coeffs: knap, Sense: LE, RHS: 14})
+	p.AddConstraint(Constraint{Terms: knap, Sense: LE, RHS: 14})
 	s, err := Solve(p)
 	if !errors.Is(err, errFractional) {
 		t.Fatalf("Solve = %+v, %v; want the fractional-optimum error", s, err)
@@ -132,9 +146,9 @@ func TestFlowLikeProblem(t *testing.T) {
 	a := p.AddVar("a", 10)
 	b := p.AddVar("b", 50)
 	j := p.AddVar("j", 5)
-	p.AddConstraint(Constraint{Coeffs: map[int]float64{e: 1}, Sense: EQ, RHS: 1})
-	p.AddConstraint(Constraint{Coeffs: map[int]float64{a: 1, b: 1, e: -1}, Sense: EQ, RHS: 0})
-	p.AddConstraint(Constraint{Coeffs: map[int]float64{j: 1, a: -1, b: -1}, Sense: EQ, RHS: 0})
+	p.AddConstraint(Constraint{Terms: []Term{{e, 1}}, Sense: EQ, RHS: 1})
+	p.AddConstraint(Constraint{Terms: []Term{{a, 1}, {b, 1}, {e, -1}}, Sense: EQ, RHS: 0})
+	p.AddConstraint(Constraint{Terms: []Term{{j, 1}, {a, -1}, {b, -1}}, Sense: EQ, RHS: 0})
 	s, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -157,10 +171,10 @@ func TestDegenerateCycling(t *testing.T) {
 	x2 := p.AddVar("x2", -150)
 	x3 := p.AddVar("x3", 0.02)
 	x4 := p.AddVar("x4", -6)
-	p.AddConstraint(Constraint{Coeffs: map[int]float64{x1: 0.25, x2: -60, x3: -0.04, x4: 9}, Sense: LE, RHS: 0})
-	p.AddConstraint(Constraint{Coeffs: map[int]float64{x1: 0.5, x2: -90, x3: -0.02, x4: 3}, Sense: LE, RHS: 0})
-	p.AddConstraint(Constraint{Coeffs: map[int]float64{x3: 1}, Sense: LE, RHS: 1})
-	s, err := solveLP(p)
+	p.AddConstraint(Constraint{Terms: []Term{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, Sense: LE, RHS: 0})
+	p.AddConstraint(Constraint{Terms: []Term{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, Sense: LE, RHS: 0})
+	p.AddConstraint(Constraint{Terms: []Term{{x3, 1}}, Sense: LE, RHS: 1})
+	s, err := relax(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +186,7 @@ func TestDegenerateCycling(t *testing.T) {
 func TestWriteLPFormat(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar("x", 3)
-	p.AddConstraint(Constraint{Coeffs: map[int]float64{x: 2}, Sense: LE, RHS: 7, Label: "cap"})
+	p.AddConstraint(Constraint{Terms: []Term{{x, 2}}, Sense: LE, RHS: 7, Label: "cap"})
 	lp := p.WriteLP()
 	for _, want := range []string{"Maximize", "+3 x", "cap:", "+2 x <= 7", "Generals", "End"} {
 		if !strings.Contains(lp, want) {
@@ -191,8 +205,8 @@ func bruteForce(obj []float64, cons []Constraint, ub int) float64 {
 		if i == n {
 			for _, c := range cons {
 				sum := 0.0
-				for v, co := range c.Coeffs {
-					sum += co * float64(x[v])
+				for _, t := range c.Terms {
+					sum += t.Coeff * float64(x[t.Var])
 				}
 				switch c.Sense {
 				case LE:
@@ -244,23 +258,23 @@ func TestPropertyMatchesBruteForce(t *testing.T) {
 		var cons []Constraint
 		// Upper bounds keep it bounded.
 		for i := 0; i < n; i++ {
-			c := Constraint{Coeffs: map[int]float64{i: 1}, Sense: LE, RHS: ub}
+			c := Constraint{Terms: []Term{{i, 1}}, Sense: LE, RHS: ub}
 			cons = append(cons, c)
 			p.AddConstraint(c)
 		}
 		for k := 0; k < 1+rng.Intn(3); k++ {
-			coeffs := map[int]float64{}
+			var terms []Term
 			for i := 0; i < n; i++ {
 				if rng.Intn(2) == 0 {
-					coeffs[i] = float64(rng.Intn(7) - 2)
+					terms = append(terms, Term{i, float64(rng.Intn(7) - 2)})
 				}
 			}
-			if len(coeffs) == 0 {
+			if len(terms) == 0 {
 				continue
 			}
 			sense := []Sense{LE, GE}[rng.Intn(2)]
 			rhs := float64(rng.Intn(15) - 3)
-			c := Constraint{Coeffs: coeffs, Sense: sense, RHS: rhs}
+			c := Constraint{Terms: terms, Sense: sense, RHS: rhs}
 			cons = append(cons, c)
 			p.AddConstraint(c)
 		}

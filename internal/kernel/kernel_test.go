@@ -402,6 +402,50 @@ func TestSplitSendReceiveReducesWorstPhase(t *testing.T) {
 	}
 }
 
+// TestReplyRecvKeepsDirectSwitchCaller: a reply to a caller of higher
+// priority than the server picks the caller for a direct switch, and
+// the server's receive phase then blocks. The caller must run next, not
+// be left runnable but neither queued nor current — with or without
+// the preemption point between the phases, and when an interrupt is
+// taken there.
+func TestReplyRecvKeepsDirectSwitchCaller(t *testing.T) {
+	for _, c := range []struct {
+		split, irq bool
+	}{{false, false}, {true, false}, {true, true}} {
+		cfg := Modern()
+		cfg.SplitSendReceive = c.split
+		k := boot(t, cfg)
+		server := mustThread(t, k, "server", 100)
+		client := mustThread(t, k, "client", 200)
+		ep := mustEndpoint(t, k, client)
+		if err := k.Recv(server, ep); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Call(client, ep, 2, nil); err != nil {
+			t.Fatal(err)
+		}
+		if c.irq {
+			// The interrupt fires as the reply phase starts.
+			k.SetTimer(k.Now() + CostKernelEntry + 1)
+		}
+		if err := k.ReplyRecv(server, ep); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.InvariantFailure(); err != nil {
+			t.Errorf("%+v: %v", c, err)
+		}
+		if c.irq && k.Stats().Preemptions == 0 {
+			t.Errorf("%+v: the interrupt did not preempt the call between its phases", c)
+		}
+		if !c.irq && (k.Current() != client || client.State != kobj.ThreadRunning) {
+			t.Errorf("%+v: current %v, client %v; want the client running", c, k.Current(), client.State)
+		}
+		if server.State != kobj.ThreadBlockedOnRecv {
+			t.Errorf("%+v: server %v, want blocked on receive", c, server.State)
+		}
+	}
+}
+
 func TestIdleServicesIRQImmediately(t *testing.T) {
 	k := boot(t, Modern())
 	k.SetTimer(k.Now() + 1000)

@@ -151,6 +151,11 @@ func (k *Kernel) finishIPC(out ktime.Outcome, sw *kobj.TCB) ktime.Outcome {
 // Config.SplitSendReceive, the future-work preemption point between
 // the phases is active: the reply phase's completion is recorded on
 // the server TCB so a restart resumes directly into the receive phase.
+//
+// A caller the reply chose for a direct switch is runnable but not
+// queued. It runs next if the receive phase blocks the server;
+// otherwise (the receive completes, or the call is preempted between
+// the phases) it is queued.
 func (k *Kernel) ReplyRecv(t *kobj.TCB, capAddr uint32) error {
 	slot, levels, err := k.decodeAs(t, capAddr, kobj.CapEndpoint, "replyrecv")
 	if err != nil {
@@ -158,20 +163,37 @@ func (k *Kernel) ReplyRecv(t *kobj.TCB, capAddr uint32) error {
 	}
 	ep := slot.Cap.Endpoint()
 	return k.runRestartable(t, levels, obs.OpReplyRecv, func() ktime.Outcome {
+		var caller *kobj.TCB
 		if !t.ReplyPhaseDone {
-			if out, _ := ipc.Reply(&k.ipcEnv, t); out == ktime.Failed {
+			var out ktime.Outcome
+			if out, caller = ipc.Reply(&k.ipcEnv, t); out == ktime.Failed {
 				return ktime.Failed
 			}
 			if k.cfg.SplitSendReceive {
 				t.ReplyPhaseDone = true
 				if k.preempt() {
+					k.enqueue(caller)
 					return ktime.Preempted
 				}
 			}
 		}
 		t.ReplyPhaseDone = false
-		return k.finishIPC(ipc.Recv(&k.ipcEnv, t, ep))
+		out, sw := ipc.Recv(&k.ipcEnv, t, ep)
+		if caller != nil && out == ktime.Blocked {
+			k.switchTo(caller)
+			return ktime.Done
+		}
+		k.enqueue(caller)
+		return k.finishIPC(out, sw)
 	})
+}
+
+// enqueue queues a runnable thread that is neither queued nor current;
+// a nil thread is ignored.
+func (k *Kernel) enqueue(t *kobj.TCB) {
+	if t != nil {
+		k.clock.Advance(k.sched.Enqueue(t))
+	}
 }
 
 // --- Deletion and revocation ---

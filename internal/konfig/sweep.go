@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"verikern/internal/kbin"
+	"verikern/internal/obs"
 	"verikern/internal/soak"
 	"verikern/internal/wcet"
 )
@@ -163,8 +164,8 @@ type analysis struct {
 // flavour within a generation, clearing granularity, ...) reuse whole
 // cached bounds, and points sharing an image reuse its CFGs. The sweep
 // replays no worst-case path, so none is built.
-func analyze(ctx context.Context, c *wcet.Cache, p Point) (*analysis, error) {
-	a, err := p.Analyzer(c, nil)
+func analyze(ctx context.Context, c *wcet.Cache, m *obs.Metrics, p Point) (*analysis, error) {
+	a, err := p.Analyzer(c, m)
 	if err != nil {
 		return nil, fmt.Errorf("konfig: building image for %s: %w", p.Hash(), err)
 	}
@@ -187,7 +188,9 @@ func analyze(ctx context.Context, c *wcet.Cache, p Point) (*analysis, error) {
 // `seed`, sentinel-bounded by the point's own analysed bound. The
 // result is independent of `workers` (parallelism only): rows land in
 // enumeration order and each is a pure function of (point, seed, ops).
-func Sweep(ctx context.Context, c *wcet.Cache, sp Space, seed, ops uint64, workers int) (*ArchSweep, error) {
+// Metrics, when set, receives the analyses' stage timings and
+// counters.
+func Sweep(ctx context.Context, c *wcet.Cache, m *obs.Metrics, sp Space, seed, ops uint64, workers int) (*ArchSweep, error) {
 	points, err := Enumerate(sp)
 	if err != nil {
 		return nil, err
@@ -212,7 +215,7 @@ func Sweep(ctx context.Context, c *wcet.Cache, sp Space, seed, ops uint64, worke
 	var mu sync.Mutex
 	err = runIndexed(ctx, len(order), workers, func(gi int) error {
 		k := order[gi]
-		a, err := analyze(ctx, c, points[grouped[k][0]])
+		a, err := analyze(ctx, c, m, points[grouped[k][0]])
 		if err != nil {
 			return err
 		}

@@ -17,7 +17,7 @@ func sweepDoc(t *testing.T, c *wcet.Cache, workers int) ([]byte, *ArchSweep) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := Sweep(context.Background(), c, sp, 7, 96, workers)
+	sw, err := Sweep(context.Background(), c, nil, sp, 7, 96, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSweepCacheLeverage(t *testing.T) {
 	var isolated uint64
 	for _, p := range points {
 		pc := wcet.NewCache()
-		if _, err := analyze(ctx, pc, p); err != nil {
+		if _, err := analyze(ctx, pc, nil, p); err != nil {
 			t.Fatal(err)
 		}
 		isolated += pc.Stats().Misses

@@ -23,7 +23,7 @@ func TestSweepCacheBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := wcet.NewCache()
-	if _, err := konfig.Sweep(ctx, c, sp, 7, 96, 4); err != nil {
+	if _, err := konfig.Sweep(ctx, c, nil, sp, 7, 96, 4); err != nil {
 		t.Fatal(err)
 	}
 	cold := c.Stats()
@@ -51,7 +51,7 @@ func TestSweepCacheBound(t *testing.T) {
 	}
 	t.Logf("%d points: %d graphs + %d results", len(points), len(graphs), len(results))
 
-	if _, err := konfig.Sweep(ctx, c, sp, 7, 96, 4); err != nil {
+	if _, err := konfig.Sweep(ctx, c, nil, sp, 7, 96, 4); err != nil {
 		t.Fatal(err)
 	}
 	if warm := c.Stats(); warm.Entries != cold.Entries {

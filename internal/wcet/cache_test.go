@@ -3,7 +3,9 @@ package wcet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -695,5 +697,148 @@ func TestCacheFailedComputationRetried(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 2 {
 		t.Errorf("cache holds %d entries, want 2 (one graph, one result)", st.Entries)
+	}
+}
+
+// TestCachePreparedTier: the prepared tier keys the phase-1 basis by
+// the constraint rows alone. Hardware, KeepLP and a graph of another
+// entry with the same rows share one basis; a constraint that adds a
+// row does not. Its lookups count as ilp.prepares and ilp.prepare_hits,
+// never in CacheStats or passcache.*. Reset empties it, and without a
+// cache every analysis prepares afresh.
+func TestCachePreparedTier(t *testing.T) {
+	img := cacheImage(t)
+	c := NewCache()
+	m := obs.NewMetrics()
+	analyze := func(hw arch.Config, entry string, edit func(a *Analyzer)) *Result {
+		t.Helper()
+		a := New(img, hw)
+		a.Cache, a.Metrics = c, m
+		if edit != nil {
+			edit(a)
+		}
+		r, err := a.Analyze(entry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := New(img, hw)
+		if edit != nil {
+			edit(cold)
+		}
+		want, err := cold.Analyze(entry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Cycles != want.Cycles || !slices.Equal(r.Counts, want.Counts) {
+			t.Errorf("%s: cached %d cycles, uncached %d", entry, r.Cycles, want.Cycles)
+		}
+		return r
+	}
+	check := func(step string, prepares, hits uint64) {
+		t.Helper()
+		ctr := m.Stats().Counters
+		if ctr["ilp.prepares"] != prepares || ctr["ilp.prepare_hits"] != hits {
+			t.Errorf("%s: ilp.prepares %d, ilp.prepare_hits %d; want %d and %d",
+				step, ctr["ilp.prepares"], ctr["ilp.prepare_hits"], prepares, hits)
+		}
+	}
+
+	analyze(arch.Config{}, "e1", nil)
+	check("cold", 1, 0)
+	analyze(arch.Config{L2Enabled: true}, "e1", nil)
+	check("other hardware", 1, 1)
+	analyze(arch.Config{}, "e1", func(a *Analyzer) { a.KeepLP = true })
+	check("KeepLP", 1, 2)
+	// Every entry of cacheImage has the same shape, so the same rows.
+	analyze(arch.Config{}, "e2", nil)
+	check("another entry's graph", 1, 3)
+	analyze(arch.Config{}, "e1", func(a *Analyzer) { a.AddConstraints(ExecutesAtMost("e1", "entry0", 1)) })
+	check("an added constraint row", 2, 3)
+
+	// Five result misses, two graph misses (e1, e2) and three graph
+	// hits; the prepared lookups are not among them.
+	ctr := m.Stats().Counters
+	if st := c.Stats(); st.Hits != 3 || st.Misses != 7 || st.Entries != 7 ||
+		ctr["passcache.hits"] != 3 || ctr["passcache.misses"] != 7 {
+		t.Errorf("CacheStats %+v, passcache.hits %d, passcache.misses %d; want 3 hits, 7 misses, 7 entries",
+			st, ctr["passcache.hits"], ctr["passcache.misses"])
+	}
+
+	c.Reset()
+	analyze(arch.Config{}, "e1", nil)
+	check("after Reset", 3, 3)
+
+	m = obs.NewMetrics()
+	for i := 0; i < 2; i++ {
+		a := New(img, arch.Config{})
+		a.Metrics = m
+		if _, err := a.Analyze("e1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("without a cache", 2, 0)
+}
+
+// TestResultKeyConstraintEncoding: the result key tells apart
+// constraint sets whose fields differ only in where separators fall,
+// and gives equal sets equal keys.
+func TestResultKeyConstraintEncoding(t *testing.T) {
+	img := cacheImage(t)
+	sets := [][]UserConstraint{
+		nil,
+		{ExecutesAtMost("", "", 0)},
+		{ExecutesAtMost("", "", 0), ExecutesAtMost("", "", 0)},
+		{Conflict("f", "a,1:b", "c")},
+		{Conflict("f", "a", "1:b,c")},
+		{Conflict("f,1:a", "b", "c")},
+		{Conflict("f", "a", "b"), Conflict("f", "c", "d")},
+		{Conflict("f", "a", "b|1|0,1:f,1:c,1:d,0")},
+		{Consist("f", "a", "b")},
+		{Consist("f", "b", "a")},
+		{ExecutesAtMost("f", "a", 12)},
+		{ExecutesAtMost("f", "a", 1), ExecutesAtMost("f", "a", 2)},
+		{ExecutesAtMost("f", "a", 12), ExecutesAtMost("f", "a", 0)},
+	}
+	keys := map[string]int{}
+	for i, cs := range sets {
+		a := New(img, arch.Config{})
+		a.AddConstraints(cs...)
+		k := a.resultKey("e1")
+		if j, dup := keys[k]; dup {
+			t.Errorf("constraint sets %d and %d share the key %q", j, i, k)
+		}
+		keys[k] = i
+		b := New(img, arch.Config{})
+		b.AddConstraints(append([]UserConstraint(nil), cs...)...)
+		if b.resultKey("e1") != k {
+			t.Errorf("constraint set %d: equal sets give different keys", i)
+		}
+	}
+}
+
+// TestIPETVariableNames: the name the fractional-optimum error gives a
+// variable is the one the LP dump gives it, e<from>_<to> of the
+// caller's graph, since a shared phase-1 basis does not know it.
+func TestIPETVariableNames(t *testing.T) {
+	a := New(cacheImage(t), arch.Config{})
+	g, err := a.buildGraph("e1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ip, err := newIPETProblem(g, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars := 0
+	for _, n := range g.Nodes {
+		for _, s := range n.Succs {
+			if got, want := ip.varName(ip.edgeVar(n.ID, s)), fmt.Sprintf("e%d_%d", n.ID, s); got != want {
+				t.Errorf("edge %d -> %d is named %s, want %s", n.ID, s, got, want)
+			}
+			vars++
+		}
+	}
+	if vars != ip.first[len(g.Nodes)] || vars == 0 {
+		t.Errorf("%d edges, %d variables", vars, ip.first[len(g.Nodes)])
 	}
 }

@@ -153,7 +153,8 @@ type Analyzer struct {
 	Metrics *obs.Metrics
 	// Cache, when set, serves and stores CFGs and whole Results keyed
 	// by the content of their inputs (image fingerprint, entry,
-	// hardware config, constraint set, KeepLP). Analyzers over
+	// hardware config, constraint set, KeepLP), and the ILP's
+	// phase-1 basis keyed by the constraint rows. Analyzers over
 	// identical inputs — even distinct Analyzer or Image objects —
 	// share entries through one cache. Nil disables caching.
 	Cache *Cache
@@ -249,7 +250,7 @@ func (a *Analyzer) bound(ctx context.Context, entry string) (*boundEntry, error)
 	if a.Cache == nil {
 		return a.solve(ctx, entry)
 	}
-	b, hit, err := get(ctx, a.Cache, a.Metrics, a.Cache.results, "result", a.resultKey(entry),
+	b, hit, err := get(ctx, a.Cache, a.Metrics, a.Cache.results, a.resultKey(entry),
 		func() (*boundEntry, error) { return a.solve(ctx, entry) })
 	if hit {
 		a.Metrics.Add("wcet.entries_cached", 1)
@@ -274,7 +275,7 @@ func (a *Analyzer) solve(ctx context.Context, entry string) (*boundEntry, error)
 		return nil, err
 	}
 	stop = a.Metrics.Stage("wcet.ipet")
-	res, edges, err := a.solveIPET(g, nodeCost, loopEntryCost, entry)
+	res, edges, err := a.solveIPET(ctx, g, nodeCost, loopEntryCost, entry)
 	stop()
 	if err != nil {
 		return nil, err
@@ -300,7 +301,7 @@ func (a *Analyzer) graph(ctx context.Context, entry string) (*cfg.Graph, error) 
 	if a.Cache == nil {
 		return a.buildGraph(entry)
 	}
-	g, _, err := get(ctx, a.Cache, a.Metrics, a.Cache.graphs, "cfg", a.graphKey(entry),
+	g, _, err := get(ctx, a.Cache, a.Metrics, a.Cache.graphs, a.graphKey(entry),
 		func() (*cfg.Graph, error) { return a.buildGraph(entry) })
 	return g, err
 }

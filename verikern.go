@@ -194,7 +194,8 @@ type ParetoBench = konfig.ParetoBench
 // ParetoSweep walks each backend's DefaultSpace sub-lattice through the
 // process-wide analysis cache and returns the per-entry-point
 // WCET-vs-throughput Pareto frontiers. For a fixed seed and op budget
-// the document is byte-stable across runs and worker counts.
+// the document is byte-stable across runs and worker counts. The
+// analyses report to the metrics set by ObservePipeline.
 func ParetoSweep(ctx context.Context, archIDs []string, seed, ops uint64, workers int) (*ParetoBench, error) {
 	if len(archIDs) == 0 {
 		archIDs = Architectures()
@@ -205,7 +206,7 @@ func ParetoSweep(ctx context.Context, archIDs []string, seed, ops uint64, worker
 		if err != nil {
 			return nil, err
 		}
-		sw, err := konfig.Sweep(ctx, analysisCache, sp, seed, ops, workers)
+		sw, err := konfig.Sweep(ctx, analysisCache, pipelineMetrics, sp, seed, ops, workers)
 		if err != nil {
 			return nil, err
 		}
