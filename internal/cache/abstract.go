@@ -44,7 +44,8 @@ func NewMust(sets, lineBytes int) *Must {
 // copied.
 func (m *Must) SetPinned(pinned map[uint32]bool) { m.pinned = pinned }
 
-func (m *Must) set(addr uint32) int {
+// Set returns the index of the set addr maps to.
+func (m *Must) Set(addr uint32) int {
 	return int((addr >> m.lineShift) & m.setMask)
 }
 
@@ -63,7 +64,7 @@ func (m *Must) Hit(addr uint32) bool {
 	if m.pinned[m.lineAddr(addr)] {
 		return true
 	}
-	return m.tags[m.set(addr)] == m.tag(addr)
+	return m.tags[m.Set(addr)] == m.tag(addr)
 }
 
 // Update records an access to addr: its line becomes the guaranteed
@@ -73,14 +74,14 @@ func (m *Must) Update(addr uint32) {
 	if m.pinned[m.lineAddr(addr)] {
 		return
 	}
-	m.tags[m.set(addr)] = m.tag(addr)
+	m.tags[m.Set(addr)] = m.tag(addr)
 }
 
 // Clobber invalidates the guarantee for addr's set, modelling an
 // access whose address is unknown to the analyser but known to map to
 // this set, or a context switch on that set.
 func (m *Must) Clobber(addr uint32) {
-	m.tags[m.set(addr)] = mustTop
+	m.tags[m.Set(addr)] = mustTop
 }
 
 // ClobberAll drops every guarantee (unknown-address access or analysis

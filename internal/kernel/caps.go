@@ -58,7 +58,8 @@ func (k *Kernel) MoveCap(t *kobj.TCB, srcAddr uint32) (uint32, error) {
 	var addr uint32
 	err = k.runRestartable(t, levels, obs.OpCapOp, func() ktime.Outcome {
 		k.clock.Advance(CostCapOp)
-		// Splice the new slot into the MDB where the old one was.
+		// The first empty root slot takes the old one's place in
+		// the MDB.
 		var dest *kobj.Slot
 		for i := 0; i < k.rootCNode.NumSlots(); i++ {
 			s := k.rootCNode.Slot(i)
@@ -71,18 +72,7 @@ func (k *Kernel) MoveCap(t *kobj.TCB, srcAddr uint32) (uint32, error) {
 		if dest == nil {
 			return ktime.Failed
 		}
-		dest.Cap = slot.Cap
-		dest.MDBPrev = slot.MDBPrev
-		dest.MDBNext = slot.MDBNext
-		dest.MDBDepth = slot.MDBDepth
-		if dest.MDBPrev != nil {
-			dest.MDBPrev.MDBNext = dest
-		}
-		if dest.MDBNext != nil {
-			dest.MDBNext.MDBPrev = dest
-		}
-		slot.Cap = kobj.Cap{}
-		slot.MDBPrev, slot.MDBNext, slot.MDBDepth = nil, nil, 0
+		k.objects.MoveSlot(dest, slot)
 		return ktime.Done
 	})
 	return addr, err

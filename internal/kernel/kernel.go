@@ -221,9 +221,7 @@ func New(cfg Config) (*Kernel, error) {
 func (k *Kernel) SetTracer(t *obs.Tracer) {
 	k.tracer = t
 	k.ipcEnv.Tracer = t
-	if ts, ok := k.sched.(sched.Traceable); ok {
-		ts.SetTrace(t, &k.clock)
-	}
+	k.sched.SetTrace(t, &k.clock)
 }
 
 // Tracer returns the attached tracer (nil when tracing is disabled).

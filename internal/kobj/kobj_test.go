@@ -553,3 +553,33 @@ func TestDecodeGuardBitsOverflow(t *testing.T) {
 		t.Error("decode accepted guard+radix exceeding the address width")
 	}
 }
+
+func TestMoveSlotKeepsDerivationPosition(t *testing.T) {
+	m, u := newTestManager(t)
+	objs, _ := m.Retype(u, TypeCNode, 4, 1)
+	cn := objs[0].(*CNode)
+	epObjs, _ := m.Retype(u, TypeEndpoint, 0, 1)
+	ep := epObjs[0].(*Endpoint)
+
+	root := cn.Slot(0)
+	m.SetCap(root, Cap{Type: CapEndpoint, Obj: ep, Rights: RightsAll}, nil)
+	c1 := cn.Slot(1)
+	m.SetCap(c1, Cap{Type: CapEndpoint, Obj: ep, Badge: 7}, root)
+	g1 := cn.Slot(2)
+	m.SetCap(g1, Cap{Type: CapEndpoint, Obj: ep, Badge: 7}, c1)
+
+	dst := cn.Slot(3)
+	m.MoveSlot(dst, c1)
+	if !c1.IsEmpty() || c1.MDBPrev != nil || c1.MDBNext != nil || c1.MDBDepth != 0 {
+		t.Errorf("source slot not emptied and unlinked: %+v", c1)
+	}
+	if dst.Cap.Badge != 7 || dst.MDBDepth != 1 {
+		t.Errorf("moved cap badge %d depth %d, want 7 at depth 1", dst.Cap.Badge, dst.MDBDepth)
+	}
+	if root.MDBNext != dst || dst.MDBPrev != root || dst.MDBNext != g1 || g1.MDBPrev != dst {
+		t.Error("moved slot not spliced between its parent and its child")
+	}
+	if kids := m.Children(root); len(kids) != 2 || kids[0] != dst || kids[1] != g1 {
+		t.Errorf("root's descendants after the move = %v, want the moved slot then its child", kids)
+	}
+}

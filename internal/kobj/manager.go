@@ -244,11 +244,11 @@ func swapRemove(s []Object, i int, moved func(Object)) []Object {
 
 // --- Capability derivation tree (MDB) ---
 
-// MDBInsert places child's slot into the derivation tree as a child of
+// mdbInsert places child's slot into the derivation tree as a child of
 // parent (or as a root when parent is nil), using seL4's list-plus-
 // depth representation: the child is linked immediately after its
 // parent with depth+1.
-func (m *Manager) MDBInsert(parent, child *Slot) {
+func (m *Manager) mdbInsert(parent, child *Slot) {
 	var after *Slot
 	if parent == nil {
 		after = &m.mdbHead
@@ -265,8 +265,8 @@ func (m *Manager) MDBInsert(parent, child *Slot) {
 	after.MDBNext = child
 }
 
-// MDBRemove unlinks a slot from the derivation tree.
-func (m *Manager) MDBRemove(s *Slot) {
+// mdbRemove unlinks a slot from the derivation tree.
+func (m *Manager) mdbRemove(s *Slot) {
 	if s.MDBPrev != nil {
 		s.MDBPrev.MDBNext = s.MDBNext
 	}
@@ -310,13 +310,31 @@ func (m *Manager) SetCap(slot *Slot, c Cap, parent *Slot) {
 		panic(fmt.Sprintf("kobj: SetCap over live cap in %s[%d]", slot.CNode.Name, slot.Index))
 	}
 	slot.Cap = c
-	m.MDBInsert(parent, slot)
+	m.mdbInsert(parent, slot)
 }
 
 // ClearSlot removes the capability from a slot and unlinks it.
 func (m *Manager) ClearSlot(slot *Slot) {
 	slot.Cap = Cap{}
-	m.MDBRemove(slot)
+	m.mdbRemove(slot)
+}
+
+// MoveSlot moves the capability in src to the empty slot dst, which
+// takes src's place in the derivation tree, and empties src.
+func (m *Manager) MoveSlot(dst, src *Slot) {
+	if !dst.IsEmpty() {
+		panic(fmt.Sprintf("kobj: MoveSlot over live cap in %s[%d]", dst.CNode.Name, dst.Index))
+	}
+	dst.Cap = src.Cap
+	dst.MDBPrev, dst.MDBNext, dst.MDBDepth = src.MDBPrev, src.MDBNext, src.MDBDepth
+	if dst.MDBPrev != nil {
+		dst.MDBPrev.MDBNext = dst
+	}
+	if dst.MDBNext != nil {
+		dst.MDBNext.MDBPrev = dst
+	}
+	src.Cap = Cap{}
+	src.MDBPrev, src.MDBNext, src.MDBDepth = nil, nil, 0
 }
 
 // RevokeStep deletes one child of parent from the derivation tree and

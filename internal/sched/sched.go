@@ -179,12 +179,8 @@ type Scheduler interface {
 	AtPreemption(cur *kobj.TCB) uint64
 	// Queues exposes the state for invariant checking.
 	Queues() *RunQueues
-}
-
-// Traceable is implemented by schedulers that can emit pick events:
-// the kernel hands them its tracer and cycle clock at SetTracer time.
-// Both built-in schedulers implement it.
-type Traceable interface {
+	// SetTrace hands the scheduler the kernel's tracer and cycle
+	// clock, for its pick events; a nil tracer disables them.
 	SetTrace(t *obs.Tracer, clk *ktime.Clock)
 }
 

@@ -168,28 +168,3 @@ func (m *asidManager) DeletePD(e *ktime.Env, pd *kobj.PageDirectory) ktime.Outco
 	pd.ASID = 0
 	return ktime.Done
 }
-
-// DeletePool deletes an entire ASID pool: iterate over up to 1024
-// address spaces, deleting each — the second inherently hard-to-preempt
-// loop that motivated abandoning ASIDs (§3.6). It runs to completion
-// regardless of pending interrupts.
-func (m *asidManager) DeletePool(e *ktime.Env, pool *kobj.ASIDPool) ktime.Outcome {
-	var poolIdx = -1
-	for i, p := range m.pools {
-		if p == pool {
-			poolIdx = i
-			break
-		}
-	}
-	if poolIdx < 0 {
-		return ktime.Failed
-	}
-	for i := 0; i < kobj.ASIDPoolSize; i++ {
-		e.Clock.Advance(CostASIDProbe)
-		if pd := pool.Entries[i]; pd != nil {
-			m.DeletePD(e, pd)
-		}
-	}
-	m.pools = append(m.pools[:poolIdx], m.pools[poolIdx+1:]...)
-	return ktime.Done
-}

@@ -183,31 +183,6 @@ func TestASIDAllocationWorstCase(t *testing.T) {
 	}
 }
 
-func TestASIDDeletePoolIteratesAll(t *testing.T) {
-	e, _ := env()
-	m := New(ASIDDesign).(*asidManager)
-	pool := m.pools[0]
-	for i := 0; i < 100; i++ {
-		pd := &kobj.PageDirectory{ASID: uint32(i + 1)}
-		pool.Entries[i] = pd
-		m.spaces = append(m.spaces, pd)
-	}
-	before := e.Clock.Now()
-	if out := m.DeletePool(e, pool); out != ktime.Done {
-		t.Fatal("pool delete failed")
-	}
-	cost := e.Clock.Now() - before
-	if cost < kobj.ASIDPoolSize*CostASIDProbe {
-		t.Errorf("pool delete cost %d, want a full %d-entry iteration", cost, kobj.ASIDPoolSize)
-	}
-	if len(m.pools) != 0 {
-		t.Error("pool not removed")
-	}
-	if len(m.VSpaces()) != 0 {
-		t.Error("spaces survived pool deletion")
-	}
-}
-
 func TestShadowDeleteWalksAndClears(t *testing.T) {
 	e, _ := env()
 	m := New(ShadowDesign)

@@ -24,6 +24,7 @@ import (
 // recursively. All shapes are bounded so no input can build a program
 // the analysis cannot handle quickly.
 type progDecoder struct {
+	img  *kimage.Image
 	data []byte
 	pos  int
 	ops  int
@@ -82,7 +83,19 @@ func (d *progDecoder) emit(fb *kimage.FuncBuilder, data uint32, depth int) {
 				fb.ALU(1)
 			}
 		case 6:
-			fb.LoadStride(data+4096, 32, 2+uint32(b>>4))
+			// Two parameter bytes: p places the walk at word p&7
+			// of the stride region's line p>>6, with step
+			// strides[p>>3&7]; q pins the region's first eight
+			// lines whose bits it sets.
+			p, _ := d.next()
+			q, _ := d.next()
+			for l := uint32(0); l < 8; l++ {
+				if q&(1<<l) != 0 {
+					d.img.PinData(data + strideRegion + l*32)
+				}
+			}
+			base := data + strideRegion + uint32(p>>6)*32 + uint32(p&7)*4
+			fb.LoadStride(base, strides[p>>3&7], 2+uint32(b>>4))
 		case 7:
 			return // block terminator: pop out of the current body
 		}
@@ -93,7 +106,7 @@ func (d *progDecoder) emit(fb *kimage.FuncBuilder, data uint32, depth int) {
 func buildFuzzImage(data []byte) (*kimage.Image, error) {
 	img := kimage.New()
 	dseg := img.Data("d", 16*1024)
-	d := &progDecoder{data: data}
+	d := &progDecoder{img: img, data: data}
 	f := img.NewFunc("entry")
 	d.emit(f, dseg, maxFuzzDepth)
 	f.ALU(1) // never empty
@@ -111,14 +124,15 @@ func FuzzAnalyzeSoundness(f *testing.F) {
 	f.Add([]byte{4, 0, 7, 2, 7, 0})                // branch with two short arms
 	f.Add([]byte{5, 2, 0, 7, 0})                   // loop over load+ALU
 	f.Add([]byte{5, 4, 2, 7, 3, 7, 7, 6})          // loop containing a branch, then a stride
-	f.Add([]byte{6, 6, 0})                         // striding references
+	f.Add([]byte{6, 6, 0})                         // a striding reference
 	f.Add([]byte{0x25, 0x45, 0x12, 0x87, 0x07, 1}) // deeper nesting via high bits
+	f.Add([]byte{0xe5, 6, 7, 1, 7})                // a loop over region+28 and +32, only region pinned
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := buildFuzzImage(data)
 		if err != nil {
 			t.Skip() // decoder built something the linker rejects
 		}
-		for _, hw := range []arch.Config{{}, {L2Enabled: true}} {
+		for _, hw := range []arch.Config{{}, {L2Enabled: true}, {PinnedL1Ways: 1}} {
 			r, err := New(img, hw).Analyze("entry")
 			if err != nil {
 				t.Fatalf("hw %+v: analysis failed: %v", hw, err)
@@ -134,6 +148,9 @@ func FuzzAnalyzeSoundness(f *testing.F) {
 			}
 			for seed := uint32(1); seed <= 3; seed++ {
 				m := machine.New(hw)
+				if failed := m.LoadImage(img); failed != 0 {
+					t.Fatalf("hw %+v: %d lines not pinned", hw, failed)
+				}
 				m.Pollute(seed * 13)
 				got := m.Run(r.Trace)
 				if got > r.Cycles {

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"verikern/internal/arch"
-	"verikern/internal/cache"
 	"verikern/internal/cfg"
 	"verikern/internal/kimage"
 )
@@ -176,45 +175,25 @@ func reconstructTrail(g *cfg.Graph, edges []edgeCount) ([]cfg.NodeID, error) {
 // difference from the ILP result is purely the path, and the difference
 // from the simulator is purely the hardware model's pessimism.
 func TraceCycles(img *kimage.Image, hw arch.Config, trace []*kimage.Block) uint64 {
-	be := hw.Backend()
-	l1i := be.L1I
-	l1d := be.L1D
-	i := cache.NewMust(l1i.Sets(), l1i.LineBytes)
-	d := cache.NewMust(l1d.Sets(), l1d.LineBytes)
-	if hw.PinnedL1Ways > 0 {
-		i.SetPinned(img.PinnedCodeSet())
-		d.SetPinned(img.PinnedDataSet())
-	}
-	st := absState{i: i, d: d}
-
-	miss := missCost(hw)
-	fetchMiss := fetchMissCost(hw)
+	m := newModel(img, hw)
+	st := m.state()
 	r := kimage.Compile(trace)
-	cycles := be.WorstBranchCost(hw.BranchPredictor) * uint64(len(r.Blocks))
+	cycles := m.be.WorstBranchCost(hw.BranchPredictor) * uint64(len(r.Blocks))
 	var stats ClassStats
 	start := uint32(0)
 	for _, b := range r.Blocks {
 		fetch := b.Addr
 		for _, s := range r.Steps[start:b.End] {
-			cycles += be.BaseCost(s.Class)
-			if !hw.InITCM(fetch) {
-				if !st.i.Hit(fetch) {
-					cycles += fetchMiss
-				}
-				st.i.Update(fetch)
-			}
-			fetch += 4
-			if !s.HasData {
-				continue
-			}
 			// Along a concrete path every access address is
 			// known, so even a strided reference classifies as
 			// a fixed one.
-			if hw.InDTCM(s.Data) {
-				stats.DataHit++
-				continue
+			var d kimage.DataRef
+			if s.HasData {
+				d = kimage.DataRef{Base: s.Data, Write: s.Write}
 			}
-			applyData(be, st, kimage.DataRef{Base: s.Data, Write: s.Write}, &cycles, &stats, miss)
+			f, data := m.step(st, fetch, d, nil, true)
+			cycles += m.be.BaseCost(s.Class) + m.cost(f, data, &stats)
+			fetch += 4
 		}
 		start = b.End
 	}

@@ -1,7 +1,6 @@
 package wcet
 
 import (
-	"verikern/internal/arch"
 	"verikern/internal/cfg"
 	"verikern/internal/kimage"
 )
@@ -9,40 +8,39 @@ import (
 // Persistence analysis: the paper's cache analysis computes "worst-case
 // cache hit/miss scenarios for each data load, store and instruction
 // fetch" (§6.3); the key scenario beyond always-hit is *first-miss* —
-// a line that cannot be evicted once loaded within a loop misses at
-// most once per loop entry, not once per iteration.
+// a fetched line that cannot be evicted once loaded within a loop
+// misses at most once per loop entry, not once per iteration.
 //
-// A line is persistent in a loop when no other access in the loop can
-// touch its cache set: no distinct fixed line or fetch maps there, and
-// no unclassifiable striding footprint covers it. This is sound for
-// the concrete caches too — a resident line is only evicted by a miss
-// in its set, and during the loop no other line can miss into it.
+// A line is persistent in a loop when no other fetch in the loop can
+// touch its cache set. This is sound for the concrete cache too — a
+// resident line is only evicted by a miss in its set, and during the
+// loop no other line can miss into it. Instruction and data caches are
+// separate, so data accesses never disturb a fetched line.
 //
 // In the IPET encoding, a persistent line's miss penalty moves from
 // the per-iteration node cost to the loop's entry edges, so the ILP
 // charges it once per loop entry.
 
-// persistence holds per-loop results: the extra one-off cost charged
-// on each loop-entry edge.
+// persistence holds the first-miss refinement's results.
 type persistence struct {
-	// persistentI / persistentD map loop index -> set of line
-	// addresses proven persistent within that loop.
-	persistentI []map[uint32]bool
-	persistentD []map[uint32]bool
+	// lines maps loop index -> the fetch lines proven persistent in
+	// that loop.
+	lines []map[uint32]bool
 	// innermost maps node -> index of its innermost containing
 	// loop, or -1.
 	innermost []int
-	// be is the backend whose line size keys the persistence sets.
-	be *arch.Backend
 }
 
-// analyzePersistence computes persistent lines per loop.
-func analyzePersistence(g *cfg.Graph, img *kimage.Image, hw arch.Config) *persistence {
+// analyzePersistence computes persistent fetch lines per loop. It steps
+// every fetch of a loop's body, in any order, through one state that
+// starts with nothing but the pinned lines: a fetch then misses exactly
+// when it is outside the ITCM, not pinned, and its set last held
+// another line or none. A set where only one line ever misses holds that line
+// persistently; a second missing line is a conflict.
+func analyzePersistence(g *cfg.Graph, m *model) *persistence {
 	p := &persistence{
-		persistentI: make([]map[uint32]bool, len(g.Loops)),
-		persistentD: make([]map[uint32]bool, len(g.Loops)),
-		innermost:   make([]int, len(g.Nodes)),
-		be:          hw.Backend(),
+		lines:     make([]map[uint32]bool, len(g.Loops)),
+		innermost: make([]int, len(g.Nodes)),
 	}
 	for i := range p.innermost {
 		p.innermost[i] = -1
@@ -57,101 +55,38 @@ func analyzePersistence(g *cfg.Graph, img *kimage.Image, hw arch.Config) *persis
 		}
 	}
 
-	be := p.be
-	line := uint32(be.LineBytes)
-	iLine := func(a uint32) uint32 { return a &^ (line - 1) }
-	iSet := func(a uint32) uint32 { return (a / line) % uint32(be.L1I.Sets()) }
-	dSet := func(a uint32) uint32 { return (a / line) % uint32(be.L1D.Sets()) }
-
-	pinnedI := map[uint32]bool{}
-	pinnedD := map[uint32]bool{}
-	if hw.PinnedL1Ways > 0 {
-		pinnedI = img.PinnedCodeSet()
-		pinnedD = img.PinnedDataSet()
-	}
-
+	const conflict = ^uint32(0)
+	s := m.state()
 	for li, l := range g.Loops {
-		// Gather the loop's access footprint per cache side:
-		// set -> the unique line seen there (or ^0 for conflict).
-		iOwner := map[uint32]uint32{}
-		dOwner := map[uint32]uint32{}
-		conflict := func(owner map[uint32]uint32, set, line uint32) {
-			if prev, ok := owner[set]; ok && prev != line {
-				owner[set] = ^uint32(0)
-			} else if !ok {
-				owner[set] = line
-			}
-		}
-		clobberAllD := false
+		s.i.ClobberAll()
+		// owner maps set -> the one line that missed there, or
+		// conflict.
+		owner := map[int]uint32{}
 		for id := range l.Body {
-			n := g.Node(id)
-			if n.Block == nil {
+			b := g.Node(id).Block
+			if b == nil {
 				continue
 			}
-			for i := range n.Block.Instrs {
-				ins := &n.Block.Instrs[i]
-				fl := iLine(n.Block.InstrAddr(i))
-				if !pinnedI[fl] {
-					conflict(iOwner, iSet(fl), fl)
-				}
-				d := ins.Data
-				if d.Base == 0 {
+			for i := range b.Instrs {
+				fa := b.InstrAddr(i)
+				if fetch, _ := m.step(s, fa, kimage.DataRef{}, nil, true); fetch != accMiss {
 					continue
 				}
-				if d.Fixed() {
-					dl := iLine(d.Base)
-					if !pinnedD[dl] {
-						conflict(dOwner, dSet(dl), dl)
-					}
-					continue
-				}
-				// Striding footprint: conflict every set it
-				// can touch (all sets when it wraps the
-				// cache).
-				span := uint64(d.Stride) * uint64(d.Count)
-				if span >= uint64(be.L1D.WaySizeBytes()) {
-					clobberAllD = true
-					continue
-				}
-				for off := uint64(0); off <= span; off += uint64(line) {
-					dl := iLine(d.Base + uint32(off))
-					dOwner[dSet(dl)] = ^uint32(0)
+				set := s.i.Set(fa)
+				if _, seen := owner[set]; seen {
+					owner[set] = conflict
+				} else {
+					owner[set] = lineOf(m.be, fa)
 				}
 			}
 		}
-		pi := map[uint32]bool{}
-		for _, line := range iOwner {
-			if line != ^uint32(0) {
-				pi[line] = true
+		persistent := map[uint32]bool{}
+		for _, line := range owner {
+			if line != conflict {
+				persistent[line] = true
 			}
 		}
-		pd := map[uint32]bool{}
-		if !clobberAllD {
-			for _, line := range dOwner {
-				if line != ^uint32(0) {
-					pd[line] = true
-				}
-			}
-		}
-		p.persistentI[li] = pi
-		p.persistentD[li] = pd
+		p.lines[li] = persistent
 	}
 	return p
-}
-
-// lineOf returns the cache line of an address on backend be.
-func lineOf(be *arch.Backend, a uint32) uint32 { return a &^ uint32(be.LineBytes-1) }
-
-// persistentFetch reports whether node id's fetch of addr is covered
-// by its innermost loop's persistence set.
-func (p *persistence) persistentFetch(id cfg.NodeID, addr uint32) bool {
-	li := p.innermost[id]
-	return li >= 0 && p.persistentI[li][lineOf(p.be, addr)]
-}
-
-// persistentData reports whether node id's fixed data access to addr
-// is covered.
-func (p *persistence) persistentData(id cfg.NodeID, addr uint32) bool {
-	li := p.innermost[id]
-	return li >= 0 && p.persistentD[li][lineOf(p.be, addr)]
 }

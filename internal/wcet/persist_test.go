@@ -8,92 +8,62 @@ import (
 	"verikern/internal/machine"
 )
 
-// loopImage builds a single loop of `iters` iterations whose body
-// repeatedly loads the same fixed address.
-func loopImage(t *testing.T, iters int, extra func(*kimage.FuncBuilder, uint32)) (*kimage.Image, uint32) {
+// loopImage builds a single loop of iters iterations around body.
+func loopImage(t *testing.T, iters int, body func(*kimage.FuncBuilder)) *kimage.Image {
 	t.Helper()
 	img := kimage.New()
-	data := img.Data("d", 8192)
 	b := img.NewFunc("entry")
 	b.ALU(2)
-	b.Loop(iters, func(b *kimage.FuncBuilder) {
-		b.Load(data)
-		b.ALU(3)
-		if extra != nil {
-			extra(b, data)
-		}
-	})
+	b.Loop(iters, body)
 	b.Ret()
 	img.Entries = []string{"entry"}
 	if err := img.Link(); err != nil {
 		t.Fatal(err)
 	}
-	return img, data
+	return img
 }
 
+// wayInstrs is the number of instructions that fill one way of the L1
+// instruction cache, the one-way model's whole capacity.
+var wayInstrs = arch.ARM1136.L1I.WaySizeBytes() / 4
+
 func TestFirstMissChargedOncePerLoop(t *testing.T) {
-	img, _ := loopImage(t, 64, nil)
+	img := loopImage(t, 64, func(b *kimage.FuncBuilder) { b.ALU(16) })
 	r, err := New(img, arch.Config{}).Analyze("entry")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The loop's fixed load and the body's fetches are persistent:
-	// classified first-miss, not per-iteration miss.
-	if r.Classified.DataFirstMiss == 0 {
-		t.Error("fixed in-loop load not classified first-miss")
-	}
+	// The body's fetches are persistent: classified first-miss, not
+	// per-iteration miss.
 	if r.Classified.FetchFirstMiss == 0 {
 		t.Error("loop-body fetches not classified first-miss")
 	}
-	// The bound must therefore be far below 64 * missCost for the
-	// load: roughly base costs * 64 + a handful of one-off misses.
-	perIterationMiss := uint64(64) * missCost(arch.Config{})
+	// The bound must therefore be far below a fetch miss on every
+	// iteration: roughly base costs × 64 plus a handful of one-off
+	// misses.
+	perIterationMiss := uint64(64) * fetchMissCost(arch.Config{})
 	if r.Cycles >= perIterationMiss {
-		t.Errorf("bound %d still charges the persistent load per iteration (>= %d)",
+		t.Errorf("bound %d still charges the persistent fetches per iteration (>= %d)",
 			r.Cycles, perIterationMiss)
 	}
 }
 
 func TestConflictDefeatsPersistence(t *testing.T) {
-	// A second load in the body 4 KiB away maps to the same
-	// direct-mapped set: neither line is persistent.
-	img, _ := loopImage(t, 32, func(b *kimage.FuncBuilder, data uint32) {
-		b.Load(data + 4096)
-	})
+	// A body longer than one way of the instruction cache: its first
+	// and last lines map to the same direct-mapped set, so neither is
+	// persistent. The lines between them still are.
+	img := loopImage(t, 32, func(b *kimage.FuncBuilder) { b.ALU(wayInstrs + 16) })
 	r, err := New(img, arch.Config{}).Analyze("entry")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Classified.DataFirstMiss != 0 {
-		t.Errorf("conflicting loads classified first-miss (%d)", r.Classified.DataFirstMiss)
+	if r.Classified.FetchFirstMiss == 0 {
+		t.Error("no body fetch classified first-miss")
 	}
-	// Both loads must be charged on every one of the 32 iterations.
-	if want := uint64(32) * 2 * missCost(arch.Config{}); r.Cycles < want {
-		t.Errorf("bound %d below per-iteration charge %d for the conflicting loads", r.Cycles, want)
-	}
-}
-
-func TestStridedFootprintDefeatsPersistence(t *testing.T) {
-	// A striding walk over the whole region clobbers the fixed
-	// load's set: no persistence.
-	img := kimage.New()
-	data := img.Data("d", 8192)
-	b := img.NewFunc("entry")
-	b.Loop(16, func(b *kimage.FuncBuilder) {
-		b.Load(data)
-		b.LoadStride(data, 32, 128) // footprint covers data's set
-	})
-	b.Ret()
-	img.Entries = []string{"entry"}
-	if err := img.Link(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := New(img, arch.Config{}).Analyze("entry")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Classified.DataFirstMiss != 0 {
-		t.Error("persistence claimed despite striding clobber of the set")
+	// Both conflicting lines must be charged on every one of the 32
+	// iterations.
+	if want := uint64(32) * 2 * fetchMissCost(arch.Config{}); r.Cycles < want {
+		t.Errorf("bound %d below per-iteration charge %d for the conflicting lines", r.Cycles, want)
 	}
 }
 
@@ -101,11 +71,25 @@ func TestStridedFootprintDefeatsPersistence(t *testing.T) {
 // machine's observation must still never exceed the bound — including
 // from a polluted start, where the first iteration genuinely misses.
 func TestPersistenceSoundUnderReplay(t *testing.T) {
-	img, _ := loopImage(t, 200, nil)
+	img := kimage.New()
+	data := img.Data("d", 8192)
+	b := img.NewFunc("entry")
+	b.Loop(200, func(b *kimage.FuncBuilder) {
+		b.Load(data)
+		b.ALU(3)
+	})
+	b.Ret()
+	img.Entries = []string{"entry"}
+	if err := img.Link(); err != nil {
+		t.Fatal(err)
+	}
 	for _, hw := range []arch.Config{{}, {L2Enabled: true}} {
 		r, err := New(img, hw).Analyze("entry")
 		if err != nil {
 			t.Fatal(err)
+		}
+		if r.Classified.FetchFirstMiss == 0 {
+			t.Fatalf("hw %+v: no fetch classified first-miss", hw)
 		}
 		for seed := uint32(0); seed < 10; seed++ {
 			m := machine.New(hw)
@@ -118,35 +102,35 @@ func TestPersistenceSoundUnderReplay(t *testing.T) {
 }
 
 func TestNestedLoopPersistencePerEntry(t *testing.T) {
-	// An inner-loop-persistent line re-missed on each outer
-	// iteration must be charged per inner-loop entry (outer bound
-	// times), not once globally and not per inner iteration.
-	img := kimage.New()
-	data := img.Data("d", 8192)
-	conflict := img.Data("c", 8192)
-	b := img.NewFunc("entry")
-	b.Loop(4, func(b *kimage.FuncBuilder) {
-		// The outer body evicts the inner loop's line.
-		b.Load(conflict + 4096 - (conflict % 4096) + (data % 4096)) // same set as data
-		b.Loop(8, func(b *kimage.FuncBuilder) {
-			b.Load(data)
-			b.ALU(2)
-		})
+	// The outer body fills a whole way of the instruction cache, so
+	// it evicts the inner loop's lines on every outer iteration. Those
+	// lines are persistent in the inner loop only, so their one miss
+	// must be charged per inner-loop entry (the outer bound's times),
+	// not once globally and not per inner iteration.
+	const outer, inner = 4, 256
+	img := loopImage(t, outer, func(b *kimage.FuncBuilder) {
+		b.ALU(wayInstrs)
+		b.Loop(inner, func(b *kimage.FuncBuilder) { b.ALU(2) })
 	})
-	b.Ret()
-	img.Entries = []string{"entry"}
-	if err := img.Link(); err != nil {
-		t.Fatal(err)
-	}
 	hw := arch.Config{}
 	r, err := New(img, hw).Analyze("entry")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if r.Classified.FetchFirstMiss == 0 {
+		t.Error("inner-loop fetches not classified first-miss")
+	}
+	// Charging the inner body's line on every inner iteration would
+	// cost outer × inner fetch misses.
+	if perIteration := uint64(outer*inner) * fetchMissCost(hw); r.Cycles >= perIteration {
+		t.Errorf("bound %d charges the inner loop's line per iteration (>= %d)", r.Cycles, perIteration)
+	}
 	// Replay: still sound.
-	m := machine.New(hw)
-	m.Pollute(3)
-	if obs := m.Run(r.Trace); obs > r.Cycles {
-		t.Fatalf("observed %d > bound %d", obs, r.Cycles)
+	for seed := uint32(1); seed <= 4; seed++ {
+		m := machine.New(hw)
+		m.Pollute(seed)
+		if obs := m.Run(r.Trace); obs > r.Cycles {
+			t.Fatalf("seed %d: observed %d > bound %d", seed, obs, r.Cycles)
+		}
 	}
 }

@@ -129,9 +129,7 @@ type ClassStats struct {
 	// loop: one miss per loop entry instead of one per iteration.
 	FetchFirstMiss    int
 	DataHit, DataMiss int
-	// DataFirstMiss counts loop-persistent fixed data accesses.
-	DataFirstMiss int
-	DataUnknown   int // striding refs, unclassifiable
+	DataUnknown       int // striding refs whose footprint is not wholly pinned
 }
 
 // Analyzer configures and runs WCET analyses over one kernel image.
