@@ -93,7 +93,6 @@ import (
 	"verikern/internal/chaos"
 	"verikern/internal/fleet"
 	"verikern/internal/konfig"
-	"verikern/internal/measure"
 	"verikern/internal/obs"
 	"verikern/internal/soak"
 )
@@ -293,7 +292,7 @@ func main() {
 		stats.Syscalls, stats.Restarts, stats.Preemptions)
 	fmt.Printf("IRQs serviced: %d\n", stats.IRQsServiced)
 	lat := tracer.Latencies()
-	fmt.Printf("latency:       %s\n", measure.SummarizeHistogram(&lat).Text(backend))
+	fmt.Printf("latency:       %s\n", latencyLine(obs.DigestHistogram("", &lat), backend))
 	if err := sys.InvariantFailure(); err != nil {
 		log.Fatalf("INVARIANT VIOLATION: %v", err)
 	}
@@ -316,6 +315,16 @@ func main() {
 			tracer.Emitted()-tracer.Dropped(), tracer.Dropped(), *tracePath)
 		fmt.Print(tracer.Summary())
 	}
+}
+
+// latencyLine renders the demo's latency digest, with the maximum
+// also in microseconds on the backend's clock.
+func latencyLine(d obs.LatencyDigest, b *arch.Backend) string {
+	if d.Count == 0 {
+		return "no samples"
+	}
+	return fmt.Sprintf("n=%d min=%d p50=%d p90=%d p99=%d max=%d cycles (max %.1f µs)",
+		d.Count, d.Min, d.P50, d.P90, d.P99, d.Max, b.CyclesToMicros(d.Max))
 }
 
 // runSoak is the latency-observatory mode. spec is an op count or a

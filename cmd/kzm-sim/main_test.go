@@ -3,11 +3,13 @@ package main
 import (
 	"encoding/json"
 	"regexp"
+	"strings"
 	"testing"
 
 	"verikern/internal/arch"
 	"verikern/internal/fleet"
 	"verikern/internal/konfig"
+	"verikern/internal/obs"
 	"verikern/internal/vspace"
 )
 
@@ -73,6 +75,28 @@ func TestShippedConfigsStamped(t *testing.T) {
 		}
 		if string(got) != wantJSON {
 			t.Errorf("%s: CLI spec encoding\n got %s\nwant %s", id, got, wantJSON)
+		}
+	}
+}
+
+// TestLatencyLineBackendClock: the demo's latency line reads the
+// microsecond figure on the backend's clock, so 3631 cycles read
+// 6.8 µs at the ARM1136's 532 MHz and 3.6 µs at the CVA6-RT's 1 GHz;
+// an empty histogram reads "no samples".
+func TestLatencyLineBackendClock(t *testing.T) {
+	var h obs.Histogram
+	if got := latencyLine(obs.DigestHistogram("", &h), arch.ARM1136); got != "no samples" {
+		t.Errorf("empty histogram: %q", got)
+	}
+	h.Record(1555)
+	h.Record(3631)
+	d := obs.DigestHistogram("", &h)
+	for _, c := range []struct {
+		b    *arch.Backend
+		want string
+	}{{arch.ARM1136, "(max 6.8 µs)"}, {arch.CVA6RT, "(max 3.6 µs)"}} {
+		if got := latencyLine(d, c.b); !strings.HasSuffix(got, "max=3631 cycles "+c.want) {
+			t.Errorf("%s: %q, want it to end %q", c.b.ID, got, "max=3631 cycles "+c.want)
 		}
 	}
 }

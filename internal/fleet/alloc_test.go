@@ -8,11 +8,11 @@ import (
 	"verikern/internal/soak"
 )
 
-// TestCursorBatchReusesBuffers guards the worker's streaming path:
-// once a cursor has streamed a batch, extracting the next window
-// reuses its source buffers, so a window with no new samples
+// TestStreamBatchReusesBuffers guards the worker's streaming path:
+// once a stream has sent a batch, taking the next window's tally
+// difference reuses its buffers, so a window with no new samples
 // allocates nothing.
-func TestCursorBatchReusesBuffers(t *testing.T) {
+func TestStreamBatchReusesBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
@@ -22,20 +22,28 @@ func TestCursorBatchReusesBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := newCursor(0)
+	st := &stream{kinds: map[string]uint64{}}
 	for i := 0; i < 4; i++ {
 		if err := rn.Step(512); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cur.batch(rn); err != nil {
+		if _, err := st.batch(rn); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := len(rn.Tracer().SourceLatencies()); n < 2 {
-		t.Fatalf("only %d latency sources after warm-up; the test needs several", n)
+	var tally soak.Tally
+	rn.Tally(&tally)
+	sources := 0
+	for op := range tally.Sources {
+		if tally.Sources[op].Count() > 0 {
+			sources++
+		}
+	}
+	if sources < 2 {
+		t.Fatalf("only %d latency sources after warm-up; the test needs several", sources)
 	}
 	got := testing.AllocsPerRun(100, func() {
-		b, err := cur.batch(rn)
+		b, err := st.batch(rn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,8 +57,8 @@ func TestCursorBatchReusesBuffers(t *testing.T) {
 }
 
 // TestMergeReusesScratch guards the coordinator's merge: after the
-// first batch, merging a batch with per-source deltas allocates
-// nothing.
+// first batch, decoding a batch with per-source deltas and event
+// counts into the scratch tally and adding it allocates nothing.
 func TestMergeReusesScratch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -90,7 +98,10 @@ func TestMergeReusesScratch(t *testing.T) {
 	if st.Dropped != 0 || st.Shards[0].Checkpoint != batch.ToOps {
 		t.Fatalf("merges dropped %d batches, checkpoint %d, want 0 and %d", st.Dropped, st.Shards[0].Checkpoint, batch.ToOps)
 	}
-	if n := c.agg.src[1].Count(); n != 3*(batch.ToOps) {
+	if n := c.agg.Sources[1].Count(); n != 3*(batch.ToOps) {
 		t.Errorf("source 1 merged %d samples, want %d", n, 3*batch.ToOps)
+	}
+	if n := c.agg.Kinds[obs.KindIRQService]; n != 4*batch.ToOps {
+		t.Errorf("merged %d irq-service events, want %d", n, 4*batch.ToOps)
 	}
 }

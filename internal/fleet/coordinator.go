@@ -103,17 +103,6 @@ type shardState struct {
 	rate       float64   // EWMA samples/sec
 }
 
-// aggregate is the merged observability state across all shards.
-type aggregate struct {
-	src         []obs.Histogram
-	eventCounts map[string]uint64
-	emitted     uint64
-	dropped     uint64
-	violations  uint64
-	nearMax     uint64
-	captures    uint64 // flight-recorder dumps merged; only the count is kept
-}
-
 // recoveryWindow bounds the recovery-time sample ring: the reported
 // p99 is over the most recent recoveries, so a months-long campaign
 // neither grows the slice nor re-sorts its whole history per poll.
@@ -136,18 +125,20 @@ type Coordinator struct {
 	quarantineAfter int
 	wrapConn        func(io.ReadWriteCloser) io.ReadWriteCloser
 
-	mu       sync.Mutex
-	shards   []*shardState
-	agg      aggregate
+	mu     sync.Mutex
+	shards []*shardState
+	// agg is the sum of every merged batch's tally, plus the op and
+	// clock totals of checkpoints resumed from StatePath.
+	agg      soak.Tally
 	conns    map[uint64]io.Closer
 	nextConn uint64
 	draining bool
 	stopped  bool // set by Stop; merge ignores batches afterwards
 	started  time.Time
 
-	// srcScratch holds a batch's decoded source deltas during merge,
-	// reused from batch to batch (merge runs under mu).
-	srcScratch []obs.Histogram
+	// scratch holds a batch's decoded tally during merge, reused from
+	// batch to batch (merge runs under mu).
+	scratch soak.Tally
 
 	// Transport health counters, exposed only through Status
 	// (/fleet.json and the verikern_fleet_* metrics).
@@ -221,8 +212,6 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	if c.quarantineAfter <= 0 {
 		c.quarantineAfter = 8
 	}
-	c.agg.src = make([]obs.Histogram, obs.NumOps())
-	c.agg.eventCounts = make(map[string]uint64)
 	c.shards = make([]*shardState, spec.Workers)
 	for i := range c.shards {
 		c.shards[i] = &shardState{budget: soak.ShardBudget(spec.Ops, spec.Workers, i)}
@@ -525,8 +514,9 @@ func (c *Coordinator) release(id uint64, shard int, clean bool) {
 // because the checkpoint gate only admits the batch continuing each
 // shard's merged prefix. Batches from a stale lease, not contiguous
 // with the merged checkpoint, past the shard's budget, from another
-// configuration or with a malformed source delta are counted in
-// Status.Dropped and discarded whole — dropping them is
+// configuration or that do not decode into a tally (an unknown event
+// kind, an out-of-range source op, a malformed histogram) are counted
+// in Status.Dropped and discarded whole — dropping them is
 // correctness-preserving because the checkpoint only advances on
 // merge, so a successor worker regenerates exactly the dropped window.
 // Once Stop has run, batches are ignored and nothing changes.
@@ -564,36 +554,20 @@ func (c *Coordinator) merge(connID uint64, b Batch) {
 		c.logfSafe("fleet: shard %d: batch config %q != campaign config %q, refused", b.Shard, b.Config, c.spec.ConfigKey)
 		return
 	}
-	srcDs := c.srcScratch[:0]
+	d := &c.scratch
+	if err := b.tally(d); err != nil {
+		c.dropped++
+		c.logfSafe("fleet: shard %d: %v, batch refused", b.Shard, err)
+		return
+	}
+	// The batch carries the shard's cumulative clock; the aggregate
+	// sums windows.
+	d.SimCycles = b.SimCycles - sh.simCycles
+	c.agg.Add(d)
 	var samples uint64
-	for _, sd := range b.Sources {
-		if int(sd.Op) >= obs.NumOps() {
-			c.dropped++
-			c.logfSafe("fleet: shard %d: source op %d out of range, batch refused", b.Shard, sd.Op)
-			return
-		}
-		h, err := obs.HistogramFromState(sd.Hist)
-		if err != nil {
-			c.dropped++
-			c.logfSafe("fleet: shard %d: bad source delta: %v", b.Shard, err)
-			return
-		}
-		srcDs = append(srcDs, h)
-		samples += h.Count()
+	for op := range d.Sources {
+		samples += d.Sources[op].Count()
 	}
-	c.srcScratch = srcDs
-
-	for i, sd := range b.Sources {
-		c.agg.src[sd.Op].Merge(&srcDs[i])
-	}
-	for k, v := range b.EventCounts {
-		c.agg.eventCounts[k] += v
-	}
-	c.agg.emitted += b.Emitted
-	c.agg.dropped += b.Dropped
-	c.agg.violations += b.Violations
-	c.agg.nearMax += b.NearMax
-	c.agg.captures += b.Captures
 
 	now := time.Now()
 	if !sh.lastBatch.IsZero() {
@@ -678,40 +652,13 @@ func (c *Coordinator) Stop() {
 	c.reaperWG.Wait()
 }
 
-// Snapshot renders the merged aggregate as the standard exposition
-// snapshot — the same document a single-process soak produces. The
+// Snapshot renders the merged aggregate through soak.Tally.Snapshot —
+// the same rendering a single-process soak's report uses. The
 // transport counters live in Status only.
 func (c *Coordinator) Snapshot() *obs.Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := obs.NewSnapshot()
-	s.Label = c.spec.Label
-	s.Arch = c.backend
-	s.Config = c.spec.ConfigKey
-	s.Seed = c.spec.Seed
-	s.Workers = c.spec.Workers
-	for _, sh := range c.shards {
-		s.Ops += sh.checkpoint
-		s.SimCycles += sh.simCycles
-	}
-	s.EventsEmitted = c.agg.emitted
-	s.EventsDropped = c.agg.dropped
-	for k, v := range c.agg.eventCounts {
-		s.EventCounts[k] = v
-	}
-	for op := range c.agg.src {
-		if c.agg.src[op].Count() > 0 {
-			s.AddSourceHistogram(obs.Op(op), &c.agg.src[op])
-		}
-	}
-	s.Bound = &obs.BoundStatus{
-		Cycles:        c.spec.BoundCycles,
-		MarginPercent: c.spec.MarginPercent,
-		Violations:    c.agg.violations,
-		NearMax:       c.agg.nearMax,
-		Captures:      c.agg.captures,
-	}
-	return s
+	return c.agg.Snapshot(c.spec.SoakConfig())
 }
 
 // EquivalenceDigest renders a snapshot's equivalence-comparable form:
@@ -824,6 +771,8 @@ func (c *Coordinator) loadState() error {
 		sh.checkpoint = st.Checkpoints[i]
 		sh.simCycles = st.SimCycles[i]
 		sh.completed = sh.checkpoint >= sh.budget
+		c.agg.Ops += sh.checkpoint
+		c.agg.SimCycles += sh.simCycles
 	}
 	c.logfSafe("fleet: resumed campaign from %s (%d shards)", c.statePath, len(c.shards))
 	return nil
@@ -844,9 +793,10 @@ func (c *Coordinator) quarantineState(reason string) error {
 // document written to a unique temp file, fsynced, then renamed over
 // the state path — a crash at any point leaves either the previous
 // complete state or the new complete state, never a torn mix (and a
-// torn temp file is ignored by its name). Note the histograms are NOT
-// persisted: a resumed coordinator's aggregate restarts empty and
-// re-accumulates only the remaining window, so cross-restart
+// torn temp file is ignored by its name). Note only the op and clock
+// totals are persisted: a resumed coordinator's aggregate restarts
+// from them with no histograms or counts, and re-accumulates only the
+// remaining window, so cross-restart
 // aggregates are partial by design — the checkpoint file's job is to
 // not lose (or redo) op budget.
 func (c *Coordinator) saveStateLocked() {

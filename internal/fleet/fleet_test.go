@@ -228,9 +228,9 @@ func waitCounter(t *testing.T, c *Coordinator, key string, want uint64) {
 
 // TestFleetStaleBatchDropped checks the admission gate: batches that
 // do not continue the merged prefix, come from a connection that does
-// not own the shard, run past the shard's budget or name an
-// out-of-range source op are counted in Status.Dropped and change
-// nothing.
+// not own the shard, run past the shard's budget, name an
+// out-of-range source op or an unknown event kind are counted in
+// Status.Dropped and change nothing.
 func TestFleetStaleBatchDropped(t *testing.T) {
 	ctx := context.Background()
 	sp := fleetSpec(2000, 2)
@@ -265,7 +265,11 @@ func TestFleetStaleBatchDropped(t *testing.T) {
 		{"past the shard's budget", Batch{Shard: 0, FromOps: 7, ToOps: 5000}, false},
 		{"an out-of-range source op", Batch{Shard: 0, FromOps: 7, ToOps: 9, Sources: []SourceDelta{
 			{Op: 1, Hist: h.State()},
-			{Op: uint8(obs.NumOps()), Hist: h.State()},
+			{Op: uint8(obs.NumOps), Hist: h.State()},
+		}}, false},
+		{"an unknown event kind", Batch{Shard: 0, FromOps: 7, ToOps: 9, EventCounts: map[string]uint64{
+			"irq-service": 1,
+			"bogus":       1,
 		}}, false},
 	} {
 		if err := writeMsg(client, msgBatch, in.b); err != nil {
@@ -286,8 +290,8 @@ func TestFleetStaleBatchDropped(t *testing.T) {
 		if st.Shards[0].Checkpoint != checkpoint || st.Samples != 0 {
 			t.Errorf("%s: checkpoint %d and %d samples, want %d and 0", in.name, st.Shards[0].Checkpoint, st.Samples, checkpoint)
 		}
-		if n := c.Snapshot().IRQ.Count; n != 0 {
-			t.Errorf("%s: snapshot holds %d samples, want 0", in.name, n)
+		if s := c.Snapshot(); s.IRQ.Count != 0 || len(s.EventCounts) != 0 {
+			t.Errorf("%s: snapshot holds %d samples and events %v, want none", in.name, s.IRQ.Count, s.EventCounts)
 		}
 	}
 }

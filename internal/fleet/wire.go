@@ -110,8 +110,9 @@ type SourceDelta struct {
 }
 
 // Batch is one streamed delta window: everything the shard observed in
-// ops (FromOps, ToOps]. Histogram and counter fields are deltas since
-// the previous batch, except SimCycles (the shard's cumulative
+// ops (FromOps, ToOps], the difference of the shard runner's
+// soak.Tally at ToOps and at FromOps. Histogram and counter fields are
+// deltas since the previous batch, except SimCycles (the shard's cumulative
 // simulated clock, which only the latest value of matters) and the
 // delta histograms' Max/Min (cumulative extrema — telescoping merges
 // still recover the global extrema exactly; see obs.DeltaSince).
@@ -144,6 +145,40 @@ type Batch struct {
 	// Final marks the shard's last batch: budget reached or drain
 	// honoured. The connection closes after it.
 	Final bool `json:"final,omitempty"`
+}
+
+// tally decodes the batch's window into d, the inverse of the worker's
+// stream.batch. d.SimCycles is left zero: the batch carries the
+// shard's cumulative clock, which only the coordinator can difference.
+// A batch decodes whole or not at all: an event kind or source op
+// outside the tables, or a malformed histogram, is an error.
+func (b *Batch) tally(d *soak.Tally) error {
+	*d = soak.Tally{
+		Ops:        b.ToOps - b.FromOps,
+		Emitted:    b.Emitted,
+		Dropped:    b.Dropped,
+		Violations: b.Violations,
+		NearMax:    b.NearMax,
+		Captures:   b.Captures,
+	}
+	for name, n := range b.EventCounts {
+		k, ok := obs.KindNamed(name)
+		if !ok {
+			return fmt.Errorf("unknown event kind %q", name)
+		}
+		d.Kinds[k] += n
+	}
+	for _, sd := range b.Sources {
+		if int(sd.Op) >= obs.NumOps {
+			return fmt.Errorf("source op %d out of range", sd.Op)
+		}
+		h, err := obs.HistogramFromState(sd.Hist)
+		if err != nil {
+			return fmt.Errorf("bad source delta: %w", err)
+		}
+		d.Sources[sd.Op].Merge(&h)
+	}
+	return nil
 }
 
 // errCorruptFrame classifies recoverable frame corruption: the reader

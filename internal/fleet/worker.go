@@ -141,7 +141,7 @@ func runWorkerConn(ctx context.Context, conn io.ReadWriteCloser, opt WorkerOptio
 	// Fast-forward: replay the already-merged prefix silently. The op
 	// stream is seeded per shard, so this reconstructs the exact
 	// kernel and tracer state the previous incarnation had at the
-	// checkpoint — including the capture list, which the cursor then
+	// checkpoint — including the capture list, which the stream then
 	// baselines so nothing is re-streamed.
 	const ffChunk = 256
 	for rn.Ops() < as.Checkpoint {
@@ -156,17 +156,16 @@ func runWorkerConn(ctx context.Context, conn io.ReadWriteCloser, opt WorkerOptio
 			return workerErr, fmt.Errorf("fleet worker: fast-forward: %w", err)
 		}
 	}
-	cur := newCursor(as.Shard)
-	cur.config = as.Spec.ConfigKey
+	st := &stream{shard: as.Shard, config: as.Spec.ConfigKey, kinds: map[string]uint64{}}
 	if as.Checkpoint > 0 {
 		// Restart: everything up to the checkpoint — including the
 		// boot-time trace events — was merged by the previous
 		// incarnation's batches; baseline it all away.
-		cur.sync(rn)
+		rn.Tally(&st.sent)
 	}
 	// Fresh shard: keep the zero baseline, so the first batch carries
 	// the boot-time events (object creation emits create-chunk events
-	// before the first op) exactly as an in-process AddTracer would.
+	// before the first op) exactly as an in-process soak's tally would.
 
 	// The reader goroutine watches for the coordinator's drain (or a
 	// dead connection) while the main loop steps the kernel. Corrupt
@@ -233,7 +232,7 @@ func runWorkerConn(ctx context.Context, conn io.ReadWriteCloser, opt WorkerOptio
 				final = true
 			}
 		}
-		b, err := cur.batch(rn)
+		b, err := st.batch(rn)
 		if err != nil {
 			return workerErr, fmt.Errorf("fleet worker: delta: %w", err)
 		}
@@ -249,107 +248,60 @@ func runWorkerConn(ctx context.Context, conn io.ReadWriteCloser, opt WorkerOptio
 	}
 }
 
-// cursor tracks what a worker has already streamed, so each batch
-// carries exactly the window since the previous one. After a restart's
-// fast-forward, sync re-baselines everything (including the capture
-// count) at the merged checkpoint.
-type cursor struct {
+// stream tracks what a worker has streamed: each batch is the
+// difference between the runner's tally now and its tally at the
+// previous batch. A fresh shard starts from the zero tally, so its
+// first batch carries the boot-time events; a restarted one starts
+// from the tally at the merged checkpoint.
+type stream struct {
 	shard int
 	// config is the spec's ConfigKey, echoed on every batch so the
 	// coordinator can refuse deltas from another configuration.
-	config       string
-	prevOps      uint64
-	prevSrc      []obs.Histogram
-	prevKinds    []uint64
-	prevEmitted  uint64
-	prevDropped  uint64
-	prevViol     uint64
-	prevNearMax  uint64
-	prevCaptures uint64
-	// srcBuf and sources are reused by every batch, so streaming a
+	config string
+	sent   soak.Tally // the runner's tally at the last batch
+	delta  soak.Tally
+	// sources and kinds are reused by every batch, so streaming a
 	// window allocates little beyond its wire encoding.
-	srcBuf  []obs.SourceLatency
 	sources []SourceDelta
+	kinds   map[string]uint64
 }
 
-func newCursor(shard int) *cursor {
-	return &cursor{
-		shard:     shard,
-		prevSrc:   make([]obs.Histogram, obs.NumOps()),
-		prevKinds: make([]uint64, obs.NumKinds()),
+// batch encodes the window since the last batch as a Batch, the
+// inverse of Batch.tally, and advances the baseline. The returned
+// batch shares the stream's buffers and is valid until the next call.
+func (s *stream) batch(rn *soak.Runner) (Batch, error) {
+	rn.Tally(&s.delta)
+	now := s.delta
+	if err := s.delta.Sub(&s.sent); err != nil {
+		return Batch{}, err
 	}
-}
-
-// sync baselines the cursor at the runner's current state: everything
-// up to here is considered already merged upstream.
-func (c *cursor) sync(rn *soak.Runner) {
-	tr := rn.Tracer()
-	c.prevOps = rn.Ops()
-	for i := range c.prevSrc {
-		c.prevSrc[i] = obs.Histogram{}
-	}
-	c.srcBuf = tr.AppendSourceLatencies(c.srcBuf[:0])
-	for _, sl := range c.srcBuf {
-		c.prevSrc[sl.Source] = sl.Hist
-	}
-	for k := range c.prevKinds {
-		c.prevKinds[k] = tr.Count(obs.Kind(k))
-	}
-	c.prevEmitted = tr.Emitted()
-	c.prevDropped = tr.Dropped()
-	st := rn.SentinelStatus()
-	c.prevViol = st.Violations
-	c.prevNearMax = st.NearMax
-	c.prevCaptures = uint64(len(rn.Captures()))
-}
-
-// batch extracts the delta window since the last batch (or sync) and
-// advances the cursor. The returned batch's Sources share the
-// cursor's buffer and are valid until the next call.
-func (c *cursor) batch(rn *soak.Runner) (Batch, error) {
-	tr := rn.Tracer()
+	d := &s.delta
 	b := Batch{
-		Shard:     c.shard,
-		Config:    c.config,
-		FromOps:   c.prevOps,
-		ToOps:     rn.Ops(),
-		SimCycles: rn.Kernel().Now(),
+		Shard:       s.shard,
+		Config:      s.config,
+		FromOps:     s.sent.Ops,
+		ToOps:       now.Ops,
+		SimCycles:   now.SimCycles,
+		Emitted:     d.Emitted,
+		Dropped:     d.Dropped,
+		EventCounts: s.kinds,
+		Violations:  d.Violations,
+		NearMax:     d.NearMax,
+		Captures:    d.Captures,
 	}
-	c.srcBuf = tr.AppendSourceLatencies(c.srcBuf[:0])
-	c.sources = c.sources[:0]
-	for i := range c.srcBuf {
-		sl := &c.srcBuf[i]
-		sd, err := sl.Hist.DeltaSince(&c.prevSrc[sl.Source])
-		if err != nil {
-			return b, err
-		}
-		if sd.Count() > 0 {
-			c.sources = append(c.sources, SourceDelta{Op: uint8(sl.Source), Hist: sd.State()})
-		}
-		c.prevSrc[sl.Source] = sl.Hist
-	}
-	if len(c.sources) > 0 {
-		b.Sources = c.sources
-	}
-	for k := range c.prevKinds {
-		if cnt := tr.Count(obs.Kind(k)); cnt > c.prevKinds[k] {
-			if b.EventCounts == nil {
-				b.EventCounts = make(map[string]uint64)
-			}
-			b.EventCounts[obs.Kind(k).String()] = cnt - c.prevKinds[k]
-			c.prevKinds[k] = cnt
+	clear(s.kinds)
+	for k, n := range d.Kinds {
+		if n > 0 {
+			s.kinds[obs.Kind(k).String()] = n
 		}
 	}
-	em, dr := tr.Emitted(), tr.Dropped()
-	b.Emitted, b.Dropped = em-c.prevEmitted, dr-c.prevDropped
-	c.prevEmitted, c.prevDropped = em, dr
-	st := rn.SentinelStatus()
-	b.Violations = st.Violations - c.prevViol
-	b.NearMax = st.NearMax - c.prevNearMax
-	c.prevViol, c.prevNearMax = st.Violations, st.NearMax
-	caps := uint64(len(rn.Captures()))
-	b.Captures = caps - c.prevCaptures
-	c.prevCaptures = caps
-	c.prevOps = rn.Ops()
+	s.sources = s.sources[:0]
+	for op := range d.Sources {
+		if d.Sources[op].Count() > 0 {
+			s.sources = append(s.sources, SourceDelta{Op: uint8(op), Hist: d.Sources[op].State()})
+		}
+	}
+	b.Sources = s.sources
+	s.sent = now
 	return b, nil
 }

@@ -191,15 +191,16 @@ func TestTracerOpAttribution(t *testing.T) {
 	// Each timer was armed just before its walk, so all three long
 	// operations must own attributed samples; counts across all sources
 	// must cover every recorded latency.
-	srcs := map[obs.Op]uint64{}
+	var kinds [obs.NumKinds]uint64
+	var srcs [obs.NumOps]obs.Histogram
+	tr.Totals(&kinds, &srcs)
 	var total uint64
-	for _, sl := range tr.SourceLatencies() {
-		srcs[sl.Source] = sl.Hist.Count()
-		total += sl.Hist.Count()
+	for op := range srcs {
+		total += srcs[op].Count()
 	}
 	for _, want := range []obs.Op{obs.OpBadgeRevoke, obs.OpDelete, obs.OpRetype} {
-		if srcs[want] == 0 {
-			t.Errorf("no interrupt-response sample attributed to %v (got %v)", want, srcs)
+		if srcs[want].Count() == 0 {
+			t.Errorf("no interrupt-response sample attributed to %v", want)
 		}
 	}
 	if lat := tr.Latencies(); total != lat.Count() {

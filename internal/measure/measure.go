@@ -14,12 +14,9 @@
 package measure
 
 import (
-	"fmt"
-
 	"verikern/internal/arch"
 	"verikern/internal/kimage"
 	"verikern/internal/machine"
-	"verikern/internal/obs"
 )
 
 // Observation summarises a measurement campaign for one path.
@@ -171,43 +168,4 @@ func OverestimationPercent(computed, observed uint64) float64 {
 		return 0
 	}
 	return 100 * (float64(computed) - float64(observed)) / float64(observed)
-}
-
-// Summary is a latency distribution digest, for reporting measured
-// interrupt-response latencies. It is backed by obs.Histogram, so its
-// quantiles share the observatory's conservative semantics: P50/P90/
-// P99 are upper bounds that never understate the true quantile (capped
-// at the exact observed maximum). Count, Min, Max and Mean are exact.
-type Summary struct {
-	Count         int
-	Min, Max      uint64
-	P50, P90, P99 uint64
-	Mean          float64
-}
-
-// SummarizeHistogram digests a tracer or soak-pool histogram. An empty
-// histogram yields a zero Summary.
-func SummarizeHistogram(h *obs.Histogram) Summary {
-	if h.Count() == 0 {
-		return Summary{}
-	}
-	return Summary{
-		Count: int(h.Count()),
-		Min:   h.Min(),
-		Max:   h.Max(),
-		P50:   h.Quantile(0.50),
-		P90:   h.Quantile(0.90),
-		P99:   h.Quantile(0.99),
-		Mean:  h.Mean(),
-	}
-}
-
-// Text renders the digest, with the maximum also in microseconds on
-// the backend's clock.
-func (s Summary) Text(b *arch.Backend) string {
-	if s.Count == 0 {
-		return "no samples"
-	}
-	return fmt.Sprintf("n=%d min=%d p50=%d p90=%d p99=%d max=%d cycles (max %.1f µs)",
-		s.Count, s.Min, s.P50, s.P90, s.P99, s.Max, b.CyclesToMicros(s.Max))
 }

@@ -1,10 +1,7 @@
 package measure
 
 import (
-	"strings"
 	"testing"
-
-	"verikern/internal/obs"
 
 	"verikern/internal/arch"
 	"verikern/internal/kimage"
@@ -70,77 +67,6 @@ func TestObserveDefaultsRuns(t *testing.T) {
 	o := Observe(img, arch.Config{}, r.Trace, 0)
 	if o.Runs != 1 {
 		t.Errorf("runs = %d, want 1", o.Runs)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	if s := SummarizeHistogram(&obs.Histogram{}); s.Count != 0 || s.Text(arch.ARM1136) != "no samples" {
-		t.Errorf("empty summary: %+v", s)
-	}
-	var h obs.Histogram
-	for i := 1; i <= 100; i++ {
-		h.Record(uint64(i))
-	}
-	s := SummarizeHistogram(&h)
-	if s.Min != 1 || s.Max != 100 || s.Count != 100 {
-		t.Errorf("summary %+v", s)
-	}
-	// Quantiles follow obs.Histogram's conservative semantics: an
-	// upper bound on the exact percentile, capped at the max.
-	if s.P50 < 50 || s.P90 < 90 || s.P99 < 99 {
-		t.Errorf("quantile understates exact percentile: p50=%d p90=%d p99=%d", s.P50, s.P90, s.P99)
-	}
-	if s.P50 > s.Max || s.P90 > s.Max || s.P99 > s.Max {
-		t.Errorf("quantile exceeds max: %+v", s)
-	}
-	if s.P50 > s.P90 || s.P90 > s.P99 {
-		t.Errorf("quantiles not monotone: %+v", s)
-	}
-	if s.Mean != 50.5 {
-		t.Errorf("mean %v", s.Mean)
-	}
-	if !strings.Contains(s.Text(arch.ARM1136), "max=100") {
-		t.Errorf("Text() = %q", s.Text(arch.ARM1136))
-	}
-	var shuffled obs.Histogram
-	for _, v := range []uint64{5, 1, 3, 2, 4} {
-		shuffled.Record(v)
-	}
-	if got := SummarizeHistogram(&shuffled); got.P50 < 3 || got.Min != 1 || got.Max != 5 {
-		t.Errorf("unsorted input summary %+v", got)
-	}
-}
-
-// TestSummaryTextBackendClock: the microsecond figure uses the
-// backend's clock, so 3631 cycles read 6.8 µs at the ARM1136's 532 MHz
-// and 3.6 µs at the CVA6-RT's 1 GHz.
-func TestSummaryTextBackendClock(t *testing.T) {
-	var h obs.Histogram
-	h.Record(1555)
-	h.Record(3631)
-	s := SummarizeHistogram(&h)
-	for _, c := range []struct {
-		b    *arch.Backend
-		want string
-	}{{arch.ARM1136, "(max 6.8 µs)"}, {arch.CVA6RT, "(max 3.6 µs)"}} {
-		if got := s.Text(c.b); !strings.HasSuffix(got, "max=3631 cycles "+c.want) {
-			t.Errorf("%s: %q, want it to end %q", c.b.ID, got, "max=3631 cycles "+c.want)
-		}
-	}
-}
-
-// TestSummarizeMatchesHistogram pins that the digest agrees with
-// obs.Histogram's own accessors: the exact-percentile vs
-// bucketed-quantile split the two packages used to have is gone.
-func TestSummarizeMatchesHistogram(t *testing.T) {
-	var h obs.Histogram
-	for _, v := range []uint64{3, 17, 90, 1500, 1500, 65536, 7} {
-		h.Record(v)
-	}
-	a := SummarizeHistogram(&h)
-	if a.P50 != h.Quantile(0.50) || a.P90 != h.Quantile(0.90) || a.P99 != h.Quantile(0.99) ||
-		a.Min != h.Min() || a.Max != h.Max() || a.Mean != h.Mean() || uint64(a.Count) != h.Count() {
-		t.Errorf("digest disagrees with histogram: %+v", a)
 	}
 }
 

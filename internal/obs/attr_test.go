@@ -22,20 +22,18 @@ func TestOpAttribution(t *testing.T) {
 	tr.Emit(KindIRQService, 1700, 700, 0)
 	tr.SetOp(OpUser)
 
-	src := tr.SourceLatencies()
-	if len(src) != 2 {
-		t.Fatalf("got %d sources, want 2: %+v", len(src), src)
-	}
-	// Operation-tag order: OpDelete < OpRetype.
-	if src[0].Source != OpDelete || src[0].Hist.Max() != 700 {
-		t.Errorf("source[0] = %v max=%d", src[0].Source, src[0].Hist.Max())
-	}
-	if src[1].Source != OpRetype || src[1].Hist.Max() != 240 {
-		t.Errorf("source[1] = %v max=%d", src[1].Source, src[1].Hist.Max())
+	var kinds [NumKinds]uint64
+	var src [NumOps]Histogram
+	tr.Totals(&kinds, &src)
+	if src[OpDelete].Max() != 700 || src[OpRetype].Max() != 240 {
+		t.Errorf("delete max %d, retype max %d, want 700 and 240", src[OpDelete].Max(), src[OpRetype].Max())
 	}
 	var total uint64
-	for _, s := range src {
-		total += s.Hist.Count()
+	for op := range src {
+		if n := src[op].Count(); n > 0 && Op(op) != OpDelete && Op(op) != OpRetype {
+			t.Errorf("source %v holds %d samples, want none", Op(op), n)
+		}
+		total += src[op].Count()
 	}
 	if lat := tr.Latencies(); total != lat.Count() {
 		t.Errorf("per-source counts sum to %d, overall histogram has %d", total, lat.Count())
@@ -98,8 +96,13 @@ func TestSampleHook(t *testing.T) {
 	var nilT *Tracer
 	nilT.SetOp(OpSend)
 	nilT.SetSampleHook(func(Sample) { t.Error("hook on nil tracer") })
-	if nilT.LastEvents(3) != nil || nilT.SourceLatencies() != nil {
-		t.Error("nil tracer returned non-nil state")
+	// Totals must clear tables that already hold data.
+	kinds := [NumKinds]uint64{KindIRQService: 1}
+	var src [NumOps]Histogram
+	src[OpSend].Record(5)
+	if em, dr := nilT.Totals(&kinds, &src); nilT.LastEvents(3) != nil || em != 0 || dr != 0 ||
+		kinds != [NumKinds]uint64{} || src != [NumOps]Histogram{} {
+		t.Error("nil tracer returned non-empty state")
 	}
 }
 

@@ -71,9 +71,20 @@ const (
 // the idle thread was chosen".
 const IdleArg = ^uint64(0)
 
-// NumKinds returns the number of defined event kinds, for callers that
-// enumerate per-kind counts across tracers (the fleet delta export).
-func NumKinds() int { return int(numKinds) }
+// NumKinds is the number of defined event kinds: the length of a
+// per-kind count table.
+const NumKinds = int(numKinds)
+
+// KindNamed returns the kind whose wire name (String) is name, and
+// false for a name no kind has.
+func KindNamed(name string) (Kind, bool) {
+	for k := Kind(0); k < numKinds; k++ {
+		if k.String() == name {
+			return k, true
+		}
+	}
+	return 0, false
+}
 
 // String returns the event kind's wire name (also used as the Chrome
 // trace event name).
@@ -334,35 +345,22 @@ func (t *Tracer) LastEvents(n int) []Event {
 	return all[len(all)-n:]
 }
 
-// SourceLatency pairs an operation tag with its interrupt-response
-// latency histogram.
-type SourceLatency struct {
-	Source Op
-	Hist   Histogram
-}
-
-// SourceLatencies returns a snapshot of the non-empty per-source
-// latency histograms in operation-tag order. The sum of their counts
-// equals Latencies().Count().
-func (t *Tracer) SourceLatencies() []SourceLatency {
-	return t.AppendSourceLatencies(nil)
-}
-
-// AppendSourceLatencies appends the SourceLatencies snapshot to dst
-// and returns the extended slice, so a caller polling every batch can
-// reuse one buffer instead of allocating per call.
-func (t *Tracer) AppendSourceLatencies(dst []SourceLatency) []SourceLatency {
+// Totals copies the tracer's whole-run record under one lock, without
+// allocating: per-kind event counts into kinds, per-source latency
+// histograms into sources. It returns the emitted and dropped event
+// counts. A nil tracer zeroes the tables.
+func (t *Tracer) Totals(kinds *[NumKinds]uint64, sources *[NumOps]Histogram) (emitted, dropped uint64) {
 	if t == nil {
-		return dst
+		*kinds, *sources = [NumKinds]uint64{}, [NumOps]Histogram{}
+		return 0, 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for op := Op(0); op < numOps; op++ {
-		if t.srcLat[op].Count() > 0 {
-			dst = append(dst, SourceLatency{Source: op, Hist: t.srcLat[op]})
-		}
+	*kinds, *sources = t.counts, t.srcLat
+	if t.emitted > uint64(t.capacity) {
+		dropped = t.emitted - uint64(t.capacity)
 	}
-	return dst
+	return t.emitted, dropped
 }
 
 // Latencies returns the all-sources interrupt-response latency

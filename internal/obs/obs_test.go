@@ -212,9 +212,19 @@ func TestConcurrentEmit(t *testing.T) {
 			t.Fatalf("event stamped with op %d, not a tag any tagger set", e.Op)
 		}
 	}
+	var kinds [NumKinds]uint64
+	var src [NumOps]Histogram
+	if em, dr := tr.Totals(&kinds, &src); em != tr.Emitted() || dr != tr.Dropped() {
+		t.Fatalf("Totals reads %d emitted and %d dropped, accessors %d and %d", em, dr, tr.Emitted(), tr.Dropped())
+	}
 	var attributed uint64
-	for _, sl := range tr.SourceLatencies() {
-		attributed += sl.Hist.Count()
+	for k := range kinds {
+		if kinds[k] != tr.Count(Kind(k)) {
+			t.Fatalf("Totals counts %d %v events, Count %d", kinds[k], Kind(k), tr.Count(Kind(k)))
+		}
+	}
+	for op := range src {
+		attributed += src[op].Count()
 	}
 	if lat := tr.Latencies(); attributed != lat.Count() {
 		t.Fatalf("per-source latencies hold %d samples, total histogram %d", attributed, lat.Count())

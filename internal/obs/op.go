@@ -116,6 +116,6 @@ func (o Op) String() string {
 	}
 }
 
-// NumOps returns the number of defined operation tags, for callers
-// that aggregate per-source histograms across tracers.
-func NumOps() int { return int(numOps) }
+// NumOps is the number of defined operation tags: the length of a
+// per-source histogram table.
+const NumOps = int(numOps)

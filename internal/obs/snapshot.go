@@ -81,9 +81,9 @@ type BoundStatus struct {
 // Snapshot is a point-in-time, serialisable view of the observability
 // state: event counts, the overall and per-source interrupt-latency
 // digests and the sentinel's bound status. Latency enters only by
-// source (AddTracer, AddSourceHistogram), and each source merges into
-// the all-sources histogram too, so the per-source counts always sum
-// to the aggregate. Construct with NewSnapshot, fold state in with the
+// source (AddTracer, AddTotals, AddSourceHistogram), and each source
+// merges into the all-sources histogram too, so the per-source counts
+// always sum to the aggregate. Construct with NewSnapshot, fold state in with the
 // Add methods, set the identity fields, then render with WriteJSON or
 // WritePrometheus.
 type Snapshot struct {
@@ -131,29 +131,38 @@ func NewSnapshot() *Snapshot {
 	return &Snapshot{EventCounts: make(map[string]uint64)}
 }
 
-// AddTracer folds a tracer's event counts and latency histograms into
-// the snapshot. Call once per worker tracer; histograms merge exactly.
+// AddTracer folds a tracer's whole-run totals into the snapshot. Call
+// once per worker tracer; histograms merge exactly.
 func (s *Snapshot) AddTracer(t *Tracer) {
-	if t == nil {
-		return
-	}
-	s.EventsEmitted += t.Emitted()
-	s.EventsDropped += t.Dropped()
-	for k := Kind(0); k < numKinds; k++ {
-		if c := t.Count(k); c > 0 {
-			s.EventCounts[k.String()] += c
+	var kinds [NumKinds]uint64
+	var sources [NumOps]Histogram
+	emitted, dropped := t.Totals(&kinds, &sources)
+	s.AddTotals(emitted, dropped, &kinds, &sources)
+}
+
+// AddTotals folds whole-run totals into the snapshot: the emitted and
+// dropped event counts, the per-kind counts (kinds never seen stay out
+// of EventCounts) and the per-source latency histograms. AddTracer
+// reads them from one tracer; soak.Tally renders a merged record
+// through it.
+func (s *Snapshot) AddTotals(emitted, dropped uint64, kinds *[NumKinds]uint64, sources *[NumOps]Histogram) {
+	s.EventsEmitted += emitted
+	s.EventsDropped += dropped
+	for k, c := range kinds {
+		if c > 0 {
+			s.EventCounts[Kind(k).String()] += c
 		}
 	}
-	for _, sl := range t.SourceLatencies() {
-		s.AddSourceHistogram(sl.Source, &sl.Hist)
+	for op := range sources {
+		if sources[op].Count() > 0 {
+			s.AddSourceHistogram(Op(op), &sources[op])
+		}
 	}
-	s.refreshDigests()
 }
 
 // AddSourceHistogram merges h into the per-source histogram of op and
-// into the all-sources histogram. AddTracer calls it per source; the
-// fleet coordinator calls it with its merged per-source deltas. An op
-// outside the tag range is ignored.
+// into the all-sources histogram. AddTotals calls it per non-empty
+// source. An op outside the tag range is ignored.
 func (s *Snapshot) AddSourceHistogram(op Op, h *Histogram) {
 	if op >= numOps {
 		return

@@ -44,31 +44,20 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// report assembles the merged Report from finished runners, in worker-
-// index order so the result is deterministic regardless of goroutine
-// scheduling.
+// report assembles the merged Report from finished runners: the sum
+// of their tallies, and their captures in worker-index order, so the
+// result is deterministic regardless of goroutine scheduling.
 func report(cfg Config, runners []*Runner) *Report {
-	snap := obs.NewSnapshot()
-	snap.Label = cfg.Label
-	snap.Arch = arch.MustLookup(cfg.Arch).ID
-	snap.Config = cfg.ConfigKey
-	snap.Seed = cfg.Seed
-	snap.Workers = len(runners)
-	bound := obs.BoundStatus{Cycles: cfg.BoundCycles, MarginPercent: cfg.MarginPercent}
-	r := &Report{Snapshot: snap}
+	var sum, t Tally
+	r := &Report{}
 	for _, rn := range runners {
-		snap.AddTracer(rn.tracer)
-		snap.Ops += rn.ops
-		snap.SimCycles += rn.k.Now()
-		st := rn.sent.status()
-		bound.Violations += st.Violations
-		bound.NearMax += st.NearMax
-		bound.Captures += st.Captures
+		rn.Tally(&t)
+		sum.Add(&t)
 		// Captures already carry their worker/seed identity (stamped at
 		// capture time); the merge just concatenates in worker order.
 		r.Captures = append(r.Captures, rn.sent.captures...)
 	}
-	snap.Bound = &bound
+	r.Snapshot = sum.Snapshot(cfg)
 	return r
 }
 
