@@ -85,6 +85,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -538,6 +539,27 @@ func runFleetCoordinator(ctx context.Context, rc fleetRunConfig) {
 		fmt.Printf("chaos engine armed: seed %d (deterministic fault schedule)\n", rc.chaosSeed)
 	}
 	fcfg.StatePath, fcfg.Logf = rc.statePath, log.Printf
+	// A chaos kill strikes a worker just after its first batch, when
+	// that batch is not its last, so every kill costs a live lease.
+	victims := make(chan int, rc.chaosKills)
+	if rc.chaosKills > 0 {
+		var claimed atomic.Int64
+		claim := func(pid int) bool {
+			if claimed.Add(1) > int64(rc.chaosKills) {
+				return false
+			}
+			victims <- pid // never blocks: the channel holds every kill
+			return true
+		}
+		wrap := fcfg.WrapConn
+		fcfg.WrapConn = func(rwc io.ReadWriteCloser) io.ReadWriteCloser {
+			rwc = fleet.KillAfterFirstBatch(rwc, claim)
+			if wrap != nil {
+				rwc = wrap(rwc)
+			}
+			return rwc
+		}
+	}
 	c, err := fleet.New(ctx, fcfg)
 	if err != nil {
 		log.Fatal(err)
@@ -575,21 +597,15 @@ func runFleetCoordinator(ctx context.Context, rc fleetRunConfig) {
 		[]string{"-fleet-worker", ln.Addr().String()}, log.Printf)
 	if rc.chaosKills > 0 {
 		go func() {
-			for c.Status().MergedOps <= spec.Ops/3 {
-				select {
-				case <-ctx.Done():
-					return
-				case <-c.Done():
-					return
-				case <-time.After(5 * time.Millisecond):
-				}
-			}
 			for i := 0; i < rc.chaosKills; i++ {
-				if !procs.KillOne() {
-					time.Sleep(50 * time.Millisecond)
-					continue
+				select {
+				case pid := <-victims:
+					if !procs.Kill(pid) {
+						log.Printf("fleet: chaos kill: pid %d is not a live spawned worker", pid)
+					}
+				case <-spawnCtx.Done():
+					return
 				}
-				time.Sleep(100 * time.Millisecond)
 			}
 		}()
 	}

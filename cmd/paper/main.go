@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	paper [-runs N] [-table 1|2] [-figure 8|9] [-headline]
+//	paper [-table 1|2] [-figure 8|9] [-headline]
 //	      [-arch arm1136|cva6rt] [-ablations] [-json] [-trace out.json]
 //	      [-lattice]
 //
@@ -36,7 +36,6 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("paper: ")
-	runs := flag.Int("runs", verikern.DefaultRuns, "measurement runs per observed value")
 	archName := flag.String("arch", "arm1136", "hardware backend: one of "+strings.Join(verikern.Architectures(), ", ")+" (non-ARM backends print the cross-architecture bounds table)")
 	table := flag.Int("table", 0, "print only this table (1 or 2)")
 	figure := flag.Int("figure", 0, "print only this figure (8 or 9)")
@@ -81,7 +80,7 @@ func main() {
 	}
 
 	if *asJSON {
-		emitJSON(ctx, *runs)
+		emitJSON(ctx)
 		return
 	}
 	if *ablations {
@@ -99,21 +98,21 @@ func main() {
 		fmt.Println(verikern.FormatTable1(rows))
 	}
 	if all || *table == 2 {
-		rows, err := verikern.Table2(ctx, *runs)
+		rows, err := verikern.Table2(ctx, verikern.DefaultRuns)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println(verikern.FormatTable2(rows))
 	}
 	if all || *figure == 8 {
-		bars, err := verikern.Fig8(ctx, *runs)
+		bars, err := verikern.Fig8(ctx, verikern.DefaultRuns)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println(verikern.FormatFig8(bars))
 	}
 	if all || *figure == 9 {
-		bars, err := verikern.Fig9(ctx, *runs)
+		bars, err := verikern.Fig9(ctx, verikern.DefaultRuns)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -211,7 +210,7 @@ func printAblations(ctx context.Context) {
 
 // emitJSON runs every experiment and writes one machine-readable
 // document, for plotting pipelines.
-func emitJSON(ctx context.Context, runs int) {
+func emitJSON(ctx context.Context) {
 	type doc struct {
 		Table1   []verikern.Table1Row         `json:"table1"`
 		Table2   []verikern.Table2Row         `json:"table2"`
@@ -225,13 +224,13 @@ func emitJSON(ctx context.Context, runs int) {
 	if d.Table1, err = verikern.Table1(ctx); err != nil {
 		log.Fatal(err)
 	}
-	if d.Table2, err = verikern.Table2(ctx, runs); err != nil {
+	if d.Table2, err = verikern.Table2(ctx, verikern.DefaultRuns); err != nil {
 		log.Fatal(err)
 	}
-	if d.Fig8, err = verikern.Fig8(ctx, runs); err != nil {
+	if d.Fig8, err = verikern.Fig8(ctx, verikern.DefaultRuns); err != nil {
 		log.Fatal(err)
 	}
-	if d.Fig9, err = verikern.Fig9(ctx, runs); err != nil {
+	if d.Fig9, err = verikern.Fig9(ctx, verikern.DefaultRuns); err != nil {
 		log.Fatal(err)
 	}
 	off, err := verikern.ComputeHeadline(ctx, false)

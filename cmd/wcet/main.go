@@ -190,8 +190,6 @@ func main() {
 		fmt.Printf("\nobserved over %d polluted runs:\n", obs.Runs)
 		fmt.Printf("  max:  %d cycles = %.1f µs  (ratio %.2f)\n",
 			obs.Max, arch.MustLookup(p.Arch).CyclesToMicros(obs.Max), float64(bd.Cycles)/float64(obs.Max))
-		fmt.Printf("  mean: %.0f cycles\n", obs.Mean)
-		fmt.Printf("  min:  %d cycles\n", obs.Min)
 	}
 }
 

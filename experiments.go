@@ -19,12 +19,12 @@ import (
 	"verikern/internal/wcet"
 )
 
-// DefaultRuns is the number of polluted-state measurement runs per
-// observed value. The paper takes the maximum of 100,000 hardware
-// executions (§6.2). In this simulator a pollution seed only renames
-// lines no kernel address can hit, so every paper campaign is
-// seed-free (machine.SeedFree): all its runs time alike, one replay
-// serves them, and the run count moves no observed number.
+// DefaultRuns is the number of polluted-state measurement runs each
+// observed value stands for. The paper takes the maximum of 100,000
+// hardware executions (§6.2). In this simulator no address hits a
+// pollution line (cache.Pollute), so every run times alike and one
+// replay gives them all (measure.Observe): the run count moves no
+// observed number.
 const DefaultRuns = 64
 
 // Table1Row is one line of Table 1: computed WCET with and without L1

@@ -42,6 +42,12 @@ func (c Config) validate() error {
 	if c.Ways <= 0 {
 		return fmt.Errorf("cache: ways must be positive, got %d", c.Ways)
 	}
+	if c.Ways > 1<<15 {
+		return fmt.Errorf("cache: at most %d ways (distinct foreign tags per way), got %d", 1<<15, c.Ways)
+	}
+	if c.Sets*c.LineBytes < 2 {
+		return fmt.Errorf("cache: sets times line size must be at least 2 (address tags leave bit 31 clear), got %d", c.Sets*c.LineBytes)
+	}
 	if c.LockedWays < 0 || c.LockedWays >= c.Ways {
 		return fmt.Errorf("cache: locked ways must be in [0,%d), got %d", c.Ways, c.LockedWays)
 	}
@@ -242,72 +248,45 @@ func (c *Cache) Contains(addr uint32) bool {
 	return false
 }
 
-// The pollution band is the tag space Pollute and DirtyFootprint fill
-// unlocked ways with: way w of a cache polluted with seed s holds the
-// tag bandBase|(s&bandSeedMask) + w<<bandWayShift.
-const (
-	bandBase     = 0x40000
-	bandSeedMask = 0xFFFF
-	bandWayShift = 20
-)
+// Pollute and DirtyFootprint install foreign lines: their tags have
+// bit 31 set, and no address does, because a tag is its address shifted
+// right by tagShift >= 1 bits (validate). So no access ever hits a line
+// they installed, whatever the seed: a seed only renames lines no run
+// can reach, and every run from a polluted state times alike under
+// every seed. Way w of a cache polluted with seed s holds
+// foreignTag(s, w), distinct per way (validate bounds Ways).
+const foreignBit = 1 << 31
 
-// pollutionTag is the tag Pollute and DirtyFootprint install in way w
-// for seed.
-func pollutionTag(seed uint32, w int) uint32 {
-	return (bandBase | seed&bandSeedMask) + uint32(w)<<bandWayShift
-}
-
-// InPollutionBand reports whether addr's tag equals pollutionTag(s, w)
-// for some seed s and some unlocked way w. An address outside the band
-// can never hit a line Pollute or DirtyFootprint installed, whatever
-// the seed, so replays that touch no such address time identically
-// under every pollution seed. It allocates nothing.
-func (c *Cache) InPollutionBand(addr uint32) bool {
-	tag := c.Tag(addr)
-	w := tag >> bandWayShift
-	if w < uint32(c.cfg.LockedWays) || w >= uint32(c.cfg.Ways) {
-		return false
-	}
-	// The seed term is below 1<<bandWayShift, so it never carries into
-	// the way term.
-	return (tag-w<<bandWayShift)&^bandSeedMask == bandBase
+func foreignTag(seed uint32, w int) uint32 {
+	return foreignBit | uint32(w)<<16 | seed&0xFFFF
 }
 
 // Pollute fills every non-pinned way of every set with distinct dirty
-// lines, the worst possible starting state for a measurement run
-// (§5.4: "test programs pollute both the instruction and data caches
-// with dirty cache lines"). The tags lie in the pollution band and
-// derive from seed, so different runs start from different (but always
-// conflicting) states.
+// foreign lines, the worst possible starting state for a measurement
+// run (§5.4: "test programs pollute both the instruction and data
+// caches with dirty cache lines"): every access misses and every
+// eviction writes back. The tags derive from seed.
 func (c *Cache) Pollute(seed uint32) {
 	for s := 0; s < c.cfg.Sets; s++ {
 		base := s * c.cfg.Ways
 		for w := c.cfg.LockedWays; w < c.cfg.Ways; w++ {
-			c.setLine(base+w, pollutionTag(seed, w), flagValid|flagDirty)
+			c.setLine(base+w, foreignTag(seed, w), flagValid|flagDirty)
 		}
 	}
 }
 
 // DirtyFootprint fills the non-pinned ways of exactly the sets that the
-// given addresses map to with distinct dirty conflicting lines, leaving
+// given addresses map to with distinct dirty foreign lines, leaving
 // every other set untouched. It is the targeted counterpart of Pollute:
 // an adversary that knows a victim's footprint evicts precisely the
 // lines the victim will re-fetch, without paying to dirty sets the
-// victim never visits. Tags are Pollute's, derived from seed, and
-// never collide with the footprint's own tags (a pollution tag equal to
-// one is flipped out of the band), so every listed address starts
-// evicted and every eviction writes back.
+// victim never visits. The lines are Pollute's, so every listed address
+// starts evicted and every eviction writes back.
 func (c *Cache) DirtyFootprint(addrs []uint32, seed uint32) {
 	for _, a := range addrs {
-		set := c.Set(a)
-		own := c.Tag(a)
-		base := set * c.cfg.Ways
+		base := c.Set(a) * c.cfg.Ways
 		for w := c.cfg.LockedWays; w < c.cfg.Ways; w++ {
-			tag := pollutionTag(seed, w)
-			if tag == own {
-				tag ^= 1 << 19
-			}
-			c.setLine(base+w, tag, flagValid|flagDirty)
+			c.setLine(base+w, foreignTag(seed, w), flagValid|flagDirty)
 		}
 	}
 }

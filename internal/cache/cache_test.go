@@ -3,6 +3,8 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+
+	"verikern/internal/arch"
 )
 
 func testConfig(lockedWays int) Config {
@@ -17,6 +19,8 @@ func TestNewValidation(t *testing.T) {
 		{Sets: 128, Ways: 4, LineBytes: 33},
 		{Sets: 128, Ways: 4, LineBytes: 32, LockedWays: 4},
 		{Sets: 128, Ways: 4, LineBytes: 32, LockedWays: -1},
+		{Sets: 1, Ways: 4, LineBytes: 1},
+		{Sets: 128, Ways: 1<<15 + 1, LineBytes: 32},
 	}
 	for _, cfg := range bad {
 		func() {
@@ -169,45 +173,61 @@ func TestPolluteFillsCache(t *testing.T) {
 	}
 }
 
-// TestPollutionBand: every line Pollute installs, under any seed, has a
-// tag InPollutionBand accepts, and the tags just outside the band, or
-// on a locked or missing way, are rejected. The 16-set, 64-byte-line
-// geometry has 22-bit tags, so its second and third ways' bands are
-// reachable by addresses too.
-func TestPollutionBand(t *testing.T) {
-	for _, cfg := range []Config{testConfig(0), testConfig(1), {Sets: 16, Ways: 4, LineBytes: 64, LockedWays: 1}} {
-		c := New(cfg)
-		addr := func(tag uint32, set int) uint32 { return tag<<c.tagShift | uint32(set)<<c.lineShift }
-		for _, seed := range []uint32{0, 1, 0xFFFF, 0x12345678} {
-			c.Pollute(seed)
-			for s := 0; s < cfg.Sets; s++ {
-				for w := cfg.LockedWays; w < cfg.Ways; w++ {
-					tag := c.tags[s*cfg.Ways+w]
-					if tag>>(32-c.tagShift) != 0 {
-						continue // no address has this tag
+// TestPollutionLinesForeign: no 32-bit address has the tag of a line
+// Pollute or DirtyFootprint installs, for any seed and unlocked way:
+// every such tag exceeds the tag of the highest address, and the ways'
+// tags differ. It covers every backend's L1I, L1D and L2, with and
+// without a locked way, and geometries with tag widths from 16 to 27
+// bits. A cache once filled unlocked ways from a band of tags that
+// addresses 0x4000_0000-0x4FFF_FFFF produce; no address hits now.
+func TestPollutionLinesForeign(t *testing.T) {
+	var cfgs []Config
+	for _, id := range arch.BackendIDs() {
+		b := arch.MustLookup(id)
+		for _, g := range []arch.CacheGeometry{b.L1I, b.L1D, b.L2} {
+			if g.Ways > 0 {
+				cfgs = append(cfgs, Config{Sets: g.Sets(), Ways: g.Ways, LineBytes: g.LineBytes})
+			}
+		}
+	}
+	for width := 16; width <= 27; width++ {
+		cfgs = append(cfgs, Config{Sets: 1 << (32 - width - 4), Ways: 2 + width%3, LineBytes: 16})
+	}
+	seeds := []uint32{0, 1, 0x5555, 0xFFFF, 0x10000, 0xDEADBEEF, ^uint32(0)}
+	probes := []uint32{0, 0x4000_0000, 0x4FFF_FFE0, 0x1234_5678, ^uint32(0)}
+	for _, cfg := range cfgs {
+		for locked := 0; locked < 2; locked++ {
+			cfg.LockedWays = locked
+			c := New(cfg)
+			top := c.Tag(^uint32(0))
+			check := func(op string, seed uint32, set int) {
+				t.Helper()
+				seen := make(map[uint32]bool)
+				for w := locked; w < cfg.Ways; w++ {
+					tag := c.tags[set*cfg.Ways+w]
+					if tag <= top || seen[tag] {
+						t.Fatalf("%+v %s seed %#x: set %d way %d has tag %#x (highest address tag %#x, repeated %v)",
+							cfg, op, seed, set, w, tag, top, seen[tag])
 					}
-					if a := addr(tag, s); !c.InPollutionBand(a) || !c.Contains(a) {
-						t.Fatalf("%+v seed %#x: way %d's line %#x not in the band or not resident", cfg, seed, w, a)
+					seen[tag] = true
+				}
+				for _, a := range probes {
+					if c.Contains(a) {
+						t.Fatalf("%+v %s seed %#x: address %#x hits a pollution line", cfg, op, seed, a)
 					}
 				}
 			}
-		}
-		for _, tag := range []uint32{
-			bandBase - 1,
-			bandBase + bandSeedMask + 1,
-			pollutionTag(7, cfg.LockedWays) &^ bandBase,
-		} {
-			if c.InPollutionBand(addr(tag, 0)) {
-				t.Errorf("%+v: tag %#x outside the band accepted", cfg, tag)
+			for _, seed := range seeds {
+				c.Pollute(seed)
+				for s := 0; s < cfg.Sets; s++ {
+					check("Pollute", seed, s)
+				}
+				c = New(cfg)
+				c.DirtyFootprint(probes, seed)
+				for _, a := range probes {
+					check("DirtyFootprint", seed, c.Set(a))
+				}
 			}
-		}
-		for w := 0; w < cfg.LockedWays; w++ {
-			if c.InPollutionBand(addr(pollutionTag(7, w), 0)) {
-				t.Errorf("%+v: locked way %d's tag accepted", cfg, w)
-			}
-		}
-		if tag := pollutionTag(7, cfg.Ways); tag>>(32-c.tagShift) == 0 && c.InPollutionBand(addr(tag, 0)) {
-			t.Errorf("%+v: tag %#x of a way past the last accepted", cfg, tag)
 		}
 	}
 }

@@ -117,28 +117,27 @@ func (c *refCache) pin(addr uint32) bool {
 	return false
 }
 
+// refForeign is the tag of way w's pollution line: bit 31 set, which
+// no tag of a 32-bit address shifted right by at least one bit has, the
+// way in bits 16-30 and the seed's low half below.
+func refForeign(seed uint32, w int) uint32 {
+	return 1<<31 + uint32(w)<<16 + seed%(1<<16)
+}
+
 func (c *refCache) pollute(seed uint32) {
-	tagBase := 0x40000 | (seed & 0xFFFF)
 	for s := 0; s < c.cfg.Sets; s++ {
 		ways := c.ways(s)
 		for w := c.cfg.LockedWays; w < c.cfg.Ways; w++ {
-			ways[w] = refLine{valid: true, dirty: true, tag: tagBase + uint32(w)<<20}
+			ways[w] = refLine{valid: true, dirty: true, tag: refForeign(seed, w)}
 		}
 	}
 }
 
 func (c *refCache) dirtyFootprint(addrs []uint32, seed uint32) {
-	tagBase := 0x40000 | (seed & 0xFFFF)
 	for _, a := range addrs {
-		set := c.set(a)
-		own := c.tag(a)
-		ways := c.ways(set)
+		ways := c.ways(c.set(a))
 		for w := c.cfg.LockedWays; w < c.cfg.Ways; w++ {
-			tag := tagBase + uint32(w)<<20
-			if tag == own {
-				tag ^= 1 << 19
-			}
-			ways[w] = refLine{valid: true, dirty: true, tag: tag}
+			ways[w] = refLine{valid: true, dirty: true, tag: refForeign(seed, w)}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -164,6 +165,51 @@ func TestFleetKillRestartEquivalence(t *testing.T) {
 			}
 			if uint64(restarts) != st.Restarts {
 				t.Errorf("per-shard restarts sum %d != aggregate %d", restarts, st.Restarts)
+			}
+		})
+	}
+}
+
+// TestKillAfterFirstBatch: the process-level chaos strike asks for a
+// kill of the hello's pid just after a worker's first batch, when that
+// batch is not its last, and the lease is lost at that batch's
+// checkpoint: exactly one restart for one granted kill, and the merge
+// still equals the single-process soak. A shard that fits in one batch
+// is never struck.
+func TestKillAfterFirstBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		ops      uint64
+		restarts uint64
+	}{
+		{"multi-batch-shards", 4000, 1}, // 1333-op shards, 512-op batches
+		{"one-batch-shards", 1500, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var pids []int
+			var mu sync.Mutex
+			claim := func(pid int) bool {
+				mu.Lock()
+				defer mu.Unlock()
+				pids = append(pids, pid)
+				return len(pids) == 1
+			}
+			sp := fleetSpec(tc.ops, 3)
+			wrap := func(rwc io.ReadWriteCloser) io.ReadWriteCloser { return KillAfterFirstBatch(rwc, claim) }
+			fleet, c := digestFleet(t, Config{Spec: sp, WrapConn: wrap}, LocalOptions{})
+			if single := digestSingle(t, sp); !bytes.Equal(fleet, single) {
+				t.Errorf("struck fleet snapshot diverges from single-process soak:\n--- fleet ---\n%s\n--- single ---\n%s", fleet, single)
+			}
+			if st := c.Status(); st.Restarts != tc.restarts {
+				t.Errorf("%d restarts, want %d", st.Restarts, tc.restarts)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if tc.restarts > 0 && (len(pids) == 0 || pids[0] != os.Getpid()) {
+				t.Errorf("kills asked for pids %v, want the workers' pid %d first", pids, os.Getpid())
+			}
+			if tc.restarts == 0 && len(pids) != 0 {
+				t.Errorf("one-batch shards asked for kills of %v", pids)
 			}
 		})
 	}

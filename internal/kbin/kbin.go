@@ -78,6 +78,11 @@ const (
 	EntryUndefined = "handleUndefined"
 )
 
+// Entries lists the built image's entry points in the order Build
+// assigns them to kimage.Image.Entries, which is the order every
+// analysis over all entries reports them in.
+var Entries = []string{EntrySyscall, EntryInterrupt, EntryPageFault, EntryUndefined}
+
 // Structural bounds of the modelled system, chosen to reproduce the
 // relative magnitudes of the paper's Table 2. The kernel model's own
 // limits are read from kobj: the adversarial cap-space depth
@@ -129,7 +134,7 @@ func Build(o Options) (*kimage.Image, []wcet.UserConstraint, error) {
 	b.scheduler()
 	b.operations()
 	b.entries()
-	b.img.Entries = []string{EntrySyscall, EntryInterrupt, EntryPageFault, EntryUndefined}
+	b.img.Entries = Entries
 	if o.TCM {
 		// Place the interrupt path contiguously so it fits the
 		// 4 KiB instruction TCM window.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"verikern/internal/arch"
+	"verikern/internal/kbin"
 	"verikern/internal/kimage"
 	"verikern/internal/wcet"
 )
@@ -51,7 +52,7 @@ func TestBoundMatchesAnalyze(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range sweepEntries {
+		for _, e := range kbin.Entries {
 			b, err := bounded.Bound(ctx, e)
 			if err != nil {
 				t.Fatal(err)
@@ -82,5 +83,5 @@ func TestBoundMatchesAnalyze(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d points × %d entries; shared cache %+v", len(points), len(sweepEntries), shared.Stats())
+	t.Logf("%d points × %d entries; shared cache %+v", len(points), len(kbin.Entries), shared.Stats())
 }

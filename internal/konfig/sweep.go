@@ -149,9 +149,6 @@ type ParetoBench struct {
 	Archs []ArchSweep `json:"archs"`
 }
 
-// sweepEntries is the analysed entry order of every sweep row.
-var sweepEntries = []string{kbin.EntrySyscall, kbin.EntryInterrupt, kbin.EntryPageFault, kbin.EntryUndefined}
-
 // analysis is one analysis projection's shared result.
 type analysis struct {
 	wcet  map[string]uint64
@@ -169,8 +166,8 @@ func analyze(ctx context.Context, c *wcet.Cache, m *obs.Metrics, p Point) (*anal
 	if err != nil {
 		return nil, fmt.Errorf("konfig: building image for %s: %w", p.Hash(), err)
 	}
-	out := &analysis{wcet: make(map[string]uint64, len(sweepEntries))}
-	for _, entry := range sweepEntries {
+	out := &analysis{wcet: make(map[string]uint64, len(kbin.Entries))}
+	for _, entry := range kbin.Entries {
 		cycles, err := a.Bound(ctx, entry)
 		if err != nil {
 			return nil, fmt.Errorf("konfig: analyzing %s for %s: %w", entry, p.Hash(), err)
@@ -261,7 +258,7 @@ func Sweep(ctx context.Context, c *wcet.Cache, m *obs.Metrics, sp Space, seed, o
 	}
 
 	sw := &ArchSweep{Arch: points[0].Arch, Points: results}
-	for _, entry := range sweepEntries {
+	for _, entry := range kbin.Entries {
 		sw.Frontiers = append(sw.Frontiers, paretoFrontier(entry, results))
 	}
 	return sw, nil

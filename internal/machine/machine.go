@@ -119,13 +119,13 @@ func (m *Machine) LoadImage(img *kimage.Image) int {
 	return failed
 }
 
-// Pollute fills all caches with conflicting dirty lines and resets the
-// replacement state and the branch predictor — the adversarial
-// pre-state for worst-case measurement runs (§5.4). Only the pinned
-// lines carry over from earlier runs (possibly dirtied by a store,
-// which costs nothing since pinned lines are never evicted), so a
-// polluted machine times a run exactly as a freshly loaded one
-// polluted with the same seed would.
+// Pollute fills all caches with dirty foreign lines (no address hits
+// them, cache.Pollute) and resets the replacement state and the branch
+// predictor — the adversarial pre-state for worst-case measurement
+// runs (§5.4). Only the pinned lines carry over from earlier runs
+// (possibly dirtied by a store, which costs nothing since pinned lines
+// are never evicted), so a polluted machine times a run exactly as a
+// freshly loaded one polluted with any seed would.
 func (m *Machine) Pollute(seed uint32) {
 	m.l1i.ResetReplacement()
 	m.l1i.Pollute(seed)
@@ -142,7 +142,8 @@ func (m *Machine) Pollute(seed uint32) {
 // the state-space the directed worst-case probe searches over before
 // raising its measurement run.
 type PrimeSpec struct {
-	// Seed selects the conflicting tag space for pollution.
+	// Seed names the foreign lines pollution installs. No replay can
+	// hit them, so two specs differing only in Seed time alike.
 	Seed uint32
 	// Footprint, when set, dirties exactly the sets of the target
 	// trace's footprint (after a full pollution pass) so the victim's
@@ -194,39 +195,6 @@ func (m *Machine) PrimeReplay(r *kimage.Replay, spec PrimeSpec) {
 			m.bp.Mistrain(b.Branch, b.Taken)
 		}
 	}
-}
-
-// SeedFree reports whether every pollution seed times r identically.
-// It holds when no fetch or data address of r that reaches a cache has
-// a tag in that cache's pollution band (cache.InPollutionBand). Two
-// seeds' Pollute or PrimeReplay states then differ only in the tags of
-// band lines, which no access of r can hit: every line is valid and
-// dirty in both, the replacement state is the same, and the footprint
-// sets DirtyFootprint visits depend on r alone. So the replay takes the
-// same hits, misses and write-backs, cycle for cycle, under either
-// seed. It allocates nothing.
-func (m *Machine) SeedFree(r *kimage.Replay) bool {
-	start := uint32(0)
-	for _, b := range r.Blocks {
-		fetch := b.Addr
-		for _, s := range r.Steps[start:b.End] {
-			if !m.cfg.InITCM(fetch) && m.inBand(m.l1i, fetch) {
-				return false
-			}
-			fetch += 4
-			if s.HasData && !m.cfg.InDTCM(s.Data) && m.inBand(m.l1d, s.Data) {
-				return false
-			}
-		}
-		start = b.End
-	}
-	return true
-}
-
-// inBand reports whether addr can hit a pollution line in l1 or, behind
-// it, in the L2.
-func (m *Machine) inBand(l1 *cache.Cache, addr uint32) bool {
-	return l1.InPollutionBand(addr) || m.l2 != nil && m.l2.InPollutionBand(addr)
 }
 
 // memAccess plays one access through L1 (i or d), then L2/memory, and

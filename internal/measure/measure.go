@@ -1,16 +1,14 @@
 // Package measure reproduces the paper's observed-worst-case
 // methodology (§5.4): replay a worst-case path on the simulated
-// hardware with caches polluted by dirty lines, repeat over many
-// adversarial initial states, and report the maximum — the "observed"
-// column of Table 2 and the baseline for the overestimation plots of
-// Figures 8 and 9.
+// hardware with caches polluted by dirty lines and report its time —
+// the "observed" column of Table 2 and the baseline for the
+// overestimation plots of Figures 8 and 9.
 //
-// In this simulator a pollution seed only renames the dirty lines'
-// tags, inside a band of tags no kernel or user address has. A
-// campaign whose trace touches no address in that band therefore times
-// every run identically (machine.SeedFree), and ObserveSeeded replays
-// it once; the Observation is the one the per-seed loop would give. A
-// trace that does reach the band is replayed once per seed.
+// The paper takes the worst of many runs from differently polluted
+// caches. In this simulator the pollution lines are foreign: no
+// address hits one (cache.Pollute), so a seed only renames lines no
+// run reaches, every run times alike, and one polluted replay is the
+// campaign's worst.
 package measure
 
 import (
@@ -23,11 +21,8 @@ import (
 type Observation struct {
 	// Max is the worst observed execution time in cycles.
 	Max uint64
-	// Min is the best observed time (a warm-cache floor).
-	Min uint64
-	// Mean is the average across runs.
-	Mean float64
-	// Runs is the number of measured executions.
+	// Runs is the number of polluted executions the observation
+	// stands for; they all take Max cycles.
 	Runs int
 }
 
@@ -49,10 +44,10 @@ func SplitMix64(x uint64) uint64 {
 
 // PolluteSeed derives the cache-pollution seed for one run of a
 // measurement campaign from the campaign's base seed. The derivation
-// is a splitmix64 finaliser over (base, run), so distinct campaigns —
-// e.g. per-config soak workers feeding off one observatory seed —
-// draw from disjoint, well-mixed pollution sequences instead of the
-// linearly reused seeds campaigns shared before. Never returns zero.
+// is a splitmix64 finaliser over (base, run), so distinct campaigns
+// draw from disjoint, well-mixed seed sequences. Every seed times a
+// polluted replay alike (Observe): a seed only names the lines. Never
+// returns zero.
 func PolluteSeed(base uint64, run int) uint32 {
 	x := SplitMix64(base + uint64(run)*0x9E3779B97F4A7C15)
 	s := uint32(x ^ x>>32)
@@ -102,54 +97,16 @@ func ArchSeed(root uint64, b *arch.Backend) uint64 {
 	return CampaignSeed(root, "arch/"+b.ID)
 }
 
-// Observe replays trace on a machine configured with hw, runs times,
-// each from a freshly polluted cache state (a different pollution seed
-// per run), and reports the distribution. The image's pin set is
-// installed first when the configuration locks L1 ways. Observe is
-// ObserveSeeded with base seed 0 — the canonical campaign of the
-// table/figure drivers.
+// Observe replays trace once on a machine configured with hw, from
+// polluted caches, and reports it as a campaign of runs executions
+// (at least one): every pollution seed times the replay alike, so one
+// replay is each run's time. The image's pin set is installed first
+// when the configuration locks L1 ways.
 func Observe(img *kimage.Image, hw arch.Config, trace []*kimage.Block, runs int) Observation {
-	return ObserveSeeded(img, hw, trace, runs, 0)
-}
-
-// ObserveSeeded is Observe under an explicit campaign base seed: run i
-// pollutes with PolluteSeed(base, i), so campaigns are reproducible
-// for a fixed base and composable — two campaigns with different bases
-// never reuse a pollution state. When the machine reports the trace
-// seed-free, every run's time is the first run's, and ObserveSeeded
-// replays once instead of runs times.
-func ObserveSeeded(img *kimage.Image, hw arch.Config, trace []*kimage.Block, runs int, base uint64) Observation {
-	if runs <= 0 {
-		runs = 1
-	}
-	// One machine and one compiled trace serve every run: Pollute
-	// resets all state a run leaves behind except the pinned lines,
-	// which never leave.
 	m := machine.New(hw)
 	m.LoadImage(img)
-	r := kimage.Compile(trace)
-	if m.SeedFree(r) {
-		// Every run would take the first run's time, so one replay
-		// gives the loop's fields.
-		m.Pollute(PolluteSeed(base, 0))
-		c := m.RunReplay(r)
-		return Observation{Max: c, Min: c, Mean: float64(c*uint64(runs)) / float64(runs), Runs: runs}
-	}
-	o := Observation{Min: ^uint64(0), Runs: runs}
-	var sum uint64
-	for i := 0; i < runs; i++ {
-		m.Pollute(PolluteSeed(base, i))
-		c := m.RunReplay(r)
-		if c > o.Max {
-			o.Max = c
-		}
-		if c < o.Min {
-			o.Min = c
-		}
-		sum += c
-	}
-	o.Mean = float64(sum) / float64(runs)
-	return o
+	m.Pollute(0)
+	return Observation{Max: m.Run(trace), Runs: max(runs, 1)}
 }
 
 // Ratio returns computed/observed, the pessimism ratio reported in

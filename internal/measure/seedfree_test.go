@@ -30,30 +30,31 @@ func everySeedCycles(img *kimage.Image, hw arch.Config, r *kimage.Replay, runs i
 
 // summarize is the Observation of a campaign's per-run cycles.
 func summarize(cycles []uint64) measure.Observation {
-	o := measure.Observation{Min: ^uint64(0), Runs: len(cycles)}
-	var sum uint64
+	o := measure.Observation{Runs: len(cycles)}
 	for _, c := range cycles {
 		o.Max = max(o.Max, c)
-		o.Min = min(o.Min, c)
-		sum += c
 	}
-	o.Mean = float64(sum) / float64(len(cycles))
 	return o
 }
 
-// checkObserveSeeded compares ObserveSeeded with the every-seed loop
-// for runs 1, 3 and 64 and base seeds 0 and 42. Run i's seed does not
-// depend on the run count, so the shorter campaigns are prefixes of
-// the 64-run one.
-func checkObserveSeeded(t *testing.T, name string, img *kimage.Image, hw arch.Config, trace []*kimage.Block) {
+// checkObserve compares Observe with the every-seed loop for runs 1,
+// 3 and 64 and base seeds 0 and 42, and requires every run of the loop
+// to take the same time. Run i's seed does not depend on the run
+// count, so the shorter campaigns are prefixes of the 64-run one.
+func checkObserve(t *testing.T, name string, img *kimage.Image, hw arch.Config, trace []*kimage.Block) {
 	t.Helper()
 	r := kimage.Compile(trace)
 	for _, base := range []uint64{0, 42} {
 		cycles := everySeedCycles(img, hw, r, 64, base)
+		for i, c := range cycles {
+			if c != cycles[0] {
+				t.Errorf("%s base=%d: run %d takes %d cycles, run 0 %d", name, base, i, c, cycles[0])
+			}
+		}
 		for _, runs := range []int{1, 3, 64} {
 			want := summarize(cycles[:runs])
-			if got := measure.ObserveSeeded(img, hw, trace, runs, base); got != want {
-				t.Errorf("%s runs=%d base=%d: ObserveSeeded %+v, every-seed loop %+v", name, runs, base, got, want)
+			if got := measure.Observe(img, hw, trace, runs); got != want {
+				t.Errorf("%s runs=%d base=%d: Observe %+v, every-seed loop %+v", name, runs, base, got, want)
 			}
 		}
 	}
@@ -101,9 +102,9 @@ func seedCampaignPoints(t *testing.T) map[string]konfig.Point {
 	return pts
 }
 
-// TestObserveSeededMatchesEverySeed: ObserveSeeded's one-replay
-// shortcut gives exactly the Observation of replaying under every
-// seed, on every paper campaign of both backends.
+// TestObserveSeededMatchesEverySeed: Observe's one polluted replay
+// gives exactly the Observation of replaying under every seed, on every
+// paper campaign of both backends.
 func TestObserveSeededMatchesEverySeed(t *testing.T) {
 	c := wcet.NewCache()
 	for name, p := range seedCampaignPoints(t) {
@@ -116,24 +117,22 @@ func TestObserveSeededMatchesEverySeed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, entry := range []string{kbin.EntrySyscall, kbin.EntryInterrupt, kbin.EntryPageFault, kbin.EntryUndefined} {
+			for _, entry := range kbin.Entries {
 				res, err := a.Analyze(entry)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkObserveSeeded(t, entry, a.Img, a.HW, res.Trace)
-				if m := machine.New(a.HW); !m.SeedFree(kimage.Compile(res.Trace)) {
-					t.Errorf("%s: trace reaches the pollution band", entry)
-				}
+				checkObserve(t, entry, a.Img, a.HW, res.Trace)
 			}
 		})
 	}
 }
 
 // bandTrace returns a one-block trace of two loads from the addresses
-// that the ARM1136's L1D pollution with PolluteSeed(0, 3) installs in
-// the first way of sets 0 and 1. That run of the base-0 campaign hits
-// twice where every other run misses twice.
+// whose tag the ARM1136's L1D pollution with PolluteSeed(0, 3) once
+// installed in the first way of sets 0 and 1, when pollution lines
+// took tags from a band that addresses reach. That run then hit twice
+// (74 cycles) where every other run missed twice (208 cycles).
 func bandTrace() []*kimage.Block {
 	l1d := arch.ARM1136.L1D
 	lineShift := bits.TrailingZeros(uint(l1d.LineBytes))
@@ -150,25 +149,20 @@ func bandTrace() []*kimage.Block {
 	}}
 }
 
-// TestObserveSeededBandFallback: a trace that reaches the pollution
-// band is not seed-free, and ObserveSeeded then replays every seed.
-func TestObserveSeededBandFallback(t *testing.T) {
+// TestObserveBandTrace: the band trace misses both loads under every
+// pollution seed, and Observe reads that time.
+func TestObserveBandTrace(t *testing.T) {
 	img := kimage.New()
 	hw := arch.Config{}
 	trace := bandTrace()
-	if machine.New(hw).SeedFree(kimage.Compile(trace)) {
-		t.Fatal("SeedFree holds for a trace that reads a pollution line")
-	}
-	checkObserveSeeded(t, "band", img, hw, trace)
-	o := measure.ObserveSeeded(img, hw, trace, 64, 0)
-	if o.Min != 74 || o.Max != 208 {
-		t.Errorf("band campaign: min %d max %d, want 74 and 208", o.Min, o.Max)
+	checkObserve(t, "band", img, hw, trace)
+	if o := measure.Observe(img, hw, trace, 64); o.Max != 208 {
+		t.Errorf("band campaign: max %d, want 208", o.Max)
 	}
 }
 
-// TestObserveAllocs: a seed-free campaign allocates no more than the
-// machine, the image load and the compiled trace it needs, so the
-// seed-free check itself allocates nothing.
+// TestObserveAllocs: a campaign allocates no more than the machine, the
+// image load and the compiled trace it needs.
 func TestObserveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -190,8 +184,8 @@ func TestObserveAllocs(t *testing.T) {
 		m.LoadImage(a.Img)
 		kimage.Compile(res.Trace)
 	})
-	got := testing.AllocsPerRun(10, func() { measure.ObserveSeeded(a.Img, a.HW, res.Trace, 64, 0) })
+	got := testing.AllocsPerRun(10, func() { measure.Observe(a.Img, a.HW, res.Trace, 64) })
 	if got > setup {
-		t.Errorf("ObserveSeeded made %v allocs, want at most the %v of its machine, image load and compiled trace", got, setup)
+		t.Errorf("Observe made %v allocs, want at most the %v of its machine, image load and compiled trace", got, setup)
 	}
 }

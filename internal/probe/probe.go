@@ -169,9 +169,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		kernelBudget = 1
 	}
 
-	entries := []string{kbin.EntrySyscall, kbin.EntryInterrupt, kbin.EntryPageFault, kbin.EntryUndefined}
 	var sysBound, irqBound uint64
-	for i, name := range entries {
+	for i, name := range kbin.Entries {
 		res, err := a.AnalyzeContext(ctx, name)
 		if err != nil {
 			return nil, fmt.Errorf("probe %s: %s bound: %w", cfg.Label, name, err)
@@ -214,16 +213,15 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 // timing a replay exactly as a fresh one would.
 //
 // With share set, candidates the machine cannot tell apart share one
-// replay: a spec already tried times as it did, and when the trace is
-// seed-free (machine.SeedFree) so does every spec that differs from a
-// tried one only in its seed. The Entry is the same either way;
-// probe.machine_evals counts candidates, probe.machine_replays the
-// replays actually run.
+// replay: a spec already tried times as it did, and so does every spec
+// that differs from a tried one only in its seed, since the seed only
+// names lines no access hits (machine.PrimeSpec). The Entry is the
+// same either way; probe.machine_evals counts candidates,
+// probe.machine_replays the replays actually run.
 func searchMachine(img *kimage.Image, hw arch.Config, res *wcet.Result, budget int, rng *rand.Rand, m *obs.Metrics, share bool) Entry {
 	r := kimage.Compile(res.Trace)
 	mach := machine.New(hw)
 	mach.LoadImage(img)
-	seedFree := share && mach.SeedFree(r)
 	var times map[machine.PrimeSpec]uint64
 	if share {
 		times = make(map[machine.PrimeSpec]uint64, budget)
@@ -232,9 +230,7 @@ func searchMachine(img *kimage.Image, hw arch.Config, res *wcet.Result, budget i
 		m.Add("probe.evals", 1)
 		m.Add("probe.machine_evals", 1)
 		key := spec
-		if seedFree {
-			key.Seed = 0
-		}
+		key.Seed = 0
 		if c, ok := times[key]; ok {
 			return c
 		}

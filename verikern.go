@@ -335,11 +335,11 @@ func (im *Image) VerifyLoopBounds() (checked int, unmodelled []string, err error
 }
 
 // Observe replays a bound's worst-case path on the simulated hardware
-// from `runs` adversarial polluted cache states and reports the worst
-// observation (§5.4). Identical campaigns share one Observation
-// through a process memo that ResetAnalysisCache clears; the image's
-// metrics count replayed campaigns (measure.campaigns) and shared ones
-// (measure.campaign_hits).
+// from an adversarial polluted cache state and reports it as the worst
+// of `runs` runs, which all time alike (§5.4, measure.Observe).
+// Identical campaigns share one Observation through a process memo
+// that ResetAnalysisCache clears; the image's metrics count replayed
+// campaigns (measure.campaigns) and shared ones (measure.campaign_hits).
 func (im *Image) Observe(hw Hardware, b Bound, runs int) measure.Observation {
 	key := observationKey{result: b.Result, image: im.Img.Fingerprint(),
 		hw: hw.Backend().Key() + "|" + hw.CanonicalKey(), runs: runs}
