@@ -85,7 +85,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -539,27 +538,18 @@ func runFleetCoordinator(ctx context.Context, rc fleetRunConfig) {
 		fmt.Printf("chaos engine armed: seed %d (deterministic fault schedule)\n", rc.chaosSeed)
 	}
 	fcfg.StatePath, fcfg.Logf = rc.statePath, log.Printf
-	// A chaos kill strikes a worker just after its first batch, when
-	// that batch is not its last, so every kill costs a live lease.
-	victims := make(chan int, rc.chaosKills)
-	if rc.chaosKills > 0 {
-		var claimed atomic.Int64
-		claim := func(pid int) bool {
-			if claimed.Add(1) > int64(rc.chaosKills) {
-				return false
-			}
-			victims <- pid // never blocks: the channel holds every kill
-			return true
-		}
-		wrap := fcfg.WrapConn
-		fcfg.WrapConn = func(rwc io.ReadWriteCloser) io.ReadWriteCloser {
-			rwc = fleet.KillAfterFirstBatch(rwc, claim)
-			if wrap != nil {
-				rwc = wrap(rwc)
-			}
-			return rwc
-		}
+	if err := fleet.CheckKills(fcfg, rc.chaosKills); err != nil {
+		log.Fatal(err)
 	}
+	// A chaos kill strikes a worker just after its first batch and
+	// SIGKILLs its process. procs is set before Serve starts, so every
+	// strike, which runs on a served connection, sees it.
+	var procs *fleet.ProcSet
+	fcfg = fcfg.WithKills(rc.chaosKills, func(pid int) {
+		if !procs.Kill(pid) {
+			log.Printf("fleet: chaos kill: pid %d is not a live spawned worker", pid)
+		}
+	})
 	c, err := fleet.New(ctx, fcfg)
 	if err != nil {
 		log.Fatal(err)
@@ -568,7 +558,6 @@ func runFleetCoordinator(ctx context.Context, rc fleetRunConfig) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	go func() { _ = c.Serve(ln) }()
 	fmt.Printf("fleet coordinator on %s: %d shards, %d ops, seed %d\n",
 		ln.Addr(), spec.Workers, spec.Ops, spec.Seed)
 
@@ -586,29 +575,17 @@ func runFleetCoordinator(ctx context.Context, rc fleetRunConfig) {
 	// The spawner deliberately does NOT inherit the signal context: on
 	// SIGTERM the workers must survive long enough to honour the
 	// coordinator's drain (flushing their final batches); only after
-	// the drain completes are the processes torn down.
+	// the drain completes are the processes torn down. Workers that
+	// dial before Serve starts wait in the listener's backlog.
 	spawnCtx, stopSpawn := context.WithCancel(context.Background())
 	defer stopSpawn()
 	bin, err := os.Executable()
 	if err != nil {
 		log.Fatal(err)
 	}
-	procs := fleet.SpawnLocalWorkers(spawnCtx, bin, rc.workers,
+	procs = fleet.SpawnLocalWorkers(spawnCtx, bin, rc.workers,
 		[]string{"-fleet-worker", ln.Addr().String()}, log.Printf)
-	if rc.chaosKills > 0 {
-		go func() {
-			for i := 0; i < rc.chaosKills; i++ {
-				select {
-				case pid := <-victims:
-					if !procs.Kill(pid) {
-						log.Printf("fleet: chaos kill: pid %d is not a live spawned worker", pid)
-					}
-				case <-spawnCtx.Done():
-					return
-				}
-			}
-		}()
-	}
+	go func() { _ = c.Serve(ln) }()
 
 	interrupted := false
 	select {

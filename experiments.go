@@ -888,15 +888,19 @@ func fleetCampaign(archID string, seed, ops uint64, workers int) (soak.Config, e
 }
 
 // FleetReport runs one fleet campaign per architecture backend (the
-// modern benno+preempt kernel) and verifies each merged result against
-// a single-process soak at the same seed — the equal-seed equivalence
-// the fleet's merge protocol guarantees. Each campaign suffers
-// chaosKills worker kills and, when chaosSeed is non-zero, runs under
-// the fleet's chaos profile (fleet.ChaosConfig) with every worker
-// connection wrapped in an aggressive fault schedule seeded
-// chaosSeed+i for the i-th backend; kills and transport chaos combine.
-// An inequivalent campaign is reported, not an error; callers (and CI)
-// gate on the Equivalent flags.
+// modern benno+preempt kernel) in process, over fleet.RunLocal, and
+// verifies each merged result against a single-process soak at the
+// same seed — the equal-seed equivalence the fleet's merge protocol
+// guarantees. Each campaign has a budget of chaosKills worker kills,
+// each striking a worker just after its first batch
+// (fleet.Config.WithKills); a budget no shard can spend, because every
+// shard streams in one batch, is an error (fleet.CheckKills). When
+// chaosSeed is non-zero the campaign runs under the fleet's chaos
+// profile (fleet.ChaosConfig) with every worker connection wrapped in
+// an aggressive fault schedule seeded chaosSeed+i for the i-th
+// backend; kills and transport chaos combine. An inequivalent campaign
+// is reported, not an error; callers (and CI) gate on the Equivalent
+// flags.
 func FleetReport(ctx context.Context, seed, ops uint64, workers, chaosKills int, chaosSeed uint64, archIDs []string) (*FleetBench, error) {
 	doc := &FleetBench{Seed: seed, ChaosSeed: chaosSeed, ChaosKills: chaosKills, Ops: ops, Workers: workers}
 	for i, id := range archIDs {
@@ -909,6 +913,9 @@ func FleetReport(ctx context.Context, seed, ops uint64, workers, chaosKills int,
 		if chaosSeed != 0 {
 			eng = chaos.New(chaos.Aggressive(chaosSeed + uint64(i)))
 			cfg = fleet.ChaosConfig(cfg.Spec, eng.Wrap)
+		}
+		if err := fleet.CheckKills(cfg, chaosKills); err != nil {
+			return nil, err
 		}
 		start := time.Now()
 		c, err := fleet.RunLocal(ctx, cfg, fleet.LocalOptions{ChaosKills: chaosKills})

@@ -2,6 +2,7 @@ package verikern
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -57,5 +58,26 @@ func TestFleetReport(t *testing.T) {
 				t.Error("transport chaos injected no faults on any backend")
 			}
 		})
+	}
+}
+
+// TestFleetReportRefusesUnlandableKill: a chaos kill strikes only a
+// worker whose first batch is not its last, so a kill budget on shards
+// that each stream in one batch — 500-op shards against the default
+// 512-op batch, or 150-op shards against the chaos profile's 151 — is
+// an error naming both sizes, not a campaign that reports 0 restarts.
+func TestFleetReportRefusesUnlandableKill(t *testing.T) {
+	for _, tc := range []struct {
+		ops       uint64
+		chaosSeed uint64
+		want      string
+	}{
+		{1500, 0, "a 500-op shard streams in one 512-op batch"},
+		{450, 11, "a 150-op shard streams in one 151-op batch"},
+	} {
+		doc, err := FleetReport(context.Background(), 42, tc.ops, 3, 1, tc.chaosSeed, Architectures())
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%d ops, chaos seed %d: got %v (report %v), want an error saying %q", tc.ops, tc.chaosSeed, err, doc, tc.want)
+		}
 	}
 }

@@ -69,6 +69,14 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// batchOps resolves BatchOps' default.
+func (cfg Config) batchOps() int {
+	if cfg.BatchOps <= 0 {
+		return 512
+	}
+	return cfg.BatchOps
+}
+
 // ChaosConfig is the coordinator profile every fault-injected campaign
 // runs under: wrap (chaos.Engine.Wrap) around every served connection,
 // lease and frame timeouts short enough that injected stalls are
@@ -183,7 +191,7 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		spec:             spec,
 		backend:          backend.ID,
-		batchOps:         cfg.BatchOps,
+		batchOps:         cfg.batchOps(),
 		logf:             cfg.Logf,
 		statePath:        cfg.StatePath,
 		persistTransform: cfg.PersistTransform,
@@ -195,9 +203,6 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 		started:          time.Now(),
 		stopCh:           make(chan struct{}),
 		doneCh:           make(chan struct{}),
-	}
-	if c.batchOps <= 0 {
-		c.batchOps = 512
 	}
 	if c.leaseTimeout == 0 {
 		c.leaseTimeout = 60 * time.Second

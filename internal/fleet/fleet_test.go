@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"verikern/internal/chaos"
 	"verikern/internal/kernel"
 	"verikern/internal/obs"
 	"verikern/internal/soak"
@@ -132,32 +136,70 @@ func TestEquivalenceDigestKeepsUint64Precision(t *testing.T) {
 	}
 }
 
-// TestFleetKillRestartEquivalence kills worker connections
-// mid-campaign: replacements must fast-forward to the merged
-// checkpoint and resume streaming with no lost and no double-counted
-// samples — the merged snapshot still matches the single-process run
-// byte-for-byte. Every requested kill must land, including on shards
-// small enough to stream in a single batch.
-func TestFleetKillRestartEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		ops      uint64
-		batchOps int
-		kills    int
-	}{
-		{"multi-batch-shards", 6000, 251, 2},
-		{"one-batch-shards", 1500, 0, 1}, // 500-op shards, default 512-op batches
-	} {
+// strikeCases is the one table both chaos-kill entry points run:
+// kills is the budget asked for and strikes the kills that must land.
+// A strike severs a worker's connection just after its first batch,
+// when that batch is not its last, so a shard that streams in one
+// batch is never struck.
+var strikeCases = []struct {
+	name     string
+	ops      uint64
+	batchOps int
+	kills    int
+	strikes  int
+}{
+	{"multi-batch-shards", 6000, 251, 2, 2},
+	{"one-batch-shards", 1500, 0, 1, 0}, // 500-op shards, default 512-op batches
+}
+
+// TestFleetKillRestartEquivalence strikes workers mid-campaign through
+// LocalOptions.ChaosKills: the shard's next lease must fast-forward to
+// the merged checkpoint and resume streaming with no lost and no
+// double-counted samples, so the merge still matches the
+// single-process soak byte for byte, with one restart per strike.
+func TestFleetKillRestartEquivalence(t *testing.T) { testStrikes(t, false) }
+
+// TestKillAfterFirstBatch runs strikeCases with KillAfterFirstBatch
+// installed directly through Config.WrapConn, its claim granting the
+// first kills strikes; the checks are TestFleetKillRestartEquivalence's.
+func TestKillAfterFirstBatch(t *testing.T) { testStrikes(t, true) }
+
+func testStrikes(t *testing.T, wrapConn bool) {
+	for _, tc := range strikeCases {
 		t.Run(tc.name, func(t *testing.T) {
 			sp := fleetSpec(tc.ops, 3)
-			fleet, c := digestFleet(t, Config{Spec: sp, BatchOps: tc.batchOps}, LocalOptions{ChaosKills: tc.kills})
-			single := digestSingle(t, sp)
-			if !bytes.Equal(fleet, single) {
-				t.Errorf("post-kill fleet snapshot diverges from single-process soak:\n--- fleet ---\n%s\n--- single ---\n%s", fleet, single)
+			var mu sync.Mutex
+			var pids []int // the pid of every granted strike
+			cfg := Config{Spec: sp, BatchOps: tc.batchOps}
+			var opt LocalOptions
+			if wrapConn {
+				claim := func(pid int) bool {
+					mu.Lock()
+					defer mu.Unlock()
+					if len(pids) == tc.kills {
+						return false
+					}
+					pids = append(pids, pid)
+					return true
+				}
+				cfg.WrapConn = func(rwc io.ReadWriteCloser) io.ReadWriteCloser { return KillAfterFirstBatch(rwc, claim) }
+			} else {
+				opt.ChaosKills = tc.kills
+				cfg.Logf = func(format string, args ...any) {
+					if strings.HasPrefix(format, "fleet: chaos kill ") {
+						mu.Lock()
+						pids = append(pids, args[2].(int))
+						mu.Unlock()
+					}
+				}
+			}
+			fleet, c := digestFleet(t, cfg, opt)
+			if single := digestSingle(t, sp); !bytes.Equal(fleet, single) {
+				t.Errorf("struck fleet snapshot diverges from single-process soak:\n--- fleet ---\n%s\n--- single ---\n%s", fleet, single)
 			}
 			st := c.Status()
-			if st.Restarts != uint64(tc.kills) {
-				t.Errorf("%d restarts, want one per requested kill (%d)", st.Restarts, tc.kills)
+			if st.Restarts != uint64(tc.strikes) {
+				t.Errorf("%d restarts, want %d", st.Restarts, tc.strikes)
 			}
 			var restarts int
 			for _, sh := range st.Shards {
@@ -166,52 +208,152 @@ func TestFleetKillRestartEquivalence(t *testing.T) {
 			if uint64(restarts) != st.Restarts {
 				t.Errorf("per-shard restarts sum %d != aggregate %d", restarts, st.Restarts)
 			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(pids) != tc.strikes {
+				t.Errorf("%d strikes (pids %v), want %d", len(pids), pids, tc.strikes)
+			}
+			for _, pid := range pids {
+				if pid != os.Getpid() {
+					t.Errorf("strike named pid %d, want the workers' pid %d", pid, os.Getpid())
+				}
+			}
 		})
 	}
 }
 
-// TestKillAfterFirstBatch: the process-level chaos strike asks for a
-// kill of the hello's pid just after a worker's first batch, when that
-// batch is not its last, and the lease is lost at that batch's
-// checkpoint: exactly one restart for one granted kill, and the merge
-// still equals the single-process soak. A shard that fits in one batch
-// is never struck.
-func TestKillAfterFirstBatch(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		ops      uint64
-		restarts uint64
-	}{
-		{"multi-batch-shards", 4000, 1}, // 1333-op shards, 512-op batches
-		{"one-batch-shards", 1500, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var pids []int
-			var mu sync.Mutex
-			claim := func(pid int) bool {
-				mu.Lock()
-				defer mu.Unlock()
-				pids = append(pids, pid)
-				return len(pids) == 1
-			}
-			sp := fleetSpec(tc.ops, 3)
-			wrap := func(rwc io.ReadWriteCloser) io.ReadWriteCloser { return KillAfterFirstBatch(rwc, claim) }
-			fleet, c := digestFleet(t, Config{Spec: sp, WrapConn: wrap}, LocalOptions{})
-			if single := digestSingle(t, sp); !bytes.Equal(fleet, single) {
-				t.Errorf("struck fleet snapshot diverges from single-process soak:\n--- fleet ---\n%s\n--- single ---\n%s", fleet, single)
-			}
-			if st := c.Status(); st.Restarts != tc.restarts {
-				t.Errorf("%d restarts, want %d", st.Restarts, tc.restarts)
-			}
+// holdRelease delays the read error a chaos strike returns, holding
+// back the struck lease's release.
+type holdRelease struct {
+	io.ReadWriteCloser
+}
+
+func (h holdRelease) Read(p []byte) (int, error) {
+	n, err := h.ReadWriteCloser.Read(p)
+	if errors.Is(err, errChaosKilled) {
+		time.Sleep(100 * time.Millisecond)
+	}
+	return n, err
+}
+
+// TestFleetRespawnAfterDrain holds a struck lease's release back for
+// longer than the struck worker's reconnect backoff, so its redial
+// finds no shard free and is drained: RunWorkerLoop returns, and only
+// the slot's respawn loop brings the worker back to take the released
+// shard. The campaign must still complete, equal to the single-process
+// soak, with the one restart the strike cost.
+func TestFleetRespawnAfterDrain(t *testing.T) {
+	sp := fleetSpec(4000, 3) // 1333-op shards, 512-op batches
+	var mu sync.Mutex
+	var respawns, drains int
+	cfg := Config{
+		Spec: sp,
+		WrapConn: func(rwc io.ReadWriteCloser) io.ReadWriteCloser {
+			return holdRelease{rwc}
+		},
+		Logf: func(format string, args ...any) {
 			mu.Lock()
 			defer mu.Unlock()
-			if tc.restarts > 0 && (len(pids) == 0 || pids[0] != os.Getpid()) {
-				t.Errorf("kills asked for pids %v, want the workers' pid %d first", pids, os.Getpid())
+			switch {
+			case strings.HasPrefix(format, "fleet: worker slot "):
+				respawns++
+			case strings.HasPrefix(format, "fleet worker: no shard available"):
+				drains++
 			}
-			if tc.restarts == 0 && len(pids) != 0 {
-				t.Errorf("one-batch shards asked for kills of %v", pids)
+		},
+	}
+	fleet, c := digestFleet(t, cfg.WithKills(1, nil), LocalOptions{})
+	if single := digestSingle(t, sp); !bytes.Equal(fleet, single) {
+		t.Errorf("respawned fleet snapshot diverges from single-process soak:\n--- fleet ---\n%s\n--- single ---\n%s", fleet, single)
+	}
+	st := c.Status()
+	if st.Restarts != 1 {
+		t.Errorf("%d restarts, want 1", st.Restarts)
+	}
+	if st.Retries < 1 {
+		t.Errorf("%d retries reported, want the struck worker's reconnect", st.Retries)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if drains == 0 || respawns == 0 {
+		t.Errorf("%d drained redials, %d respawns: the struck worker's redial was not drained and respawned", drains, respawns)
+	}
+}
+
+// TestRunLocalCancel: a campaign whose ctx ends first returns ctx's
+// error with the coordinator stopped and incomplete, and leaves no
+// goroutine behind — including under transport chaos with frame
+// deadlines off, where only severing the pipes unblocks a read.
+func TestRunLocalCancel(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		chaos bool
+	}{
+		{"plain", false},
+		{"chaos-no-deadlines", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sp := fleetSpec(50_000_000, 2)
+			sp.BoundCycles = 142_957
+			cfg := Config{Spec: sp}
+			if tc.chaos {
+				ccfg := chaos.Aggressive(7)
+				ccfg.Stall = 50 * time.Millisecond
+				cfg = ChaosConfig(sp, chaos.New(ccfg).Wrap)
+				cfg.FrameTimeout = -1
+			}
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+			defer cancel()
+			c, err := RunLocal(ctx, cfg, LocalOptions{ChaosKills: 1})
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("RunLocal returned %v, want the ctx's deadline error", err)
+			}
+			c.mu.Lock()
+			stopped := c.stopped
+			c.mu.Unlock()
+			if !stopped || c.Completed() {
+				t.Errorf("coordinator stopped %v, completed %v; want stopped and incomplete", stopped, c.Completed())
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				buf := make([]byte, 1<<16)
+				t.Errorf("%d goroutines after RunLocal returned, %d before:\n%s", n, before, buf[:runtime.Stack(buf, true)])
 			}
 		})
+	}
+}
+
+// TestCheckKills: a kill budget is refused exactly when the smallest
+// shard streams in one batch, and the refusal names both sizes.
+func TestCheckKills(t *testing.T) {
+	for _, tc := range []struct {
+		ops      uint64
+		workers  int
+		batchOps int
+		refused  string // "" when the kills can land
+	}{
+		{1500, 3, 0, "a 500-op shard streams in one 512-op batch"},
+		{1538, 3, 0, "a 512-op shard streams in one 512-op batch"},
+		{1539, 3, 0, ""},
+		{1540, 3, 0, ""},
+		{453, 3, 151, "a 151-op shard streams in one 151-op batch"},
+		{456, 3, 151, ""},
+	} {
+		cfg := Config{Spec: fleetSpec(tc.ops, tc.workers), BatchOps: tc.batchOps}
+		if err := CheckKills(cfg, 0); err != nil {
+			t.Errorf("%d ops: zero kills refused: %v", tc.ops, err)
+		}
+		err := CheckKills(cfg, 1)
+		switch {
+		case tc.refused == "" && err != nil:
+			t.Errorf("%d ops over %d workers, batch %d: refused: %v", tc.ops, tc.workers, tc.batchOps, err)
+		case tc.refused != "" && (err == nil || !strings.Contains(err.Error(), tc.refused)):
+			t.Errorf("%d ops over %d workers, batch %d: got %v, want an error saying %q", tc.ops, tc.workers, tc.batchOps, err, tc.refused)
+		}
 	}
 }
 

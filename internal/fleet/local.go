@@ -5,165 +5,63 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // LocalOptions tunes RunLocal.
 type LocalOptions struct {
-	// ChaosKills abruptly severs this many worker connections
-	// mid-campaign, each as its worker streams past about a third of
-	// a shard's budget, exercising the kill/restart/fast-forward path.
-	// The supervisor replaces each killed worker, so the campaign
-	// still completes.
+	// ChaosKills is the campaign's budget of chaos kills, installed
+	// with Config.WithKills: a worker whose first batch is not its
+	// last has its connection severed just after that batch, and the
+	// shard restarts from the batch's checkpoint. A shard that streams
+	// in one batch is never struck (CheckKills refuses such a budget).
 	ChaosKills int
-	// Logf receives progress lines; nil silences them.
-	Logf func(format string, args ...any)
 }
 
 // RunLocal drives a whole fleet campaign in one process: a coordinator
-// plus in-process workers connected over net.Pipe, supervised so that
-// killed or drained workers are replaced until every shard completes.
-// It returns the coordinator (stopped, fully merged) for inspection.
+// plus Spec.Workers slots, each running the deployed worker loop,
+// RunWorkerLoop, whose dial hands it one end of a net.Pipe and serves
+// the other with ServeConn. The slots are respawned by the loop that
+// supervises ProcSet's worker processes, so a struck or drained worker
+// reconnects and respawns on the deployed backoff until every shard
+// completes. Progress is logged through cfg.Logf. It returns the
+// coordinator, stopped and fully merged, or with ctx's error when ctx
+// ends first.
 //
 // This is the reference harness for the equal-seed equivalence proof:
-// everything — sharding, wire protocol, delta merge, kill/restart —
-// runs exactly as in the multi-process deployment, minus the TCP.
+// sharding, wire protocol, delta merge, kill/restart and reconnects
+// run as in the multi-process deployment, minus the TCP and the
+// process boundary.
 func RunLocal(ctx context.Context, cfg Config, opt LocalOptions) (*Coordinator, error) {
-	c, err := New(ctx, cfg)
+	c, err := New(ctx, cfg.WithKills(opt.ChaosKills, nil))
 	if err != nil {
 		return nil, err
 	}
-	workerCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var mu sync.Mutex
-	var live []net.Conn // coordinator-side ends, severed on exit
-	// closeLive severs every remaining pipe so goroutines wedged in
-	// undeadlined reads (possible under chaos with frame deadlines off)
-	// unblock before wg.Wait; cancel alone cannot reach a blocked Read.
-	closeLive := func() {
-		mu.Lock()
-		for _, cn := range live {
-			cn.Close()
-		}
-		mu.Unlock()
-	}
-	// A chaos kill fails the worker's write of the batch that would
-	// take it past a third of an average shard — the first batch when
-	// a shard fits in one. Striking from the worker's side of the pipe
-	// makes every kill sever a lease that still has batches to stream:
-	// a supervisor watching merged ops can be outrun by workers that
-	// stream their whole shard before any of it is merged.
-	killAfter := int(c.spec.Ops/uint64(c.spec.Workers)/3) / c.batchOps
-	var kills atomic.Int64
-	claimKill := func() bool {
-		n := kills.Add(1)
-		if n > int64(opt.ChaosKills) {
-			return false
-		}
-		if opt.Logf != nil {
-			opt.Logf("fleet: chaos kill %d/%d", n, opt.ChaosKills)
-		}
-		return true
-	}
-	var pendingRetries atomic.Int64 // failed sessions, reported at the next hello
-
+	slotCtx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
-	spawn := func() {
+	// Each dial's pipe is severed when the slots stop, so no serving
+	// goroutine stays wedged in an undeadlined read (possible under
+	// chaos with frame deadlines off) past wg.Wait.
+	dial := func(ctx context.Context) (io.ReadWriteCloser, error) {
 		server, client := net.Pipe()
-		mu.Lock()
-		live = append(live, server)
-		mu.Unlock()
-		wg.Add(2)
+		sever := context.AfterFunc(ctx, func() { server.Close() })
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer sever()
 			_ = c.ServeConn(server)
-			mu.Lock()
-			for i, cn := range live {
-				if cn == server {
-					live = append(live[:i], live[i+1:]...)
-					break
-				}
-			}
-			mu.Unlock()
 		}()
-		var wconn net.Conn = client
-		if opt.ChaosKills > 0 {
-			wconn = &killConn{Conn: client, after: 1 + killAfter, kill: claimKill}
-		}
-		go func() {
-			defer wg.Done()
-			wopt := WorkerOptions{Logf: opt.Logf, Retries: int(pendingRetries.Swap(0))}
-			if err := RunWorker(workerCtx, wconn, wopt); err != nil && workerCtx.Err() == nil {
-				// The replacement's hello carries the retry count, the
-				// in-process analogue of RunWorkerLoop's reconnects.
-				pendingRetries.Add(int64(wopt.Retries) + 1)
-			}
-		}()
+		return client, nil
 	}
-	for i := 0; i < c.spec.Workers; i++ {
-		spawn()
-	}
-
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
-supervise:
-	for {
-		select {
-		case <-c.Done():
-			break supervise
-		case <-ctx.Done():
-			cancel()
-			closeLive()
-			wg.Wait()
-			c.Stop()
-			return c, ctx.Err()
-		case <-tick.C:
-		}
-		// Keep enough workers alive for the incomplete shards: a
-		// killed (or drained) worker's replacement leases the freed
-		// shard and fast-forwards to its checkpoint.
-		st := c.Status()
-		incomplete, attached := 0, 0
-		for _, sh := range st.Shards {
-			if !sh.Completed {
-				incomplete++
-				if sh.Attached {
-					attached++
-				}
-			}
-		}
-		mu.Lock()
-		liveN := len(live)
-		mu.Unlock()
-		if incomplete > 0 && liveN < incomplete && attached < incomplete {
-			spawn()
-		}
+	respawn(slotCtx, &wg, c.spec.Workers, cfg.Logf, func(ctx context.Context) error {
+		return RunWorkerLoop(ctx, dial, WorkerOptions{Logf: cfg.Logf})
+	})
+	select {
+	case <-c.Done():
+	case <-ctx.Done():
+		err = ctx.Err()
 	}
 	cancel()
-	closeLive()
 	wg.Wait()
 	c.Stop()
-	return c, nil
-}
-
-// killConn is a worker's end of a local pipe. Its write number
-// after+1 (writeMsg makes one Write per frame: the hello, then one per
-// batch) claims a chaos kill and, when one is left, closes the pipe
-// instead of sending.
-type killConn struct {
-	net.Conn
-	after  int
-	writes int
-	kill   func() bool
-}
-
-func (k *killConn) Write(p []byte) (int, error) {
-	k.writes++
-	if k.writes == k.after+1 && k.kill() {
-		k.Conn.Close()
-		return 0, io.ErrClosedPipe
-	}
-	return k.Conn.Write(p)
+	return c, err
 }

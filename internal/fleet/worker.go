@@ -17,9 +17,6 @@ import (
 type WorkerOptions struct {
 	// Logf receives progress lines; nil silences them.
 	Logf func(format string, args ...any)
-	// Retries is the failed-connection-attempt count reported in the
-	// hello; RunWorkerLoop maintains it, direct callers may leave 0.
-	Retries int
 	// FrameTimeout is the per-frame read/write deadline on the worker
 	// side (applied only when the conn supports deadlines). 0 disables
 	// — in-process harnesses keep the old semantics.
@@ -53,7 +50,7 @@ const (
 // coordinator drains, or ctx is cancelled. The final batch is marked
 // Final and the connection closed.
 func RunWorker(ctx context.Context, conn io.ReadWriteCloser, opt WorkerOptions) error {
-	_, err := runWorkerConn(ctx, conn, opt)
+	_, err := runWorkerConn(ctx, conn, opt, 0)
 	return err
 }
 
@@ -80,9 +77,7 @@ func RunWorkerLoop(ctx context.Context, dial func(ctx context.Context) (io.ReadW
 			}
 			continue
 		}
-		o := opt
-		o.Retries = retries
-		outcome, err := runWorkerConn(ctx, conn, o)
+		outcome, err := runWorkerConn(ctx, conn, opt, retries)
 		switch outcome {
 		case workerNoShard:
 			return nil
@@ -102,11 +97,13 @@ func RunWorkerLoop(ctx context.Context, dial func(ctx context.Context) (io.ReadW
 	}
 }
 
-// runWorkerConn is one worker session; see RunWorker.
-func runWorkerConn(ctx context.Context, conn io.ReadWriteCloser, opt WorkerOptions) (workerOutcome, error) {
+// runWorkerConn is one worker session; see RunWorker. Its hello
+// reports retries, the failed connection attempts since the worker's
+// last completed shard.
+func runWorkerConn(ctx context.Context, conn io.ReadWriteCloser, opt WorkerOptions, retries int) (workerOutcome, error) {
 	defer conn.Close()
 	armWrite(conn, opt.FrameTimeout)
-	if err := writeMsg(conn, msgHello, Hello{Proto: protoVersion, PID: os.Getpid(), Retries: opt.Retries}); err != nil {
+	if err := writeMsg(conn, msgHello, Hello{Proto: protoVersion, PID: os.Getpid(), Retries: retries}); err != nil {
 		return workerErr, fmt.Errorf("fleet worker: hello: %w", err)
 	}
 	armRead(conn, opt.FrameTimeout)
