@@ -20,6 +20,7 @@ package kimage
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"verikern/internal/arch"
@@ -33,7 +34,10 @@ import (
 // instruction accesses Base + (i mod max(Count,1))*Stride. The static
 // analyser treats any reference with Count > 1 as unclassifiable
 // (always miss), mirroring the paper's tooling, which lacked pointer
-// analysis for traversals (§5.3).
+// analysis for traversals (§5.3). Link refuses a striding reference
+// whose last element's last byte, Base+Stride·(Count−1)+3, lies past
+// 0xFFFF_FFFF: its addresses would wrap, and the analyser's footprint
+// is one range of lines from Base.
 type DataRef struct {
 	// Base is the first address accessed; 0 means no data access.
 	Base uint32
@@ -252,6 +256,12 @@ func (img *Image) validate() error {
 				return fmt.Errorf("kimage: %s: duplicate block %q", f.Name, b.Name)
 			}
 			seen[b.Name] = true
+			for _, ins := range b.Instrs {
+				if d := ins.Data; !d.Fixed() && uint64(d.Base)+uint64(d.Stride)*uint64(d.Count-1)+3 > math.MaxUint32 {
+					return fmt.Errorf("kimage: %s/%s: striding reference [%#x +%#x x%d] runs past the end of the address space",
+						f.Name, b.Name, d.Base, d.Stride, d.Count)
+				}
+			}
 			if b.Call != "" {
 				if _, ok := img.Funcs[b.Call]; !ok {
 					return fmt.Errorf("kimage: %s/%s calls undefined function %q", f.Name, b.Name, b.Call)

@@ -317,3 +317,33 @@ func TestLinkOrderPlacesFirst(t *testing.T) {
 		t.Error("Link accepted LinkOrder with undefined function")
 	}
 }
+
+// TestLinkRefusesWrappingStride: Link accepts a striding reference
+// whose last element's last byte is 0xFFFF_FFFF and refuses one a byte
+// further, whose addresses would wrap the address space, naming its
+// function and block. The extent is computed without overflow even
+// when Stride·(Count−1) alone exceeds 32 bits.
+func TestLinkRefusesWrappingStride(t *testing.T) {
+	for _, tc := range []struct {
+		base, stride, count uint32
+		ok                  bool
+	}{
+		{0xFFFF_FFFC - 4*7, 4, 8, true},
+		{0xFFFF_FFFD - 4*7, 4, 8, false},
+		{0x0000_1000, 0x1000_0000, 16, true},
+		{0x0000_1000, 0x1000_0000, 17, false},
+		{0x0000_1000, 0xFFFF_FFFF, 0xFFFF_FFFF, false},
+	} {
+		img := New()
+		b := img.NewFunc("f")
+		b.ALU(1).LoadStride(tc.base, tc.stride, tc.count)
+		b.Ret()
+		err := img.Link()
+		if tc.ok && err != nil {
+			t.Errorf("[%#x +%#x x%d]: %v", tc.base, tc.stride, tc.count, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "f/"+img.Funcs["f"].Blocks[0].Name+":")) {
+			t.Errorf("[%#x +%#x x%d]: Link error %v, want one naming f and its block", tc.base, tc.stride, tc.count, err)
+		}
+	}
+}

@@ -59,21 +59,22 @@ const (
 )
 
 // model is the must-cache model of one hardware configuration over one
-// image: how an access is classified, how it changes the abstract
-// state, and what each class costs.
+// image: how an access is classified and how it changes the abstract
+// state. It reads only the pin set and the TCM windows of the hardware;
+// what each class costs is phase 2's (prices).
 type model struct {
-	hw arch.Config
 	be *arch.Backend
+	// tcm holds only the hardware's TCM windows, the one part of the
+	// configuration classification reads besides whether any way is
+	// pinned: the class tier's key (classKey) is exactly these.
+	tcm arch.Config
 	// pinnedI and pinnedD are the image's pinned lines, nil without
 	// pinned ways; every state shares them.
 	pinnedI, pinnedD map[uint32]bool
-	// miss and fetchMiss are the worst-case penalties of an
-	// unclassified data access and fetch.
-	miss, fetchMiss uint64
 }
 
 func newModel(img *kimage.Image, hw arch.Config) *model {
-	m := &model{hw: hw, be: hw.Backend(), miss: missCost(hw), fetchMiss: fetchMissCost(hw)}
+	m := &model{be: hw.Backend(), tcm: arch.Config{TCMEnabled: hw.TCMEnabled, ITCMBase: hw.ITCMBase, DTCMBase: hw.DTCMBase}}
 	if hw.PinnedL1Ways > 0 {
 		m.pinnedI, m.pinnedD = img.PinnedCodeSet(), img.PinnedDataSet()
 	}
@@ -102,7 +103,7 @@ func (m *model) state() absState {
 // to and changes nothing; any other destroys the guarantee of every
 // set its footprint can touch.
 func (m *model) step(s absState, fa uint32, d kimage.DataRef, firstMiss map[uint32]bool, classify bool) (fetch, data accessClass) {
-	if m.hw.InITCM(fa) {
+	if m.tcm.InITCM(fa) {
 		fetch = accTCM
 	} else {
 		if classify {
@@ -136,33 +137,6 @@ func (m *model) step(s absState, fa uint32, d kimage.DataRef, firstMiss map[uint
 		m.clobberFootprint(s.d, d)
 	}
 	return fetch, data
-}
-
-// cost counts one instruction's classified accesses in stats and
-// returns the cycles they add to its base cost. A first-miss fetch
-// adds none: its miss is charged on its loop's entry edges.
-func (m *model) cost(fetch, data accessClass, stats *ClassStats) uint64 {
-	var c uint64
-	switch fetch {
-	case accTCM, accHit:
-		stats.FetchHit++
-	case accFirstMiss:
-		stats.FetchFirstMiss++
-	case accMiss:
-		stats.FetchMiss++
-		c += m.fetchMiss
-	}
-	switch data {
-	case accTCM, accHit:
-		stats.DataHit++
-	case accMiss:
-		stats.DataMiss++
-		c += m.miss
-	case accUnknown:
-		stats.DataUnknown++
-		c += m.miss
-	}
-	return c
 }
 
 // footprint returns the L1 lines a striding reference can touch: n
@@ -207,14 +181,14 @@ func (m *model) clobberFootprint(s *cache.Must, d kimage.DataRef) {
 // in the data TCM window — single-cycle by construction, even for
 // striding references (the whole range is known).
 func (m *model) dataInTCM(d kimage.DataRef) bool {
-	if !m.hw.TCMEnabled {
+	if !m.tcm.TCMEnabled {
 		return false
 	}
 	if d.Fixed() {
-		return m.hw.InDTCM(d.Base)
+		return m.tcm.InDTCM(d.Base)
 	}
 	first, n := footprint(m.be, d)
-	return m.hw.InDTCM(first) && m.hw.InDTCM(first+uint32(n)*uint32(m.be.LineBytes)-1)
+	return m.tcm.InDTCM(first) && m.tcm.InDTCM(first+uint32(n)*uint32(m.be.LineBytes)-1)
 }
 
 // lineOf returns the cache line of an address on backend be.

@@ -1,6 +1,8 @@
 package wcet
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"verikern/internal/arch"
@@ -88,6 +90,60 @@ func TestStridedFootprintClobbersItsSets(t *testing.T) {
 			if c.DataHit != tc.wantHits || c.DataMiss != tc.wantMisses || c.DataUnknown != 1 {
 				t.Errorf("classified %+v, want %d hit / %d miss / 1 unknown", c, tc.wantHits, tc.wantMisses)
 			}
+		})
+	}
+}
+
+// TestWrappingStrideRefused: a striding reference whose last element
+// lies past 0xFFFF_FFFF wraps the address space. Its footprint, the
+// lines from Base to the wrapped last byte, is then one pinned line,
+// and the analysis called a walk over 16 unpinned lines always-hit:
+// 3,436 cycles bounded against 16,934 observed (Stride 0x1000_0000,
+// Count 17), and 3,436 against 17,894 (Stride 0x0800_0000, Count 33).
+// Link refuses such a reference, naming its function and block; were it
+// accepted, the bound must still dominate every polluted replay.
+func TestWrappingStrideRefused(t *testing.T) {
+	for _, tc := range []struct{ stride, count uint32 }{
+		{0x1000_0000, 17},
+		{0x0800_0000, 33},
+	} {
+		t.Run(fmt.Sprintf("%#x-x%d", tc.stride, tc.count), func(t *testing.T) {
+			img := kimage.New()
+			data := img.Data("d", 8192)
+			img.PinData(data)
+			b := img.NewFunc("entry")
+			b.Loop(256, func(b *kimage.FuncBuilder) { b.LoadStride(data, tc.stride, tc.count) })
+			b.Ret()
+			img.Entries = []string{"entry"}
+			var block string
+			for _, bl := range img.Funcs["entry"].Blocks {
+				for _, ins := range bl.Instrs {
+					if !ins.Data.Fixed() {
+						block = bl.Name
+					}
+				}
+			}
+			err := img.Link()
+			if err != nil {
+				if want := "entry/" + block + ":"; !strings.Contains(err.Error(), want) {
+					t.Errorf("Link error %q does not name %s", err, want)
+				}
+				return
+			}
+			hw := arch.Config{PinnedL1Ways: 1}
+			r, err := New(img, hw).Analyze("entry")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := uint32(1); seed <= 4; seed++ {
+				m := machine.New(hw)
+				m.LoadImage(img)
+				m.Pollute(seed)
+				if obs := m.Run(r.Trace); obs > r.Cycles {
+					t.Fatalf("Link accepted the wrapping walk; seed %d: observed %d > bound %d", seed, obs, r.Cycles)
+				}
+			}
+			t.Errorf("Link accepted a striding reference past 0xFFFF_FFFF")
 		})
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"verikern/internal/obs"
 )
 
-// Cache memoises analyses for the life of the process in three typed
+// Cache memoises analyses for the life of the process in four typed
 // tiers, each keyed by a plain string built from the inputs it depends
 // on:
 //
@@ -26,12 +26,20 @@ import (
 //     (ilp.Problem.RowsKey). Hardware changes only the objective, so
 //     every hardware configuration over one CFG, loop-bound set and
 //     constraint set shares one entry, and so do graphs of different
-//     images whose rows coincide.
+//     images whose rows coincide;
+//   - classes: a graph's class vector (phase 1 of classification),
+//     keyed by the graph key plus whether any L1 way is pinned and the
+//     TCM windows (classKey). L2, predictor, L2 locking and the number
+//     of pinned ways enter only phase 2, so every configuration
+//     differing only in those shares one entry.
 //
 // Each key is computed once: a lookup that finds the key in flight
 // waits for the first computation and counts as a hit. The cache never
 // evicts: it holds at most one entry per distinct (image, entry) pair,
-// one per distinct result key and one per distinct constraint-row set.
+// one per distinct result key, one per distinct constraint-row set and
+// one per distinct class key. A cold two-backend DefaultSpace sweep
+// leaves 32 class vectors for its 80 results, and a warm re-sweep adds
+// none (TestSweepClassTierBound).
 // Cached values are shared across analyses and goroutines and must be
 // treated as immutable. Safe for concurrent use.
 type Cache struct {
@@ -39,14 +47,16 @@ type Cache struct {
 	graphs   tier[*cfg.Graph]
 	results  tier[*boundEntry]
 	prepared tier[*ilp.Prepared]
+	classes  tier[*classes]
 	// hits and misses count the graph and result tiers' lookups.
 	hits, misses uint64
 }
 
 // tier is one of the cache's maps and how its lookups are counted. The
 // graph and result tiers count in CacheStats and in passcache.hits and
-// passcache.misses; the prepared tier counts in neither, and its
-// computation reports its own ilp.prepares.
+// passcache.misses; the prepared and class tiers count in neither. A
+// prepared computation reports its own ilp.prepares, and a class
+// computation its classify.fixpoint_sweeps.
 type tier[V any] struct {
 	slots map[string]*slot[V]
 	// hitMetric is the counter a hit adds to.
@@ -83,6 +93,7 @@ func NewCache() *Cache {
 		graphs:   tier[*cfg.Graph]{slots: make(map[string]*slot[*cfg.Graph]), hitMetric: "passcache.hit.cfg", counted: true},
 		results:  tier[*boundEntry]{slots: make(map[string]*slot[*boundEntry]), hitMetric: "passcache.hit.result", counted: true},
 		prepared: tier[*ilp.Prepared]{slots: make(map[string]*slot[*ilp.Prepared]), hitMetric: "ilp.prepare_hits"},
+		classes:  tier[*classes]{slots: make(map[string]*slot[*classes]), hitMetric: "wcet.class_hits"},
 	}
 }
 
@@ -160,6 +171,7 @@ func (c *Cache) Reset() {
 	clear(c.graphs.slots)
 	clear(c.results.slots)
 	clear(c.prepared.slots)
+	clear(c.classes.slots)
 	c.hits, c.misses = 0, 0
 	c.mu.Unlock()
 }

@@ -6,6 +6,7 @@ import (
 
 	"verikern/internal/kbin"
 	"verikern/internal/konfig"
+	"verikern/internal/obs"
 	"verikern/internal/wcet"
 )
 
@@ -56,5 +57,71 @@ func TestSweepCacheBound(t *testing.T) {
 	}
 	if warm := c.Stats(); warm.Entries != cold.Entries {
 		t.Errorf("warm re-sweep grew the cache from %d to %d entries", cold.Entries, warm.Entries)
+	}
+}
+
+// TestSweepClassTierBound holds the class tier to its stated bound: a
+// cold two-backend DefaultSpace sweep leaves exactly one class vector
+// per distinct class key, 32 for its 80 results, and computes each
+// once, so the other 48 lookups are wcet.class_hits. A warm re-sweep
+// adds no vector and runs no fixpoint, and Reset empties the tier.
+func TestSweepClassTierBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("double sweep: skipped in -short")
+	}
+	ctx := context.Background()
+	c := wcet.NewCache()
+	m := obs.NewMetrics()
+	classKeys, results := map[string]bool{}, map[string]bool{}
+	sweep := func() {
+		t.Helper()
+		for _, id := range []string{"arm1136", "cva6rt"} {
+			sp, err := konfig.DefaultSpace(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := konfig.Sweep(ctx, c, m, sp, 7, 48, 4); err != nil {
+				t.Fatal(err)
+			}
+			points, err := konfig.Enumerate(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range points {
+				img, cons, hw, err := p.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				a := wcet.New(img, hw)
+				a.AddConstraints(cons...)
+				for _, e := range kbin.Entries {
+					classKeys[wcet.ClassKey(a, e)] = true
+					results[wcet.ResultKey(a, e)] = true
+				}
+			}
+		}
+	}
+	sweep()
+	cold := m.Stats().Counters
+	if got := wcet.ClassEntries(c); got != len(classKeys) || got != 32 || len(results) != 80 {
+		t.Errorf("cold sweep left %d class vectors for %d class keys and %d results; want 32 for 80", got, len(classKeys), len(results))
+	}
+	if hits := cold["wcet.class_hits"]; hits != uint64(len(results)-len(classKeys)) {
+		t.Errorf("cold sweep: %d wcet.class_hits over %d analyses and %d class keys", hits, len(results), len(classKeys))
+	}
+
+	sweep()
+	warm := m.Stats().Counters
+	if got := wcet.ClassEntries(c); got != len(classKeys) {
+		t.Errorf("warm re-sweep grew the class tier from %d to %d vectors", len(classKeys), got)
+	}
+	if warm["classify.fixpoint_sweeps"] != cold["classify.fixpoint_sweeps"] {
+		t.Errorf("warm re-sweep ran the fixpoint: classify.fixpoint_sweeps %d -> %d",
+			cold["classify.fixpoint_sweeps"], warm["classify.fixpoint_sweeps"])
+	}
+
+	c.Reset()
+	if got := wcet.ClassEntries(c); got != 0 {
+		t.Errorf("Reset left %d class vectors", got)
 	}
 }

@@ -178,7 +178,7 @@ func TraceCycles(img *kimage.Image, hw arch.Config, trace []*kimage.Block) uint6
 	m := newModel(img, hw)
 	st := m.state()
 	r := kimage.Compile(trace)
-	cycles := m.be.WorstBranchCost(hw.BranchPredictor) * uint64(len(r.Blocks))
+	var path nodeClass
 	var stats ClassStats
 	start := uint32(0)
 	for _, b := range r.Blocks {
@@ -192,10 +192,11 @@ func TraceCycles(img *kimage.Image, hw arch.Config, trace []*kimage.Block) uint6
 				d = kimage.DataRef{Base: s.Data, Write: s.Write}
 			}
 			f, data := m.step(st, fetch, d, nil, true)
-			cycles += m.be.BaseCost(s.Class) + m.cost(f, data, &stats)
+			path.add(m.be.BaseCost(s.Class), f, data, &stats)
 			fetch += 4
 		}
 		start = b.End
 	}
-	return cycles
+	p := pricesOf(hw)
+	return path.cycles(p) + p.branch*uint64(len(r.Blocks))
 }

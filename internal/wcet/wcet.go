@@ -151,10 +151,12 @@ type Analyzer struct {
 	Metrics *obs.Metrics
 	// Cache, when set, serves and stores CFGs and whole Results keyed
 	// by the content of their inputs (image fingerprint, entry,
-	// hardware config, constraint set, KeepLP), and the ILP's
-	// phase-1 basis keyed by the constraint rows. Analyzers over
-	// identical inputs — even distinct Analyzer or Image objects —
-	// share entries through one cache. Nil disables caching.
+	// hardware config, constraint set, KeepLP), the ILP's phase-1
+	// basis keyed by the constraint rows, and each graph's cache
+	// class vector keyed by the graph, pinning and the TCM windows.
+	// Analyzers over identical inputs — even distinct Analyzer or
+	// Image objects — share entries through one cache. Nil disables
+	// caching.
 	Cache *Cache
 }
 
@@ -267,7 +269,12 @@ func (a *Analyzer) solve(ctx context.Context, entry string) (*boundEntry, error)
 		return nil, err
 	}
 	stop := a.Metrics.Stage("wcet.classify")
-	nodeCost, loopEntryCost, stats := a.classify(g)
+	cl, err := a.classVector(ctx, g, entry)
+	if err != nil {
+		stop()
+		return nil, err
+	}
+	nodeCost, loopEntryCost := cl.costs(a.HW)
 	stop()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -285,7 +292,7 @@ func (a *Analyzer) solve(ctx context.Context, entry string) (*boundEntry, error)
 	res.Entry = entry
 	res.Graph = g
 	res.NodeCost = nodeCost
-	res.Classified = stats
+	res.Classified = cl.stats
 	res.Micros = a.HW.Backend().CyclesToMicros(res.Cycles)
 	res.AnalysisTime = time.Since(start)
 	a.Metrics.Add("wcet.entries_analyzed", 1)

@@ -179,7 +179,9 @@ func regeneratePaper(t *testing.T) {
 // TestPreparedOncePerConstraintSet: phase 1 runs once per distinct
 // constraint set. A cold two-backend sweep (kzm-sim -sweep -sweep-ops
 // 64) analyses 80 entry points over 6 sets, at any worker count, and a
-// cold paper regeneration 16 over 6.
+// cold paper regeneration 16 over 6. Classification's phase 1 likewise
+// runs once per class key: the sweep's 80 analyses read 32 class
+// vectors (48 wcet.class_hits), and the paper's 16 read 12 (4 hits).
 func TestPreparedOncePerConstraintSet(t *testing.T) {
 	ctx := context.Background()
 	defer ResetAnalysisCache()
@@ -192,8 +194,8 @@ func TestPreparedOncePerConstraintSet(t *testing.T) {
 		regenerate(t)
 		ObservePipeline(nil)
 		c := m.Stats().Counters
-		t.Logf("ilp.prepares %d, ilp.prepare_hits %d, wcet.entries_analyzed %d, ilp.pivots %d",
-			c["ilp.prepares"], c["ilp.prepare_hits"], c["wcet.entries_analyzed"], c["ilp.pivots"])
+		t.Logf("ilp.prepares %d, ilp.prepare_hits %d, wcet.class_hits %d, wcet.entries_analyzed %d, ilp.pivots %d",
+			c["ilp.prepares"], c["ilp.prepare_hits"], c["wcet.class_hits"], c["wcet.entries_analyzed"], c["ilp.pivots"])
 		return c
 	}
 	for _, workers := range []int{4, 1} {
@@ -207,6 +209,9 @@ func TestPreparedOncePerConstraintSet(t *testing.T) {
 				t.Errorf("ilp.prepares %d, ilp.prepare_hits %d over %d analyses; want 6 and 74 over 80",
 					c["ilp.prepares"], c["ilp.prepare_hits"], c["wcet.entries_analyzed"])
 			}
+			if c["wcet.class_hits"] != 48 {
+				t.Errorf("wcet.class_hits %d over 80 analyses; want 48 (32 class keys)", c["wcet.class_hits"])
+			}
 		})
 	}
 	t.Run("paper", func(t *testing.T) {
@@ -214,6 +219,9 @@ func TestPreparedOncePerConstraintSet(t *testing.T) {
 		if c["ilp.prepares"] != 6 || c["wcet.entries_analyzed"] != 16 || c["ilp.prepare_hits"] != 10 {
 			t.Errorf("ilp.prepares %d, ilp.prepare_hits %d over %d analyses; want 6 and 10 over 16",
 				c["ilp.prepares"], c["ilp.prepare_hits"], c["wcet.entries_analyzed"])
+		}
+		if c["wcet.class_hits"] != 4 {
+			t.Errorf("wcet.class_hits %d over 16 analyses; want 4 (12 class keys)", c["wcet.class_hits"])
 		}
 	})
 }
