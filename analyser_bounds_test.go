@@ -14,37 +14,35 @@ package verikern
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"testing"
 
 	"verikern/internal/arch"
 	"verikern/internal/konfig"
+	"verikern/internal/sched"
 	"verikern/internal/wcet"
 )
 
 // boundsSpace is the sub-lattice the golden covers on one backend:
 // every value of the keys that change the analysed image or timing
-// model, with up to two pinned L1 ways. Infeasible combinations are
-// dropped by konfig.Enumerate.
-func boundsSpace(t *testing.T, archID string) konfig.Space {
-	t.Helper()
-	be := arch.MustLookup(archID)
-	vary := map[string][]string{}
-	for _, k := range konfig.Keys() {
-		switch k.Name {
-		case "sched.policy", "preempt.delete", "preempt.clear", "mem.tcm",
-			"cache.l2.enabled", "cache.l2.lock-kernel", "predictor.dynamic":
-			vary[k.Name] = k.Domain(be)
-		case "cache.l1.pinned-ways":
-			for _, v := range k.Domain(be) {
-				if n, err := strconv.Atoi(v); err == nil && n <= 2 {
-					vary[k.Name] = append(vary[k.Name], v)
-				}
-			}
-		}
+// model, with up to two pinned L1 ways. The lists are the same on
+// every backend; konfig.Enumerate drops what a backend cannot run.
+func boundsSpace(archID string) konfig.Space {
+	var kinds []string
+	for _, k := range sched.Kinds() {
+		kinds = append(kinds, k.String())
 	}
-	return konfig.Space{Arch: archID, Vary: vary}
+	bools := []string{"false", "true"}
+	return konfig.Space{Arch: archID, Vary: map[string][]string{
+		"sched.policy":         kinds,
+		"preempt.delete":       bools,
+		"preempt.clear":        bools,
+		"mem.tcm":              bools,
+		"cache.l2.enabled":     bools,
+		"cache.l2.lock-kernel": bools,
+		"predictor.dynamic":    bools,
+		"cache.l1.pinned-ways": {"0", "1", "2"},
+	}}
 }
 
 // TestAnalyserBoundsPinned analyses every entry at every point of
@@ -57,7 +55,7 @@ func TestAnalyserBoundsPinned(t *testing.T) {
 	c := wcet.NewCache()
 	var b strings.Builder
 	for _, id := range arch.BackendIDs() {
-		points, err := konfig.Enumerate(boundsSpace(t, id))
+		points, err := konfig.Enumerate(boundsSpace(id))
 		if err != nil {
 			t.Fatal(err)
 		}

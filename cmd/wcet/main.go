@@ -10,13 +10,15 @@
 //	     [-l2] [-bpred] [-pin] [-observe N] [-trace] [-hot N]
 //	     [-lp] [-verify] [-obligations] [-dump] [-timings]
 //
-// Every run analyses one configuration-lattice point. -konfig assigns
-// keys on the backend's default point; without it the legacy
-// variant/feature flags select the variant's point plus the L2 and
-// branch-predictor enables. The point is validated by the konfig rule
-// engine (an infeasible combination fails with its named-rule
-// diagnostics), and the image and hardware model are derived from it.
-// See docs/config-lattice.md for the key reference.
+// Every run analyses one configuration-lattice point. The legacy
+// -arch/-variant/-pin/-l2/-bpred flags select the base point (the
+// variant's point plus the L2 and branch-predictor enables; with none
+// of them, the backend's default point), and -konfig assigns keys on
+// top of it, so "-variant original -konfig cache.l1.pinned-ways=2"
+// is the original kernel with two pinned ways. The point is validated
+// by the konfig rule engine (an infeasible combination fails with its
+// named-rule diagnostics), and the image and hardware model are
+// derived from it. See docs/config-lattice.md for the key reference.
 package main
 
 import (
@@ -51,39 +53,36 @@ func main() {
 	obligations := flag.Bool("obligations", false, "print the proof obligations for the image's manual constraints (§5.2)")
 	dumpImage := flag.Bool("dump", false, "print a disassembly-style listing of the kernel image")
 	timings := flag.Bool("timings", false, "print solver and analysis wall times (makes output non-reproducible)")
-	konfigSpec := flag.String("konfig", "", "configuration-lattice assignments \"key=value,...\" applied to the backend's default point (overrides -variant/-l2/-bpred/-pin; see docs/config-lattice.md)")
+	konfigSpec := flag.String("konfig", "", "configuration-lattice assignments \"key=value,...\" applied on top of the point -arch/-variant/-pin/-l2/-bpred select (see docs/config-lattice.md)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// Both flag sets select a lattice point: -konfig assigns keys on the
-	// backend's default point, the legacy flags name the variant's
-	// point (konfig.LegacyPoint) plus the L2 and predictor enables.
-	var p verikern.LatticePoint
-	if *konfigSpec != "" {
-		p = mustPoint(verikern.DefaultLatticePoint(*archName))
-		for _, kv := range strings.Split(*konfigSpec, ",") {
-			kv = strings.TrimSpace(kv)
-			if kv == "" {
-				continue
-			}
-			k, v, ok := strings.Cut(kv, "=")
-			if !ok {
-				log.Fatalf("-konfig %q: want key=value", kv)
-			}
-			p = mustPoint(p.Set(strings.TrimSpace(k), strings.TrimSpace(v)))
+	// One path from the flags to the lattice point: the legacy flags
+	// pick the base point (konfig.LegacyPoint plus the L2 and predictor
+	// enables), and -konfig assigns keys on top of it.
+	if *variantName != "modern" && *variantName != "original" {
+		log.Fatalf("unknown variant %q", *variantName)
+	}
+	np, err := konfig.LegacyPoint(*archName, *variantName == "modern", *pin)
+	if err != nil {
+		log.Fatal(err)
+	}
+	p := np.Point
+	p.L2Enabled, p.BranchPredictor = *l2, *bpred
+	for _, kv := range strings.Split(*konfigSpec, ",") {
+		kv = strings.TrimSpace(kv)
+		if kv == "" {
+			continue
 		}
-	} else {
-		if *variantName != "modern" && *variantName != "original" {
-			log.Fatalf("unknown variant %q", *variantName)
+		k, v, ok := strings.Cut(kv, "=")
+		if !ok {
+			log.Fatalf("-konfig %q: want key=value", kv)
 		}
-		np, err := konfig.LegacyPoint(*archName, *variantName == "modern", *pin)
-		if err != nil {
+		if p, err = p.Set(strings.TrimSpace(k), strings.TrimSpace(v)); err != nil {
 			log.Fatal(err)
 		}
-		p = np.Point
-		p.L2Enabled, p.BranchPredictor = *l2, *bpred
 	}
 	im, hw, err := verikern.BuildImagePoint(p)
 	if err != nil {
@@ -191,14 +190,6 @@ func main() {
 		fmt.Printf("  max:  %d cycles = %.1f µs  (ratio %.2f)\n",
 			obs.Max, arch.MustLookup(p.Arch).CyclesToMicros(obs.Max), float64(bd.Cycles)/float64(obs.Max))
 	}
-}
-
-// mustPoint unwraps a lattice-point result, exiting on error.
-func mustPoint(p verikern.LatticePoint, err error) verikern.LatticePoint {
-	if err != nil {
-		log.Fatal(err)
-	}
-	return p
 }
 
 func pinSuffix(pin bool) string {

@@ -118,7 +118,8 @@ type Config struct {
 	// cache — the paper's future-work suggestion: "it would be
 	// possible to lock the entire seL4 microkernel into the L2
 	// cache. Doing so would drastically reduce execution time"
-	// (§4, §6.4). Effective only with L2Enabled.
+	// (§4, §6.4). It needs L2Enabled: ValidateConfig refuses a lock
+	// on a disabled L2, which would silently do nothing.
 	L2LockedKernel bool
 
 	// TCMEnabled converts one way of each L1 cache into
@@ -130,7 +131,8 @@ type Config struct {
 	// penalty; the L1 caches shrink to three ways.
 	TCMEnabled bool
 	// ITCMBase and DTCMBase are the 4 KiB instruction / data TCM
-	// windows.
+	// windows. Neither need be aligned, but each must end inside the
+	// 32-bit address space (ValidateConfig).
 	ITCMBase, DTCMBase uint32
 }
 
@@ -142,12 +144,12 @@ const TCMBytes = 4096
 
 // InITCM reports whether addr falls in the instruction TCM window.
 func (c Config) InITCM(addr uint32) bool {
-	return c.TCMEnabled && addr >= c.ITCMBase && addr < c.ITCMBase+TCMBytes
+	return c.TCMEnabled && addr >= c.ITCMBase && addr-c.ITCMBase < TCMBytes
 }
 
 // InDTCM reports whether addr falls in the data TCM window.
 func (c Config) InDTCM(addr uint32) bool {
-	return c.TCMEnabled && addr >= c.DTCMBase && addr < c.DTCMBase+TCMBytes
+	return c.TCMEnabled && addr >= c.DTCMBase && addr-c.DTCMBase < TCMBytes
 }
 
 // Backend resolves the configuration's hardware backend. The empty

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -225,9 +226,7 @@ func (b *Backend) Validate() error {
 // MaxPinnableWays returns the exclusive upper bound on PinnedL1Ways
 // for this backend: at least one way of the narrower L1 must stay
 // unlocked for the replacement policy to victimise, and enabling TCM
-// repurposes one further way. This is the per-backend domain of the
-// konfig "cache.l1.pinned-ways" key; ValidateConfig enforces the same
-// bound.
+// repurposes one further way. ValidateConfig enforces it.
 func (b *Backend) MaxPinnableWays(tcmEnabled bool) int {
 	maxPin := b.L1I.Ways
 	if b.L1D.Ways < maxPin {
@@ -239,29 +238,43 @@ func (b *Backend) MaxPinnableWays(tcmEnabled bool) int {
 	return maxPin
 }
 
-// ValidateConfig checks that a Config only asks for features this
-// backend has, and stays within its geometry.
+// ValidateConfig is the one statement of hardware feasibility: a
+// Config may only ask for features this backend has, lock the kernel
+// only into an enabled L2, pin within the L1 geometry, and place its
+// TCM windows inside the 32-bit address space. The simulator, the
+// analyser and the konfig rule engine all defer to it. Every failed
+// condition is reported (errors.Join), one per line after the
+// backend's name.
 func (b *Backend) ValidateConfig(c Config) error {
 	if c.Arch != "" && c.Arch != b.ID {
 		return fmt.Errorf("arch: config for %q validated against backend %q", c.Arch, b.ID)
 	}
+	var errs []error
 	if c.L2Enabled && !b.HasL2 {
-		return fmt.Errorf("arch %s: no L2 cache on this backend", b.ID)
+		errs = append(errs, errors.New("no L2 cache on this backend"))
 	}
-	if c.L2LockedKernel && !b.HasL2 {
-		return fmt.Errorf("arch %s: cannot lock kernel into a nonexistent L2", b.ID)
+	if c.L2LockedKernel && !c.L2Enabled {
+		errs = append(errs, errors.New("kernel locked into a disabled L2"))
 	}
 	if c.BranchPredictor && !b.HasDynamicPredictor {
-		return fmt.Errorf("arch %s: no dynamic branch predictor on this backend", b.ID)
+		errs = append(errs, errors.New("no dynamic branch predictor on this backend"))
 	}
 	if c.TCMEnabled && !b.HasTCM {
-		return fmt.Errorf("arch %s: no tightly-coupled memory on this backend", b.ID)
+		errs = append(errs, errors.New("no tightly-coupled memory on this backend"))
 	}
-	maxPin := b.MaxPinnableWays(c.TCMEnabled)
-	if c.PinnedL1Ways < 0 || c.PinnedL1Ways >= maxPin {
-		return fmt.Errorf("arch %s: %d pinned L1 ways outside [0,%d)", b.ID, c.PinnedL1Ways, maxPin)
+	if maxPin := b.MaxPinnableWays(c.TCMEnabled); c.PinnedL1Ways < 0 || c.PinnedL1Ways >= maxPin {
+		errs = append(errs, fmt.Errorf("%d pinned L1 ways outside [0,%d)", c.PinnedL1Ways, maxPin))
 	}
-	return nil
+	if c.TCMEnabled && uint64(c.ITCMBase)+TCMBytes > 1<<32 {
+		errs = append(errs, fmt.Errorf("ITCM window at %#x runs past the address space", c.ITCMBase))
+	}
+	if c.TCMEnabled && uint64(c.DTCMBase)+TCMBytes > 1<<32 {
+		errs = append(errs, fmt.Errorf("DTCM window at %#x runs past the address space", c.DTCMBase))
+	}
+	if len(errs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("arch %s: %w", b.ID, errors.Join(errs...))
 }
 
 // --- Registry ---

@@ -106,9 +106,10 @@ func TestCVA6RTInterruptEntryConstant(t *testing.T) {
 	}
 }
 
-// TestValidateConfigRejectsMissingFeatures checks that configurations
-// asking for hardware a backend does not have fail loudly instead of
-// silently timing the wrong machine.
+// TestValidateConfigRejectsMissingFeatures is ValidateConfig's table:
+// every condition it states has a counterexample whose error names it,
+// feasible configs pass, and a config with several faults names each
+// one, so a diagnostic never hides a second fault behind the first.
 func TestValidateConfigRejectsMissingFeatures(t *testing.T) {
 	cva := MustLookup(CVA6RTID)
 	arm := MustLookup(ARM1136ID)
@@ -116,26 +117,69 @@ func TestValidateConfigRejectsMissingFeatures(t *testing.T) {
 		name string
 		b    *Backend
 		cfg  Config
-		ok   bool
+		want []string // one substring per failed condition; none means feasible
 	}{
-		{"cva6rt-l2", cva, Config{Arch: CVA6RTID, L2Enabled: true}, false},
-		{"cva6rt-l2lock", cva, Config{Arch: CVA6RTID, L2Enabled: true, L2LockedKernel: true}, false},
-		{"cva6rt-bpred", cva, Config{Arch: CVA6RTID, BranchPredictor: true}, false},
-		{"cva6rt-tcm", cva, Config{Arch: CVA6RTID, TCMEnabled: true}, false},
-		{"cva6rt-pin-overflow", cva, Config{Arch: CVA6RTID, PinnedL1Ways: 4}, false},
-		{"cva6rt-baseline", cva, Config{Arch: CVA6RTID}, true},
-		{"cva6rt-pinned", cva, Config{Arch: CVA6RTID, PinnedL1Ways: 1}, true},
-		{"arm-all-features", arm, Config{L2Enabled: true, BranchPredictor: true, PinnedL1Ways: 1}, true},
-		{"arm-config-for-cva", arm, Config{Arch: CVA6RTID}, false},
+		{"cva6rt-l2", cva, Config{Arch: CVA6RTID, L2Enabled: true}, []string{"no L2 cache"}},
+		{"arm-l2lock-disabled", arm, Config{L2LockedKernel: true}, []string{"disabled L2"}},
+		{"cva6rt-bpred", cva, Config{Arch: CVA6RTID, BranchPredictor: true}, []string{"no dynamic branch predictor"}},
+		{"cva6rt-tcm", cva, Config{Arch: CVA6RTID, TCMEnabled: true}, []string{"no tightly-coupled memory"}},
+		{"arm-pin-negative", arm, Config{PinnedL1Ways: -1}, []string{"-1 pinned L1 ways outside [0,4)"}},
+		{"arm-pin-under-tcm", arm, Config{TCMEnabled: true, PinnedL1Ways: 3}, []string{"3 pinned L1 ways outside [0,3)"}},
+		{"arm-itcm-past-top", arm, Config{TCMEnabled: true, ITCMBase: 0xFFFF_F001}, []string{"ITCM window at 0xfffff001"}},
+		{"arm-dtcm-past-top", arm, Config{TCMEnabled: true, DTCMBase: 0xFFFF_FFFC}, []string{"DTCM window at 0xfffffffc"}},
+		{"arm-config-for-cva", arm, Config{Arch: CVA6RTID}, []string{`config for "cva6rt"`}},
+		{"cva6rt-l2lock", cva, Config{Arch: CVA6RTID, L2Enabled: true, L2LockedKernel: true}, []string{"no L2 cache"}},
+		{"cva6rt-l2-and-bpred", cva, Config{Arch: CVA6RTID, L2Enabled: true, BranchPredictor: true},
+			[]string{"no L2 cache", "no dynamic branch predictor"}},
+		{"cva6rt-tcm-and-pin", cva, Config{Arch: CVA6RTID, TCMEnabled: true, PinnedL1Ways: 3},
+			[]string{"no tightly-coupled memory", "3 pinned L1 ways outside [0,3)"}},
+		{"cva6rt-baseline", cva, Config{Arch: CVA6RTID}, nil},
+		{"cva6rt-pinned", cva, Config{Arch: CVA6RTID, PinnedL1Ways: 1}, nil},
+		{"arm-all-features", arm, Config{L2Enabled: true, L2LockedKernel: true, BranchPredictor: true, PinnedL1Ways: 1}, nil},
+		{"arm-tcm-top-window", arm, Config{TCMEnabled: true, ITCMBase: 0xFFFF_F000, DTCMBase: 0xFFFF_F000}, nil},
 	}
 	for _, tc := range cases {
 		err := tc.b.ValidateConfig(tc.cfg)
-		if tc.ok && err != nil {
-			t.Errorf("%s: unexpected error: %v", tc.name, err)
+		if len(tc.want) == 0 {
+			if err != nil {
+				t.Errorf("%s: unexpected error: %v", tc.name, err)
+			}
+			continue
 		}
-		if !tc.ok && err == nil {
+		if err == nil {
 			t.Errorf("%s: config %+v accepted by %s, want rejection", tc.name, tc.cfg, tc.b.ID)
+			continue
 		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %q", tc.name, err, w)
+			}
+		}
+		if got := strings.Count(err.Error(), "\n") + 1; got != len(tc.want) {
+			t.Errorf("%s: error %q reports %d conditions, want %d", tc.name, err, got, len(tc.want))
+		}
+	}
+}
+
+// TestTCMWindowAtTopOfAddressSpace: a window ending exactly at the top
+// of the 32-bit address space covers its last word, and a window past
+// it is refused instead of wrapping to an empty range.
+func TestTCMWindowAtTopOfAddressSpace(t *testing.T) {
+	c := Config{TCMEnabled: true, ITCMBase: 0xFFFF_F000, DTCMBase: 0xFFFF_F000}
+	for _, addr := range []uint32{0xFFFF_F000, 0xFFFF_FFFC} {
+		if !c.InITCM(addr) || !c.InDTCM(addr) {
+			t.Errorf("%#x outside the top TCM windows", addr)
+		}
+	}
+	if c.InITCM(0xFFFF_EFFC) || c.InDTCM(0xFFFF_EFFC) {
+		t.Error("address below the top TCM windows counted inside")
+	}
+	if err := ARM1136.ValidateConfig(c); err != nil {
+		t.Errorf("top TCM windows refused: %v", err)
+	}
+	c.ITCMBase++
+	if err := ARM1136.ValidateConfig(c); err == nil {
+		t.Errorf("ITCM window at %#x accepted, but it runs past the address space", c.ITCMBase)
 	}
 }
 

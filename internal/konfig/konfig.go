@@ -70,8 +70,7 @@ type Point struct {
 	TCMEnabled      bool
 }
 
-// Key is one typed lattice key: a name, accessors over Point, and the
-// per-backend feasible value domain (before cross-key rules).
+// Key is one typed lattice key: a name and accessors over Point.
 type Key struct {
 	// Name is the stable key name ("sched.policy", "cache.l2.enabled").
 	Name string
@@ -83,14 +82,10 @@ type Key struct {
 	Get func(p Point, b *arch.Backend) string
 	// Set parses a raw value into the point; the error names the key.
 	// A backend-fixed key's Set accepts only the backend's own value.
+	// Which values are feasible is the rule engine's question, not the
+	// key's.
 	Set func(*Point, string) error
-	// Domain lists the feasible raw values on a backend, in canonical
-	// order. Cross-key feasibility (e.g. pinned ways under TCM) is the
-	// rule engine's job; Domain is the per-key projection.
-	Domain func(*arch.Backend) []string
 }
-
-func boolDomain(*arch.Backend) []string { return []string{"false", "true"} }
 
 // fixedKey is a backend-fixed key: a hardware fact the lattice names
 // so listings and hashes state the hardware they describe, but which
@@ -116,16 +111,6 @@ func fixedKey(name, doc string, value func(*arch.Backend) string) Key {
 			}
 			return nil
 		},
-		Domain: func(b *arch.Backend) []string { return []string{value(b)} },
-	}
-}
-
-func gatedBoolDomain(has func(*arch.Backend) bool) func(*arch.Backend) []string {
-	return func(b *arch.Backend) []string {
-		if has(b) {
-			return []string{"false", "true"}
-		}
-		return []string{"false"}
 	}
 }
 
@@ -149,49 +134,42 @@ func newRegistry() []Key {
 				p.Arch = b.ID
 				return nil
 			},
-			Domain: func(b *arch.Backend) []string { return []string{b.ID} },
 		},
 		{
-			Name:   "sched.policy",
-			Doc:    "scheduler design: lazy | benno | benno+bitmap (§3.1–3.2)",
-			Get:    func(p Point, _ *arch.Backend) string { return p.Scheduler.String() },
-			Set:    func(p *Point, v string) error { k, err := sched.ParseKind(v); p.Scheduler = k; return err },
-			Domain: func(*arch.Backend) []string { return kindNames() },
+			Name: "sched.policy",
+			Doc:  "scheduler design: lazy | benno | benno+bitmap (§3.1–3.2)",
+			Get:  func(p Point, _ *arch.Backend) string { return p.Scheduler.String() },
+			Set:  func(p *Point, v string) error { k, err := sched.ParseKind(v); p.Scheduler = k; return err },
 		},
 		{
-			Name:   "vspace.design",
-			Doc:    "address-space design: asid | shadow (§3.6)",
-			Get:    func(p Point, _ *arch.Backend) string { return p.VSpace.String() },
-			Set:    func(p *Point, v string) error { d, err := vspace.ParseDesign(v); p.VSpace = d; return err },
-			Domain: func(*arch.Backend) []string { return designNames() },
+			Name: "vspace.design",
+			Doc:  "address-space design: asid | shadow (§3.6)",
+			Get:  func(p Point, _ *arch.Backend) string { return p.VSpace.String() },
+			Set:  func(p *Point, v string) error { d, err := vspace.ParseDesign(v); p.VSpace = d; return err },
 		},
 		{
-			Name:   "preempt.delete",
-			Doc:    "preemption points in deletion/revocation walks (§3.3–3.4)",
-			Get:    func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.PreemptDelete) },
-			Set:    func(p *Point, v string) error { return parseBoolInto(&p.PreemptDelete, v) },
-			Domain: boolDomain,
+			Name: "preempt.delete",
+			Doc:  "preemption points in deletion/revocation walks (§3.3–3.4)",
+			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.PreemptDelete) },
+			Set:  func(p *Point, v string) error { return parseBoolInto(&p.PreemptDelete, v) },
 		},
 		{
-			Name:   "preempt.clear",
-			Doc:    "preemption points in object clearing (§3.5)",
-			Get:    func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.PreemptClear) },
-			Set:    func(p *Point, v string) error { return parseBoolInto(&p.PreemptClear, v) },
-			Domain: boolDomain,
+			Name: "preempt.clear",
+			Doc:  "preemption points in object clearing (§3.5)",
+			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.PreemptClear) },
+			Set:  func(p *Point, v string) error { return parseBoolInto(&p.PreemptClear, v) },
 		},
 		{
-			Name:   "preempt.split-reply",
-			Doc:    "future-work preemption point between ReplyRecv's send and receive phases (§6.1, §8)",
-			Get:    func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.SplitReply) },
-			Set:    func(p *Point, v string) error { return parseBoolInto(&p.SplitReply, v) },
-			Domain: boolDomain,
+			Name: "preempt.split-reply",
+			Doc:  "future-work preemption point between ReplyRecv's send and receive phases (§6.1, §8)",
+			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.SplitReply) },
+			Set:  func(p *Point, v string) error { return parseBoolInto(&p.SplitReply, v) },
 		},
 		{
-			Name:   "ipc.fastpath",
-			Doc:    "IPC fastpath (§6.1)",
-			Get:    func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.Fastpath) },
-			Set:    func(p *Point, v string) error { return parseBoolInto(&p.Fastpath, v) },
-			Domain: boolDomain,
+			Name: "ipc.fastpath",
+			Doc:  "IPC fastpath (§6.1)",
+			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.Fastpath) },
+			Set:  func(p *Point, v string) error { return parseBoolInto(&p.Fastpath, v) },
 		},
 		{
 			Name: "clear.chunk-bytes",
@@ -205,16 +183,12 @@ func newRegistry() []Key {
 				p.ClearChunkBytes = uint32(n)
 				return nil
 			},
-			Domain: func(*arch.Backend) []string {
-				return []string{"256", "512", "1024", "2048", "4096", "16384"}
-			},
 		},
 		{
-			Name:   "debug.check-invariants",
-			Doc:    "run the invariant suite at every operation boundary and preemption point",
-			Get:    func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.CheckInvariants) },
-			Set:    func(p *Point, v string) error { return parseBoolInto(&p.CheckInvariants, v) },
-			Domain: boolDomain,
+			Name: "debug.check-invariants",
+			Doc:  "run the invariant suite at every operation boundary and preemption point",
+			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.CheckInvariants) },
+			Set:  func(p *Point, v string) error { return parseBoolInto(&p.CheckInvariants, v) },
 		},
 		fixedKey("cache.l1i.ways", "L1 instruction-cache associativity (backend-fixed)",
 			func(b *arch.Backend) string { return strconv.Itoa(b.L1I.Ways) }),
@@ -232,41 +206,30 @@ func newRegistry() []Key {
 			Doc:  "L1 ways locked for the pinned interrupt path (§4)",
 			Get:  func(p Point, _ *arch.Backend) string { return strconv.Itoa(p.PinnedL1Ways) },
 			Set:  func(p *Point, v string) error { return parseIntInto(&p.PinnedL1Ways, v) },
-			Domain: func(b *arch.Backend) []string {
-				var out []string
-				for i := 0; i < b.MaxPinnableWays(false); i++ {
-					out = append(out, strconv.Itoa(i))
-				}
-				return out
-			},
 		},
 		{
-			Name:   "cache.l2.enabled",
-			Doc:    "unified L2 cache enable (§6.4)",
-			Get:    func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.L2Enabled) },
-			Set:    func(p *Point, v string) error { return parseBoolInto(&p.L2Enabled, v) },
-			Domain: gatedBoolDomain(func(b *arch.Backend) bool { return b.HasL2 }),
+			Name: "cache.l2.enabled",
+			Doc:  "unified L2 cache enable (§6.4)",
+			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.L2Enabled) },
+			Set:  func(p *Point, v string) error { return parseBoolInto(&p.L2Enabled, v) },
 		},
 		{
-			Name:   "cache.l2.lock-kernel",
-			Doc:    "lock the whole kernel text into the L2 (§6.4 future work)",
-			Get:    func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.L2LockedKernel) },
-			Set:    func(p *Point, v string) error { return parseBoolInto(&p.L2LockedKernel, v) },
-			Domain: gatedBoolDomain(func(b *arch.Backend) bool { return b.HasL2 }),
+			Name: "cache.l2.lock-kernel",
+			Doc:  "lock the whole kernel text into the L2 (§6.4 future work)",
+			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.L2LockedKernel) },
+			Set:  func(p *Point, v string) error { return parseBoolInto(&p.L2LockedKernel, v) },
 		},
 		{
-			Name:   "predictor.dynamic",
-			Doc:    "dynamic branch predictor enable (§5.1)",
-			Get:    func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.BranchPredictor) },
-			Set:    func(p *Point, v string) error { return parseBoolInto(&p.BranchPredictor, v) },
-			Domain: gatedBoolDomain(func(b *arch.Backend) bool { return b.HasDynamicPredictor }),
+			Name: "predictor.dynamic",
+			Doc:  "dynamic branch predictor enable (§5.1)",
+			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.BranchPredictor) },
+			Set:  func(p *Point, v string) error { return parseBoolInto(&p.BranchPredictor, v) },
 		},
 		{
-			Name:   "mem.tcm",
-			Doc:    "repurpose one L1 way per side as tightly-coupled memory (§5.1)",
-			Get:    func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.TCMEnabled) },
-			Set:    func(p *Point, v string) error { return parseBoolInto(&p.TCMEnabled, v) },
-			Domain: gatedBoolDomain(func(b *arch.Backend) bool { return b.HasTCM }),
+			Name: "mem.tcm",
+			Doc:  "repurpose one L1 way per side as tightly-coupled memory (§5.1)",
+			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.TCMEnabled) },
+			Set:  func(p *Point, v string) error { return parseBoolInto(&p.TCMEnabled, v) },
 		},
 		fixedKey("cache.replacement", "cache replacement policy (backend-fixed; round-robin, the policy the analysis is validated against)",
 			func(*arch.Backend) string { return "round-robin" }),
@@ -295,14 +258,6 @@ func kindNames() []string {
 	var out []string
 	for _, k := range sched.Kinds() {
 		out = append(out, k.String())
-	}
-	return out
-}
-
-func designNames() []string {
-	var out []string
-	for _, d := range vspace.Designs() {
-		out = append(out, d.String())
 	}
 	return out
 }

@@ -14,8 +14,50 @@ import (
 	"verikern/internal/wcet"
 )
 
+// candidateValues lists plain raw values per assignable key, the same
+// on every backend: which of them a backend can run is Validate's
+// question, not the key's. A nil list marks a backend-fixed key, whose
+// only value is the point's own.
+var candidateValues = map[string][]string{
+	"arch":                   arch.BackendIDs(),
+	"sched.policy":           kindNames(),
+	"vspace.design":          {"asid", "shadow"},
+	"preempt.delete":         {"false", "true"},
+	"preempt.clear":          {"false", "true"},
+	"preempt.split-reply":    {"false", "true"},
+	"ipc.fastpath":           {"false", "true"},
+	"clear.chunk-bytes":      {"256", "512", "1024", "2048", "4096", "16384"},
+	"debug.check-invariants": {"false", "true"},
+	"cache.l1i.ways":         nil,
+	"cache.l1d.ways":         nil,
+	"cache.l2.ways":          nil,
+	"cache.l1.pinned-ways":   {"0", "1", "2"},
+	"cache.l2.enabled":       {"false", "true"},
+	"cache.l2.lock-kernel":   {"false", "true"},
+	"predictor.dynamic":      {"false", "true"},
+	"mem.tcm":                {"false", "true"},
+	"cache.replacement":      nil,
+}
+
+// candidates returns key k's candidate values on point p.
+func candidates(t *testing.T, p Point, k Key) []string {
+	t.Helper()
+	vs, ok := candidateValues[k.Name]
+	if !ok {
+		t.Fatalf("key %s has no candidate values", k.Name)
+	}
+	if vs == nil {
+		v, err := p.Get(k.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []string{v}
+	}
+	return vs
+}
+
 // TestKeyRegistry holds the registry's structural invariants: unique
-// names, Get/Set round-trips over every in-domain value, Listing in
+// names, Get/Set round-trips over every candidate value, Listing in
 // canonical order, unknown keys rejected by name, and backend-fixed
 // keys refusing any value but their backend's, by name.
 func TestKeyRegistry(t *testing.T) {
@@ -30,10 +72,9 @@ func TestKeyRegistry(t *testing.T) {
 		}
 	}
 	for _, id := range arch.BackendIDs() {
-		b := arch.MustLookup(id)
 		base := mustDefault(id)
 		for _, k := range Keys() {
-			for _, v := range k.Domain(b) {
+			for _, v := range candidates(t, base, k) {
 				p, err := base.Set(k.Name, v)
 				if err != nil {
 					t.Fatalf("%s: Set(%s, %s): %v", id, k.Name, v, err)
@@ -63,20 +104,19 @@ func TestKeyRegistry(t *testing.T) {
 
 // TestHashIdentity holds Point.Hash stable under representation detail
 // and distinct across assignments: equal points hash equal, any single
-// in-domain reassignment to a different value changes the hash, and the
+// reassignment to a different candidate value changes the hash, and the
 // empty-vs-canonical backend id normalises to the same identity.
 func TestHashIdentity(t *testing.T) {
 	base := mustDefault(arch.ARM1136ID)
 	if got, want := base.Hash(), mustDefault("").Hash(); got != want {
 		t.Errorf("canonical and empty arch ids hash apart: %s vs %s", got, want)
 	}
-	b := arch.MustLookup(arch.ARM1136ID)
 	for _, k := range Keys() {
 		cur, err := base.Get(k.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range k.Domain(b) {
+		for _, v := range candidates(t, base, k) {
 			if v == cur {
 				continue
 			}
@@ -92,10 +132,13 @@ func TestHashIdentity(t *testing.T) {
 }
 
 // TestRandomAssignmentsProperty is the validator property test: random
-// in-domain assignments over every key, on every backend. An accepted
+// candidate assignments over every key, on every backend. An accepted
 // point must translate into structs the rest of the stack accepts —
 // the image builds, the backend validates the hardware config, and the
 // WCET analysis completes. A rejected point must name registered rules.
+// The draws ignore what a backend has, so most CVA6-RT draws are
+// refused; trials is sized so every backend still accepts points and
+// the totals stay above the floors below.
 func TestRandomAssignmentsProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized build+analyze property: skipped in -short")
@@ -107,14 +150,18 @@ func TestRandomAssignmentsProperty(t *testing.T) {
 		known[r.Name] = true
 	}
 	rng := rand.New(rand.NewSource(20260808))
-	const trials = 60
+	const trials = 960
 	accepted, analyzed := 0, map[string]bool{}
 	for _, id := range arch.BackendIDs() {
 		b := arch.MustLookup(id)
+		backendAccepted := 0
 		for i := 0; i < trials; i++ {
 			p := mustDefault(id)
 			for _, k := range Keys() {
-				dom := k.Domain(b)
+				if k.Name == "arch" {
+					continue // the point stays on the backend under test
+				}
+				dom := candidates(t, p, k)
 				var err error
 				if p, err = p.Set(k.Name, dom[rng.Intn(len(dom))]); err != nil {
 					t.Fatalf("%s: Set(%s): %v", id, k.Name, err)
@@ -130,6 +177,7 @@ func TestRandomAssignmentsProperty(t *testing.T) {
 				continue
 			}
 			accepted++
+			backendAccepted++
 			img, cons, hw, err := p.Build()
 			if err != nil {
 				t.Fatalf("accepted point %s does not build: %v", p.Hash(), err)
@@ -149,9 +197,16 @@ func TestRandomAssignmentsProperty(t *testing.T) {
 				}
 			}
 		}
+		// The floors are what 60 draws per backend from each backend's
+		// own feature set gave (15 and 14 points, 22 projections in
+		// all); ungated draws must cover at least as much.
+		if backendAccepted < 14 {
+			t.Errorf("%s: accepted %d random points, want at least 14", id, backendAccepted)
+		}
+		t.Logf("%s: accepted %d/%d random points", id, backendAccepted, trials)
 	}
-	if accepted == 0 {
-		t.Fatal("no random assignment was accepted; the property is vacuous")
+	if len(analyzed) < 22 {
+		t.Errorf("%d distinct analysis projections, want at least 22", len(analyzed))
 	}
 	t.Logf("accepted %d/%d random points, %d distinct analysis projections", accepted, trials*len(arch.BackendIDs()), len(analyzed))
 }

@@ -10,8 +10,9 @@ import (
 
 // Rule is one named feasibility rule. Rules reject two classes of
 // assignment: physically impossible ones (a feature the backend does
-// not have, pinning past the associativity) and unverifiable ones —
-// combinations no analyzable image generation or validated model
+// not have, pinning past the associativity), which the single
+// hardware-supported rule leaves to the backend, and unverifiable ones
+// — combinations no analyzable image generation or validated model
 // exists for, so a WCET bound claimed under them would be vacuous.
 type Rule struct {
 	// Name is the stable rule identifier surfaced in diagnostics and
@@ -32,54 +33,10 @@ const RuleArchRegistered = "arch-registered"
 // rules is the rule table, in evaluation order.
 var rules = []Rule{
 	{
-		Name: "l2-requires-backend-l2",
-		Doc:  "cache.l2.enabled needs a backend with a unified L2",
+		Name: "hardware-supported",
+		Doc:  "the hardware keys must describe a machine the backend can be; arch.(*Backend).ValidateConfig states the conditions and names each one that fails",
 		check: func(p Point, b *arch.Backend) error {
-			if p.L2Enabled && !b.HasL2 {
-				return fmt.Errorf("cache.l2.enabled=true but backend %s has no L2", b.ID)
-			}
-			return nil
-		},
-	},
-	{
-		Name: "l2-lock-requires-l2-enabled",
-		Doc:  "locking the kernel into the L2 needs the L2 present and enabled; a lock key on a disabled L2 would silently do nothing",
-		check: func(p Point, b *arch.Backend) error {
-			if p.L2LockedKernel && (!b.HasL2 || !p.L2Enabled) {
-				return fmt.Errorf("cache.l2.lock-kernel=true but the L2 is %s", map[bool]string{true: "disabled", false: "absent"}[b.HasL2])
-			}
-			return nil
-		},
-	},
-	{
-		Name: "predictor-requires-backend-predictor",
-		Doc:  "predictor.dynamic needs a core with a dynamic branch predictor",
-		check: func(p Point, b *arch.Backend) error {
-			if p.BranchPredictor && !b.HasDynamicPredictor {
-				return fmt.Errorf("predictor.dynamic=true but backend %s has no dynamic predictor", b.ID)
-			}
-			return nil
-		},
-	},
-	{
-		Name: "tcm-requires-backend-tcm",
-		Doc:  "mem.tcm needs a core whose L1 ways can be repurposed as tightly-coupled memory",
-		check: func(p Point, b *arch.Backend) error {
-			if p.TCMEnabled && !b.HasTCM {
-				return fmt.Errorf("mem.tcm=true but backend %s has no TCM", b.ID)
-			}
-			return nil
-		},
-	},
-	{
-		Name: "pin-within-associativity",
-		Doc:  "pinned L1 ways must leave at least one victim way in the narrower L1 (one more is lost to TCM when enabled)",
-		check: func(p Point, b *arch.Backend) error {
-			max := b.MaxPinnableWays(p.TCMEnabled)
-			if p.PinnedL1Ways < 0 || p.PinnedL1Ways >= max {
-				return fmt.Errorf("cache.l1.pinned-ways=%d outside [0,%d) on backend %s (tcm=%t)", p.PinnedL1Ways, max, b.ID, p.TCMEnabled)
-			}
-			return nil
+			return b.ValidateConfig(p.Hardware())
 		},
 	},
 	{
@@ -162,8 +119,8 @@ func Validate(p Point) []Violation {
 	return out
 }
 
-// Check returns nil for a feasible point, or an error joining every
-// named-rule diagnostic.
+// Check returns nil for a feasible point, or a one-line error joining
+// every named-rule diagnostic and, within one, every failed condition.
 func (p Point) Check() error {
 	vs := Validate(p)
 	if len(vs) == 0 {
@@ -171,7 +128,7 @@ func (p Point) Check() error {
 	}
 	msgs := make([]string, len(vs))
 	for i, v := range vs {
-		msgs[i] = v.Error()
+		msgs[i] = strings.ReplaceAll(v.Error(), "\n", "; ")
 	}
 	return fmt.Errorf("konfig: infeasible point %s: %s", p.Hash(), strings.Join(msgs, "; "))
 }

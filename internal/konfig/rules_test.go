@@ -11,7 +11,9 @@ import (
 // counterexamples is the minimal-violation table: for every named rule,
 // one point that violates exactly that rule. The table doubles as rule
 // documentation — each entry is the smallest step off the lattice that
-// the rule exists to catch.
+// the rule exists to catch. The hardware conditions behind
+// hardware-supported have their own table in internal/arch
+// (TestValidateConfigRejectsMissingFeatures).
 func counterexamples(t *testing.T) map[string]Point {
 	t.Helper()
 	arm := mustDefault(arch.ARM1136ID)
@@ -22,15 +24,11 @@ func counterexamples(t *testing.T) map[string]Point {
 		return base
 	}
 	return map[string]Point{
-		RuleArchRegistered:                     mut(arm, func(p *Point) { p.Arch = "nonesuch" }),
-		"l2-requires-backend-l2":               mut(riscv, func(p *Point) { p.L2Enabled = true }),
-		"l2-lock-requires-l2-enabled":          mut(arm, func(p *Point) { p.L2LockedKernel = true }),
-		"predictor-requires-backend-predictor": mut(riscv, func(p *Point) { p.BranchPredictor = true }),
-		"tcm-requires-backend-tcm":             mut(riscv, func(p *Point) { p.TCMEnabled = true }),
-		"pin-within-associativity":             mut(arm, func(p *Point) { p.PinnedL1Ways = 4 }),
-		"chunk-power-of-two":                   mut(arm, func(p *Point) { p.ClearChunkBytes = 1000 }),
-		"preempt-points-analyzable":            mut(arm, func(p *Point) { p.PreemptClear = false }),
-		"lazy-excludes-preemption":             mut(arm, func(p *Point) { p.Scheduler = sched.Lazy }),
+		RuleArchRegistered:          mut(arm, func(p *Point) { p.Arch = "nonesuch" }),
+		"hardware-supported":        mut(riscv, func(p *Point) { p.L2Enabled = true }),
+		"chunk-power-of-two":        mut(arm, func(p *Point) { p.ClearChunkBytes = 1000 }),
+		"preempt-points-analyzable": mut(arm, func(p *Point) { p.PreemptClear = false }),
+		"lazy-excludes-preemption":  mut(arm, func(p *Point) { p.Scheduler = sched.Lazy }),
 		"split-reply-requires-preempt": mut(arm, func(p *Point) {
 			p.SplitReply = true
 			p.PreemptDelete = false
@@ -105,5 +103,30 @@ func TestDefaultPointsFeasible(t *testing.T) {
 		if err := np.Point.Check(); err != nil {
 			t.Errorf("hardware matrix point %s infeasible: %v", np.Name, err)
 		}
+	}
+}
+
+// TestHardwareDiagnosticNamesEveryFault: a point with several hardware
+// faults violates the one hardware rule once, and its diagnostic, on
+// one line, names the rule and every failed condition.
+func TestHardwareDiagnosticNamesEveryFault(t *testing.T) {
+	p := mustDefault(arch.CVA6RTID)
+	p.L2Enabled, p.BranchPredictor, p.TCMEnabled = true, true, true
+	vs := Validate(p)
+	if len(vs) != 1 || vs[0].Rule != "hardware-supported" {
+		t.Fatalf("Validate = %v, want one hardware-supported violation", vs)
+	}
+	err := p.Check()
+	if err == nil {
+		t.Fatal("point with three hardware faults accepted")
+	}
+	msg := err.Error()
+	for _, want := range []string{"rule hardware-supported", "no L2 cache", "no dynamic branch predictor", "no tightly-coupled memory"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("Check() = %q, want it to name %q", msg, want)
+		}
+	}
+	if strings.Contains(msg, "\n") {
+		t.Errorf("Check() = %q spans several lines", msg)
 	}
 }

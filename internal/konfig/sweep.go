@@ -29,30 +29,25 @@ type Space struct {
 
 // DefaultSpace is the standard sweep sub-lattice on a backend: the
 // scheduler generations crossed with the preemption sites, way
-// pinning, clearing granularity and (where the backend has them) the
-// L2 and branch-predictor enables. On the ARM1136 it enumerates 80
-// feasible points, on CVA6-RT 20 — together the ≥50-point lattice the
-// acceptance criteria sweep.
+// pinning, clearing granularity and the L2 and branch-predictor
+// enables. Enumerate drops what the backend cannot run (rule
+// hardware-supported), so the space is the same on every backend: on
+// the ARM1136 it enumerates 80 feasible points, on CVA6-RT 20 —
+// together the ≥50-point lattice the acceptance criteria sweep.
 func DefaultSpace(archID string) (Space, error) {
-	b, err := DefaultPoint(archID)
+	p, err := DefaultPoint(archID)
 	if err != nil {
 		return Space{}, err
 	}
-	be, _ := b.Backend()
-	vary := map[string][]string{
+	return Space{Arch: p.Arch, Vary: map[string][]string{
 		"sched.policy":         kindNames(),
 		"preempt.delete":       {"false", "true"},
 		"preempt.clear":        {"false", "true"},
 		"cache.l1.pinned-ways": {"0", "1"},
 		"clear.chunk-bytes":    {"1024", "4096"},
-	}
-	if be.HasL2 {
-		vary["cache.l2.enabled"] = []string{"false", "true"}
-	}
-	if be.HasDynamicPredictor {
-		vary["predictor.dynamic"] = []string{"false", "true"}
-	}
-	return Space{Arch: be.ID, Vary: vary}, nil
+		"cache.l2.enabled":     {"false", "true"},
+		"predictor.dynamic":    {"false", "true"},
+	}}, nil
 }
 
 // Enumerate walks the space's cross product in deterministic order and
