@@ -391,17 +391,29 @@ func runProbe(ctx context.Context, seed uint64, budget int, out, archID string) 
 
 // runSweep is the configuration-lattice mode: walk every backend's
 // feasible DefaultSpace sub-lattice through the shared analysis cache,
-// soak each point deterministically, and emit the per-entry-point
-// WCET-vs-throughput Pareto frontiers as the byte-stable
-// BENCH_pareto.json artifact.
+// soak each execution identity deterministically, and emit the
+// per-entry-point WCET-vs-throughput Pareto frontiers as the
+// byte-stable BENCH_pareto.json artifact. Each backend's line counts
+// the work its sweep did: images built, analyses, soaks, and the
+// per-point re-runs a violation forces.
 func runSweep(ctx context.Context, seed, ops uint64, workers int, out string) {
 	start := time.Now()
-	doc, err := verikern.ParetoSweep(ctx, nil, seed, ops, workers)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, sw := range doc.Archs {
-		fmt.Printf("sweep %s: %d feasible points\n", sw.Arch, len(sw.Points))
+	doc := &verikern.ParetoBench{Seed: seed, Ops: ops}
+	defer verikern.ObservePipeline(nil)
+	for _, id := range verikern.Architectures() {
+		// A registry per backend, for the backend's work counts.
+		m := obs.NewMetrics()
+		verikern.ObservePipeline(m)
+		d, err := verikern.ParetoSweep(ctx, []string{id}, seed, ops, workers)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sw := d.Archs[0]
+		doc.Archs = append(doc.Archs, sw)
+		work := m.Stats().Counters
+		fmt.Printf("sweep %s: %d feasible points, %d images, %d analyses, %d soaks, %d reruns\n",
+			sw.Arch, len(sw.Points), work["konfig.sweep_images"], work["konfig.sweep_analyses"],
+			work["konfig.sweep_soaks"], work["konfig.sweep_soak_reruns"])
 		for _, fr := range sw.Frontiers {
 			fmt.Printf("  %-12s frontier: %d point(s)", fr.Entry, len(fr.Points))
 			if n := len(fr.Points); n > 0 {
@@ -417,6 +429,7 @@ func runSweep(ctx context.Context, seed, ops uint64, workers int, out string) {
 			log.Fatalf("SOUNDNESS VIOLATION: %d soak samples exceeded their analysed bound on %s", violations, sw.Arch)
 		}
 	}
+	fmt.Println("throughput axis: sim_cycles reads the kernel keys only; the soak's kernel model prices no hardware key (pinning, L2, predictor) yet")
 	cs := verikern.AnalysisCacheStats()
 	fmt.Printf("sweep done in %.1fs (analysis cache: %d hits / %d misses, %d entries)\n",
 		time.Since(start).Seconds(), cs.Hits, cs.Misses, cs.Entries)

@@ -65,8 +65,9 @@ func checkStamped(t *testing.T, idx map[string]konfig.Point, cfg soak.Config) {
 
 // TestShippedConfigsStamped checks every campaign the package ships —
 // the soak matrix SoakReportArch runs, the benno+preempt campaign
-// FleetReport shards, the per-point soaks of the Pareto sweep, and the
-// kernel-layer runner of every probe-matrix report —
+// FleetReport shards, the stamped campaign of every Pareto-sweep point
+// (the sweep runs one per execution identity, as its own campaign), and
+// the kernel-layer runner of every probe-matrix report —
 // carries the identity of the lattice point it runs, on both backends.
 // The CLI's campaigns are checked by cmd/kzm-sim's test of the same
 // name.

@@ -238,6 +238,53 @@ func (b *Backend) MaxPinnableWays(tcmEnabled bool) int {
 	return maxPin
 }
 
+// configCondition is one condition of hardware feasibility: fails
+// tests it and builds nothing, err describes a Config it fails for.
+type configCondition struct {
+	fails func(b *Backend, c Config) bool
+	err   func(b *Backend, c Config) error
+}
+
+// configConditions are ValidateConfig's conditions, in report order.
+var configConditions = []configCondition{
+	{
+		fails: func(b *Backend, c Config) bool { return c.L2Enabled && !b.HasL2 },
+		err:   func(*Backend, Config) error { return errors.New("no L2 cache on this backend") },
+	},
+	{
+		fails: func(_ *Backend, c Config) bool { return c.L2LockedKernel && !c.L2Enabled },
+		err:   func(*Backend, Config) error { return errors.New("kernel locked into a disabled L2") },
+	},
+	{
+		fails: func(b *Backend, c Config) bool { return c.BranchPredictor && !b.HasDynamicPredictor },
+		err:   func(*Backend, Config) error { return errors.New("no dynamic branch predictor on this backend") },
+	},
+	{
+		fails: func(b *Backend, c Config) bool { return c.TCMEnabled && !b.HasTCM },
+		err:   func(*Backend, Config) error { return errors.New("no tightly-coupled memory on this backend") },
+	},
+	{
+		fails: func(b *Backend, c Config) bool {
+			return c.PinnedL1Ways < 0 || c.PinnedL1Ways >= b.MaxPinnableWays(c.TCMEnabled)
+		},
+		err: func(b *Backend, c Config) error {
+			return fmt.Errorf("%d pinned L1 ways outside [0,%d)", c.PinnedL1Ways, b.MaxPinnableWays(c.TCMEnabled))
+		},
+	},
+	{
+		fails: func(_ *Backend, c Config) bool { return c.TCMEnabled && uint64(c.ITCMBase)+TCMBytes > 1<<32 },
+		err: func(_ *Backend, c Config) error {
+			return fmt.Errorf("ITCM window at %#x runs past the address space", c.ITCMBase)
+		},
+	},
+	{
+		fails: func(_ *Backend, c Config) bool { return c.TCMEnabled && uint64(c.DTCMBase)+TCMBytes > 1<<32 },
+		err: func(_ *Backend, c Config) error {
+			return fmt.Errorf("DTCM window at %#x runs past the address space", c.DTCMBase)
+		},
+	},
+}
+
 // ValidateConfig is the one statement of hardware feasibility: a
 // Config may only ask for features this backend has, lock the kernel
 // only into an enabled L2, pin within the L1 geometry, and place its
@@ -250,31 +297,29 @@ func (b *Backend) ValidateConfig(c Config) error {
 		return fmt.Errorf("arch: config for %q validated against backend %q", c.Arch, b.ID)
 	}
 	var errs []error
-	if c.L2Enabled && !b.HasL2 {
-		errs = append(errs, errors.New("no L2 cache on this backend"))
-	}
-	if c.L2LockedKernel && !c.L2Enabled {
-		errs = append(errs, errors.New("kernel locked into a disabled L2"))
-	}
-	if c.BranchPredictor && !b.HasDynamicPredictor {
-		errs = append(errs, errors.New("no dynamic branch predictor on this backend"))
-	}
-	if c.TCMEnabled && !b.HasTCM {
-		errs = append(errs, errors.New("no tightly-coupled memory on this backend"))
-	}
-	if maxPin := b.MaxPinnableWays(c.TCMEnabled); c.PinnedL1Ways < 0 || c.PinnedL1Ways >= maxPin {
-		errs = append(errs, fmt.Errorf("%d pinned L1 ways outside [0,%d)", c.PinnedL1Ways, maxPin))
-	}
-	if c.TCMEnabled && uint64(c.ITCMBase)+TCMBytes > 1<<32 {
-		errs = append(errs, fmt.Errorf("ITCM window at %#x runs past the address space", c.ITCMBase))
-	}
-	if c.TCMEnabled && uint64(c.DTCMBase)+TCMBytes > 1<<32 {
-		errs = append(errs, fmt.Errorf("DTCM window at %#x runs past the address space", c.DTCMBase))
+	for _, cond := range configConditions {
+		if cond.fails(b, c) {
+			errs = append(errs, cond.err(b, c))
+		}
 	}
 	if len(errs) == 0 {
 		return nil
 	}
 	return fmt.Errorf("arch %s: %w", b.ID, errors.Join(errs...))
+}
+
+// Supports reports whether ValidateConfig accepts c, testing the same
+// conditions without building a diagnostic.
+func (b *Backend) Supports(c Config) bool {
+	if c.Arch != "" && c.Arch != b.ID {
+		return false
+	}
+	for _, cond := range configConditions {
+		if cond.fails(b, c) {
+			return false
+		}
+	}
+	return true
 }
 
 // --- Registry ---

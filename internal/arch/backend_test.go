@@ -183,6 +183,36 @@ func TestTCMWindowAtTopOfAddressSpace(t *testing.T) {
 	}
 }
 
+// TestSupportsMatchesValidateConfig: the diagnostic-free predicate and
+// ValidateConfig agree on every combination of the feature enables,
+// pinned ways from -1 past the associativity, TCM bases at and past the
+// top of the address space, and the arch id (empty, own, foreign).
+func TestSupportsMatchesValidateConfig(t *testing.T) {
+	bools := []bool{false, true}
+	for _, b := range []*Backend{MustLookup(ARM1136ID), MustLookup(CVA6RTID)} {
+		for _, id := range []string{"", ARM1136ID, CVA6RTID} {
+			for _, l2 := range bools {
+				for _, lock := range bools {
+					for _, bp := range bools {
+						for _, tcm := range bools {
+							for pin := -1; pin <= 4; pin++ {
+								for _, base := range []uint32{0, 0xFFFF_F000, 0xFFFF_F001} {
+									c := Config{Arch: id, L2Enabled: l2, L2LockedKernel: lock, BranchPredictor: bp,
+										TCMEnabled: tcm, PinnedL1Ways: pin, ITCMBase: base, DTCMBase: 0xFFFF_F000}
+									err := b.ValidateConfig(c)
+									if b.Supports(c) != (err == nil) {
+										t.Errorf("%s: %+v: Supports %v, ValidateConfig %v", b.ID, c, b.Supports(c), err)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestValidateRejectsPredictorTableMismatch: a predictor table size is
 // required exactly on backends with a dynamic predictor.
 func TestValidateRejectsPredictorTableMismatch(t *testing.T) {

@@ -80,11 +80,12 @@ type Key struct {
 	// is b (nil when the point names no registered backend). A
 	// backend-fixed key reads b; every other key reads the point.
 	Get func(p Point, b *arch.Backend) string
-	// Set parses a raw value into the point; the error names the key.
-	// A backend-fixed key's Set accepts only the backend's own value.
-	// Which values are feasible is the rule engine's question, not the
-	// key's.
-	Set func(*Point, string) error
+	// Set returns the point with a raw value parsed into it; the error
+	// names the key. A backend-fixed key's Set accepts only the
+	// backend's own value. Which values are feasible is the rule
+	// engine's question, not the key's. The point passes by value, so
+	// a lattice walk assigning keys allocates nothing.
+	Set func(Point, string) (Point, error)
 }
 
 // fixedKey is a backend-fixed key: a hardware fact the lattice names
@@ -101,15 +102,15 @@ func fixedKey(name, doc string, value func(*arch.Backend) string) Key {
 			}
 			return value(b)
 		},
-		Set: func(p *Point, v string) error {
+		Set: func(p Point, v string) (Point, error) {
 			b, err := p.Backend()
 			if err != nil {
-				return err
+				return p, err
 			}
 			if want := value(b); v != want {
-				return fmt.Errorf("value %s: backend %s fixes this key at %s", v, b.ID, want)
+				return p, fmt.Errorf("value %s: backend %s fixes this key at %s", v, b.ID, want)
 			}
-			return nil
+			return p, nil
 		},
 	}
 }
@@ -126,69 +127,69 @@ func newRegistry() []Key {
 			Name: "arch",
 			Doc:  "hardware backend id",
 			Get:  func(p Point, _ *arch.Backend) string { return p.Arch },
-			Set: func(p *Point, v string) error {
+			Set: func(p Point, v string) (Point, error) {
 				b, err := arch.Lookup(v)
 				if err != nil {
-					return err
+					return p, err
 				}
 				p.Arch = b.ID
-				return nil
+				return p, nil
 			},
 		},
 		{
 			Name: "sched.policy",
 			Doc:  "scheduler design: lazy | benno | benno+bitmap (§3.1–3.2)",
 			Get:  func(p Point, _ *arch.Backend) string { return p.Scheduler.String() },
-			Set:  func(p *Point, v string) error { k, err := sched.ParseKind(v); p.Scheduler = k; return err },
+			Set:  func(p Point, v string) (Point, error) { k, err := sched.ParseKind(v); p.Scheduler = k; return p, err },
 		},
 		{
 			Name: "vspace.design",
 			Doc:  "address-space design: asid | shadow (§3.6)",
 			Get:  func(p Point, _ *arch.Backend) string { return p.VSpace.String() },
-			Set:  func(p *Point, v string) error { d, err := vspace.ParseDesign(v); p.VSpace = d; return err },
+			Set:  func(p Point, v string) (Point, error) { d, err := vspace.ParseDesign(v); p.VSpace = d; return p, err },
 		},
 		{
 			Name: "preempt.delete",
 			Doc:  "preemption points in deletion/revocation walks (§3.3–3.4)",
 			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.PreemptDelete) },
-			Set:  func(p *Point, v string) error { return parseBoolInto(&p.PreemptDelete, v) },
+			Set:  func(p Point, v string) (Point, error) { err := parseBoolInto(&p.PreemptDelete, v); return p, err },
 		},
 		{
 			Name: "preempt.clear",
 			Doc:  "preemption points in object clearing (§3.5)",
 			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.PreemptClear) },
-			Set:  func(p *Point, v string) error { return parseBoolInto(&p.PreemptClear, v) },
+			Set:  func(p Point, v string) (Point, error) { err := parseBoolInto(&p.PreemptClear, v); return p, err },
 		},
 		{
 			Name: "preempt.split-reply",
 			Doc:  "future-work preemption point between ReplyRecv's send and receive phases (§6.1, §8)",
 			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.SplitReply) },
-			Set:  func(p *Point, v string) error { return parseBoolInto(&p.SplitReply, v) },
+			Set:  func(p Point, v string) (Point, error) { err := parseBoolInto(&p.SplitReply, v); return p, err },
 		},
 		{
 			Name: "ipc.fastpath",
 			Doc:  "IPC fastpath (§6.1)",
 			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.Fastpath) },
-			Set:  func(p *Point, v string) error { return parseBoolInto(&p.Fastpath, v) },
+			Set:  func(p Point, v string) (Point, error) { err := parseBoolInto(&p.Fastpath, v); return p, err },
 		},
 		{
 			Name: "clear.chunk-bytes",
 			Doc:  "object-clearing preemption granularity in bytes (§3.5)",
 			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatUint(uint64(p.ClearChunkBytes), 10) },
-			Set: func(p *Point, v string) error {
+			Set: func(p Point, v string) (Point, error) {
 				n, err := strconv.ParseUint(v, 10, 32)
 				if err != nil {
-					return err
+					return p, err
 				}
 				p.ClearChunkBytes = uint32(n)
-				return nil
+				return p, nil
 			},
 		},
 		{
 			Name: "debug.check-invariants",
 			Doc:  "run the invariant suite at every operation boundary and preemption point",
 			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.CheckInvariants) },
-			Set:  func(p *Point, v string) error { return parseBoolInto(&p.CheckInvariants, v) },
+			Set:  func(p Point, v string) (Point, error) { err := parseBoolInto(&p.CheckInvariants, v); return p, err },
 		},
 		fixedKey("cache.l1i.ways", "L1 instruction-cache associativity (backend-fixed)",
 			func(b *arch.Backend) string { return strconv.Itoa(b.L1I.Ways) }),
@@ -205,31 +206,31 @@ func newRegistry() []Key {
 			Name: "cache.l1.pinned-ways",
 			Doc:  "L1 ways locked for the pinned interrupt path (§4)",
 			Get:  func(p Point, _ *arch.Backend) string { return strconv.Itoa(p.PinnedL1Ways) },
-			Set:  func(p *Point, v string) error { return parseIntInto(&p.PinnedL1Ways, v) },
+			Set:  func(p Point, v string) (Point, error) { err := parseIntInto(&p.PinnedL1Ways, v); return p, err },
 		},
 		{
 			Name: "cache.l2.enabled",
 			Doc:  "unified L2 cache enable (§6.4)",
 			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.L2Enabled) },
-			Set:  func(p *Point, v string) error { return parseBoolInto(&p.L2Enabled, v) },
+			Set:  func(p Point, v string) (Point, error) { err := parseBoolInto(&p.L2Enabled, v); return p, err },
 		},
 		{
 			Name: "cache.l2.lock-kernel",
 			Doc:  "lock the whole kernel text into the L2 (§6.4 future work)",
 			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.L2LockedKernel) },
-			Set:  func(p *Point, v string) error { return parseBoolInto(&p.L2LockedKernel, v) },
+			Set:  func(p Point, v string) (Point, error) { err := parseBoolInto(&p.L2LockedKernel, v); return p, err },
 		},
 		{
 			Name: "predictor.dynamic",
 			Doc:  "dynamic branch predictor enable (§5.1)",
 			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.BranchPredictor) },
-			Set:  func(p *Point, v string) error { return parseBoolInto(&p.BranchPredictor, v) },
+			Set:  func(p Point, v string) (Point, error) { err := parseBoolInto(&p.BranchPredictor, v); return p, err },
 		},
 		{
 			Name: "mem.tcm",
 			Doc:  "repurpose one L1 way per side as tightly-coupled memory (§5.1)",
 			Get:  func(p Point, _ *arch.Backend) string { return strconv.FormatBool(p.TCMEnabled) },
-			Set:  func(p *Point, v string) error { return parseBoolInto(&p.TCMEnabled, v) },
+			Set:  func(p Point, v string) (Point, error) { err := parseBoolInto(&p.TCMEnabled, v); return p, err },
 		},
 		fixedKey("cache.replacement", "cache replacement policy (backend-fixed; round-robin, the policy the analysis is validated against)",
 			func(*arch.Backend) string { return "round-robin" }),
@@ -278,10 +279,11 @@ func KeyNames() []string {
 func (p Point) Set(name, value string) (Point, error) {
 	for _, k := range registry {
 		if k.Name == name {
-			if err := k.Set(&p, value); err != nil {
+			q, err := k.Set(p, value)
+			if err != nil {
 				return p, fmt.Errorf("konfig: key %s: %w", name, err)
 			}
-			return p, nil
+			return q, nil
 		}
 	}
 	return p, fmt.Errorf("konfig: unknown key %q (known: %s)", name, strings.Join(KeyNames(), ", "))
@@ -376,8 +378,8 @@ func (p Point) KernelConfig() kernel.Config {
 }
 
 // Hardware derives the platform configuration. For TCM-enabled points
-// the ITCM/DTCM windows depend on the built image; Build fills them
-// from kbin.TCMConfig.
+// the ITCM/DTCM windows depend on the built image; HardwareFor fills
+// them from kbin.TCMConfig.
 func (p Point) Hardware() arch.Config {
 	return arch.Config{
 		Arch:            p.Arch,
@@ -403,20 +405,31 @@ func (p Point) KbinOptions() kbin.Options {
 
 // Build builds the kernel image the point selects, with its manual
 // infeasible-path constraints, and the hardware configuration to
-// analyse it under, the ITCM/DTCM bases resolved from the image layout
-// when the point enables the TCM. It does not validate the point.
+// analyse it under (HardwareFor). It does not validate the point.
 func (p Point) Build() (*kimage.Image, []wcet.UserConstraint, arch.Config, error) {
 	img, cons, err := kbin.Build(p.KbinOptions())
 	if err != nil {
 		return nil, nil, arch.Config{}, err
 	}
-	hw := p.Hardware()
-	if p.TCMEnabled {
-		if hw.ITCMBase, hw.DTCMBase, err = kbin.TCMConfig(img); err != nil {
-			return nil, nil, arch.Config{}, err
-		}
+	hw, err := p.HardwareFor(img)
+	if err != nil {
+		return nil, nil, arch.Config{}, err
 	}
 	return img, cons, hw, nil
+}
+
+// HardwareFor is the hardware configuration to analyse img, the image
+// the point's KbinOptions build, under: Hardware with the ITCM/DTCM
+// bases resolved from the image layout when the point enables the TCM.
+func (p Point) HardwareFor(img *kimage.Image) (arch.Config, error) {
+	hw := p.Hardware()
+	if p.TCMEnabled {
+		var err error
+		if hw.ITCMBase, hw.DTCMBase, err = kbin.TCMConfig(img); err != nil {
+			return arch.Config{}, err
+		}
+	}
+	return hw, nil
 }
 
 // Analyzer builds the point's image and returns the WCET analyser for
@@ -429,10 +442,17 @@ func (p Point) Analyzer(c *wcet.Cache, m *obs.Metrics) (*wcet.Analyzer, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newAnalyzer(img, cons, hw, c, m), nil
+}
+
+// newAnalyzer is the analyser of img under hw with the image's
+// constraints, cache and metrics attached. An image is immutable once
+// built, so analysers of several projections may share one.
+func newAnalyzer(img *kimage.Image, cons []wcet.UserConstraint, hw arch.Config, c *wcet.Cache, m *obs.Metrics) *wcet.Analyzer {
 	a := wcet.New(img, hw)
 	a.AddConstraints(cons...)
 	a.Cache, a.Metrics = c, m
-	return a, nil
+	return a
 }
 
 // AnalysisKey is the point's projection onto the WCET-analysis inputs:

@@ -20,10 +20,13 @@ type Rule struct {
 	Name string
 	// Doc is the one-line rationale shown in docs/config-lattice.md.
 	Doc string
-	// check returns a non-nil error describing the violation. The
-	// backend is the point's resolved backend (rule arch-registered
-	// guarantees resolution before any other rule runs).
-	check func(p Point, b *arch.Backend) error
+	// holds reports whether the point satisfies the rule and builds
+	// nothing; explain describes the violation of a point it does not
+	// hold for. The backend is the point's resolved backend (rule
+	// arch-registered guarantees resolution before any other rule
+	// runs).
+	holds   func(p Point, b *arch.Backend) bool
+	explain func(p Point, b *arch.Backend) error
 }
 
 // RuleArchRegistered is the bootstrap rule: every other rule needs the
@@ -33,51 +36,46 @@ const RuleArchRegistered = "arch-registered"
 // rules is the rule table, in evaluation order.
 var rules = []Rule{
 	{
-		Name: "hardware-supported",
-		Doc:  "the hardware keys must describe a machine the backend can be; arch.(*Backend).ValidateConfig states the conditions and names each one that fails",
-		check: func(p Point, b *arch.Backend) error {
-			return b.ValidateConfig(p.Hardware())
-		},
+		Name:    "hardware-supported",
+		Doc:     "the hardware keys must describe a machine the backend can be; arch.(*Backend).ValidateConfig states the conditions and names each one that fails",
+		holds:   func(p Point, b *arch.Backend) bool { return b.Supports(p.Hardware()) },
+		explain: func(p Point, b *arch.Backend) error { return b.ValidateConfig(p.Hardware()) },
 	},
 	{
 		Name: "chunk-power-of-two",
 		Doc:  "the clearing granularity must be an explicit power of two in [256, 16384] bytes — the range the preemption-point analysis's loop bounds cover",
-		check: func(p Point, b *arch.Backend) error {
+		holds: func(p Point, b *arch.Backend) bool {
 			c := p.ClearChunkBytes
-			if c < 256 || c > 16384 || c&(c-1) != 0 {
-				return fmt.Errorf("clear.chunk-bytes=%d not a power of two in [256, 16384]", c)
-			}
-			return nil
+			return c >= 256 && c <= 16384 && c&(c-1) == 0
+		},
+		explain: func(p Point, b *arch.Backend) error {
+			return fmt.Errorf("clear.chunk-bytes=%d not a power of two in [256, 16384]", p.ClearChunkBytes)
 		},
 	},
 	{
-		Name: "preempt-points-analyzable",
-		Doc:  "the per-site preemption keys must agree: only the all-on (modernised) and all-off (original) image generations exist, so a mixed setting has no analyzable image and its bound would be attributable to neither generation",
-		check: func(p Point, b *arch.Backend) error {
-			if p.PreemptDelete != p.PreemptClear {
-				return fmt.Errorf("preempt.delete=%t preempt.clear=%t: mixed preemption sites have no analyzable image generation", p.PreemptDelete, p.PreemptClear)
-			}
-			return nil
+		Name:  "preempt-points-analyzable",
+		Doc:   "the per-site preemption keys must agree: only the all-on (modernised) and all-off (original) image generations exist, so a mixed setting has no analyzable image and its bound would be attributable to neither generation",
+		holds: func(p Point, b *arch.Backend) bool { return p.PreemptDelete == p.PreemptClear },
+		explain: func(p Point, b *arch.Backend) error {
+			return fmt.Errorf("preempt.delete=%t preempt.clear=%t: mixed preemption sites have no analyzable image generation", p.PreemptDelete, p.PreemptClear)
 		},
 	},
 	{
 		Name: "lazy-excludes-preemption",
 		Doc:  "the lazy-scheduler kernel predates the restartable-operation bookkeeping the preemption points rely on (§2.1); lazy points must have every preemption key off",
-		check: func(p Point, b *arch.Backend) error {
-			if p.Scheduler == sched.Lazy && (p.PreemptDelete || p.PreemptClear || p.SplitReply) {
-				return fmt.Errorf("sched.policy=lazy with preemption keys enabled: the original kernel has no restartable-operation support")
-			}
-			return nil
+		holds: func(p Point, b *arch.Backend) bool {
+			return p.Scheduler != sched.Lazy || !(p.PreemptDelete || p.PreemptClear || p.SplitReply)
+		},
+		explain: func(p Point, b *arch.Backend) error {
+			return fmt.Errorf("sched.policy=lazy with preemption keys enabled: the original kernel has no restartable-operation support")
 		},
 	},
 	{
-		Name: "split-reply-requires-preempt",
-		Doc:  "the ReplyRecv split point is an additional preemption point; it needs the preemption-point machinery on",
-		check: func(p Point, b *arch.Backend) error {
-			if p.SplitReply && !(p.PreemptDelete && p.PreemptClear) {
-				return fmt.Errorf("preempt.split-reply=true without the preemption points enabled")
-			}
-			return nil
+		Name:  "split-reply-requires-preempt",
+		Doc:   "the ReplyRecv split point is an additional preemption point; it needs the preemption-point machinery on",
+		holds: func(p Point, b *arch.Backend) bool { return !p.SplitReply || p.PreemptDelete && p.PreemptClear },
+		explain: func(p Point, b *arch.Backend) error {
+			return fmt.Errorf("preempt.split-reply=true without the preemption points enabled")
 		},
 	},
 }
@@ -112,11 +110,26 @@ func Validate(p Point) []Violation {
 	}
 	var out []Violation
 	for _, r := range rules {
-		if err := r.check(p, b); err != nil {
-			out = append(out, Violation{Rule: r.Name, Err: err})
+		if !r.holds(p, b) {
+			out = append(out, Violation{Rule: r.Name, Err: r.explain(p, b)})
 		}
 	}
 	return out
+}
+
+// feasible reports whether Validate finds no violation, building no
+// diagnostic: the lattice walk's filter.
+func feasible(p Point) bool {
+	b, err := arch.Lookup(p.Arch)
+	if err != nil {
+		return false
+	}
+	for _, r := range rules {
+		if !r.holds(p, b) {
+			return false
+		}
+	}
+	return true
 }
 
 // Check returns nil for a feasible point, or a one-line error joining

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"verikern/internal/kbin"
+	"verikern/internal/kimage"
 	"verikern/internal/obs"
 	"verikern/internal/soak"
 	"verikern/internal/wcet"
@@ -54,7 +55,7 @@ func DefaultSpace(archID string) (Space, error) {
 // returns the feasible points (assignments every rule accepts). An
 // unknown key or unparsable value is an error; an infeasible
 // combination is silently skipped — it is the rule engine's job to
-// prune the lattice.
+// prune the lattice — and costs no diagnostic.
 func Enumerate(sp Space) ([]Point, error) {
 	base, err := DefaultPoint(sp.Arch)
 	if err != nil {
@@ -83,13 +84,13 @@ func Enumerate(sp Space) ([]Point, error) {
 		}
 		points = next
 	}
-	feasible := points[:0]
+	kept := points[:0]
 	for _, p := range points {
-		if len(Validate(p)) == 0 {
-			feasible = append(feasible, p)
+		if feasible(p) {
+			kept = append(kept, p)
 		}
 	}
-	return feasible, nil
+	return kept, nil
 }
 
 // SweepResult is one swept point's row in BENCH_pareto.json: the
@@ -144,44 +145,24 @@ type ParetoBench struct {
 	Archs []ArchSweep `json:"archs"`
 }
 
-// analysis is one analysis projection's shared result.
-type analysis struct {
-	wcet  map[string]uint64
-	bound uint64
-}
-
-// analyze computes the per-entry WCET bounds and the composed
-// interrupt-response bound for one point, through the shared analysis
-// cache: points differing only in keys that project out (scheduler
-// flavour within a generation, clearing granularity, ...) reuse whole
-// cached bounds, and points sharing an image reuse its CFGs. The sweep
-// replays no worst-case path, so none is built.
-func analyze(ctx context.Context, c *wcet.Cache, m *obs.Metrics, p Point) (*analysis, error) {
-	a, err := p.Analyzer(c, m)
-	if err != nil {
-		return nil, fmt.Errorf("konfig: building image for %s: %w", p.Hash(), err)
-	}
-	out := &analysis{wcet: make(map[string]uint64, len(kbin.Entries))}
-	for _, entry := range kbin.Entries {
-		cycles, err := a.Bound(ctx, entry)
-		if err != nil {
-			return nil, fmt.Errorf("konfig: analyzing %s for %s: %w", entry, p.Hash(), err)
-		}
-		out.wcet[entry] = cycles
-	}
-	out.bound = soak.ResponseBound(out.wcet[kbin.EntrySyscall], out.wcet[kbin.EntryInterrupt], a.HW)
-	return out, nil
-}
-
-// Sweep walks a space and measures every feasible point: the WCET axis
-// through the analysis cache (one analysis per distinct
-// analysis projection — see Point.AnalysisKey) and the throughput axis
-// with one deterministic single-worker soak of `ops` operations at
-// `seed`, sentinel-bounded by the point's own analysed bound. The
-// result is independent of `workers` (parallelism only): rows land in
-// enumeration order and each is a pure function of (point, seed, ops).
-// Metrics, when set, receives the analyses' stage timings and
-// counters.
+// Sweep walks a space and measures every feasible point, doing each
+// distinct piece of work once, keyed on the inputs it reads:
+//
+//   - the WCET axis: one kbin.Build per image key
+//     (KbinOptions().Canonical()) and one analysis per analysis
+//     projection of it (Point.AnalysisKey), through the analysis cache;
+//   - the throughput axis: one deterministic single-worker soak of
+//     `ops` operations at `seed` per execution identity (see
+//     soakPoints), sentinel-bounded by the smallest analysed bound of
+//     the points sharing it.
+//
+// The result is independent of `workers` (parallelism only): rows land
+// in enumeration order and each is a pure function of (point, seed,
+// ops), the same row a soak of the point's own campaign at its own
+// bound gives. Metrics, when set, receives the analyses' stage timings
+// and counters and the sweep's work counts: konfig.sweep_images,
+// konfig.sweep_analyses, konfig.sweep_soaks and
+// konfig.sweep_soak_reruns.
 func Sweep(ctx context.Context, c *wcet.Cache, m *obs.Metrics, sp Space, seed, ops uint64, workers int) (*ArchSweep, error) {
 	points, err := Enumerate(sp)
 	if err != nil {
@@ -190,68 +171,37 @@ func Sweep(ctx context.Context, c *wcet.Cache, m *obs.Metrics, sp Space, seed, o
 	if len(points) == 0 {
 		return nil, fmt.Errorf("konfig: space over %s has no feasible points", sp.Arch)
 	}
-
-	// Phase 1: one analysis per distinct projection, in parallel.
-	keyOf := make([]string, len(points))
-	grouped := make(map[string][]int)
-	var order []string
-	for i, p := range points {
-		k := p.AnalysisKey()
-		keyOf[i] = k
-		if _, seen := grouped[k]; !seen {
-			order = append(order, k)
-		}
-		grouped[k] = append(grouped[k], i)
-	}
-	analyses := make(map[string]*analysis, len(order))
-	var mu sync.Mutex
-	err = runIndexed(ctx, len(order), workers, func(gi int) error {
-		k := order[gi]
-		a, err := analyze(ctx, c, m, points[grouped[k][0]])
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		analyses[k] = a
-		mu.Unlock()
-		return nil
-	})
+	analyses, err := analyzePoints(ctx, c, m, points, workers)
 	if err != nil {
 		return nil, err
 	}
-
-	// Phase 2: one deterministic soak per point, in parallel.
 	campaigns, err := SweepCampaigns(points, seed, ops)
 	if err != nil {
 		return nil, err
 	}
-	results := make([]SweepResult, len(points))
-	err = runIndexed(ctx, len(points), workers, func(i int) error {
-		p := points[i]
-		an := analyses[keyOf[i]]
-		cfg := campaigns[i]
-		cfg.BoundCycles = an.bound
-		rep, err := soak.Run(ctx, cfg)
-		if err != nil {
-			return fmt.Errorf("konfig: soaking %s: %w", p.Hash(), err)
-		}
-		snap := rep.Snapshot
-		results[i] = SweepResult{
-			Konfig:               p.Hash(),
-			Keys:                 p.Assignments(),
-			WCET:                 an.wcet,
-			BoundCycles:          an.bound,
-			SimCycles:            snap.SimCycles,
-			Ops:                  snap.Ops,
-			ThroughputOpsPerMcyc: float64(snap.Ops) * 1e6 / float64(snap.SimCycles),
-			Violations:           snap.Bound.Violations,
-		}
-		return nil
-	})
+	bounds := make([]uint64, len(points))
+	for i, an := range analyses {
+		bounds[i] = an.bound
+	}
+	rows, err := soakPoints(ctx, m, campaigns, bounds, workers)
 	if err != nil {
 		return nil, err
 	}
 
+	results := make([]SweepResult, len(points))
+	for i, p := range points {
+		an, r := analyses[i], rows[i]
+		results[i] = SweepResult{
+			Konfig:               campaigns[i].ConfigKey,
+			Keys:                 p.Assignments(),
+			WCET:                 an.wcet,
+			BoundCycles:          an.bound,
+			SimCycles:            r.SimCycles,
+			Ops:                  r.Ops,
+			ThroughputOpsPerMcyc: float64(r.Ops) * 1e6 / float64(r.SimCycles),
+			Violations:           r.Violations,
+		}
+	}
 	sw := &ArchSweep{Arch: points[0].Arch, Points: results}
 	for _, entry := range kbin.Entries {
 		sw.Frontiers = append(sw.Frontiers, paretoFrontier(entry, results))
@@ -259,10 +209,159 @@ func Sweep(ctx context.Context, c *wcet.Cache, m *obs.Metrics, sp Space, seed, o
 	return sw, nil
 }
 
-// SweepCampaigns is the throughput-axis soak Sweep runs for each point,
-// in order: one worker, `ops` operations at `seed`, labelled "sweep"
-// and stamped with the point's hash. Sweep fills in each campaign's
-// analysed bound.
+// analysis is one analysis projection's shared result.
+type analysis struct {
+	wcet  map[string]uint64
+	bound uint64
+}
+
+// analyze computes the per-entry WCET bounds and the composed
+// interrupt-response bound under one analyser. The sweep replays no
+// worst-case path, so none is built.
+func analyze(ctx context.Context, a *wcet.Analyzer) (*analysis, error) {
+	out := &analysis{wcet: make(map[string]uint64, len(kbin.Entries))}
+	for _, entry := range kbin.Entries {
+		cycles, err := a.Bound(ctx, entry)
+		if err != nil {
+			return nil, fmt.Errorf("analyzing %s: %w", entry, err)
+		}
+		out.wcet[entry] = cycles
+	}
+	out.bound = soak.ResponseBound(out.wcet[kbin.EntrySyscall], out.wcet[kbin.EntryInterrupt], a.HW)
+	return out, nil
+}
+
+// analyzePoints returns every point's analysis. Points differing only
+// in keys that project out (scheduler flavour within a generation,
+// clearing granularity, ...) share one analysis, and the projections
+// of one image (L2 and predictor on one kernel build) share one built
+// image: an image is immutable once linked, so analysers may read it
+// concurrently, and its fingerprint is hashed once.
+func analyzePoints(ctx context.Context, c *wcet.Cache, m *obs.Metrics, points []Point, workers int) ([]*analysis, error) {
+	projOf, projs := groupBy(len(points), func(i int) string { return points[i].AnalysisKey() })
+	imageOf, images := groupBy(len(projs), func(pi int) string { return points[projs[pi][0]].KbinOptions().Canonical() })
+
+	type built struct {
+		img  *kimage.Image
+		cons []wcet.UserConstraint
+	}
+	imgs := make([]built, len(images))
+	err := runIndexed(ctx, len(images), workers, func(ii int) error {
+		p := points[projs[images[ii][0]][0]]
+		img, cons, err := kbin.Build(p.KbinOptions())
+		if err != nil {
+			return fmt.Errorf("konfig: building image for %s: %w", p.Hash(), err)
+		}
+		m.Add("konfig.sweep_images", 1)
+		imgs[ii] = built{img, cons}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	byProj := make([]*analysis, len(projs))
+	err = runIndexed(ctx, len(projs), workers, func(pi int) error {
+		p, im := points[projs[pi][0]], imgs[imageOf[pi]]
+		hw, err := p.HardwareFor(im.img)
+		if err != nil {
+			return fmt.Errorf("konfig: hardware for %s: %w", p.Hash(), err)
+		}
+		an, err := analyze(ctx, newAnalyzer(im.img, im.cons, hw, c, m))
+		if err != nil {
+			return fmt.Errorf("konfig: %s: %w", p.Hash(), err)
+		}
+		m.Add("konfig.sweep_analyses", 1)
+		byProj[pi] = an
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*analysis, len(points))
+	for i, pi := range projOf {
+		out[i] = byProj[pi]
+	}
+	return out, nil
+}
+
+// soakRow is the throughput axis of one swept point: what its soak
+// ran and how many samples exceeded the point's bound.
+type soakRow struct {
+	SimCycles, Ops, Violations uint64
+}
+
+// executionIdentity is the part of a stamped campaign the soak's run
+// reads: the campaign with its stamp (ConfigKey), the bound's hardware
+// selector (Pinned) and the bound itself cleared. Only the sentinel's
+// verdicts and the capture and snapshot stamps read those three, so
+// campaigns with one identity run the same operations for the same
+// simulated cycles.
+func executionIdentity(cfg soak.Config) soak.Config {
+	cfg.ConfigKey, cfg.Pinned, cfg.BoundCycles = "", false, 0
+	return cfg
+}
+
+// soakPoints returns the row of each stamped campaign soaked at its own
+// bound (bounds[i] for campaigns[i], each non-zero), running one soak
+// per execution identity: the member with the smallest bound, as its
+// own campaign. Every sample of that run is at most its bound, so at
+// most every member's; if the run sees no violation, each member's row
+// is the run's with no violations. Otherwise every other member is
+// re-run at its own bound, so each count stays the point's own.
+func soakPoints(ctx context.Context, m *obs.Metrics, campaigns []soak.Config, bounds []uint64, workers int) ([]soakRow, error) {
+	_, groups := groupBy(len(campaigns), func(i int) soak.Config { return executionIdentity(campaigns[i]) })
+	rows := make([]soakRow, len(campaigns))
+	run := func(i int) (soakRow, error) {
+		cfg := campaigns[i]
+		cfg.BoundCycles = bounds[i]
+		rep, err := soak.Run(ctx, cfg)
+		if err != nil {
+			return soakRow{}, fmt.Errorf("konfig: soaking %s: %w", cfg.ConfigKey, err)
+		}
+		s := rep.Snapshot
+		return soakRow{SimCycles: s.SimCycles, Ops: s.Ops, Violations: s.Bound.Violations}, nil
+	}
+	err := runIndexed(ctx, len(groups), workers, func(gi int) error {
+		members := groups[gi]
+		lead := members[0]
+		for _, i := range members {
+			if bounds[i] < bounds[lead] {
+				lead = i
+			}
+		}
+		row, err := run(lead)
+		if err != nil {
+			return err
+		}
+		m.Add("konfig.sweep_soaks", 1)
+		for _, i := range members {
+			rows[i] = row
+		}
+		if row.Violations == 0 {
+			return nil
+		}
+		for _, i := range members {
+			if i == lead {
+				continue
+			}
+			if rows[i], err = run(i); err != nil {
+				return err
+			}
+			m.Add("konfig.sweep_soak_reruns", 1)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// SweepCampaigns is the throughput-axis soak of each point, in order:
+// one worker, `ops` operations at `seed`, labelled "sweep" and stamped
+// with the point's hash. Sweep fills in each campaign's analysed bound
+// and runs one campaign per execution identity, standing for the rest.
 func SweepCampaigns(points []Point, seed, ops uint64) ([]soak.Config, error) {
 	out := make([]soak.Config, len(points))
 	for i, p := range points {
@@ -306,6 +405,26 @@ func paretoFrontier(entry string, results []SweepResult) Frontier {
 		return a.Konfig < b.Konfig
 	})
 	return f
+}
+
+// groupBy partitions the indices 0..n-1 by key: groups[g] lists group
+// g's members in index order, groups are numbered in order of first
+// appearance, and groupOf[i] is item i's group.
+func groupBy[K comparable](n int, key func(int) K) (groupOf []int, groups [][]int) {
+	groupOf = make([]int, n)
+	index := make(map[K]int)
+	for i := 0; i < n; i++ {
+		k := key(i)
+		g, ok := index[k]
+		if !ok {
+			g = len(groups)
+			index[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+		groupOf[i] = g
+	}
+	return groupOf, groups
 }
 
 // runIndexed runs f(0..n-1) over a bounded worker pool and returns the
