@@ -45,7 +45,7 @@ func main() {
 	l2 := flag.Bool("l2", false, "enable the L2 cache")
 	bpred := flag.Bool("bpred", false, "enable the branch predictor")
 	pin := flag.Bool("pin", false, "enable L1 cache pinning")
-	observe := flag.Int("observe", 0, "also measure the worst path over N polluted runs")
+	observe := flag.Int("observe", 0, "also measure the worst path from polluted caches: one replay stands for N polluted runs, which all time alike")
 	trace := flag.Bool("trace", false, "print the worst-case path's block sequence")
 	dumpLP := flag.Bool("lp", false, "dump the generated integer linear program")
 	hot := flag.Int("hot", 0, "print the N blocks contributing most to the bound")
@@ -186,7 +186,7 @@ func main() {
 
 	if *observe > 0 {
 		obs := im.Observe(hw, bd, *observe)
-		fmt.Printf("\nobserved over %d polluted runs:\n", obs.Runs)
+		fmt.Printf("\nobserved by one polluted replay, standing for %d polluted runs (every pollution seed times it alike):\n", obs.Runs)
 		fmt.Printf("  max:  %d cycles = %.1f µs  (ratio %.2f)\n",
 			obs.Max, arch.MustLookup(p.Arch).CyclesToMicros(obs.Max), float64(bd.Cycles)/float64(obs.Max))
 	}

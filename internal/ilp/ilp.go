@@ -14,6 +14,13 @@
 // phase 2, so the solve is split in two: Prepare runs phase 1 once per
 // set of rows, and Maximize runs phase 2 for one objective on a copy
 // of the prepared tableau. Solve is Prepare followed by Maximize.
+//
+// A Prepared keeps the last optimum phase 2 reached over its rows.
+// Maximize first prices the new objective at that basis: when every
+// nonbasic reduced cost is positive, the optimum is unique, so it is
+// the vertex phase 2 would reach, and Maximize reads it off the kept
+// tableau without a pivot. Otherwise phase 2 runs from the phase-1
+// basis as it would on a fresh Prepared, and its optimum is kept.
 package ilp
 
 import (
@@ -22,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 )
 
 // Sense is a constraint's comparison direction.
@@ -86,10 +94,6 @@ func (p *Problem) AddVar(name string, objCoeff float64) int {
 
 // NumVars returns the number of variables.
 func (p *Problem) NumVars() int { return len(p.names) }
-
-// Objective returns the objective coefficients in variable order. The
-// slice is the problem's own.
-func (p *Problem) Objective() []float64 { return p.objective }
 
 // AddConstraint appends a constraint. Term slices are retained, not
 // copied.
@@ -157,6 +161,10 @@ type Solution struct {
 	// Prepared.Pivots). It is the solver-effort metric the pipeline's
 	// Stats() reports.
 	Pivots int
+	// Warm reports that the Prepared's kept optimum answered: the
+	// objective's reduced costs were all positive at its basis, so
+	// no pivot ran.
+	Warm bool
 }
 
 const (
@@ -215,8 +223,10 @@ func Solve(p *Problem) (*Solution, error) {
 // two-phase simplex: a feasible basis and its tableau, or the finding
 // that the rows admit no solution. It does not depend on the
 // objective, so one Prepared serves every objective over the same
-// rows. It is immutable: Maximize works on a copy, so concurrent
-// Maximize calls on one Prepared are safe.
+// rows. It is immutable except for its kept optimum, the last optimal
+// basis phase 2 reached, which Maximize replaces as a whole: phase 2
+// works on a copy of the phase-1 tableau, so concurrent Maximize calls
+// on one Prepared are safe.
 type Prepared struct {
 	// Status is Optimal when phase 1 found a feasible basis and
 	// Infeasible when the rows admit no solution.
@@ -240,6 +250,20 @@ type Prepared struct {
 	// count before the artificial columns were dropped so that
 	// phase 2 runs exactly as it would on the full tableau.
 	maxIters int
+	// kept is the last optimum phase 2 reached, nil before the
+	// first. A stored optimum is never written again.
+	kept atomic.Pointer[optimum]
+}
+
+// optimum is an optimal basis of a Prepared's rows and its tableau.
+type optimum struct {
+	// tab holds the m constraint rows of w+1 columns, row-major,
+	// as phase 2 left them.
+	tab []float64
+	// basis holds each row's basic column; basic marks the basic
+	// columns among the w kept ones.
+	basis []int
+	basic []bool
 }
 
 // Prepare normalises the problem's rows (non-negative RHS) and runs
@@ -393,8 +417,9 @@ func flip(s Sense) Sense {
 }
 
 // Maximize solves the prepared rows under the objective obj (one
-// coefficient per variable): phase 2 on a copy of the feasible
-// tableau, then the integrality check. An Infeasible Prepared gives an
+// coefficient per variable): from the kept optimum when obj's optimum
+// is unique there, else phase 2 on a copy of the feasible tableau;
+// then the integrality check. An Infeasible Prepared gives an
 // Infeasible Solution. A fractional optimum is a *FractionalError
 // without a Name.
 func (pp *Prepared) Maximize(obj []float64) (*Solution, error) {
@@ -421,6 +446,9 @@ func (pp *Prepared) maximizeLP(obj []float64) (*Solution, error) {
 	if pp.Status != Optimal {
 		return &Solution{Status: pp.Status}, nil
 	}
+	if s := pp.warm(obj); s != nil {
+		return s, nil
+	}
 	n, m, w := pp.n, pp.m, pp.w
 	buf := make([]float64, (m+1)*(w+1))
 	copy(buf, pp.tab)
@@ -430,21 +458,8 @@ func (pp *Prepared) maximizeLP(obj []float64) (*Solution, error) {
 	}
 	basis := append([]int(nil), pp.basis...)
 
-	// Install the objective. z-row: -c_j plus corrections for basic
-	// variables.
 	z := tab[m]
-	for j := 0; j < n; j++ {
-		z[j] = -obj[j]
-	}
-	for i := 0; i < m; i++ {
-		b := basis[i]
-		if b < n && obj[b] != 0 {
-			c := obj[b]
-			for j := 0; j <= w; j++ {
-				z[j] += c * tab[i][j]
-			}
-		}
-	}
+	pp.price(z, buf, basis, obj)
 	pivots, err := pivotLoop(tab, basis, w, pp.maxIters)
 	if err != nil {
 		if err == errUnbounded {
@@ -454,12 +469,66 @@ func (pp *Prepared) maximizeLP(obj []float64) (*Solution, error) {
 	}
 
 	x := make([]float64, n)
-	for i := 0; i < m; i++ {
-		if basis[i] < n {
-			x[basis[i]] = tab[i][w]
+	basic := make([]bool, w)
+	for i, b := range basis {
+		if b < n {
+			x[b] = tab[i][w]
+		}
+		if b < w {
+			basic[b] = true
 		}
 	}
+	pp.kept.Store(&optimum{tab: buf[: m*(w+1) : m*(w+1)], basis: basis, basic: basic})
 	return &Solution{Status: Optimal, Value: z[w], X: x, Pivots: pivots}, nil
+}
+
+// warm answers obj from the kept optimum when that is obj's unique
+// optimum, and returns nil otherwise. It prices obj at the kept basis
+// in one pass over the tableau, as phase 2 installs an objective. If
+// every nonbasic reduced cost exceeds tol, any move off the basis
+// lowers the objective, so the kept vertex is the only optimum and
+// the one phase 2 would reach. A reduced cost at or below tol is a
+// tie or an improving column, which phase 2 must settle.
+func (pp *Prepared) warm(obj []float64) *Solution {
+	k := pp.kept.Load()
+	if k == nil {
+		return nil
+	}
+	n, w := pp.n, pp.w
+	z := make([]float64, w+1)
+	pp.price(z, k.tab, k.basis, obj)
+	for j, b := range k.basic {
+		if !b && z[j] <= tol {
+			return nil
+		}
+	}
+	x := make([]float64, n)
+	for i, b := range k.basis {
+		if b < n {
+			x[b] = k.tab[i*(w+1)+w]
+		}
+	}
+	return &Solution{Status: Optimal, Value: z[w], X: x, Warm: true}
+}
+
+// price installs obj in the zeroed objective row z of a tableau whose
+// constraint rows tab (row-major, w+1 columns) have the basis basis:
+// z_j = -c_j plus, for each basic variable, its coefficient times its
+// row, so that z holds every column's reduced cost and z[w] the
+// objective value.
+func (pp *Prepared) price(z, tab []float64, basis []int, obj []float64) {
+	n, w := pp.n, pp.w
+	for j := 0; j < n; j++ {
+		z[j] = -obj[j]
+	}
+	for i, b := range basis {
+		if b < n && obj[b] != 0 {
+			c := obj[b]
+			for j, v := range tab[i*(w+1) : (i+1)*(w+1)] {
+				z[j] += c * v
+			}
+		}
+	}
 }
 
 var errUnbounded = fmt.Errorf("ilp: unbounded")
@@ -543,13 +612,19 @@ func pivot(tab [][]float64, basis []int, row, col, total int) {
 	basis[row] = col
 }
 
-// WriteLP renders the problem in a CPLEX-LP-like text format for
-// debugging, mirroring the ILP dumps the paper's toolchain produced.
-// Each row's terms are written in the order they were given.
-func (p *Problem) WriteLP() string {
+// WriteLP renders the problem's rows under the objective obj (one
+// coefficient per variable; the problem's own objective is not read,
+// so one set of rows can be dumped under each objective it is solved
+// for) in a CPLEX-LP-like text format for debugging, mirroring the ILP
+// dumps the paper's toolchain produced. Each row's terms are written
+// in the order they were given.
+func (p *Problem) WriteLP(obj []float64) string {
+	if len(obj) != len(p.names) {
+		panic(fmt.Sprintf("ilp: objective of %d coefficients for %d variables", len(obj), len(p.names)))
+	}
 	var sb strings.Builder
 	sb.WriteString("Maximize\n obj:")
-	for i, c := range p.objective {
+	for i, c := range obj {
 		if c != 0 {
 			fmt.Fprintf(&sb, " %+g %s", c, p.names[i])
 		}

@@ -187,7 +187,7 @@ func TestWriteLPFormat(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar("x", 3)
 	p.AddConstraint(Constraint{Terms: []Term{{x, 2}}, Sense: LE, RHS: 7, Label: "cap"})
-	lp := p.WriteLP()
+	lp := p.WriteLP(p.objective)
 	for _, want := range []string{"Maximize", "+3 x", "cap:", "+2 x <= 7", "Generals", "End"} {
 		if !strings.Contains(lp, want) {
 			t.Errorf("LP dump missing %q:\n%s", want, lp)
@@ -285,17 +285,17 @@ func TestPropertyMatchesBruteForce(t *testing.T) {
 			continue
 		}
 		if err != nil {
-			t.Fatalf("trial %d: %v\n%s", trial, err, p.WriteLP())
+			t.Fatalf("trial %d: %v\n%s", trial, err, p.WriteLP(p.objective))
 		}
 		matched++
 		if math.IsInf(want, -1) {
 			if s.Status != Infeasible {
-				t.Errorf("trial %d: got %v value %v, want infeasible\n%s", trial, s.Status, s.Value, p.WriteLP())
+				t.Errorf("trial %d: got %v value %v, want infeasible\n%s", trial, s.Status, s.Value, p.WriteLP(p.objective))
 			}
 			continue
 		}
 		if s.Status != Optimal || !near(s.Value, want) {
-			t.Errorf("trial %d: got %v value %v, brute force %v\n%s", trial, s.Status, s.Value, want, p.WriteLP())
+			t.Errorf("trial %d: got %v value %v, brute force %v\n%s", trial, s.Status, s.Value, want, p.WriteLP(p.objective))
 		}
 	}
 	t.Logf("%d trials matched brute force, %d had a fractional LP optimum", matched, fractional)

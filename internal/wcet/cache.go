@@ -10,7 +10,7 @@ import (
 	"verikern/internal/obs"
 )
 
-// Cache memoises analyses for the life of the process in four typed
+// Cache memoises analyses for the life of the process in five typed
 // tiers, each keyed by a plain string built from the inputs it depends
 // on:
 //
@@ -21,12 +21,19 @@ import (
 //     fingerprint, the constraint set and KeepLP. Each holds the
 //     worst-case path's edge counts, and builds the path itself the
 //     first time an AnalyzeContext asks for it;
+//   - rows: an entry's IPET row set (rowSet: the edge variables, the
+//     flow, loop and user rows and their phase-1 basis), keyed by the
+//     graph key, the constraint set and KeepLP (rowsKey). Hardware
+//     changes only the objective, which each analysis prices, so every
+//     hardware configuration over one graph and constraint set shares
+//     one entry;
 //   - prepared: the ILP's feasible basis after phase 1
 //     (ilp.Prepared), keyed by the exact bytes of the constraint rows
-//     (ilp.Problem.RowsKey). Hardware changes only the objective, so
-//     every hardware configuration over one CFG, loop-bound set and
-//     constraint set shares one entry, and so do graphs of different
-//     images whose rows coincide;
+//     (ilp.Problem.RowsKey), so row sets whose rows coincide (KeepLP
+//     differs, or graphs of different entries or images have the same
+//     shape) share one basis. Each basis keeps the last optimum phase
+//     2 reached over it, which answers the next objective whose
+//     optimum is unique there (ilp.warm_hits);
 //   - classes: a graph's class vector (phase 1 of classification),
 //     keyed by the graph key plus whether any L1 way is pinned and the
 //     TCM windows (classKey). L2, predictor, L2 locking and the number
@@ -36,16 +43,18 @@ import (
 // Each key is computed once: a lookup that finds the key in flight
 // waits for the first computation and counts as a hit. The cache never
 // evicts: it holds at most one entry per distinct (image, entry) pair,
-// one per distinct result key, one per distinct constraint-row set and
-// one per distinct class key. A cold two-backend DefaultSpace sweep
-// leaves 32 class vectors for its 80 results, and a warm re-sweep adds
-// none (TestSweepClassTierBound).
+// one per distinct result key, one per distinct (graph, constraint
+// set, KeepLP), one per distinct constraint-row set and one per
+// distinct class key. A cold two-backend DefaultSpace sweep leaves 32
+// row sets and 32 class vectors for its 80 results, and a warm
+// re-sweep adds none (TestSweepClassTierBound).
 // Cached values are shared across analyses and goroutines and must be
 // treated as immutable. Safe for concurrent use.
 type Cache struct {
 	mu       sync.Mutex
 	graphs   tier[*cfg.Graph]
 	results  tier[*boundEntry]
+	rows     tier[*rowSet]
 	prepared tier[*ilp.Prepared]
 	classes  tier[*classes]
 	// hits and misses count the graph and result tiers' lookups.
@@ -54,9 +63,9 @@ type Cache struct {
 
 // tier is one of the cache's maps and how its lookups are counted. The
 // graph and result tiers count in CacheStats and in passcache.hits and
-// passcache.misses; the prepared and class tiers count in neither. A
-// prepared computation reports its own ilp.prepares, and a class
-// computation its classify.fixpoint_sweeps.
+// passcache.misses; the rows, prepared and class tiers count in
+// neither. A prepared computation reports its own ilp.prepares, and a
+// class computation its classify.fixpoint_sweeps.
 type tier[V any] struct {
 	slots map[string]*slot[V]
 	// hitMetric is the counter a hit adds to.
@@ -92,6 +101,7 @@ func NewCache() *Cache {
 	return &Cache{
 		graphs:   tier[*cfg.Graph]{slots: make(map[string]*slot[*cfg.Graph]), hitMetric: "passcache.hit.cfg", counted: true},
 		results:  tier[*boundEntry]{slots: make(map[string]*slot[*boundEntry]), hitMetric: "passcache.hit.result", counted: true},
+		rows:     tier[*rowSet]{slots: make(map[string]*slot[*rowSet]), hitMetric: "wcet.row_hits"},
 		prepared: tier[*ilp.Prepared]{slots: make(map[string]*slot[*ilp.Prepared]), hitMetric: "ilp.prepare_hits"},
 		classes:  tier[*classes]{slots: make(map[string]*slot[*classes]), hitMetric: "wcet.class_hits"},
 	}
@@ -170,6 +180,7 @@ func (c *Cache) Reset() {
 	c.mu.Lock()
 	clear(c.graphs.slots)
 	clear(c.results.slots)
+	clear(c.rows.slots)
 	clear(c.prepared.slots)
 	clear(c.classes.slots)
 	c.hits, c.misses = 0, 0
@@ -191,15 +202,26 @@ func (a *Analyzer) graphKey(entry string) string {
 
 // resultKey covers every input of a whole Result: image content, entry,
 // hardware and backend (hwFingerprint), the constraint set in order,
-// and whether the LP text is retained. The constraint set is written
-// as its length and then, per constraint, the kind, the
-// length-prefixed In, A and B, and N, so that distinct sets never
-// share an encoding.
+// and whether the LP text is retained.
 func (a *Analyzer) resultKey(entry string) string {
+	return a.key(entry, a.hwFingerprint())
+}
+
+// rowsKey covers every input of an entry's row set: resultKey without
+// the hardware.
+func (a *Analyzer) rowsKey(entry string) string {
+	return a.key(entry, "")
+}
+
+// key is the graph key, hw, the constraint set and KeepLP. The
+// constraint set is written as its length and then, per constraint,
+// the kind, the length-prefixed In, A and B, and N, so that distinct
+// sets never share an encoding.
+func (a *Analyzer) key(entry, hw string) string {
 	b := make([]byte, 0, 256)
 	b = append(b, a.graphKey(entry)...)
 	b = append(b, '|')
-	b = append(b, a.hwFingerprint()...)
+	b = append(b, hw...)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(len(a.Constraints)), 10)
 	for _, uc := range a.Constraints {

@@ -60,11 +60,13 @@ func TestSweepCacheBound(t *testing.T) {
 	}
 }
 
-// TestSweepClassTierBound holds the class tier to its stated bound: a
-// cold two-backend DefaultSpace sweep leaves exactly one class vector
-// per distinct class key, 32 for its 80 results, and computes each
-// once, so the other 48 lookups are wcet.class_hits. A warm re-sweep
-// adds no vector and runs no fixpoint, and Reset empties the tier.
+// TestSweepClassTierBound holds the class and rows tiers to their
+// stated bounds: a cold two-backend DefaultSpace sweep leaves exactly
+// one class vector per distinct class key and one row set per distinct
+// rows key, 32 of each for its 80 results, and computes each once, so
+// the other 48 lookups of each are wcet.class_hits and wcet.row_hits.
+// A warm re-sweep adds no vector or row set and runs no fixpoint, and
+// Reset empties both tiers.
 func TestSweepClassTierBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double sweep: skipped in -short")
@@ -72,7 +74,7 @@ func TestSweepClassTierBound(t *testing.T) {
 	ctx := context.Background()
 	c := wcet.NewCache()
 	m := obs.NewMetrics()
-	classKeys, results := map[string]bool{}, map[string]bool{}
+	classKeys, rowKeys, results := map[string]bool{}, map[string]bool{}, map[string]bool{}
 	sweep := func() {
 		t.Helper()
 		for _, id := range []string{"arm1136", "cva6rt"} {
@@ -96,6 +98,7 @@ func TestSweepClassTierBound(t *testing.T) {
 				a.AddConstraints(cons...)
 				for _, e := range kbin.Entries {
 					classKeys[wcet.ClassKey(a, e)] = true
+					rowKeys[wcet.RowsKey(a, e)] = true
 					results[wcet.ResultKey(a, e)] = true
 				}
 			}
@@ -109,11 +112,20 @@ func TestSweepClassTierBound(t *testing.T) {
 	if hits := cold["wcet.class_hits"]; hits != uint64(len(results)-len(classKeys)) {
 		t.Errorf("cold sweep: %d wcet.class_hits over %d analyses and %d class keys", hits, len(results), len(classKeys))
 	}
+	if got := wcet.RowEntries(c); got != len(rowKeys) || got != 32 {
+		t.Errorf("cold sweep left %d row sets for %d rows keys; want 32", got, len(rowKeys))
+	}
+	if hits := cold["wcet.row_hits"]; hits != uint64(len(results)-len(rowKeys)) {
+		t.Errorf("cold sweep: %d wcet.row_hits over %d analyses and %d rows keys", hits, len(results), len(rowKeys))
+	}
 
 	sweep()
 	warm := m.Stats().Counters
 	if got := wcet.ClassEntries(c); got != len(classKeys) {
 		t.Errorf("warm re-sweep grew the class tier from %d to %d vectors", len(classKeys), got)
+	}
+	if got := wcet.RowEntries(c); got != len(rowKeys) {
+		t.Errorf("warm re-sweep grew the rows tier from %d to %d row sets", len(rowKeys), got)
 	}
 	if warm["classify.fixpoint_sweeps"] != cold["classify.fixpoint_sweeps"] {
 		t.Errorf("warm re-sweep ran the fixpoint: classify.fixpoint_sweeps %d -> %d",
@@ -121,7 +133,7 @@ func TestSweepClassTierBound(t *testing.T) {
 	}
 
 	c.Reset()
-	if got := wcet.ClassEntries(c); got != 0 {
-		t.Errorf("Reset left %d class vectors", got)
+	if got, rows := wcet.ClassEntries(c), wcet.RowEntries(c); got != 0 || rows != 0 {
+		t.Errorf("Reset left %d class vectors and %d row sets", got, rows)
 	}
 }

@@ -700,12 +700,15 @@ func TestCacheFailedComputationRetried(t *testing.T) {
 	}
 }
 
-// TestCachePreparedTier: the prepared tier keys the phase-1 basis by
-// the constraint rows alone. Hardware, KeepLP and a graph of another
-// entry with the same rows share one basis; a constraint that adds a
-// row does not. Its lookups count as ilp.prepares and ilp.prepare_hits,
-// never in CacheStats or passcache.*. Reset empties it, and without a
-// cache every analysis prepares afresh.
+// TestCachePreparedTier: the rows tier keys an entry's row set by the
+// graph, the constraint set and KeepLP, so other hardware reuses it
+// without a prepared lookup. The prepared tier keys the phase-1 basis
+// by the constraint rows alone, so a row set that differs only in
+// KeepLP, or a graph of another entry with the same rows, shares one
+// basis; a constraint that adds a row does not. Their lookups count as
+// wcet.row_hits, ilp.prepares and ilp.prepare_hits, never in
+// CacheStats or passcache.*. Reset empties both, and without a cache
+// every analysis builds its rows and prepares afresh.
 func TestCachePreparedTier(t *testing.T) {
 	img := cacheImage(t)
 	c := NewCache()
@@ -734,29 +737,29 @@ func TestCachePreparedTier(t *testing.T) {
 		}
 		return r
 	}
-	check := func(step string, prepares, hits uint64) {
+	check := func(step string, rowHits, prepares, hits uint64) {
 		t.Helper()
 		ctr := m.Stats().Counters
-		if ctr["ilp.prepares"] != prepares || ctr["ilp.prepare_hits"] != hits {
-			t.Errorf("%s: ilp.prepares %d, ilp.prepare_hits %d; want %d and %d",
-				step, ctr["ilp.prepares"], ctr["ilp.prepare_hits"], prepares, hits)
+		if ctr["wcet.row_hits"] != rowHits || ctr["ilp.prepares"] != prepares || ctr["ilp.prepare_hits"] != hits {
+			t.Errorf("%s: wcet.row_hits %d, ilp.prepares %d, ilp.prepare_hits %d; want %d, %d and %d",
+				step, ctr["wcet.row_hits"], ctr["ilp.prepares"], ctr["ilp.prepare_hits"], rowHits, prepares, hits)
 		}
 	}
 
 	analyze(arch.Config{}, "e1", nil)
-	check("cold", 1, 0)
+	check("cold", 0, 1, 0)
 	analyze(arch.Config{L2Enabled: true}, "e1", nil)
-	check("other hardware", 1, 1)
+	check("other hardware", 1, 1, 0)
 	analyze(arch.Config{}, "e1", func(a *Analyzer) { a.KeepLP = true })
-	check("KeepLP", 1, 2)
+	check("KeepLP", 1, 1, 1)
 	// Every entry of cacheImage has the same shape, so the same rows.
 	analyze(arch.Config{}, "e2", nil)
-	check("another entry's graph", 1, 3)
+	check("another entry's graph", 1, 1, 2)
 	analyze(arch.Config{}, "e1", func(a *Analyzer) { a.AddConstraints(ExecutesAtMost("e1", "entry0", 1)) })
-	check("an added constraint row", 2, 3)
+	check("an added constraint row", 1, 2, 2)
 
 	// Five result misses, two graph misses (e1, e2) and three graph
-	// hits; the prepared lookups are not among them.
+	// hits; the rows and prepared lookups are not among them.
 	ctr := m.Stats().Counters
 	if st := c.Stats(); st.Hits != 3 || st.Misses != 7 || st.Entries != 7 ||
 		ctr["passcache.hits"] != 3 || ctr["passcache.misses"] != 7 {
@@ -766,7 +769,7 @@ func TestCachePreparedTier(t *testing.T) {
 
 	c.Reset()
 	analyze(arch.Config{}, "e1", nil)
-	check("after Reset", 3, 3)
+	check("after Reset", 1, 3, 2)
 
 	m = obs.NewMetrics()
 	for i := 0; i < 2; i++ {
@@ -776,7 +779,7 @@ func TestCachePreparedTier(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	check("without a cache", 2, 0)
+	check("without a cache", 0, 2, 0)
 }
 
 // TestResultKeyConstraintEncoding: the result key tells apart
@@ -825,20 +828,20 @@ func TestIPETVariableNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ip, err := newIPETProblem(g, true)
+	rs, err := newRowSet(g, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vars := 0
 	for _, n := range g.Nodes {
 		for _, s := range n.Succs {
-			if got, want := ip.varName(ip.edgeVar(n.ID, s)), fmt.Sprintf("e%d_%d", n.ID, s); got != want {
+			if got, want := rs.varName(rs.edgeVar(n.ID, s)), fmt.Sprintf("e%d_%d", n.ID, s); got != want {
 				t.Errorf("edge %d -> %d is named %s, want %s", n.ID, s, got, want)
 			}
 			vars++
 		}
 	}
-	if vars != ip.first[len(g.Nodes)] || vars == 0 {
-		t.Errorf("%d edges, %d variables", vars, ip.first[len(g.Nodes)])
+	if vars != rs.first[len(g.Nodes)] || vars == 0 {
+		t.Errorf("%d edges, %d variables", vars, rs.first[len(g.Nodes)])
 	}
 }

@@ -7,6 +7,7 @@ var (
 	GraphKey  = (*Analyzer).graphKey
 	ResultKey = (*Analyzer).resultKey
 	ClassKey  = (*Analyzer).classKey
+	RowsKey   = (*Analyzer).rowsKey
 )
 
 // Classify runs classification's phase 1 over the entry's graph,
@@ -25,4 +26,11 @@ func ClassEntries(c *Cache) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.classes.slots)
+}
+
+// RowEntries reports the number of row sets c holds.
+func RowEntries(c *Cache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.rows.slots)
 }

@@ -151,9 +151,11 @@ type Analyzer struct {
 	Metrics *obs.Metrics
 	// Cache, when set, serves and stores CFGs and whole Results keyed
 	// by the content of their inputs (image fingerprint, entry,
-	// hardware config, constraint set, KeepLP), the ILP's phase-1
-	// basis keyed by the constraint rows, and each graph's cache
-	// class vector keyed by the graph, pinning and the TCM windows.
+	// hardware config, constraint set, KeepLP), each graph's IPET
+	// row set keyed by the graph, constraint set and KeepLP, the ILP's
+	// phase-1 basis keyed by the constraint rows, and each graph's
+	// cache class vector keyed by the graph, pinning and the TCM
+	// windows.
 	// Analyzers over identical inputs — even distinct Analyzer or
 	// Image objects — share entries through one cache. Nil disables
 	// caching.

@@ -3,6 +3,7 @@ package verikern
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -149,6 +150,48 @@ func TestPreparedBasisMatchesUncached(t *testing.T) {
 	})
 }
 
+// TestWarmBasisMatchesUncached: once a full two-backend sweep and a
+// paper regeneration have left an optimum kept on every basis of the
+// shared cache, every point of the analyser-bounds golden, analysed
+// through that cache, gives the Result an analysis without a cache
+// computes: the same bound, counts, worst-case path and LP size. The
+// points the warm-up did not analyse (232 of 780) solve over bases that
+// already keep an optimum, and at least one answer must come from it.
+func TestWarmBasisMatchesUncached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("780 analyses, each also without a cache: skipped in -short")
+	}
+	ctx := context.Background()
+	defer ResetAnalysisCache()
+	ResetAnalysisCache()
+	if _, err := ParetoSweep(ctx, nil, 7, 16, 4); err != nil {
+		t.Fatal(err)
+	}
+	regeneratePaper(t)
+	m := obs.NewMetrics()
+	for _, id := range Architectures() {
+		points, err := konfig.Enumerate(boundsSpace(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range points {
+			a, err := p.Analyzer(analysisCache, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range EntryPoints() {
+				checkAgainstUncached(t, a, string(e), p.Hash())
+			}
+		}
+	}
+	c := m.Stats().Counters
+	t.Logf("%d analyses: ilp.warm_hits %d, ilp.prepares %d, ilp.pivots %d",
+		c["wcet.entries_analyzed"], c["ilp.warm_hits"], c["ilp.prepares"], c["ilp.pivots"])
+	if c["ilp.warm_hits"] == 0 {
+		t.Errorf("no warm answer over %d analyses; the check did not cover the kept optima", c["wcet.entries_analyzed"])
+	}
+}
+
 // regeneratePaper runs the drivers of one paper regeneration: the
 // tables, the figures, both headlines and the fastpath count.
 func regeneratePaper(t *testing.T) {
@@ -177,11 +220,18 @@ func regeneratePaper(t *testing.T) {
 }
 
 // TestPreparedOncePerConstraintSet: phase 1 runs once per distinct
-// constraint set. A cold two-backend sweep (kzm-sim -sweep -sweep-ops
-// 64) analyses 80 entry points over 6 sets, at any worker count, and a
-// cold paper regeneration 16 over 6. Classification's phase 1 likewise
-// runs once per class key: the sweep's 80 analyses read 32 class
-// vectors (48 wcet.class_hits), and the paper's 16 read 12 (4 hits).
+// constraint set, and the rows once per distinct (graph, constraint
+// set, KeepLP). A cold two-backend sweep (kzm-sim -sweep -sweep-ops 64)
+// analyses 80 entry points over 32 row sets (48 wcet.row_hits) and 6
+// constraint sets, at any worker count, and a cold paper regeneration
+// 16 over 12 row sets and 6 constraint sets. Classification's phase 1
+// likewise runs once per class key: the sweep's 80 analyses read 32
+// class vectors (48 wcet.class_hits), and the paper's 16 read 12 (4
+// hits). With one solve at a time, every solve after the first over a
+// basis is answered by the optimum the previous one kept: 74 of the
+// sweep's 80 and 10 of the paper's 16 (ilp.warm_hits), with 286 pivots
+// each. Above one worker the warm count and the pivots depend on which
+// solve of a basis runs first, so they are pinned only at one.
 func TestPreparedOncePerConstraintSet(t *testing.T) {
 	ctx := context.Background()
 	defer ResetAnalysisCache()
@@ -194,9 +244,34 @@ func TestPreparedOncePerConstraintSet(t *testing.T) {
 		regenerate(t)
 		ObservePipeline(nil)
 		c := m.Stats().Counters
-		t.Logf("ilp.prepares %d, ilp.prepare_hits %d, wcet.class_hits %d, wcet.entries_analyzed %d, ilp.pivots %d",
-			c["ilp.prepares"], c["ilp.prepare_hits"], c["wcet.class_hits"], c["wcet.entries_analyzed"], c["ilp.pivots"])
+		t.Logf("ilp.prepares %d, ilp.prepare_hits %d, wcet.row_hits %d, wcet.class_hits %d, wcet.entries_analyzed %d, ilp.warm_hits %d, ilp.pivots %d",
+			c["ilp.prepares"], c["ilp.prepare_hits"], c["wcet.row_hits"], c["wcet.class_hits"], c["wcet.entries_analyzed"], c["ilp.warm_hits"], c["ilp.pivots"])
 		return c
+	}
+	type want struct {
+		analyses, rowHits, prepares, prepareHits, classHits uint64
+		// warmHits and pivots are checked when exact is set.
+		exact            bool
+		warmHits, pivots uint64
+	}
+	check := func(t *testing.T, c map[string]uint64, w want) {
+		t.Helper()
+		if c["wcet.entries_analyzed"] != w.analyses || c["wcet.row_hits"] != w.rowHits {
+			t.Errorf("wcet.row_hits %d over %d analyses; want %d over %d (%d row sets)",
+				c["wcet.row_hits"], c["wcet.entries_analyzed"], w.rowHits, w.analyses, w.analyses-w.rowHits)
+		}
+		if c["ilp.prepares"] != w.prepares || c["ilp.prepare_hits"] != w.prepareHits {
+			t.Errorf("ilp.prepares %d, ilp.prepare_hits %d; want %d and %d",
+				c["ilp.prepares"], c["ilp.prepare_hits"], w.prepares, w.prepareHits)
+		}
+		if c["wcet.class_hits"] != w.classHits {
+			t.Errorf("wcet.class_hits %d over %d analyses; want %d (%d class keys)",
+				c["wcet.class_hits"], w.analyses, w.classHits, w.analyses-w.classHits)
+		}
+		if w.exact && (c["ilp.warm_hits"] != w.warmHits || c["ilp.pivots"] != w.pivots) {
+			t.Errorf("ilp.warm_hits %d, ilp.pivots %d; want %d and %d",
+				c["ilp.warm_hits"], c["ilp.pivots"], w.warmHits, w.pivots)
+		}
 	}
 	for _, workers := range []int{4, 1} {
 		t.Run(fmt.Sprintf("sweep-workers-%d", workers), func(t *testing.T) {
@@ -205,23 +280,21 @@ func TestPreparedOncePerConstraintSet(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if c["ilp.prepares"] != 6 || c["wcet.entries_analyzed"] != 80 || c["ilp.prepare_hits"] != 74 {
-				t.Errorf("ilp.prepares %d, ilp.prepare_hits %d over %d analyses; want 6 and 74 over 80",
-					c["ilp.prepares"], c["ilp.prepare_hits"], c["wcet.entries_analyzed"])
-			}
-			if c["wcet.class_hits"] != 48 {
-				t.Errorf("wcet.class_hits %d over 80 analyses; want 48 (32 class keys)", c["wcet.class_hits"])
-			}
+			check(t, c, want{analyses: 80, rowHits: 48, prepares: 6, prepareHits: 26, classHits: 48,
+				exact: workers == 1, warmHits: 74, pivots: 286})
 		})
 	}
+	paper := want{analyses: 16, rowHits: 4, prepares: 6, prepareHits: 6, classHits: 4, warmHits: 10, pivots: 286}
 	t.Run("paper", func(t *testing.T) {
-		c := run(t, regeneratePaper)
-		if c["ilp.prepares"] != 6 || c["wcet.entries_analyzed"] != 16 || c["ilp.prepare_hits"] != 10 {
-			t.Errorf("ilp.prepares %d, ilp.prepare_hits %d over %d analyses; want 6 and 10 over 16",
-				c["ilp.prepares"], c["ilp.prepare_hits"], c["wcet.entries_analyzed"])
-		}
-		if c["wcet.class_hits"] != 4 {
-			t.Errorf("wcet.class_hits %d over 16 analyses; want 4 (12 class keys)", c["wcet.class_hits"])
-		}
+		// AnalyzeAll's default worker count: concurrent lookups of
+		// one key wait on the first.
+		check(t, run(t, regeneratePaper), paper)
+	})
+	t.Run("paper-one-worker", func(t *testing.T) {
+		// One worker per AnalyzeAll, so that one solve runs at a
+		// time.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		paper.exact = true
+		check(t, run(t, regeneratePaper), paper)
 	})
 }
