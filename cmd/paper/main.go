@@ -153,7 +153,9 @@ func main() {
 
 // writePipelineTrace dumps the collected stage timings and counters as
 // a Chrome trace plus a plain-text summary on stdout, followed by the
-// analysis cache's effectiveness counters.
+// effectiveness of the regeneration session's tiers: the analysis
+// cache, the observation memo, and the image and compiled-replay
+// tiers.
 func writePipelineTrace(m *obs.Metrics, path string) {
 	snap := m.Stats()
 	f, err := os.Create(path)
@@ -173,6 +175,11 @@ func writePipelineTrace(m *obs.Metrics, path string) {
 	ms := verikern.ObservationCacheStats()
 	fmt.Printf("Observation memo: %d campaigns shared, %d replayed, %d entries in memory\n",
 		ms.Hits, ms.Misses, ms.Entries)
+	c := snap.Counters
+	fmt.Printf("Kernel images: %d built, %d shared\n",
+		c["verikern.image_builds"], c["verikern.image_build_hits"])
+	fmt.Printf("Compiled replays: %d compiled, %d shared\n",
+		c["measure.compiles"], c["measure.compile_hits"])
 }
 
 // printAblations renders the design-space experiments beyond the

@@ -169,7 +169,8 @@ type Fig8Bar struct {
 // Fig8 reproduces Figure 8 (§6.2): the analysis is forced onto the
 // exact path that is measured (TraceCycles plays the role of the extra
 // ILP constraints), so the remaining gap isolates pipeline/cache-model
-// conservatism from path pessimism.
+// conservatism from path pessimism. The costing and the measurement
+// walk one compiled replay of each path.
 func Fig8(ctx context.Context, runs int) ([]Fig8Bar, error) {
 	if runs <= 0 {
 		runs = DefaultRuns
@@ -186,7 +187,7 @@ func Fig8(ctx context.Context, runs int) ([]Fig8Bar, error) {
 			if err != nil {
 				return nil, err
 			}
-			computed := wcet.TraceCycles(im.Img, hw, bd.Result.Trace)
+			computed := im.traceCycles(hw, bd)
 			obs := im.Observe(hw, bd, runs)
 			bars = append(bars, Fig8Bar{
 				Entry:                 e,
@@ -775,7 +776,7 @@ func TightnessReportArch(ctx context.Context, seed uint64, budget int, archID st
 			Point:   np.Point,
 			Seed:    seed,
 			Budget:  budget,
-			Cache:   analysisCache,
+			Cache:   sess.analyses,
 			Metrics: pipelineMetrics,
 		})
 		if err != nil {

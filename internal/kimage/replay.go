@@ -1,6 +1,10 @@
 package kimage
 
-import "verikern/internal/arch"
+import (
+	"sync"
+
+	"verikern/internal/arch"
+)
 
 // Replay is a block trace compiled for repeated replay. Everything a
 // replay of the trace needs that does not depend on machine state is
@@ -12,10 +16,13 @@ import "verikern/internal/arch"
 // probe's footprint priming all walk the same compiled steps.
 //
 // A Replay is immutable after Compile, apart from the footprint, which
-// is built on first use and memoised, so it is not safe for concurrent
-// use. Compile per campaign rather than caching a Replay beside
-// long-lived analysis results: it is several times the size of the
-// block trace.
+// is built once, on first use, under a sync.Once; so one Replay may be
+// replayed, costed and footprinted from several goroutines at once.
+// It is several times the size of the block trace, so it is held only
+// where one path is replayed many times: the probe compiles one per
+// search, and the paper drivers' regeneration session (package
+// verikern) holds one per observed worst-case Result until its next
+// reset.
 type Replay struct {
 	// Steps holds one entry per executed instruction, in trace order.
 	Steps []Step
@@ -24,8 +31,8 @@ type Replay struct {
 	// (from 0 for the first block).
 	Blocks []BlockStep
 
-	footprinted bool
-	code, data  []uint32
+	footprint  sync.Once
+	code, data []uint32
 }
 
 // Step is one executed instruction of a compiled trace. Its fetch
@@ -110,16 +117,19 @@ func Compile(trace []*Block) *Replay {
 // every instruction-fetch address and every data address, each
 // deduplicated but listed in first-touch order, so it is exactly the
 // set of addresses a replay touches. It is computed on first call and
-// shared by later ones; callers must not modify the slices.
+// shared by later ones, concurrent ones included; callers must not
+// modify the slices.
 //
 // Adversarial priming consumes the footprint to evict or dirty
 // precisely the cache sets a worst-case path will re-fetch
 // (cache.DirtyFootprint), rather than polluting blindly.
 func (r *Replay) Footprint() (code, data []uint32) {
-	if r.footprinted {
-		return r.code, r.data
-	}
-	r.footprinted = true
+	r.footprint.Do(r.buildFootprint)
+	return r.code, r.data
+}
+
+// buildFootprint computes Footprint's slices into r.code and r.data.
+func (r *Replay) buildFootprint() {
 	// A block whose fetch addresses are all known already (the
 	// same address and length seen before) adds no code address,
 	// so repeated blocks skip the per-address lookups.
@@ -156,7 +166,6 @@ func (r *Replay) Footprint() (code, data []uint32) {
 			}
 		}
 	}
-	return r.code, r.data
 }
 
 // TraceFootprint returns the footprint of a block trace: Compile

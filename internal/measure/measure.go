@@ -103,10 +103,17 @@ func ArchSeed(root uint64, b *arch.Backend) uint64 {
 // replay is each run's time. The image's pin set is installed first
 // when the configuration locks L1 ways.
 func Observe(img *kimage.Image, hw arch.Config, trace []*kimage.Block, runs int) Observation {
+	return ObserveReplay(img, hw, kimage.Compile(trace), runs)
+}
+
+// ObserveReplay is Observe of an already compiled trace, replayed with
+// Machine.RunReplay. It only reads r, so one Replay may serve several
+// campaigns at once.
+func ObserveReplay(img *kimage.Image, hw arch.Config, r *kimage.Replay, runs int) Observation {
 	m := machine.New(hw)
 	m.LoadImage(img)
 	m.Pollute(0)
-	return Observation{Max: m.Run(trace), Runs: max(runs, 1)}
+	return Observation{Max: m.RunReplay(r), Runs: max(runs, 1)}
 }
 
 // Ratio returns computed/observed, the pessimism ratio reported in

@@ -175,9 +175,14 @@ func reconstructTrail(g *cfg.Graph, edges []edgeCount) ([]cfg.NodeID, error) {
 // difference from the ILP result is purely the path, and the difference
 // from the simulator is purely the hardware model's pessimism.
 func TraceCycles(img *kimage.Image, hw arch.Config, trace []*kimage.Block) uint64 {
+	return ReplayCycles(img, hw, kimage.Compile(trace))
+}
+
+// ReplayCycles is TraceCycles of an already compiled trace. It only
+// reads r, so one Replay may be costed and replayed concurrently.
+func ReplayCycles(img *kimage.Image, hw arch.Config, r *kimage.Replay) uint64 {
 	m := newModel(img, hw)
 	st := m.state()
-	r := kimage.Compile(trace)
 	var path nodeClass
 	var stats ClassStats
 	start := uint32(0)

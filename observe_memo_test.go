@@ -14,8 +14,10 @@ import (
 // regeneration asks for 32 polluted campaigns, of which 20 are
 // distinct — Fig. 8 re-measures Table 2's eight paths and Fig. 9's
 // baseline bars its four L2-off ones — so the memo replays 20 and holds
-// 20 entries. Repeating the regeneration adds no entry (one per
-// distinct key), and ResetAnalysisCache empties it.
+// 20 entries. The 20 replays and Fig. 8's 8 path costings walk 8
+// compiled replays, one per path Table 2 observes. Repeating the
+// regeneration adds no entry (one per distinct key) and compiles
+// nothing, and ResetAnalysisCache empties it.
 func TestObservationMemoSharesCampaigns(t *testing.T) {
 	ctx := context.Background()
 	m := obs.NewMetrics()
@@ -44,9 +46,16 @@ func TestObservationMemoSharesCampaigns(t *testing.T) {
 		t.Errorf("metrics: measure.campaigns=%d measure.campaign_hits=%d, want 20 and 12",
 			c["measure.campaigns"], c["measure.campaign_hits"])
 	}
+	if c["measure.compiles"] != 8 || c["measure.compile_hits"] != 20 {
+		t.Errorf("metrics: measure.compiles=%d measure.compile_hits=%d, want 8 and 20",
+			c["measure.compiles"], c["measure.compile_hits"])
+	}
 	regenerate()
 	if got := ObservationCacheStats(); got.Misses != 20 || got.Hits != 44 || got.Entries != 20 {
 		t.Errorf("after a repeat regeneration: %+v, want 20 misses, 44 hits, 20 entries", got)
+	}
+	if got := m.Stats().Counters["measure.compiles"]; got != 8 {
+		t.Errorf("after a repeat regeneration: measure.compiles=%d, want 8", got)
 	}
 	ResetAnalysisCache()
 	if got := ObservationCacheStats(); got.Hits != 0 || got.Misses != 0 || got.Entries != 0 {
@@ -80,7 +89,8 @@ func TestFig9StableAcrossColdRuns(t *testing.T) {
 
 // TestObserveConcurrent: Image.Observe may be called from several
 // goroutines at once; every caller gets the Observation a lone call
-// gets, and the memo still holds one entry per distinct key.
+// gets, and each distinct campaign is replayed once: a caller that
+// finds its campaign in flight waits for it and counts as a hit.
 func TestObserveConcurrent(t *testing.T) {
 	ResetAnalysisCache()
 	defer ResetAnalysisCache()
@@ -109,7 +119,7 @@ func TestObserveConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := ObservationCacheStats(); got.Entries != len(hws) || got.Hits+got.Misses != 8 {
-		t.Errorf("memo after 8 concurrent calls on %d keys: %+v", len(hws), got)
+	if got := ObservationCacheStats(); got.Misses != 3 || got.Hits != 5 || got.Entries != 3 {
+		t.Errorf("memo after 8 concurrent calls on 3 keys: %+v, want 3 misses, 5 hits, 3 entries", got)
 	}
 }

@@ -95,7 +95,7 @@ func TestPreparedBasisMatchesUncached(t *testing.T) {
 				wg.Add(1)
 				go func(p konfig.Point) {
 					defer wg.Done()
-					a, err := p.Analyzer(analysisCache, nil)
+					a, err := p.Analyzer(sess.analyses, nil)
 					if err != nil {
 						t.Error(err)
 						return
@@ -175,7 +175,7 @@ func TestWarmBasisMatchesUncached(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range points {
-			a, err := p.Analyzer(analysisCache, m)
+			a, err := p.Analyzer(sess.analyses, m)
 			if err != nil {
 				t.Fatal(err)
 			}

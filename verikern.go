@@ -21,7 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
+	"slices"
 
 	"verikern/internal/arch"
 	"verikern/internal/kbin"
@@ -93,6 +93,9 @@ func (e EntryPoint) Label() string {
 }
 
 // Image is a built kernel binary plus its infeasible-path constraints.
+// Images built through BuildImage and BuildImagePoint share Img and
+// Constraints with every other image of the same build options, so
+// both must be treated as immutable.
 type Image struct {
 	Img         *kimage.Image
 	Constraints []wcet.UserConstraint
@@ -109,65 +112,20 @@ type Image struct {
 // experiments.go report their analysis stages without any API change.
 var pipelineMetrics *obs.Metrics
 
-// analysisCache is the process-wide analysis cache behind every
-// Analyze call made through this package. Keys are built from input
-// content (image fingerprint, entry, hardware config, constraint set),
-// so separately built but identical images — the common shape of the
-// experiment drivers, which rebuild images per table — share CFGs and
-// whole Results.
-var analysisCache = wcet.NewCache()
-
 // AnalysisCacheStats returns a snapshot of the shared analysis cache's
 // hit/miss counters and entry count.
-func AnalysisCacheStats() wcet.CacheStats { return analysisCache.Stats() }
+func AnalysisCacheStats() wcet.CacheStats { return sess.analyses.Stats() }
 
-// ResetAnalysisCache drops every cached analysis and observation and
-// zeroes both caches' counters.
-func ResetAnalysisCache() {
-	analysisCache.Reset()
-	observations.reset()
-}
-
-// observationKey identifies one polluted measurement campaign: the
-// analysed Result whose trace is replayed, the replaying image's
-// content (its pin set decides what LoadImage locks), the hardware and
-// its backend version, and the run count. An Observation is a pure
-// function of these.
-type observationKey struct {
-	result *wcet.Result
-	image  string
-	hw     string
-	runs   int
-}
-
-// observationMemo shares Observations between identical campaigns, as
-// when Fig. 8 and Fig. 9's baseline bars re-measure Table 2's paths.
-// It never evicts: it holds one entry per distinct observationKey since
-// the last ResetAnalysisCache, and like the analysis cache it keeps the
-// keyed Results alive until then. Safe for concurrent use.
-type observationMemo struct {
-	mu           sync.Mutex
-	m            map[observationKey]measure.Observation
-	hits, misses uint64
-}
-
-var observations = observationMemo{m: make(map[observationKey]measure.Observation)}
-
-func (o *observationMemo) reset() {
-	o.mu.Lock()
-	clear(o.m)
-	o.hits, o.misses = 0, 0
-	o.mu.Unlock()
-}
+// ResetAnalysisCache empties the regeneration session: every cached
+// analysis, built image, compiled replay and observation, and every
+// counter of the analysis cache and the observation memo.
+func ResetAnalysisCache() { sess.reset() }
 
 // ObservationCacheStats returns a snapshot of the observation memo
-// behind Image.Observe: campaigns served from it (Hits), campaigns
-// replayed (Misses), and Observations held (Entries).
-func ObservationCacheStats() wcet.CacheStats {
-	observations.mu.Lock()
-	defer observations.mu.Unlock()
-	return wcet.CacheStats{Hits: observations.hits, Misses: observations.misses, Entries: len(observations.m)}
-}
+// behind Image.Observe: campaigns served from it (Hits, a campaign that
+// waited for a concurrent identical one included), campaigns replayed
+// (Misses), and Observations held (Entries).
+func ObservationCacheStats() wcet.CacheStats { return sess.observations.stats() }
 
 // ObservePipeline installs a metrics registry that every subsequent
 // BuildImage attaches to its image. Pass nil to disable. The drivers in
@@ -206,7 +164,7 @@ func ParetoSweep(ctx context.Context, archIDs []string, seed, ops uint64, worker
 		if err != nil {
 			return nil, err
 		}
-		sw, err := konfig.Sweep(ctx, analysisCache, pipelineMetrics, sp, seed, ops, workers)
+		sw, err := konfig.Sweep(ctx, sess.analyses, pipelineMetrics, sp, seed, ops, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -242,15 +200,34 @@ func BuildImage(v Variant, pinned bool) (*Image, error) {
 // selects, plus the Hardware to analyse it under (TCM bases resolved
 // from the image layout when the point enables the TCM). An infeasible
 // point fails with the rule engine's named diagnostics.
+//
+// The session builds each kbin.Options key once (a concurrent caller
+// waits for the first build) and shares the immutable kernel binary and
+// constraint slice; each call returns a fresh Image carrying the
+// point and the metrics ObservePipeline currently sets. The metrics
+// count builds (verikern.image_builds) and images served from the
+// session (verikern.image_build_hits).
 func BuildImagePoint(p LatticePoint) (*Image, Hardware, error) {
 	if err := p.Check(); err != nil {
 		return nil, Hardware{}, err
 	}
-	img, cons, hw, err := p.Build()
+	opts := p.KbinOptions()
+	b, hit, err := sess.images.get(opts.Canonical(), func() (builtImage, error) {
+		img, cons, err := kbin.Build(opts)
+		return builtImage{img: img, cons: cons}, err
+	})
 	if err != nil {
 		return nil, Hardware{}, err
 	}
-	return &Image{Img: img, Constraints: cons, Point: p, Metrics: pipelineMetrics}, hw, nil
+	m := pipelineMetrics
+	countLookup(m, hit, "verikern.image_build_hits", "verikern.image_builds")
+	hw, err := p.HardwareFor(b.img)
+	if err != nil {
+		return nil, Hardware{}, err
+	}
+	// A clipped slice makes a caller's append copy rather than write
+	// into the shared backing array.
+	return &Image{Img: b.img, Constraints: slices.Clip(b.cons), Point: p, Metrics: m}, hw, nil
 }
 
 // Architectures lists the registered hardware backend ids, sorted.
@@ -274,7 +251,7 @@ func (im *Image) analyzer(hw Hardware) *wcet.Analyzer {
 	a := wcet.New(im.Img, hw)
 	a.AddConstraints(im.Constraints...)
 	a.Metrics = im.Metrics
-	a.Cache = analysisCache
+	a.Cache = sess.analyses
 	return a
 }
 
@@ -337,30 +314,27 @@ func (im *Image) VerifyLoopBounds() (checked int, unmodelled []string, err error
 // Observe replays a bound's worst-case path on the simulated hardware
 // from an adversarial polluted cache state and reports it as the worst
 // of `runs` runs, which all time alike (§5.4, measure.Observe).
-// Identical campaigns share one Observation through a process memo
-// that ResetAnalysisCache clears; the image's metrics count replayed
-// campaigns (measure.campaigns) and shared ones (measure.campaign_hits).
+// Identical campaigns share one Observation through the session's
+// observation memo, which runs each campaign once (a concurrent caller
+// of the same campaign waits for the first) and which
+// ResetAnalysisCache clears. A campaign replays the session's compiled
+// replay of the path (measure.ObserveReplay). The image's metrics count
+// replayed campaigns (measure.campaigns) and shared ones
+// (measure.campaign_hits).
 func (im *Image) Observe(hw Hardware, b Bound, runs int) measure.Observation {
 	key := observationKey{result: b.Result, image: im.Img.Fingerprint(),
 		hw: hw.Backend().Key() + "|" + hw.CanonicalKey(), runs: runs}
-	o := &observations
-	o.mu.Lock()
-	obs, ok := o.m[key]
-	if ok {
-		o.hits++
-	}
-	o.mu.Unlock()
-	if ok {
-		im.Metrics.Add("measure.campaign_hits", 1)
-		return obs
-	}
-	obs = measure.Observe(im.Img, hw, b.Result.Trace, runs)
-	o.mu.Lock()
-	o.misses++
-	o.m[key] = obs
-	o.mu.Unlock()
-	im.Metrics.Add("measure.campaigns", 1)
-	return obs
+	o, hit, _ := sess.observations.get(key, func() (measure.Observation, error) { // cannot fail
+		return measure.ObserveReplay(im.Img, hw, sess.replay(b.Result, im.Metrics), runs), nil
+	})
+	countLookup(im.Metrics, hit, "measure.campaign_hits", "measure.campaigns")
+	return o
+}
+
+// traceCycles is wcet.TraceCycles of a bound's worst-case path, costed
+// along the session's compiled replay of it (wcet.ReplayCycles).
+func (im *Image) traceCycles(hw Hardware, b Bound) uint64 {
+	return wcet.ReplayCycles(im.Img, hw, sess.replay(b.Result, im.Metrics))
 }
 
 // --- Functional kernel facade ---
